@@ -1,5 +1,6 @@
 #include "ir/tape_batch.hpp"
 
+#include <algorithm>
 #include <cfenv>
 #include <cmath>
 #include <cstdint>
@@ -20,17 +21,24 @@ namespace sf = fpq::softfloat;
 namespace {
 
 /// The SoA interpreter for one chunk: registers live as
-/// regs[reg * lanes + lane] in-format values, flags[lane] accumulates the
+/// regs[reg * block + lane] in-format values, flags[lane] accumulates the
 /// per-row sticky union. In-format intermediates are bit- and
 /// flag-identical to SoftEvaluator's widen/renarrow-per-op discipline
 /// (widening is exact; re-narrowing an in-format value is exact and
-/// quiet; DAZ/FTZ act inside the ops either way).
+/// quiet; DAZ/FTZ act inside the ops either way). Every op is a batch
+/// entry point, so the active kernel variant picks the engine (kScalar
+/// forces the scalar reference loops for the whole stack).
+///
+/// Per-instruction passes stream every register array once, so lanes run
+/// in blocks that keep the whole register file in L1 instead of
+/// round-tripping a chunk-sized array through L2/L3 per opcode.
+/// Independent lanes: blocking cannot change results.
 template <int kBits>
 void run_soft_lanes(const Tape& t, const double* values, std::size_t width,
                     std::size_t begin, std::size_t end, Outcome* out) {
   using F = sf::Float<kBits>;
   using Storage = typename F::Storage;
-  const std::size_t lanes = end - begin;
+  constexpr std::size_t kLaneBlock = 1024;
   const EvalConfig& cfg = t.config();
   sf::Env env(cfg.rounding);
   env.set_flush_to_zero(cfg.flush_to_zero);
@@ -38,66 +46,77 @@ void run_soft_lanes(const Tape& t, const double* values, std::size_t width,
   sf::Env quiet(cfg.rounding);
   quiet.set_denormals_are_zero(cfg.denormals_are_zero);
 
-  std::vector<F> regs(t.register_count() * lanes);
-  std::vector<unsigned> flags(lanes, 0);
+  const std::size_t block = std::min(end - begin, kLaneBlock);
+  std::vector<F> regs(t.register_count() * block);
+  std::vector<unsigned> flags(block);
   const std::span<const std::uint64_t> pool = t.constant_bits();
 
-  for (const TapeInst& in : t.code()) {
-    F* d = regs.data() + std::size_t{in.dst} * lanes;
-    const F* a = regs.data() + std::size_t{in.a} * lanes;
-    const F* b = regs.data() + std::size_t{in.b} * lanes;
-    const F* c = regs.data() + std::size_t{in.c} * lanes;
-    switch (in.op) {
-      case TapeOp::kConst: {
-        const F v = F::from_bits(static_cast<Storage>(pool[in.a]));
-        for (std::size_t l = 0; l < lanes; ++l) d[l] = v;
-        break;
+  for (std::size_t r0 = begin; r0 < end; r0 += block) {
+    const std::size_t lanes = std::min(end - r0, block);
+    std::fill_n(flags.data(), lanes, 0u);
+    for (const TapeInst& in : t.code()) {
+      F* d = regs.data() + std::size_t{in.dst} * block;
+      const F* a = regs.data() + std::size_t{in.a} * block;
+      const F* b = regs.data() + std::size_t{in.b} * block;
+      const F* c = regs.data() + std::size_t{in.c} * block;
+      switch (in.op) {
+        case TapeOp::kConst: {
+          const F v = F::from_bits(static_cast<Storage>(pool[in.a]));
+          std::fill_n(d, lanes, v);
+          break;
+        }
+        case TapeOp::kVar:
+          // Column in.a of the row-major block, one stride per row. The
+          // entry points validated width > in.a, so no quiet-NaN lane.
+          sf::narrow_from_double_n<kBits>(values + r0 * width + in.a, width,
+                                          d, lanes, quiet);
+          break;
+        case TapeOp::kNeg:
+          sf::neg_n<kBits>(a, d, lanes);
+          break;
+        case TapeOp::kAdd:
+          sf::add_n<kBits>(a, b, d, flags.data(), lanes, env);
+          break;
+        case TapeOp::kSub:
+          sf::sub_n<kBits>(a, b, d, flags.data(), lanes, env);
+          break;
+        case TapeOp::kMul:
+          sf::mul_n<kBits>(a, b, d, flags.data(), lanes, env);
+          break;
+        case TapeOp::kDiv:
+          sf::div_n<kBits>(a, b, d, flags.data(), lanes, env);
+          break;
+        case TapeOp::kSqrt:
+          sf::sqrt_n<kBits>(a, d, flags.data(), lanes, env);
+          break;
+        case TapeOp::kFma:
+          sf::fma_n<kBits>(a, b, c, d, flags.data(), lanes, env);
+          break;
+        case TapeOp::kCmpEq:
+          sf::equal_n<kBits>(a, b, d, flags.data(), lanes, env);
+          break;
+        case TapeOp::kCmpLt:
+          sf::less_n<kBits>(a, b, d, flags.data(), lanes, env);
+          break;
       }
-      case TapeOp::kVar:
-        // Column in.a of the row-major block, one stride per row.
-        // The entry points validated width > in.a, so no quiet-NaN lane.
-        sf::narrow_from_double_n<kBits>(values + begin * width + in.a, width,
-                                        d, lanes, quiet);
-        break;
-      case TapeOp::kNeg:
-        sf::neg_n<kBits>(a, d, lanes);
-        break;
-      case TapeOp::kAdd:
-        sf::add_n<kBits>(a, b, d, flags.data(), lanes, env);
-        break;
-      case TapeOp::kSub:
-        sf::sub_n<kBits>(a, b, d, flags.data(), lanes, env);
-        break;
-      case TapeOp::kMul:
-        sf::mul_n<kBits>(a, b, d, flags.data(), lanes, env);
-        break;
-      case TapeOp::kDiv:
-        sf::div_n<kBits>(a, b, d, flags.data(), lanes, env);
-        break;
-      case TapeOp::kSqrt:
-        sf::sqrt_n<kBits>(a, d, flags.data(), lanes, env);
-        break;
-      case TapeOp::kFma:
-        sf::fma_n<kBits>(a, b, c, d, flags.data(), lanes, env);
-        break;
-      case TapeOp::kCmpEq:
-        sf::equal_n<kBits>(a, b, d, flags.data(), lanes, env);
-        break;
-      case TapeOp::kCmpLt:
-        sf::less_n<kBits>(a, b, d, flags.data(), lanes, env);
-        break;
     }
-  }
 
-  const F* result = regs.data() + std::size_t{t.result_register()} * lanes;
-  sf::Env widen_env;  // widening is exact
-  for (std::size_t l = 0; l < lanes; ++l) {
-    if constexpr (kBits == 64) {
-      out[l].value = result[l];
-    } else {
-      out[l].value = sf::convert<64>(result[l], widen_env);
+    const F* result = regs.data() + std::size_t{t.result_register()} * block;
+    Outcome* o = out + (r0 - begin);
+    sf::Env widen_env;  // widening is exact
+    for (std::size_t l = 0; l < lanes; ++l) {
+      if constexpr (kBits == 64) {
+        o[l].value = result[l];
+      } else if constexpr (kBits == 32) {
+        // Registers never hold a signaling NaN (operands and literals are
+        // narrowed through quieting converts), so the integer widen is
+        // convert<64, 32> bit for bit.
+        o[l].value = sf::from_native(sf::fast32::widen(result[l]));
+      } else {
+        o[l].value = sf::convert<64>(result[l], widen_env);
+      }
+      o[l].flags = flags[l];
     }
-    out[l].flags = flags[l];
   }
 }
 
@@ -374,12 +393,10 @@ void run_fast16_block(const Tape& t, const double* values, std::size_t width,
   }
 }
 
-// Per-instruction passes stream every register array once, so block lanes
-// to keep the whole register file in L1 instead of round-tripping a
-// chunk-sized array through L2/L3 per opcode. Independent lanes: blocking
-// cannot change results. Native arithmetic in the blocks requires
-// round-to-nearest and must not leak host exception flags to the caller,
-// so the whole fenv is saved around the sweep and restored after.
+// The same lane blocking as run_soft_lanes. Native arithmetic in the
+// blocks requires round-to-nearest and must not leak host exception flags
+// to the caller, so the whole fenv is saved around the sweep and restored
+// after.
 void run_fast16_lanes(const Tape& t, const double* values, std::size_t width,
                       std::size_t begin, std::size_t end, Outcome* out) {
   constexpr std::size_t kBlock = 1024;
@@ -389,288 +406,6 @@ void run_fast16_lanes(const Tape& t, const double* values, std::size_t width,
   for (std::size_t b = begin; b < end; b += kBlock) {
     const std::size_t e = b + kBlock < end ? b + kBlock : end;
     run_fast16_block(t, values, width, b, e, out + (b - begin));
-  }
-  std::fesetenv(&saved_fenv);
-}
-
-// The binary32 hot path: the same native-double technique as
-// run_fast16_block, with the headroom arguments adjusted for the wider
-// format (softfloat/fast32.hpp): mul stays exact in binary64, add/sub/fma
-// compress the sum through TwoSum + round-to-odd before folding back, and
-// div/sqrt lean on the innocuous-double-rounding bound 53 >= 2*24 + 2.
-// Fold-back goes through fast32::round32 — detail::round_pack<32>, the
-// scalar engine's own core — so all five modes, FTZ tininess handling and
-// flag raises are the scalar engine's by construction.
-void run_fast32_block(const Tape& t, const double* values, std::size_t width,
-                      std::size_t begin, std::size_t end, Outcome* out) {
-  namespace f32 = sf::fast32;
-  using F32 = sf::Float32;
-  const std::size_t lanes = end - begin;
-  const EvalConfig& cfg = t.config();
-  const sf::Rounding mode = cfg.rounding;
-  const bool daz = cfg.denormals_are_zero;
-  sf::Env env(mode);  // op env: FTZ/DAZ live, flags read per lane
-  env.set_flush_to_zero(cfg.flush_to_zero);
-  env.set_denormals_are_zero(daz);
-  sf::Env quiet(mode);  // operand-narrowing env: flags discarded, no FTZ
-  quiet.set_denormals_are_zero(daz);
-
-  std::vector<double> regs(t.register_count() * lanes);
-  std::vector<unsigned> flags(lanes, 0);
-  const std::span<const std::uint64_t> pool = t.constant_bits();
-
-  for (const TapeInst& in : t.code()) {
-    double* d = regs.data() + std::size_t{in.dst} * lanes;
-    const double* a = regs.data() + std::size_t{in.a} * lanes;
-    const double* b = regs.data() + std::size_t{in.b} * lanes;
-    const double* c = regs.data() + std::size_t{in.c} * lanes;
-    switch (in.op) {
-      case TapeOp::kConst: {
-        const double v =
-            f32::widen(F32::from_bits(static_cast<std::uint32_t>(pool[in.a])));
-        for (std::size_t l = 0; l < lanes; ++l) d[l] = v;
-        break;
-      }
-      case TapeOp::kVar:
-        for (std::size_t l = 0; l < lanes; ++l) {
-          const double x = values[(begin + l) * width + in.a];
-          const std::uint64_t xb = std::bit_cast<std::uint64_t>(x);
-          const auto be = (xb >> 52) & 0x7FF;
-          if (be == 0) {  // signed zero or double-subnormal (DAZ range)
-            d[l] = (xb << 1) == 0 ? x : f32::widen(sf::convert<32>(
-                                            sf::from_native(x), quiet));
-            continue;
-          }
-          if (be == 0x7FF) {  // infinity / NaN: quieting narrow
-            d[l] = f32::widen(sf::convert<32>(sf::from_native(x), quiet));
-            continue;
-          }
-          d[l] = f32::narrow32_value(x, mode);  // flags discarded
-        }
-        break;
-      case TapeOp::kNeg:
-        for (std::size_t l = 0; l < lanes; ++l) d[l] = f32::flip_sign(a[l]);
-        break;
-      case TapeOp::kAdd:
-      case TapeOp::kSub: {
-        const bool is_sub = in.op == TapeOp::kSub;
-        for (std::size_t l = 0; l < lanes; ++l) {
-          double av = a[l], bv = b[l];
-          if (!(f32::is_finite(av) && f32::is_finite(bv))) {
-            env.clear_flags();
-            const F32 r = is_sub
-                              ? sf::sub(f32::to_f32(av), f32::to_f32(bv), env)
-                              : sf::add(f32::to_f32(av), f32::to_f32(bv), env);
-            flags[l] |= env.flags();
-            d[l] = f32::widen(r);
-            continue;
-          }
-          unsigned f = 0;
-          if (daz) {
-            av = f32::daz32(av);
-            bv = f32::daz32(bv);
-          } else if (f32::is_subnormal32(av) || f32::is_subnormal32(bv)) {
-            f = sf::kFlagDenormalInput;
-          }
-          if (is_sub) bv = f32::flip_sign(bv);
-          // NOT exact in binary64 (unlike binary16): compress through
-          // TwoSum + round-to-odd so folding back sees the exact sum's
-          // side of every binary32 rounding boundary.
-          const double s = f32::add_round_odd(av, bv);
-          if (s == 0.0) {
-            const bool sa = std::signbit(av);
-            const bool sb = std::signbit(bv);  // addend sign (already flipped)
-            const bool zs = (av == 0.0 && bv == 0.0 && sa == sb)
-                                ? sa
-                                : f32::exact_zero_sign(mode);
-            d[l] = zs ? -0.0 : 0.0;
-            flags[l] |= f;
-            continue;
-          }
-          env.clear_flags();
-          d[l] = f32::round32(s, env);
-          flags[l] |= f | env.flags();
-        }
-        break;
-      }
-      case TapeOp::kMul:
-        for (std::size_t l = 0; l < lanes; ++l) {
-          double av = a[l], bv = b[l];
-          if (!(f32::is_finite(av) && f32::is_finite(bv))) {
-            env.clear_flags();
-            const F32 r = sf::mul(f32::to_f32(av), f32::to_f32(bv), env);
-            flags[l] |= env.flags();
-            d[l] = f32::widen(r);
-            continue;
-          }
-          unsigned f = 0;
-          if (daz) {
-            av = f32::daz32(av);
-            bv = f32::daz32(bv);
-          } else if (f32::is_subnormal32(av) || f32::is_subnormal32(bv)) {
-            f = sf::kFlagDenormalInput;
-          }
-          const double s = av * bv;  // exact: 24+24 significand bits
-          if (s == 0.0) {            // sign is the XOR the standard wants
-            d[l] = s;
-            flags[l] |= f;
-            continue;
-          }
-          env.clear_flags();
-          d[l] = f32::round32(s, env);
-          flags[l] |= f | env.flags();
-        }
-        break;
-      case TapeOp::kDiv:
-        for (std::size_t l = 0; l < lanes; ++l) {
-          double av = a[l], bv = b[l];
-          unsigned f = 0;
-          bool slow = !(f32::is_finite(av) && f32::is_finite(bv));
-          if (!slow) {
-            if (daz) {
-              av = f32::daz32(av);
-              bv = f32::daz32(bv);
-            } else if (f32::is_subnormal32(av) || f32::is_subnormal32(bv)) {
-              f = sf::kFlagDenormalInput;
-            }
-            slow = bv == 0.0;  // divide-by-zero / 0 over 0: canonical path
-          }
-          if (slow) {
-            env.clear_flags();
-            const F32 r = sf::div(f32::to_f32(a[l]), f32::to_f32(b[l]), env);
-            flags[l] |= env.flags();
-            d[l] = f32::widen(r);
-            continue;
-          }
-          const double s = av / bv;  // correctly rounded; narrow innocuous
-          if (s == 0.0) {
-            d[l] = s;
-            flags[l] |= f;
-            continue;
-          }
-          env.clear_flags();
-          d[l] = f32::round32(s, env);
-          flags[l] |= f | env.flags();
-        }
-        break;
-      case TapeOp::kSqrt:
-        for (std::size_t l = 0; l < lanes; ++l) {
-          double xv = a[l];
-          unsigned f = 0;
-          bool slow = !f32::is_finite(xv);
-          if (!slow) {
-            if (daz) {
-              xv = f32::daz32(xv);
-            } else if (f32::is_subnormal32(xv)) {
-              f = sf::kFlagDenormalInput;
-            }
-            slow = std::signbit(xv) && xv != 0.0;  // invalid: canonical NaN
-          }
-          if (slow) {
-            env.clear_flags();
-            const F32 r = sf::sqrt(f32::to_f32(a[l]), env);
-            flags[l] |= env.flags();
-            d[l] = f32::widen(r);
-            continue;
-          }
-          if (xv == 0.0) {  // sqrt(±0) = ±0, exact
-            d[l] = xv;
-            flags[l] |= f;
-            continue;
-          }
-          env.clear_flags();
-          d[l] = f32::round32(std::sqrt(xv), env);
-          flags[l] |= f | env.flags();
-        }
-        break;
-      case TapeOp::kFma:
-        for (std::size_t l = 0; l < lanes; ++l) {
-          double av = a[l], bv = b[l], cv = c[l];
-          if (!(f32::is_finite(av) && f32::is_finite(bv) &&
-                f32::is_finite(cv))) {
-            env.clear_flags();
-            const F32 r = sf::fma(f32::to_f32(av), f32::to_f32(bv),
-                                  f32::to_f32(cv), env);
-            flags[l] |= env.flags();
-            d[l] = f32::widen(r);
-            continue;
-          }
-          unsigned f = 0;
-          if (daz) {
-            av = f32::daz32(av);
-            bv = f32::daz32(bv);
-            cv = f32::daz32(cv);
-          } else if (f32::is_subnormal32(av) || f32::is_subnormal32(bv) ||
-                     f32::is_subnormal32(cv)) {
-            f = sf::kFlagDenormalInput;
-          }
-          const double t2 = av * bv;  // exact product
-          const double s = f32::add_round_odd(t2, cv);
-          if (s == 0.0) {  // exact zero: |t2 + cv| >= 2^-298 when nonzero
-            const bool psign = std::signbit(av) != std::signbit(bv);
-            const bool zs = ((av == 0.0 || bv == 0.0) && cv == 0.0 &&
-                             psign == std::signbit(cv))
-                                ? psign
-                                : f32::exact_zero_sign(mode);
-            d[l] = zs ? -0.0 : 0.0;
-            flags[l] |= f;
-            continue;
-          }
-          env.clear_flags();
-          d[l] = f32::round32(s, env);
-          flags[l] |= f | env.flags();
-        }
-        break;
-      case TapeOp::kCmpEq:
-        for (std::size_t l = 0; l < lanes; ++l) {
-          double av = a[l], bv = b[l];
-          if (av != av || bv != bv) {  // unordered; sNaN cannot be in-lane
-            d[l] = 0.0;
-            continue;
-          }
-          if (daz) {
-            av = f32::daz32(av);
-            bv = f32::daz32(bv);
-          }
-          d[l] = av == bv ? 1.0 : 0.0;  // comparisons raise no DE flag
-        }
-        break;
-      case TapeOp::kCmpLt:
-        for (std::size_t l = 0; l < lanes; ++l) {
-          double av = a[l], bv = b[l];
-          if (av != av || bv != bv) {  // signaling predicate: invalid
-            flags[l] |= sf::kFlagInvalid;
-            d[l] = 0.0;
-            continue;
-          }
-          if (daz) {
-            av = f32::daz32(av);
-            bv = f32::daz32(bv);
-          }
-          d[l] = av < bv ? 1.0 : 0.0;
-        }
-        break;
-    }
-  }
-
-  const double* result =
-      regs.data() + std::size_t{t.result_register()} * lanes;
-  for (std::size_t l = 0; l < lanes; ++l) {
-    out[l].value = sf::from_native(result[l]);
-    out[l].flags = flags[l];
-  }
-}
-
-// Same blocking/fenv discipline as run_fast16_lanes.
-void run_fast32_lanes(const Tape& t, const double* values, std::size_t width,
-                      std::size_t begin, std::size_t end, Outcome* out) {
-  constexpr std::size_t kBlock = 1024;
-  fenv_t saved_fenv;
-  std::fegetenv(&saved_fenv);
-  std::fesetround(FE_TONEAREST);
-  for (std::size_t b = begin; b < end; b += kBlock) {
-    const std::size_t e = b + kBlock < end ? b + kBlock : end;
-    run_fast32_block(t, values, width, b, e, out + (b - begin));
   }
   std::fesetenv(&saved_fenv);
 }
@@ -690,15 +425,7 @@ void dispatch_soft(const Tape& tape, const double* values, std::size_t width,
       run_fast16_lanes(tape, values, width, begin, end, out);
       break;
     case 32:
-      // The fast32 native block under any accelerated variant; kScalar
-      // keeps the SoA interpreter (whose batch entry points then run the
-      // scalar reference loops), so forcing kScalar forces the whole
-      // stack scalar.
-      if (sf::active_kernel_variant() != sf::KernelVariant::kScalar) {
-        run_fast32_lanes(tape, values, width, begin, end, out);
-      } else {
-        run_soft_lanes<32>(tape, values, width, begin, end, out);
-      }
+      run_soft_lanes<32>(tape, values, width, begin, end, out);
       break;
     case sf::kBFloat16:
       run_soft_lanes<sf::kBFloat16>(tape, values, width, begin, end, out);

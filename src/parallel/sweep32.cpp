@@ -22,6 +22,10 @@
 #include "softfloat/batch.hpp"
 #include "softfloat/ops.hpp"
 
+#if defined(__SSE__)
+#include <immintrin.h>
+#endif
+
 namespace fpq::parallel::sweep32 {
 
 namespace {
@@ -203,16 +207,51 @@ class Manifest {
 
 // -- Chunk bodies -----------------------------------------------------------
 
+/// Host-FPU sqrt of every lane under the ambient fenv direction: four
+/// lanes per SSE sqrtps where the target has it, hw_sqrt elsewhere.
+void host_sqrt_n(const sf::Float32* in, sf::Float32* out, std::size_t n) {
+  static_assert(sizeof(sf::Float32) == sizeof(float));
+  std::size_t i = 0;
+#if defined(__SSE__)
+  for (; i + 4 <= n; i += 4) {
+    const __m128i x =
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(in + i));
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i),
+                     _mm_castps_si128(_mm_sqrt_ps(_mm_castsi128_ps(x))));
+  }
+#endif
+  for (; i < n; ++i) {
+    out[i] = sf::from_native(hw_sqrt<float>(sf::to_native(in[i])));
+  }
+}
+
+/// A sqrt shard's buffers, kept per thread so shards reuse them instead of
+/// allocating afresh. A shard larger than kKeepPatterns frees them again,
+/// which bounds what a thread holds between sweeps.
+struct SqrtBuffers {
+  std::vector<sf::Float32> in, soft, want;
+  std::vector<unsigned> flags, scratch;
+  std::vector<sf::Float64> wide;
+  std::vector<double> rows;
+  std::vector<ir::Outcome> outs;
+};
+constexpr std::size_t kKeepPatterns = std::size_t{1} << 16;
+
 /// sqrt: soft batch kernel is the canonical lane; raced against the host
 /// FPU (fenv-expressible modes) or the double-path reference
-/// (roundTiesToAway), and against the tape engines when configured.
+/// (roundTiesToAway) plus the exact flag reference, and against the tape
+/// engines when configured.
 ChunkStats run_sqrt_chunk(const Sweep32Config& cfg, sf::Rounding mode,
                           std::uint64_t p0, std::uint64_t p1,
                           const ir::Tape* tape) {
   const std::size_t n = static_cast<std::size_t>(p1 - p0);
-  std::vector<sf::Float32> in(n);
-  std::vector<sf::Float32> soft(n);
-  std::vector<unsigned> flags(n, 0);
+  thread_local SqrtBuffers buf;
+  std::vector<sf::Float32>& in = buf.in;
+  std::vector<sf::Float32>& soft = buf.soft;
+  std::vector<unsigned>& flags = buf.flags;
+  in.resize(n);
+  soft.resize(n);
+  flags.assign(n, 0);
   for (std::size_t i = 0; i < n; ++i) {
     in[i] = sf::Float32{static_cast<std::uint32_t>(p0 + i)};
   }
@@ -227,68 +266,82 @@ ChunkStats run_sqrt_chunk(const Sweep32Config& cfg, sf::Rounding mode,
 
   const std::size_t budget = cfg.max_mismatch_reports;
   if (cfg.race_hardware) {
-    if (mode == sf::Rounding::kNearestAway) {
-      // No fenv equivalent: the reference is the 53-bit hardware root
-      // narrowed under ties-to-away (ties provably never arise).
-      for (std::size_t i = 0; i < n; ++i) {
-        const sf::Float32 want = ref_sqrt(in[i], mode);
-        if (soft[i].bits != want.bits) {
-          st.note(budget, describe_mismatch("sqrt32/ref", mode, in[i].bits,
-                                            soft[i], want));
-        }
-      }
+    std::vector<sf::Float32>& want = buf.want;
+    want.resize(n);
+    // No fenv equivalent of roundTiesToAway: its reference is the 53-bit
+    // hardware root narrowed under ties-to-away (ties provably never
+    // arise), whose NaNs are the soft engine's, so it compares bitwise.
+    const bool away = mode == sf::Rounding::kNearestAway;
+    if (away) {
+      for (std::size_t i = 0; i < n; ++i) want[i] = ref_sqrt(in[i], mode);
     } else {
       const ScopedFenvRounding guard(fenv_mode_of(mode));
-      for (std::size_t i = 0; i < n; ++i) {
-        const auto hw = sf::from_native(
-            hw_sqrt<float>(sf::to_native(in[i])));
-        if (!same_result(soft[i], hw)) {
-          st.note(budget, describe_mismatch("sqrt32/hw", mode, in[i].bits,
-                                            soft[i], hw));
-        }
+      host_sqrt_n(in.data(), want.data(), n);
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      if (away ? soft[i].bits != want[i].bits
+               : !same_result(soft[i], want[i])) {
+        st.note(budget, describe_mismatch(away ? "sqrt32/ref" : "sqrt32/hw",
+                                          mode, in[i].bits, soft[i],
+                                          want[i]));
+      }
+      const unsigned want_flags = ref_sqrt_flags(in[i], soft[i]);
+      if (flags[i] != want_flags) {
+        std::ostringstream os;
+        os << "sqrt32/flags mode=" << sf::rounding_to_string(mode)
+           << " input=" << sf::describe(in[i]) << " got="
+           << sf::describe(soft[i]) << " flags="
+           << sf::flags_to_string(flags[i])
+           << " want flags=" << sf::flags_to_string(want_flags);
+        st.note(budget, os.str());
       }
     }
   }
 
   if (cfg.race_tape && tape != nullptr) {
-    std::vector<double> rows(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      rows[i] = sf::to_native(ref_widen64(in[i]));
-    }
-    std::vector<ir::Outcome> outs(n);
-    ir::execute_rows(*tape, rows, 1, outs);
+    std::vector<sf::Float64>& wide = buf.wide;
+    std::vector<double>& rows = buf.rows;
+    std::vector<ir::Outcome>& outs = buf.outs;
+    wide.resize(n);
+    buf.scratch.resize(n);  // flags of the exact widenings, unread
+    rows.resize(n);
+    outs.resize(n);
     sf::Env widen_env;
-    for (std::size_t i = 0; i < n; ++i) {
-      const sf::Float64 want = sf::convert<64, 32>(soft[i], widen_env);
+    sf::convert_n<64, 32>(in.data(), wide.data(), buf.scratch.data(), n,
+                          widen_env);
+    for (std::size_t i = 0; i < n; ++i) rows[i] = sf::to_native(wide[i]);
+    ir::execute_rows(*tape, rows, 1, outs);
+    // From here on `wide` holds the expected values: the kernel lane's
+    // results, widened.
+    sf::convert_n<64, 32>(soft.data(), wide.data(), buf.scratch.data(), n,
+                          widen_env);
+    const auto tape_mismatch = [&](const char* lane, std::size_t i,
+                                   const ir::Outcome& o) {
       // The tape narrows its kVar operand quietly (no invalid on sNaN by
       // the evaluators' contract), so flags are compared only for
       // non-NaN inputs; values must agree everywhere.
-      const bool flags_ok =
-          in[i].is_nan() || outs[i].flags == flags[i];
-      if (outs[i].value.bits != want.bits || !flags_ok) {
-        std::ostringstream os;
-        os << "sqrt32/tape mode=" << sf::rounding_to_string(mode)
-           << " input=" << sf::describe(in[i]) << " got="
-           << sf::describe(outs[i].value) << " flags="
-           << sf::flags_to_string(outs[i].flags) << " want="
-           << sf::describe(want) << " flags="
-           << sf::flags_to_string(flags[i]);
-        st.note(budget, os.str());
-      }
-      if (cfg.tape_scalar_stride != 0 &&
-          i % cfg.tape_scalar_stride == 0) {
-        const ir::Outcome o =
-            ir::execute(*tape, std::span<const double>(&rows[i], 1));
-        const bool sflags_ok =
-            in[i].is_nan() || o.flags == flags[i];
-        if (o.value.bits != want.bits || !sflags_ok) {
-          st.note(budget,
-                  describe_mismatch("sqrt32/tape-scalar", mode, in[i].bits,
-                                    sf::Float32{0}, soft[i]));
-        }
+      const bool flags_ok = in[i].is_nan() || o.flags == flags[i];
+      if (o.value.bits == wide[i].bits && flags_ok) return;
+      std::ostringstream os;
+      os << lane << " mode=" << sf::rounding_to_string(mode)
+         << " input=" << sf::describe(in[i]) << " got="
+         << sf::describe(o.value) << " flags="
+         << sf::flags_to_string(o.flags) << " want="
+         << sf::describe(wide[i]) << " flags="
+         << sf::flags_to_string(flags[i]);
+      st.note(budget, os.str());
+    };
+    for (std::size_t i = 0; i < n; ++i) {
+      tape_mismatch("sqrt32/tape", i, outs[i]);
+    }
+    if (cfg.tape_scalar_stride != 0) {
+      for (std::size_t i = 0; i < n; i += cfg.tape_scalar_stride) {
+        const std::span<const double> row(&rows[i], 1);
+        tape_mismatch("sqrt32/tape-scalar", i, ir::execute(*tape, row));
       }
     }
   }
+  if (n > kKeepPatterns) buf = SqrtBuffers{};
   return st;
 }
 
@@ -499,6 +552,9 @@ Sweep32Report run_sweep32(const Sweep32Config& config) {
   }
   if (config.begin >= end || end > space) {
     throw std::invalid_argument("sweep32: bad pattern range");
+  }
+  if (config.checkpoint_interval == 0) {
+    throw std::invalid_argument("sweep32: checkpoint_interval must be > 0");
   }
 
   const std::uint64_t chunk = std::uint64_t{1} << config.chunk_bits;

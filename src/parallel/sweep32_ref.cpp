@@ -81,6 +81,21 @@ sf::Float32 ref_sqrt(sf::Float32 a, sf::Rounding mode) {
   return narrow53(wide, mode);
 }
 
+unsigned ref_sqrt_flags(sf::Float32 a, sf::Float32 r) {
+  if (a.is_nan()) return a.is_signaling_nan() ? sf::kFlagInvalid : 0u;
+  if (a.is_zero()) return 0u;                // sqrt(±0) = ±0, exact
+  if (a.sign()) return sf::kFlagInvalid;     // incl. -inf and -subnormal
+  if (a.is_infinity()) return 0u;
+  const unsigned denormal = a.is_subnormal() ? sf::kFlagDenormalInput : 0u;
+  // r has at most 24 significand bits and lies in [2^-75, 2^64), so r*r
+  // is exact and normal in binary64 under any host rounding direction.
+  const double root = sf::to_native(r);
+  const double square = root * root;
+  return denormal |
+         (square == static_cast<double>(sf::to_native(a)) ? 0u
+                                                          : sf::kFlagInexact);
+}
+
 sf::Float32 ref_div(sf::Float32 a, sf::Float32 b, sf::Rounding mode) {
   const bool sign = a.sign() != b.sign();
   if (a.is_nan() || b.is_nan()) return nan_of(a, b);

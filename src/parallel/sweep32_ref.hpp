@@ -12,6 +12,9 @@
 //    arise and the hardware's ties-to-even intermediate also serves
 //    roundTiesToAway.
 //
+//    Its flags (ref_sqrt_flags) follow from the class of the operand
+//    and one exact binary64 product: the root is inexact iff r*r != x.
+//
 //  * div: same structure. A finite quotient exactly equal to a 24-bit
 //    midpoint (a 25-bit-odd significand) would force the dividend's
 //    significand past 24 bits, so the true quotient is never a midpoint;
@@ -68,6 +71,15 @@ namespace sf = fpq::softfloat;
 
 /// sqrt(a), correctly rounded under `mode` (all five modes).
 sf::Float32 ref_sqrt(sf::Float32 a, sf::Rounding mode);
+
+/// The flags sqrt(a) must raise when its result is `r` (no DAZ/FTZ):
+/// invalid for a signaling NaN or a negative nonzero operand (negative
+/// subnormals and -inf included, with no other flag), denormal-input for a
+/// positive subnormal, and inexact iff r*r != a — a product computed
+/// exactly in binary64, so the check shares no code with the soft
+/// engine's remainder-based sticky bit. Pair it with a value reference
+/// (ref_sqrt or the host FPU) that proves `r` itself.
+unsigned ref_sqrt_flags(sf::Float32 a, sf::Float32 r);
 
 /// a / b, correctly rounded under `mode` (all five modes).
 sf::Float32 ref_div(sf::Float32 a, sf::Float32 b, sf::Rounding mode);

@@ -30,18 +30,24 @@ struct Sm64 {
 };
 
 /// RAII host rounding-direction guard (fenv state is thread-local, so
-/// concurrent shards flipping modes never interfere).
+/// concurrent shards flipping modes never interfere). Writes the control
+/// registers only when the direction actually changes: per-value
+/// references run it once per call.
 class ScopedFenvRounding {
  public:
-  explicit ScopedFenvRounding(int mode) : saved_(std::fegetround()) {
-    std::fesetround(mode);
+  explicit ScopedFenvRounding(int mode)
+      : saved_(std::fegetround()), changed_(mode != saved_) {
+    if (changed_) std::fesetround(mode);
   }
-  ~ScopedFenvRounding() { std::fesetround(saved_); }
+  ~ScopedFenvRounding() {
+    if (changed_) std::fesetround(saved_);
+  }
   ScopedFenvRounding(const ScopedFenvRounding&) = delete;
   ScopedFenvRounding& operator=(const ScopedFenvRounding&) = delete;
 
  private:
   int saved_;
+  bool changed_;
 };
 
 /// Host fenv constant for a directed mode; ties modes map to the

@@ -258,6 +258,12 @@ void narrow_from_double_n(const double* in, std::size_t stride,
     // operand narrowing.
     Env quiet(env.rounding());
     quiet.set_denormals_are_zero(env.denormals_are_zero());
+    if constexpr (kBits == 32) {
+      if (use_kernels()) {
+        kernels::portable::narrow_double_to_32(in, stride, out, n, quiet);
+        return;
+      }
+    }
     for (std::size_t i = 0; i < n; ++i) {
       out[i] = convert<kBits>(from_native(in[i * stride]), quiet);
     }

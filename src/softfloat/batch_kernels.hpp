@@ -51,6 +51,11 @@ void narrow_32_to_bf16(const Float32* a, BFloat16* out, unsigned* flags,
                        std::size_t n, Env& env) noexcept;
 void narrow_64_to_32(const Float64* a, Float32* out, unsigned* flags,
                      std::size_t n, Env& env) noexcept;
+/// narrow_from_double_n<32>: narrow_64_to_32's lane body over a strided
+/// column of host doubles, with every flag discarded (`quiet` supplies
+/// the rounding and DAZ modes and is scratch for the fallback lanes).
+void narrow_double_to_32(const double* in, std::size_t stride, Float32* out,
+                         std::size_t n, Env& quiet) noexcept;
 void widen_16_to_32(const Float16* a, Float32* out, unsigned* flags,
                     std::size_t n, Env& env) noexcept;
 void widen_bf16_to_32(const BFloat16* a, Float32* out, unsigned* flags,

@@ -259,6 +259,17 @@ void narrow_64_to_32(const Float64* a, Float32* out, unsigned* flags,
   }
 }
 
+void narrow_double_to_32(const double* in, std::size_t stride, Float32* out,
+                         std::size_t n, Env& quiet) noexcept {
+  const Rounding mode = quiet.rounding();
+  unsigned discarded = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    out[i] = Float32::from_bits(impl::narrow_64_to_32_lane(
+        std::bit_cast<std::uint64_t>(in[i * stride]), mode, quiet,
+        discarded));
+  }
+}
+
 void widen_16_to_32(const Float16* a, Float32* out, unsigned* flags,
                     std::size_t n, Env& env) noexcept {
   const bool daz = env.denormals_are_zero();

@@ -1,11 +1,12 @@
-// fpq::softfloat — binary32 fast-path primitives for the batched engines:
-// the fast16 technique (see fast16.hpp) scaled up one format.
+// fpq::softfloat — binary32 fast-path primitives for the portable batch
+// kernels: the fast16 technique (see fast16.hpp) scaled up one format.
 //
 // Lanes hold binary32 VALUES as native doubles; arithmetic runs on the
 // host FPU (pinned to round-to-nearest by the caller) and each result is
-// folded back in-format through the same detail::round_pack<32> core the
-// scalar engine uses. The headroom is tighter than binary16's, so the
-// per-op arguments differ:
+// folded back in-format by impl::fold32 (batch_kernels_impl.hpp): one
+// masked integer add for normal results, the scalar engine's own
+// detail::round_pack<32> core for the tiny band. The headroom is tighter
+// than binary16's, so the per-op arguments differ:
 //
 //  - mul of binary32 values is EXACT in binary64 (24+24 = 48 significand
 //    bits against a 53-bit target), exactly like every fast16 op.
@@ -20,15 +21,15 @@
 //    quotient (root) of binary32 values is either exactly a binary32
 //    rounding boundary or separated from every boundary by far more than
 //    the binary64 rounding error (sweep32_ref.hpp states the exclusion
-//    bounds), so the boundary comparisons inside round_pack come out the
-//    same as for the exact value.
+//    bounds), so the boundary comparisons of the fold come out the same
+//    as for the exact value.
 //
 // Every nonzero double these paths can produce is a NORMAL double: the
 // smallest magnitude is a product of two minimum subnormals
 // (2^-149 * 2^-149 = 2^-298) and the largest a quotient max/minsub
-// (< 2^278), both comfortably inside binary64's normal range — so
-// round32()'s normal-double precondition holds and `s == 0.0` detects an
-// exact zero.
+// (< 2^278), both comfortably inside binary64's normal range — so the
+// fold's normal-double precondition holds and `s == 0.0` detects an exact
+// zero.
 //
 // Anything special — NaN or infinity operands, division by zero — takes
 // the scalar softfloat operation for that lane instead, which keeps NaN
@@ -40,17 +41,13 @@
 #include <cmath>
 #include <cstdint>
 
-#include "softfloat/detail.hpp"
-#include "softfloat/ops.hpp"
+#include "softfloat/env.hpp"
+#include "softfloat/value.hpp"
 
 namespace fpq::softfloat::fast32 {
 
 inline constexpr std::uint64_t kExpMask64 = 0x7FF0000000000000ull;
 inline constexpr std::uint64_t kFracMask64 = 0x000FFFFFFFFFFFFFull;
-
-inline bool is_finite(double v) noexcept {
-  return (std::bit_cast<std::uint64_t>(v) & kExpMask64) != kExpMask64;
-}
 
 /// True for a value in binary32's subnormal range (0 < |v| < 2^-126) —
 /// the operands that raise kFlagDenormalInput / get flushed by DAZ.
@@ -66,15 +63,16 @@ inline double daz32(double v) noexcept {
 /// Exact widening of a binary32 encoding to its double value (including
 /// NaN payloads, which land in the same bits convert<64,32> puts them in).
 inline double widen(Float32 x) noexcept {
-  const auto be = static_cast<std::uint64_t>(x.biased_exponent());
-  const std::uint64_t sign = x.sign() ? (std::uint64_t{1} << 63) : 0;
-  const auto frac = static_cast<std::uint64_t>(x.fraction());
-  if (be == 0xFF) {  // infinity / NaN: payload shifts into the top bits
-    return std::bit_cast<double>(sign | kExpMask64 | (frac << 29));
+  const std::uint64_t sign = static_cast<std::uint64_t>(x.bits >> 31) << 63;
+  const std::uint32_t mag = x.bits & 0x7FFF'FFFFu;
+  if (mag - 0x0080'0000u < 0x7F00'0000u) {  // normal: rebias 127 -> 1023
+    return std::bit_cast<double>(
+        sign | ((static_cast<std::uint64_t>(mag) << 29) +
+                (std::uint64_t{1023 - 127} << 52)));
   }
-  if (be != 0) {  // normal: rebias 127 -> 1023
-    return std::bit_cast<double>(sign | ((be - 127 + 1023) << 52) |
-                                 (frac << 29));
+  const auto frac = static_cast<std::uint64_t>(x.fraction());
+  if (mag >= 0x7F80'0000u) {  // infinity / NaN: payload shifts up
+    return std::bit_cast<double>(sign | kExpMask64 | (frac << 29));
   }
   if (frac == 0) return std::bit_cast<double>(sign);
   // Subnormal: value = frac * 2^-149, normalized into a double.
@@ -84,93 +82,11 @@ inline double widen(Float32 x) noexcept {
   return std::bit_cast<double>(sign | (bexp << 52) | mant);
 }
 
-/// Rounds a NORMAL nonzero double into binary32 through the scalar
-/// engine's round/pack core (all five modes, FTZ, tininess-after-rounding,
-/// per-mode overflow results) and returns the value re-widened to double.
-/// Flags accumulate on `env` exactly as the softfloat operation would
-/// raise them. The caller guarantees `x` is finite, nonzero, and not a
-/// double-subnormal (see the file comment: every nonzero fast-path result
-/// is a normal double).
-inline double round32(double x, Env& env) noexcept {
-  const std::uint64_t b = std::bit_cast<std::uint64_t>(x);
-  const bool sign = (b >> 63) != 0;
-  const auto exp = static_cast<std::int32_t>((b >> 52) & 0x7FF) - 1023;
-  const std::uint64_t sig = ((b & kFracMask64) | (std::uint64_t{1} << 52))
-                            << 11;
-  return widen(detail::round_pack<32>(sign, exp, sig, false, env));
-}
-
 /// Bit pattern of the largest finite binary32 value ((2-2^-23) * 2^127)
 /// widened to double, sign cleared: anything above it after rounding
 /// overflowed.
 inline constexpr std::uint64_t kMaxMag32 =
     (std::uint64_t{1150} << 52) | (std::uint64_t{0x7FFFFF} << 29);
-
-/// Value-only narrowing of a NORMAL nonzero double to the nearest
-/// binary32 value under `mode`, returned re-widened to double. Computes
-/// no flags — it exists for operand narrowing (tape kVar lanes), where
-/// flags are discarded by contract. Same add-and-mask construction as
-/// fast16::narrow16_value: within the binary32 value set, consecutive
-/// values are a fixed pattern step apart (2^29 for normals,
-/// 2^(29+shift) in the subnormal range) and the carry out of the
-/// fraction walks binades, so one masked integer add rounds correctly in
-/// every mode; the kept lsb of the pattern is the parity ties-to-even
-/// needs.
-inline double narrow32_value(double x, Rounding mode) noexcept {
-  const std::uint64_t b = std::bit_cast<std::uint64_t>(x);
-  const std::uint64_t sign = b & (std::uint64_t{1} << 63);
-  std::uint64_t mag = b ^ sign;
-  const int e = static_cast<int>(mag >> 52) - 1023;
-  if (e <= -150) {
-    // At or below half the smallest subnormal (2^-150): the candidates
-    // are 0 and 2^-149, decided by mode and which side of half we're on.
-    bool away = false;
-    switch (mode) {
-      case Rounding::kNearestEven:
-        away = e == -150 && (mag & kFracMask64) != 0;  // ties go to 0
-        break;
-      case Rounding::kNearestAway: away = e == -150; break;
-      case Rounding::kTowardZero: break;
-      case Rounding::kUp: away = sign == 0; break;
-      case Rounding::kDown: away = sign != 0; break;
-    }
-    return std::bit_cast<double>(
-        sign | (away ? std::bit_cast<std::uint64_t>(0x1p-149) : 0));
-  }
-  const int q = e < -126 ? 29 + (-126 - e) : 29;  // first discarded bit
-  const std::uint64_t low = (std::uint64_t{1} << q) - 1;
-  switch (mode) {
-    case Rounding::kNearestEven:
-      mag += (low >> 1) + ((mag >> q) & 1);
-      break;
-    case Rounding::kNearestAway:
-      mag += (low >> 1) + 1;  // exactly half: ties carry away
-      break;
-    case Rounding::kTowardZero: break;
-    case Rounding::kUp:
-      if (sign == 0) mag += low;
-      break;
-    case Rounding::kDown:
-      if (sign != 0) mag += low;
-      break;
-  }
-  mag &= ~low;
-  if (mag > kMaxMag32) {  // per-mode overflow saturation
-    const bool to_inf = mode == Rounding::kNearestEven ||
-                        mode == Rounding::kNearestAway ||
-                        (mode == Rounding::kUp && sign == 0) ||
-                        (mode == Rounding::kDown && sign != 0);
-    mag = to_inf ? kExpMask64 : kMaxMag32;
-  }
-  return std::bit_cast<double>(sign | mag);
-}
-
-/// Exact narrowing of an in-format (binary32-valued) double back to the
-/// encoding, for handing a lane to a scalar softfloat fallback.
-inline Float32 to_f32(double v) noexcept {
-  Env quiet;
-  return convert<32>(from_native(v), quiet);
-}
 
 /// Deterministic sign-bit flip (IEEE negate: no flags, NaN sign flips).
 inline double flip_sign(double v) noexcept {

@@ -16,6 +16,7 @@
 #include "ir/ir.hpp"
 #include "parallel/result_cache.hpp"
 #include "parallel/thread_pool.hpp"
+#include "softfloat/kernels.hpp"
 #include "stats/prng.hpp"
 
 namespace ir = fpq::ir;
@@ -96,6 +97,74 @@ TEST(TapeBatch, MatchesPerRowEvaluateAcrossFormatsAndConfigs) {
             << "row " << r << " format " << cfg.format_bits;
         ASSERT_EQ(ref.flags, got[r].flags)
             << "row " << r << " format " << cfg.format_bits;
+      }
+    }
+  }
+}
+
+// The ops the other trees leave out: subtraction and both comparisons.
+E sub_compare_tree() {
+  const E x = E::variable("x", 0);
+  const E y = E::variable("y", 1);
+  return E::add(E::sub(x, E::mul(y, E::constant(3.0))),
+                E::sub(E::cmp_lt(x, y), E::cmp_eq(x, E::neg(y))));
+}
+
+// Every binary32 encoding class as table values: uniformly random
+// patterns (NaNs, infinities and subnormals included) plus the double pool.
+ir::BindingTable binary32_table(std::size_t rows, std::size_t width,
+                                std::uint64_t seed) {
+  st::Xoshiro256pp g(seed);
+  ir::BindingTable table = random_table(rows, width, seed);
+  for (std::size_t i = 0; i < table.values.size(); i += 2) {
+    const auto bits = static_cast<std::uint32_t>(g());
+    table.values[i] = static_cast<double>(std::bit_cast<float>(bits));
+  }
+  return table;
+}
+
+// Binary32 tapes run on the softfloat batch kernels of whichever variant
+// is active, so per-row parity with the scalar tree walk must hold under
+// every variant: the only per-variant check of the binary32 binary ops
+// inside a tape.
+TEST(TapeBatch, Binary32MatchesPerRowEvaluateUnderEveryKernelVariant) {
+  std::vector<sf::KernelVariant> variants{sf::KernelVariant::kScalar,
+                                          sf::KernelVariant::kPortable};
+  if (sf::kernel_variant_available(sf::KernelVariant::kAvx2)) {
+    variants.push_back(sf::KernelVariant::kAvx2);
+  }
+  par::ThreadPool pool(4);
+  const ir::BindingTable table = binary32_table(1031, 2, 0xB32);
+  ir::BatchOptions options;
+  options.memoize = false;
+  for (const sf::KernelVariant v : variants) {
+    sf::ScopedKernelVariant forced(v);
+    ASSERT_TRUE(forced.applied()) << sf::kernel_variant_name(v);
+    for (const E& tree :
+         {two_var_tree(), horner_poly(), sub_compare_tree()}) {
+      for (const sf::Rounding mode :
+           {sf::Rounding::kNearestEven, sf::Rounding::kNearestAway,
+            sf::Rounding::kTowardZero, sf::Rounding::kUp,
+            sf::Rounding::kDown}) {
+        for (const bool flush : {false, true}) {
+          ir::EvalConfig cfg;
+          cfg.format_bits = 32;
+          cfg.rounding = mode;
+          cfg.flush_to_zero = flush;
+          cfg.denormals_are_zero = flush;
+          const ir::Tape tape = ir::Tape::compile(tree, cfg);
+          const auto got = ir::execute_batch(pool, tape, table, options);
+          ASSERT_EQ(got.size(), table.rows());
+          for (std::size_t r = 0; r < table.rows(); ++r) {
+            const ir::Outcome ref = ir::evaluate(tree, cfg, table.row(r));
+            ASSERT_EQ(ref.value.bits, got[r].value.bits)
+                << "row " << r << " variant " << sf::kernel_variant_name(v)
+                << " mode " << static_cast<int>(mode) << " flush " << flush;
+            ASSERT_EQ(ref.flags, got[r].flags)
+                << "row " << r << " variant " << sf::kernel_variant_name(v)
+                << " mode " << static_cast<int>(mode) << " flush " << flush;
+          }
+        }
       }
     }
   }

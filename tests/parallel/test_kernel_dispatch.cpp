@@ -2,8 +2,9 @@
 // kPortable, and kAvx2 (where the machine supports it) through the
 // sweep32 machinery must produce ZERO mismatches against the independent
 // references and IDENTICAL sweep fingerprints — including the sqrt
-// tape-gate race, which pins the fast32 tape block against the batch
-// kernels and the scalar Tape::execute at every forced variant. The
+// tape race, which pins the batched tape engine (running the forced
+// variant's batch kernels) and the scalar Tape::execute against the soft
+// lane at every forced variant. The
 // full-2^32 claim is the overnight sweep job; these are complete sweeps
 // of the 2^16 operand spaces plus boundary windows of the 2^32 spaces.
 #include <cstdint>
@@ -105,7 +106,7 @@ TEST(KernelDispatchParity, UnaryOpBoundaryWindows) {
       config.begin = w.begin;
       config.end = w.begin + kWin;
       config.chunk_bits = 13;
-      // race_tape stays on: for sqrt this races the fast32 tape block
+      // race_tape stays on: for sqrt this races the batched tape engine
       // (ir::execute_rows) and the scalar Tape::execute stride too — the
       // tape-gate parity claim at every variant.
       expect_variant_invariant_sweep(

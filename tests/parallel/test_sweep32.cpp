@@ -168,6 +168,12 @@ TEST(Sweep32, MalformedManifestThrows) {
   }
 }
 
+TEST(Sweep32, ZeroCheckpointIntervalThrows) {
+  sw::Sweep32Config config = small_sqrt_config();
+  config.checkpoint_interval = 0;
+  EXPECT_THROW((void)sw::run_sweep32(config), std::invalid_argument);
+}
+
 TEST(Sweep32, DeadlineSliceStaysResumable) {
   TempManifest manifest("deadline");
   sw::Sweep32Config config = small_sqrt_config();
@@ -224,6 +230,34 @@ TEST(Sweep32, SqrtSubnormalAndZeroBoundarySliceClean) {
   EXPECT_EQ(report.mismatches, 0u)
       << (report.mismatch_samples.empty() ? ""
                                           : report.mismatch_samples[0]);
+}
+
+// The exact flag reference on hand-picked encodings, each paired with its
+// correctly rounded root.
+TEST(Sweep32, RefSqrtFlagsOnHandPickedEncodings) {
+  const auto flags = [](std::uint32_t bits) {
+    const sf::Float32 x{bits};
+    return sw::ref_sqrt_flags(x, sw::ref_sqrt(x, sf::Rounding::kNearestEven));
+  };
+  EXPECT_EQ(flags(0x0000'0000u), 0u);  // +0
+  EXPECT_EQ(flags(0x8000'0000u), 0u);  // -0: sqrt(-0) = -0, no invalid
+  EXPECT_EQ(flags(0x4080'0000u), 0u);  // 4.0: exact root 2.0
+  EXPECT_EQ(flags(0x4000'0000u), unsigned{sf::kFlagInexact});  // 2.0
+  EXPECT_EQ(flags(0x0000'0001u),  // min subnormal 2^-149: irrational root
+            unsigned{sf::kFlagDenormalInput | sf::kFlagInexact});
+  EXPECT_EQ(flags(0x0000'0002u),  // 2^-148: exact root 2^-74
+            unsigned{sf::kFlagDenormalInput});
+  EXPECT_EQ(flags(0xBF80'0000u), unsigned{sf::kFlagInvalid});  // -1
+  EXPECT_EQ(flags(0x8000'0001u), unsigned{sf::kFlagInvalid});  // -subnormal
+  EXPECT_EQ(flags(0x7F80'0000u), 0u);                          // +inf
+  EXPECT_EQ(flags(0xFF80'0000u), unsigned{sf::kFlagInvalid});  // -inf
+  EXPECT_EQ(flags(0x7FC0'0000u), 0u);                          // qNaN
+  EXPECT_EQ(flags(0xFFC0'0001u), 0u);                          // -qNaN
+  EXPECT_EQ(flags(0x7FA0'0000u), unsigned{sf::kFlagInvalid});  // sNaN
+  // A root one ulp off squares away from the operand: inexact, not exact.
+  EXPECT_EQ(sw::ref_sqrt_flags(sf::Float32{0x4080'0000u},
+                               sf::Float32{0x4000'0001u}),
+            unsigned{sf::kFlagInexact});
 }
 
 TEST(Sweep32, CornerCorpusCleanWithRandomTail) {

@@ -255,25 +255,25 @@ TEST(Fast32Exhaustive, WidenFrom16AndBf16AllEncodings) {
   }
 }
 
-// The fallback-lane predicate (fast32::is_finite on the widened value)
-// must classify exactly like the encoding's own finiteness test, and the
-// fast path must agree with the scalar reference on every corpus
-// encoding cross-pair — the encodings built to sit ON the fallback /
-// fast-path boundary.
+// The subnormal-operand predicate (fast32::is_subnormal32 on the widened
+// value, which decides DAZ flushes and denormal-input flags) must
+// classify exactly like the encoding itself, and the fast path must agree
+// with the scalar reference on every corpus encoding cross-pair — the
+// encodings built to sit ON the fallback / fast-path boundary.
 TEST(Fast32Corpus, FallbackPredicateMatchesEncodingClassification) {
   for (const std::uint32_t p : sweep32::corner32_patterns()) {
     for (const std::uint32_t s : {0u, 0x8000'0000u}) {
       const sf::Float32 x = sf::Float32::from_bits(p | s);
       const double w = f32::widen(x);
-      EXPECT_EQ(f32::is_finite(w), x.is_finite()) << std::hex << x.bits;
       EXPECT_EQ(f32::is_subnormal32(w),
                 x.biased_exponent() == 0 && x.fraction() != 0 &&
                     x.is_finite())
           << std::hex << x.bits;
       // Exact widen/renarrow roundtrip (quiet NaNs keep payload; the
-      // signaling bit is quieted by to_f32's convert, so sNaNs are the
-      // one legitimate difference).
-      const sf::Float32 back = f32::to_f32(w);
+      // signaling bit is quieted by the renarrowing convert, so sNaNs
+      // are the one legitimate difference).
+      sf::Env quiet;
+      const sf::Float32 back = sf::convert<32>(sf::from_native(w), quiet);
       if (!x.is_nan()) {
         EXPECT_EQ(back.bits, x.bits) << std::hex << x.bits;
       } else {
@@ -349,25 +349,40 @@ TEST(Fast32Kernels, AliasingOutputOverInput) {
   }
 }
 
-// narrow32_value (the value-only operand narrower the tape kVar lanes
-// use) against the flag-computing scalar convert, on doubles that
-// straddle binary32 ties in every band.
-TEST(Fast32Primitives, Narrow32ValueMatchesConvert) {
-  fpq::parallel::sweep_detail::Sm64 g(0xC0DE'000B);
+// narrow_from_double_n<32>, the tape engine's quiet kVar narrowing,
+// against its kScalar form (per-lane convert<32> under a quiet Env):
+// random doubles of every class including binary64 subnormals, widened
+// lattice values with their discarded bits perturbed to straddle every
+// tie, every FTZ/DAZ setting, read as one column of a two-column table.
+TEST(Fast32Primitives, NarrowFromDoubleMatchesConvert) {
+  constexpr std::size_t kN = std::size_t{1} << 16;
+  const auto seeds = lattice32(kN / 4, 0xC0DE'000B);
+  fpq::parallel::sweep_detail::Sm64 g(0xC0DE'000C);
+  std::vector<double> table;  // column 0 is narrowed, column 1 is noise
+  const auto push = [&](std::uint64_t bits) {
+    table.push_back(std::bit_cast<double>(bits));
+    table.push_back(std::bit_cast<double>(g.next()));
+  };
+  sf::Env quiet;
+  for (const sf::Float32 s : seeds) {
+    const std::uint64_t w = sf::convert<64>(s, quiet).bits;
+    push(w);
+    push(w | (std::uint64_t{1} << 28));
+    push(w + 1);
+    push(w == 0 ? g.next() : w - 1);
+  }
+  for (std::size_t k = 0; table.size() < 2 * kN; ++k) {
+    const std::uint64_t r = g.next();
+    push(k % 8 == 0 ? (r >> 12) | (r << 63) : r);  // 1 in 8: subnormal
+  }
   for (const sf::Rounding mode : kModes) {
-    sf::Env quiet(mode);
-    for (int i = 0; i < 200000; ++i) {
-      const std::uint64_t raw = g.next();
-      const auto be = (raw >> 52) & 0x7FF;
-      if (be == 0 || be == 0x7FF) continue;  // handled by the kVar branches
-      const double x = std::bit_cast<double>(raw);
-      const double got = f32::narrow32_value(x, mode);
-      quiet.clear_flags();
-      const double want =
-          f32::widen(sf::convert<32>(sf::from_native(x), quiet));
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
-                std::bit_cast<std::uint64_t>(want))
-          << std::hex << raw << " mode " << static_cast<int>(mode);
+    for (int ebits = 0; ebits < 4; ++ebits) {
+      const EnvCfg cfg{mode, (ebits & 1) != 0, (ebits & 2) != 0};
+      expect_parity<sf::Float32>(
+          "narrow_from_double32", kN, cfg,
+          [&](sf::Float32* out, unsigned*, sf::Env& env) {
+            sf::narrow_from_double_n<32>(table.data(), 2, out, kN, env);
+          });
     }
   }
 }

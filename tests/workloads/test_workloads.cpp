@@ -9,6 +9,12 @@
 namespace wl = fpq::workloads;
 namespace mon = fpq::mon;
 
+namespace fpq::workloads {
+// gtest would print a pointer parameter as its address, which changes from
+// run to run and so leaks into the discovered test names; print the name.
+void PrintTo(const Workload* w, std::ostream* os) { *os << w->name; }
+}  // namespace fpq::workloads
+
 namespace {
 
 class WorkloadContract
