@@ -11,7 +11,9 @@
 //      O(n)). Gated; CI runs the 1M slice.
 //   3. THREAD SCALING — ops/s for the streamed fold at 1 thread vs the
 //      full pool, written to BENCH_survey_scale.json for regression
-//      tooling (informational: machines differ, CI does not gate it).
+//      tooling (informational: machines differ, CI does not gate it),
+//      plus the 1-thread stream split into generation and fold ns/record
+//      rows (generate-1t, fold-average-core-1t).
 //
 // Plus the serving-scale CI machinery: a cluster bootstrap over streamed
 // chunk statistics (stats/bootstrap.hpp) — memory O(chunks + replicates).
@@ -23,7 +25,8 @@
 // --monitor adds phase 5: the same streamed fold under always-on flow
 // monitoring (fpmon/stream_flow.hpp), gated on sampling overhead staying
 // within --monitor-budget (default 0.10 = 10%) of the unmonitored
-// wall-clock, and on the flow report fingerprint being bit-identical at
+// wall-clock (fastest of 3 alternating runs on each side), and on the
+// flow report fingerprint being bit-identical at
 // 1/2/4/8-thread pools (the chunk count is a pure function of n, so the
 // monitored merge tree is too).
 
@@ -345,6 +348,47 @@ int main(int argc, char** argv) {
             1e9 * serial_s / static_cast<double>(n),
             static_cast<double>(n) / serial_s, 1, 0});
 
+  // Phase 3b: the 1-thread stream split into its two layers, each timed
+  // alone on the first `split_n` records (best of 3): generation (next()
+  // with no fold) and the fold (add() over those records, materialized).
+  const std::size_t split_n = std::min<std::size_t>(n, std::size_t{1} << 16);
+  const auto best_of_3 = [](const auto& body) {
+    double best = 0.0;
+    for (int r = 0; r < 3; ++r) {
+      const auto b0 = std::chrono::steady_clock::now();
+      body();
+      const double s = std::chrono::duration<double>(
+                           std::chrono::steady_clock::now() - b0)
+                           .count();
+      if (r == 0 || s < best) best = s;
+    }
+    return best;
+  };
+  const double generate_s = best_of_3([&] {
+    fpq::respondent::CohortGenerator gen(fpq::bench::kCohortSeed);
+    for (std::size_t i = 0; i < split_n; ++i) gen.next();
+  });
+  double fold_s = 0.0;
+  {
+    const auto records = fpq::respondent::generate_main_cohort(
+        fpq::bench::kCohortSeed, split_n);
+    fold_s = best_of_3([&] {
+      auto acc = sv::AverageTallyAccumulator::core(core_key);
+      for (const auto& r : records) acc.add(r);
+    });
+  }
+  const double generate_ns = 1e9 * generate_s / static_cast<double>(split_n);
+  const double fold_ns = 1e9 * fold_s / static_cast<double>(split_n);
+  std::printf(
+      "1-thread layers over %zu records: generate %.1f ns/record, fold "
+      "%.1f ns/record (generation %.0f%% of the pair)\n",
+      split_n, generate_ns, fold_ns,
+      100.0 * generate_ns / (generate_ns + fold_ns));
+  json.add({"survey-scale/generate-1t", generate_ns, 1e9 / generate_ns, 1,
+            0});
+  json.add({"survey-scale/fold-average-core-1t", fold_ns, 1e9 / fold_ns, 1,
+            0});
+
   // Phase 4: the memory-bounded bootstrap CI over streamed chunk stats.
   class ScoreChunks {
    public:
@@ -394,17 +438,28 @@ int main(int argc, char** argv) {
 
     // Unmonitored reference fold over the SAME fixed chunk shape, so the
     // overhead comparison is monitoring cost only, not chunking changes.
-    const auto u0 = std::chrono::steady_clock::now();
+    // The two folds alternate kMonitorReps times and each side keeps its
+    // fastest run: a 1M-record fold takes a fraction of a second, so on a
+    // shared host one descheduled run would otherwise decide the gate.
+    constexpr int kMonitorReps = 3;
     auto plain =
         par::stream_accumulate(pool, n, flow_chunks, make_acc, fill);
-    const auto u1 = std::chrono::steady_clock::now();
-    const double plain_s = std::chrono::duration<double>(u1 - u0).count();
-
-    const auto m0 = std::chrono::steady_clock::now();
     auto monitored = fpq::mon::monitored_stream_accumulate(
         pool, n, flow_chunks, make_acc, fill);
-    const auto m1 = std::chrono::steady_clock::now();
-    const double mon_s = std::chrono::duration<double>(m1 - m0).count();
+    double plain_s = 0.0;
+    double mon_s = 0.0;
+    for (int rep = 0; rep < kMonitorReps; ++rep) {
+      const auto u0 = std::chrono::steady_clock::now();
+      plain = par::stream_accumulate(pool, n, flow_chunks, make_acc, fill);
+      const auto u1 = std::chrono::steady_clock::now();
+      monitored = fpq::mon::monitored_stream_accumulate(
+          pool, n, flow_chunks, make_acc, fill);
+      const auto m1 = std::chrono::steady_clock::now();
+      const double p = std::chrono::duration<double>(u1 - u0).count();
+      const double m = std::chrono::duration<double>(m1 - u1).count();
+      plain_s = rep == 0 ? p : std::min(plain_s, p);
+      mon_s = rep == 0 ? m : std::min(mon_s, m);
+    }
     const double overhead =
         plain_s > 0.0 ? (mon_s - plain_s) / plain_s : 0.0;
 

@@ -4,37 +4,14 @@
 
 namespace fpq::quiz {
 
-Grade grade_answer(Answer given, Truth truth) noexcept {
-  switch (given) {
-    case Answer::kDontKnow:
-      return Grade::kDontKnow;
-    case Answer::kUnanswered:
-      return Grade::kUnanswered;
-    case Answer::kTrue:
-      return truth == Truth::kTrue ? Grade::kCorrect : Grade::kIncorrect;
-    case Answer::kFalse:
-      return truth == Truth::kFalse ? Grade::kCorrect : Grade::kIncorrect;
-  }
-  return Grade::kUnanswered;
-}
-
 namespace {
 
-void tally_one(QuizTally& tally, Grade g) noexcept {
-  switch (g) {
-    case Grade::kCorrect:
-      ++tally.correct;
-      break;
-    case Grade::kIncorrect:
-      ++tally.incorrect;
-      break;
-    case Grade::kDontKnow:
-      ++tally.dont_know;
-      break;
-    case Grade::kUnanswered:
-      ++tally.unanswered;
-      break;
-  }
+template <std::size_t N>
+QuizTally score(const std::array<Answer, N>& answers,
+                const std::array<Truth, N>& key) noexcept {
+  std::array<std::size_t, kGradeCount> slots{};
+  add_grades(slots, answers, key);
+  return {slots[0], slots[1], slots[2], slots[3]};
 }
 
 }  // namespace
@@ -42,21 +19,13 @@ void tally_one(QuizTally& tally, Grade g) noexcept {
 QuizTally score_core(
     const CoreSheet& sheet,
     const std::array<Truth, kCoreQuestionCount>& key) noexcept {
-  QuizTally tally;
-  for (std::size_t i = 0; i < kCoreQuestionCount; ++i) {
-    tally_one(tally, grade_answer(sheet.answers[i], key[i]));
-  }
-  return tally;
+  return score(sheet.answers, key);
 }
 
 QuizTally score_opt_tf(
     const OptSheet& sheet,
     const std::array<Truth, kOptTrueFalseCount>& key) noexcept {
-  QuizTally tally;
-  for (std::size_t i = 0; i < kOptTrueFalseCount; ++i) {
-    tally_one(tally, grade_answer(sheet.tf_answers[i], key[i]));
-  }
-  return tally;
+  return score(sheet.tf_answers, key);
 }
 
 std::vector<QuizTally> score_core_batch(
@@ -91,13 +60,6 @@ std::vector<QuizTally> score_opt_tf_batch(
         }
       });
   return tallies;
-}
-
-Grade grade_level_choice(std::size_t choice) noexcept {
-  if (choice == kOptLevelDontKnow) return Grade::kDontKnow;
-  if (choice >= kOptLevelChoiceCount) return Grade::kUnanswered;
-  return choice == kOptLevelCorrectChoice ? Grade::kCorrect
-                                          : Grade::kIncorrect;
 }
 
 }  // namespace fpq::quiz

@@ -40,10 +40,44 @@ struct OptSheet {
   OptSheet() { tf_answers.fill(Answer::kUnanswered); }
 };
 
-/// How one answer grades against the truth.
-enum class Grade { kCorrect, kIncorrect, kDontKnow, kUnanswered };
+/// How one answer grades against the truth. The enumerator values are
+/// the tally slots the survey accumulators count into.
+enum class Grade { kCorrect = 0, kIncorrect, kDontKnow, kUnanswered };
+inline constexpr std::size_t kGradeCount = 4;
 
-Grade grade_answer(Answer given, Truth truth) noexcept;
+/// Grade of every (answer, truth) pair, indexed [answer][truth].
+inline constexpr Grade kGradeTable[4][2] = {
+    /* kTrue       */ {Grade::kCorrect, Grade::kIncorrect},
+    /* kFalse      */ {Grade::kIncorrect, Grade::kCorrect},
+    /* kDontKnow   */ {Grade::kDontKnow, Grade::kDontKnow},
+    /* kUnanswered */ {Grade::kUnanswered, Grade::kUnanswered},
+};
+
+constexpr Grade grade_answer(Answer given, Truth truth) noexcept {
+  const auto a = static_cast<std::size_t>(given);
+  const auto t = static_cast<std::size_t>(truth);
+  if (a < 4 && t < 2) return kGradeTable[a][t];
+  // Values outside the enumerators: a T/F answer against no known truth
+  // is incorrect; an unknown answer counts as unanswered.
+  return a < 2 ? Grade::kIncorrect
+               : a == 2 ? Grade::kDontKnow : Grade::kUnanswered;
+}
+
+/// Tally slot of an answer: static_cast<std::size_t>(grade_answer(...)).
+constexpr std::size_t grade_slot(Answer given, Truth truth) noexcept {
+  return static_cast<std::size_t>(grade_answer(given, truth));
+}
+
+/// Counts each answer of a sheet into its grade's slot (correct /
+/// incorrect / dont_know / unanswered), one table lookup per answer.
+template <std::size_t N>
+constexpr void add_grades(std::array<std::size_t, kGradeCount>& slots,
+                          const std::array<Answer, N>& answers,
+                          const std::array<Truth, N>& key) noexcept {
+  for (std::size_t i = 0; i < N; ++i) {
+    ++slots[grade_slot(answers[i], key[i])];
+  }
+}
 
 /// Counts over one quiz.
 struct QuizTally {
@@ -67,8 +101,13 @@ QuizTally score_opt_tf(const OptSheet& sheet,
     noexcept;
 
 /// Grades the multiple-choice level question (correct / incorrect /
-/// don't-know / unanswered).
-Grade grade_level_choice(std::size_t choice) noexcept;
+/// don't-know / unanswered; any index past the sentinels is unanswered).
+constexpr Grade grade_level_choice(std::size_t choice) noexcept {
+  if (choice == kOptLevelDontKnow) return Grade::kDontKnow;
+  if (choice >= kOptLevelChoiceCount) return Grade::kUnanswered;
+  return choice == kOptLevelCorrectChoice ? Grade::kCorrect
+                                          : Grade::kIncorrect;
+}
 
 /// Batch scoring sharded over a thread pool: tally i belongs to sheet i,
 /// so the output is bit-identical to a serial score_core loop for every

@@ -1,6 +1,7 @@
 #include "respondent/ability_model.hpp"
 
 #include <algorithm>
+#include <vector>
 
 #include "paperdata/paperdata.hpp"
 
@@ -73,20 +74,57 @@ double opt_effect_role(std::size_t fig5_row) noexcept {
   return targets[idx].opt_correct - weighted_opt_mean(targets);
 }
 
+namespace {
+
+using EffectFn = double (*)(std::size_t) noexcept;
+
+// One factor's centered effect for every row of its paperdata table.
+class EffectTable {
+ public:
+  EffectTable(std::size_t rows, EffectFn effect) : effect_(effect) {
+    effects_.reserve(rows);
+    for (std::size_t row = 0; row < rows; ++row) {
+      effects_.push_back(effect(row));
+    }
+  }
+  double operator()(std::size_t row) const noexcept {
+    return row < effects_.size() ? effects_[row] : effect_(row);
+  }
+
+ private:
+  std::vector<double> effects_;
+  EffectFn effect_;
+};
+
+// Every constant derive_ability needs, computed once.
+struct AbilityTables {
+  double mu_core = pd::core_quiz_averages().correct;
+  double mu_opt = pd::opt_quiz_averages().correct;
+  EffectTable core_size{pd::contributed_codebase_sizes().size(),
+                        core_effect_contributed_size};
+  EffectTable core_area{pd::areas().size(), core_effect_area};
+  EffectTable core_role{pd::dev_roles().size(), core_effect_role};
+  EffectTable core_training{pd::formal_training().size(),
+                            core_effect_training};
+  EffectTable opt_area{pd::areas().size(), opt_effect_area};
+  EffectTable opt_role{pd::dev_roles().size(), opt_effect_role};
+};
+
+}  // namespace
+
 Ability derive_ability(const survey::BackgroundProfile& background,
                        stats::Xoshiro256pp& g) {
+  static const AbilityTables t;
   Ability a;
-  a.core_target = pd::core_quiz_averages().correct +
-                  core_effect_contributed_size(background.contributed_size) +
-                  core_effect_area(background.area) +
-                  core_effect_role(background.dev_role) +
-                  core_effect_training(background.formal_training) +
+  a.core_target = t.mu_core + t.core_size(background.contributed_size) +
+                  t.core_area(background.area) +
+                  t.core_role(background.dev_role) +
+                  t.core_training(background.formal_training) +
                   stats::normal(g, 0.0, kCoreResidualSigma);
   a.core_target = std::clamp(a.core_target, 0.5, 14.5);
 
-  a.opt_target = pd::opt_quiz_averages().correct +
-                 opt_effect_area(background.area) +
-                 opt_effect_role(background.dev_role) +
+  a.opt_target = t.mu_opt + t.opt_area(background.area) +
+                 t.opt_role(background.dev_role) +
                  stats::normal(g, 0.0, kOptResidualSigma);
   a.opt_target = std::clamp(a.opt_target, 0.0, 3.0);
 

@@ -1,5 +1,7 @@
 #include "respondent/background_model.hpp"
 
+#include <array>
+#include <cassert>
 #include <vector>
 
 #include "paperdata/paperdata.hpp"
@@ -21,43 +23,70 @@ stats::CategoricalDistribution from_counts(
   return stats::CategoricalDistribution(weights);
 }
 
-std::vector<std::size_t> sample_multi(
-    std::span<const pd::CategoryCount> rows, stats::Xoshiro256pp& g) {
-  std::vector<std::size_t> selected;
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const double p = static_cast<double>(rows[i].n) /
-                     static_cast<double>(pd::kMainCohortSize);
-    if (stats::bernoulli(g, p)) selected.push_back(i);
+// One multi-select figure: an independent Bernoulli draw per option, in
+// row order, at the option's published selection rate n / 199.
+class MultiSelect {
+ public:
+  static constexpr std::size_t kMaxOptions = 32;
+
+  explicit MultiSelect(std::span<const pd::CategoryCount> rows) {
+    assert(rows.size() <= kMaxOptions);
+    rates_.reserve(rows.size());
+    for (const auto& row : rows) {
+      rates_.push_back(static_cast<double>(row.n) /
+                       static_cast<double>(pd::kMainCohortSize));
+    }
   }
-  return selected;
-}
+
+  std::vector<std::size_t> sample(stats::Xoshiro256pp& g) const {
+    std::array<std::size_t, kMaxOptions> picked;
+    std::size_t k = 0;
+    for (std::size_t i = 0; i < rates_.size(); ++i) {
+      picked[k] = i;
+      k += stats::bernoulli(g, rates_[i]) ? 1 : 0;
+    }
+    return {picked.begin(), picked.begin() + k};
+  }
+
+ private:
+  std::vector<double> rates_;
+};
+
+// Every background table, built once from paperdata.
+struct BackgroundTables {
+  stats::CategoricalDistribution positions = from_counts(pd::positions());
+  stats::CategoricalDistribution areas = from_counts(pd::areas());
+  stats::CategoricalDistribution training = from_counts(pd::formal_training());
+  MultiSelect informal{pd::informal_training()};
+  stats::CategoricalDistribution roles = from_counts(pd::dev_roles());
+  MultiSelect fp_languages{pd::fp_languages()};
+  MultiSelect arb_prec_languages{pd::arb_prec_languages()};
+  stats::CategoricalDistribution contributed =
+      from_counts(pd::contributed_codebase_sizes());
+  stats::CategoricalDistribution contributed_extent =
+      from_counts(pd::contributed_fp_extent());
+  stats::CategoricalDistribution involved =
+      from_counts(pd::involved_codebase_sizes());
+  stats::CategoricalDistribution involved_extent =
+      from_counts(pd::involved_fp_extent());
+};
 
 }  // namespace
 
 survey::BackgroundProfile sample_background(stats::Xoshiro256pp& g) {
-  // The categorical tables are tiny; rebuilding them per call would be
-  // wasteful in generation loops, so they are constructed once.
-  static const auto positions = from_counts(pd::positions());
-  static const auto areas = from_counts(pd::areas());
-  static const auto training = from_counts(pd::formal_training());
-  static const auto roles = from_counts(pd::dev_roles());
-  static const auto contributed = from_counts(pd::contributed_codebase_sizes());
-  static const auto contributed_extent = from_counts(pd::contributed_fp_extent());
-  static const auto involved = from_counts(pd::involved_codebase_sizes());
-  static const auto involved_extent = from_counts(pd::involved_fp_extent());
-
+  static const BackgroundTables t;
   survey::BackgroundProfile b;
-  b.position = positions.sample(g);
-  b.area = areas.sample(g);
-  b.formal_training = training.sample(g);
-  b.informal_training = sample_multi(pd::informal_training(), g);
-  b.dev_role = roles.sample(g);
-  b.fp_languages = sample_multi(pd::fp_languages(), g);
-  b.arb_prec_languages = sample_multi(pd::arb_prec_languages(), g);
-  b.contributed_size = contributed.sample(g);
-  b.contributed_extent = contributed_extent.sample(g);
-  b.involved_size = involved.sample(g);
-  b.involved_extent = involved_extent.sample(g);
+  b.position = t.positions.sample(g);
+  b.area = t.areas.sample(g);
+  b.formal_training = t.training.sample(g);
+  b.informal_training = t.informal.sample(g);
+  b.dev_role = t.roles.sample(g);
+  b.fp_languages = t.fp_languages.sample(g);
+  b.arb_prec_languages = t.arb_prec_languages.sample(g);
+  b.contributed_size = t.contributed.sample(g);
+  b.contributed_extent = t.contributed_extent.sample(g);
+  b.involved_size = t.involved.sample(g);
+  b.involved_extent = t.involved_extent.sample(g);
   return b;
 }
 

@@ -53,6 +53,38 @@ CalibratedQuizModel CalibratedQuizModel::fit(std::uint64_t seed) {
   model.mu_core_ = pd::core_quiz_averages().correct;
   model.mu_opt_ = pd::opt_quiz_averages().correct;
 
+  const auto core_truths = quiz::standard_core_truths();
+  for (std::size_t q = 0; q < quiz::kCoreQuestionCount; ++q) {
+    const auto& row = pd::core_breakdown()[q];
+    model.core_items_[q] = {row.pct_unanswered / 100.0,
+                            row.pct_dont_know / 100.0,
+                            quiz::to_answer(core_truths[q]),
+                            wrong_answer(core_truths[q])};
+  }
+  // The T/F sheet holds [MADD, Flush to Zero, Fast-math]: Figure 15 rows
+  // 0, 1 and 3. Row 2 is the multiple-choice level question.
+  const auto opt_rows = pd::opt_breakdown();
+  const auto opt_truths = quiz::standard_opt_truths();
+  const std::array<std::size_t, quiz::kOptTrueFalseCount> opt_row_of{0, 1,
+                                                                     3};
+  for (std::size_t q = 0; q < quiz::kOptTrueFalseCount; ++q) {
+    const auto& row = opt_rows[opt_row_of[q]];
+    OptItem& item = model.opt_items_[q];
+    item.unanswered = row.pct_unanswered / 100.0;
+    item.correct = row.pct_correct / 100.0;
+    item.answered = 1.0 - item.unanswered;
+    item.max_correct = item.answered - 0.02;
+    item.dk_share =
+        row.pct_dont_know / (row.pct_dont_know + row.pct_incorrect);
+    item.right = quiz::to_answer(opt_truths[q]);
+    item.wrong = wrong_answer(opt_truths[q]);
+  }
+  const auto& level_row = opt_rows[2];
+  model.level_item_.unanswered = level_row.pct_unanswered / 100.0;
+  model.level_item_.dont_know = level_row.pct_dont_know / 100.0;
+  model.level_item_.correct = level_row.pct_correct / 100.0;
+  model.level_item_.answered = 1.0 - model.level_item_.unanswered;
+
   // Calibration population: ability targets implied by sampled
   // backgrounds (the same generative path the cohort uses).
   stats::Xoshiro256pp g(seed);
@@ -103,24 +135,22 @@ CalibratedQuizModel CalibratedQuizModel::fit(std::uint64_t seed) {
 
 quiz::CoreSheet CalibratedQuizModel::sample_core(
     const Ability& a, stats::Xoshiro256pp& g) const {
-  const auto truths = quiz::standard_core_truths();
-  const auto rows = pd::core_breakdown();
   const double theta = gamma_core_ * (a.core_target - mu_core_);
   quiz::CoreSheet sheet;
   for (std::size_t q = 0; q < quiz::kCoreQuestionCount; ++q) {
-    const auto& row = rows[q];
-    const double u = row.pct_unanswered / 100.0;
-    const double d = std::clamp(
-        row.pct_dont_know / 100.0 * a.dont_know_propensity, 0.0, 0.95);
+    const CoreItem& item = core_items_[q];
+    const double u = item.unanswered;
+    const double d =
+        std::clamp(item.dont_know * a.dont_know_propensity, 0.0, 0.95);
     const double roll = stats::uniform01(g);
     if (roll < u) {
       sheet.answers[q] = quiz::Answer::kUnanswered;
     } else if (roll < u + d) {
       sheet.answers[q] = quiz::Answer::kDontKnow;
     } else if (stats::bernoulli(g, sigmoid(theta + core_beta_[q]))) {
-      sheet.answers[q] = quiz::to_answer(truths[q]);
+      sheet.answers[q] = item.right;
     } else {
-      sheet.answers[q] = wrong_answer(truths[q]);
+      sheet.answers[q] = item.wrong;
     }
   }
   return sheet;
@@ -128,51 +158,42 @@ quiz::CoreSheet CalibratedQuizModel::sample_core(
 
 quiz::OptSheet CalibratedQuizModel::sample_opt(
     const Ability& a, stats::Xoshiro256pp& g) const {
-  const auto truths = quiz::standard_opt_truths();
-  const auto rows = pd::opt_breakdown();
-  const std::array<std::size_t, quiz::kOptTrueFalseCount> opt_row_of{0, 1,
-                                                                     3};
   // Proportional model: ability scales each question's correct
   // probability; the rest of the mass splits between don't-know and
   // incorrect in the published ratio (modulated by hedging propensity).
   const double ratio = std::clamp(a.opt_target / mu_opt_, 0.0, 4.0);
   quiz::OptSheet sheet;
   for (std::size_t q = 0; q < quiz::kOptTrueFalseCount; ++q) {
-    const auto& row = rows[opt_row_of[q]];
-    const double u = row.pct_unanswered / 100.0;
-    const double c =
-        std::clamp(row.pct_correct / 100.0 * ratio, 0.0, 1.0 - u - 0.02);
-    const double rest = 1.0 - u - c;
-    const double dk_share =
-        row.pct_dont_know / (row.pct_dont_know + row.pct_incorrect);
-    const double d = rest * dk_share;
+    const OptItem& item = opt_items_[q];
+    const double u = item.unanswered;
+    const double c = std::clamp(item.correct * ratio, 0.0, item.max_correct);
+    const double d = (item.answered - c) * item.dk_share;
     const double roll = stats::uniform01(g);
     if (roll < u) {
       sheet.tf_answers[q] = quiz::Answer::kUnanswered;
     } else if (roll < u + c) {
-      sheet.tf_answers[q] = quiz::to_answer(truths[q]);
+      sheet.tf_answers[q] = item.right;
     } else if (roll < u + c + d) {
       sheet.tf_answers[q] = quiz::Answer::kDontKnow;
     } else {
-      sheet.tf_answers[q] = wrong_answer(truths[q]);
+      sheet.tf_answers[q] = item.wrong;
     }
   }
 
   // Standard-compliant Level (Figure 15 row 2): multiple choice. Ability
   // tilts the correct-choice probability mildly around the published rate.
-  const auto& level_row = rows[2];
-  const double u = level_row.pct_unanswered / 100.0;
-  const double d = std::clamp(
-      level_row.pct_dont_know / 100.0 * a.dont_know_propensity, 0.0, 0.95);
-  const double base_correct = level_row.pct_correct / 100.0;
+  const LevelItem& level = level_item_;
+  const double u = level.unanswered;
+  const double d =
+      std::clamp(level.dont_know * a.dont_know_propensity, 0.0, 0.95);
   const double p_correct = std::clamp(
-      base_correct + 0.05 * (a.opt_target - mu_opt_), 0.01, 0.60);
+      level.correct + 0.05 * (a.opt_target - mu_opt_), 0.01, 0.60);
   const double roll = stats::uniform01(g);
   if (roll < u) {
     sheet.level_choice = quiz::kOptLevelUnanswered;
   } else if (roll < u + d) {
     sheet.level_choice = quiz::kOptLevelDontKnow;
-  } else if (stats::bernoulli(g, p_correct / (1.0 - u - d))) {
+  } else if (stats::bernoulli(g, p_correct / (level.answered - d))) {
     sheet.level_choice = quiz::kOptLevelCorrectChoice;
   } else {
     // A wrong option, uniformly among the four incorrect ones.
@@ -185,31 +206,23 @@ quiz::OptSheet CalibratedQuizModel::sample_opt(
 
 double CalibratedQuizModel::expected_opt_score(
     const Ability& a) const noexcept {
-  const auto rows = pd::opt_breakdown();
-  const std::array<std::size_t, quiz::kOptTrueFalseCount> opt_row_of{0, 1,
-                                                                     3};
   const double ratio = std::clamp(a.opt_target / mu_opt_, 0.0, 4.0);
   double expected = 0.0;
-  for (std::size_t q = 0; q < quiz::kOptTrueFalseCount; ++q) {
-    const auto& row = rows[opt_row_of[q]];
-    const double u = row.pct_unanswered / 100.0;
-    expected +=
-        std::clamp(row.pct_correct / 100.0 * ratio, 0.0, 1.0 - u - 0.02);
+  for (const OptItem& item : opt_items_) {
+    expected += std::clamp(item.correct * ratio, 0.0, item.max_correct);
   }
   return expected;
 }
 
 double CalibratedQuizModel::expected_core_score(
     const Ability& a) const noexcept {
-  const auto rows = pd::core_breakdown();
   const double theta = gamma_core_ * (a.core_target - mu_core_);
   double expected = 0.0;
   for (std::size_t q = 0; q < quiz::kCoreQuestionCount; ++q) {
-    const auto& row = rows[q];
-    const double u = row.pct_unanswered / 100.0;
-    const double d = std::clamp(
-        row.pct_dont_know / 100.0 * a.dont_know_propensity, 0.0, 0.95);
-    expected += (1.0 - u - d) * sigmoid(theta + core_beta_[q]);
+    const CoreItem& item = core_items_[q];
+    const double d =
+        std::clamp(item.dont_know * a.dont_know_propensity, 0.0, 0.95);
+    expected += (1.0 - item.unanswered - d) * sigmoid(theta + core_beta_[q]);
   }
   return expected;
 }

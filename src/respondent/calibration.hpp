@@ -63,6 +63,33 @@ class CalibratedQuizModel {
  private:
   CalibratedQuizModel() = default;
 
+  // Per-question constants of the samplers, read once from paperdata and
+  // the standard answer key by fit().
+  struct CoreItem {
+    double unanswered = 0.0;  ///< pct_unanswered / 100
+    double dont_know = 0.0;   ///< pct_dont_know / 100
+    quiz::Answer right = quiz::Answer::kTrue;
+    quiz::Answer wrong = quiz::Answer::kFalse;
+  };
+  struct OptItem {
+    double unanswered = 0.0;   ///< u = pct_unanswered / 100
+    double correct = 0.0;      ///< pct_correct / 100
+    double answered = 0.0;     ///< 1 - u
+    double max_correct = 0.0;  ///< 1 - u - 0.02
+    double dk_share = 0.0;     ///< dont_know / (dont_know + incorrect)
+    quiz::Answer right = quiz::Answer::kTrue;
+    quiz::Answer wrong = quiz::Answer::kFalse;
+  };
+  struct LevelItem {
+    double unanswered = 0.0;  ///< u = pct_unanswered / 100
+    double dont_know = 0.0;   ///< pct_dont_know / 100
+    double correct = 0.0;     ///< pct_correct / 100
+    double answered = 0.0;    ///< 1 - u
+  };
+
+  std::array<CoreItem, quiz::kCoreQuestionCount> core_items_{};
+  std::array<OptItem, quiz::kOptTrueFalseCount> opt_items_{};
+  LevelItem level_item_{};
   std::array<double, quiz::kCoreQuestionCount> core_beta_{};
   double gamma_core_ = 0.4;
   double mu_core_ = 8.5;

@@ -43,8 +43,9 @@ survey::SurveyRecord CohortGenerator::next() {
   r.respondent_id = pos_ + 1;
   r.background = sample_background(g);
   const Ability ability = derive_ability(r.background, g);
-  r.core = calibrated_model().sample_core(ability, g);
-  r.opt = calibrated_model().sample_opt(ability, g);
+  const CalibratedQuizModel& model = calibrated_model();
+  r.core = model.sample_core(ability, g);
+  r.opt = model.sample_opt(ability, g);
   r.suspicion = sample_suspicion(Cohort::kMain, g);
   ++pos_;
   return r;

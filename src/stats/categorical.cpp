@@ -28,10 +28,13 @@ CategoricalDistribution::CategoricalDistribution(
 }
 
 std::size_t CategoricalDistribution::sample(Xoshiro256pp& g) const noexcept {
+  // The entries not above u form a prefix of the cumulative table (it
+  // never decreases before its last entry, which is 1 > u), so counting
+  // them with upper_bound's own predicate finds upper_bound's index
+  // without branches.
   const double u = uniform01(g);
-  const auto it =
-      std::upper_bound(cumulative_.begin(), cumulative_.end(), u);
-  const auto idx = static_cast<std::size_t>(it - cumulative_.begin());
+  std::size_t idx = 0;
+  for (const double c : cumulative_) idx += u < c ? 0 : 1;
   return std::min(idx, probs_.size() - 1);
 }
 

@@ -17,9 +17,10 @@ namespace fpq::stats {
 
 /// Immutable categorical distribution over indices 0..k-1.
 ///
-/// Construction normalizes arbitrary non-negative weights; sampling uses
-/// the cumulative table with binary search (k is small everywhere in
-/// fpqual, so the alias method would be over-engineering).
+/// Construction normalizes arbitrary non-negative weights; sampling
+/// counts the cumulative-table entries at or below the uniform draw (k is
+/// small everywhere in fpqual, so the alias method would be
+/// over-engineering).
 class CategoricalDistribution {
  public:
   /// Requires at least one weight, all weights >= 0, and a positive sum.

@@ -7,6 +7,15 @@ namespace fpq::stats {
 
 LikertDistribution::LikertDistribution() noexcept {
   probs_.fill(1.0 / static_cast<double>(kLikertLevels));
+  accumulate();
+}
+
+void LikertDistribution::accumulate() noexcept {
+  double acc = 0.0;
+  for (std::size_t i = 0; i < kLikertLevels; ++i) {
+    acc += probs_[i];
+    cumulative_[i] = acc;
+  }
 }
 
 LikertDistribution::LikertDistribution(
@@ -18,6 +27,7 @@ LikertDistribution::LikertDistribution(
   }
   assert(sum > 0.0);
   for (std::size_t i = 0; i < kLikertLevels; ++i) probs_[i] = weights[i] / sum;
+  accumulate();
 }
 
 LikertDistribution LikertDistribution::from_counts(
@@ -47,13 +57,16 @@ double LikertDistribution::proportion_below_max() const noexcept {
 }
 
 int LikertDistribution::sample(Xoshiro256pp& g) const noexcept {
+  // The level is the first whose cumulative proportion exceeds u (the top
+  // level when none of the lower four does). The running sum never
+  // decreases, so that is one plus the count of lower levels whose
+  // cumulative proportion u is not below.
   const double u = uniform01(g);
-  double acc = 0.0;
-  for (std::size_t i = 0; i < kLikertLevels; ++i) {
-    acc += probs_[i];
-    if (u < acc) return static_cast<int>(i + 1);
+  int level = 1;
+  for (std::size_t i = 0; i + 1 < kLikertLevels; ++i) {
+    level += u < cumulative_[i] ? 0 : 1;
   }
-  return static_cast<int>(kLikertLevels);
+  return level;
 }
 
 double LikertDistribution::distance(
@@ -63,15 +76,6 @@ double LikertDistribution::distance(
     acc += std::fabs(probs_[i] - other.probs_[i]);
   }
   return 0.5 * acc;
-}
-
-void LikertAccumulator::add(int level) noexcept {
-  if (level < 1 || level > static_cast<int>(kLikertLevels)) {
-    ++dropped_;
-    return;
-  }
-  ++counts_[static_cast<std::size_t>(level - 1)];
-  ++total_;
 }
 
 void LikertAccumulator::merge(const LikertAccumulator& other) noexcept {

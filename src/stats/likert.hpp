@@ -56,7 +56,12 @@ class LikertDistribution {
   std::span<const double> proportions() const noexcept { return probs_; }
 
  private:
+  // Fills cumulative_ from probs_ by the running sum sample() draws
+  // against.
+  void accumulate() noexcept;
+
   std::array<double, kLikertLevels> probs_;
+  std::array<double, kLikertLevels> cumulative_;
 };
 
 /// Accumulates observed Likert responses (levels 1..5) into counts.
@@ -65,7 +70,14 @@ class LikertAccumulator {
   LikertAccumulator() noexcept : counts_{} {}
 
   /// Levels outside 1..5 are ignored and counted as dropped.
-  void add(int level) noexcept;
+  void add(int level) noexcept {
+    if (level < 1 || level > static_cast<int>(kLikertLevels)) {
+      ++dropped_;
+      return;
+    }
+    ++counts_[static_cast<std::size_t>(level - 1)];
+    ++total_;
+  }
 
   /// Absorbs another accumulator's counts (including dropped). Integer
   /// counts make the merge order-insensitive: any merge tree equals the

@@ -7,29 +7,6 @@ namespace fpq::survey {
 
 namespace {
 
-// Outcome slot for a grade: correct / incorrect / dont_know / unanswered.
-std::size_t grade_slot(quiz::Grade g) noexcept {
-  switch (g) {
-    case quiz::Grade::kCorrect:
-      return 0;
-    case quiz::Grade::kIncorrect:
-      return 1;
-    case quiz::Grade::kDontKnow:
-      return 2;
-    case quiz::Grade::kUnanswered:
-      return 3;
-  }
-  return 3;
-}
-
-void add_tally(std::array<std::size_t, 4>& slots,
-               const quiz::QuizTally& t) noexcept {
-  slots[0] += t.correct;
-  slots[1] += t.incorrect;
-  slots[2] += t.dont_know;
-  slots[3] += t.unanswered;
-}
-
 AverageTally divide_tally(const std::array<std::size_t, 4>& slots,
                           std::size_t n) noexcept {
   AverageTally avg;
@@ -155,9 +132,11 @@ AverageTallyAccumulator AverageTallyAccumulator::opt_tf(
 }
 
 void AverageTallyAccumulator::add(const SurveyRecord& record) noexcept {
-  add_tally(counts_, kind_ == Kind::kCore
-                         ? quiz::score_core(record.core, core_key_)
-                         : quiz::score_opt_tf(record.opt, opt_key_));
+  if (kind_ == Kind::kCore) {
+    quiz::add_grades(counts_, record.core.answers, core_key_);
+  } else {
+    quiz::add_grades(counts_, record.opt.tf_answers, opt_key_);
+  }
   ++n_;
 }
 
@@ -183,7 +162,9 @@ ScoreHistogramAccumulator::ScoreHistogramAccumulator(
     : key_(key), hist_(0, static_cast<int>(quiz::kCoreQuestionCount)) {}
 
 void ScoreHistogramAccumulator::add(const SurveyRecord& record) noexcept {
-  hist_.add(static_cast<int>(quiz::score_core(record.core, key_).correct));
+  std::array<std::size_t, quiz::kGradeCount> slots{};
+  quiz::add_grades(slots, record.core.answers, key_);
+  hist_.add(static_cast<int>(slots[0]));
 }
 
 void ScoreHistogramAccumulator::merge(ScoreHistogramAccumulator&& other) {
@@ -212,20 +193,18 @@ BreakdownAccumulator BreakdownAccumulator::opt(const OptKey& key) {
 void BreakdownAccumulator::add(const SurveyRecord& record) noexcept {
   if (kind_ == Kind::kCore) {
     for (std::size_t q = 0; q < quiz::kCoreQuestionCount; ++q) {
-      ++questions_[q].g[grade_slot(
-          quiz::grade_answer(record.core.answers[q], core_key_[q]))];
+      ++questions_[q].g[quiz::grade_slot(record.core.answers[q],
+                                         core_key_[q])];
     }
   } else {
     // Paper row order: MADD, Flush to Zero, Standard-compliant Level,
     // Fast-math; the T/F sheet holds [MADD, FlushToZero, FastMath].
-    ++questions_[0].g[grade_slot(
-        quiz::grade_answer(record.opt.tf_answers[0], opt_key_[0]))];
-    ++questions_[1].g[grade_slot(
-        quiz::grade_answer(record.opt.tf_answers[1], opt_key_[1]))];
-    ++questions_[2].g[grade_slot(
+    const auto& tf = record.opt.tf_answers;
+    ++questions_[0].g[quiz::grade_slot(tf[0], opt_key_[0])];
+    ++questions_[1].g[quiz::grade_slot(tf[1], opt_key_[1])];
+    ++questions_[2].g[static_cast<std::size_t>(
         quiz::grade_level_choice(record.opt.level_choice))];
-    ++questions_[3].g[grade_slot(
-        quiz::grade_answer(record.opt.tf_answers[2], opt_key_[2]))];
+    ++questions_[3].g[quiz::grade_slot(tf[2], opt_key_[2])];
   }
   ++n_;
 }
@@ -318,8 +297,8 @@ void FactorLevelAccumulator::add(const SurveyRecord& record) noexcept {
   if (bucket >= levels_.size()) return;
   LevelPartial& level = levels_[bucket];
   ++level.n;
-  add_tally(level.core, quiz::score_core(record.core, core_key_));
-  add_tally(level.opt, quiz::score_opt_tf(record.opt, opt_key_));
+  quiz::add_grades(level.core, record.core.answers, core_key_);
+  quiz::add_grades(level.opt, record.opt.tf_answers, opt_key_);
 }
 
 void FactorLevelAccumulator::merge(FactorLevelAccumulator&& other) {

@@ -73,18 +73,36 @@ TEST(Population, BackgroundIndicesInRange) {
 
 // -- CohortGenerator: streaming, shard-addressable generation --------------
 
+// Compares every field of two records, background lists included.
+void expect_same_record(const fpq::survey::SurveyRecord& a,
+                        const fpq::survey::SurveyRecord& b) {
+  EXPECT_EQ(a.respondent_id, b.respondent_id);
+  EXPECT_EQ(a.background.position, b.background.position);
+  EXPECT_EQ(a.background.area, b.background.area);
+  EXPECT_EQ(a.background.formal_training, b.background.formal_training);
+  EXPECT_EQ(a.background.informal_training, b.background.informal_training);
+  EXPECT_EQ(a.background.dev_role, b.background.dev_role);
+  EXPECT_EQ(a.background.fp_languages, b.background.fp_languages);
+  EXPECT_EQ(a.background.arb_prec_languages,
+            b.background.arb_prec_languages);
+  EXPECT_EQ(a.background.contributed_size, b.background.contributed_size);
+  EXPECT_EQ(a.background.contributed_extent,
+            b.background.contributed_extent);
+  EXPECT_EQ(a.background.involved_size, b.background.involved_size);
+  EXPECT_EQ(a.background.involved_extent, b.background.involved_extent);
+  EXPECT_EQ(a.core.answers, b.core.answers);
+  EXPECT_EQ(a.opt.tf_answers, b.opt.tf_answers);
+  EXPECT_EQ(a.opt.level_choice, b.opt.level_choice);
+  EXPECT_EQ(a.suspicion, b.suspicion);
+}
+
 TEST(CohortGenerator, StreamsTheExactLegacyCohort) {
   const auto cohort = rs::generate_main_cohort(11, 60);
   rs::CohortGenerator gen(11);
   for (std::size_t i = 0; i < cohort.size(); ++i) {
     EXPECT_EQ(gen.position(), i);
-    const auto r = gen.next();
-    EXPECT_EQ(r.respondent_id, cohort[i].respondent_id);
-    EXPECT_EQ(r.background.area, cohort[i].background.area);
-    EXPECT_EQ(r.core.answers, cohort[i].core.answers);
-    EXPECT_EQ(r.opt.tf_answers, cohort[i].opt.tf_answers);
-    EXPECT_EQ(r.opt.level_choice, cohort[i].opt.level_choice);
-    EXPECT_EQ(r.suspicion, cohort[i].suspicion);
+    SCOPED_TRACE(i);
+    expect_same_record(gen.next(), cohort[i]);
   }
 }
 
