@@ -193,22 +193,15 @@ void BM_IrTreeWalkHorner64(benchmark::State& state) {
   }
 }
 
-void BM_IrBatchHorner64(benchmark::State& state, int threads, bool memoize) {
+void BM_IrBatchHorner64(benchmark::State& state, int threads) {
   fpq::parallel::ThreadPool pool(static_cast<std::size_t>(threads));
   const auto tree = poly_tree();
   ir::BindingTable table;
   table.width = 1;
   table.values = make_operands(kN, 10);
-  ir::BatchOptions opts;
-  opts.memoize = memoize;
   const auto cfg = ir::EvalConfig::ieee_strict();
-  if (memoize) {
-    // Warm the cache so every timed sweep is the all-hits path.
-    benchmark::DoNotOptimize(
-        ir::evaluate_many(pool, tree, table, cfg, opts).data());
-  }
   for (auto _ : state) {
-    auto out = ir::evaluate_many(pool, tree, table, cfg, opts);
+    auto out = ir::evaluate_many(pool, tree, table, cfg);
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -237,10 +230,8 @@ void BM_IrTapeBatchHorner64(benchmark::State& state, int threads) {
   ir::BindingTable table;
   table.width = 1;
   table.values = make_operands(kN, 10);
-  ir::BatchOptions opts;
-  opts.memoize = false;
   for (auto _ : state) {
-    auto out = ir::execute_batch(pool, *tape, table, opts);
+    auto out = ir::execute_batch(pool, *tape, table);
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -332,8 +323,6 @@ int run_tape_gate(const std::string& json_path, int samples, int mode_limit,
 
   par::ThreadPool pool_one(1);
   par::ThreadPool pool_many(static_cast<std::size_t>(std::max(1, max_threads)));
-  ir::BatchOptions opts;
-  opts.memoize = false;
 
   double walk_s = 0, scalar_s = 0, batch1_s = 0, batchn_s = 0;
   std::size_t total_rows = 0;
@@ -371,7 +360,7 @@ int run_tape_gate(const std::string& json_path, int samples, int mode_limit,
       }
 
       t0 = GateClock::now();
-      auto batched = ir::execute_batch(pool_one, tape, table, opts);
+      auto batched = ir::execute_batch(pool_one, tape, table);
       batch1_s += seconds_since(t0);
       for (std::size_t r = 0; r < rows; ++r) {
         if (ref[r].value.bits != batched[r].value.bits ||
@@ -385,7 +374,7 @@ int run_tape_gate(const std::string& json_path, int samples, int mode_limit,
       }
 
       t0 = GateClock::now();
-      auto wide = ir::execute_batch(pool_many, tape, table, opts);
+      auto wide = ir::execute_batch(pool_many, tape, table);
       batchn_s += seconds_since(t0);
       for (std::size_t r = 0; r < rows; ++r) {
         if (batched[r].value.bits != wide[r].value.bits ||
@@ -529,14 +518,7 @@ int main(int argc, char** argv) {
         "BM_IrBatchHorner64/threads:" + std::to_string(t);
     benchmark::RegisterBenchmark(batch_name.c_str(),
                                  [t](benchmark::State& state) {
-                                   BM_IrBatchHorner64(state, t, false);
-                                 })
-        ->UseRealTime();
-    const std::string memo_name =
-        "BM_IrBatchHorner64Memoized/threads:" + std::to_string(t);
-    benchmark::RegisterBenchmark(memo_name.c_str(),
-                                 [t](benchmark::State& state) {
-                                   BM_IrBatchHorner64(state, t, true);
+                                   BM_IrBatchHorner64(state, t);
                                  })
         ->UseRealTime();
     const std::string tape_name =

@@ -28,9 +28,8 @@ std::vector<Outcome> evaluate_many(parallel::ThreadPool& pool,
                                    const BatchOptions& options) {
   // Compile (or fetch the cached tape for) the rewritten program once;
   // the batched executor then runs one opcode across a stride of rows at
-  // a time instead of re-walking the tree per row. Memoization keys on
-  // the tape's content fingerprint — no per-query tree re-hash — and
-  // Tape::compile applies the config's pipeline rewrite itself.
+  // a time instead of re-walking the tree per row. Tape::compile applies
+  // the config's pipeline rewrite itself.
   const std::shared_ptr<const Tape> tape = Tape::cached(expr, config);
   return execute_batch(pool, *tape, bindings, options);
 }

@@ -1,17 +1,13 @@
 // fpq::ir — batched evaluation: one tree, many operand bindings, sharded
-// over fpq::parallel with memoization.
+// over fpq::parallel.
 //
 // Variables make a tree a function of its bindings, so sweeps ("this
 // kernel over 10k inputs", "this question's probe over the operand pool")
 // become ONE tree plus a binding table. evaluate_many shards the rows
 // over the pool's work-stealing lanes; every row gets a fresh evaluator
 // (its own sticky-flag accounting), each chunk writes only its own output
-// slots, and the result is bit-identical at every thread count.
-//
-// Memoization: a chunk's outcome is a pure function of (tree hash, config
-// fingerprint, bindings content hash, chunk index) — hash consing gives
-// the tree a stable fingerprint for free — so repeated sweeps hit
-// parallel::BatchResultCache instead of re-walking the tree.
+// slots, and the result is bit-identical at every thread count. Every
+// call executes every row: nothing is memoized.
 #pragma once
 
 #include <cstddef>
@@ -43,7 +39,10 @@ struct BindingWidthError : std::invalid_argument {
 
 /// Content hash of a span of binding values (by bit pattern, so -0.0 and
 /// NaN payloads are distinguished like the evaluation distinguishes them).
-/// Shared by the memoizing batch engines.
+/// Nothing in the library calls it since the batch memo was removed; it
+/// stays only because the repository benchmark (perfbench/cpp/batch_b32.cpp)
+/// hashes its tables with it to prove none repeats. Remove it with the
+/// next benchmark change.
 std::uint64_t hash_bindings(std::span<const double> xs,
                             std::size_t width) noexcept;
 
@@ -65,8 +64,6 @@ struct BindingTable {
 };
 
 struct BatchOptions {
-  /// Memoize chunk outcomes in parallel::BatchResultCache::global().
-  bool memoize = true;
   /// Lower bound on rows per chunk (amortizes task overhead).
   std::size_t min_rows_per_chunk = 64;
 };
@@ -74,7 +71,7 @@ struct BatchOptions {
 /// Evaluates `expr` under `config` once per binding row. Outcome i
 /// corresponds to row i; per-row flags are isolated (fresh evaluator per
 /// row). Deterministic: the same inputs give bit-identical outcomes at
-/// every thread count, memoized or not.
+/// every thread count and chunking.
 std::vector<Outcome> evaluate_many(parallel::ThreadPool& pool,
                                    const Expr& expr,
                                    const BindingTable& bindings,

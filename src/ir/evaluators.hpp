@@ -20,7 +20,7 @@ namespace fpq::ir {
 
 /// One complete arithmetic semantics: format, rounding, flush modes, and
 /// which pipeline rewrites are applied before evaluation. This is the
-/// "config" axis of every memoization key.
+/// "config" axis of the tape compile memo's key and of tape fingerprints.
 struct EvalConfig {
   /// 16, 32, 64 or softfloat::kBFloat16.
   int format_bits = 64;
@@ -33,7 +33,7 @@ struct EvalConfig {
   bool flush_to_zero = false;
   bool denormals_are_zero = false;
 
-  /// Stable 64-bit identity of this configuration (memoization key part).
+  /// Stable 64-bit identity of this configuration (a tape-cache key part).
   std::uint64_t fingerprint() const noexcept;
 
   static EvalConfig ieee_strict() { return EvalConfig{}; }

@@ -12,7 +12,7 @@
 //
 // Hash consing: structurally identical trees share one immutable node, so
 // structural equality is pointer equality and every subtree carries a
-// stable 64-bit fingerprint (the memoization key for batched evaluation).
+// stable 64-bit fingerprint.
 // Nodes are interned in a process-wide pool and live for the process
 // lifetime — expressions here are small demonstration programs, not
 // unbounded codegen.

@@ -158,9 +158,9 @@ class Tape {
 
   /// Content fingerprint: a stable 64-bit hash over the instruction
   /// stream, constant pool, register/result/width shape and the config's
-  /// runtime bits. Two tapes with equal fingerprints execute identically,
-  /// so this is the memoization key for batched results (BatchKey) and is
-  /// computed ONCE at compile instead of per cache query.
+  /// runtime bits. Two tapes with equal fingerprints execute identically.
+  /// Computed ONCE at compile; it names the program, never the kernel
+  /// variant that executes it.
   std::uint64_t fingerprint() const noexcept { return fingerprint_; }
 
   // -- Compile-time observability ----------------------------------------

@@ -7,12 +7,10 @@
 
 #include "fpmon/flow.hpp"
 #include "ir/native_ops.hpp"
-#include "parallel/result_cache.hpp"
 #include "parallel/shard.hpp"
 #include "softfloat/batch.hpp"
 #include "softfloat/fast16.hpp"
 #include "softfloat/fast32.hpp"
-#include "softfloat/kernels.hpp"
 
 namespace fpq::ir {
 
@@ -475,58 +473,13 @@ std::vector<Outcome> execute_batch(parallel::ThreadPool& pool,
   // per-node quiet-NaN contract survives in the scalar paths.
   check_width(tape, table);
 
-  const std::uint64_t tape_fp = tape.fingerprint();
   const std::size_t chunks =
       parallel::recommended_chunks(pool, n, options.min_rows_per_chunk);
-  auto& cache = parallel::BatchResultCache::global();
-
   parallel::parallel_map_chunks(
       pool, n, chunks,
-      [&](std::size_t chunk, std::size_t begin, std::size_t end) {
-        parallel::BatchKey key;
-        if (options.memoize) {
-          // Key on content only when the memo is in play: hashing every
-          // binding is pure overhead for memoize=false sweeps.
-          const std::span<const double> chunk_values =
-              std::span<const double>(table.values)
-                  .subspan(begin * table.width,
-                           (end - begin) * table.width);
-          key.tape_fingerprint = tape_fp;
-          key.bindings_hash = hash_bindings(chunk_values, table.width);
-          key.chunk = static_cast<std::uint32_t>(chunk);
-          // Entries are keyed on the executing kernel variant: a cache
-          // warmed under one variant is never read under another (see
-          // BatchKey in parallel/result_cache.hpp).
-          key.variant = static_cast<std::uint32_t>(
-              sf::active_kernel_variant());
-        }
-
-        if (options.memoize) {
-          if (const auto hit = cache.find(key);
-              hit.has_value() && hit->outcomes.size() == end - begin) {
-            for (std::size_t i = begin; i < end; ++i) {
-              const auto& [value_bits, flags] = hit->outcomes[i - begin];
-              out[i].value = softfloat::Float64{value_bits};
-              out[i].flags = flags;
-            }
-            return;
-          }
-        }
-
+      [&](std::size_t, std::size_t begin, std::size_t end) {
         execute_range(tape, table, begin, end,
                       std::span<Outcome>(out).subspan(begin, end - begin));
-
-        if (options.memoize) {
-          // Memoize only after the whole chunk executed cleanly (the same
-          // cache-consistency guard evaluate_many has always had).
-          parallel::BatchChunkResult result;
-          result.outcomes.reserve(end - begin);
-          for (std::size_t i = begin; i < end; ++i) {
-            result.outcomes.emplace_back(out[i].value.bits, out[i].flags);
-          }
-          cache.insert(key, result);
-        }
-
         // Chunk boundaries are fpmon instrumentation seams: when a
         // collect_seams FlowMonitor is registered, harvest the worker's
         // fenv here; otherwise this is one relaxed atomic load.

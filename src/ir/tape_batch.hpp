@@ -6,9 +6,9 @@
 // values and runs each instruction across every lane before advancing —
 // the softfloat batch entry points (softfloat/batch.hpp) supply the lane
 // loops. Per-lane flag words keep each row's sticky union isolated, so
-// results are bit- and flag-identical to per-row evaluation; chunking and
-// memoization follow the parallel substrate's determinism rules
-// (bit-identical at every thread count).
+// results are bit- and flag-identical to per-row evaluation; chunking
+// follows the parallel substrate's determinism rules (bit-identical at
+// every thread count). Nothing is memoized: every call executes.
 #pragma once
 
 #include <cstddef>
@@ -40,10 +40,8 @@ void execute_rows(const Tape& tape, std::span<const double> rows,
                   std::size_t width, std::span<Outcome> out);
 
 /// The batched executor: shards the table's rows over the pool in
-/// deterministic chunks, memoizing per-chunk outcomes in
-/// parallel::BatchResultCache keyed on the tape's content fingerprint
-/// (computed once at compile — no per-query tree re-hash). Bit-identical
-/// at every thread count, memoized or not.
+/// deterministic chunks and executes every one of them. Bit-identical at
+/// every thread count and chunking.
 std::vector<Outcome> execute_batch(parallel::ThreadPool& pool,
                                    const Tape& tape,
                                    const BindingTable& table,

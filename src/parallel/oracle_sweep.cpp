@@ -1,5 +1,6 @@
 #include "parallel/oracle_sweep.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cfenv>
 #include <cmath>
@@ -344,9 +345,8 @@ std::uint64_t cell_seed(std::uint64_t base, int format_bits, SweepOp op,
 }
 
 template <typename Runner>
-SweepReport run_sweep(ThreadPool& pool, const std::string& backend,
-                      int format_bits, const SweepConfig& config,
-                      ResultCache* cache, Runner&& runner) {
+SweepReport run_sweep(ThreadPool& pool, int format_bits,
+                      const SweepConfig& config, Runner&& runner) {
   std::vector<TaskSpec> specs;
   for (SweepOp op : config.ops) {
     for (sf::Rounding mode : config.modes) {
@@ -358,43 +358,24 @@ SweepReport run_sweep(ThreadPool& pool, const std::string& backend,
     }
   }
 
-  struct TaskOutcome {
-    ShardResult result;
-    bool from_cache = false;
-  };
   const auto outcomes = parallel_map(
-      pool, specs.size(), [&](std::size_t i) -> TaskOutcome {
+      pool, specs.size(), [&](std::size_t i) -> ShardResult {
         const TaskSpec& spec = specs[i];
-        OracleKey key;
-        key.backend = backend;
-        key.format_bits = static_cast<std::uint8_t>(format_bits);
-        key.op = static_cast<std::uint8_t>(spec.op);
-        key.rounding = static_cast<std::uint8_t>(spec.mode);
-        key.operand_class = static_cast<std::uint8_t>(spec.cls);
-        key.task = spec.task;
-        if (cache != nullptr) {
-          if (auto hit = cache->find(key)) return {*hit, true};
-        }
         const std::uint64_t seed = shard_seed(
             cell_seed(config.seed, format_bits, spec.op, spec.mode,
                       spec.cls),
             spec.task);
-        TaskOutcome out;
-        out.result = runner(spec.op, spec.mode, spec.cls, seed,
-                            config.cases_per_task);
-        if (cache != nullptr) cache->insert(key, out.result);
-        return out;
+        return runner(spec.op, spec.mode, spec.cls, seed,
+                      config.cases_per_task);
       });
 
   SweepReport report;
   report.tasks = outcomes.size();
-  for (const TaskOutcome& out : outcomes) {  // fixed index order
-    report.checked += out.result.checked;
-    report.mismatches += out.result.mismatches;
-    if (out.from_cache) ++report.cache_hits;
-    if (report.first_mismatch.empty() &&
-        !out.result.first_mismatch.empty()) {
-      report.first_mismatch = out.result.first_mismatch;
+  for (const ShardResult& out : outcomes) {  // fixed index order
+    report.checked += out.checked;
+    report.mismatches += out.mismatches;
+    if (report.first_mismatch.empty() && !out.first_mismatch.empty()) {
+      report.first_mismatch = out.first_mismatch;
     }
   }
   return report;
@@ -402,22 +383,19 @@ SweepReport run_sweep(ThreadPool& pool, const std::string& backend,
 
 }  // namespace
 
-SweepReport run_binary16_sweep(ThreadPool& pool, const SweepConfig& config,
-                               ResultCache* cache) {
-  return run_sweep(pool, "softfloat", 16, config, cache, run_f16_task);
+SweepReport run_binary16_sweep(ThreadPool& pool, const SweepConfig& config) {
+  return run_sweep(pool, 16, config, run_f16_task);
 }
 
 SweepReport run_native_sweep(ThreadPool& pool, int format_bits,
-                             const SweepConfig& config, ResultCache* cache) {
+                             const SweepConfig& config) {
   SweepConfig filtered = config;
   // The host FPU cannot express roundTiesToAway; skip rather than fail.
   std::erase(filtered.modes, sf::Rounding::kNearestAway);
   if (format_bits == 32) {
-    return run_sweep(pool, "native", 32, filtered, cache,
-                     run_native_task<32, float>);
+    return run_sweep(pool, 32, filtered, run_native_task<32, float>);
   }
-  return run_sweep(pool, "native", 64, filtered, cache,
-                   run_native_task<64, double>);
+  return run_sweep(pool, 64, filtered, run_native_task<64, double>);
 }
 
 SweepReport run_exhaustive_binary16(ThreadPool& pool,

@@ -4,8 +4,8 @@
 // with native hardware wherever hardware is IEEE. This module turns that
 // claim into a scalable sweep: the (format × operation × rounding mode ×
 // operand class) space is sharded into independent tasks, distributed over
-// a ThreadPool, checked against exact (or provably tight) references, and
-// memoized per shard in a ResultCache so repeated sweeps are nearly free.
+// a ThreadPool, and checked against exact (or provably tight) references.
+// Every run checks every case: a verdict is never served from a cache.
 //
 // Two reference strategies:
 //
@@ -25,15 +25,13 @@
 //
 // Determinism: task operand streams derive from shard_seed(seed, task) —
 // a sweep's counts are a pure function of its config, independent of
-// thread count and schedule, which is what makes the per-shard cache
-// sound.
+// thread count and schedule.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "parallel/result_cache.hpp"
 #include "parallel/thread_pool.hpp"
 #include "softfloat/env.hpp"
 
@@ -42,8 +40,8 @@ namespace fpq::parallel {
 enum class SweepOp : std::uint8_t { kAdd, kSub, kMul, kDiv, kSqrt, kFma };
 const char* sweep_op_name(SweepOp op) noexcept;
 
-/// Operand population a task draws from; part of the cache key so a shard
-/// advertises exactly which slice of the input space it covered.
+/// Operand population a task draws from, so a shard advertises exactly
+/// which slice of the input space it covered.
 enum class OperandClass : std::uint8_t {
   kNormal,     ///< finite normals, full exponent range
   kSubnormal,  ///< subnormals (and the zero border)
@@ -77,24 +75,30 @@ struct SweepConfig {
   std::size_t tasks_per_axis = 8;  ///< shards per (op, mode, class) cell
 };
 
+/// Outcome of one shard: how many cases ran, how many diverged from the
+/// reference, and a diagnostic for the first divergence (empty if none).
+struct ShardResult {
+  std::uint64_t checked = 0;
+  std::uint64_t mismatches = 0;
+  std::string first_mismatch;
+};
+
 struct SweepReport {
   std::uint64_t checked = 0;
   std::uint64_t mismatches = 0;
-  std::uint64_t cache_hits = 0;
   std::uint64_t tasks = 0;
   std::string first_mismatch;  ///< diagnostic for the lowest-index failure
 };
 
 /// Randomized class-stratified binary16 differential sweep (exact oracle).
-SweepReport run_binary16_sweep(ThreadPool& pool, const SweepConfig& config,
-                               ResultCache* cache);
+SweepReport run_binary16_sweep(ThreadPool& pool, const SweepConfig& config);
 
 /// Same sweep against the host FPU at native widths. `format_bits` must
 /// be 32 or 64; roundTiesToAway (not hardware-expressible) and kFma-free
 /// op lists are filtered automatically... modes the hardware cannot
 /// express are skipped rather than failed.
 SweepReport run_native_sweep(ThreadPool& pool, int format_bits,
-                             const SweepConfig& config, ResultCache* cache);
+                             const SweepConfig& config);
 
 /// Exhaustive binary16 sweep: for every op and mode, ALL 65536 encodings
 /// of the first operand, with `samples_per_operand` deterministic partner

@@ -2,11 +2,6 @@
 
 namespace fpq::parallel {
 
-ResultCache& ResultCache::global() {
-  static ResultCache cache;
-  return cache;
-}
-
 BatchResultCache& BatchResultCache::global() {
   static BatchResultCache cache;
   return cache;

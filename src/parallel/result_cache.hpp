@@ -1,15 +1,14 @@
-// fpq::parallel — the per-shard differential-result cache.
+// fpq::parallel — a striped memo cache and the batch-result cache types.
 //
-// A sweep shard is fully described by (backend, format, op, rounding mode,
-// operand class, task index): its operand stream is derived
-// deterministically from shard_seed, so its outcome is a pure function of
-// the key. Caching the outcome lets repeated sweeps (quiz-session scoring
-// re-deriving ground truth, benchmark reruns, test retries) skip
-// re-executing millions of softfloat operations and hit memoized results
-// instead.
+// Nothing in the library uses these any more: ir::execute_batch executes
+// every chunk, and verification verdicts are never served from a cache.
+// BatchResultCache, BatchKey, BatchChunkResult and StripedCache stay
+// declared only because the repository benchmark
+// (perfbench/cpp/batch_b32.cpp) names them to report the cache's
+// occupancy; remove them with the next benchmark change.
 //
 // The cache is a striped hash map: lookups hash to one of kStripes
-// independently-locked segments, so concurrent shards rarely contend.
+// independently-locked segments, so concurrent writers rarely contend.
 #pragma once
 
 #include <algorithm>
@@ -18,78 +17,11 @@
 #include <cstdint>
 #include <mutex>
 #include <optional>
-#include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 namespace fpq::parallel {
-
-/// Interned backend name: the string plus a content tag precomputed at
-/// assignment, so key hashing never re-walks the string per query.
-class BackendName {
- public:
-  BackendName() = default;
-  BackendName(std::string name)  // NOLINT(google-explicit-constructor)
-      : name_(std::move(name)), tag_(tag_of(name_)) {}
-  BackendName(const char* name)  // NOLINT(google-explicit-constructor)
-      : BackendName(std::string(name)) {}
-
-  const std::string& str() const noexcept { return name_; }
-  std::uint64_t tag() const noexcept { return tag_; }
-
-  bool operator==(const BackendName& other) const noexcept {
-    return tag_ == other.tag_ && name_ == other.name_;
-  }
-
- private:
-  static std::uint64_t tag_of(const std::string& s) noexcept {
-    // FNV-1a; the empty string hashes to the offset basis, matching the
-    // default-constructed tag below.
-    std::uint64_t h = 0xCBF29CE484222325ULL;
-    for (const char c : s) {
-      h ^= static_cast<unsigned char>(c);
-      h *= 0x100000001B3ULL;
-    }
-    return h;
-  }
-
-  std::string name_;
-  std::uint64_t tag_ = 0xCBF29CE484222325ULL;
-};
-
-/// Identity of one differential-sweep shard.
-struct OracleKey {
-  BackendName backend;             ///< e.g. "softfloat"
-  std::uint8_t format_bits = 0;    ///< 16 / 32 / 64
-  std::uint8_t op = 0;             ///< SweepOp
-  std::uint8_t rounding = 0;       ///< softfloat::Rounding
-  std::uint8_t operand_class = 0;  ///< OperandClass
-  std::uint32_t task = 0;          ///< shard index within the axis
-
-  bool operator==(const OracleKey&) const = default;
-};
-
-struct OracleKeyHash {
-  std::size_t operator()(const OracleKey& k) const noexcept {
-    const std::uint64_t packed =
-        (std::uint64_t{k.format_bits} << 56) | (std::uint64_t{k.op} << 48) |
-        (std::uint64_t{k.rounding} << 40) |
-        (std::uint64_t{k.operand_class} << 32) | k.task;
-    // 64-bit mix of the packed fields folded into the precomputed tag.
-    std::uint64_t z = packed + 0x9E3779B97F4A7C15ULL * (k.backend.tag() + 1);
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-    return static_cast<std::size_t>(z ^ (z >> 27));
-  }
-};
-
-/// Outcome of one shard: how many cases ran, how many diverged from the
-/// reference, and a diagnostic for the first divergence (empty if none).
-struct ShardResult {
-  std::uint64_t checked = 0;
-  std::uint64_t mismatches = 0;
-  std::string first_mismatch;
-};
 
 /// Counter snapshot for benches and diagnostics.
 struct CacheStats {
@@ -99,10 +31,9 @@ struct CacheStats {
   std::size_t entries = 0;
 };
 
-/// CRTP-free shared shape for the two caches below: striped unordered
-/// maps, hit/miss/eviction counters, optional capacity bound. Kept as a
-/// template over (Key, Hash, Value) so the parallel substrate stays
-/// independent of the IR's types.
+/// Striped unordered maps with hit/miss/eviction counters and an optional
+/// capacity bound. A template over (Key, Hash, Value) so the parallel
+/// substrate stays independent of the IR's types.
 template <typename Key, typename Hash, typename Value>
 class StripedCache {
  public:
@@ -199,29 +130,16 @@ class StripedCache {
   std::atomic<std::size_t> capacity_{0};
 };
 
-class ResultCache : public StripedCache<OracleKey, OracleKeyHash, ShardResult> {
- public:
-  /// Process-wide cache shared by sessions, benches, and tests.
-  static ResultCache& global();
-};
-
 /// Identity of one chunk of a batched IR evaluation: the compiled tape's
 /// content fingerprint (which already names the rewritten program AND the
 /// numeric config — format, rounding, FTZ/DAZ, constant pool), a content
 /// hash of the chunk's operand bindings, and the chunk index. The outcome
-/// of such a chunk is a pure function of this key — exactly the same
-/// determinism contract as OracleKey, applied to expression evaluation.
-/// Keying on the fingerprint means NO per-query tree re-hash: the
-/// fingerprint is computed once at tape compile.
+/// of such a chunk is a pure function of this key.
 struct BatchKey {
   std::uint64_t tape_fingerprint = 0;
   std::uint64_t bindings_hash = 0;
   std::uint32_t chunk = 0;
-  /// The softfloat::KernelVariant the chunk executed under. The parity
-  /// gates prove every variant produces identical outcomes, but the cache
-  /// must not DEPEND on that proof: a miscompiled or future variant must
-  /// never be served entries computed by another, so the variant is part
-  /// of the key's identity.
+  /// The softfloat::KernelVariant the chunk executed under.
   std::uint32_t variant = 0;
 
   bool operator==(const BatchKey&) const = default;
@@ -248,7 +166,7 @@ struct BatchChunkResult {
 class BatchResultCache
     : public StripedCache<BatchKey, BatchKeyHash, BatchChunkResult> {
  public:
-  /// Process-wide cache shared by sessions, benches, and tests.
+  /// Process-wide instance; nothing in the library writes to it.
   static BatchResultCache& global();
 };
 

@@ -1,5 +1,7 @@
 #include "softfloat/batch.hpp"
 
+#include <cstdint>
+
 #include "softfloat/batch_kernels.hpp"
 #include "softfloat/kernels.hpp"
 #include "softfloat/ops.hpp"
@@ -12,7 +14,8 @@ namespace {
 // caller — tape execution, the sweep32 shard loops, direct users — flows
 // through the accelerated kernels without changes. Only the ops with
 // accelerated binary32 implementations branch; everything else (and the
-// kScalar variant) keeps the scalar reference loops below.
+// kScalar variant) keeps the scalar reference loops below, except the
+// comparisons, which run inline on every variant (compare_lanes).
 inline bool use_kernels() noexcept {
   return active_kernel_variant() != KernelVariant::kScalar;
 }
@@ -40,6 +43,10 @@ template <int kBits>
 void add_n(const Float<kBits>* a, const Float<kBits>* b, Float<kBits>* out,
            unsigned* flags, std::size_t n, Env& env) noexcept {
   if constexpr (kBits == 32) {
+    if (use_avx2()) {
+      kernels::avx2::add32(a, b, out, flags, n, env);
+      return;
+    }
     if (use_kernels()) {
       kernels::portable::add32(a, b, out, flags, n, env);
       return;
@@ -55,6 +62,10 @@ template <int kBits>
 void sub_n(const Float<kBits>* a, const Float<kBits>* b, Float<kBits>* out,
            unsigned* flags, std::size_t n, Env& env) noexcept {
   if constexpr (kBits == 32) {
+    if (use_avx2()) {
+      kernels::avx2::sub32(a, b, out, flags, n, env);
+      return;
+    }
     if (use_kernels()) {
       kernels::portable::sub32(a, b, out, flags, n, env);
       return;
@@ -70,6 +81,10 @@ template <int kBits>
 void mul_n(const Float<kBits>* a, const Float<kBits>* b, Float<kBits>* out,
            unsigned* flags, std::size_t n, Env& env) noexcept {
   if constexpr (kBits == 32) {
+    if (use_avx2()) {
+      kernels::avx2::mul32(a, b, out, flags, n, env);
+      return;
+    }
     if (use_kernels()) {
       kernels::portable::mul32(a, b, out, flags, n, env);
       return;
@@ -85,6 +100,10 @@ template <int kBits>
 void div_n(const Float<kBits>* a, const Float<kBits>* b, Float<kBits>* out,
            unsigned* flags, std::size_t n, Env& env) noexcept {
   if constexpr (kBits == 32) {
+    if (use_avx2()) {
+      kernels::avx2::div32(a, b, out, flags, n, env);
+      return;
+    }
     if (use_kernels()) {
       kernels::portable::div32(a, b, out, flags, n, env);
       return;
@@ -121,6 +140,10 @@ void fma_n(const Float<kBits>* a, const Float<kBits>* b,
            const Float<kBits>* c, Float<kBits>* out, unsigned* flags,
            std::size_t n, Env& env) noexcept {
   if constexpr (kBits == 32) {
+    if (use_avx2()) {
+      kernels::avx2::fma32(a, b, c, out, flags, n, env);
+      return;
+    }
     if (use_kernels()) {
       kernels::portable::fma32(a, b, c, out, flags, n, env);
       return;
@@ -133,26 +156,51 @@ void fma_n(const Float<kBits>* a, const Float<kBits>* b,
   }
 }
 
+// Comparisons run inline on every variant: a non-NaN lane orders the
+// sign-magnitude keys compare.cpp's magnitude_key defines (DAZ zeroes
+// subnormal magnitudes; ordered comparisons raise no flag), and a lane
+// with a NaN operand takes the scalar predicate for its invalid rules.
+namespace {
+
+template <int kBits>
+std::int64_t order_key(Float<kBits> x, bool daz) noexcept {
+  const auto mag =
+      daz && x.is_subnormal() ? 0 : static_cast<std::int64_t>(x.abs().bits);
+  return x.sign() ? -mag : mag;
+}
+
+template <bool kLess, int kBits>
+void compare_lanes(const Float<kBits>* a, const Float<kBits>* b,
+                   Float<kBits>* out, unsigned* flags, std::size_t n,
+                   Env& env) noexcept {
+  const bool daz = env.denormals_are_zero();
+  for (std::size_t i = 0; i < n; ++i) {
+    bool r;
+    if (a[i].is_nan() || b[i].is_nan()) {
+      env.clear_flags();
+      r = kLess ? less(a[i], b[i], env) : equal(a[i], b[i], env);
+      flags[i] |= env.flags();
+    } else {
+      const std::int64_t ka = order_key(a[i], daz);
+      const std::int64_t kb = order_key(b[i], daz);
+      r = kLess ? ka < kb : ka == kb;
+    }
+    out[i] = r ? Float<kBits>::one() : Float<kBits>::zero();
+  }
+}
+
+}  // namespace
+
 template <int kBits>
 void equal_n(const Float<kBits>* a, const Float<kBits>* b, Float<kBits>* out,
              unsigned* flags, std::size_t n, Env& env) noexcept {
-  for (std::size_t i = 0; i < n; ++i) {
-    env.clear_flags();
-    const bool r = equal(a[i], b[i], env);
-    flags[i] |= env.flags();
-    out[i] = r ? Float<kBits>::one() : Float<kBits>::zero();
-  }
+  compare_lanes<false>(a, b, out, flags, n, env);
 }
 
 template <int kBits>
 void less_n(const Float<kBits>* a, const Float<kBits>* b, Float<kBits>* out,
             unsigned* flags, std::size_t n, Env& env) noexcept {
-  for (std::size_t i = 0; i < n; ++i) {
-    env.clear_flags();
-    const bool r = less(a[i], b[i], env);
-    flags[i] |= env.flags();
-    out[i] = r ? Float<kBits>::one() : Float<kBits>::zero();
-  }
+  compare_lanes<true>(a, b, out, flags, n, env);
 }
 
 template <int kBits>
@@ -229,8 +277,9 @@ void convert_n(const Float<kFrom>* a, Float<kTo>* out, unsigned* flags,
       return;
     }
   } else if constexpr (kTo == 32 && kFrom == 64) {
-    // No AVX2 kernel (the hard band spans the whole binary32-subnormal
-    // result range); portable still beats scalar.
+    // No AVX2 kernel for the flag-reporting form (the tape's flag-free
+    // narrowing, narrow_from_double_n<32>, has one); portable still
+    // beats scalar.
     if (use_kernels()) {
       kernels::portable::narrow_64_to_32(a, out, flags, n, env);
       return;
@@ -259,6 +308,10 @@ void narrow_from_double_n(const double* in, std::size_t stride,
     Env quiet(env.rounding());
     quiet.set_denormals_are_zero(env.denormals_are_zero());
     if constexpr (kBits == 32) {
+      if (use_avx2()) {
+        kernels::avx2::narrow_double_to_32(in, stride, out, n, quiet);
+        return;
+      }
       if (use_kernels()) {
         kernels::portable::narrow_double_to_32(in, stride, out, n, quiet);
         return;

@@ -65,14 +65,24 @@ void widen_32_to_64(const Float32* a, Float64* out, unsigned* flags,
 
 }  // namespace portable
 
-// The AVX2 set covers the unary / convert sweep ops (the full-2^32
-// spaces). The binary arithmetic ops stay on the portable fast32 loops
-// under every vector variant: their cost is dominated by the scalar
-// TwoSum / fold-back tails, not lane traversal. When avx2_compiled() is
-// false these are forwarders to the portable kernels (and dispatch never
-// selects them anyway).
+// The AVX2 set: the unary / convert sweep ops, the five binary32
+// arithmetic ops and the operand narrowing. Each vectorizes its common
+// class and runs every other lane through the portable variant's per-lane
+// body (batch_kernels_impl.hpp). When avx2_compiled() is false these are
+// forwarders to the portable kernels (and dispatch never selects them
+// anyway).
 namespace avx2 {
 
+void add32(const Float32* a, const Float32* b, Float32* out, unsigned* flags,
+           std::size_t n, Env& env) noexcept;
+void sub32(const Float32* a, const Float32* b, Float32* out, unsigned* flags,
+           std::size_t n, Env& env) noexcept;
+void mul32(const Float32* a, const Float32* b, Float32* out, unsigned* flags,
+           std::size_t n, Env& env) noexcept;
+void div32(const Float32* a, const Float32* b, Float32* out, unsigned* flags,
+           std::size_t n, Env& env) noexcept;
+void fma32(const Float32* a, const Float32* b, const Float32* c, Float32* out,
+           unsigned* flags, std::size_t n, Env& env) noexcept;
 void sqrt32(const Float32* a, Float32* out, unsigned* flags, std::size_t n,
             Env& env) noexcept;
 void round_int32(const Float32* a, Float32* out, unsigned* flags,
@@ -81,6 +91,8 @@ void narrow_32_to_16(const Float32* a, Float16* out, unsigned* flags,
                      std::size_t n, Env& env) noexcept;
 void narrow_32_to_bf16(const Float32* a, BFloat16* out, unsigned* flags,
                        std::size_t n, Env& env) noexcept;
+void narrow_double_to_32(const double* in, std::size_t stride, Float32* out,
+                         std::size_t n, Env& quiet) noexcept;
 void widen_16_to_32(const Float16* a, Float32* out, unsigned* flags,
                     std::size_t n, Env& env) noexcept;
 void widen_bf16_to_32(const BFloat16* a, Float32* out, unsigned* flags,

@@ -15,19 +15,20 @@
 // the fraction walks binades correctly, so adding a mode-dependent bias
 // below the first kept bit and masking rounds in all five modes; the
 // kept lsb supplies ties-to-even parity. Each helper's class boundaries
-// route every case with tininess-after-rounding or payload semantics to
-// the scalar engine instead of reimplementing it.
+// route every case with payload semantics, and every case with
+// tininess-after-rounding except fold32's tiny band (fold32_tiny), to the
+// scalar engine instead of reimplementing it.
 //
 // Internal header: included only by batch_kernels_portable.cpp and
 // batch_kernels_avx2.cpp.
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <cfenv>
 #include <cmath>
 #include <cstdint>
 
-#include "softfloat/detail.hpp"
 #include "softfloat/env.hpp"
 #include "softfloat/fast32.hpp"
 #include "softfloat/ops.hpp"
@@ -84,35 +85,53 @@ inline std::uint64_t round_bias(Rounding mode, bool neg, std::uint64_t low,
   return 0;
 }
 
-/// detail::round_pack<32> on a nonzero NORMAL double: the full scalar
-/// rounding core (tininess after rounding, FTZ, per-mode overflow), used
-/// for the result bands the masked-add shortcut must not touch.
-inline Float32 round_pack32(double x, Env& env) noexcept {
-  const std::uint64_t b = std::bit_cast<std::uint64_t>(x);
-  const bool sign = (b >> 63) != 0;
-  const auto exp = static_cast<std::int32_t>((b >> 52) & 0x7FF) - 1023;
-  const std::uint64_t sig =
-      ((b & fast32::kFracMask64) | (std::uint64_t{1} << 52)) << 11;
-  return detail::round_pack<32>(sign, exp, sig, false, env);
+/// round_pack<32> (detail.hpp) on a nonzero normal double v with |v| < 2^-126,
+/// without the generic unpack: the result is v rounded onto the binary32
+/// subnormal grid (2^-149), i.e. v * 2^149 = m * 2^-q for the 53-bit
+/// significand m, rounded by the masked add at bit q (>= 30). A q above 63
+/// only ever discards a nonzero remainder below one half, as q = 63 does,
+/// so q is clamped there. Tininess is detected after rounding: a value in
+/// [2^-127, 2^-126) whose 24-bit rounding carries to 2^-126 is not tiny.
+/// FTZ flushes a nonzero subnormal result to zero, raising underflow and
+/// inexact, exactly like round_pack.
+inline std::uint32_t fold32_tiny(std::uint64_t rb, Rounding mode, bool ftz,
+                                 unsigned& fl) noexcept {
+  const bool neg = (rb >> 63) != 0;
+  const auto e = static_cast<int>((rb >> 52) & 0x7FF) - 1023;  // <= -127
+  const std::uint64_t m = (rb & fast32::kFracMask64) | (std::uint64_t{1} << 52);
+  const int q = std::min(-e - 97, 63);
+  const std::uint64_t low = (std::uint64_t{1} << q) - 1;
+  const std::uint64_t kept =
+      (m + round_bias(mode, neg, low, (m >> q) & 1)) >> q;
+  const std::uint32_t sign = neg ? kSign32 : 0;
+  if (ftz && kept != 0 && kept < 0x00800000u) {
+    fl |= kFlagUnderflow | kFlagInexact;
+    return sign;
+  }
+  if ((m & low) != 0) {
+    const std::uint64_t low24 = 0x1FFFFFFFull;  // 24-bit rounding at e = -127
+    const bool not_tiny =
+        e == -127 &&
+        ((m + round_bias(mode, neg, low24, (m >> 29) & 1)) >> 29) ==
+            (std::uint64_t{1} << 24);
+    fl |= not_tiny ? kFlagInexact : kFlagInexact | kFlagUnderflow;
+  }
+  return sign | static_cast<std::uint32_t>(kept);  // 2^23 packs 2^-126
 }
 
 /// Folds a nonzero normal double carrying a fast32 result (exact, or
 /// round-to-odd compressed, or a correctly-rounded binary64 quotient /
 /// root whose double rounding is innocuous — see fast32.hpp) into the
-/// binary32 encoding under `mode`. Magnitudes below 2^-126 go through
-/// round_pack32 so the subnormal / underflow band keeps the scalar
-/// engine's exact tininess and FTZ behaviour; everything else is the
-/// masked-add shortcut, whose boundary decisions on the compressed value
-/// equal those on the exact one.
+/// binary32 encoding under `mode`. Magnitudes below 2^-126 take
+/// fold32_tiny, which keeps the scalar engine's exact tininess and FTZ
+/// behaviour; everything else is the masked-add shortcut, whose boundary
+/// decisions on the compressed value equal those on the exact one.
 inline std::uint32_t fold32(double v, Rounding mode, Env& env,
                             unsigned& fl) noexcept {
   const std::uint64_t rb = std::bit_cast<std::uint64_t>(v);
   std::uint64_t mag = rb & ~(std::uint64_t{1} << 63);
   if (mag < (std::uint64_t{897} << 52)) {  // |v| < 2^-126: tiny band
-    env.clear_flags();
-    const Float32 r = round_pack32(v, env);
-    fl |= env.flags();
-    return r.bits;
+    return fold32_tiny(rb, mode, env.flush_to_zero(), fl);
   }
   const bool neg = (rb >> 63) != 0;
   const std::uint64_t low = 0x1FFFFFFFull;  // 29 discarded bits
@@ -396,6 +415,152 @@ inline std::uint32_t round_int32_lane(std::uint32_t p, Rounding mode,
       ~low;
   if ((m & low) != 0) fl |= kFlagInexact;
   return sign | r;
+}
+
+// -- Binary arithmetic lane bodies (fast32 native doubles) ------------------
+//
+// Each takes the operand encodings and returns the result encoding. The
+// caller pinned the fenv to round-to-nearest. Special operands (NaN,
+// infinity, division by zero) take the scalar softfloat operation, which
+// keeps NaN payload propagation and invalid / divide-by-zero flags
+// canonical; everything else is the fast32 construction (fast32.hpp)
+// folded back in-format by fold32.
+
+/// add<32>, or sub<32> when `is_sub`, for one lane. Subtraction is
+/// addition of the sign-flipped addend (a pure bit operation on the
+/// widened value), but the scalar fallback and the exact-zero sign rule
+/// see the original operands.
+inline std::uint32_t add32_lane(std::uint32_t pa, std::uint32_t pb,
+                                bool is_sub, Rounding mode, bool daz,
+                                Env& env, unsigned& fl) noexcept {
+  const Float32 xa = Float32::from_bits(pa);
+  const Float32 xb = Float32::from_bits(pb);
+  if (!(xa.is_finite() && xb.is_finite())) {
+    env.clear_flags();
+    const Float32 r =
+        is_sub ? softfloat::sub(xa, xb, env) : softfloat::add(xa, xb, env);
+    fl |= env.flags();
+    return r.bits;
+  }
+  double av = fast32::widen(xa);
+  double bv = fast32::widen(xb);
+  if (daz) {
+    av = fast32::daz32(av);
+    bv = fast32::daz32(bv);
+  } else if (fast32::is_subnormal32(av) || fast32::is_subnormal32(bv)) {
+    fl |= kFlagDenormalInput;
+  }
+  if (is_sub) bv = fast32::flip_sign(bv);
+  const double ro = fast32::add_round_odd(av, bv);
+  if (ro == 0.0) {
+    const bool sa = std::signbit(av);
+    const bool sb = std::signbit(bv);
+    const bool zs = (av == 0.0 && bv == 0.0 && sa == sb)
+                        ? sa
+                        : fast32::exact_zero_sign(mode);
+    return Float32::zero(zs).bits;
+  }
+  return fold32(ro, mode, env, fl);
+}
+
+/// mul<32> for one lane.
+inline std::uint32_t mul32_lane(std::uint32_t pa, std::uint32_t pb,
+                                Rounding mode, bool daz, Env& env,
+                                unsigned& fl) noexcept {
+  const Float32 xa = Float32::from_bits(pa);
+  const Float32 xb = Float32::from_bits(pb);
+  if (!(xa.is_finite() && xb.is_finite())) {
+    env.clear_flags();
+    const Float32 r = softfloat::mul(xa, xb, env);
+    fl |= env.flags();
+    return r.bits;
+  }
+  double av = fast32::widen(xa);
+  double bv = fast32::widen(xb);
+  if (daz) {
+    av = fast32::daz32(av);
+    bv = fast32::daz32(bv);
+  } else if (fast32::is_subnormal32(av) || fast32::is_subnormal32(bv)) {
+    fl |= kFlagDenormalInput;
+  }
+  const double t = av * bv;  // exact: 24+24 significand bits
+  if (t == 0.0) return Float32::zero(std::signbit(t)).bits;  // XOR sign
+  return fold32(t, mode, env, fl);
+}
+
+/// div<32> for one lane.
+inline std::uint32_t div32_lane(std::uint32_t pa, std::uint32_t pb,
+                                Rounding mode, bool daz, Env& env,
+                                unsigned& fl) noexcept {
+  const Float32 xa = Float32::from_bits(pa);
+  const Float32 xb = Float32::from_bits(pb);
+  unsigned denormal = 0;
+  double av = 0.0;
+  double bv = 0.0;
+  bool slow = !(xa.is_finite() && xb.is_finite());
+  if (!slow) {
+    av = fast32::widen(xa);
+    bv = fast32::widen(xb);
+    if (daz) {
+      av = fast32::daz32(av);
+      bv = fast32::daz32(bv);
+    } else if (fast32::is_subnormal32(av) || fast32::is_subnormal32(bv)) {
+      denormal = kFlagDenormalInput;
+    }
+    slow = bv == 0.0;  // divide-by-zero / 0 over 0: canonical path
+  }
+  if (slow) {
+    env.clear_flags();
+    const Float32 r = softfloat::div(xa, xb, env);
+    fl |= env.flags();
+    return r.bits;
+  }
+  fl |= denormal;
+  if (av == 0.0) {  // exact zero quotient, XOR sign
+    return Float32::zero(std::signbit(av) != std::signbit(bv)).bits;
+  }
+  // Correctly rounded binary64 quotient; the extra rounding is innocuous
+  // (53 >= 2*24 + 2) and quotients of binary32 values are never
+  // rounding-boundary midpoints, so fold32's decisions equal the exact
+  // quotient's.
+  return fold32(av / bv, mode, env, fl);
+}
+
+/// fma<32> for one lane.
+inline std::uint32_t fma32_lane(std::uint32_t pa, std::uint32_t pb,
+                                std::uint32_t pc, Rounding mode, bool daz,
+                                Env& env, unsigned& fl) noexcept {
+  const Float32 xa = Float32::from_bits(pa);
+  const Float32 xb = Float32::from_bits(pb);
+  const Float32 xc = Float32::from_bits(pc);
+  if (!(xa.is_finite() && xb.is_finite() && xc.is_finite())) {
+    env.clear_flags();
+    const Float32 r = softfloat::fma(xa, xb, xc, env);
+    fl |= env.flags();
+    return r.bits;
+  }
+  double av = fast32::widen(xa);
+  double bv = fast32::widen(xb);
+  double cv = fast32::widen(xc);
+  if (daz) {
+    av = fast32::daz32(av);
+    bv = fast32::daz32(bv);
+    cv = fast32::daz32(cv);
+  } else if (fast32::is_subnormal32(av) || fast32::is_subnormal32(bv) ||
+             fast32::is_subnormal32(cv)) {
+    fl |= kFlagDenormalInput;
+  }
+  const double t = av * bv;  // exact product
+  const double ro = fast32::add_round_odd(t, cv);
+  if (ro == 0.0) {  // exact zero: |t + cv| >= 2^-298 when nonzero
+    const bool psign = std::signbit(av) != std::signbit(bv);
+    const bool zs = ((av == 0.0 || bv == 0.0) && cv == 0.0 &&
+                     psign == std::signbit(cv))
+                        ? psign
+                        : fast32::exact_zero_sign(mode);
+    return Float32::zero(zs).bits;
+  }
+  return fold32(ro, mode, env, fl);
 }
 
 /// sqrt<32> for one lane. The caller pinned the fenv to round-to-nearest.

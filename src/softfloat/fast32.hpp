@@ -1,11 +1,13 @@
-// fpq::softfloat — binary32 fast-path primitives for the portable batch
-// kernels: the fast16 technique (see fast16.hpp) scaled up one format.
+// fpq::softfloat — binary32 fast-path primitives for the batch kernels'
+// per-lane bodies: the fast16 technique (see fast16.hpp) scaled up one
+// format. The AVX2 kernels run the same steps on 4 doubles per vector.
 //
 // Lanes hold binary32 VALUES as native doubles; arithmetic runs on the
 // host FPU (pinned to round-to-nearest by the caller) and each result is
 // folded back in-format by impl::fold32 (batch_kernels_impl.hpp): one
-// masked integer add for normal results, the scalar engine's own
-// detail::round_pack<32> core for the tiny band. The headroom is tighter
+// masked integer add for normal results, and the same add at a per-value
+// bit for the tiny band, which reproduces detail::round_pack<32>'s
+// tininess and FTZ rules (fold32_tiny). The headroom is tighter
 // than binary16's, so the per-op arguments differ:
 //
 //  - mul of binary32 values is EXACT in binary64 (24+24 = 48 significand

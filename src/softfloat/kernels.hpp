@@ -10,18 +10,18 @@
 //               double technique (softfloat/fast32.hpp) for binary32
 //               arithmetic. No intrinsics; hot loops are written so the
 //               compiler can auto-vectorize the integer paths.
-//   kAvx2     — hand-vectorized AVX2 kernels for the unary/convert sweep
-//               ops; operations without a dedicated AVX2 kernel fall
-//               through to the portable implementation.
+//   kAvx2     — hand-vectorized AVX2 kernels for the binary32 unary /
+//               convert sweep ops, the five binary32 arithmetic ops and
+//               the double -> binary32 operand narrowing; operations
+//               without a dedicated AVX2 kernel fall through to the
+//               portable implementation.
 //
 // The default is the best variant the CPU supports. Tests and benches can
 // force a variant (set_kernel_variant_override) to prove dispatch parity:
 // identical sweep fingerprints and --tape-gate parity under every variant.
 //
-// Caching note: batched tape results are memoized keyed on
-// parallel::BatchKey, which records the active variant — a cache
-// populated under one variant can never serve another, even though the
-// parity gates prove the entries would be identical. Tape COMPILATION
+// Caching note: no batch result is cached, so a run under one variant
+// never sees results computed under another. Tape COMPILATION
 // (Tape::cached / Tape::fingerprint) is variant-independent: the variant
 // only selects the execution engine, never the compiled program.
 #pragma once

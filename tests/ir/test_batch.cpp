@@ -1,7 +1,5 @@
 // Batched IR evaluation: evaluate_many must be row-for-row identical to
-// single evaluate() at every thread count and chunking, and its
-// memoization must hit on repeated sweeps without changing a bit. These
-// tests carry the `parallel` ctest label (via the test_ir_batch binary)
+// single evaluate() at every thread count and chunking. These tests carry the `parallel` ctest label (via the test_ir_batch binary)
 // so the determinism contract is re-checked under TSan.
 
 #include <gtest/gtest.h>
@@ -12,7 +10,6 @@
 #include <vector>
 
 #include "ir/ir.hpp"
-#include "parallel/result_cache.hpp"
 #include "parallel/thread_pool.hpp"
 #include "stats/prng.hpp"
 
@@ -62,10 +59,8 @@ TEST(BatchEvaluate, MatchesSingleEvaluatePerRow) {
   const E tree = probe_tree();
   const auto table = random_table(0xAB5, 2, 300);
   pl::ThreadPool pool(4);
-  ir::BatchOptions opts;
-  opts.memoize = false;
   const auto cfg = ir::EvalConfig::ieee_strict();
-  const auto batched = ir::evaluate_many(pool, tree, table, cfg, opts);
+  const auto batched = ir::evaluate_many(pool, tree, table, cfg);
   ASSERT_EQ(batched.size(), table.rows());
   for (std::size_t r = 0; r < table.rows(); ++r) {
     const auto single = ir::evaluate(tree, cfg, table.row(r));
@@ -97,10 +92,8 @@ TEST(BatchEvaluate, BitIdenticalAtEveryThreadCountAndChunking) {
   const auto table = random_table(0x5EED, 2, 500);
   const auto cfg = ir::EvalConfig::ieee_strict();
   ir::BatchOptions fine;
-  fine.memoize = false;
   fine.min_rows_per_chunk = 1;
   ir::BatchOptions coarse;
-  coarse.memoize = false;
   coarse.min_rows_per_chunk = 1000;  // single chunk
   pl::ThreadPool one(1);
   pl::ThreadPool many(8);
@@ -127,42 +120,16 @@ TEST(BatchEvaluate, PerRowFlagsAreIsolated) {
   table.push_row(zero);
   table.push_row(two);
   pl::ThreadPool pool(2);
-  ir::BatchOptions opts;
-  opts.memoize = false;
   const auto out =
-      ir::evaluate_many(pool, tree, table, ir::EvalConfig::ieee_strict(), opts);
+      ir::evaluate_many(pool, tree, table, ir::EvalConfig::ieee_strict());
   ASSERT_EQ(out.size(), 2u);
   EXPECT_NE(out[0].flags & fpq::softfloat::kFlagDivByZero, 0u);
   EXPECT_EQ(out[1].flags, 0u);
 }
 
-TEST(BatchEvaluate, RepeatedSweepHitsTheMemoCache) {
-  // A tree unique to this test, so the global cache's counters move only
-  // because of these two calls.
-  const auto x = E::variable("x", 0);
-  const E tree = E::fma(x, E::constant(0x1.badcafep4), E::constant(42.0));
-  const auto table = random_table(0xCAFE, 1, 256);
-  pl::ThreadPool pool(4);
-  auto& cache = pl::BatchResultCache::global();
-  const auto misses_before = cache.misses();
-  const auto hits_before = cache.hits();
-  const auto cfg = ir::EvalConfig::ieee_strict();
-  const auto first = ir::evaluate_many(pool, tree, table, cfg);
-  EXPECT_GT(cache.misses(), misses_before) << "first sweep must miss";
-  const auto misses_after_first = cache.misses();
-  const auto second = ir::evaluate_many(pool, tree, table, cfg);
-  EXPECT_GT(cache.hits(), hits_before) << "second sweep must hit";
-  EXPECT_EQ(cache.misses(), misses_after_first)
-      << "second sweep must not re-execute any chunk";
-  ASSERT_EQ(first.size(), second.size());
-  for (std::size_t r = 0; r < first.size(); ++r) {
-    ASSERT_TRUE(first[r] == second[r]) << "memoized bits differ at row " << r;
-  }
-}
-
-TEST(BatchEvaluate, DistinctConfigsDoNotShareMemoEntries) {
-  // Same tree + bindings under two configs: the second config must MISS
-  // (different fingerprint) and produce different bits where rounding
+TEST(BatchEvaluate, RoundingModeReachesTheResult) {
+  // Same tree + bindings under two rounding modes: the configs must
+  // fingerprint differently and produce different bits where rounding
   // direction matters.
   const auto x = E::variable("x", 0);
   const E tree = E::div(E::constant(1.0), E::add(x, E::constant(3.0)));
@@ -178,7 +145,7 @@ TEST(BatchEvaluate, DistinctConfigsDoNotShareMemoEntries) {
   for (std::size_t r = 0; r < a.size(); ++r) {
     any_differ = any_differ || a[r].value.bits != b[r].value.bits;
   }
-  EXPECT_TRUE(any_differ) << "rounding mode must reach the memoized path";
+  EXPECT_TRUE(any_differ) << "rounding mode must reach the result";
 }
 
 TEST(BatchEvaluate, EmptyTableIsEmptyResult) {

@@ -1,7 +1,6 @@
 // The batched tape executor's contract: SoA execution over the thread
 // pool is bit- and flag-identical to per-row reference evaluation, at
-// EVERY thread count; memoization keys on the tape's content fingerprint
-// and never changes results; short binding tables fail structurally
+// EVERY thread count; short binding tables fail structurally
 // (BindingWidthError) instead of quiet-NaN-poisoning rows; and the native
 // SoA kernels reproduce the NativeEvaluator tree walks bitwise.
 
@@ -84,12 +83,10 @@ std::vector<ir::EvalConfig> batch_configs() {
 TEST(TapeBatch, MatchesPerRowEvaluateAcrossFormatsAndConfigs) {
   par::ThreadPool pool(4);
   const ir::BindingTable table = random_table(257, 2, 0xB17C);
-  ir::BatchOptions options;
-  options.memoize = false;
   for (const E& tree : {two_var_tree(), horner_poly()}) {
     for (const auto& cfg : batch_configs()) {
       const ir::Tape tape = ir::Tape::compile(tree, cfg);
-      const auto got = ir::execute_batch(pool, tape, table, options);
+      const auto got = ir::execute_batch(pool, tape, table);
       ASSERT_EQ(got.size(), table.rows());
       for (std::size_t r = 0; r < table.rows(); ++r) {
         const ir::Outcome ref = ir::evaluate(tree, cfg, table.row(r));
@@ -135,8 +132,6 @@ TEST(TapeBatch, Binary32MatchesPerRowEvaluateUnderEveryKernelVariant) {
   }
   par::ThreadPool pool(4);
   const ir::BindingTable table = binary32_table(1031, 2, 0xB32);
-  ir::BatchOptions options;
-  options.memoize = false;
   for (const sf::KernelVariant v : variants) {
     sf::ScopedKernelVariant forced(v);
     ASSERT_TRUE(forced.applied()) << sf::kernel_variant_name(v);
@@ -153,7 +148,7 @@ TEST(TapeBatch, Binary32MatchesPerRowEvaluateUnderEveryKernelVariant) {
           cfg.flush_to_zero = flush;
           cfg.denormals_are_zero = flush;
           const ir::Tape tape = ir::Tape::compile(tree, cfg);
-          const auto got = ir::execute_batch(pool, tape, table, options);
+          const auto got = ir::execute_batch(pool, tape, table);
           ASSERT_EQ(got.size(), table.rows());
           for (std::size_t r = 0; r < table.rows(); ++r) {
             const ir::Outcome ref = ir::evaluate(tree, cfg, table.row(r));
@@ -174,7 +169,6 @@ TEST(TapeBatch, BitIdenticalAtOneTwoFourEightThreads) {
   const ir::BindingTable table = random_table(1023, 1, 0xDE7);
   const ir::Tape tape = ir::Tape::compile(horner_poly());
   ir::BatchOptions options;
-  options.memoize = false;
   options.min_rows_per_chunk = 32;
   par::ThreadPool one(1);
   const auto ref = ir::execute_batch(one, tape, table, options);
@@ -191,37 +185,8 @@ TEST(TapeBatch, BitIdenticalAtOneTwoFourEightThreads) {
   }
 }
 
-TEST(TapeBatch, SecondSweepHitsTheFingerprintKeyedCache) {
-  par::ThreadPool pool(4);
-  auto& cache = par::BatchResultCache::global();
-  cache.clear();
-  const ir::BindingTable table = random_table(512, 1, 0xCAC4E);
-  const ir::Tape tape = ir::Tape::compile(horner_poly());
-  const auto first = ir::execute_batch(pool, tape, table);
-  EXPECT_EQ(cache.hits(), 0u);
-  EXPECT_GT(cache.stats().entries, 0u);
-  const auto second = ir::execute_batch(pool, tape, table);
-  EXPECT_GT(cache.hits(), 0u);
-  ASSERT_EQ(first.size(), second.size());
-  for (std::size_t r = 0; r < first.size(); ++r) {
-    ASSERT_EQ(first[r].value.bits, second[r].value.bits);
-    ASSERT_EQ(first[r].flags, second[r].flags);
-  }
-  // A different rounding mode compiles a different tape, whose
-  // fingerprint must not collide with the first one's entries.
-  ir::EvalConfig upward;
-  upward.rounding = sf::Rounding::kUp;
-  const ir::Tape other = ir::Tape::compile(horner_poly(), upward);
-  ASSERT_NE(other.fingerprint(), tape.fingerprint());
-  const std::uint64_t hits_before = cache.hits();
-  (void)ir::execute_batch(pool, other, table);
-  EXPECT_EQ(cache.hits(), hits_before);
-  cache.clear();
-}
-
 TEST(TapeBatch, EvaluateManyRidesTheTapeAndStillMatches) {
   par::ThreadPool pool(4);
-  par::BatchResultCache::global().clear();
   const ir::BindingTable table = random_table(300, 2, 0x914D);
   const E tree = two_var_tree();
   for (const auto& cfg : batch_configs()) {
@@ -232,7 +197,6 @@ TEST(TapeBatch, EvaluateManyRidesTheTapeAndStillMatches) {
       ASSERT_EQ(ref.flags, many[r].flags) << "row " << r;
     }
   }
-  par::BatchResultCache::global().clear();
 }
 
 TEST(TapeBatch, ShortTableThrowsStructuredWidthError) {
@@ -284,6 +248,7 @@ TEST(TapeBatch, NativeKernelsMatchTheNativeTreeWalks) {
   }
 }
 
+// The striped memo cache's capacity bound, through BatchResultCache.
 TEST(TapeBatch, CacheCapacityEvictsAndCounts) {
   par::BatchResultCache cache;
   cache.set_capacity(32);

@@ -7,15 +7,19 @@
 // lane at every forced variant. The
 // full-2^32 claim is the overnight sweep job; these are complete sweeps
 // of the 2^16 operand spaces plus boundary windows of the 2^32 spaces.
+// The variant selects only the execution engine: tape fingerprints and
+// the tape compile memo must not depend on it.
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "ir/ir.hpp"
 #include "parallel/sweep32.hpp"
 #include "softfloat/kernels.hpp"
 
+namespace ir = fpq::ir;
 namespace sweep32 = fpq::parallel::sweep32;
 namespace sf = fpq::softfloat;
 
@@ -57,7 +61,54 @@ void expect_variant_invariant_sweep(sweep32::Sweep32Config config,
   }
 }
 
+ir::Expr poly() {
+  const ir::Expr x = ir::Expr::variable("x", 0);
+  ir::Expr acc = ir::Expr::constant(1.25);
+  for (const double c : {-0.5, 0.1, 2.0, -1.0 / 3}) {
+    acc = ir::Expr::add(ir::Expr::mul(acc, x), ir::Expr::constant(c));
+  }
+  return acc;
+}
+
 }  // namespace
+
+TEST(KernelCacheIsolation, TapeFingerprintIsVariantIndependent) {
+  // The fingerprint names the program + numeric config; executing under
+  // a different kernel variant must not change it (manifest resumability
+  // across machines depends on this).
+  ir::EvalConfig cfg;
+  cfg.format_bits = 32;
+  std::uint64_t ref = 0;
+  bool have_ref = false;
+  for (const sf::KernelVariant v : all_variants()) {
+    sf::ScopedKernelVariant forced(v);
+    ASSERT_TRUE(forced.applied());
+    const ir::Tape tape = ir::Tape::compile(poly(), cfg);
+    if (!have_ref) {
+      have_ref = true;
+      ref = tape.fingerprint();
+    } else {
+      EXPECT_EQ(tape.fingerprint(), ref) << sf::kernel_variant_name(v);
+    }
+  }
+}
+
+TEST(KernelCacheIsolation, SharedTapeCacheIgnoresVariantSwitches) {
+  // Tape::cached interns compiled PROGRAMS; switching the kernel variant
+  // must return the same tape object, not fork per variant.
+  ir::Tape::clear_cache();
+  ir::EvalConfig cfg;
+  cfg.format_bits = 32;
+  const ir::Expr tree = poly();
+  sf::ScopedKernelVariant portable(sf::KernelVariant::kPortable);
+  const auto first = ir::Tape::cached(tree, cfg);
+  {
+    sf::ScopedKernelVariant scalar(sf::KernelVariant::kScalar);
+    const auto second = ir::Tape::cached(tree, cfg);
+    EXPECT_EQ(first.get(), second.get());
+  }
+  ir::Tape::clear_cache();
+}
 
 // The 2^16-source conversions: the ENTIRE operand space per variant.
 TEST(KernelDispatchParity, WidenFrom16FullSpace) {

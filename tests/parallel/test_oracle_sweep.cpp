@@ -3,15 +3,14 @@
 // The sweeps are the load-bearing claim of the whole harness (softfloat
 // agrees with exact references / native hardware), so beyond "zero
 // mismatches" these tests pin the engine's contract: reports are pure
-// functions of the config — independent of thread count, chunking and
-// cache state — and the cache actually memoizes.
+// functions of the config — independent of thread count and chunking —
+// and every run checks every case.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 
 #include "parallel/oracle_sweep.hpp"
-#include "parallel/result_cache.hpp"
 #include "parallel/thread_pool.hpp"
 
 namespace par = fpq::parallel;
@@ -28,19 +27,18 @@ par::SweepConfig small_config() {
 TEST(OracleSweep, Binary16SweepFindsNoMismatches) {
   par::ThreadPool pool;
   const auto report =
-      par::run_binary16_sweep(pool, small_config(), nullptr);
+      par::run_binary16_sweep(pool, small_config());
   EXPECT_EQ(report.mismatches, 0u) << report.first_mismatch;
   // 6 ops x 5 modes x 4 classes x 4 tasks x 256 cases.
   EXPECT_EQ(report.tasks, 6u * 5u * 4u * 4u);
   EXPECT_EQ(report.checked, report.tasks * 256u);
-  EXPECT_EQ(report.cache_hits, 0u);
 }
 
 TEST(OracleSweep, NativeSweepsFindNoMismatchesAndSkipTiesAway) {
   par::ThreadPool pool;
   for (const int bits : {32, 64}) {
     const auto report =
-        par::run_native_sweep(pool, bits, small_config(), nullptr);
+        par::run_native_sweep(pool, bits, small_config());
     EXPECT_EQ(report.mismatches, 0u)
         << "binary" << bits << ": " << report.first_mismatch;
     // roundTiesToAway is not hardware-expressible: 4 modes remain.
@@ -51,35 +49,28 @@ TEST(OracleSweep, NativeSweepsFindNoMismatchesAndSkipTiesAway) {
 TEST(OracleSweep, ReportIsIndependentOfThreadCount) {
   const auto config = small_config();
   par::ThreadPool one(1);
-  const auto ref = par::run_binary16_sweep(one, config, nullptr);
+  const auto ref = par::run_binary16_sweep(one, config);
   for (const std::size_t threads : {std::size_t{2}, std::size_t{4},
                                     std::size_t{8}}) {
     par::ThreadPool pool(threads);
-    const auto got = par::run_binary16_sweep(pool, config, nullptr);
+    const auto got = par::run_binary16_sweep(pool, config);
     EXPECT_EQ(got.checked, ref.checked) << threads << " threads";
     EXPECT_EQ(got.mismatches, ref.mismatches) << threads << " threads";
     EXPECT_EQ(got.tasks, ref.tasks) << threads << " threads";
   }
 }
 
-TEST(OracleSweep, RepeatSweepIsServedFromTheCache) {
+TEST(OracleSweep, RepeatSweepRechecksEveryCase) {
+  // Verdicts are never served from a cache: a second run of the same
+  // config checks every case again and reaches the same counts.
   par::ThreadPool pool;
-  par::ResultCache cache;
   const auto config = small_config();
-  const auto cold = par::run_binary16_sweep(pool, config, &cache);
-  EXPECT_EQ(cold.cache_hits, 0u);
-  EXPECT_EQ(cache.size(), cold.tasks);
-
-  const auto warm = par::run_binary16_sweep(pool, config, &cache);
-  EXPECT_EQ(warm.cache_hits, warm.tasks);  // every shard memoized
-  EXPECT_EQ(warm.checked, cold.checked);
-  EXPECT_EQ(warm.mismatches, cold.mismatches);
-
-  // Native shards share the cache without colliding: different backend
-  // and format fields make different keys.
-  const auto native = par::run_native_sweep(pool, 64, config, &cache);
-  EXPECT_EQ(native.cache_hits, 0u);
-  EXPECT_EQ(cache.size(), cold.tasks + native.tasks);
+  const auto first = par::run_binary16_sweep(pool, config);
+  const auto second = par::run_binary16_sweep(pool, config);
+  EXPECT_EQ(second.tasks, first.tasks);
+  EXPECT_EQ(second.checked, first.checked);
+  EXPECT_EQ(second.checked, second.tasks * config.cases_per_task);
+  EXPECT_EQ(second.mismatches, first.mismatches);
 }
 
 TEST(OracleSweep, ExhaustiveReportIsIndependentOfChunkingAndThreads) {
@@ -119,7 +110,7 @@ TEST(OracleSweep, ConfigSubsettingScalesTheTaskCount) {
   config.modes = {fpq::softfloat::Rounding::kNearestEven};
   config.classes = {par::OperandClass::kSubnormal,
                     par::OperandClass::kSpecial};
-  const auto report = par::run_binary16_sweep(pool, config, nullptr);
+  const auto report = par::run_binary16_sweep(pool, config);
   EXPECT_EQ(report.tasks, 2u * 1u * 2u * 4u);
   EXPECT_EQ(report.mismatches, 0u) << report.first_mismatch;
 }

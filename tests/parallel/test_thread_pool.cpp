@@ -189,33 +189,30 @@ TEST(TreeReduce, MatchesPairwiseAssociationExactly) {
   }
 }
 
+// The striped memo cache, through BatchResultCache (its last instance).
 TEST(ResultCache, InsertFindAndCounters) {
-  par::ResultCache cache;
-  par::OracleKey key;
-  key.backend = "softfloat";
-  key.format_bits = 16;
-  key.op = 2;
-  key.rounding = 1;
-  key.operand_class = 3;
-  key.task = 7;
+  par::BatchResultCache cache;
+  par::BatchKey key;
+  key.tape_fingerprint = 0x7EA9;
+  key.bindings_hash = 0xB1B2;
+  key.chunk = 7;
 
   EXPECT_FALSE(cache.find(key).has_value());
   EXPECT_EQ(cache.misses(), 1u);
 
-  par::ShardResult result;
-  result.checked = 2048;
-  result.mismatches = 0;
+  par::BatchChunkResult result;
+  result.outcomes.emplace_back(0x3FF0000000000000ULL, 0u);
   cache.insert(key, result);
   EXPECT_EQ(cache.size(), 1u);
 
   const auto hit = cache.find(key);
   ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(hit->checked, 2048u);
+  EXPECT_EQ(hit->outcomes, result.outcomes);
   EXPECT_EQ(cache.hits(), 1u);
 
-  // A different task index is a different shard.
-  par::OracleKey other = key;
-  other.task = 8;
+  // A different chunk index is a different key.
+  par::BatchKey other = key;
+  other.chunk = 8;
   EXPECT_FALSE(cache.find(other).has_value());
 
   cache.clear();
@@ -225,22 +222,23 @@ TEST(ResultCache, InsertFindAndCounters) {
 }
 
 TEST(ResultCache, FirstWriterWinsUnderConcurrentInsert) {
-  par::ResultCache cache;
+  par::BatchResultCache cache;
   par::ThreadPool pool(8);
-  par::OracleKey key;
-  key.backend = "softfloat";
+  par::BatchKey key;
+  key.tape_fingerprint = 0x7EA9;
   // All shards race to insert the same key with different payloads; the
   // cache must keep exactly one and never corrupt it.
   pool.run_shards(64, [&](std::size_t shard) {
-    par::ShardResult r;
-    r.checked = shard + 1;
+    par::BatchChunkResult r;
+    r.outcomes.emplace_back(shard + 1, 0u);
     cache.insert(key, r);
   });
   EXPECT_EQ(cache.size(), 1u);
   const auto hit = cache.find(key);
   ASSERT_TRUE(hit.has_value());
-  EXPECT_GE(hit->checked, 1u);
-  EXPECT_LE(hit->checked, 64u);
+  ASSERT_EQ(hit->outcomes.size(), 1u);
+  EXPECT_GE(hit->outcomes[0].first, 1u);
+  EXPECT_LE(hit->outcomes[0].first, 64u);
 }
 
 TEST(ThreadPool, DefaultThreadCountIsPositive) {

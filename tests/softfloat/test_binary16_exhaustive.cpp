@@ -201,11 +201,9 @@ TEST(Binary16Exhaustive, BatchedTapeMatchesDirectSoftfloatExhaustively) {
 
   ir::EvalConfig half;
   half.format_bits = 16;
-  ir::BatchOptions options;
-  options.memoize = false;
   for (const Case& c : cases) {
     const ir::Tape tape = ir::Tape::compile(c.tree, half);
-    const auto got = ir::execute_batch(pool, tape, table, options);
+    const auto got = ir::execute_batch(pool, tape, table);
     ASSERT_EQ(got.size(), std::size_t{0x10000});
     for (std::uint32_t raw = 0; raw <= 0xFFFF; ++raw) {
       // Bindings are doubles, so the engine sees the operand after a
@@ -305,8 +303,6 @@ TEST(Binary16Exhaustive, BatchedTapeFlushModesMatchDirectSoftfloat) {
     table.values.push_back(partner);
   }
 
-  ir::BatchOptions options;
-  options.memoize = false;
   for (const Config& fc : configs) {
     ir::EvalConfig half;
     half.format_bits = 16;
@@ -318,7 +314,7 @@ TEST(Binary16Exhaustive, BatchedTapeFlushModesMatchDirectSoftfloat) {
                             : op == 1 ? ir::Expr::mul(x, y)
                                       : ir::Expr::div(x, y);
       const ir::Tape tape = ir::Tape::compile(tree, half);
-      const auto got = ir::execute_batch(pool, tape, table, options);
+      const auto got = ir::execute_batch(pool, tape, table);
       ASSERT_EQ(got.size(), std::size_t{0x10000});
       for (std::uint32_t raw = 0; raw <= 0xFFFF; ++raw) {
         const F16 a = sf::convert<16>(

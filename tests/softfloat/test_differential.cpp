@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -77,11 +78,31 @@ struct ModeParam {
   const char* name;
 };
 
+// gtest lists a ModeParam by its raw bytes, name pointer included, and
+// gtest_discover_tests registers each ctest test under that listing cut to
+// a fixed width. For the "upward" cases the cut falls inside the pointer's
+// low byte, which would move whenever any string literal elsewhere in the
+// binary does. Keeping the names in one 256-byte-aligned block pins that
+// byte (the loader relocates by whole pages), so the registered test names
+// do not depend on the rest of the build; the slots sit at the top of the
+// block, which keeps the names the suite has registered so far.
+struct alignas(256) ModeNameBlock {
+  char unused[0xC0];
+  char nearest_even[16];
+  char toward_zero[16];
+  char downward[16];
+  char upward[16];
+};
+static_assert(offsetof(ModeNameBlock, upward) == 0xF0);
+
+constexpr ModeNameBlock kModeNames{
+    {}, "nearest-even", "toward-zero", "downward", "upward"};
+
 const ModeParam kModes[] = {
-    {sf::Rounding::kNearestEven, FE_TONEAREST, "nearest-even"},
-    {sf::Rounding::kTowardZero, FE_TOWARDZERO, "toward-zero"},
-    {sf::Rounding::kDown, FE_DOWNWARD, "downward"},
-    {sf::Rounding::kUp, FE_UPWARD, "upward"},
+    {sf::Rounding::kNearestEven, FE_TONEAREST, kModeNames.nearest_even},
+    {sf::Rounding::kTowardZero, FE_TOWARDZERO, kModeNames.toward_zero},
+    {sf::Rounding::kDown, FE_DOWNWARD, kModeNames.downward},
+    {sf::Rounding::kUp, FE_UPWARD, kModeNames.upward},
 };
 
 class DifferentialF64 : public ::testing::TestWithParam<ModeParam> {};

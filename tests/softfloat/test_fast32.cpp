@@ -6,14 +6,18 @@
 // is the fast regression: a ULP-stratified 2^16 lattice seeded with the
 // sweep corner corpus, exhaustive 2^16 sweeps where the operand space
 // permits, and the corpus cross-product for the fallback-lane predicate.
+#include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "parallel/sweep32_ref.hpp"
 #include "softfloat/batch.hpp"
+#include "softfloat/batch_kernels_impl.hpp"
+#include "softfloat/detail.hpp"
 #include "softfloat/fast32.hpp"
 #include "softfloat/kernels.hpp"
 #include "softfloat/ops.hpp"
@@ -349,6 +353,54 @@ TEST(Fast32Kernels, AliasingOutputOverInput) {
   }
 }
 
+// fold32's tiny band (|v| < 2^-126) against the scalar engine's
+// round_pack<32> on the same double: every binade from 2^-127 down to the
+// smallest normal double, significands at each rounding boundary of the
+// subnormal grid and of the 24-bit grid, both signs, every mode, FTZ off
+// and on.
+TEST(Fast32Primitives, TinyFoldMatchesRoundPack) {
+  namespace impl = fpq::softfloat::kernels::impl;
+  fpq::parallel::sweep_detail::Sm64 g(0x7171'000D);
+  const std::uint64_t frac_mask = f32::kFracMask64;
+  for (int e = -127; e >= -1022; --e) {
+    const int q = std::min(-e - 97, 63);
+    std::vector<std::uint64_t> fracs = {0, frac_mask, g.next() & frac_mask,
+                                        g.next() & frac_mask};
+    for (const int bit : {q - 1, 28, 29}) {
+      if (bit >= 52) continue;
+      const std::uint64_t half = std::uint64_t{1} << bit;
+      const std::uint64_t above = (g.next() & frac_mask) & ~((half << 1) - 1);
+      for (const std::uint64_t f : {above | half, (above | half) - 1,
+                                    (above | half) + 1, above | (half - 1)}) {
+        fracs.push_back(f & frac_mask);
+      }
+    }
+    for (const std::uint64_t frac : fracs) {
+      for (const std::uint64_t sign : {std::uint64_t{0}, std::uint64_t{1}}) {
+        const std::uint64_t rb =
+            (sign << 63) | (static_cast<std::uint64_t>(e + 1023) << 52) | frac;
+        for (const sf::Rounding mode : kModes) {
+          for (const bool ftz : {false, true}) {
+            sf::Env ref_env(mode);
+            ref_env.set_flush_to_zero(ftz);
+            const sf::Float32 want = fpq::softfloat::detail::round_pack<32>(
+                sign != 0, e, ((frac | (std::uint64_t{1} << 52)) << 11),
+                false, ref_env);
+            unsigned fl = 0;
+            const std::uint32_t got = impl::fold32_tiny(rb, mode, ftz, fl);
+            ASSERT_EQ(got, want.bits)
+                << std::hex << "v bits " << rb << " mode "
+                << static_cast<int>(mode) << " ftz " << ftz;
+            ASSERT_EQ(fl, ref_env.flags())
+                << std::hex << "v bits " << rb << " mode "
+                << static_cast<int>(mode) << " ftz " << ftz;
+          }
+        }
+      }
+    }
+  }
+}
+
 // narrow_from_double_n<32>, the tape engine's quiet kVar narrowing,
 // against its kScalar form (per-lane convert<32> under a quiet Env):
 // random doubles of every class including binary64 subnormals, widened
@@ -383,6 +435,203 @@ TEST(Fast32Primitives, NarrowFromDoubleMatchesConvert) {
           [&](sf::Float32* out, unsigned*, sf::Env& env) {
             sf::narrow_from_double_n<32>(table.data(), 2, out, kN, env);
           });
+    }
+  }
+}
+
+// Lane-position coverage for the AVX2 binary-op kernels: every hard-lane
+// class at every position of the first two 8-lane vectors, every tail
+// length n = 0..17, and outputs that alias each input. The other lanes
+// hold an easy operand triple, so each block mixes the vector path with
+// the per-lane fallback.
+namespace {
+
+enum class BinOp32 { kAdd, kSub, kMul, kDiv, kFma };
+
+const char* bin_op_name(BinOp32 op) {
+  switch (op) {
+    case BinOp32::kAdd: return "add";
+    case BinOp32::kSub: return "sub";
+    case BinOp32::kMul: return "mul";
+    case BinOp32::kDiv: return "div";
+    case BinOp32::kFma: return "fma";
+  }
+  return "?";
+}
+
+void run_bin_op(BinOp32 op, const sf::Float32* a, const sf::Float32* b,
+                const sf::Float32* c, sf::Float32* out, unsigned* fl,
+                std::size_t n, sf::Env& env) {
+  switch (op) {
+    case BinOp32::kAdd: sf::add_n<32>(a, b, out, fl, n, env); break;
+    case BinOp32::kSub: sf::sub_n<32>(a, b, out, fl, n, env); break;
+    case BinOp32::kMul: sf::mul_n<32>(a, b, out, fl, n, env); break;
+    case BinOp32::kDiv: sf::div_n<32>(a, b, out, fl, n, env); break;
+    case BinOp32::kFma: sf::fma_n<32>(a, b, c, out, fl, n, env); break;
+  }
+}
+
+struct Triple {
+  const char* what;
+  std::uint32_t a, b, c;
+};
+
+constexpr std::uint32_t kOne = 0x3F80'0000u;
+constexpr std::uint32_t kMinNormal = 0x0080'0000u;
+constexpr std::uint32_t kMaxFinite = 0x7F7F'FFFFu;
+constexpr std::uint32_t kP100 = 0x7180'0000u;   // 2^100
+constexpr std::uint32_t kM100 = 0x0D80'0000u;   // 2^-100
+constexpr std::uint32_t kM30 = 0x3080'0000u;    // 2^-30
+constexpr std::uint32_t kP30 = 0x4E80'0000u;    // 2^30
+
+/// Operands of every hard-lane class for `op`; the sign bit is 1u << 31.
+std::vector<Triple> hard_triples(BinOp32 op) {
+  const std::uint32_t neg = 0x8000'0000u;
+  std::vector<Triple> t = {
+      {"qNaN", 0x7FC0'0001u, 0x4010'0000u, kOne},
+      {"sNaN", 0x3FC0'0000u, 0xFF80'0001u, kOne},
+      {"+inf", 0x7F80'0000u, 0x4010'0000u, kOne},
+      {"-inf", 0x3FC0'0000u, 0xFF80'0000u, kOne},
+      {"subnormal", 0x0000'0003u, 0x4010'0000u, kOne},
+      {"-subnormal", 0x3FC0'0000u, 0x807F'FFFFu, kOne},
+      {"zero divisor", 0x3FC0'0000u, neg, kOne},
+  };
+  switch (op) {
+    case BinOp32::kAdd:
+      t.push_back({"exact zero", 0x3FC0'0000u, 0xBFC0'0000u, kOne});
+      t.push_back({"tiny", 0x00C0'0000u, kMinNormal | neg, kOne});
+      t.push_back({"overflow", kMaxFinite, kMaxFinite, kOne});
+      t.push_back({"-overflow", kMaxFinite | neg, kMaxFinite | neg, kOne});
+      break;
+    case BinOp32::kSub:
+      t.push_back({"exact zero", 0x3FC0'0000u, 0x3FC0'0000u, kOne});
+      t.push_back({"tiny", 0x00C0'0000u, kMinNormal, kOne});
+      t.push_back({"overflow", kMaxFinite, kMaxFinite | neg, kOne});
+      t.push_back({"-overflow", kMaxFinite | neg, kMaxFinite, kOne});
+      break;
+    case BinOp32::kMul:
+      t.push_back({"exact zero", 0, 0x4010'0000u | neg, kOne});
+      t.push_back({"tiny", kM100, kM30, kOne});
+      t.push_back({"overflow", kP100, kP100, kOne});
+      t.push_back({"-overflow", kP100 | neg, kP100, kOne});
+      break;
+    case BinOp32::kDiv:
+      t.push_back({"exact zero", neg, 0x4010'0000u, kOne});
+      t.push_back({"tiny", kM100, kP30, kOne});
+      t.push_back({"overflow", kP100, kM100, kOne});
+      t.push_back({"-overflow", kP100, kM100 | neg, kOne});
+      break;
+    case BinOp32::kFma:
+      t.push_back({"exact zero", 0x3FC0'0000u, 0x4000'0000u, 0xC040'0000u});
+      t.push_back({"tiny", kM100, kM30, 0});
+      t.push_back({"overflow", kP100, kP100, kOne});
+      t.push_back({"-overflow", kP100 | neg, kP100, kOne | neg});
+      break;
+  }
+  return t;
+}
+
+/// Which input the output buffer aliases: none, a, b or c.
+enum class Alias { kNone, kA, kB, kC };
+
+}  // namespace
+
+TEST(Fast32LanePositions, BinaryOpsHardClassAtEveryPositionAndTail) {
+  constexpr std::size_t kMaxN = 17;
+  // Easy lanes: 1.5 op 2.25 (op 0.75) is normal and inexact-free or
+  // inexact in every op, never tiny, never overflowing.
+  const Triple easy{"easy", 0x3FC0'0000u, 0x4010'0000u, 0x3F40'0000u};
+  for (const BinOp32 op : {BinOp32::kAdd, BinOp32::kSub, BinOp32::kMul,
+                           BinOp32::kDiv, BinOp32::kFma}) {
+    const std::vector<Alias> aliases =
+        op == BinOp32::kFma
+            ? std::vector<Alias>{Alias::kNone, Alias::kA, Alias::kB, Alias::kC}
+            : std::vector<Alias>{Alias::kNone, Alias::kA, Alias::kB};
+    for (const Triple& hard : hard_triples(op)) {
+      for (const sf::Rounding mode : kModes) {
+        for (const bool flush : {false, true}) {
+          const EnvCfg cfg{mode, flush, flush};
+          for (std::size_t n = 0; n <= kMaxN; ++n) {
+            for (std::size_t pos = 0; pos < std::max<std::size_t>(n, 1);
+                 ++pos) {
+              std::vector<sf::Float32> a(n, sf::Float32::from_bits(easy.a));
+              std::vector<sf::Float32> b(n, sf::Float32::from_bits(easy.b));
+              std::vector<sf::Float32> c(n, sf::Float32::from_bits(easy.c));
+              if (pos < n) {
+                a[pos] = sf::Float32::from_bits(hard.a);
+                b[pos] = sf::Float32::from_bits(hard.b);
+                c[pos] = sf::Float32::from_bits(hard.c);
+              }
+              for (const Alias alias : aliases) {
+                SCOPED_TRACE(std::string(bin_op_name(op)) + " " + hard.what +
+                             " n=" + std::to_string(n) +
+                             " pos=" + std::to_string(pos) + " alias=" +
+                             std::to_string(static_cast<int>(alias)));
+                expect_parity<sf::Float32>(
+                    bin_op_name(op), n, cfg,
+                    [&](sf::Float32* out, unsigned* fl, sf::Env& env) {
+                      auto xa = a;
+                      auto xb = b;
+                      auto xc = c;
+                      sf::Float32* dst = alias == Alias::kA   ? xa.data()
+                                         : alias == Alias::kB ? xb.data()
+                                         : alias == Alias::kC ? xc.data()
+                                                              : out;
+                      run_bin_op(op, xa.data(), xb.data(), xc.data(), dst, fl,
+                                 n, env);
+                      if (dst != out) std::copy(dst, dst + n, out);
+                    });
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+// The same placement for the double -> binary32 operand narrowing, read
+// as column 0 of a two-column table (the strided load).
+TEST(Fast32LanePositions, NarrowFromDoubleHardClassAtEveryPositionAndTail) {
+  constexpr std::size_t kMaxN = 17;
+  struct Hard {
+    const char* what;
+    double v;
+  };
+  const Hard hards[] = {
+      {"qNaN", std::bit_cast<double>(0x7FF8'0000'0000'0001ull)},
+      {"sNaN", std::bit_cast<double>(0xFFF0'0000'0000'0001ull)},
+      {"+inf", std::bit_cast<double>(0x7FF0'0000'0000'0000ull)},
+      {"-inf", std::bit_cast<double>(0xFFF0'0000'0000'0000ull)},
+      {"double subnormal", std::bit_cast<double>(0x0000'0000'0000'0003ull)},
+      {"binary32 subnormal", -0x1.8p-140},
+      {"just below 2^-126", std::bit_cast<double>(0x380F'FFFF'FFFF'FFFFull)},
+      {"+0", 0.0},
+      {"-0", -0.0},
+      {"overflow", 1e300},
+      {"-overflow", -0x1.ffffffp127},
+      {"max finite", 0x1.fffffep127},
+  };
+  for (const Hard& hard : hards) {
+    for (const sf::Rounding mode : kModes) {
+      for (const bool flush : {false, true}) {
+        const EnvCfg cfg{mode, flush, flush};
+        for (std::size_t n = 0; n <= kMaxN; ++n) {
+          for (std::size_t pos = 0; pos < std::max<std::size_t>(n, 1);
+               ++pos) {
+            std::vector<double> table(2 * n, 1.0 + 0x1p-30);
+            for (std::size_t r = 0; r < n; ++r) table[2 * r + 1] = -7.0;
+            if (pos < n) table[2 * pos] = hard.v;
+            SCOPED_TRACE(std::string(hard.what) + " n=" + std::to_string(n) +
+                         " pos=" + std::to_string(pos));
+            expect_parity<sf::Float32>(
+                "narrow_from_double32", n, cfg,
+                [&](sf::Float32* out, unsigned*, sf::Env& env) {
+                  sf::narrow_from_double_n<32>(table.data(), 2, out, n, env);
+                });
+          }
+        }
+      }
     }
   }
 }
