@@ -3,8 +3,9 @@
 // BOTH arithmetic substrates, the softfloat engine and the host FPU — and
 // every detector fpqual ships is scored on whether it noticed. Prints the
 // per-substrate detection-coverage matrices, the probe contract table,
-// the cross-substrate parity verdict and the list of faults nobody
-// caught.
+// the cross-substrate parity verdict, the list of faults nobody caught
+// and where the campaign's time went (baseline and trial phases, and the
+// probe runs and each detector summed over shards).
 //
 //   bench_fault_coverage [--seed N] [--trials N] [--threads N]
 //                        [--baseline FILE] [--matrix-out FILE]
@@ -153,6 +154,12 @@ int main(int argc, char** argv) {
   fpq::parallel::ThreadPool pool(threads);
   const inj::GauntletResult result = inj::run_gauntlet(pool, config);
   std::fputs(inj::render(result).c_str(), stdout);
+  const inj::PhaseSeconds& t = result.phase_seconds;
+  std::printf(
+      "phase split: baseline %.3f s, trials %.3f s wall; summed over "
+      "shards: probes %.3f s, shadow %.3f s, interval %.3f s, flow %.3f s\n",
+      t.baseline_wall, t.trials_wall, t.probes, t.shadow, t.interval,
+      t.flow);
 
   bool ok = true;
   for (std::size_t c = 0; c < inj::kFaultClassCount; ++c) {

@@ -15,6 +15,69 @@ namespace {
 namespace bf = fpq::bigfloat;
 namespace sf = fpq::softfloat;
 
+// The high-precision value domain alone: BigFloat at one precision,
+// round-to-nearest-even at every node.
+class ValueEvaluator final : public ir::Evaluator<bf::BigFloat> {
+ public:
+  explicit ValueEvaluator(unsigned precision) { ctx_.precision = precision; }
+
+  const bf::Context& ctx() const noexcept { return ctx_; }
+
+  bf::BigFloat constant(const ir::Expr& e) override {
+    return bf::BigFloat::from_double(sf::to_native(e.node().value));
+  }
+  bf::BigFloat variable(const ir::Expr& e, double bound) override {
+    (void)e;
+    return bf::BigFloat::from_double(bound);
+  }
+  bf::BigFloat neg(const ir::Expr& e, const bf::BigFloat& a) override {
+    (void)e;
+    return a.negated();
+  }
+  bf::BigFloat add(const ir::Expr& e, const bf::BigFloat& a,
+                   const bf::BigFloat& b) override {
+    (void)e;
+    return bf::BigFloat::add(a, b, ctx_);
+  }
+  bf::BigFloat sub(const ir::Expr& e, const bf::BigFloat& a,
+                   const bf::BigFloat& b) override {
+    (void)e;
+    return bf::BigFloat::sub(a, b, ctx_);
+  }
+  bf::BigFloat mul(const ir::Expr& e, const bf::BigFloat& a,
+                   const bf::BigFloat& b) override {
+    (void)e;
+    return bf::BigFloat::mul(a, b, ctx_);
+  }
+  bf::BigFloat div(const ir::Expr& e, const bf::BigFloat& a,
+                   const bf::BigFloat& b) override {
+    (void)e;
+    return bf::BigFloat::div(a, b, ctx_);
+  }
+  bf::BigFloat sqrt(const ir::Expr& e, const bf::BigFloat& a) override {
+    (void)e;
+    return bf::BigFloat::sqrt(a, ctx_);
+  }
+  bf::BigFloat fma(const ir::Expr& e, const bf::BigFloat& a,
+                   const bf::BigFloat& b, const bf::BigFloat& c) override {
+    (void)e;
+    return bf::BigFloat::fma(a, b, c, ctx_);
+  }
+  bf::BigFloat cmp_eq(const ir::Expr& e, const bf::BigFloat& a,
+                      const bf::BigFloat& b) override {
+    (void)e;
+    return bf::BigFloat::from_int(bf::BigFloat::compare(a, b) == 0 ? 1 : 0);
+  }
+  bf::BigFloat cmp_lt(const ir::Expr& e, const bf::BigFloat& a,
+                      const bf::BigFloat& b) override {
+    (void)e;
+    return bf::BigFloat::from_int(bf::BigFloat::compare(a, b) == -1 ? 1 : 0);
+  }
+
+ private:
+  bf::Context ctx_;
+};
+
 // The shadow value domain: binary64 and high-precision, side by side.
 struct NodeValues {
   double d = 0.0;        // binary64 value at this node
@@ -24,35 +87,24 @@ struct NodeValues {
 // One ir::Evaluator computes both executions in lock-step and files the
 // findings as it goes: cancellation inside the add/sub hook (it needs the
 // operands), format-induced-exception and relative-error checks in
-// on_result (they apply to every node).
+// on_result (they apply to every node). The high-precision half is
+// ValueEvaluator's.
 class ShadowEvaluator final : public ir::Evaluator<NodeValues> {
  public:
   ShadowEvaluator(const Config& config, std::vector<Finding>& findings)
-      : config_(config), findings_(findings) {
-    ctx_.precision = config.precision;
-  }
+      : config_(config), findings_(findings), exact_(config.precision) {}
 
-  const bf::Context& ctx() const noexcept { return ctx_; }
+  const bf::Context& ctx() const noexcept { return exact_.ctx(); }
 
   NodeValues constant(const ir::Expr& e) override {
-    NodeValues out;
-    out.d = sf::to_native(e.node().value);
-    out.shadow = bf::BigFloat::from_double(out.d);
-    return out;
+    return {sf::to_native(e.node().value), exact_.constant(e)};
   }
   NodeValues variable(const ir::Expr& e, double bound) override {
-    (void)e;
-    NodeValues out;
-    out.d = bound;
-    out.shadow = bf::BigFloat::from_double(bound);
-    return out;
+    return {bound, exact_.variable(e, bound)};
   }
   NodeValues neg(const ir::Expr& e, const NodeValues& a) override {
-    (void)e;
-    NodeValues out;
-    out.d = sf::to_native(sf::from_native(a.d).negated());
-    out.shadow = a.shadow.negated();
-    return out;
+    return {sf::to_native(sf::from_native(a.d).negated()),
+            exact_.neg(e, a.shadow)};
   }
   NodeValues add(const ir::Expr& e, const NodeValues& a,
                  const NodeValues& b) override {
@@ -64,66 +116,44 @@ class ShadowEvaluator final : public ir::Evaluator<NodeValues> {
   }
   NodeValues mul(const ir::Expr& e, const NodeValues& a,
                  const NodeValues& b) override {
-    (void)e;
     sf::Env env;  // per-node binary64 evaluation (strict IEEE)
-    NodeValues out;
-    out.d = sf::to_native(
-        sf::mul(sf::from_native(a.d), sf::from_native(b.d), env));
-    out.shadow = bf::BigFloat::mul(a.shadow, b.shadow, ctx_);
-    return out;
+    return {sf::to_native(
+                sf::mul(sf::from_native(a.d), sf::from_native(b.d), env)),
+            exact_.mul(e, a.shadow, b.shadow)};
   }
   NodeValues div(const ir::Expr& e, const NodeValues& a,
                  const NodeValues& b) override {
-    (void)e;
     sf::Env env;
-    NodeValues out;
-    out.d = sf::to_native(
-        sf::div(sf::from_native(a.d), sf::from_native(b.d), env));
-    out.shadow = bf::BigFloat::div(a.shadow, b.shadow, ctx_);
-    return out;
+    return {sf::to_native(
+                sf::div(sf::from_native(a.d), sf::from_native(b.d), env)),
+            exact_.div(e, a.shadow, b.shadow)};
   }
   NodeValues sqrt(const ir::Expr& e, const NodeValues& a) override {
-    (void)e;
     sf::Env env;
-    NodeValues out;
-    out.d = sf::to_native(sf::sqrt(sf::from_native(a.d), env));
-    out.shadow = bf::BigFloat::sqrt(a.shadow, ctx_);
-    return out;
+    return {sf::to_native(sf::sqrt(sf::from_native(a.d), env)),
+            exact_.sqrt(e, a.shadow)};
   }
   NodeValues fma(const ir::Expr& e, const NodeValues& a,
                  const NodeValues& b, const NodeValues& c) override {
-    (void)e;
     sf::Env env;
-    NodeValues out;
-    out.d = sf::to_native(sf::fma(sf::from_native(a.d),
+    return {sf::to_native(sf::fma(sf::from_native(a.d),
                                   sf::from_native(b.d),
-                                  sf::from_native(c.d), env));
-    out.shadow = bf::BigFloat::fma(a.shadow, b.shadow, c.shadow, ctx_);
-    return out;
+                                  sf::from_native(c.d), env)),
+            exact_.fma(e, a.shadow, b.shadow, c.shadow)};
   }
   NodeValues cmp_eq(const ir::Expr& e, const NodeValues& a,
                     const NodeValues& b) override {
-    (void)e;
     sf::Env env;
-    NodeValues out;
     const bool d_eq =
         sf::equal(sf::from_native(a.d), sf::from_native(b.d), env);
-    out.d = d_eq ? 1.0 : 0.0;
-    out.shadow = bf::BigFloat::from_int(
-        bf::BigFloat::compare(a.shadow, b.shadow) == 0 ? 1 : 0);
-    return out;
+    return {d_eq ? 1.0 : 0.0, exact_.cmp_eq(e, a.shadow, b.shadow)};
   }
   NodeValues cmp_lt(const ir::Expr& e, const NodeValues& a,
                     const NodeValues& b) override {
-    (void)e;
     sf::Env env;
-    NodeValues out;
     const bool d_lt =
         sf::less(sf::from_native(a.d), sf::from_native(b.d), env);
-    out.d = d_lt ? 1.0 : 0.0;
-    out.shadow = bf::BigFloat::from_int(
-        bf::BigFloat::compare(a.shadow, b.shadow) == -1 ? 1 : 0);
-    return out;
+    return {d_lt ? 1.0 : 0.0, exact_.cmp_lt(e, a.shadow, b.shadow)};
   }
 
   void on_result(const ir::Expr& e, const NodeValues& out) override {
@@ -144,7 +174,7 @@ class ShadowEvaluator final : public ir::Evaluator<NodeValues> {
       f.relative_error = std::numeric_limits<double>::infinity();
       findings_.push_back(std::move(f));
     } else if (!d_exceptional && !s_exceptional && out.d != 0.0) {
-      const double rel = bf::relative_error(out.d, out.shadow, ctx_);
+      const double rel = bf::relative_error(out.d, out.shadow, ctx());
       if (rel > config_.relative_error_threshold) {
         Finding f;
         f.expression = e.to_string();
@@ -169,9 +199,8 @@ class ShadowEvaluator final : public ir::Evaluator<NodeValues> {
                                         sf::from_native(b.d), env))
                 : sf::to_native(sf::add(sf::from_native(a.d),
                                         sf::from_native(b.d), env));
-    out.shadow = subtract
-                     ? bf::BigFloat::sub(a.shadow, b.shadow, ctx_)
-                     : bf::BigFloat::add(a.shadow, b.shadow, ctx_);
+    out.shadow = subtract ? exact_.sub(e, a.shadow, b.shadow)
+                          : exact_.add(e, a.shadow, b.shadow);
     // Cancellation: the result's magnitude collapsed far below the
     // larger operand's — leading bits annihilated, relative precision
     // amplified.
@@ -189,7 +218,7 @@ class ShadowEvaluator final : public ir::Evaluator<NodeValues> {
         f.double_value = out.d;
         f.shadow_value = out.shadow.to_double();
         f.cancelled_bits = static_cast<int>(lost);
-        f.relative_error = bf::relative_error(out.d, out.shadow, ctx_);
+        f.relative_error = bf::relative_error(out.d, out.shadow, ctx());
         findings_.push_back(std::move(f));
       }
     }
@@ -198,7 +227,7 @@ class ShadowEvaluator final : public ir::Evaluator<NodeValues> {
 
   const Config& config_;
   std::vector<Finding>& findings_;
-  bf::Context ctx_;
+  ValueEvaluator exact_;
 };
 
 }  // namespace
@@ -222,12 +251,22 @@ Report analyze(const ir::Expr& expr, const Config& config,
   report.relative_error =
       bf::relative_error(top.d, top.shadow, evaluator.ctx());
 
-  std::sort(findings.begin(), findings.end(),
-            [](const Finding& a, const Finding& b) {
-              return a.relative_error > b.relative_error;
-            });
+  // Worst first, NaN (binary64 lost the value entirely) worst of all;
+  // ties keep discovery order.
+  std::stable_sort(findings.begin(), findings.end(),
+                   [](const Finding& a, const Finding& b) {
+                     if (std::isnan(b.relative_error)) return false;
+                     if (std::isnan(a.relative_error)) return true;
+                     return a.relative_error > b.relative_error;
+                   });
   report.findings = std::move(findings);
   return report;
+}
+
+bf::BigFloat value(const ir::Expr& expr, unsigned precision,
+                   std::span<const double> bindings) {
+  ValueEvaluator evaluator(precision);
+  return ir::evaluate_tree<bf::BigFloat>(expr, evaluator, bindings);
 }
 
 std::string render(const Report& report) {

@@ -14,7 +14,9 @@
 //     (overflow/invalid manufactured purely by the format's limits).
 //
 // A flagged node is "potentially suspicious code" in exactly the paper's
-// sense.
+// sense. value() is the high-precision half alone, for callers that only
+// compare a result against the trusted one (the fault gauntlet's shadow
+// detector).
 #pragma once
 
 #include <cstddef>
@@ -64,6 +66,12 @@ struct Report {
 /// `bindings` feeds any kVar nodes in the tree, row-major by var_index.
 Report analyze(const ir::Expr& expr, const Config& config = {},
                std::span<const double> bindings = {});
+
+/// Only the high-precision value: every node evaluated in BigFloat at
+/// `precision` bits, round-to-nearest-even — the value analyze() reports
+/// as shadow_result, without the binary64 run or the per-node findings.
+bigfloat::BigFloat value(const ir::Expr& expr, unsigned precision,
+                         std::span<const double> bindings = {});
 
 /// Human-readable rendering of a report.
 std::string render(const Report& report);

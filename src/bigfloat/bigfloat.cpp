@@ -5,12 +5,56 @@
 #include <cassert>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
+#include <limits>
+#include <new>
 
 namespace fpq::bigfloat {
 
+// ---- Words -----------------------------------------------------------------
+
+void Words::grow(std::size_t n) {
+  const std::size_t cap = std::max(n, 2 * capacity_);
+  auto* block = static_cast<std::uint64_t*>(
+      ::operator new(cap * sizeof(std::uint64_t)));
+  std::memcpy(block, data_, size_ * sizeof(std::uint64_t));
+  release();
+  data_ = block;
+  capacity_ = cap;
+}
+
+void Words::assign(const Words& other) {
+  if (other.size_ > capacity_) {
+    size_ = 0;
+    grow(other.size_);
+  }
+  std::memcpy(data_, other.data_, other.size_ * sizeof(std::uint64_t));
+  size_ = other.size_;
+}
+
+void Words::take(Words& other) noexcept {
+  if (other.on_heap()) {
+    data_ = other.data_;
+    capacity_ = other.capacity_;
+    other.data_ = other.inline_;
+    other.capacity_ = kInlineWords;
+  } else {
+    data_ = inline_;
+    capacity_ = kInlineWords;
+    std::memcpy(inline_, other.inline_, other.size_ * sizeof(std::uint64_t));
+  }
+  size_ = other.size_;
+  other.size_ = 0;
+}
+
+void Words::release() noexcept {
+  if (on_heap()) ::operator delete(data_);
+  data_ = inline_;
+  capacity_ = kInlineWords;
+}
+
 namespace {
 
-using Words = std::vector<std::uint64_t>;
 using U128 = unsigned __int128;
 
 // ---- little-endian big-integer helpers ------------------------------------
@@ -43,33 +87,53 @@ bool any_below(const Words& w, std::size_t i) {
   return false;
 }
 
+/// The 64 bits of `w` from bit `lo` upward; a negative `lo` (> -64)
+/// shifts zeros in from below bit 0.
+std::uint64_t bits_from(const Words& w, std::int64_t lo) {
+  if (lo < 0) return w[0] << -lo;
+  const auto word = static_cast<std::size_t>(lo) / 64;
+  const auto rem = static_cast<unsigned>(lo % 64);
+  std::uint64_t v = word < w.size() ? w[word] >> rem : 0;
+  if (rem != 0 && word + 1 < w.size()) v |= w[word + 1] << (64 - rem);
+  return v;
+}
+
 Words shift_left(const Words& w, std::size_t bits) {
-  if (w.empty() || bits == 0) return w;
+  if (w.empty()) return {};
   const std::size_t words = bits / 64;
   const std::size_t rem = bits % 64;
-  Words out(w.size() + words + 1, 0);
+  Words out(w.size() + words + (rem != 0 ? 1 : 0));
   for (std::size_t i = 0; i < w.size(); ++i) {
-    out[i + words] |= rem == 0 ? w[i] : (w[i] << rem);
-    if (rem != 0) out[i + words + 1] |= w[i] >> (64 - rem);
+    if (rem == 0) {
+      out[i + words] = w[i];
+    } else {
+      out[i + words] |= w[i] << rem;
+      out[i + words + 1] |= w[i] >> (64 - rem);
+    }
   }
   trim(out);
   return out;
 }
 
-/// Logical right shift, discarding low bits (caller tracks sticky).
-Words shift_right(const Words& w, std::size_t bits) {
+/// Logical right shift in place, discarding low bits (caller tracks
+/// sticky).
+void shift_right(Words& w, std::size_t bits) {
   const std::size_t words = bits / 64;
-  if (words >= w.size()) return {};
-  const std::size_t rem = bits % 64;
-  Words out(w.size() - words, 0);
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    out[i] = w[i + words] >> rem;
-    if (rem != 0 && i + words + 1 < w.size()) {
-      out[i] |= w[i + words + 1] << (64 - rem);
-    }
+  if (words >= w.size()) {
+    w.resize(0);
+    return;
   }
-  trim(out);
-  return out;
+  const std::size_t rem = bits % 64;
+  const std::size_t n = w.size() - words;
+  for (std::size_t i = 0; i < n; ++i) {
+    std::uint64_t v = w[i + words] >> rem;
+    if (rem != 0 && i + words + 1 < w.size()) {
+      v |= w[i + words + 1] << (64 - rem);
+    }
+    w[i] = v;
+  }
+  w.resize(n);
+  trim(w);
 }
 
 int compare_words(const Words& a, const Words& b) {
@@ -81,7 +145,7 @@ int compare_words(const Words& a, const Words& b) {
 }
 
 Words add_words(const Words& a, const Words& b) {
-  Words out(std::max(a.size(), b.size()) + 1, 0);
+  Words out(std::max(a.size(), b.size()) + 1);
   U128 carry = 0;
   for (std::size_t i = 0; i < out.size(); ++i) {
     U128 sum = carry;
@@ -96,7 +160,7 @@ Words add_words(const Words& a, const Words& b) {
 
 /// a - b; requires a >= b.
 Words sub_words(const Words& a, const Words& b) {
-  Words out(a.size(), 0);
+  Words out(a.size());
   std::uint64_t borrow = 0;
   for (std::size_t i = 0; i < a.size(); ++i) {
     const std::uint64_t bi = i < b.size() ? b[i] : 0;
@@ -113,7 +177,7 @@ Words sub_words(const Words& a, const Words& b) {
   return out;
 }
 
-Words add_small(Words w, std::uint64_t v) {
+void add_small(Words& w, std::uint64_t v) {
   U128 carry = v;
   for (std::size_t i = 0; i < w.size() && carry != 0; ++i) {
     const U128 sum = carry + w[i];
@@ -121,12 +185,11 @@ Words add_small(Words w, std::uint64_t v) {
     carry = sum >> 64;
   }
   if (carry != 0) w.push_back(static_cast<std::uint64_t>(carry));
-  return w;
 }
 
 Words mul_words(const Words& a, const Words& b) {
   if (a.empty() || b.empty()) return {};
-  Words out(a.size() + b.size(), 0);
+  Words out(a.size() + b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     U128 carry = 0;
     for (std::size_t j = 0; j < b.size(); ++j) {
@@ -144,6 +207,119 @@ Words mul_words(const Words& a, const Words& b) {
   }
   trim(out);
   return out;
+}
+
+/// q = floor(u / v) for trimmed u and trimmed nonzero v, one 64-bit
+/// quotient word per step: Knuth, TAOCP vol. 2, 4.3.1, Algorithm D in
+/// base 2^64. Returns whether the remainder is nonzero.
+bool div_words(const Words& u, const Words& v, Words& q) {
+  const std::size_t n = v.size();
+  if (compare_words(u, v) < 0) {
+    q = Words();
+    return !u.empty();
+  }
+  const std::size_t m = u.size() - n;
+  q = Words(m + 1);
+  if (n == 1) {
+    const std::uint64_t d = v[0];
+    std::uint64_t rem = 0;
+    for (std::size_t i = u.size(); i-- > 0;) {
+      const U128 cur = (static_cast<U128>(rem) << 64) | u[i];
+      q[i] = static_cast<std::uint64_t>(cur / d);
+      rem = static_cast<std::uint64_t>(cur % d);
+    }
+    trim(q);
+    return rem != 0;
+  }
+  // D1: scale both so the divisor's top bit is set; the quotient is
+  // unchanged and the remainder is scaled (its zeroness is what we need).
+  const auto s = static_cast<unsigned>(std::countl_zero(v.back()));
+  const auto high = [s](std::uint64_t lower) {
+    return s == 0 ? std::uint64_t{0} : lower >> (64 - s);
+  };
+  Words vn(n);
+  for (std::size_t i = n; i-- > 0;) {
+    vn[i] = (v[i] << s) | (i > 0 ? high(v[i - 1]) : 0);
+  }
+  Words un(u.size() + 1);
+  un[u.size()] = high(u[u.size() - 1]);
+  for (std::size_t i = u.size(); i-- > 0;) {
+    un[i] = (u[i] << s) | (i > 0 ? high(u[i - 1]) : 0);
+  }
+  const std::uint64_t v1 = vn[n - 1];
+  const std::uint64_t v2 = vn[n - 2];
+  for (std::size_t j = m + 1; j-- > 0;) {
+    // D3: estimate the quotient word from the top two remainder words and
+    // refine it with the third; it is then exact or one too large.
+    const U128 top = (static_cast<U128>(un[j + n]) << 64) | un[j + n - 1];
+    U128 qhat = top / v1;
+    U128 rhat = top % v1;
+    while ((qhat >> 64) != 0 ||
+           qhat * v2 > ((rhat << 64) | un[j + n - 2])) {
+      --qhat;
+      rhat += v1;
+      if ((rhat >> 64) != 0) break;
+    }
+    // D4: subtract qhat * vn from the window un[j .. j+n].
+    std::uint64_t mul_carry = 0;
+    std::uint64_t borrow = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const U128 p = qhat * vn[i] + mul_carry;
+      mul_carry = static_cast<std::uint64_t>(p >> 64);
+      const auto lo = static_cast<std::uint64_t>(p);
+      const std::uint64_t t = un[i + j] - lo;
+      const std::uint64_t b1 = un[i + j] < lo ? 1u : 0u;
+      un[i + j] = t - borrow;
+      borrow = b1 | (t < borrow ? 1u : 0u);
+    }
+    const U128 owed = static_cast<U128>(mul_carry) + borrow;
+    const bool overshot = un[j + n] < owed;
+    un[j + n] = static_cast<std::uint64_t>(un[j + n] - owed);
+    // D6: the estimate was one too large; add the divisor back.
+    if (overshot) {
+      --qhat;
+      std::uint64_t carry = 0;
+      for (std::size_t i = 0; i < n; ++i) {
+        const U128 sum = static_cast<U128>(un[i + j]) + vn[i] + carry;
+        un[i + j] = static_cast<std::uint64_t>(sum);
+        carry = static_cast<std::uint64_t>(sum >> 64);
+      }
+      un[j + n] += carry;
+    }
+    q[j] = static_cast<std::uint64_t>(qhat);
+  }
+  trim(q);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (un[i] != 0) return true;
+  }
+  return false;
+}
+
+/// floor(sqrt(n)) for nonzero n by Newton's iteration on words: from any
+/// start at or above the root, x <- (x + n / x) / 2 decreases strictly
+/// until it reaches the root. The start comes from a binary64 root of
+/// n's top bits, so each of the few iterations doubles ~32 good bits.
+Words isqrt(const Words& n) {
+  const std::size_t len = bit_length(n);
+  if (len == 0) return {};
+  // An even shift leaving at most 64 bits: n < (t + 1) * 2^shift.
+  const std::size_t shift = len > 64 ? (len - 64 + 1) & ~std::size_t{1} : 0;
+  Words top = n;
+  shift_right(top, shift);
+  const double t = static_cast<double>(top[0]);
+  // Margins absorb the conversion and sqrt rounding: start >= sqrt(t + 1).
+  const double start = std::sqrt(t + 1.0) * (1.0 + 0x1p-40) + 1.0;
+  Words x(1);
+  x[0] = static_cast<std::uint64_t>(start);
+  x = shift_left(x, shift / 2);
+  Words q;
+  for (;;) {
+    div_words(n, x, q);
+    Words y = add_words(x, q);
+    shift_right(y, 1);
+    if (compare_words(y, x) >= 0) return x;
+    x = std::move(y);
+  }
 }
 
 }  // namespace
@@ -174,15 +350,15 @@ BigFloat BigFloat::from_double(double x) {
   if (std::isnan(x)) return nan();
   if (std::isinf(x)) return infinity(std::signbit(x));
   if (x == 0.0) return zero(std::signbit(x));
+  const auto bits = std::bit_cast<std::uint64_t>(x);
+  const auto biased = static_cast<std::int64_t>((bits >> 52) & 0x7FF);
+  const std::uint64_t frac = bits & ((std::uint64_t{1} << 52) - 1);
   BigFloat f;
   f.kind_ = Kind::kFinite;
-  f.negative_ = std::signbit(x);
-  int e = 0;
-  // frexp gives |m| in [0.5, 1); scale to a 53-bit integer exactly.
-  const double m = std::frexp(std::fabs(x), &e);
-  const auto mant = static_cast<std::uint64_t>(std::ldexp(m, 53));
-  f.mantissa_ = {mant};
-  f.exp_ = static_cast<std::int64_t>(e) - 53;
+  f.negative_ = (bits >> 63) != 0;
+  // Normal: (2^52 + frac) * 2^(biased - 1075); subnormal: frac * 2^-1074.
+  f.mantissa_.push_back(biased == 0 ? frac : frac | (std::uint64_t{1} << 52));
+  f.exp_ = (biased == 0 ? 1 : biased) - 1075;
   f.normalize();
   return f;
 }
@@ -194,10 +370,26 @@ BigFloat BigFloat::from_int(std::int64_t v) {
   f.negative_ = v < 0;
   const std::uint64_t mag = f.negative_ ? 0 - static_cast<std::uint64_t>(v)
                                         : static_cast<std::uint64_t>(v);
-  f.mantissa_ = {mag};
+  f.mantissa_.push_back(mag);
   f.exp_ = 0;
   f.normalize();
   return f;
+}
+
+BigFloat BigFloat::from_significand(bool negative,
+                                    std::span<const std::uint64_t> significand,
+                                    std::int64_t exp, bool sticky,
+                                    const Context& ctx) {
+  BigFloat r;
+  r.kind_ = Kind::kFinite;
+  r.negative_ = negative;
+  r.mantissa_.resize(significand.size());
+  std::copy(significand.begin(), significand.end(), r.mantissa_.data());
+  r.exp_ = exp;
+  r.normalize();
+  if (r.is_zero()) return zero(negative);
+  r.round_to(ctx.precision, ctx.rounding, sticky);
+  return r;
 }
 
 void BigFloat::normalize() {
@@ -219,7 +411,7 @@ void BigFloat::normalize() {
     }
   }
   if (tz > 0) {
-    mantissa_ = shift_right(mantissa_, tz);
+    shift_right(mantissa_, tz);
     exp_ += static_cast<std::int64_t>(tz);
   }
 }
@@ -250,7 +442,7 @@ void BigFloat::round_to(unsigned precision, softfloat::Rounding rounding,
         const std::size_t pad = precision - len;
         mantissa_ = shift_left(mantissa_, pad);
         exp_ -= static_cast<std::int64_t>(pad);
-        mantissa_ = add_small(std::move(mantissa_), 1);
+        add_small(mantissa_, 1);
         normalize();
       }
     }
@@ -259,8 +451,8 @@ void BigFloat::round_to(unsigned precision, softfloat::Rounding rounding,
   const std::size_t drop = len - precision;
   const bool round_bit = bit_at(mantissa_, drop - 1);
   const bool sticky = extra_sticky || any_below(mantissa_, drop - 1);
-  Words kept = shift_right(mantissa_, drop);
-  const bool lsb = !kept.empty() && (kept[0] & 1);
+  shift_right(mantissa_, drop);
+  const bool lsb = !mantissa_.empty() && (mantissa_[0] & 1);
   bool increment = false;
   switch (rounding) {
     case softfloat::Rounding::kNearestEven:
@@ -279,8 +471,7 @@ void BigFloat::round_to(unsigned precision, softfloat::Rounding rounding,
       increment = negative_ && (round_bit || sticky);
       break;
   }
-  if (increment) kept = add_small(std::move(kept), 1);
-  mantissa_ = std::move(kept);
+  if (increment) add_small(mantissa_, 1);
   exp_ += static_cast<std::int64_t>(drop);
   normalize();
 }
@@ -290,21 +481,16 @@ void BigFloat::round_to(unsigned precision, softfloat::Rounding rounding,
 namespace {
 
 // Magnitude comparison of finite nonzero BigFloats via (msb exponent,
-// aligned mantissa).
-int compare_magnitude(std::int64_t ea, const Words& ma, std::int64_t base_a,
-                      std::int64_t eb, const Words& mb,
-                      std::int64_t base_b) {
-  (void)base_a;
-  (void)base_b;
+// mantissa words aligned at the top bit).
+int compare_magnitude(std::int64_t ea, const Words& ma, std::int64_t eb,
+                      const Words& mb) {
   if (ea != eb) return ea < eb ? -1 : 1;
-  // Same MSB exponent: compare bit by bit from the top.
-  const std::size_t la = bit_length(ma);
-  const std::size_t lb = bit_length(mb);
-  const std::size_t n = std::max(la, lb);
-  for (std::size_t i = 0; i < n; ++i) {
-    const bool ba = i < la && bit_at(ma, la - 1 - i);
-    const bool bb = i < lb && bit_at(mb, lb - 1 - i);
-    if (ba != bb) return ba ? 1 : -1;
+  const auto la = static_cast<std::int64_t>(bit_length(ma));
+  const auto lb = static_cast<std::int64_t>(bit_length(mb));
+  for (std::int64_t top = 0; top < std::max(la, lb); top += 64) {
+    const std::uint64_t wa = top < la ? bits_from(ma, la - top - 64) : 0;
+    const std::uint64_t wb = top < lb ? bits_from(mb, lb - top - 64) : 0;
+    if (wa != wb) return wa < wb ? -1 : 1;
   }
   return 0;
 }
@@ -341,7 +527,7 @@ BigFloat BigFloat::add(const BigFloat& a, const BigFloat& b,
   const std::int64_t msb_a = a.msb_exponent();
   const std::int64_t msb_b = b.msb_exponent();
   const bool a_bigger_mag =
-      compare_magnitude(msb_a, a.mantissa_, 0, msb_b, b.mantissa_, 0) >= 0;
+      compare_magnitude(msb_a, a.mantissa_, msb_b, b.mantissa_) >= 0;
   const BigFloat& big = a_bigger_mag ? a : b;
   const BigFloat& small = a_bigger_mag ? b : a;
   const std::int64_t gap = big.msb_exponent() - small.msb_exponent();
@@ -354,22 +540,23 @@ BigFloat BigFloat::add(const BigFloat& a, const BigFloat& b,
   if (gap > limit) {
     // small contributes only sticky (and, for subtraction, a borrow of
     // less than one ulp of the guard band).
-    const bool subtract = a.negative_ != b.negative_;
-    Words m = shift_left(big.mantissa_, 4);  // 4 guard bits
-    std::int64_t e = big.exp_ - 4;
-    if (subtract) m = sub_words(m, {1});
-    r.mantissa_ = std::move(m);
-    r.exp_ = e;
+    r.mantissa_ = shift_left(big.mantissa_, 4);  // 4 guard bits
+    r.exp_ = big.exp_ - 4;
+    if (a.negative_ != b.negative_) {
+      Words one(1);
+      one[0] = 1;
+      r.mantissa_ = sub_words(r.mantissa_, one);
+    }
     r.round_to(ctx.precision, ctx.rounding, true);
     return r;
   }
 
   // Exact alignment: bring both mantissas to the smaller exp_ scale.
   const std::int64_t common_exp = std::min(a.exp_, b.exp_);
-  Words ma = shift_left(a.mantissa_,
-                        static_cast<std::size_t>(a.exp_ - common_exp));
-  Words mb = shift_left(b.mantissa_,
-                        static_cast<std::size_t>(b.exp_ - common_exp));
+  const Words ma =
+      shift_left(a.mantissa_, static_cast<std::size_t>(a.exp_ - common_exp));
+  const Words mb =
+      shift_left(b.mantissa_, static_cast<std::size_t>(b.exp_ - common_exp));
   if (a.negative_ == b.negative_) {
     r.mantissa_ = add_words(ma, mb);
     r.negative_ = a.negative_;
@@ -434,51 +621,19 @@ BigFloat BigFloat::div(const BigFloat& a, const BigFloat& b,
   }
   if (a.is_zero()) return zero(sign);
 
-  // Long division producing precision+2 quotient bits plus sticky.
-  const auto want = static_cast<std::size_t>(ctx.precision) + 2;
-  // Scale numerator so the first quotient bit appears near the top:
-  // shift A so that msb(A') >= msb(B) + want.
-  const std::int64_t msb_a = static_cast<std::int64_t>(bit_length(a.mantissa_));
-  const std::int64_t msb_b = static_cast<std::int64_t>(bit_length(b.mantissa_));
+  // floor((A << s) / B) with s chosen so the quotient has at least
+  // precision + 2 bits; a nonzero remainder is the sticky tail.
+  const auto want = static_cast<std::int64_t>(ctx.precision) + 2;
+  const auto len_a = static_cast<std::int64_t>(bit_length(a.mantissa_));
+  const auto len_b = static_cast<std::int64_t>(bit_length(b.mantissa_));
   const std::int64_t pre_shift =
-      std::max<std::int64_t>(0, msb_b + static_cast<std::int64_t>(want) -
-                                    msb_a);
-  Words rem = shift_left(a.mantissa_, static_cast<std::size_t>(pre_shift));
-  const Words& divisor = b.mantissa_;
-
-  // Quotient accumulates as a big integer via shift-and-subtract from the
-  // highest feasible bit position downward.
-  std::int64_t qbit = static_cast<std::int64_t>(bit_length(rem)) -
-                      static_cast<std::int64_t>(bit_length(divisor));
+      std::max<std::int64_t>(0, len_b + want - len_a);
   Words quotient;
-  while (qbit >= 0) {
-    const Words shifted = shift_left(divisor, static_cast<std::size_t>(qbit));
-    if (compare_words(rem, shifted) >= 0) {
-      rem = sub_words(rem, shifted);
-      // set bit qbit of quotient
-      const auto word = static_cast<std::size_t>(qbit) / 64;
-      if (quotient.size() <= word) quotient.resize(word + 1, 0);
-      quotient[word] |= std::uint64_t{1}
-                        << (static_cast<std::size_t>(qbit) % 64);
-    }
-    --qbit;
-    if (rem.empty()) break;
-  }
-  trim(quotient);
-  const bool sticky = !rem.empty();
-
-  BigFloat r;
-  r.kind_ = Kind::kFinite;
-  r.negative_ = sign;
-  r.mantissa_ = std::move(quotient);
-  // a / b = (A * 2^ea) / (B * 2^eb); we computed floor((A<<s)/B) with the
-  // bits below qbit_min truncated. Quotient scale: 2^(ea - eb - s + k)
-  // where k is the lowest quotient bit computed (qbit+1 after the loop).
-  r.exp_ = a.exp_ - b.exp_ - pre_shift;
-  r.normalize();
-  if (r.mantissa_.empty()) return zero(sign);
-  r.round_to(ctx.precision, ctx.rounding, sticky);
-  return r;
+  const bool sticky =
+      div_words(shift_left(a.mantissa_, static_cast<std::size_t>(pre_shift)),
+                b.mantissa_, quotient);
+  return from_significand(sign, quotient.span(),
+                          a.exp_ - b.exp_ - pre_shift, sticky, ctx);
 }
 
 BigFloat BigFloat::sqrt(const BigFloat& a, const Context& ctx) {
@@ -487,52 +642,19 @@ BigFloat BigFloat::sqrt(const BigFloat& a, const Context& ctx) {
   if (a.negative_) return nan();
   if (a.is_infinity()) return a;
 
-  // Work on R = M * 2^(exp adjusted to even); digit-by-digit square root
-  // producing precision+2 bits.
-  const auto want = static_cast<std::size_t>(ctx.precision) + 2;
-  // Scale so bit_length(radicand) ~ 2*want and exponent even.
-  std::int64_t e = a.exp_;
-  Words radicand = a.mantissa_;
-  const std::size_t len = bit_length(radicand);
-  std::int64_t scale =
-      2 * static_cast<std::int64_t>(want) - static_cast<std::int64_t>(len);
-  if (scale < 0) scale = 0;
-  if ((e - scale) % 2 != 0) ++scale;
-  radicand = shift_left(radicand, static_cast<std::size_t>(scale));
-  e -= scale;
-  // Now compute integer sqrt of `radicand` bit by bit.
-  const std::size_t rlen = bit_length(radicand);
-  std::int64_t bit = static_cast<std::int64_t>((rlen + 1) / 2);
-  Words root;
-  Words rem = radicand;
-  while (bit >= 0) {
-    // trial = (root << (bit+1)) + (1 << 2bit)
-    Words trial = shift_left(root, static_cast<std::size_t>(bit) + 1);
-    Words one_bit;
-    {
-      const auto pos = static_cast<std::size_t>(2 * bit);
-      one_bit.resize(pos / 64 + 1, 0);
-      one_bit[pos / 64] = std::uint64_t{1} << (pos % 64);
-    }
-    trial = add_words(trial, one_bit);
-    if (compare_words(rem, trial) >= 0) {
-      rem = sub_words(rem, trial);
-      const auto pos = static_cast<std::size_t>(bit);
-      if (root.size() <= pos / 64) root.resize(pos / 64 + 1, 0);
-      root[pos / 64] |= std::uint64_t{1} << (pos % 64);
-    }
-    --bit;
-  }
-  trim(root);
-  BigFloat r;
-  r.kind_ = Kind::kFinite;
-  r.negative_ = false;
-  r.mantissa_ = std::move(root);
-  r.exp_ = e / 2;
-  r.normalize();
-  if (r.mantissa_.empty()) return zero(false);
-  r.round_to(ctx.precision, ctx.rounding, !rem.empty());
-  return r;
+  // floor(sqrt(M << s)) with s even-adjusting the exponent and leaving
+  // the radicand at least 2 * (precision + 2) bits, so the root has at
+  // least precision + 2; a nonzero remainder is the sticky tail.
+  const auto want = static_cast<std::int64_t>(ctx.precision) + 2;
+  std::int64_t scale = std::max<std::int64_t>(
+      0, 2 * want - static_cast<std::int64_t>(bit_length(a.mantissa_)));
+  if ((a.exp_ - scale) % 2 != 0) ++scale;
+  const Words radicand =
+      shift_left(a.mantissa_, static_cast<std::size_t>(scale));
+  const Words root = isqrt(radicand);
+  const bool sticky = compare_words(mul_words(root, root), radicand) != 0;
+  return from_significand(false, root.span(), (a.exp_ - scale) / 2, sticky,
+                          ctx);
 }
 
 BigFloat BigFloat::fma(const BigFloat& a, const BigFloat& b,
@@ -567,8 +689,8 @@ int BigFloat::compare(const BigFloat& a, const BigFloat& b) {
   const int sb = b.is_zero() ? 0 : (b.negative_ ? -1 : 1);
   if (sa != sb) return sa < sb ? -1 : 1;
   if (sa == 0) return 0;
-  const int mag = compare_magnitude(a.msb_exponent(), a.mantissa_, 0,
-                                    b.msb_exponent(), b.mantissa_, 0);
+  const int mag = compare_magnitude(a.msb_exponent(), a.mantissa_,
+                                    b.msb_exponent(), b.mantissa_);
   return sa > 0 ? mag : -mag;
 }
 
@@ -616,10 +738,8 @@ double BigFloat::to_double() const {
                      : std::numeric_limits<double>::infinity();
   }
   // Assemble: take the mantissa as (at most 53-bit) integer * 2^exp.
-  const std::size_t len = bit_length(copy.mantissa_);
-  assert(len <= 53);
-  std::uint64_t mant = copy.mantissa_.empty() ? 0 : copy.mantissa_[0];
-  (void)len;
+  assert(bit_length(copy.mantissa_) <= 53);
+  const std::uint64_t mant = copy.mantissa_.empty() ? 0 : copy.mantissa_[0];
   const double mag =
       std::ldexp(static_cast<double>(mant), static_cast<int>(copy.exp_));
   return negative_ ? -mag : mag;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <chrono>
 #include <cmath>
 #include <limits>
 #include <span>
@@ -99,6 +100,12 @@ CampaignConfig campaign_for(FaultClass cls, std::uint64_t cell_seed) {
   return cc;
 }
 
+using Clock = std::chrono::steady_clock;
+
+double seconds_since(Clock::time_point start) {
+  return std::chrono::duration<double>(Clock::now() - start).count();
+}
+
 /// Per-call detector verdicts for one whole run.
 struct RunSignals {
   mon::ConditionSet observed;
@@ -106,32 +113,38 @@ struct RunSignals {
   std::vector<bool> interval_fired;
 };
 
+/// Scores the shadow and interval detectors over a run's recorded calls,
+/// one loop per detector so each is timed by two clock reads.
 RunSignals signals_for(std::span<const CallRecord> records,
                        const mon::ConditionSet& observed,
-                       const GauntletConfig& cfg) {
+                       const GauntletConfig& cfg, PhaseSeconds& seconds) {
   RunSignals out;
   out.observed = observed;
   out.shadow_fired.reserve(records.size());
   out.interval_fired.reserve(records.size());
 
-  shadow::Config scfg;
-  scfg.precision = cfg.shadow_precision;
-
+  const Clock::time_point shadow_start = Clock::now();
   for (const CallRecord& rec : records) {
-    const shadow::Report rep = shadow::analyze(rec.expr, scfg, rec.bindings);
+    const bigfloat::BigFloat exact =
+        shadow::value(rec.expr, cfg.shadow_precision, rec.bindings);
+    const bool exact_exceptional = exact.is_nan() || exact.is_infinity();
     bool sfired = false;
     if (!std::isfinite(rec.result)) {
       // Exceptional primary, unexceptional shadow: the fault (or the
       // format) manufactured it.
-      sfired = !rep.shadow_is_exceptional;
-    } else if (!rep.shadow_is_exceptional) {
-      const double denom = std::max(std::fabs(rep.shadow_result),
+      sfired = !exact_exceptional;
+    } else if (!exact_exceptional) {
+      const double shadow_result = exact.to_double();
+      const double denom = std::max(std::fabs(shadow_result),
                                     std::numeric_limits<double>::min());
-      sfired = std::fabs(rec.result - rep.shadow_result) / denom >
+      sfired = std::fabs(rec.result - shadow_result) / denom >
                cfg.shadow_relative_error;
     }
     out.shadow_fired.push_back(sfired);
+  }
 
+  const Clock::time_point interval_start = Clock::now();
+  for (const CallRecord& rec : records) {
     const interval::Interval iv =
         interval::evaluate(rec.expr, rec.bindings);
     // An invalid enclosure means the mathematics itself went exceptional
@@ -142,7 +155,18 @@ RunSignals signals_for(std::span<const CallRecord> records,
                              iv.relative_width() > cfg.interval_wide);
     out.interval_fired.push_back(ifired);
   }
+  seconds.shadow +=
+      std::chrono::duration<double>(interval_start - shadow_start).count();
+  seconds.interval += seconds_since(interval_start);
   return out;
+}
+
+/// Adds a shard's layer seconds into the campaign total.
+void add_layers(PhaseSeconds& total, const PhaseSeconds& shard) {
+  total.probes += shard.probes;
+  total.shadow += shard.shadow;
+  total.interval += shard.interval;
+  total.flow += shard.flow;
 }
 
 /// True when the injected run fired on some call the clean run did not.
@@ -168,6 +192,8 @@ struct TrialOut {
   /// fpmon-flow verdict detail (fired[kFpmonFlow] summarizes it).
   bool flow_attributed = false;
   std::size_t flow_anomalies = 0;
+  /// This run's layer seconds (the wall fields stay zero).
+  PhaseSeconds seconds;
 };
 
 /// The campaign that never arms: rate 0 consumes the identical
@@ -273,8 +299,10 @@ TrialOut run_trial(const workloads::Workload& wl, FaultClass cls,
                    const mon::FlowLedger& flow_baseline,
                    const GauntletConfig& cfg) {
   Injector injector(campaign_for(cls, cell_seed));
+  TrialOut t;
   RunSignals sig;
   mon::FlowReport flow;
+  const Clock::time_point probe_start = Clock::now();
   if (substrate == Substrate::kSoftfloat) {
     SoftInjectingContext inj_ctx(injector);
     RecordingContext rec(inj_ctx);
@@ -282,7 +310,8 @@ TrialOut run_trial(const workloads::Workload& wl, FaultClass cls,
     // substrate's observed() flags live in the soft Env, which the
     // monitor's host-fenv scoping cannot perturb.
     mon::monitor_flow([&] { wl.probe(rec); }, flow);
-    sig = signals_for(rec.records(), inj_ctx.observed(), cfg);
+    t.seconds.probes = seconds_since(probe_start);
+    sig = signals_for(rec.records(), inj_ctx.observed(), cfg, t.seconds);
   } else {
     // The real FPU under a real monitor: the monitor clears the sticky
     // hardware flags on entry (giving the run the same empty-union start
@@ -295,10 +324,10 @@ TrialOut run_trial(const workloads::Workload& wl, FaultClass cls,
     mon::ConditionSet observed;
     mon::monitor_region(
         [&] { mon::monitor_flow([&] { wl.probe(rec); }, flow); }, observed);
-    sig = signals_for(rec.records(), observed, cfg);
+    t.seconds.probes = seconds_since(probe_start);
+    sig = signals_for(rec.records(), observed, cfg, t.seconds);
   }
 
-  TrialOut t;
   t.armed = !injector.sites().empty();
   t.sites = injector.sites().size();
   t.effective_sites = injector.effective_count();
@@ -310,7 +339,9 @@ TrialOut run_trial(const workloads::Workload& wl, FaultClass cls,
       fired_beyond(sig.shadow_fired, baseline.shadow_fired);
   t.fired[static_cast<std::size_t>(Detector::kInterval)] =
       fired_beyond(sig.interval_fired, baseline.interval_fired);
+  const Clock::time_point flow_start = Clock::now();
   score_flow(t, flow.ledger, flow_baseline, injector, cls);
+  t.seconds.flow = seconds_since(flow_start);
   return t;
 }
 
@@ -333,13 +364,17 @@ GauntletResult run_gauntlet(parallel::ThreadPool& pool,
   // tags align one-for-one with every injected trial of the same
   // (workload, substrate) because the null campaign consumes the
   // identical (call, op) numbering.
-  std::vector<RunSignals> baselines(n_workloads * kSubstrateCount);
-  std::vector<mon::FlowLedger> flow_baselines(n_workloads *
-                                              kSubstrateCount);
-  pool.run_shards(n_workloads * kSubstrateCount, [&](std::size_t idx) {
+  const std::size_t n_baselines = n_workloads * kSubstrateCount;
+  std::vector<RunSignals> baselines(n_baselines);
+  std::vector<mon::FlowLedger> flow_baselines(n_baselines);
+  std::vector<PhaseSeconds> baseline_seconds(n_baselines);
+  const Clock::time_point baseline_start = Clock::now();
+  pool.run_shards(n_baselines, [&](std::size_t idx) {
     const std::size_t w = idx / kSubstrateCount;
     const Substrate substrate =
         static_cast<Substrate>(idx % kSubstrateCount);
+    PhaseSeconds& seconds = baseline_seconds[idx];
+    const Clock::time_point shard_start = Clock::now();
     Injector null_injector(null_campaign());
     mon::FlowReport flow;
     if (substrate == Substrate::kSoftfloat) {
@@ -347,7 +382,7 @@ GauntletResult run_gauntlet(parallel::ThreadPool& pool,
       RecordingContext rec(soft);
       cat[w].probe(rec);
       baselines[idx] =
-          signals_for(rec.records(), soft.observed(), config);
+          signals_for(rec.records(), soft.observed(), config, seconds);
       SoftInjectingContext clean_ctx(null_injector);
       mon::monitor_flow([&] { cat[w].probe(clean_ctx); }, flow);
     } else {
@@ -355,12 +390,19 @@ GauntletResult run_gauntlet(parallel::ThreadPool& pool,
       RecordingContext rec(native);
       mon::ConditionSet observed;
       mon::monitor_region([&] { cat[w].probe(rec); }, observed);
-      baselines[idx] = signals_for(rec.records(), observed, config);
+      baselines[idx] = signals_for(rec.records(), observed, config, seconds);
       NativeInjectingContext clean_ctx(null_injector);
       mon::monitor_flow([&] { cat[w].probe(clean_ctx); }, flow);
     }
     flow_baselines[idx] = std::move(flow.ledger);
+    // The shard is its two probe runs and the two detectors.
+    seconds.probes =
+        seconds_since(shard_start) - seconds.shadow - seconds.interval;
   });
+  result.phase_seconds.baseline_wall = seconds_since(baseline_start);
+  for (const PhaseSeconds& seconds : baseline_seconds) {
+    add_layers(result.phase_seconds, seconds);
+  }
   for (std::size_t w = 0; w < n_workloads; ++w) {
     for (std::size_t s = 0; s < kSubstrateCount; ++s) {
       const RunSignals& base = baselines[w * kSubstrateCount + s];
@@ -377,6 +419,7 @@ GauntletResult run_gauntlet(parallel::ThreadPool& pool,
   const std::size_t campaigns = n_workloads * per_workload;
   const std::size_t total = campaigns * kSubstrateCount;
   std::vector<TrialOut> trials(total);
+  const Clock::time_point trials_start = Clock::now();
   pool.run_shards(total, [&](std::size_t idx) {
     const std::size_t campaign = idx / kSubstrateCount;
     const Substrate substrate =
@@ -395,6 +438,7 @@ GauntletResult run_gauntlet(parallel::ThreadPool& pool,
                             baselines[base_idx], flow_baselines[base_idx],
                             config);
   });
+  result.phase_seconds.trials_wall = seconds_since(trials_start);
 
   // Fixed-order aggregation: the matrices, the undetected list, the
   // parity verdicts and the fingerprint are pure functions of the slot
@@ -410,6 +454,7 @@ GauntletResult run_gauntlet(parallel::ThreadPool& pool,
     const std::size_t trial = rest % config.trials;
 
     result.total_trials += 1;
+    add_layers(result.phase_seconds, t.seconds);
     result.total_sites += t.sites;
     result.total_effective += t.effective_sites;
 

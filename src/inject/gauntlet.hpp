@@ -155,6 +155,21 @@ struct FlowScore {
   std::size_t control_anomalies = 0;
 };
 
+/// Where a campaign's time went: wall seconds of its two phases, and
+/// per-layer seconds summed over the shards that ran the layer. Each
+/// layer is timed by steady-clock reads around it once per run (never
+/// per call), so layer seconds equal CPU seconds when every pool worker
+/// has a core to itself. Nothing the campaign reports is derived from
+/// them.
+struct PhaseSeconds {
+  double baseline_wall = 0.0;  ///< phase 1: clean baselines, flow ledgers
+  double trials_wall = 0.0;    ///< phase 2: injected trials
+  double probes = 0.0;    ///< probe runs (recorded, injected, monitored)
+  double shadow = 0.0;    ///< shadow detector over the recorded calls
+  double interval = 0.0;  ///< interval detector over the recorded calls
+  double flow = 0.0;      ///< fpmon-flow scoring against the clean ledger
+};
+
 struct GauntletResult {
   GauntletConfig config;
   /// cells[substrate][fault class][detector].
@@ -182,6 +197,9 @@ struct GauntletResult {
   /// mode).
   bool tracks_denormals = false;
   bool trap_available = false;
+  /// The campaign's time split (varies run to run; excluded from the
+  /// fingerprint and from render()).
+  PhaseSeconds phase_seconds;
   /// Content hash over every trial's fault-site list and every LEGACY
   /// detector cell — the bit-reproducibility witness, deliberately
   /// invariant under adding detector columns (see kLegacyDetectorCount).

@@ -3,10 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 
 #include "analyze/shadow.hpp"
+#include "inject/context.hpp"
 #include "ir/expr.hpp"
+#include "workloads/workloads.hpp"
 
 namespace sh = fpq::shadow;
 using E = fpq::ir::Expr;
@@ -121,6 +124,63 @@ TEST(Shadow, FindingsSortedWorstFirst) {
   ASSERT_GE(report.findings.size(), 2u);
   EXPECT_GE(report.findings[0].relative_error,
             report.findings[1].relative_error);
+}
+
+TEST(Shadow, NaNErrorRanksWorstAndTiesKeepDiscoveryOrder) {
+  // (1e300*1e300) - (1e300*1e300*(1-2^-100)): binary64 rounds 1-2^-100 to
+  // 1, overflows both products and computes inf - inf = NaN, while the
+  // exact difference is 2^-100 * 1e600. The cancellation finding at the
+  // subtraction carries a NaN relative error; every other finding is a
+  // format-induced overflow or NaN at error +inf.
+  const auto big = [] {
+    return E::mul(E::constant(1e300), E::constant(1e300));
+  };
+  const auto scaled =
+      E::mul(big(), E::sub(E::constant(1.0), E::constant(0x1.0p-100)));
+  const auto e = E::sub(big(), scaled);
+  const auto report = sh::analyze(e);
+  ASSERT_EQ(report.findings.size(), 5u);
+  EXPECT_TRUE(std::isnan(report.findings[0].relative_error));
+  EXPECT_GE(report.findings[0].cancelled_bits, 99);
+  for (std::size_t i = 1; i < report.findings.size(); ++i) {
+    EXPECT_TRUE(std::isinf(report.findings[i].relative_error)) << i;
+  }
+  // Equal errors stay in post-order discovery order.
+  EXPECT_EQ(report.findings[1].expression, big().to_string());
+  EXPECT_EQ(report.findings[2].expression, big().to_string());
+  EXPECT_EQ(report.findings[3].expression, scaled.to_string());
+  EXPECT_EQ(report.findings[4].expression, e.to_string());
+}
+
+TEST(Shadow, ValueMatchesAnalyzeOnEveryCatalogueCall) {
+  // The gauntlet's shadow detector reads value(); fpcheck and the tests
+  // read analyze(). Over every call the catalogue probes make on the
+  // softfloat substrate, both must report the same trusted result.
+  sh::Config config;
+  config.precision = 192;
+  std::size_t calls = 0;
+  for (const fpq::workloads::Workload& w : fpq::workloads::catalogue()) {
+    fpq::inject::SoftContext soft;
+    fpq::inject::RecordingContext rec(soft);
+    w.probe(rec);
+    for (const fpq::inject::CallRecord& c : rec.records()) {
+      const sh::Report report = sh::analyze(c.expr, config, c.bindings);
+      const auto exact = sh::value(c.expr, config.precision, c.bindings);
+      const double v = exact.to_double();
+      if (std::isnan(report.shadow_result)) {
+        EXPECT_TRUE(std::isnan(v)) << c.expr.to_string();
+      } else {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(v),
+                  std::bit_cast<std::uint64_t>(report.shadow_result))
+            << c.expr.to_string();
+      }
+      EXPECT_EQ(exact.is_nan() || exact.is_infinity(),
+                report.shadow_is_exceptional)
+          << c.expr.to_string();
+      ++calls;
+    }
+  }
+  EXPECT_GT(calls, 1000u);
 }
 
 TEST(Shadow, RenderMentionsVerdictAndNodes) {

@@ -223,4 +223,22 @@ TEST(Gauntlet, ResultSurfacesPlatformCapabilities) {
   EXPECT_EQ(r.tracks_denormals, fpq::mon::ScopedMonitor().tracks_denormals());
 }
 
+TEST(Gauntlet, PhaseSecondsCoverBothPhasesAndEveryDetector) {
+  par::ThreadPool pool(2);
+  inj::GauntletConfig config = small_campaign();
+  config.trials = 1;
+  const inj::GauntletResult r = inj::run_gauntlet(pool, config);
+  const inj::PhaseSeconds& t = r.phase_seconds;
+  EXPECT_GT(t.baseline_wall, 0.0);
+  EXPECT_GT(t.trials_wall, 0.0);
+  EXPECT_GT(t.probes, 0.0);
+  EXPECT_GT(t.shadow, 0.0);
+  EXPECT_GT(t.interval, 0.0);
+  EXPECT_GT(t.flow, 0.0);
+  // Layer seconds are shard-busy time inside the two phases: two
+  // workers cannot spend more than twice the phases' wall time.
+  EXPECT_LE(t.probes + t.shadow + t.interval + t.flow,
+            2.0 * (t.baseline_wall + t.trials_wall));
+}
+
 }  // namespace
