@@ -12,18 +12,16 @@ namespace quiz = fpq::quiz;
 namespace rp = fpq::report;
 
 int main() {
-  auto backends = quiz::make_all_backends();
-
   rp::Table table({"backend", "IEEE?", "matches standard key",
                    "first divergence"});
   bool all_ok = true;
-  for (auto& backend : backends) {
-    const auto key = quiz::derive_answer_key(*backend);
+  for (const quiz::Backend& backend : quiz::backend_registry()) {
+    const auto key = quiz::derive_answer_key(backend);
     std::string mismatch;
     const bool ok = quiz::key_matches_standard(key, &mismatch);
     all_ok = all_ok && ok;
-    table.add_row({backend->name(),
-                   backend->ieee_compliant() ? "yes" : "no (FTZ/DAZ)",
+    table.add_row({backend.name,
+                   backend.ieee_compliant() ? "yes" : "no (FTZ/DAZ)",
                    ok ? "yes" : "NO", ok ? "-" : mismatch});
   }
   std::fputs(rp::section("Answer key audit across arithmetic backends",
@@ -32,9 +30,9 @@ int main() {
              stdout);
 
   // Show the full key with evidence from the reference backend.
-  auto reference = quiz::make_soft_backend_64();
+  const quiz::Backend& reference = quiz::find_backend("softfloat-binary64");
   std::fputs(
-      quiz::render_answer_key(quiz::derive_answer_key(*reference)).c_str(),
+      quiz::render_answer_key(quiz::derive_answer_key(reference)).c_str(),
       stdout);
 
   return all_ok ? 0 : 1;

@@ -52,8 +52,8 @@ void opt_lesson(std::size_t index, const quiz::AnswerKey& key) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  auto backend = quiz::make_native_double_backend();
-  const quiz::AnswerKey key = quiz::derive_answer_key(*backend);
+  const quiz::AnswerKey key =
+      quiz::derive_answer_key(quiz::find_backend("native-binary64"));
 
   if (argc > 1) {
     const long n = std::strtol(argv[1], nullptr, 10);

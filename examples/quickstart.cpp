@@ -34,8 +34,7 @@ int main(int argc, char** argv) {
   const bool quiz_only = argc > 1 && std::strcmp(argv[1], "--quiz") == 0;
 
   // Key from the host hardware...
-  auto hw = quiz::make_native_double_backend();
-  const quiz::QuizSession session(*hw);
+  const quiz::QuizSession session(quiz::find_backend("native-binary64"));
 
   if (quiz_only) {
     std::fputs(session.render_quiz_text().c_str(), stdout);
@@ -46,8 +45,8 @@ int main(int argc, char** argv) {
   std::fputs(session.render_quiz_text().c_str(), stdout);
 
   // ... cross-checked against the softfloat engine.
-  auto soft = quiz::make_soft_backend_64();
-  const quiz::QuizSession soft_session(*soft);
+  const quiz::QuizSession soft_session(
+      quiz::find_backend("softfloat-binary64"));
   std::string mismatch;
   const bool hw_standard = quiz::key_matches_standard(session.key(), &mismatch);
   const bool soft_standard =

@@ -53,8 +53,7 @@ std::string prompt_line(const char* text) {
 }  // namespace
 
 int main() {
-  auto backend = quiz::make_native_double_backend();
-  const quiz::QuizSession session(*backend);
+  const quiz::QuizSession session(quiz::find_backend("native-binary64"));
 
   std::puts("The IPDPS 2018 floating point survey. Answer T, F, or D "
             "(don't know).\n");

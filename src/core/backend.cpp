@@ -1,87 +1,118 @@
-// Label helpers for the strongly-typed quiz identifiers (types.hpp).
+#include "core/backend.hpp"
 
-#include "core/types.hpp"
+#include <stdexcept>
+#include <string>
+
+#include "ir/evaluators.hpp"
+#include "softfloat/ops.hpp"
 
 namespace fpq::quiz {
 
-std::string core_question_label(CoreQuestionId id) {
-  switch (id) {
-    case CoreQuestionId::kCommutativity:
-      return "Commutativity";
-    case CoreQuestionId::kAssociativity:
-      return "Associativity";
-    case CoreQuestionId::kDistributivity:
-      return "Distributivity";
-    case CoreQuestionId::kOrdering:
-      return "Ordering";
-    case CoreQuestionId::kIdentity:
-      return "Identity";
-    case CoreQuestionId::kNegativeZero:
-      return "Negative Zero";
-    case CoreQuestionId::kSquare:
-      return "Square";
-    case CoreQuestionId::kOverflow:
-      return "Overflow";
-    case CoreQuestionId::kDivideByZero:
-      return "Divide by Zero";
-    case CoreQuestionId::kZeroDivideByZero:
-      return "Zero Divide By Zero";
-    case CoreQuestionId::kSaturationPlus:
-      return "Saturation Plus";
-    case CoreQuestionId::kSaturationMinus:
-      return "Saturation Minus";
-    case CoreQuestionId::kDenormalPrecision:
-      return "Denormal Precision";
-    case CoreQuestionId::kOperationPrecision:
-      return "Operation Precision";
-    case CoreQuestionId::kExceptionSignal:
-      return "Exception Signal";
-  }
-  return "Unknown";
+namespace {
+
+namespace sf = fpq::softfloat;
+
+// Order is the one the sweeps and reports rely on.
+constexpr Backend kBackendRegistry[] = {
+    {"native-binary64", 64, true, false, false},
+    {"native-binary32", 32, true, false, false},
+    {"softfloat-binary64", 64, false, false, false},
+    {"softfloat-binary32", 32, false, false, false},
+    {"softfloat-binary16", 16, false, false, false},
+    {"softfloat-bfloat16", sf::kBFloat16, false, false, false},
+    {"softfloat-binary64-ftz-daz", 64, false, true, true},
+};
+
+enum class Named { kMaxFinite, kMinNormal, kMinSubnormal };
+
+template <int kBits>
+double named_value(Named which) {
+  using F = sf::Float<kBits>;
+  const F x = which == Named::kMaxFinite   ? F::max_finite()
+              : which == Named::kMinNormal ? F::min_normal()
+                                           : F::min_subnormal();
+  sf::Env quiet;  // widening is exact
+  return sf::to_native(sf::convert<64>(x, quiet));
 }
 
-std::string opt_question_label(OptQuestionId id) {
-  switch (id) {
-    case OptQuestionId::kMadd:
-      return "MADD";
-    case OptQuestionId::kFlushToZero:
-      return "Flush to Zero";
-    case OptQuestionId::kStandardCompliantLevel:
-      return "Standard-compliant Level";
-    case OptQuestionId::kFastMath:
-      return "Fast-math";
+double named_value(const Backend& backend, Named which) {
+  switch (backend.format_bits) {
+    case 16:
+      return named_value<16>(which);
+    case 32:
+      return named_value<32>(which);
+    case sf::kBFloat16:
+      return named_value<sf::kBFloat16>(which);
+    default:
+      return named_value<64>(which);
   }
-  return "Unknown";
 }
 
-std::string suspicion_item_label(SuspicionItemId id) {
-  switch (id) {
-    case SuspicionItemId::kOverflow:
-      return "Overflow";
-    case SuspicionItemId::kUnderflow:
-      return "Underflow";
-    case SuspicionItemId::kPrecision:
-      return "Precision";
-    case SuspicionItemId::kInvalid:
-      return "Invalid";
-    case SuspicionItemId::kDenorm:
-      return "Denorm";
-  }
-  return "Unknown";
+double two_operand(const Backend& backend, const ir::Expr& tree, double a,
+                   double b) {
+  const double bindings[] = {a, b};
+  return run(backend, tree, bindings).value;
 }
 
-std::string answer_label(Answer a) {
-  switch (a) {
-    case Answer::kTrue:
-      return "True";
-    case Answer::kFalse:
-      return "False";
-    case Answer::kDontKnow:
-      return "Don't Know";
-    case Answer::kUnanswered:
-      return "Unanswered";
+}  // namespace
+
+std::span<const Backend> backend_registry() { return kBackendRegistry; }
+
+const Backend& find_backend(std::string_view name) {
+  for (const Backend& b : kBackendRegistry) {
+    if (name == b.name) return b;
   }
-  return "Unknown";
+  throw std::out_of_range("no quiz backend named " + std::string(name));
+}
+
+RunResult run(const Backend& backend, const ir::Expr& expr,
+              std::span<const double> bindings) {
+  if (backend.native) {
+    mon::ScopedMonitor monitor;
+    double value;
+    if (backend.format_bits == 64) {
+      ir::NativeEvaluator64 ev;
+      value = ir::evaluate_tree<double>(expr, ev, bindings);
+    } else {
+      ir::NativeEvaluator32 ev;
+      value = ir::evaluate_tree<double>(expr, ev, bindings);
+    }
+    return {value, monitor.stop()};
+  }
+  ir::EvalConfig config;
+  config.format_bits = backend.format_bits;
+  config.flush_to_zero = backend.flush_to_zero;
+  config.denormals_are_zero = backend.denormals_are_zero;
+  const ir::Outcome out = ir::evaluate(expr, config, bindings);
+  return {sf::to_native(out.value),
+          mon::ConditionSet::from_softfloat_flags(out.flags)};
+}
+
+bool equal(const Backend& backend, double a, double b) {
+  static const ir::Expr tree = ir::Expr::cmp_eq(
+      ir::Expr::variable("a", 0), ir::Expr::variable("b", 1));
+  return two_operand(backend, tree, a, b) != 0.0;
+}
+
+bool less(const Backend& backend, double a, double b) {
+  static const ir::Expr tree = ir::Expr::cmp_lt(
+      ir::Expr::variable("a", 0), ir::Expr::variable("b", 1));
+  return two_operand(backend, tree, a, b) != 0.0;
+}
+
+double canonicalize(const Backend& backend, double x) {
+  static const ir::Expr tree = ir::Expr::variable("x", 0);
+  return run(backend, tree, {&x, 1}).value;
+}
+
+double max_finite(const Backend& backend) {
+  return named_value(backend, Named::kMaxFinite);
+}
+double min_normal(const Backend& backend) {
+  return named_value(backend, Named::kMinNormal);
+}
+double min_subnormal(const Backend& backend) {
+  return named_value(backend, Named::kMinSubnormal);
 }
 
 }  // namespace fpq::quiz

@@ -1,4 +1,4 @@
-// fpq::quiz — pluggable arithmetic backends.
+// fpq::quiz — the arithmetic backends the quiz is run against.
 //
 // A backend is "a floating point implementation the quiz can be run
 // against": host hardware in double or float, or the softfloat engine in
@@ -7,89 +7,67 @@
 // not asserted — and running the derivation on a non-IEEE backend (FTZ)
 // shows exactly which answers silently change on such hardware.
 //
-// The value model is host double: each backend rounds operands into its
-// own format on entry and widens results back, which makes one evaluation
-// routine serve every precision.
+// A backend is a plain registry row. `run` executes an fpq::ir tree on
+// the IR evaluator for that row's substrate: SoftEvaluator<k> for
+// softfloat rows, NativeEvaluator64/32 for host rows. The value model is
+// host double: operands round into the row's format on entry and results
+// widen back exactly, so one routine serves every precision.
 #pragma once
 
-#include <memory>
 #include <span>
-#include <string>
-#include <vector>
+#include <string_view>
 
 #include "fpmon/monitor.hpp"
+#include "ir/expr.hpp"
 
 namespace fpq::quiz {
 
-class ArithmeticBackend {
- public:
-  virtual ~ArithmeticBackend() = default;
-
-  /// Display name, e.g. "native-binary64", "softfloat-binary16".
-  virtual std::string name() const = 0;
-
-  // Arithmetic in the backend's format (operands are canonicalized into
-  // the format first; results widen back to double exactly).
-  virtual double add(double a, double b) = 0;
-  virtual double sub(double a, double b) = 0;
-  virtual double mul(double a, double b) = 0;
-  virtual double div(double a, double b) = 0;
-  virtual double sqrt(double a) = 0;
-  /// Fused multiply-add: a*b + c with one rounding.
-  virtual double fma(double a, double b, double c) = 0;
-
-  // IEEE comparison semantics in the backend's format.
-  virtual bool equal(double a, double b) = 0;
-  virtual bool less(double a, double b) = 0;
-
-  /// Rounds a host double into the backend's format (identity for
-  /// binary64 backends). Lets tests construct "what the backend sees".
-  virtual double canonicalize(double x) = 0;
-
-  // Named values of the backend's format, widened to double.
-  virtual double max_finite() = 0;
-  virtual double min_normal() = 0;
-  virtual double min_subnormal() = 0;
-
-  /// Exceptional conditions accumulated since the last call; clears.
-  virtual mon::ConditionSet take_conditions() = 0;
-
-  /// True when the backend implements IEEE-standard semantics (no flush
-  /// modes); the answer-key invariance tests quantify over these.
-  virtual bool ieee_compliant() const = 0;
-};
-
-/// One row of the backend catalogue: everything needed to construct a
-/// backend. `make_all_backends()` and the per-format factories all build
-/// from this single table, so a new format is one new row.
-struct BackendDescriptor {
+/// One row of the backend catalogue.
+struct Backend {
   const char* name;        ///< display name, unique across the registry
   int format_bits;         ///< 64, 32, 16, or softfloat::kBFloat16
   bool native;             ///< host FPU instead of the softfloat engine
   bool flush_to_zero;
   bool denormals_are_zero;
+
+  /// True when the backend implements IEEE-standard semantics (no flush
+  /// modes); the answer-key invariance tests quantify over these.
+  bool ieee_compliant() const noexcept {
+    return !flush_to_zero && !denormals_are_zero;
+  }
 };
 
-/// The full catalogue, in the order `make_all_backends()` returns.
-std::span<const BackendDescriptor> backend_registry();
+/// The full catalogue: native binary64/32, softfloat binary64/32/16 and
+/// bfloat16, then softfloat binary64 with FTZ+DAZ.
+std::span<const Backend> backend_registry();
 
-/// Constructs the backend a descriptor names.
-std::unique_ptr<ArithmeticBackend> make_backend(const BackendDescriptor& d);
+/// The registry row named `name`; throws std::out_of_range if none is.
+const Backend& find_backend(std::string_view name);
 
-/// Factories (each resolves its descriptor from backend_registry()).
-std::unique_ptr<ArithmeticBackend> make_native_double_backend();
-std::unique_ptr<ArithmeticBackend> make_native_float_backend();
-std::unique_ptr<ArithmeticBackend> make_soft_backend_64();
-std::unique_ptr<ArithmeticBackend> make_soft_backend_32();
-std::unique_ptr<ArithmeticBackend> make_soft_backend_16();
-/// bfloat16: binary32's range with a 7-bit significand — the reduced-
-/// precision ML format the paper's introduction motivates.
-std::unique_ptr<ArithmeticBackend> make_soft_backend_bf16();
-/// Softfloat binary64 with FTZ+DAZ: the non-standard hardware the
-/// optimization quiz warns about.
-std::unique_ptr<ArithmeticBackend> make_soft_backend_64_ftz();
+/// What one evaluation produced: the widened value and the exceptional
+/// conditions the whole evaluation raised.
+struct RunResult {
+  double value;
+  mon::ConditionSet conditions;
+};
 
-/// Every backend above, for parameterized sweeps.
-std::vector<std::unique_ptr<ArithmeticBackend>> make_all_backends();
+/// Evaluates `expr` on `backend`; `bindings` feeds kVar nodes by
+/// var_index. Softfloat rows report the Outcome's sticky flags; native
+/// rows run under one fpmon::ScopedMonitor.
+RunResult run(const Backend& backend, const ir::Expr& expr,
+              std::span<const double> bindings = {});
+
+// IEEE comparison semantics in the backend's format.
+bool equal(const Backend& backend, double a, double b);
+bool less(const Backend& backend, double a, double b);
+
+/// Rounds a host double into the backend's format (identity for binary64
+/// backends). Lets callers construct "what the backend sees".
+double canonicalize(const Backend& backend, double x);
+
+// Named values of the backend's format, widened to double.
+double max_finite(const Backend& backend);
+double min_normal(const Backend& backend);
+double min_subnormal(const Backend& backend);
 
 }  // namespace fpq::quiz

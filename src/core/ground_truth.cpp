@@ -2,9 +2,9 @@
 
 namespace fpq::quiz {
 
-AnswerKey derive_answer_key(ArithmeticBackend& backend) {
+AnswerKey derive_answer_key(const Backend& backend) {
   AnswerKey key;
-  key.backend_name = backend.name();
+  key.backend_name = backend.name;
   for (std::size_t i = 0; i < kCoreQuestionCount; ++i) {
     key.core[i] =
         demonstrate_core(static_cast<CoreQuestionId>(i), backend);
@@ -14,38 +14,6 @@ AnswerKey derive_answer_key(ArithmeticBackend& backend) {
   }
   key.opt_level_choice = kOptLevelCorrectChoice;
   return key;
-}
-
-AnswerKeyCache& AnswerKeyCache::global() {
-  static AnswerKeyCache cache;
-  return cache;
-}
-
-const AnswerKey& AnswerKeyCache::get(ArithmeticBackend& backend) {
-  const std::string name = backend.name();
-  std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = keys_.find(name);
-  if (it != keys_.end()) {
-    ++hits_;
-    return *it->second;
-  }
-  ++misses_;
-  // Derive while holding the lock: concurrent sessions on the same
-  // backend configuration would execute identical demonstrations, so
-  // serializing the first derivation is the cheapest way to run it once.
-  auto key = std::make_unique<AnswerKey>(derive_answer_key(backend));
-  return *keys_.emplace(name, std::move(key)).first->second;
-}
-
-void AnswerKeyCache::clear() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  keys_.clear();
-  hits_ = 0;
-  misses_ = 0;
-}
-
-const AnswerKey& derive_answer_key_cached(ArithmeticBackend& backend) {
-  return AnswerKeyCache::global().get(backend);
 }
 
 std::array<Truth, kCoreQuestionCount> standard_core_truths() noexcept {

@@ -6,10 +6,6 @@
 #pragma once
 
 #include <array>
-#include <cstdint>
-#include <map>
-#include <memory>
-#include <mutex>
 #include <string>
 
 #include "core/backend.hpp"
@@ -29,34 +25,7 @@ struct AnswerKey {
 };
 
 /// Executes all demonstrations on the given backend.
-AnswerKey derive_answer_key(ArithmeticBackend& backend);
-
-/// Process-wide memo of executed answer keys, keyed by backend name.
-/// Key derivation is deterministic per backend configuration, so the first
-/// quiz session on a backend pays the execution cost and every later
-/// session (under heavy scoring traffic there are many) reuses the same
-/// demonstrations. Thread-safe; entries never move once inserted.
-class AnswerKeyCache {
- public:
-  static AnswerKeyCache& global();
-
-  /// Returns the memoized key for `backend`, deriving it on first use.
-  /// The reference stays valid for the cache's lifetime.
-  const AnswerKey& get(ArithmeticBackend& backend);
-
-  std::uint64_t hits() const noexcept { return hits_; }
-  std::uint64_t misses() const noexcept { return misses_; }
-  void clear();
-
- private:
-  mutable std::mutex mutex_;
-  std::map<std::string, std::unique_ptr<AnswerKey>> keys_;
-  std::uint64_t hits_ = 0;    // guarded by mutex_
-  std::uint64_t misses_ = 0;  // guarded by mutex_
-};
-
-/// derive_answer_key through AnswerKeyCache::global().
-const AnswerKey& derive_answer_key_cached(ArithmeticBackend& backend);
+AnswerKey derive_answer_key(const Backend& backend);
 
 /// The declared standard truths (what an IEEE backend must reproduce).
 std::array<Truth, kCoreQuestionCount> standard_core_truths() noexcept;

@@ -2,10 +2,8 @@
 
 namespace fpq::quiz {
 
-QuizSession::QuizSession(ArithmeticBackend& backend)
-    // Repeated sessions on the same backend configuration hit the memoized
-    // ground truth instead of re-running every demonstration snippet.
-    : key_(derive_answer_key_cached(backend)) {}
+QuizSession::QuizSession(const Backend& backend)
+    : key_(derive_answer_key(backend)) {}
 
 namespace {
 

@@ -3,7 +3,6 @@
 // library's public API and what the examples drive.
 #pragma once
 
-#include <memory>
 #include <string>
 
 #include "core/ground_truth.hpp"
@@ -25,8 +24,7 @@ struct SessionReport {
 class QuizSession {
  public:
   /// Derives the answer key by executing every demonstration on `backend`.
-  /// The backend must outlive the session.
-  explicit QuizSession(ArithmeticBackend& backend);
+  explicit QuizSession(const Backend& backend);
 
   const AnswerKey& key() const noexcept { return key_; }
 

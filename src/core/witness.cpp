@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <span>
 
-#include "core/backend_eval.hpp"
 #include "ir/expr.hpp"
 #include "optprobe/emulated_pipeline.hpp"
 #include "optprobe/flag_audit.hpp"
@@ -22,26 +21,26 @@ std::string num(double x) {
 }
 
 // Every demonstration's arithmetic is an fpq::ir tree executed on the
-// backend through BackendEvaluator; only the sweep loops and verdict
-// branches stay in C++. `ev` is the one evaluation entry point.
-double ev(ArithmeticBackend& b, const ir::Expr& e,
+// backend through quiz::run; only the sweep loops and verdict branches
+// stay in C++. `ev` is the value-only evaluation entry point.
+double ev(const Backend& b, const ir::Expr& e,
           std::initializer_list<double> binds = {}) {
-  return evaluate_on_backend(
-      b, e, std::span<const double>(binds.begin(), binds.size()));
+  return run(b, e, std::span<const double>(binds.begin(), binds.size()))
+      .value;
 }
 
 // Directed operand pool: interesting magnitudes canonicalized into the
 // backend's format (so the binary16 backend sweeps binary16 values).
-std::array<double, 12> operand_pool(ArithmeticBackend& b) {
-  return {b.canonicalize(0.0),    b.canonicalize(-0.0),
-          b.canonicalize(1.0),    b.canonicalize(-1.0),
-          b.canonicalize(0.1),    b.canonicalize(-3.5),
-          b.canonicalize(7.25),   b.canonicalize(1000.0),
-          b.canonicalize(1.0 / 3.0), b.canonicalize(-0.001),
-          b.max_finite(),         b.min_normal()};
+std::array<double, 12> operand_pool(const Backend& b) {
+  return {canonicalize(b, 0.0),       canonicalize(b, -0.0),
+          canonicalize(b, 1.0),       canonicalize(b, -1.0),
+          canonicalize(b, 0.1),       canonicalize(b, -3.5),
+          canonicalize(b, 7.25),      canonicalize(b, 1000.0),
+          canonicalize(b, 1.0 / 3.0), canonicalize(b, -0.001),
+          max_finite(b),              min_normal(b)};
 }
 
-Demonstration demo_commutativity(ArithmeticBackend& b) {
+Demonstration demo_commutativity(const Backend& b) {
   const auto pool = operand_pool(b);
   const ir::Expr x = ir::Expr::variable("x", 0);
   const ir::Expr y = ir::Expr::variable("y", 1);
@@ -49,8 +48,8 @@ Demonstration demo_commutativity(ArithmeticBackend& b) {
   const ir::Expr mul_xy = ir::Expr::mul(x, y);
   for (double xv : pool) {
     for (double yv : pool) {
-      if (!b.equal(ev(b, add_xy, {xv, yv}), ev(b, add_xy, {yv, xv})) ||
-          !b.equal(ev(b, mul_xy, {xv, yv}), ev(b, mul_xy, {yv, xv}))) {
+      if (!equal(b, ev(b, add_xy, {xv, yv}), ev(b, add_xy, {yv, xv})) ||
+          !equal(b, ev(b, mul_xy, {xv, yv}), ev(b, mul_xy, {yv, xv}))) {
         return {Truth::kFalse, "counterexample: x=" + num(xv) +
                                    " y=" + num(yv) +
                                    " (commutativity violated?!)"};
@@ -63,7 +62,7 @@ Demonstration demo_commutativity(ArithmeticBackend& b) {
               "x*y == y*x throughout"};
 }
 
-Demonstration demo_associativity(ArithmeticBackend& b) {
+Demonstration demo_associativity(const Backend& b) {
   const ir::Expr a = ir::Expr::variable("a", 0);
   const ir::Expr n = ir::Expr::variable("n", 1);
   const ir::Expr one_c = ir::Expr::constant(1.0);
@@ -73,39 +72,37 @@ Demonstration demo_associativity(ArithmeticBackend& b) {
   const ir::Expr grow = ir::Expr::mul(a, ir::Expr::constant(2.0));
   const ir::Expr doubled = ir::Expr::add(a, a);
   // Walk 2^k until the rounding of (big + 1) eats the 1.
-  const double one = b.canonicalize(1.0);
-  double big = b.canonicalize(2.0);
+  double big = canonicalize(b, 2.0);
   for (int k = 1; k < 1100; ++k) {
     const double neg = ev(b, neg_tree, {big});             // -big
     const double left = ev(b, left_tree, {big, neg});      // (a+b)+c = 1
     const double right = ev(b, right_tree, {big, neg});    // a+(b+c)
-    if (!b.equal(left, right)) {
+    if (!equal(b, left, right)) {
       return {Truth::kFalse,
               "counterexample: a=" + num(big) + " b=" + num(-big) +
                   " c=1: (a+b)+c = " + num(left) +
                   " but a+(b+c) = " + num(right)};
     }
     big = ev(b, grow, {big});
-    if (b.equal(big, ev(b, doubled, {big}))) break;  // saturated at inf
+    if (equal(b, big, ev(b, doubled, {big}))) break;  // saturated at inf
   }
-  (void)one;
   return {Truth::kTrue, "no counterexample found (unexpected)"};
 }
 
-Demonstration demo_distributivity(ArithmeticBackend& b) {
+Demonstration demo_distributivity(const Backend& b) {
   // a*(b+c) vs a*b + a*c with a = max_finite, b = 2, c = -2:
   // the left side is exactly 0 while the right side overflows both
   // products and collapses to inf + (-inf) = invalid.
   const ir::Expr x = ir::Expr::variable("a", 0);
   const ir::Expr two = ir::Expr::constant(2.0);
   const ir::Expr neg_two = ir::Expr::constant(-2.0);
-  const double a = b.max_finite();
+  const double a = max_finite(b);
   const double lhs = ev(b, ir::Expr::mul(x, ir::Expr::add(two, neg_two)),
                         {a});
   const double rhs =
       ev(b, ir::Expr::add(ir::Expr::mul(x, two), ir::Expr::mul(x, neg_two)),
          {a});
-  if (!b.equal(lhs, rhs)) {
+  if (!equal(b, lhs, rhs)) {
     return {Truth::kFalse,
             "counterexample: a=max_finite, b=2, c=-2: a*(b+c) = 0 but "
             "a*b + a*c = inf + (-inf) = invalid"};
@@ -122,7 +119,7 @@ Demonstration demo_distributivity(ArithmeticBackend& b) {
       for (double zv : pool) {
         const double l = ev(b, l_tree, {xv, yv, zv});
         const double r = ev(b, r_tree, {xv, yv, zv});
-        if (!b.equal(l, r)) {
+        if (!equal(b, l, r)) {
           return {Truth::kFalse, "counterexample: a=" + num(xv) +
                                      " b=" + num(yv) + " c=" + num(zv)};
         }
@@ -132,60 +129,60 @@ Demonstration demo_distributivity(ArithmeticBackend& b) {
   return {Truth::kTrue, "no counterexample found (unexpected)"};
 }
 
-Demonstration demo_ordering(ArithmeticBackend& b) {
+Demonstration demo_ordering(const Backend& b) {
   const ir::Expr a = ir::Expr::variable("a", 0);
   const ir::Expr recovered_tree =
       ir::Expr::sub(ir::Expr::add(a, ir::Expr::constant(1.0)), a);
   const ir::Expr grow = ir::Expr::mul(a, ir::Expr::constant(2.0));
   const ir::Expr doubled = ir::Expr::add(a, a);
-  const double one = b.canonicalize(1.0);
-  double big = b.canonicalize(2.0);
+  const double one = canonicalize(b, 1.0);
+  double big = canonicalize(b, 2.0);
   for (int k = 1; k < 1100; ++k) {
     const double recovered = ev(b, recovered_tree, {big});
-    if (!b.equal(recovered, one)) {
+    if (!equal(b, recovered, one)) {
       return {Truth::kFalse, "counterexample: a=" + num(big) +
                                  " b=1: ((a+b)-a) = " + num(recovered) +
                                  " != 1"};
     }
     big = ev(b, grow, {big});
-    if (b.equal(big, ev(b, doubled, {big}))) break;
+    if (equal(b, big, ev(b, doubled, {big}))) break;
   }
   return {Truth::kTrue, "no counterexample found (unexpected)"};
 }
 
-Demonstration demo_identity(ArithmeticBackend& b) {
+Demonstration demo_identity(const Backend& b) {
   const double nan = ev(
       b, ir::Expr::div(ir::Expr::constant(0.0), ir::Expr::constant(0.0)));
-  if (!b.equal(nan, nan)) {
+  if (!equal(b, nan, nan)) {
     return {Truth::kFalse,
             "counterexample: a = 0.0/0.0 gives a == a false"};
   }
   return {Truth::kTrue, "a == a held even for 0.0/0.0 (unexpected)"};
 }
 
-Demonstration demo_negative_zero(ArithmeticBackend& b) {
-  const double pz = b.canonicalize(0.0);
-  const double nz = b.canonicalize(-0.0);
-  if (b.equal(pz, nz)) {
+Demonstration demo_negative_zero(const Backend& b) {
+  const double pz = canonicalize(b, 0.0);
+  const double nz = canonicalize(b, -0.0);
+  if (equal(b, pz, nz)) {
     return {Truth::kFalse,
             "+0 == -0 compares true: two zeros are never unequal"};
   }
   return {Truth::kTrue, "+0 != -0 on this backend (non-IEEE behavior!)"};
 }
 
-Demonstration demo_square(ArithmeticBackend& b) {
+Demonstration demo_square(const Backend& b) {
   const ir::Expr x = ir::Expr::variable("x", 0);
   const ir::Expr sq_tree = ir::Expr::mul(x, x);
   const auto pool = operand_pool(b);
   for (double xv : pool) {
     const double sq = ev(b, sq_tree, {xv});
-    if (b.less(sq, b.canonicalize(0.0)) || !b.equal(sq, sq)) {
+    if (less(b, sq, canonicalize(b, 0.0)) || !equal(b, sq, sq)) {
       return {Truth::kFalse, "counterexample: x=" + num(xv)};
     }
   }
   // Overflowing square saturates at +inf, still >= 0.
-  const double big_sq = ev(b, sq_tree, {b.max_finite()});
-  if (b.less(big_sq, b.canonicalize(0.0))) {
+  const double big_sq = ev(b, sq_tree, {max_finite(b)});
+  if (less(b, big_sq, canonicalize(b, 0.0))) {
     return {Truth::kFalse, "max_finite^2 came out negative (wrapped?)"};
   }
   return {Truth::kTrue,
@@ -193,10 +190,10 @@ Demonstration demo_square(ArithmeticBackend& b) {
           "saturates at +inf) all compare >= 0"};
 }
 
-Demonstration demo_overflow(ArithmeticBackend& b) {
+Demonstration demo_overflow(const Backend& b) {
   const ir::Expr a = ir::Expr::variable("a", 0);
-  const double doubled = ev(b, ir::Expr::add(a, a), {b.max_finite()});
-  if (b.less(doubled, b.canonicalize(0.0))) {
+  const double doubled = ev(b, ir::Expr::add(a, a), {max_finite(b)});
+  if (less(b, doubled, canonicalize(b, 0.0))) {
     return {Truth::kTrue,
             "max_finite + max_finite wrapped to a negative value"};
   }
@@ -204,10 +201,10 @@ Demonstration demo_overflow(ArithmeticBackend& b) {
                              ": saturates at +infinity, no wrap-around"};
 }
 
-Demonstration demo_divide_by_zero(ArithmeticBackend& b) {
+Demonstration demo_divide_by_zero(const Backend& b) {
   const double r = ev(
       b, ir::Expr::div(ir::Expr::constant(1.0), ir::Expr::constant(0.0)));
-  if (b.equal(r, r)) {
+  if (equal(b, r, r)) {
     return {Truth::kTrue, "1.0/0.0 = " + num(r) +
                               ": an infinity — an ordinary comparable "
                               "value, not an invalid result"};
@@ -215,10 +212,10 @@ Demonstration demo_divide_by_zero(ArithmeticBackend& b) {
   return {Truth::kFalse, "1.0/0.0 produced an invalid result (unexpected)"};
 }
 
-Demonstration demo_zero_divide_by_zero(ArithmeticBackend& b) {
+Demonstration demo_zero_divide_by_zero(const Backend& b) {
   const double r = ev(
       b, ir::Expr::div(ir::Expr::constant(0.0), ir::Expr::constant(0.0)));
-  if (!b.equal(r, r)) {
+  if (!equal(b, r, r)) {
     return {Truth::kFalse,
             "0.0/0.0 is an invalid result (it compares unequal to "
             "itself), so the assertion that it is a non-invalid value is "
@@ -227,29 +224,29 @@ Demonstration demo_zero_divide_by_zero(ArithmeticBackend& b) {
   return {Truth::kTrue, "0.0/0.0 compared equal to itself (unexpected)"};
 }
 
-Demonstration demo_saturation_plus(ArithmeticBackend& b) {
+Demonstration demo_saturation_plus(const Backend& b) {
   const ir::Expr a = ir::Expr::variable("a", 0);
   const ir::Expr plus_one = ir::Expr::add(a, ir::Expr::constant(1.0));
   const double inf = ev(
       b, ir::Expr::div(ir::Expr::constant(1.0), ir::Expr::constant(0.0)));
-  if (b.equal(ev(b, plus_one, {inf}), inf)) {
+  if (equal(b, ev(b, plus_one, {inf}), inf)) {
     return {Truth::kTrue,
             "witness: a = +infinity has (a + 1.0) == a; also a = "
             "max_finite (" +
-                num(b.max_finite()) + ") where 1.0 is below half an ulp"};
+                num(max_finite(b)) + ") where 1.0 is below half an ulp"};
   }
-  if (b.equal(ev(b, plus_one, {b.max_finite()}), b.max_finite())) {
+  if (equal(b, ev(b, plus_one, {max_finite(b)}), max_finite(b))) {
     return {Truth::kTrue, "witness: a = max_finite absorbs + 1.0"};
   }
   return {Truth::kFalse, "no witness found (unexpected)"};
 }
 
-Demonstration demo_saturation_minus(ArithmeticBackend& b) {
+Demonstration demo_saturation_minus(const Backend& b) {
   const ir::Expr a = ir::Expr::variable("a", 0);
   const ir::Expr minus_one = ir::Expr::sub(a, ir::Expr::constant(1.0));
   const double inf = ev(
       b, ir::Expr::div(ir::Expr::constant(1.0), ir::Expr::constant(0.0)));
-  if (b.equal(ev(b, minus_one, {inf}), inf)) {
+  if (equal(b, ev(b, minus_one, {inf}), inf)) {
     return {Truth::kTrue,
             "witness: a = +infinity has (a - 1.0) == a — you cannot back "
             "off from an infinity"};
@@ -257,9 +254,9 @@ Demonstration demo_saturation_minus(ArithmeticBackend& b) {
   return {Truth::kFalse, "no witness found (unexpected)"};
 }
 
-Demonstration demo_denormal_precision(ArithmeticBackend& b) {
-  const double tiny = b.min_subnormal();
-  if (b.equal(tiny, b.canonicalize(0.0))) {
+Demonstration demo_denormal_precision(const Backend& b) {
+  const double tiny = min_subnormal(b);
+  if (equal(b, tiny, canonicalize(b, 0.0))) {
     return {Truth::kTrue,
             "this backend flushes the sub-normal range entirely to zero "
             "(FTZ/DAZ): near zero there is not merely less precision but "
@@ -267,13 +264,13 @@ Demonstration demo_denormal_precision(ArithmeticBackend& b) {
   }
   // At normal scale x * 1.75 is exact; at the bottom of the subnormal
   // range the same multiply must round (only 1 significand bit is left).
-  const double scale = b.canonicalize(1.75);
+  const double scale = canonicalize(b, 1.75);
   const ir::Expr x = ir::Expr::variable("x", 0);
   const ir::Expr ratio_tree = ir::Expr::div(
       ir::Expr::mul(x, ir::Expr::constant(1.75)), x);
   const double near_zero_ratio = ev(b, ratio_tree, {tiny});
-  const double normal_ratio = ev(b, ratio_tree, {b.canonicalize(1.0)});
-  if (b.equal(normal_ratio, scale) && !b.equal(near_zero_ratio, scale)) {
+  const double normal_ratio = ev(b, ratio_tree, {canonicalize(b, 1.0)});
+  if (equal(b, normal_ratio, scale) && !equal(b, near_zero_ratio, scale)) {
     return {Truth::kTrue,
             "witness: x*1.75/x == 1.75 at x = 1.0 but == " +
                 num(near_zero_ratio) +
@@ -284,13 +281,11 @@ Demonstration demo_denormal_precision(ArithmeticBackend& b) {
           "no precision loss observed near zero (unexpected)"};
 }
 
-Demonstration demo_operation_precision(ArithmeticBackend& b) {
-  (void)b.take_conditions();
-  const double r = ev(
+Demonstration demo_operation_precision(const Backend& b) {
+  const RunResult r = run(
       b, ir::Expr::div(ir::Expr::constant(1.0), ir::Expr::constant(3.0)));
-  const auto seen = b.take_conditions();
-  if (seen.test(mon::Condition::kPrecision)) {
-    return {Truth::kTrue, "witness: 1.0/3.0 = " + num(r) +
+  if (r.conditions.test(mon::Condition::kPrecision)) {
+    return {Truth::kTrue, "witness: 1.0/3.0 = " + num(r.value) +
                               " required rounding (inexact was raised): "
                               "the result has less precision than the "
                               "exact quotient"};
@@ -298,15 +293,13 @@ Demonstration demo_operation_precision(ArithmeticBackend& b) {
   return {Truth::kFalse, "1.0/3.0 was exact on this backend (unexpected)"};
 }
 
-Demonstration demo_exception_signal(ArithmeticBackend& b) {
-  (void)b.take_conditions();
-  const double nan = ev(
-      b, ir::Expr::div(ir::Expr::constant(0.0), ir::Expr::constant(0.0)));
-  const double inf = ev(
-      b, ir::Expr::div(ir::Expr::constant(1.0), ir::Expr::constant(0.0)));
-  (void)nan;
-  (void)inf;
-  const auto seen = b.take_conditions();
+Demonstration demo_exception_signal(const Backend& b) {
+  mon::ConditionSet seen =
+      run(b, ir::Expr::div(ir::Expr::constant(0.0), ir::Expr::constant(0.0)))
+          .conditions;
+  seen.merge(
+      run(b, ir::Expr::div(ir::Expr::constant(1.0), ir::Expr::constant(0.0)))
+          .conditions);
   // We are demonstrably still executing: no signal/trap was delivered.
   if (seen.test(mon::Condition::kInvalid) &&
       seen.test(mon::Condition::kDivByZero)) {
@@ -324,7 +317,7 @@ Demonstration demo_exception_signal(ArithmeticBackend& b) {
 }  // namespace
 
 Demonstration demonstrate_core(CoreQuestionId id,
-                               ArithmeticBackend& backend) {
+                               const Backend& backend) {
   switch (id) {
     case CoreQuestionId::kCommutativity:
       return demo_commutativity(backend);

@@ -1,11 +1,11 @@
 // fpq::quiz — executable demonstrations.
 //
 // For every core-quiz question, a demonstration runs concrete operations
-// on an ArithmeticBackend and derives the answer from what actually
-// happened: a universal claim is refuted by a found counterexample or
-// supported by an exhaustive directed sweep; an existential claim is
-// proved by a found witness. The witness text records the concrete values
-// so a skeptical reader can reproduce the behavior by hand.
+// on a Backend and derives the answer from what actually happened: a
+// universal claim is refuted by a found counterexample or supported by an
+// exhaustive directed sweep; an existential claim is proved by a found
+// witness. The witness text records the concrete values so a skeptical
+// reader can reproduce the behavior by hand.
 #pragma once
 
 #include <string>
@@ -22,7 +22,7 @@ struct Demonstration {
 };
 
 /// Runs the demonstration for one core question.
-Demonstration demonstrate_core(CoreQuestionId id, ArithmeticBackend& backend);
+Demonstration demonstrate_core(CoreQuestionId id, const Backend& backend);
 
 /// Runs the demonstration for one T/F optimization question (uses the
 /// emulated pipeline, hardware probes and the flag audit as evidence).

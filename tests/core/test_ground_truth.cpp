@@ -5,7 +5,7 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
+#include <stdexcept>
 #include <string>
 
 #include "core/ground_truth.hpp"
@@ -14,35 +14,34 @@ namespace quiz = fpq::quiz;
 
 namespace {
 
-using Factory = std::unique_ptr<quiz::ArithmeticBackend> (*)();
-
 struct BackendParam {
-  Factory make;
+  const char* backend;  ///< registry row name
   const char* name;
 };
 
 const BackendParam kBackends[] = {
-    {&quiz::make_native_double_backend, "native_double"},
-    {&quiz::make_native_float_backend, "native_float"},
-    {&quiz::make_soft_backend_64, "soft64"},
-    {&quiz::make_soft_backend_32, "soft32"},
-    {&quiz::make_soft_backend_16, "soft16"},
-    {&quiz::make_soft_backend_bf16, "bfloat16"},
+    {"native-binary64", "native_double"},
+    {"native-binary32", "native_float"},
+    {"softfloat-binary64", "soft64"},
+    {"softfloat-binary32", "soft32"},
+    {"softfloat-binary16", "soft16"},
+    {"softfloat-bfloat16", "bfloat16"},
 };
 
 class AnswerKeyOnBackend : public ::testing::TestWithParam<BackendParam> {};
 
 TEST_P(AnswerKeyOnBackend, ExecutedKeyMatchesStandardTruths) {
-  auto backend = GetParam().make();
-  const quiz::AnswerKey key = quiz::derive_answer_key(*backend);
+  const quiz::Backend& backend = quiz::find_backend(GetParam().backend);
+  EXPECT_TRUE(backend.ieee_compliant());
+  const quiz::AnswerKey key = quiz::derive_answer_key(backend);
   std::string mismatch;
   EXPECT_TRUE(quiz::key_matches_standard(key, &mismatch))
-      << "backend " << backend->name() << " diverges on: " << mismatch;
+      << "backend " << backend.name << " diverges on: " << mismatch;
 }
 
 TEST_P(AnswerKeyOnBackend, EveryDemonstrationHasAWitness) {
-  auto backend = GetParam().make();
-  const quiz::AnswerKey key = quiz::derive_answer_key(*backend);
+  const quiz::AnswerKey key =
+      quiz::derive_answer_key(quiz::find_backend(GetParam().backend));
   for (const auto& demo : key.core) {
     EXPECT_FALSE(demo.witness.empty());
     EXPECT_EQ(demo.witness.find("unexpected"), std::string::npos)
@@ -60,9 +59,10 @@ TEST(AnswerKeyFtz, FtzBackendStillDerivesStandardKey) {
   // The FTZ/DAZ backend demonstrates different *witnesses* (flush instead
   // of gradual underflow) but the same T/F key — the divergence story
   // lives in the witnesses and the optprobe demos.
-  auto backend = quiz::make_soft_backend_64_ftz();
-  EXPECT_FALSE(backend->ieee_compliant());
-  const quiz::AnswerKey key = quiz::derive_answer_key(*backend);
+  const quiz::Backend& backend =
+      quiz::find_backend("softfloat-binary64-ftz-daz");
+  EXPECT_FALSE(backend.ieee_compliant());
+  const quiz::AnswerKey key = quiz::derive_answer_key(backend);
   std::string mismatch;
   EXPECT_TRUE(quiz::key_matches_standard(key, &mismatch)) << mismatch;
   // ... and its denormal witness must mention the flush.
@@ -71,6 +71,13 @@ TEST(AnswerKeyFtz, FtzBackendStillDerivesStandardKey) {
           quiz::CoreQuestionId::kDenormalPrecision)];
   EXPECT_NE(denorm_demo.witness.find("flush"), std::string::npos)
       << denorm_demo.witness;
+}
+
+TEST(BackendRegistry, FindBackendResolvesEveryRowAndRejectsUnknownNames) {
+  for (const quiz::Backend& backend : quiz::backend_registry()) {
+    EXPECT_EQ(&quiz::find_backend(backend.name), &backend);
+  }
+  EXPECT_THROW(quiz::find_backend("softfloat-binary128"), std::out_of_range);
 }
 
 TEST(AnswerKey, StandardTruthArraysConsistent) {
@@ -83,8 +90,8 @@ TEST(AnswerKey, StandardTruthArraysConsistent) {
 }
 
 TEST(AnswerKey, RenderIncludesEvidence) {
-  auto backend = quiz::make_soft_backend_64();
-  const quiz::AnswerKey key = quiz::derive_answer_key(*backend);
+  const quiz::AnswerKey key =
+      quiz::derive_answer_key(quiz::find_backend("softfloat-binary64"));
   const std::string out = quiz::render_answer_key(key);
   EXPECT_NE(out.find("Associativity"), std::string::npos);
   EXPECT_NE(out.find("counterexample"), std::string::npos);
@@ -93,8 +100,8 @@ TEST(AnswerKey, RenderIncludesEvidence) {
 }
 
 TEST(AnswerKey, KeyMismatchDetected) {
-  auto backend = quiz::make_soft_backend_64();
-  quiz::AnswerKey key = quiz::derive_answer_key(*backend);
+  quiz::AnswerKey key =
+      quiz::derive_answer_key(quiz::find_backend("softfloat-binary64"));
   key.core[0].truth = quiz::Truth::kFalse;  // corrupt Commutativity
   std::string mismatch;
   EXPECT_FALSE(quiz::key_matches_standard(key, &mismatch));

@@ -7,8 +7,7 @@ namespace quiz = fpq::quiz;
 namespace {
 
 TEST(Session, PerfectSheetsGradePerfect) {
-  auto backend = quiz::make_soft_backend_64();
-  const quiz::QuizSession session(*backend);
+  const quiz::QuizSession session(quiz::find_backend("softfloat-binary64"));
   const auto report = session.grade(session.perfect_core_sheet(),
                                     session.perfect_opt_sheet());
   EXPECT_EQ(report.core.correct, quiz::kCoreQuestionCount);
@@ -19,8 +18,7 @@ TEST(Session, PerfectSheetsGradePerfect) {
 }
 
 TEST(Session, EmptySheetsGradeUnanswered) {
-  auto backend = quiz::make_soft_backend_64();
-  const quiz::QuizSession session(*backend);
+  const quiz::QuizSession session(quiz::find_backend("softfloat-binary64"));
   const auto report = session.grade(quiz::CoreSheet{}, quiz::OptSheet{});
   EXPECT_EQ(report.core.unanswered, quiz::kCoreQuestionCount);
   EXPECT_EQ(report.core_score, 0u);
@@ -28,8 +26,7 @@ TEST(Session, EmptySheetsGradeUnanswered) {
 }
 
 TEST(Session, KeyComesFromBackend) {
-  auto backend = quiz::make_native_double_backend();
-  const quiz::QuizSession session(*backend);
+  const quiz::QuizSession session(quiz::find_backend("native-binary64"));
   EXPECT_EQ(session.key().backend_name, "native-binary64");
   std::string mismatch;
   EXPECT_TRUE(quiz::key_matches_standard(session.key(), &mismatch))
@@ -37,8 +34,7 @@ TEST(Session, KeyComesFromBackend) {
 }
 
 TEST(Session, QuizTextListsAllQuestionsWithoutLabels) {
-  auto backend = quiz::make_soft_backend_64();
-  const quiz::QuizSession session(*backend);
+  const quiz::QuizSession session(quiz::find_backend("softfloat-binary64"));
   const std::string text = session.render_quiz_text();
   EXPECT_NE(text.find("Q1."), std::string::npos);
   EXPECT_NE(text.find("Q19."), std::string::npos) << "15 core + 4 opt";
@@ -50,8 +46,7 @@ TEST(Session, QuizTextListsAllQuestionsWithoutLabels) {
 }
 
 TEST(Session, ReportExplainsIncorrectAnswers) {
-  auto backend = quiz::make_soft_backend_64();
-  const quiz::QuizSession session(*backend);
+  const quiz::QuizSession session(quiz::find_backend("softfloat-binary64"));
   quiz::CoreSheet sheet = session.perfect_core_sheet();
   // Flip Identity (truth False -> answer True).
   sheet[quiz::CoreQuestionId::kIdentity] = quiz::Answer::kTrue;
@@ -63,8 +58,7 @@ TEST(Session, ReportExplainsIncorrectAnswers) {
 }
 
 TEST(Session, ReportShowsChanceLine) {
-  auto backend = quiz::make_soft_backend_64();
-  const quiz::QuizSession session(*backend);
+  const quiz::QuizSession session(quiz::find_backend("softfloat-binary64"));
   const std::string out =
       session.render_report(quiz::CoreSheet{}, quiz::OptSheet{});
   EXPECT_NE(out.find("chance would be 7.5"), std::string::npos);

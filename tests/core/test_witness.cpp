@@ -10,9 +10,9 @@ namespace quiz = fpq::quiz;
 namespace {
 
 TEST(Witness, AssociativityCounterexampleNamesValues) {
-  auto backend = quiz::make_soft_backend_64();
+  const quiz::Backend& backend = quiz::find_backend("softfloat-binary64");
   const auto demo = quiz::demonstrate_core(
-      quiz::CoreQuestionId::kAssociativity, *backend);
+      quiz::CoreQuestionId::kAssociativity, backend);
   EXPECT_EQ(demo.truth, quiz::Truth::kFalse);
   EXPECT_NE(demo.witness.find("counterexample"), std::string::npos);
   EXPECT_NE(demo.witness.find("a="), std::string::npos);
@@ -20,9 +20,9 @@ TEST(Witness, AssociativityCounterexampleNamesValues) {
 
 TEST(Witness, AssociativityOnBinary16FindsSmallCounterexample) {
   // In binary16 the counterexample appears at a = 2^12 = 4096 already.
-  auto backend = quiz::make_soft_backend_16();
+  const quiz::Backend& backend = quiz::find_backend("softfloat-binary16");
   const auto demo = quiz::demonstrate_core(
-      quiz::CoreQuestionId::kAssociativity, *backend);
+      quiz::CoreQuestionId::kAssociativity, backend);
   EXPECT_EQ(demo.truth, quiz::Truth::kFalse);
   EXPECT_NE(demo.witness.find("4096"), std::string::npos) << demo.witness;
 }
@@ -30,42 +30,42 @@ TEST(Witness, AssociativityOnBinary16FindsSmallCounterexample) {
 TEST(Witness, AssociativityOnBinary64FindsItAt2Pow54) {
   // At a = 2^53, b+c = -(2^53 - 1) is still exact; the first power where
   // the inner sum rounds back (tie to even) is 2^54.
-  auto backend = quiz::make_soft_backend_64();
+  const quiz::Backend& backend = quiz::find_backend("softfloat-binary64");
   const auto demo = quiz::demonstrate_core(
-      quiz::CoreQuestionId::kAssociativity, *backend);
+      quiz::CoreQuestionId::kAssociativity, backend);
   EXPECT_NE(demo.witness.find("18014398509481984"), std::string::npos)
       << demo.witness;
 }
 
 TEST(Witness, SaturationWitnessIsInfinity) {
-  auto backend = quiz::make_native_double_backend();
+  const quiz::Backend& backend = quiz::find_backend("native-binary64");
   const auto demo = quiz::demonstrate_core(
-      quiz::CoreQuestionId::kSaturationPlus, *backend);
+      quiz::CoreQuestionId::kSaturationPlus, backend);
   EXPECT_EQ(demo.truth, quiz::Truth::kTrue);
   EXPECT_NE(demo.witness.find("infinity"), std::string::npos);
 }
 
 TEST(Witness, DivideByZeroWitnessShowsInf) {
-  auto backend = quiz::make_soft_backend_64();
+  const quiz::Backend& backend = quiz::find_backend("softfloat-binary64");
   const auto demo = quiz::demonstrate_core(
-      quiz::CoreQuestionId::kDivideByZero, *backend);
+      quiz::CoreQuestionId::kDivideByZero, backend);
   EXPECT_EQ(demo.truth, quiz::Truth::kTrue);
   EXPECT_NE(demo.witness.find("inf"), std::string::npos);
 }
 
 TEST(Witness, ExceptionSignalWitnessShowsFlags) {
-  auto backend = quiz::make_soft_backend_64();
+  const quiz::Backend& backend = quiz::find_backend("softfloat-binary64");
   const auto demo = quiz::demonstrate_core(
-      quiz::CoreQuestionId::kExceptionSignal, *backend);
+      quiz::CoreQuestionId::kExceptionSignal, backend);
   EXPECT_EQ(demo.truth, quiz::Truth::kFalse);
   EXPECT_NE(demo.witness.find("Invalid"), std::string::npos);
   EXPECT_NE(demo.witness.find("no signal"), std::string::npos);
 }
 
 TEST(Witness, DenormalPrecisionShowsRatioDrift) {
-  auto backend = quiz::make_soft_backend_64();
+  const quiz::Backend& backend = quiz::find_backend("softfloat-binary64");
   const auto demo = quiz::demonstrate_core(
-      quiz::CoreQuestionId::kDenormalPrecision, *backend);
+      quiz::CoreQuestionId::kDenormalPrecision, backend);
   EXPECT_EQ(demo.truth, quiz::Truth::kTrue);
   EXPECT_NE(demo.witness.find("min_subnormal"), std::string::npos);
 }

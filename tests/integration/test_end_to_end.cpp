@@ -104,8 +104,8 @@ TEST(EndToEnd, CsvRoundTripPreservesAnalysis) {
 TEST(EndToEnd, GradingAgainstExecutedKeyMatchesDeclaredKey) {
   // The analysis used the declared standard truths; grading against the
   // key executed on the softfloat backend must give identical results.
-  auto backend = quiz::make_soft_backend_64();
-  const quiz::AnswerKey executed = quiz::derive_answer_key(*backend);
+  const quiz::AnswerKey executed =
+      quiz::derive_answer_key(quiz::find_backend("softfloat-binary64"));
   std::array<quiz::Truth, quiz::kCoreQuestionCount> executed_truths{};
   for (std::size_t q = 0; q < quiz::kCoreQuestionCount; ++q) {
     executed_truths[q] = executed.core[q].truth;

@@ -2,9 +2,9 @@
 // (rewrite passes + SoftEvaluator) is BIT-IDENTICAL — values and sticky
 // flags — to the legacy emulated-pipeline evaluator it replaced, across
 // random expressions, every pipeline configuration, and all five rounding
-// modes; the backend tree evaluator reproduces direct backend-op
-// sequences including their ConditionSets; and the quiz answer key
-// derived through the IR path still matches the declared standard.
+// modes; quiz::run reproduces op sequences issued directly on each
+// backend's substrate, including their ConditionSets; and the quiz answer
+// key derived through the IR path still matches the declared standard.
 
 #include <gtest/gtest.h>
 
@@ -17,9 +17,10 @@
 #include <vector>
 
 #include "core/backend.hpp"
-#include "core/backend_eval.hpp"
 #include "core/ground_truth.hpp"
+#include "fpmon/monitor.hpp"
 #include "ir/ir.hpp"
+#include "ir/native_ops.hpp"
 #include "optprobe/emulated_pipeline.hpp"
 #include "softfloat/env.hpp"
 #include "softfloat/ops.hpp"
@@ -29,6 +30,7 @@ namespace ir = fpq::ir;
 namespace sf = fpq::softfloat;
 namespace st = fpq::stats;
 namespace quiz = fpq::quiz;
+namespace mon = fpq::mon;
 using E = ir::Expr;
 using K = ir::ExprKind;
 
@@ -275,10 +277,76 @@ TEST(IrVsLegacy, OptprobeFacadeMatchesLegacyOnItsOwnDemos) {
 }
 
 // ---------------------------------------------------------------------
-// Backend differential: evaluating a tree through BackendEvaluator is the
-// same op sequence a hand-written loop would issue — same result bits,
-// same accumulated ConditionSet — on EVERY backend in the registry.
+// Backend differential: quiz::run of a tree is the same op sequence a
+// hand-written loop would issue directly on the row's substrate — same
+// result bits, same ConditionSet — on EVERY backend in the registry.
 // ---------------------------------------------------------------------
+
+// fma(x, y, z) + sqrt(x*x) - y/z issued directly on the softfloat engine,
+// in one Env carrying the row's flush modes.
+template <int kBits>
+quiz::RunResult direct_soft(const quiz::Backend& b, const double (&xs)[3]) {
+  sf::Env env;
+  env.set_flush_to_zero(b.flush_to_zero);
+  env.set_denormals_are_zero(b.denormals_are_zero);
+  sf::Env quiet;  // operand rounding and widening raise nothing
+  quiet.set_denormals_are_zero(b.denormals_are_zero);
+  auto narrow = [&](double v) {
+    if constexpr (kBits == 64) {
+      return sf::from_native(v);
+    } else {
+      return sf::convert<kBits>(sf::from_native(v), quiet);
+    }
+  };
+  const auto x = narrow(xs[0]);
+  const auto y = narrow(xs[1]);
+  const auto z = narrow(xs[2]);
+  const auto f = sf::fma(x, y, z, env);
+  const auto s = sf::sqrt(sf::mul(x, x, env), env);
+  const auto q = sf::div(y, z, env);
+  const auto r = sf::sub(sf::add(f, s, env), q, env);
+  sf::Env exact;
+  return {sf::to_native(sf::convert<64>(r, exact)),
+          mon::ConditionSet::from_softfloat_flags(env.flags())};
+}
+
+// The same sequence on the host FPU through ir::native's opaque ops,
+// under one ScopedMonitor.
+quiz::RunResult direct_native(const quiz::Backend& b,
+                              const double (&xs)[3]) {
+  namespace nat = ir::native;
+  mon::ScopedMonitor monitor;
+  double r;
+  if (b.format_bits == 64) {
+    const double f = nat::fma64(xs[0], xs[1], xs[2]);
+    const double s = nat::sqrt64(nat::mul64(xs[0], xs[0]));
+    const double q = nat::div64(xs[1], xs[2]);
+    r = nat::sub64(nat::add64(f, s), q);
+  } else {
+    const float x = nat::narrow32(xs[0]);
+    const float y = nat::narrow32(xs[1]);
+    const float z = nat::narrow32(xs[2]);
+    const float f = nat::fma32(x, y, z);
+    const float s = nat::sqrt32(nat::mul32(x, x));
+    const float q = nat::div32(y, z);
+    r = nat::sub32(nat::add32(f, s), q);
+  }
+  return {r, monitor.stop()};
+}
+
+quiz::RunResult direct(const quiz::Backend& b, const double (&xs)[3]) {
+  if (b.native) return direct_native(b, xs);
+  switch (b.format_bits) {
+    case 16:
+      return direct_soft<16>(b, xs);
+    case 32:
+      return direct_soft<32>(b, xs);
+    case sf::kBFloat16:
+      return direct_soft<sf::kBFloat16>(b, xs);
+    default:
+      return direct_soft<64>(b, xs);
+  }
+}
 
 TEST(IrVsBackends, TreeEvaluationMatchesDirectOpSequences) {
   const double pool[] = {0.0,  -0.0, 1.0,   0.1,  -2.5,
@@ -286,48 +354,40 @@ TEST(IrVsBackends, TreeEvaluationMatchesDirectOpSequences) {
   const auto x = E::variable("x", 0);
   const auto y = E::variable("y", 1);
   const auto z = E::variable("z", 2);
-  // fma(x, y, z) + sqrt(x*x) - y/z : touches every new virtual.
   const auto tree =
       E::sub(E::add(E::fma(x, y, z), E::sqrt(E::mul(x, x))), E::div(y, z));
-  for (const auto& backend : quiz::make_all_backends()) {
+  for (const quiz::Backend& backend : quiz::backend_registry()) {
     st::Xoshiro256pp g(0xBEEF);
     for (int i = 0; i < 64; ++i) {
       const double xs[] = {pool[st::uniform_below(g, std::size(pool))],
                            pool[st::uniform_below(g, std::size(pool))],
                            pool[st::uniform_below(g, std::size(pool))]};
-      (void)backend->take_conditions();
-      const double via_tree = fpq::quiz::evaluate_on_backend(
-          *backend, tree, std::span<const double>(xs));
-      const auto tree_conditions = backend->take_conditions();
-      const double f = backend->fma(xs[0], xs[1], xs[2]);
-      const double s = backend->sqrt(backend->mul(xs[0], xs[0]));
-      const double q = backend->div(xs[1], xs[2]);
-      const double direct = backend->sub(backend->add(f, s), q);
-      const auto direct_conditions = backend->take_conditions();
-      ASSERT_EQ(std::bit_cast<std::uint64_t>(via_tree),
-                std::bit_cast<std::uint64_t>(direct))
-          << backend->name() << " x=" << xs[0] << " y=" << xs[1]
+      const quiz::RunResult via_tree = quiz::run(backend, tree, xs);
+      const quiz::RunResult by_hand = direct(backend, xs);
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(via_tree.value),
+                std::bit_cast<std::uint64_t>(by_hand.value))
+          << backend.name << " x=" << xs[0] << " y=" << xs[1]
           << " z=" << xs[2];
-      ASSERT_EQ(tree_conditions, direct_conditions)
-          << backend->name() << ": " << tree_conditions.to_string()
-          << " vs " << direct_conditions.to_string();
+      ASSERT_EQ(via_tree.conditions, by_hand.conditions)
+          << backend.name << ": " << via_tree.conditions.to_string()
+          << " vs " << by_hand.conditions.to_string();
     }
   }
 }
 
 // ---------------------------------------------------------------------
-// The answer key: ground truth is now derived by executing IR trees on
-// each backend (witness.cpp evaluates through BackendEvaluator), and the
+// The answer key: ground truth is derived by executing IR trees on each
+// registry row (witness.cpp evaluates through quiz::run), and the
 // executed key must still match the declared standard truths everywhere —
 // the FTZ backend included, whose divergence lives in its witnesses.
 // ---------------------------------------------------------------------
 
 TEST(IrAnswerKey, EveryRegistryBackendStillMatchesTheStandardKey) {
-  for (const auto& backend : quiz::make_all_backends()) {
-    const auto key = quiz::derive_answer_key(*backend);
+  for (const quiz::Backend& backend : quiz::backend_registry()) {
+    const auto key = quiz::derive_answer_key(backend);
     std::string mismatch;
     EXPECT_TRUE(quiz::key_matches_standard(key, &mismatch))
-        << backend->name() << " diverged at " << mismatch;
+        << backend.name << " diverged at " << mismatch;
   }
 }
 

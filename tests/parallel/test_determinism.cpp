@@ -174,21 +174,4 @@ INSTANTIATE_TEST_SUITE_P(Lanes, DeterminismTest,
                            return "threads" + std::to_string(info.param);
                          });
 
-TEST(AnswerKeyCache, RepeatedSessionsHitTheMemoizedKey) {
-  auto& cache = quiz::AnswerKeyCache::global();
-  cache.clear();
-  const auto backend = quiz::make_native_double_backend();
-  const quiz::AnswerKey& first = quiz::derive_answer_key_cached(*backend);
-  EXPECT_EQ(cache.misses(), 1u);
-  const quiz::AnswerKey& second = quiz::derive_answer_key_cached(*backend);
-  EXPECT_EQ(&first, &second);  // same memoized object, not a re-derivation
-  EXPECT_GE(cache.hits(), 1u);
-  // And the memoized key matches a fresh derivation exactly.
-  const quiz::AnswerKey fresh = quiz::derive_answer_key(*backend);
-  for (std::size_t i = 0; i < quiz::kCoreQuestionCount; ++i) {
-    EXPECT_EQ(first.core[i].truth, fresh.core[i].truth);
-  }
-  cache.clear();
-}
-
 }  // namespace
