@@ -1,5 +1,5 @@
 // Performance of the softfloat engine vs host hardware (google-benchmark),
-// plus the sharded exhaustive binary16 differential sweep at several
+// plus the binary16 rows of the sweep32 differential grid at several
 // thread counts (the parallel engine's scaling benchmark).
 //
 // Not a paper figure — an engineering characterization of the substrate:
@@ -33,7 +33,7 @@
 
 #include "bench_common.hpp"
 #include "ir/ir.hpp"
-#include "parallel/oracle_sweep.hpp"
+#include "parallel/sweep32.hpp"
 #include "parallel/thread_pool.hpp"
 #include "softfloat/ops.hpp"
 #include "stats/prng.hpp"
@@ -250,25 +250,34 @@ BENCHMARK(BM_DirectSoftHorner64);
 BENCHMARK(BM_IrTreeWalkHorner64);
 BENCHMARK(BM_IrTapeHorner64);
 
-// The sharded exhaustive binary16 differential sweep (all 2^16 first
-// operands x sampled partners, six ops, five rounding modes). Same work
-// at every thread count, so the reported real times give the scaling
-// curve directly.
+// The binary16 rows of the sweep32 grid: sqrt16 over all 2^16 encodings
+// and the five pair rows over every first operand x 2 partners, five
+// rounding modes each. Same work at every thread count, so the reported
+// real times give the scaling curve directly.
 void BM_ExhaustiveBinary16Sweep(benchmark::State& state, int threads) {
-  fpq::parallel::ThreadPool pool(static_cast<std::size_t>(threads));
-  fpq::parallel::ExhaustiveConfig config;
-  config.samples_per_operand = 2;  // bench-sized; tests use more
+  namespace sw = fpq::parallel::sweep32;
+  constexpr sw::SweepOp kRows[] = {
+      sw::SweepOp::kSqrt16, sw::SweepOp::kAdd16, sw::SweepOp::kSub16,
+      sw::SweepOp::kMul16,  sw::SweepOp::kDiv16, sw::SweepOp::kFma16,
+  };
   std::uint64_t checked = 0;
   for (auto _ : state) {
-    const auto report = fpq::parallel::run_exhaustive_binary16(pool, config);
-    if (report.mismatches != 0) {
-      const std::string msg =
-          "differential mismatch: " + report.first_mismatch;
-      state.SkipWithError(msg.c_str());
-      return;
+    for (const sw::SweepOp op : kRows) {
+      sw::Sweep32Config config;
+      config.op = op;
+      config.end = op == sw::SweepOp::kSqrt16 ? 0 : 2 * 0x10000;
+      config.chunk_bits = 12;
+      config.threads = static_cast<std::size_t>(threads);
+      const sw::Sweep32Report report = sw::run_sweep32(config);
+      if (report.mismatches != 0) {
+        const std::string msg = "differential mismatch: " +
+                                report.mismatch_samples.front();
+        state.SkipWithError(msg.c_str());
+        return;
+      }
+      checked += report.checked;
+      benchmark::DoNotOptimize(report.checked);
     }
-    checked += report.checked;
-    benchmark::DoNotOptimize(report.checked);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(checked));
 }

@@ -1,7 +1,7 @@
-// The 2^32 differential sweep driver: races the softfloat batch kernels
+// The differential verification driver: races the softfloat engine
 // against the host FPU / independent references (and, for sqrt, the tape
-// engines) over the full binary32 pattern space, sharded and checkpointed
-// so a run can be killed and resumed, or time-boxed for CI slices.
+// engines) over a row's whole pattern space, sharded and checkpointed so
+// a run can be killed and resumed, or time-boxed for CI slices.
 //
 //   bench_sweep32 [--op NAME] [--modes N] [--threads N] [--begin N]
 //                 [--end N] [--chunk-bits N] [--manifest FILE]
@@ -9,8 +9,14 @@
 //                 [--no-hardware] [--corpus N] [--json FILE]
 //                 [--variant NAME]
 //
-// --op: sqrt (default), round_int, to_b16, to_b64, to_bf16, from_b16,
-//       from_bf16, corpus (corner corpus only), all (every sweep op).
+// --op: a grid row, corpus (corner corpus only) or all (every row).
+//       binary32 (2^32 patterns unless noted): sqrt (default),
+//       round_int, to_b16, to_b64, to_bf16, from_b16 and from_bf16
+//       (2^16 each).
+//       binary16 against the exact references, bitwise: sqrt16 (2^16),
+//       add16, sub16, mul16, div16, fma16 (every (a, b) pair, 2^32),
+//       sample16 (2^32 draws).
+//       host FPU, four modes: sample32, sample64 (2^32 draws).
 // --modes: how many of the five rounding modes to sweep (default all 5).
 // --corpus N: also run the corner corpus with N random cases per mode.
 // --json: PerfJson output path (default BENCH_sweep32.json).
@@ -24,8 +30,12 @@
 // Exits nonzero on any lane mismatch — the sweep IS the assertion. An
 // interrupted run exits 0 with "incomplete" status as long as the shards
 // it DID verify all agreed; rerun with the same --manifest to continue.
+// A non-numeric or out-of-range number exits 2.
 
+#include <cctype>
+#include <cerrno>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -59,38 +69,50 @@ struct Cli {
   std::string variant;  ///< empty = best available
 };
 
+/// Parses a whole decimal/hex/octal number no larger than `max`; rejects
+/// signs, trailing characters and overflow.
+bool parse_number(const char* text, std::uint64_t max, std::uint64_t& out) {
+  if (!std::isdigit(static_cast<unsigned char>(text[0]))) return false;
+  errno = 0;
+  char* rest = nullptr;
+  out = std::strtoull(text, &rest, 0);
+  return errno == 0 && *rest == '\0' && out <= max;
+}
+
 bool parse(int argc, char** argv, Cli& cli) {
+  constexpr std::uint64_t kSpace = std::uint64_t{1} << 32;
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
-    auto next = [&](std::uint64_t& out) {
+    bool number_ok = true;
+    auto next = [&](std::uint64_t max, std::uint64_t& out) {
       if (i + 1 >= argc) return false;
-      out = std::strtoull(argv[++i], nullptr, 0);
+      number_ok = parse_number(argv[++i], max, out);
       return true;
     };
     std::uint64_t v = 0;
     if (a == "--op" && i + 1 < argc) {
       cli.op = argv[++i];
-    } else if (a == "--modes" && next(v)) {
+    } else if (a == "--modes" && next(5, v)) {
       cli.modes = static_cast<std::size_t>(v);
-    } else if (a == "--threads" && next(v)) {
+    } else if (a == "--threads" && next(1024, v)) {
       cli.threads = static_cast<std::size_t>(v);
-    } else if (a == "--begin" && next(v)) {
+    } else if (a == "--begin" && next(kSpace, v)) {
       cli.begin = v;
-    } else if (a == "--end" && next(v)) {
+    } else if (a == "--end" && next(kSpace, v)) {
       cli.end = v;
-    } else if (a == "--chunk-bits" && next(v)) {
+    } else if (a == "--chunk-bits" && next(32, v)) {
       cli.chunk_bits = static_cast<int>(v);
     } else if (a == "--manifest" && i + 1 < argc) {
       cli.manifest = argv[++i];
-    } else if (a == "--deadline-ms" && next(v)) {
+    } else if (a == "--deadline-ms" && next(INT64_MAX, v)) {
       cli.deadline_ms = v;
-    } else if (a == "--max-shards" && next(v)) {
+    } else if (a == "--max-shards" && next(SIZE_MAX, v)) {
       cli.max_shards = static_cast<std::size_t>(v);
     } else if (a == "--no-tape") {
       cli.tape = false;
     } else if (a == "--no-hardware") {
       cli.hardware = false;
-    } else if (a == "--corpus" && next(v)) {
+    } else if (a == "--corpus" && next(SIZE_MAX, v)) {
       cli.corpus = static_cast<std::size_t>(v);
     } else if (a == "--json" && i + 1 < argc) {
       cli.json = argv[++i];
@@ -98,6 +120,11 @@ bool parse(int argc, char** argv, Cli& cli) {
       cli.variant = argv[++i];
     } else {
       std::fprintf(stderr, "bench_sweep32: bad argument '%s'\n", a.c_str());
+      return false;
+    }
+    if (!number_ok) {
+      std::fprintf(stderr, "bench_sweep32: bad number '%s' for %s\n",
+                   argv[i], a.c_str());
       return false;
     }
   }
@@ -108,9 +135,9 @@ bool parse(int argc, char** argv, Cli& cli) {
   return true;
 }
 
-bool op_from_name(const std::string& name, sw::UnaryOp32& out) {
-  for (const sw::UnaryOp32 op : sw::kAllUnaryOps32) {
-    if (name == sw::unary_op32_name(op)) {
+bool op_from_name(const std::string& name, sw::SweepOp& out) {
+  for (const sw::SweepOp op : sw::kAllSweepOps) {
+    if (name == sw::sweep_op_name(op)) {
       out = op;
       return true;
     }
@@ -122,7 +149,7 @@ bool op_from_name(const std::string& name, sw::UnaryOp32& out) {
 /// With `multi` (--op all) the manifest path gets a per-op suffix — each
 /// op is its own sweep identity, so sharing one file would make the
 /// second op refuse to resume.
-bool run_op(const Cli& cli, sw::UnaryOp32 op, fpq::bench::PerfJson& json,
+bool run_op(const Cli& cli, sw::SweepOp op, fpq::bench::PerfJson& json,
             bool multi = false) {
   sw::Sweep32Config config;
   config.op = op;
@@ -134,7 +161,7 @@ bool run_op(const Cli& cli, sw::UnaryOp32 op, fpq::bench::PerfJson& json,
   config.threads = cli.threads;
   config.manifest_path = cli.manifest;
   if (multi && !config.manifest_path.empty()) {
-    config.manifest_path += std::string(".") + sw::unary_op32_name(op);
+    config.manifest_path += std::string(".") + sw::sweep_op_name(op);
   }
   config.deadline = std::chrono::milliseconds(cli.deadline_ms);
   config.max_shards = cli.max_shards;
@@ -152,7 +179,7 @@ bool run_op(const Cli& cli, sw::UnaryOp32 op, fpq::bench::PerfJson& json,
   std::printf(
       "sweep32/%-9s shards %llu/%llu done (%llu this run)  "
       "checked %llu (this run %llu, %.3g values/s)  mismatches %llu%s%s\n",
-      sw::unary_op32_name(op),
+      sw::sweep_op_name(op),
       static_cast<unsigned long long>(report.done_shards),
       static_cast<unsigned long long>(report.total_shards),
       static_cast<unsigned long long>(report.run_shards),
@@ -163,7 +190,7 @@ bool run_op(const Cli& cli, sw::UnaryOp32 op, fpq::bench::PerfJson& json,
       report.complete ? "  [complete]" : "  [incomplete]");
   if (report.complete) {
     std::printf("sweep32/%-9s fingerprint 0x%016llx\n",
-                sw::unary_op32_name(op),
+                sw::sweep_op_name(op),
                 static_cast<unsigned long long>(report.fingerprint));
   }
   for (const std::string& s : report.mismatch_samples) {
@@ -171,7 +198,7 @@ bool run_op(const Cli& cli, sw::UnaryOp32 op, fpq::bench::PerfJson& json,
   }
 
   fpq::bench::PerfRow row;
-  row.name = std::string("sweep32/") + sw::unary_op32_name(op);
+  row.name = std::string("sweep32/") + sw::sweep_op_name(op);
   row.ns_per_op = vps > 0.0 ? 1e9 / vps : 0.0;
   row.ops_per_s = vps;
   row.threads = static_cast<int>(
@@ -211,11 +238,11 @@ int main(int argc, char** argv) {
     if (cli.op == "corpus") {
       cli.corpus_only = true;
     } else if (cli.op == "all") {
-      for (const sw::UnaryOp32 op : sw::kAllUnaryOps32) {
+      for (const sw::SweepOp op : sw::kAllSweepOps) {
         ok = run_op(cli, op, json, /*multi=*/true) && ok;
       }
     } else {
-      sw::UnaryOp32 op{};
+      sw::SweepOp op{};
       if (!op_from_name(cli.op, op)) {
         std::fprintf(stderr, "bench_sweep32: unknown --op '%s'\n",
                      cli.op.c_str());

@@ -31,7 +31,12 @@ namespace fpq::parallel::sweep32 {
 namespace {
 
 using sweep_detail::fenv_mode_of;
+using sweep_detail::hw_add;
+using sweep_detail::hw_div;
+using sweep_detail::hw_fma;
+using sweep_detail::hw_mul;
 using sweep_detail::hw_sqrt;
+using sweep_detail::hw_sub;
 using sweep_detail::ScopedFenvRounding;
 using sweep_detail::Sm64;
 
@@ -52,9 +57,9 @@ std::uint64_t fold(std::uint64_t h, std::uint64_t result_bits,
   return mix64(h ^ (result_bits * 0x9E3779B97F4A7C15ULL) ^ flags);
 }
 
-/// NaN-tolerant comparison for the native-hardware lane (NaN payload
-/// conventions differ across vendors; any NaN matches any NaN — the same
-/// policy oracle_sweep uses for its native sweeps).
+/// NaN-tolerant comparison for the host-FPU lanes (NaN payload
+/// conventions differ across vendors; any NaN matches any NaN). Lanes
+/// against the exact references compare bitwise instead.
 template <int kBits>
 bool same_result(sf::Float<kBits> x, sf::Float<kBits> y) noexcept {
   return (x.is_nan() && y.is_nan()) || x.bits == y.bits;
@@ -68,10 +73,7 @@ struct ShardDone {
 };
 
 /// One chunk's in-flight result (ShardDone plus diagnostics).
-struct ChunkStats {
-  std::uint64_t fingerprint = 0;
-  std::uint64_t checked = 0;
-  std::uint64_t mismatches = 0;
+struct ChunkStats : ShardDone {
   std::vector<std::string> samples;
 
   void note(std::size_t budget, const std::string& text) {
@@ -458,110 +460,323 @@ ChunkStats run_convert_to32_chunk(const Sweep32Config& cfg,
   return st;
 }
 
-ChunkStats run_chunk(const Sweep32Config& cfg, sf::Rounding mode,
-                     std::uint64_t p0, std::uint64_t p1,
-                     const ir::Tape* tape) {
-  switch (cfg.op) {
-    case UnaryOp32::kSqrt:
-      return run_sqrt_chunk(cfg, mode, p0, p1, tape);
-    case UnaryOp32::kRoundToIntegral:
-      return run_round_int_chunk(cfg, mode, p0, p1);
-    case UnaryOp32::kToBinary16:
-      return run_convert_from32_chunk<16>(cfg, "convert32to16", mode, p0,
-                                          p1, ref_narrow16);
-    case UnaryOp32::kToBinary64:
-      return run_convert_from32_chunk<64>(
-          cfg, "convert32to64", mode, p0, p1,
-          [](sf::Float32 a, sf::Rounding) { return ref_widen64(a); });
-    case UnaryOp32::kToBFloat16:
-      return run_convert_from32_chunk<sf::kBFloat16>(
-          cfg, "convert32tobf16", mode, p0, p1, ref_narrow_bf16);
-    case UnaryOp32::kFromBinary16:
-      return run_convert_to32_chunk<16>(cfg, "convert16to32", mode, p0, p1,
-                                        ref_widen_from16);
-    case UnaryOp32::kFromBFloat16:
-      return run_convert_to32_chunk<sf::kBFloat16>(
-          cfg, "convertbf16to32", mode, p0, p1, ref_widen_from_bf16);
+// -- Scalar rows: binary16 and the host samples -----------------------------
+
+/// The six arithmetic ops of the scalar rows, in the order of the pair
+/// rows kAdd16 ... kFma16.
+enum class Arith : std::uint8_t { kAdd, kSub, kMul, kDiv, kFma, kSqrt };
+constexpr const char* kArithNames[] = {"add", "sub", "mul",
+                                       "div", "fma", "sqrt"};
+
+/// One check of a scalar row: an op and its operands (b and c unused by
+/// the ops that take fewer).
+template <int kBits>
+struct Case {
+  Arith op;
+  sf::Float<kBits> a, b, c;
+};
+
+template <int kBits>
+sf::Float<kBits> soft_result(const Case<kBits>& k, sf::Env& env) {
+  switch (k.op) {
+    case Arith::kAdd:
+      return sf::add(k.a, k.b, env);
+    case Arith::kSub:
+      return sf::sub(k.a, k.b, env);
+    case Arith::kMul:
+      return sf::mul(k.a, k.b, env);
+    case Arith::kDiv:
+      return sf::div(k.a, k.b, env);
+    case Arith::kSqrt:
+      return sf::sqrt(k.a, env);
+    case Arith::kFma:
+      return sf::fma(k.a, k.b, k.c, env);
   }
   return {};
 }
 
-}  // namespace
-
-const char* unary_op32_name(UnaryOp32 op) noexcept {
-  switch (op) {
-    case UnaryOp32::kSqrt:
-      return "sqrt";
-    case UnaryOp32::kRoundToIntegral:
-      return "round_int";
-    case UnaryOp32::kToBinary16:
-      return "to_b16";
-    case UnaryOp32::kToBinary64:
-      return "to_b64";
-    case UnaryOp32::kToBFloat16:
-      return "to_bf16";
-    case UnaryOp32::kFromBinary16:
-      return "from_b16";
-    case UnaryOp32::kFromBFloat16:
-      return "from_bf16";
+/// The exact references (binary16 and binary32).
+template <int kBits>
+sf::Float<kBits> ref_result(const Case<kBits>& k, sf::Rounding mode) {
+  switch (k.op) {
+    case Arith::kAdd:
+      return ref_add(k.a, k.b, mode);
+    case Arith::kSub:
+      return ref_sub(k.a, k.b, mode);
+    case Arith::kMul:
+      return ref_mul(k.a, k.b, mode);
+    case Arith::kDiv:
+      return ref_div(k.a, k.b, mode);
+    case Arith::kSqrt:
+      return ref_sqrt(k.a, mode);
+    case Arith::kFma:
+      return ref_fma(k.a, k.b, k.c, mode);
   }
-  return "?";
+  return {};
 }
 
-std::uint64_t op_space_size(UnaryOp32 op) noexcept {
+/// The host FPU's answer at the same width, under the ambient fenv
+/// direction.
+template <int kBits>
+sf::Float<kBits> host_result(const Case<kBits>& k) {
+  const auto a = sf::to_native(k.a);
+  const auto b = sf::to_native(k.b);
+  switch (k.op) {
+    case Arith::kAdd:
+      return sf::from_native(hw_add(a, b));
+    case Arith::kSub:
+      return sf::from_native(hw_sub(a, b));
+    case Arith::kMul:
+      return sf::from_native(hw_mul(a, b));
+    case Arith::kDiv:
+      return sf::from_native(hw_div(a, b));
+    case Arith::kSqrt:
+      return sf::from_native(hw_sqrt(a));
+    case Arith::kFma:
+      return sf::from_native(hw_fma(a, b, sf::to_native(k.c)));
+  }
+  return {};
+}
+
+template <int kBits>
+std::string describe_case(const char* lane, sf::Rounding mode,
+                          const Case<kBits>& k, sf::Float<kBits> got,
+                          sf::Float<kBits> want) {
+  std::ostringstream os;
+  os << lane << "/" << kArithNames[static_cast<int>(k.op)]
+     << " mode=" << sf::rounding_to_string(mode)
+     << " a=" << sf::describe(k.a);
+  if (k.op != Arith::kSqrt) os << " b=" << sf::describe(k.b);
+  if (k.op == Arith::kFma) os << " c=" << sf::describe(k.c);
+  os << " soft=" << sf::describe(got) << " ref=" << sf::describe(want);
+  return os.str();
+}
+
+/// A scalar row's chunk: each pattern decodes to one Case; the soft op's
+/// value and flags are folded into the fingerprint and raced against the
+/// exact references (binary16, bitwise) or the host FPU at the same width
+/// under the sweep mode (binary32/64, any NaN matches any NaN).
+template <int kBits, typename Decode>
+ChunkStats run_case_chunk(const Sweep32Config& cfg, sf::Rounding mode,
+                          std::uint64_t p0, std::uint64_t p1,
+                          Decode decode) {
+  // The soft ops are integer code; the guard sets the direction the host
+  // lane and the references' wide step compute under, once per chunk.
+  const ScopedFenvRounding guard(fenv_mode_of(mode));
+  ChunkStats st;
+  st.checked = p1 - p0;
+  for (std::uint64_t p = p0; p < p1; ++p) {
+    const Case<kBits> k = decode(p);
+    sf::Env env(mode);
+    const sf::Float<kBits> got = soft_result(k, env);
+    st.fingerprint = fold(st.fingerprint, got.bits, env.flags());
+    if (!cfg.race_hardware) continue;
+    sf::Float<kBits> want;
+    if constexpr (kBits == 16) {
+      want = ref_result(k, mode);
+    } else {
+      want = host_result(k);
+    }
+    if (kBits == 16 ? got.bits != want.bits : !same_result(got, want)) {
+      st.note(cfg.max_mismatch_reports,
+              describe_case(sweep_op_name(cfg.op), mode, k, got, want));
+    }
+  }
+  return st;
+}
+
+// The pair mapping's odd multiplier (a bijection mod 2^16 that spreads
+// consecutive partner indices over the encodings) and its inverse.
+constexpr std::uint32_t kScramble = 0x9E37;
+constexpr std::uint32_t kUnscramble = 0x7787;  // kScramble^-1 mod 2^16
+static_assert(((kScramble * kUnscramble) & 0xFFFFu) == 1);
+
+/// A bijection on 16 bits (odd multiply, then xorshift): every a starts
+/// its run of partners at an offset no other a shares.
+constexpr std::uint16_t mix16(std::uint16_t a) noexcept {
+  const auto x = static_cast<std::uint16_t>(a * 0x2D4Bu);
+  return static_cast<std::uint16_t>(x ^ (x >> 7));
+}
+
+/// Seeds the sample rows' per-pattern operand streams.
+constexpr std::uint64_t kSampleSeed = 0x5EED16;
+
+/// A sample row's pattern: op p % 6, operand class (p / 6) % 4, operands
+/// drawn from shard_seed(kSampleSeed, p).
+template <int kBits>
+Case<kBits> sample_case(std::uint64_t p) {
+  using F = sf::Float<kBits>;
+  const auto op = static_cast<Arith>(p % 6);
+  const auto cls = static_cast<OperandClass>((p / 6) % 4);
+  Sm64 g(shard_seed(kSampleSeed, p));
+  Case<kBits> k{op, F{gen_operand<kBits>(cls, g)}, F{}, F{}};
+  if (op != Arith::kSqrt) k.b = F{gen_operand<kBits>(cls, g)};
+  if (op == Arith::kFma) k.c = F{gen_operand<kBits>(cls, g)};
+  return k;
+}
+
+ChunkStats run_chunk(const Sweep32Config& cfg, sf::Rounding mode,
+                     std::uint64_t p0, std::uint64_t p1,
+                     const ir::Tape* tape) {
+  switch (cfg.op) {
+    case SweepOp::kSqrt:
+      return run_sqrt_chunk(cfg, mode, p0, p1, tape);
+    case SweepOp::kRoundToIntegral:
+      return run_round_int_chunk(cfg, mode, p0, p1);
+    case SweepOp::kToBinary16:
+      return run_convert_from32_chunk<16>(cfg, "convert32to16", mode, p0,
+                                          p1, ref_narrow16);
+    case SweepOp::kToBinary64:
+      return run_convert_from32_chunk<64>(
+          cfg, "convert32to64", mode, p0, p1,
+          [](sf::Float32 a, sf::Rounding) { return ref_widen64(a); });
+    case SweepOp::kToBFloat16:
+      return run_convert_from32_chunk<sf::kBFloat16>(
+          cfg, "convert32tobf16", mode, p0, p1, ref_narrow_bf16);
+    case SweepOp::kFromBinary16:
+      return run_convert_to32_chunk<16>(cfg, "convert16to32", mode, p0, p1,
+                                        ref_widen_from16);
+    case SweepOp::kFromBFloat16:
+      return run_convert_to32_chunk<sf::kBFloat16>(
+          cfg, "convertbf16to32", mode, p0, p1, ref_widen_from_bf16);
+    case SweepOp::kSqrt16:
+      return run_case_chunk<16>(cfg, mode, p0, p1, [](std::uint64_t p) {
+        const sf::Float16 a{static_cast<std::uint16_t>(p)};
+        return Case<16>{Arith::kSqrt, a, {}, {}};
+      });
+    case SweepOp::kAdd16:
+    case SweepOp::kSub16:
+    case SweepOp::kMul16:
+    case SweepOp::kDiv16:
+    case SweepOp::kFma16: {
+      const auto op = static_cast<Arith>(static_cast<int>(cfg.op) -
+                                         static_cast<int>(SweepOp::kAdd16));
+      return run_case_chunk<16>(cfg, mode, p0, p1, [op](std::uint64_t p) {
+        const Pair16 ab = decode_pair16(static_cast<std::uint32_t>(p));
+        // fma's addend is a hash of the pattern.
+        const auto c = static_cast<std::uint16_t>(
+            op == Arith::kFma ? mix64(p) >> 48 : 0);
+        return Case<16>{op, sf::Float16{ab.a}, sf::Float16{ab.b},
+                        sf::Float16{c}};
+      });
+    }
+    case SweepOp::kSample16:
+      return run_case_chunk<16>(cfg, mode, p0, p1, sample_case<16>);
+    case SweepOp::kSample32:
+      return run_case_chunk<32>(cfg, mode, p0, p1, sample_case<32>);
+    case SweepOp::kSample64:
+      return run_case_chunk<64>(cfg, mode, p0, p1, sample_case<64>);
+  }
+  return {};
+}
+
+/// The host rows race the host FPU, which has no roundTiesToAway.
+bool grid_has_mode(SweepOp op, sf::Rounding mode) noexcept {
+  return mode != sf::Rounding::kNearestAway ||
+         (op != SweepOp::kSample32 && op != SweepOp::kSample64);
+}
+
+/// The sweep's pattern grid, resolved in one place for the identity, the
+/// shard count and the run.
+struct Grid {
+  std::uint64_t end = 0;     ///< config.end, or the op's space size
+  std::uint64_t chunk = 0;   ///< patterns per shard
+  std::uint64_t chunks = 0;  ///< shards per mode; 0 outside the bounds
+};
+
+Grid grid_of(const Sweep32Config& config) noexcept {
+  Grid g;
+  g.end = config.end != 0 ? config.end : op_space_size(config.op);
+  if (config.chunk_bits < 1 || config.chunk_bits > 32 ||
+      config.begin >= g.end) {
+    return g;
+  }
+  g.chunk = std::uint64_t{1} << config.chunk_bits;
+  g.chunks = (g.end - config.begin + g.chunk - 1) / g.chunk;
+  return g;
+}
+
+}  // namespace
+
+const char* sweep_op_name(SweepOp op) noexcept {
+  static constexpr const char* kNames[] = {
+      "sqrt",     "round_int", "to_b16", "to_b64",   "to_bf16",
+      "from_b16", "from_bf16", "sqrt16", "add16",    "sub16",
+      "mul16",    "div16",     "fma16",  "sample16", "sample32",
+      "sample64",
+  };
+  static_assert(std::size(kNames) == std::size(kAllSweepOps));
+  const auto i = static_cast<std::size_t>(op);
+  return i < std::size(kNames) ? kNames[i] : "?";
+}
+
+std::uint64_t op_space_size(SweepOp op) noexcept {
   switch (op) {
-    case UnaryOp32::kFromBinary16:
-    case UnaryOp32::kFromBFloat16:
+    case SweepOp::kFromBinary16:
+    case SweepOp::kFromBFloat16:
+    case SweepOp::kSqrt16:
       return std::uint64_t{1} << 16;
     default:
       return std::uint64_t{1} << 32;
   }
 }
 
+Pair16 decode_pair16(std::uint32_t pattern) noexcept {
+  const auto a = static_cast<std::uint16_t>(pattern);
+  const auto k = static_cast<std::uint16_t>(pattern >> 16);
+  return {a, static_cast<std::uint16_t>((k + mix16(a)) * kScramble)};
+}
+
+std::uint32_t encode_pair16(Pair16 pair) noexcept {
+  const auto k = static_cast<std::uint16_t>(pair.b * kUnscramble -
+                                            mix16(pair.a));
+  return (std::uint32_t{k} << 16) | pair.a;
+}
+
 std::uint64_t sweep32_identity(const Sweep32Config& config) noexcept {
-  const std::uint64_t end =
-      config.end != 0 ? config.end : op_space_size(config.op);
   std::uint64_t h = mix64(0x53'57'33'32u);  // "SW32"
   h = mix64(h ^ static_cast<std::uint64_t>(config.op));
   for (const sf::Rounding m : config.modes) {
-    h = mix64(h ^ static_cast<std::uint64_t>(m));
+    if (grid_has_mode(config.op, m)) {
+      h = mix64(h ^ static_cast<std::uint64_t>(m));
+    }
   }
   h = mix64(h ^ config.begin);
-  h = mix64(h ^ end);
+  h = mix64(h ^ grid_of(config).end);
   h = mix64(h ^ static_cast<std::uint64_t>(config.chunk_bits));
   return h;
 }
 
 std::uint64_t sweep32_shard_count(const Sweep32Config& config) noexcept {
-  const std::uint64_t end =
-      config.end != 0 ? config.end : op_space_size(config.op);
-  if (end <= config.begin || config.chunk_bits <= 0) return 0;
-  const std::uint64_t chunk = std::uint64_t{1} << config.chunk_bits;
-  const std::uint64_t chunks = (end - config.begin + chunk - 1) / chunk;
-  return chunks * config.modes.size();
+  std::uint64_t modes = 0;
+  for (const sf::Rounding m : config.modes) {
+    modes += grid_has_mode(config.op, m) ? 1 : 0;
+  }
+  return grid_of(config).chunks * modes;
 }
 
 Sweep32Report run_sweep32(const Sweep32Config& config) {
-  const std::uint64_t space = op_space_size(config.op);
-  const std::uint64_t end = config.end != 0 ? config.end : space;
-  if (config.modes.empty()) {
-    throw std::invalid_argument("sweep32: empty mode list");
+  std::vector<sf::Rounding> modes;
+  for (const sf::Rounding m : config.modes) {
+    if (grid_has_mode(config.op, m)) modes.push_back(m);
+  }
+  if (modes.empty()) {
+    throw std::invalid_argument(
+        "sweep32: empty mode list (host rows drop roundTiesToAway)");
   }
   if (config.chunk_bits < 1 || config.chunk_bits > 32) {
     throw std::invalid_argument("sweep32: chunk_bits out of range");
   }
-  if (config.begin >= end || end > space) {
+  const Grid grid = grid_of(config);
+  if (grid.chunks == 0 || grid.end > op_space_size(config.op)) {
     throw std::invalid_argument("sweep32: bad pattern range");
   }
   if (config.checkpoint_interval == 0) {
     throw std::invalid_argument("sweep32: checkpoint_interval must be > 0");
   }
+  const std::uint64_t total = grid.chunks * modes.size();
 
-  const std::uint64_t chunk = std::uint64_t{1} << config.chunk_bits;
-  const std::uint64_t chunks = (end - config.begin + chunk - 1) / chunk;
-  const std::uint64_t total = chunks * config.modes.size();
-
-  Manifest manifest(config.manifest_path, unary_op32_name(config.op),
+  Manifest manifest(config.manifest_path, sweep_op_name(config.op),
                     sweep32_identity(config), total);
   manifest.load();
 
@@ -580,9 +795,9 @@ Sweep32Report run_sweep32(const Sweep32Config& config) {
   // One sqrt tape per rounding mode (compiled up front; shards share it
   // read-only).
   std::vector<ir::Tape> tapes;
-  if (config.op == UnaryOp32::kSqrt && config.race_tape) {
+  if (config.op == SweepOp::kSqrt && config.race_tape) {
     const ir::Expr e = ir::Expr::sqrt(ir::Expr::variable("x", 0));
-    for (const sf::Rounding mode : config.modes) {
+    for (const sf::Rounding mode : modes) {
       ir::EvalConfig ec;
       ec.format_bits = 32;
       ec.rounding = mode;
@@ -601,18 +816,18 @@ Sweep32Report run_sweep32(const Sweep32Config& config) {
       pending.size(), options,
       [&](std::size_t i, const CancelToken&) {
         const std::uint64_t shard = pending[i];
-        const std::uint64_t mode_idx = shard / chunks;
-        const std::uint64_t chunk_idx = shard % chunks;
-        const std::uint64_t p0 = config.begin + chunk_idx * chunk;
-        const std::uint64_t p1 = std::min<std::uint64_t>(end, p0 + chunk);
+        const std::uint64_t mode_idx = shard / grid.chunks;
+        const std::uint64_t chunk_idx = shard % grid.chunks;
+        const std::uint64_t p0 = config.begin + chunk_idx * grid.chunk;
+        const std::uint64_t p1 =
+            std::min<std::uint64_t>(grid.end, p0 + grid.chunk);
         const ir::Tape* tape =
             tapes.empty() ? nullptr : &tapes[mode_idx];
         ChunkStats st =
-            run_chunk(config, config.modes[mode_idx], p0, p1, tape);
+            run_chunk(config, modes[mode_idx], p0, p1, tape);
 
         const std::lock_guard<std::mutex> lock(mu);
-        manifest.record(shard,
-                        {st.fingerprint, st.checked, st.mismatches});
+        manifest.record(shard, st);
         report.run_shards += 1;
         report.run_checked += st.checked;
         report.run_mismatches += st.mismatches;
@@ -655,72 +870,44 @@ void corpus_note(CorpusReport& rep, const std::string& text) {
   if (rep.mismatch_samples.size() < 8) rep.mismatch_samples.push_back(text);
 }
 
-template <int kBits>
+template <int kIn, int kBits>
 void corpus_check(CorpusReport& rep, const char* lane, sf::Rounding mode,
-                  const std::string& operands, sf::Float<kBits> got,
+                  sf::Float<kIn> a, sf::Float<kBits> got,
                   sf::Float<kBits> want) {
   ++rep.checked;
   if (got.bits == want.bits) return;
   std::ostringstream os;
-  os << lane << " mode=" << sf::rounding_to_string(mode) << " " << operands
-     << " got=" << sf::describe(got) << " want=" << sf::describe(want);
+  os << lane << " mode=" << sf::rounding_to_string(mode)
+     << " a=" << sf::describe(a) << " got=" << sf::describe(got)
+     << " want=" << sf::describe(want);
   corpus_note(rep, os.str());
 }
 
-std::string one_operand(sf::Float32 a) {
-  return "a=" + sf::describe(a);
-}
-std::string two_operands(sf::Float32 a, sf::Float32 b) {
-  return "a=" + sf::describe(a) + " b=" + sf::describe(b);
-}
-std::string three_operands(sf::Float32 a, sf::Float32 b, sf::Float32 c) {
-  return "a=" + sf::describe(a) + " b=" + sf::describe(b) +
-         " c=" + sf::describe(c);
+/// One binary32 arithmetic check against the exact references.
+void corpus_case(CorpusReport& rep, sf::Rounding mode, const Case<32>& k) {
+  sf::Env env(mode);
+  const sf::Float32 got = soft_result(k, env);
+  const sf::Float32 want = ref_result(k, mode);
+  ++rep.checked;
+  if (got.bits != want.bits) {
+    corpus_note(rep, describe_case("corpus32", mode, k, got, want));
+  }
 }
 
-/// All soft-vs-reference checks for one binary32 operand.
+/// All soft-vs-reference checks for one binary32 operand (values only, so
+/// one Env serves every op).
 void corpus_unary(CorpusReport& rep, sf::Rounding mode, sf::Float32 a) {
-  {
-    sf::Env env(mode);
-    corpus_check(rep, "sqrt32", mode, one_operand(a), sf::sqrt(a, env),
-                 ref_sqrt(a, mode));
-  }
-  {
-    sf::Env env(mode);
-    corpus_check(rep, "round_int32", mode, one_operand(a),
-                 sf::round_to_integral(a, env),
-                 ref_round_to_integral(a, mode));
-  }
-  {
-    sf::Env env(mode);
-    corpus_check(rep, "convert32to16", mode, one_operand(a),
-                 sf::convert<16, 32>(a, env), ref_narrow16(a, mode));
-  }
-  {
-    sf::Env env(mode);
-    corpus_check(rep, "convert32to64", mode, one_operand(a),
-                 sf::convert<64, 32>(a, env), ref_widen64(a));
-  }
-  {
-    sf::Env env(mode);
-    corpus_check(rep, "convert32tobf16", mode, one_operand(a),
-                 sf::convert<sf::kBFloat16, 32>(a, env),
-                 ref_narrow_bf16(a, mode));
-  }
-}
-
-void corpus_div(CorpusReport& rep, sf::Rounding mode, sf::Float32 a,
-                sf::Float32 b) {
+  corpus_case(rep, mode, {Arith::kSqrt, a, {}, {}});
   sf::Env env(mode);
-  corpus_check(rep, "div32", mode, two_operands(a, b), sf::div(a, b, env),
-               ref_div(a, b, mode));
-}
-
-void corpus_fma(CorpusReport& rep, sf::Rounding mode, sf::Float32 a,
-                sf::Float32 b, sf::Float32 c) {
-  sf::Env env(mode);
-  corpus_check(rep, "fma32", mode, three_operands(a, b, c),
-               sf::fma(a, b, c, env), ref_fma(a, b, c, mode));
+  corpus_check(rep, "round_int32", mode, a, sf::round_to_integral(a, env),
+               ref_round_to_integral(a, mode));
+  corpus_check(rep, "convert32to16", mode, a, sf::convert<16, 32>(a, env),
+               ref_narrow16(a, mode));
+  corpus_check(rep, "convert32to64", mode, a, sf::convert<64, 32>(a, env),
+               ref_widen64(a));
+  corpus_check(rep, "convert32tobf16", mode, a,
+               sf::convert<sf::kBFloat16, 32>(a, env),
+               ref_narrow_bf16(a, mode));
 }
 
 }  // namespace
@@ -743,46 +930,26 @@ CorpusReport run_corner_corpus(std::size_t random_cases_per_mode,
 
     // The full 2^16 widening spaces: cheap enough to sweep entirely even
     // in the "fast" corpus test.
+    sf::Env env(mode);
     for (std::uint32_t p = 0; p < (1u << 16); ++p) {
-      {
-        const sf::Float16 a{static_cast<std::uint16_t>(p)};
-        sf::Env env(mode);
-        const sf::Float32 got = sf::convert<32, 16>(a, env);
-        const sf::Float32 want = ref_widen_from16(a);
-        ++rep.checked;
-        if (got.bits != want.bits) {
-          corpus_note(rep, "convert16to32 mode=" +
-                               sf::rounding_to_string(mode) + " a=" +
-                               sf::describe(a) + " got=" +
-                               sf::describe(got) + " want=" +
-                               sf::describe(want));
-        }
-      }
-      {
-        const sf::BFloat16 a{static_cast<std::uint16_t>(p)};
-        sf::Env env(mode);
-        const sf::Float32 got = sf::convert<32, sf::kBFloat16>(a, env);
-        const sf::Float32 want = ref_widen_from_bf16(a);
-        ++rep.checked;
-        if (got.bits != want.bits) {
-          corpus_note(rep, "convertbf16to32 mode=" +
-                               sf::rounding_to_string(mode) + " a=" +
-                               sf::describe(a) + " got=" +
-                               sf::describe(got) + " want=" +
-                               sf::describe(want));
-        }
-      }
+      const sf::Float16 h{static_cast<std::uint16_t>(p)};
+      const sf::BFloat16 bf{static_cast<std::uint16_t>(p)};
+      corpus_check(rep, "convert16to32", mode, h, sf::convert<32, 16>(h, env),
+                   ref_widen_from16(h));
+      corpus_check(rep, "convertbf16to32", mode, bf,
+                   sf::convert<32, sf::kBFloat16>(bf, env),
+                   ref_widen_from_bf16(bf));
     }
 
     // Binary/ternary ops: every pair; fma addends pivot deterministically
     // through the corpus so every operand appears in the c slot.
     for (std::size_t i = 0; i < n; ++i) {
       for (std::size_t j = 0; j < n; ++j) {
-        corpus_div(rep, mode, ops[i], ops[j]);
-        corpus_fma(rep, mode, ops[i], ops[j],
-                   ops[(7 * i + 13 * j) % n]);
-        corpus_fma(rep, mode, ops[i], ops[j],
-                   ops[(31 * i + 3 * j + 5) % n]);
+        corpus_case(rep, mode, {Arith::kDiv, ops[i], ops[j], {}});
+        corpus_case(rep, mode,
+                    {Arith::kFma, ops[i], ops[j], ops[(7 * i + 13 * j) % n]});
+        corpus_case(rep, mode, {Arith::kFma, ops[i], ops[j],
+                                ops[(31 * i + 3 * j + 5) % n]});
       }
     }
 
@@ -793,8 +960,8 @@ CorpusReport run_corner_corpus(std::size_t random_cases_per_mode,
       const sf::Float32 b{ulp_stratified_pattern(g)};
       const sf::Float32 c{ulp_stratified_pattern(g)};
       corpus_unary(rep, mode, a);
-      corpus_div(rep, mode, a, b);
-      corpus_fma(rep, mode, a, b, c);
+      corpus_case(rep, mode, {Arith::kDiv, a, b, {}});
+      corpus_case(rep, mode, {Arith::kFma, a, b, c});
     }
   }
   return rep;

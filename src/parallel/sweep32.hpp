@@ -1,26 +1,32 @@
-// fpq::parallel::sweep32 — exhaustive binary32 differential verification:
-// sharded 2^32 sweeps with a checkpointed, resumable manifest.
+// fpq::parallel::sweep32 — the differential verification engine: every
+// check that the soft IEEE-754 engine is correct is a row of one sharded,
+// fingerprinted, resumable pattern-space grid.
 //
-// The binary16 oracle (oracle_sweep.hpp) proves soft/hardware agreement
-// exhaustively at 2^16. This module pushes the same claim to the full
-// 2^32 encoding space for the unary operations — sqrt,
-// roundToIntegralExact, and the conversions binary32 <-> {binary16,
-// binary64, bfloat16} — racing, per pattern and rounding mode:
+// Per pattern and rounding mode, a row races the soft engine against an
+// independent reference:
 //
-//   * the soft engine's batch kernels (softfloat/batch.hpp), which are
-//     the scalar operations by construction,
-//   * an independent reference (sweep32_ref.hpp): the host FPU under a
-//     matching fenv direction where the hardware op exists (sqrt,
-//     round-to-int, widening), or an integer/add-and-mask algorithm that
-//     shares no code with the soft converter (binary16/bfloat16
-//     narrowing and widening),
-//   * for sqrt, the tape engines: ir::execute_rows (the batched
-//     interpreter — the same code path execute_batch runs per chunk, but
-//     callable inside a pool shard) on every pattern, and the scalar
-//     Tape::execute on a configurable stride.
+//   * the binary32 unary rows (2^32 patterns, or 2^16 for the narrow-source
+//     conversions) — sqrt, roundToIntegralExact, and the conversions
+//     binary32 <-> {binary16, binary64, bfloat16} — run the soft batch
+//     kernels (softfloat/batch.hpp), which are the scalar operations by
+//     construction, against the host FPU under a matching fenv direction
+//     where the hardware op exists (sqrt, round-to-int, widening) or an
+//     integer/add-and-mask algorithm that shares no code with the soft
+//     converter (binary16/bfloat16 narrowing and widening). sqrt also
+//     races the tape engines: ir::execute_rows (the batched interpreter)
+//     on every pattern and the scalar Tape::execute on a stride;
+//   * the binary16 rows — sqrt16 over all 2^16 encodings, add16 ... fma16
+//     over all 2^32 operand pairs (decode_pair16), and sample16 — run the
+//     scalar soft ops against the exact references of sweep32_ref.hpp and
+//     compare bitwise, NaN payload and sign included;
+//   * the host rows sample32 and sample64 run the scalar soft ops against
+//     the host FPU at the same width under the four fenv-expressible
+//     modes (roundTiesToAway leaves their grid); any NaN matches any NaN.
 //
-// Binary operations (div, fma) cannot be swept exhaustively at 2^64/2^96;
-// they are covered by run_corner_corpus: every sign-mirrored pair (and
+// The sample rows draw each pattern's op (p % 6), operand class
+// ((p / 6) % 4) and operands from shard_seed(constant, p), so every
+// prefix of their space is stratified over ops x classes. Binary32 div
+// and fma are covered by run_corner_corpus: every sign-mirrored pair (and
 // corpus-pivoted triple) from the checked-in corner corpus plus
 // ULP-stratified random operands, against the exact references.
 //
@@ -45,13 +51,23 @@
 #include <string>
 #include <vector>
 
-#include "parallel/oracle_sweep.hpp"
 #include "softfloat/env.hpp"
+
+namespace fpq::parallel {
+
+inline constexpr softfloat::Rounding kAllRoundings[] = {
+    softfloat::Rounding::kNearestEven, softfloat::Rounding::kTowardZero,
+    softfloat::Rounding::kDown, softfloat::Rounding::kUp,
+    softfloat::Rounding::kNearestAway,
+};
+
+}  // namespace fpq::parallel
 
 namespace fpq::parallel::sweep32 {
 
-/// The unary operations whose full binary32 input space is swept.
-enum class UnaryOp32 : std::uint8_t {
+/// The grid's rows. An enumerator's value is part of its sweep identity:
+/// new rows are appended, never inserted.
+enum class SweepOp : std::uint8_t {
   kSqrt,            ///< sqrt(x), all five modes, raced against the tape too
   kRoundToIntegral, ///< roundToIntegralExact(x)
   kToBinary16,      ///< convert<16, 32>
@@ -59,22 +75,50 @@ enum class UnaryOp32 : std::uint8_t {
   kToBFloat16,      ///< convert<kBFloat16, 32>
   kFromBinary16,    ///< convert<32, 16> (2^16 space)
   kFromBFloat16,    ///< convert<32, kBFloat16> (2^16 space)
+  kSqrt16,          ///< binary16 sqrt (2^16 space)
+  kAdd16,           ///< binary16 add over every pair (decode_pair16)
+  kSub16,           ///< binary16 sub over every pair
+  kMul16,           ///< binary16 mul over every pair
+  kDiv16,           ///< binary16 div over every pair
+  kFma16,           ///< binary16 fma over every pair, addend from p
+  kSample16,        ///< sampled binary16 ops vs the exact references
+  kSample32,        ///< sampled binary32 ops vs the host FPU
+  kSample64,        ///< sampled binary64 ops vs the host FPU
 };
-const char* unary_op32_name(UnaryOp32 op) noexcept;
+/// Kept only for perfbench/cpp/sweep_sqrt.cpp; goes with the next
+/// benchmark change.
+using UnaryOp32 = SweepOp;
+const char* sweep_op_name(SweepOp op) noexcept;
 
-inline constexpr UnaryOp32 kAllUnaryOps32[] = {
-    UnaryOp32::kSqrt,        UnaryOp32::kRoundToIntegral,
-    UnaryOp32::kToBinary16,  UnaryOp32::kToBinary64,
-    UnaryOp32::kToBFloat16,  UnaryOp32::kFromBinary16,
-    UnaryOp32::kFromBFloat16,
+inline constexpr SweepOp kAllSweepOps[] = {
+    SweepOp::kSqrt,         SweepOp::kRoundToIntegral, SweepOp::kToBinary16,
+    SweepOp::kToBinary64,   SweepOp::kToBFloat16,      SweepOp::kFromBinary16,
+    SweepOp::kFromBFloat16, SweepOp::kSqrt16,          SweepOp::kAdd16,
+    SweepOp::kSub16,        SweepOp::kMul16,           SweepOp::kDiv16,
+    SweepOp::kFma16,        SweepOp::kSample16,        SweepOp::kSample32,
+    SweepOp::kSample64,
 };
 
-/// Size of an op's input pattern space: 2^32, or 2^16 for the
-/// narrow-source conversions.
-std::uint64_t op_space_size(UnaryOp32 op) noexcept;
+/// Size of an op's input pattern space: 2^16 for the binary16 sqrt and
+/// the narrow-source conversions, 2^32 otherwise.
+std::uint64_t op_space_size(SweepOp op) noexcept;
+
+/// Operand pair of pattern p in a binary16 pair row: a = p & 0xFFFF and
+/// b = ((p >> 16) + mix16(a)) * C mod 2^16, for an odd C and a bijection
+/// mix16. The full space visits every (a, b) exactly once; the prefix
+/// [0, k * 2^16) pairs every a with k distinct partners, a set no other
+/// a gets; and the pair depends on p alone.
+struct Pair16 {
+  std::uint16_t a = 0, b = 0;
+};
+Pair16 decode_pair16(std::uint32_t pattern) noexcept;
+/// Inverse of decode_pair16: the pattern that checks (a, b).
+std::uint32_t encode_pair16(Pair16 pair) noexcept;
 
 struct Sweep32Config {
-  UnaryOp32 op = UnaryOp32::kSqrt;
+  SweepOp op = SweepOp::kSqrt;
+  /// Rounding modes to sweep. The host rows leave roundTiesToAway out of
+  /// their grid (no fenv direction expresses it).
   std::vector<softfloat::Rounding> modes{std::begin(kAllRoundings),
                                          std::end(kAllRoundings)};
   /// Half-open pattern subrange to sweep; end == 0 means op_space_size.
@@ -109,12 +153,13 @@ struct Sweep32Config {
   std::size_t max_mismatch_reports = 8;
 };
 
-/// Stable identity of a sweep's shard grid: op, mode list, range and
+/// Stable identity of a sweep's shard grid: op, grid modes, range and
 /// chunk size. A manifest written under a different identity refuses to
 /// resume (run_sweep32 throws std::runtime_error).
 std::uint64_t sweep32_identity(const Sweep32Config& config) noexcept;
 
-/// Total shards in the sweep's grid (modes x chunks).
+/// Total shards in the sweep's grid (grid modes x chunks); 0 when
+/// chunk_bits is outside [1, 32] or the range is empty.
 std::uint64_t sweep32_shard_count(const Sweep32Config& config) noexcept;
 
 struct Sweep32Report {

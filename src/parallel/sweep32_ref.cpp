@@ -29,17 +29,31 @@ constexpr std::uint64_t kSign64 = std::uint64_t{1} << 63;
 
 /// NaN propagation matching detail::propagate_nan: first NaN operand in
 /// argument order, quieted (flags are out of scope for the value refs).
-sf::Float32 nan_of(sf::Float32 a, sf::Float32 b) noexcept {
+template <int kBits>
+sf::Float<kBits> nan_of(sf::Float<kBits> a, sf::Float<kBits> b) noexcept {
   return a.is_nan() ? a.quieted() : b.quieted();
 }
 
-/// Narrow a host double to binary32 through the soft converter, value
-/// only. The callers guarantee the double is the correctly rounded (or
-/// round-to-odd compressed) 53-bit image of the exact result, making the
-/// second rounding innocuous per the header notes.
-sf::Float32 narrow53(double wide, sf::Rounding mode) noexcept {
+/// The exact binary64 image of a non-NaN binary16/binary32 value, through
+/// the host's float -> double widening (binary16 is re-biased to binary32
+/// by integer arithmetic first, never through the soft converter).
+template <int kBits>
+double widen53(sf::Float<kBits> x) {
+  if constexpr (kBits == 16) {
+    return hw_widen_f32(sf::to_native(ref_widen_from16(x)));
+  } else {
+    return hw_widen_f32(sf::to_native(x));
+  }
+}
+
+/// Narrow a host double to the target format through the soft converter,
+/// value only. The callers guarantee the double is the correctly rounded
+/// (or round-to-odd compressed) 53-bit image of the exact result, making
+/// the second rounding innocuous per the header notes.
+template <int kBits>
+sf::Float<kBits> narrow53(double wide, sf::Rounding mode) noexcept {
   sf::Env env(mode);
-  return sf::convert<32, 64>(sf::from_native(wide), env);
+  return sf::convert<kBits, 64>(sf::from_native(wide), env);
 }
 
 /// Encode a double that is exactly a binary16 value (or ±inf) back into
@@ -68,17 +82,19 @@ sf::Float16 encode16(double v) noexcept {
 
 }  // namespace
 
-sf::Float32 ref_sqrt(sf::Float32 a, sf::Rounding mode) {
+template <int kBits>
+sf::Float<kBits> ref_sqrt(sf::Float<kBits> a, sf::Rounding mode) {
+  using F = sf::Float<kBits>;
   if (a.is_nan()) return a.quieted();
-  if (a.is_zero()) return a;                       // sqrt(±0) = ±0
-  if (a.sign()) return sf::Float32::quiet_nan();   // incl. sqrt(-inf)
-  if (a.is_infinity()) return a;                   // sqrt(+inf) = +inf
+  if (a.is_zero()) return a;            // sqrt(±0) = ±0
+  if (a.sign()) return F::quiet_nan();  // incl. sqrt(-inf)
+  if (a.is_infinity()) return a;        // sqrt(+inf) = +inf
   double wide;
   {
     ScopedFenvRounding guard(fenv_mode_of(mode));
-    wide = hw_sqrt<double>(hw_widen_f32(sf::to_native(a)));
+    wide = hw_sqrt<double>(widen53(a));
   }
-  return narrow53(wide, mode);
+  return narrow53<kBits>(wide, mode);
 }
 
 unsigned ref_sqrt_flags(sf::Float32 a, sf::Float32 r) {
@@ -96,49 +112,53 @@ unsigned ref_sqrt_flags(sf::Float32 a, sf::Float32 r) {
                                                           : sf::kFlagInexact);
 }
 
-sf::Float32 ref_div(sf::Float32 a, sf::Float32 b, sf::Rounding mode) {
+template <int kBits>
+sf::Float<kBits> ref_div(sf::Float<kBits> a, sf::Float<kBits> b,
+                         sf::Rounding mode) {
+  using F = sf::Float<kBits>;
   const bool sign = a.sign() != b.sign();
   if (a.is_nan() || b.is_nan()) return nan_of(a, b);
   if (a.is_infinity()) {
-    if (b.is_infinity()) return sf::Float32::quiet_nan();
-    return sf::Float32::infinity(sign);
+    if (b.is_infinity()) return F::quiet_nan();
+    return F::infinity(sign);
   }
-  if (b.is_infinity()) return sf::Float32::zero(sign);
+  if (b.is_infinity()) return F::zero(sign);
   if (b.is_zero()) {
-    if (a.is_zero()) return sf::Float32::quiet_nan();
-    return sf::Float32::infinity(sign);
+    if (a.is_zero()) return F::quiet_nan();
+    return F::infinity(sign);
   }
-  if (a.is_zero()) return sf::Float32::zero(sign);
+  if (a.is_zero()) return F::zero(sign);
   double wide;
   {
     ScopedFenvRounding guard(fenv_mode_of(mode));
-    wide = hw_div<double>(hw_widen_f32(sf::to_native(a)),
-                          hw_widen_f32(sf::to_native(b)));
+    wide = hw_div<double>(widen53(a), widen53(b));
   }
-  return narrow53(wide, mode);
+  return narrow53<kBits>(wide, mode);
 }
 
-sf::Float32 ref_fma(sf::Float32 a, sf::Float32 b, sf::Float32 c,
-                    sf::Rounding mode) {
+template <int kBits>
+sf::Float<kBits> ref_fma(sf::Float<kBits> a, sf::Float<kBits> b,
+                         sf::Float<kBits> c, sf::Rounding mode) {
+  using F = sf::Float<kBits>;
   const bool prod_sign = a.sign() != b.sign();
   const bool zero_times_inf = (a.is_zero() && b.is_infinity()) ||
                               (a.is_infinity() && b.is_zero());
   if (a.is_nan()) return a.quieted();
   if (b.is_nan()) return b.quieted();
   if (c.is_nan()) return c.quieted();
-  if (zero_times_inf) return sf::Float32::quiet_nan();
+  if (zero_times_inf) return F::quiet_nan();
   if (a.is_infinity() || b.is_infinity()) {
     if (c.is_infinity() && c.sign() != prod_sign) {
-      return sf::Float32::quiet_nan();  // inf - inf
+      return F::quiet_nan();  // inf - inf
     }
-    return sf::Float32::infinity(prod_sign);
+    return F::infinity(prod_sign);
   }
   if (c.is_infinity()) return c;
 
   if (a.is_zero() || b.is_zero()) {  // exact product zero: result is 0 + c
     if (!c.is_zero()) return c;
-    if (prod_sign == c.sign()) return sf::Float32::zero(prod_sign);
-    return sf::Float32::zero(mode == sf::Rounding::kDown);
+    if (prod_sign == c.sign()) return F::zero(prod_sign);
+    return F::zero(mode == sf::Rounding::kDown);
   }
 
   double odd;  // round-to-odd 53-bit image of the exact a*b + c
@@ -146,14 +166,15 @@ sf::Float32 ref_fma(sf::Float32 a, sf::Float32 b, sf::Float32 c,
     // TwoSum needs round-to-nearest; the product and widenings are exact
     // in any mode but run under the same guard for clarity.
     ScopedFenvRounding guard(FE_TONEAREST);
-    const double pa = hw_widen_f32(sf::to_native(a)) *
-                      hw_widen_f32(sf::to_native(b));  // exact: <= 48 bits
-    const double cw = hw_widen_f32(sf::to_native(c));
+    const double pa = widen53(a) * widen53(b);  // exact: <= 2p bits
+    const double cw = widen53(c);
     const double s = pa + cw;
     if (s == 0.0) {
-      // The exact sum is a multiple of 2^-298, so RN(sum) == 0 implies the
-      // sum is exactly zero: nonzero operands cancelled.
-      return sf::Float32::zero(mode == sf::Rounding::kDown);
+      // The exact sum is a multiple of the square of the format's least
+      // subnormal (2^-298 for binary32, 2^-48 for binary16), far above
+      // binary64's, so RN(sum) == 0 implies the sum is exactly zero:
+      // nonzero operands cancelled.
+      return F::zero(mode == sf::Rounding::kDown);
     }
     const double bb = s - pa;
     const double err = (pa - (s - bb)) + (cw - bb);
@@ -164,8 +185,47 @@ sf::Float32 ref_fma(sf::Float32 a, sf::Float32 b, sf::Float32 c,
       odd = sf::fast16::step_toward(s, err);
     }
   }
-  return narrow53(odd, mode);
+  return narrow53<kBits>(odd, mode);
 }
+
+template <int kBits>
+sf::Float<kBits> ref_add(sf::Float<kBits> a, sf::Float<kBits> b,
+                         sf::Rounding mode) {
+  return ref_fma(a, sf::Float<kBits>::one(), b, mode);
+}
+
+template <int kBits>
+sf::Float<kBits> ref_sub(sf::Float<kBits> a, sf::Float<kBits> b,
+                         sf::Rounding mode) {
+  if (a.is_nan() || b.is_nan()) return nan_of(a, b);
+  return ref_add(a, b.negated(), mode);
+}
+
+template <int kBits>
+sf::Float<kBits> ref_mul(sf::Float<kBits> a, sf::Float<kBits> b,
+                         sf::Rounding mode) {
+  if (a.is_nan() || b.is_nan()) return nan_of(a, b);
+  if ((a.is_zero() && b.is_infinity()) || (a.is_infinity() && b.is_zero())) {
+    return sf::Float<kBits>::quiet_nan();
+  }
+  // Exact (<= 2p bits), signed zeros and infinities included.
+  return narrow53<kBits>(widen53(a) * widen53(b), mode);
+}
+
+template sf::Float16 ref_sqrt<16>(sf::Float16, sf::Rounding);
+template sf::Float32 ref_sqrt<32>(sf::Float32, sf::Rounding);
+template sf::Float16 ref_div<16>(sf::Float16, sf::Float16, sf::Rounding);
+template sf::Float32 ref_div<32>(sf::Float32, sf::Float32, sf::Rounding);
+template sf::Float16 ref_fma<16>(sf::Float16, sf::Float16, sf::Float16,
+                                 sf::Rounding);
+template sf::Float32 ref_fma<32>(sf::Float32, sf::Float32, sf::Float32,
+                                 sf::Rounding);
+template sf::Float16 ref_add<16>(sf::Float16, sf::Float16, sf::Rounding);
+template sf::Float32 ref_add<32>(sf::Float32, sf::Float32, sf::Rounding);
+template sf::Float16 ref_sub<16>(sf::Float16, sf::Float16, sf::Rounding);
+template sf::Float32 ref_sub<32>(sf::Float32, sf::Float32, sf::Rounding);
+template sf::Float16 ref_mul<16>(sf::Float16, sf::Float16, sf::Rounding);
+template sf::Float32 ref_mul<32>(sf::Float32, sf::Float32, sf::Rounding);
 
 sf::Float32 ref_round_to_integral(sf::Float32 a, sf::Rounding mode) {
   if (a.is_nan()) return a.quieted();
@@ -436,5 +496,58 @@ std::uint32_t ulp_stratified_pattern(sweep_detail::Sm64& g) noexcept {
   const auto sign = static_cast<std::uint32_t>(r >> 63) << 31;
   return sign | (band << 23) | frac;
 }
+
+template <int kBits>
+typename sf::Float<kBits>::Storage gen_operand(OperandClass cls,
+                                               sweep_detail::Sm64& g) noexcept {
+  using C = typename sf::Float<kBits>::Constants;
+  using S = typename C::Storage;
+  const std::uint64_t r = g.next();
+  switch (cls) {
+    case OperandClass::kNormal: {
+      const auto exp = static_cast<S>(
+          1 + g.next() % static_cast<std::uint64_t>(C::kExpInfNan - 1));
+      S bits = static_cast<S>((static_cast<S>(exp) << C::kSigBits) |
+                              (static_cast<S>(r) & C::kFracMask));
+      if (r >> 63) bits = static_cast<S>(bits | C::kSignMask);
+      return bits;
+    }
+    case OperandClass::kSubnormal: {
+      S frac = static_cast<S>(static_cast<S>(r) & C::kFracMask);
+      if (frac == 0) frac = 1;
+      return (r >> 63) ? static_cast<S>(frac | C::kSignMask) : frac;
+    }
+    case OperandClass::kSpecial: {
+      static constexpr S kTable[] = {
+          S{0},
+          C::kSignMask,
+          C::kPositiveInfinityBits,
+          C::kNegativeInfinityBits,
+          C::kDefaultNaNBits,
+          static_cast<S>(C::kExpMask | S{1}),  // signaling NaN
+          C::kMaxFiniteBits,
+          static_cast<S>(C::kMaxFiniteBits | C::kSignMask),
+          C::kMinNormalBits,
+          static_cast<S>(C::kMinNormalBits | C::kSignMask),
+          C::kMinSubnormalBits,
+          static_cast<S>(C::kMinSubnormalBits | C::kSignMask),
+          static_cast<S>(static_cast<S>(C::kBias) << C::kSigBits),  // 1.0
+          static_cast<S>((static_cast<S>(C::kBias) << C::kSigBits) |
+                         C::kSignMask),
+      };
+      return kTable[r % std::size(kTable)];
+    }
+    case OperandClass::kMixed:
+      return static_cast<S>(r);
+  }
+  return S{0};
+}
+
+template std::uint16_t gen_operand<16>(OperandClass,
+                                       sweep_detail::Sm64&) noexcept;
+template std::uint32_t gen_operand<32>(OperandClass,
+                                       sweep_detail::Sm64&) noexcept;
+template std::uint64_t gen_operand<64>(OperandClass,
+                                       sweep_detail::Sm64&) noexcept;
 
 }  // namespace fpq::parallel::sweep32

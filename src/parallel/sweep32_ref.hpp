@@ -1,34 +1,38 @@
-// fpq::parallel::sweep32 — exact (or provably correctly rounded) binary32
-// references, the corner-case corpus, and ULP-stratified operand sampling.
+// fpq::parallel::sweep32 — exact (or provably correctly rounded)
+// references, the corner-case corpus, and the operand samplers.
 //
-// These are the "want" side of the 2^32 differential sweeps in sweep32.hpp
-// and of the checked-in div/fma corpus. Reference strategies, per op:
+// These are the "want" side of the differential sweeps in sweep32.hpp and
+// of the checked-in div/fma corpus. The arithmetic references are
+// templates over sf::Float<kBits>, instantiated for binary16 (p = 11) and
+// binary32 (p = 24). Each one computes in the host's binary64 (53 bits)
+// and narrows once under the target mode, and each leans on one of three
+// arguments, stated here once with p as a parameter:
 //
-//  * sqrt: the host's 53-bit correctly rounded sqrt computed under a
-//    matching fenv direction, narrowed under the target mode. Double
-//    rounding 53 -> 24 bits is innocuous (Figueroa: wide precision >=
-//    2p + 2 = 50), and a binary32 root can never land on a 24-bit-grid
-//    midpoint (its square would need ~49 significand bits), so ties never
-//    arise and the hardware's ties-to-even intermediate also serves
-//    roundTiesToAway.
+//  * Exact product (2p <= 53): the product of two p-bit significands has
+//    at most 2p bits, so a*b is exact in binary64. mul is that product
+//    narrowed once; fma and add start from it.
 //
-//    Its flags (ref_sqrt_flags) follow from the class of the operand
-//    and one exact binary64 product: the root is inexact iff r*r != x.
+//  * Figueroa (53 >= 2p + 2): rounding the correctly rounded 53-bit
+//    quotient or root again to p bits is innocuous, and a directed mode
+//    composes exactly when the wide step uses the same direction. No
+//    tie can arise either: a quotient or root that is exactly a p-bit
+//    midpoint (a (p+1)-bit-odd significand) would force an operand past
+//    p bits, and any representable midpoint has <= p + 1 bits and is
+//    exact in binary64, so the 53-bit intermediate never sits
+//    ambiguously on a boundary. The hardware's ties-to-even intermediate
+//    therefore serves roundTiesToAway too. This holds a fortiori at
+//    reduced subnormal precision. Used by div and sqrt.
 //
-//  * div: same structure. A finite quotient exactly equal to a 24-bit
-//    midpoint (a 25-bit-odd significand) would force the dividend's
-//    significand past 24 bits, so the true quotient is never a midpoint;
-//    and any value that IS a representable midpoint has <= 25 significand
-//    bits and is therefore exact in binary64, meaning the 53-bit
-//    intermediate never sits ambiguously on a 24-bit rounding boundary.
-//    This covers subnormal quotients too (53 >= 2p + 2 holds a fortiori
-//    at reduced subnormal precision).
+//  * Round-to-odd (53 >= p + 2, Boldo-Melquiond): Knuth TwoSum captures
+//    the exact residual of product + addend; stepping an even 53-bit sum
+//    one ulp toward the residual makes it odd, and a single narrowing of
+//    that odd value rounds as if from the exact sum in all five modes.
+//    Used by fma, and by add and sub as fma(a, 1, b).
 //
-//  * fma: the product of two binary32 values is EXACT in binary64
-//    (<= 48 significand bits); Knuth TwoSum captures the addend exactly,
-//    and rounding the 53-bit sum to odd before the final narrowing
-//    (Boldo–Melquiond, valid since 53 >= 24 + 2) makes the narrowing
-//    round as if from the exact value in all five modes.
+// The remaining references are binary32 only:
+//
+//  * sqrt's flags: they follow from the class of the operand and one
+//    exact binary64 product: the root is inexact iff r*r != x.
 //
 //  * roundToIntegralExact: the host's rint under a matching fenv
 //    direction; roundTiesToAway uses the host's round(), whose
@@ -69,8 +73,12 @@ namespace sf = fpq::softfloat;
 
 // -- Correctly rounded references -------------------------------------------
 
-/// sqrt(a), correctly rounded under `mode` (all five modes).
-sf::Float32 ref_sqrt(sf::Float32 a, sf::Rounding mode);
+// Arithmetic references (kBits = 16 or 32, any of the five modes). A NaN
+// result is the first NaN operand quieted, or the default NaN.
+
+/// sqrt(a), correctly rounded (Figueroa).
+template <int kBits>
+sf::Float<kBits> ref_sqrt(sf::Float<kBits> a, sf::Rounding mode);
 
 /// The flags sqrt(a) must raise when its result is `r` (no DAZ/FTZ):
 /// invalid for a signaling NaN or a negative nonzero operand (negative
@@ -81,12 +89,31 @@ sf::Float32 ref_sqrt(sf::Float32 a, sf::Rounding mode);
 /// (ref_sqrt or the host FPU) that proves `r` itself.
 unsigned ref_sqrt_flags(sf::Float32 a, sf::Float32 r);
 
-/// a / b, correctly rounded under `mode` (all five modes).
-sf::Float32 ref_div(sf::Float32 a, sf::Float32 b, sf::Rounding mode);
+/// a / b, correctly rounded (Figueroa).
+template <int kBits>
+sf::Float<kBits> ref_div(sf::Float<kBits> a, sf::Float<kBits> b,
+                         sf::Rounding mode);
 
-/// fma(a, b, c) with a single rounding under `mode` (all five modes).
-sf::Float32 ref_fma(sf::Float32 a, sf::Float32 b, sf::Float32 c,
-                    sf::Rounding mode);
+/// fma(a, b, c) with a single rounding (exact product, round-to-odd).
+template <int kBits>
+sf::Float<kBits> ref_fma(sf::Float<kBits> a, sf::Float<kBits> b,
+                         sf::Float<kBits> c, sf::Rounding mode);
+
+/// a + b, as ref_fma(a, 1, b).
+template <int kBits>
+sf::Float<kBits> ref_add(sf::Float<kBits> a, sf::Float<kBits> b,
+                         sf::Rounding mode);
+
+/// a - b, as ref_add(a, -b) once neither operand is a NaN (so a NaN b
+/// keeps its sign).
+template <int kBits>
+sf::Float<kBits> ref_sub(sf::Float<kBits> a, sf::Float<kBits> b,
+                         sf::Rounding mode);
+
+/// a * b: the exact binary64 product, narrowed once.
+template <int kBits>
+sf::Float<kBits> ref_mul(sf::Float<kBits> a, sf::Float<kBits> b,
+                         sf::Rounding mode);
 
 /// roundToIntegralExact(a) under `mode` (all five modes). Value only; the
 /// inexact-iff-changed flag contract is asserted by the sweep separately.
@@ -127,5 +154,20 @@ std::size_t corner32_operand_count();
 /// fraction and sign uniformly. Never produces Inf/NaN; corner32_patterns
 /// covers those deterministically.
 std::uint32_t ulp_stratified_pattern(sweep_detail::Sm64& g) noexcept;
+
+/// Operand population of a sampled draw (the sample rows stratify every
+/// pattern prefix over these).
+enum class OperandClass : std::uint8_t {
+  kNormal,     ///< finite normals, full exponent range
+  kSubnormal,  ///< subnormals (never zero)
+  kSpecial,    ///< zeros, infinities, NaNs, format extremes, +-1
+  kMixed,      ///< uniform over all encodings
+};
+
+/// One binary16/32/64 encoding drawn from `cls` (instantiated for
+/// kBits = 16, 32 and 64).
+template <int kBits>
+typename sf::Float<kBits>::Storage gen_operand(OperandClass cls,
+                                               sweep_detail::Sm64& g) noexcept;
 
 }  // namespace fpq::parallel::sweep32

@@ -1,9 +1,9 @@
-// fpq::parallel — shared plumbing for the differential sweep drivers
-// (oracle_sweep and sweep32): the stateless operand PRNG, the host
-// rounding-direction guard, and opaque hardware arithmetic.
+// fpq::parallel — shared plumbing for the differential verification
+// engine (sweep32) and its references: the stateless operand PRNG, the
+// host rounding-direction guard, and opaque hardware arithmetic.
 //
 // Everything here is header-only and dependency-free beyond softfloat's
-// Env, so both sweep translation units (and their tests) share one
+// Env, so the engine, the references and their tests share one
 // definition of "run this op on the real FPU under this rounding mode"
 // instead of drifting copies.
 #pragma once
@@ -53,7 +53,7 @@ class ScopedFenvRounding {
 /// Host fenv constant for a directed mode; ties modes map to the
 /// hardware's ties-to-even (callers justify, per op, where that is a
 /// valid stand-in for ties-to-away — see the reference-strategy notes in
-/// oracle_sweep.hpp and sweep32_ref.hpp).
+/// sweep32_ref.hpp).
 inline int fenv_mode_of(softfloat::Rounding r) noexcept {
   switch (r) {
     case softfloat::Rounding::kTowardZero:

@@ -113,14 +113,14 @@ TEST(KernelCacheIsolation, SharedTapeCacheIgnoresVariantSwitches) {
 // The 2^16-source conversions: the ENTIRE operand space per variant.
 TEST(KernelDispatchParity, WidenFrom16FullSpace) {
   sweep32::Sweep32Config config;
-  config.op = sweep32::UnaryOp32::kFromBinary16;
+  config.op = sweep32::SweepOp::kFromBinary16;
   config.chunk_bits = 12;
   expect_variant_invariant_sweep(config, "from16");
 }
 
 TEST(KernelDispatchParity, WidenFromBf16FullSpace) {
   sweep32::Sweep32Config config;
-  config.op = sweep32::UnaryOp32::kFromBFloat16;
+  config.op = sweep32::SweepOp::kFromBFloat16;
   config.chunk_bits = 12;
   expect_variant_invariant_sweep(config, "from_bf16");
 }
@@ -145,12 +145,12 @@ TEST(KernelDispatchParity, UnaryOpBoundaryWindows) {
       {0x8000'0000u - kWin / 2, "positive/negative seam"},
       {0xFF7F'C000u, "negative max-finite/inf/NaN border"},
   };
-  const sweep32::UnaryOp32 ops[] = {
-      sweep32::UnaryOp32::kSqrt,       sweep32::UnaryOp32::kRoundToIntegral,
-      sweep32::UnaryOp32::kToBinary16, sweep32::UnaryOp32::kToBFloat16,
-      sweep32::UnaryOp32::kToBinary64,
+  const sweep32::SweepOp ops[] = {
+      sweep32::SweepOp::kSqrt,       sweep32::SweepOp::kRoundToIntegral,
+      sweep32::SweepOp::kToBinary16, sweep32::SweepOp::kToBFloat16,
+      sweep32::SweepOp::kToBinary64,
   };
-  for (const sweep32::UnaryOp32 op : ops) {
+  for (const sweep32::SweepOp op : ops) {
     for (const Window& w : windows) {
       sweep32::Sweep32Config config;
       config.op = op;
@@ -161,7 +161,7 @@ TEST(KernelDispatchParity, UnaryOpBoundaryWindows) {
       // (ir::execute_rows) and the scalar Tape::execute stride too — the
       // tape-gate parity claim at every variant.
       expect_variant_invariant_sweep(
-          config, (std::string(sweep32::unary_op32_name(op)) + " " + w.what)
+          config, (std::string(sweep32::sweep_op_name(op)) + " " + w.what)
                       .c_str());
     }
   }

@@ -1,32 +1,49 @@
 // Exhaustive unary sweeps over ALL 65536 binary16 encodings: total
 // coverage of sqrt, roundToIntegralExact, and the encoding-order
-// utilities on a complete format. (Binary ops are covered by the random
-// oracle in test_binary16_oracle.cpp; 2^32 pairs would be exhaustive but
-// slow — 2^16 unary is free.)
+// utilities on a complete format. (Binary ops are also covered by the
+// random oracle in test_binary16_oracle.cpp.)
 //
-// The sharded differential sweeps at the bottom extend the coverage to
-// sqrt and fma under ALL FIVE rounding modes (including roundTiesToAway,
-// which no host FPU expresses): sqrt exhausts the full encoding space per
-// mode, fma pairs every first operand with seeded partners, both checked
-// against the exact references in parallel/oracle_sweep.
+// The differential sweeps at the bottom extend the coverage to every
+// binary16 op under ALL FIVE rounding modes (including roundTiesToAway,
+// which no host FPU expresses), as rows of the sweep32 grid checked
+// bitwise against the exact references in parallel/sweep32_ref: sqrt16
+// exhausts the encoding space per mode, and the pair rows run a prefix
+// of their 2^32 (a, b) space that pairs every first operand with
+// distinct partners.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
+#include <string>
 
 #include "ir/ir.hpp"
-#include "parallel/oracle_sweep.hpp"
+#include "parallel/sweep32.hpp"
 #include "parallel/thread_pool.hpp"
 #include "softfloat/fast16.hpp"
 #include "softfloat/ops.hpp"
 #include "softfloat/util.hpp"
 
 namespace sf = fpq::softfloat;
+namespace sw = fpq::parallel::sweep32;
 
 namespace {
 
 using F16 = sf::Float16;
+
+/// Runs `op`'s sweep32 row over the pattern prefix [0, end) (0 = its
+/// whole space) in all five modes.
+sw::Sweep32Report sweep_row(sw::SweepOp op, std::uint64_t end) {
+  sw::Sweep32Config config;
+  config.op = op;
+  config.end = end;
+  config.chunk_bits = 12;
+  return sw::run_sweep32(config);
+}
+
+std::string first_mismatch(const sw::Sweep32Report& report) {
+  return report.mismatch_samples.empty() ? "" : report.mismatch_samples[0];
+}
 
 double widen(F16 x) {
   sf::Env env;
@@ -144,23 +161,17 @@ TEST(Binary16Exhaustive, SqrtExhaustiveUnderAllFiveRoundingModes) {
   // All 2^16 encodings, all five modes, against the double-rounding-safe
   // hardware reference (shards aggregate failures; the assert runs here
   // on the main thread only).
-  fpq::parallel::ThreadPool pool;
-  fpq::parallel::ExhaustiveConfig config;
-  config.ops = {fpq::parallel::SweepOp::kSqrt};
-  const auto report = fpq::parallel::run_exhaustive_binary16(pool, config);
-  EXPECT_EQ(report.mismatches, 0u) << report.first_mismatch;
+  const auto report = sweep_row(sw::SweepOp::kSqrt16, 0);
+  EXPECT_EQ(report.mismatches, 0u) << first_mismatch(report);
   EXPECT_EQ(report.checked, 5ull * 0x10000ull);
 }
 
 TEST(Binary16Exhaustive, FmaAllFirstOperandsUnderAllFiveRoundingModes) {
-  // Every first-operand encoding x seeded (b, c) partners x five modes,
-  // against the exact product + TwoSum + round-to-odd reference.
-  fpq::parallel::ThreadPool pool;
-  fpq::parallel::ExhaustiveConfig config;
-  config.ops = {fpq::parallel::SweepOp::kFma};
-  config.samples_per_operand = 4;
-  const auto report = fpq::parallel::run_exhaustive_binary16(pool, config);
-  EXPECT_EQ(report.mismatches, 0u) << report.first_mismatch;
+  // Every first-operand encoding x 4 partners x five modes, each with a
+  // pattern-derived addend, against the exact product + TwoSum +
+  // round-to-odd reference.
+  const auto report = sweep_row(sw::SweepOp::kFma16, 4 * 0x10000ull);
+  EXPECT_EQ(report.mismatches, 0u) << first_mismatch(report);
   EXPECT_EQ(report.checked, 5ull * 0x10000ull * 4ull);
 }
 
@@ -340,16 +351,15 @@ TEST(Binary16Exhaustive, BatchedTapeFlushModesMatchDirectSoftfloat) {
 }
 
 TEST(Binary16Exhaustive, AddMulDivExhaustiveFirstOperandSweep) {
-  // The remaining binary ops through the same sharded engine: every first
-  // operand, sampled partners, all five modes.
-  fpq::parallel::ThreadPool pool;
-  fpq::parallel::ExhaustiveConfig config;
-  config.ops = {fpq::parallel::SweepOp::kAdd, fpq::parallel::SweepOp::kSub,
-                fpq::parallel::SweepOp::kMul, fpq::parallel::SweepOp::kDiv};
-  config.samples_per_operand = 2;
-  const auto report = fpq::parallel::run_exhaustive_binary16(pool, config);
-  EXPECT_EQ(report.mismatches, 0u) << report.first_mismatch;
-  EXPECT_EQ(report.checked, 4ull * 5ull * 0x10000ull * 2ull);
+  // The remaining binary ops through the same grid: every first operand,
+  // 2 partners each, all five modes.
+  for (const sw::SweepOp op : {sw::SweepOp::kAdd16, sw::SweepOp::kSub16,
+                               sw::SweepOp::kMul16, sw::SweepOp::kDiv16}) {
+    const auto report = sweep_row(op, 2 * 0x10000ull);
+    EXPECT_EQ(report.mismatches, 0u)
+        << sw::sweep_op_name(op) << ": " << first_mismatch(report);
+    EXPECT_EQ(report.checked, 5ull * 0x10000ull * 2ull);
+  }
 }
 
 }  // namespace
