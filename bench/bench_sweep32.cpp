@@ -153,8 +153,8 @@ bool run_op(const Cli& cli, sw::SweepOp op, fpq::bench::PerfJson& json,
             bool multi = false) {
   sw::Sweep32Config config;
   config.op = op;
-  config.modes.assign(std::begin(fpq::parallel::kAllRoundings),
-                      std::begin(fpq::parallel::kAllRoundings) + cli.modes);
+  // The default grid is kAllRoundings; --modes keeps its first entries.
+  config.modes.resize(static_cast<std::size_t>(cli.modes));
   config.begin = cli.begin;
   config.end = cli.end;
   config.chunk_bits = cli.chunk_bits;

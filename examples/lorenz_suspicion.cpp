@@ -72,7 +72,6 @@ int main() {
     std::printf("divergent run (dt = 1.0 — far too large):\n");
     std::printf("  final state (%g, %g, %g)\n", s.x, s.y, s.z);
     std::fputs(mon::render_report(seen).c_str(), stdout);
-    const auto verdict = mon::evaluate(seen);
     std::printf(
         "  without the monitor, the NaNs above would be the ONLY clue —\n"
         "  and %d%% of the paper's participants believed a signal would\n"

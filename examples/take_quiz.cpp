@@ -5,8 +5,8 @@
 // machine, and prints the full report with the paper's cohort as the
 // comparison group. Pipe answers for scripted runs:
 //
-//   printf 'T\nF\nF\nF\nF\nF\nT\nF\nT\nF\nT\nT\nT\nT\nF\nF\nF\n-O2\nT\n4\n2\n1\n5\n2\n' \
-//     | ./take_quiz
+//   printf 'T\nF\nF\nF\nF\nF\nT\nF\nT\nF\nT\nT\nT\nT\nF\nF\nF\n-O2\nT\n4\n2\n1\n5\n2\n' |
+//     ./take_quiz
 
 #include <array>
 #include <cstdio>

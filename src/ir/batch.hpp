@@ -3,11 +3,12 @@
 //
 // Variables make a tree a function of its bindings, so sweeps ("this
 // kernel over 10k inputs", "this question's probe over the operand pool")
-// become ONE tree plus a binding table. evaluate_many shards the rows
-// over the pool's work-stealing lanes; every row gets a fresh evaluator
-// (its own sticky-flag accounting), each chunk writes only its own output
-// slots, and the result is bit-identical at every thread count. Every
-// call executes every row: nothing is memoized.
+// become ONE tree plus a binding table. evaluate_many compiles the tree
+// to a tape once and shards the rows over the pool's work-stealing lanes
+// through the batched interpreter (tape_batch.hpp): every row keeps its
+// own sticky-flag word, each chunk writes only its own output slots, and
+// the result is bit-identical at every thread count. Every call executes
+// every row: nothing is memoized.
 #pragma once
 
 #include <cstddef>
@@ -69,7 +70,7 @@ struct BatchOptions {
 };
 
 /// Evaluates `expr` under `config` once per binding row. Outcome i
-/// corresponds to row i; per-row flags are isolated (fresh evaluator per
+/// corresponds to row i; per-row flags are isolated (one flag word per
 /// row). Deterministic: the same inputs give bit-identical outcomes at
 /// every thread count and chunking.
 std::vector<Outcome> evaluate_many(parallel::ThreadPool& pool,

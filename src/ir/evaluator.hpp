@@ -78,7 +78,7 @@ V evaluate_tree(const Expr& e, Evaluator<V>& ev,
   auto child = [&](std::size_t i) {
     return evaluate_tree(n.children[i], ev, bindings);
   };
-  V out;
+  V out{};
   switch (n.kind) {
     case ExprKind::kConst:
       out = ev.constant(e);

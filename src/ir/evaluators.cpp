@@ -25,7 +25,7 @@ std::uint64_t EvalConfig::fingerprint() const noexcept {
 
 // Opaque ops: evaluation must observe real FPU behavior, not constant
 // folds (same discipline as the native quiz backends and workloads).
-// Shared with the tape's native batch kernels via native_ops.hpp.
+// Shared with the injecting native context via native_ops.hpp.
 namespace native {
 
 namespace {

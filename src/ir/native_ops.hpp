@@ -1,5 +1,5 @@
 // fpq::ir — the opaque host-FPU primitives shared by NativeEvaluator64/32
-// and the tape's native batch kernels.
+// and the injecting native context (inject/context.cpp).
 //
 // Each function routes one operation through a noinline/volatile helper so
 // the real FPU executes it at run time — no constant folding, no

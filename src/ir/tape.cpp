@@ -304,8 +304,6 @@ class TapeCompiler {
     } else {
       pool_index = static_cast<std::uint32_t>(tape_.constant_bits_.size());
       tape_.constant_bits_.push_back(fbits);
-      tape_.constants_.push_back(
-          sf::from_native(fold_literal(widened, config_)));
       pool_index_.emplace(fbits, pool_index);
     }
     return emit(TapeInst{TapeOp::kConst, next_vreg(), pool_index, 0, 0},

@@ -7,8 +7,9 @@
 // format, and variable-binding slots — so the per-sample cost is a tight
 // loop over plain structs instead of pointer-chasing and dispatch. The
 // differential suite pins the tape bit- and sticky-flag-identical to
-// evaluate_tree; every hot caller (evaluate_many, the sweep drivers, the
-// gauntlet baselines, backend ground truth) runs the tape.
+// evaluate_tree. evaluate_many, sweep32's tape race, the gauntlet's clean
+// baselines and the workloads' native context run the tape; backend
+// ground truth and ir::evaluate walk the tree.
 //
 // Compilation is one post-order pass with two optional, semantics-
 // preserving optimizations:
@@ -131,14 +132,10 @@ class Tape {
 
   // -- The compiled program ----------------------------------------------
   std::span<const TapeInst> code() const noexcept { return code_; }
-  /// Constant pool, pre-converted into the config's format and widened
-  /// back to binary64 (the conversion is quiet, exactly SoftEvaluator's
-  /// literal semantics, so loads raise nothing at run time).
-  std::span<const softfloat::Float64> constants() const noexcept {
-    return constants_;
-  }
-  /// The same pool as raw in-format storage bits (what the softfloat
-  /// engines load directly).
+  /// Constant pool, pre-converted into the config's format, as raw
+  /// in-format storage bits (the conversion is quiet, exactly
+  /// SoftEvaluator's literal semantics, so loads raise nothing at run
+  /// time).
   std::span<const std::uint64_t> constant_bits() const noexcept {
     return constant_bits_;
   }
@@ -173,7 +170,6 @@ class Tape {
   Tape() = default;
 
   std::vector<TapeInst> code_;
-  std::vector<softfloat::Float64> constants_;
   std::vector<std::uint64_t> constant_bits_;
   std::vector<Expr> sources_;
   std::size_t register_count_ = 0;
@@ -208,7 +204,7 @@ V run_tape(const Tape& tape, Evaluator<V>& ev,
   for (std::size_t pc = 0; pc < code.size(); ++pc) {
     const TapeInst& in = code[pc];
     const Expr& e = tape.source(pc);
-    V out;
+    V out{};
     switch (in.op) {
       case TapeOp::kConst:
         out = ev.constant(e);

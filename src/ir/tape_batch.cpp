@@ -1,12 +1,10 @@
 #include "ir/tape_batch.hpp"
 
 #include <algorithm>
-#include <cfenv>
-#include <cmath>
 #include <cstdint>
+#include <stdexcept>
 
 #include "fpmon/flow.hpp"
-#include "ir/native_ops.hpp"
 #include "parallel/shard.hpp"
 #include "softfloat/batch.hpp"
 #include "softfloat/fast16.hpp"
@@ -18,7 +16,7 @@ namespace sf = fpq::softfloat;
 
 namespace {
 
-/// The SoA interpreter for one chunk: registers live as
+/// The SoA interpreter for one chunk, for every format: registers live as
 /// regs[reg * block + lane] in-format values, flags[lane] accumulates the
 /// per-row sticky union. In-format intermediates are bit- and
 /// flag-identical to SoftEvaluator's widen/renarrow-per-op discipline
@@ -103,309 +101,21 @@ void run_soft_lanes(const Tape& t, const double* values, std::size_t width,
     Outcome* o = out + (r0 - begin);
     sf::Env widen_env;  // widening is exact
     for (std::size_t l = 0; l < lanes; ++l) {
+      // Registers never hold a signaling NaN (operands and literals are
+      // narrowed through quieting converts), so the integer widens are
+      // convert<64, 32> and convert<64, 16> bit for bit.
       if constexpr (kBits == 64) {
         o[l].value = result[l];
       } else if constexpr (kBits == 32) {
-        // Registers never hold a signaling NaN (operands and literals are
-        // narrowed through quieting converts), so the integer widen is
-        // convert<64, 32> bit for bit.
         o[l].value = sf::from_native(sf::fast32::widen(result[l]));
+      } else if constexpr (kBits == 16) {
+        o[l].value = sf::from_native(sf::fast16::widen(result[l]));
       } else {
         o[l].value = sf::convert<64>(result[l], widen_env);
       }
       o[l].flags = flags[l];
     }
   }
-}
-
-// The binary16 hot path: lanes hold binary16 VALUES as native doubles,
-// ops run on the host FPU (pinned to round-to-nearest below) and fold
-// back in-format through the scalar engine's own round/pack core — see
-// softfloat/fast16.hpp for why every step is bit- and flag-identical to
-// the softfloat operations. Lanes with special operands (NaN, infinity,
-// division by zero, sqrt of a negative) drop to the scalar softfloat op,
-// which keeps NaN payload propagation and invalid/divide-by-zero flags
-// canonical without slowing the overwhelmingly common finite lanes.
-void run_fast16_block(const Tape& t, const double* values, std::size_t width,
-                      std::size_t begin, std::size_t end, Outcome* out) {
-  namespace f16 = sf::fast16;
-  using F16 = sf::Float16;
-  const std::size_t lanes = end - begin;
-  const EvalConfig& cfg = t.config();
-  const sf::Rounding mode = cfg.rounding;
-  const bool daz = cfg.denormals_are_zero;
-  sf::Env env(mode);  // op env: FTZ/DAZ live, flags read per lane
-  env.set_flush_to_zero(cfg.flush_to_zero);
-  env.set_denormals_are_zero(daz);
-  sf::Env quiet(mode);  // operand-narrowing env: flags discarded, no FTZ
-  quiet.set_denormals_are_zero(daz);
-
-  std::vector<double> regs(t.register_count() * lanes);
-  std::vector<unsigned> flags(lanes, 0);
-  const std::span<const std::uint64_t> pool = t.constant_bits();
-
-  for (const TapeInst& in : t.code()) {
-    double* d = regs.data() + std::size_t{in.dst} * lanes;
-    const double* a = regs.data() + std::size_t{in.a} * lanes;
-    const double* b = regs.data() + std::size_t{in.b} * lanes;
-    const double* c = regs.data() + std::size_t{in.c} * lanes;
-    switch (in.op) {
-      case TapeOp::kConst: {
-        const double v =
-            f16::widen(F16::from_bits(static_cast<std::uint16_t>(pool[in.a])));
-        for (std::size_t l = 0; l < lanes; ++l) d[l] = v;
-        break;
-      }
-      case TapeOp::kVar:
-        for (std::size_t l = 0; l < lanes; ++l) {
-          const double x = values[(begin + l) * width + in.a];
-          const std::uint64_t xb = std::bit_cast<std::uint64_t>(x);
-          const auto be = (xb >> 52) & 0x7FF;
-          if (be == 0) {  // signed zero or double-subnormal (DAZ range)
-            d[l] = (xb << 1) == 0 ? x : f16::widen(sf::convert<16>(
-                                            sf::from_native(x), quiet));
-            continue;
-          }
-          if (be == 0x7FF) {  // infinity / NaN: quieting narrow
-            d[l] = f16::widen(sf::convert<16>(sf::from_native(x), quiet));
-            continue;
-          }
-          d[l] = f16::narrow16_value(x, mode);  // flags discarded
-        }
-        break;
-      case TapeOp::kNeg:
-        for (std::size_t l = 0; l < lanes; ++l) d[l] = f16::flip_sign(a[l]);
-        break;
-      case TapeOp::kAdd:
-      case TapeOp::kSub: {
-        const bool is_sub = in.op == TapeOp::kSub;
-        for (std::size_t l = 0; l < lanes; ++l) {
-          double av = a[l], bv = b[l];
-          if (!(f16::is_finite(av) && f16::is_finite(bv))) {
-            env.clear_flags();
-            const F16 r = is_sub
-                              ? sf::sub(f16::to_f16(av), f16::to_f16(bv), env)
-                              : sf::add(f16::to_f16(av), f16::to_f16(bv), env);
-            flags[l] |= env.flags();
-            d[l] = f16::widen(r);
-            continue;
-          }
-          unsigned f = 0;
-          if (daz) {
-            av = f16::daz16(av);
-            bv = f16::daz16(bv);
-          } else if (f16::is_subnormal16(av) || f16::is_subnormal16(bv)) {
-            f = sf::kFlagDenormalInput;
-          }
-          const double s = is_sub ? av - bv : av + bv;  // exact in double
-          if (s == 0.0) {
-            const bool sa = std::signbit(av);
-            const bool sb = std::signbit(bv) != is_sub;  // addend sign
-            const bool zs = (av == 0.0 && bv == 0.0 && sa == sb)
-                                ? sa
-                                : f16::exact_zero_sign(mode);
-            d[l] = zs ? -0.0 : 0.0;
-            flags[l] |= f;
-            continue;
-          }
-          env.clear_flags();
-          d[l] = f16::round16(s, env);
-          flags[l] |= f | env.flags();
-        }
-        break;
-      }
-      case TapeOp::kMul:
-        for (std::size_t l = 0; l < lanes; ++l) {
-          double av = a[l], bv = b[l];
-          if (!(f16::is_finite(av) && f16::is_finite(bv))) {
-            env.clear_flags();
-            const F16 r = sf::mul(f16::to_f16(av), f16::to_f16(bv), env);
-            flags[l] |= env.flags();
-            d[l] = f16::widen(r);
-            continue;
-          }
-          unsigned f = 0;
-          if (daz) {
-            av = f16::daz16(av);
-            bv = f16::daz16(bv);
-          } else if (f16::is_subnormal16(av) || f16::is_subnormal16(bv)) {
-            f = sf::kFlagDenormalInput;
-          }
-          const double s = av * bv;  // exact: 11+11 significand bits
-          if (s == 0.0) {            // sign is the XOR the standard wants
-            d[l] = s;
-            flags[l] |= f;
-            continue;
-          }
-          env.clear_flags();
-          d[l] = f16::round16(s, env);
-          flags[l] |= f | env.flags();
-        }
-        break;
-      case TapeOp::kDiv:
-        for (std::size_t l = 0; l < lanes; ++l) {
-          double av = a[l], bv = b[l];
-          unsigned f = 0;
-          bool slow = !(f16::is_finite(av) && f16::is_finite(bv));
-          if (!slow) {
-            if (daz) {
-              av = f16::daz16(av);
-              bv = f16::daz16(bv);
-            } else if (f16::is_subnormal16(av) || f16::is_subnormal16(bv)) {
-              f = sf::kFlagDenormalInput;
-            }
-            slow = bv == 0.0;  // divide-by-zero / 0 over 0: canonical path
-          }
-          if (slow) {
-            env.clear_flags();
-            const F16 r = sf::div(f16::to_f16(a[l]), f16::to_f16(b[l]), env);
-            flags[l] |= env.flags();
-            d[l] = f16::widen(r);
-            continue;
-          }
-          const double s = av / bv;  // correctly rounded; narrow innocuous
-          if (s == 0.0) {
-            d[l] = s;
-            flags[l] |= f;
-            continue;
-          }
-          env.clear_flags();
-          d[l] = f16::round16(s, env);
-          flags[l] |= f | env.flags();
-        }
-        break;
-      case TapeOp::kSqrt:
-        for (std::size_t l = 0; l < lanes; ++l) {
-          double xv = a[l];
-          unsigned f = 0;
-          bool slow = !f16::is_finite(xv);
-          if (!slow) {
-            if (daz) {
-              xv = f16::daz16(xv);
-            } else if (f16::is_subnormal16(xv)) {
-              f = sf::kFlagDenormalInput;
-            }
-            slow = std::signbit(xv) && xv != 0.0;  // invalid: canonical NaN
-          }
-          if (slow) {
-            env.clear_flags();
-            const F16 r = sf::sqrt(f16::to_f16(a[l]), env);
-            flags[l] |= env.flags();
-            d[l] = f16::widen(r);
-            continue;
-          }
-          if (xv == 0.0) {  // sqrt(±0) = ±0, exact
-            d[l] = xv;
-            flags[l] |= f;
-            continue;
-          }
-          env.clear_flags();
-          d[l] = f16::round16(std::sqrt(xv), env);
-          flags[l] |= f | env.flags();
-        }
-        break;
-      case TapeOp::kFma:
-        for (std::size_t l = 0; l < lanes; ++l) {
-          double av = a[l], bv = b[l], cv = c[l];
-          if (!(f16::is_finite(av) && f16::is_finite(bv) &&
-                f16::is_finite(cv))) {
-            env.clear_flags();
-            const F16 r = sf::fma(f16::to_f16(av), f16::to_f16(bv),
-                                  f16::to_f16(cv), env);
-            flags[l] |= env.flags();
-            d[l] = f16::widen(r);
-            continue;
-          }
-          unsigned f = 0;
-          if (daz) {
-            av = f16::daz16(av);
-            bv = f16::daz16(bv);
-            cv = f16::daz16(cv);
-          } else if (f16::is_subnormal16(av) || f16::is_subnormal16(bv) ||
-                     f16::is_subnormal16(cv)) {
-            f = sf::kFlagDenormalInput;
-          }
-          const double t = av * bv;  // exact product
-          const double s = t + cv;
-          if (s == 0.0) {  // exact zero: |t + cv| >= 2^-48 when nonzero
-            const bool psign = std::signbit(av) != std::signbit(bv);
-            const bool zs = ((av == 0.0 || bv == 0.0) && cv == 0.0 &&
-                             psign == std::signbit(cv))
-                                ? psign
-                                : f16::exact_zero_sign(mode);
-            d[l] = zs ? -0.0 : 0.0;
-            flags[l] |= f;
-            continue;
-          }
-          // TwoSum error term; if the sum was inexact at binary64,
-          // compress to round-to-odd so the in-format rounding sees which
-          // side of every boundary the exact value is on.
-          const double bb = s - t;
-          const double err = (t - (s - bb)) + (cv - bb);
-          double ro = s;
-          if (err != 0.0 && (std::bit_cast<std::uint64_t>(s) & 1) == 0) {
-            ro = f16::step_toward(s, err);
-          }
-          env.clear_flags();
-          d[l] = f16::round16(ro, env);
-          flags[l] |= f | env.flags();
-        }
-        break;
-      case TapeOp::kCmpEq:
-        for (std::size_t l = 0; l < lanes; ++l) {
-          double av = a[l], bv = b[l];
-          if (av != av || bv != bv) {  // unordered; sNaN cannot be in-lane
-            d[l] = 0.0;
-            continue;
-          }
-          if (daz) {
-            av = f16::daz16(av);
-            bv = f16::daz16(bv);
-          }
-          d[l] = av == bv ? 1.0 : 0.0;  // comparisons raise no DE flag
-        }
-        break;
-      case TapeOp::kCmpLt:
-        for (std::size_t l = 0; l < lanes; ++l) {
-          double av = a[l], bv = b[l];
-          if (av != av || bv != bv) {  // signaling predicate: invalid
-            flags[l] |= sf::kFlagInvalid;
-            d[l] = 0.0;
-            continue;
-          }
-          if (daz) {
-            av = f16::daz16(av);
-            bv = f16::daz16(bv);
-          }
-          d[l] = av < bv ? 1.0 : 0.0;
-        }
-        break;
-    }
-  }
-
-  const double* result =
-      regs.data() + std::size_t{t.result_register()} * lanes;
-  for (std::size_t l = 0; l < lanes; ++l) {
-    out[l].value = sf::from_native(result[l]);
-    out[l].flags = flags[l];
-  }
-}
-
-// The same lane blocking as run_soft_lanes. Native arithmetic in the
-// blocks requires round-to-nearest and must not leak host exception flags
-// to the caller, so the whole fenv is saved around the sweep and restored
-// after.
-void run_fast16_lanes(const Tape& t, const double* values, std::size_t width,
-                      std::size_t begin, std::size_t end, Outcome* out) {
-  constexpr std::size_t kBlock = 1024;
-  fenv_t saved_fenv;
-  std::fegetenv(&saved_fenv);
-  std::fesetround(FE_TONEAREST);
-  for (std::size_t b = begin; b < end; b += kBlock) {
-    const std::size_t e = b + kBlock < end ? b + kBlock : end;
-    run_fast16_block(t, values, width, b, e, out + (b - begin));
-  }
-  std::fesetenv(&saved_fenv);
 }
 
 void check_width(const Tape& tape, const BindingTable& table) {
@@ -420,7 +130,7 @@ void dispatch_soft(const Tape& tape, const double* values, std::size_t width,
                    std::size_t begin, std::size_t end, Outcome* out) {
   switch (tape.config().format_bits) {
     case 16:
-      run_fast16_lanes(tape, values, width, begin, end, out);
+      run_soft_lanes<16>(tape, values, width, begin, end, out);
       break;
     case 32:
       run_soft_lanes<32>(tape, values, width, begin, end, out);
@@ -440,6 +150,13 @@ void execute_range(const Tape& tape, const BindingTable& table,
                    std::size_t begin, std::size_t end,
                    std::span<Outcome> out) {
   check_width(tape, table);
+  if (begin > end || end > table.rows()) {
+    throw std::invalid_argument("execute_range: [begin, end) not a row "
+                                "range of the table");
+  }
+  if (out.size() != end - begin) {
+    throw std::invalid_argument("execute_range: out.size() != end - begin");
+  }
   dispatch_soft(tape, table.values.data(), table.width, begin, end,
                 out.data());
 }
@@ -487,166 +204,6 @@ std::vector<Outcome> execute_batch(parallel::ThreadPool& pool,
       });
 
   return out;
-}
-
-// -- Native SoA kernels -----------------------------------------------------
-
-void execute_range_native64(const Tape& tape, const BindingTable& table,
-                            std::size_t begin, std::size_t end,
-                            std::span<double> out) {
-  check_width(tape, table);
-  const std::size_t lanes = end - begin;
-  std::vector<double> regs(tape.register_count() * lanes);
-  const std::span<const softfloat::Float64> pool = tape.constants();
-  const double* values = table.values.data();
-  for (const TapeInst& in : tape.code()) {
-    double* d = regs.data() + std::size_t{in.dst} * lanes;
-    const double* a = regs.data() + std::size_t{in.a} * lanes;
-    const double* b = regs.data() + std::size_t{in.b} * lanes;
-    const double* c = regs.data() + std::size_t{in.c} * lanes;
-    switch (in.op) {
-      case TapeOp::kConst: {
-        const double v = sf::to_native(pool[in.a]);
-        for (std::size_t l = 0; l < lanes; ++l) d[l] = v;
-        break;
-      }
-      case TapeOp::kVar:
-        for (std::size_t l = 0; l < lanes; ++l) {
-          d[l] = values[(begin + l) * table.width + in.a];
-        }
-        break;
-      case TapeOp::kNeg:
-        for (std::size_t l = 0; l < lanes; ++l) {
-          d[l] = native::flip_sign(a[l]);
-        }
-        break;
-      case TapeOp::kAdd:
-        for (std::size_t l = 0; l < lanes; ++l) {
-          d[l] = native::add64(a[l], b[l]);
-        }
-        break;
-      case TapeOp::kSub:
-        for (std::size_t l = 0; l < lanes; ++l) {
-          d[l] = native::sub64(a[l], b[l]);
-        }
-        break;
-      case TapeOp::kMul:
-        for (std::size_t l = 0; l < lanes; ++l) {
-          d[l] = native::mul64(a[l], b[l]);
-        }
-        break;
-      case TapeOp::kDiv:
-        for (std::size_t l = 0; l < lanes; ++l) {
-          d[l] = native::div64(a[l], b[l]);
-        }
-        break;
-      case TapeOp::kSqrt:
-        for (std::size_t l = 0; l < lanes; ++l) {
-          d[l] = native::sqrt64(a[l]);
-        }
-        break;
-      case TapeOp::kFma:
-        for (std::size_t l = 0; l < lanes; ++l) {
-          d[l] = native::fma64(a[l], b[l], c[l]);
-        }
-        break;
-      case TapeOp::kCmpEq:
-        for (std::size_t l = 0; l < lanes; ++l) {
-          d[l] = native::eq64(a[l], b[l]) ? 1.0 : 0.0;
-        }
-        break;
-      case TapeOp::kCmpLt:
-        for (std::size_t l = 0; l < lanes; ++l) {
-          d[l] = native::lt64(a[l], b[l]) ? 1.0 : 0.0;
-        }
-        break;
-    }
-  }
-  const double* result =
-      regs.data() + std::size_t{tape.result_register()} * lanes;
-  for (std::size_t l = 0; l < lanes; ++l) out[l] = result[l];
-}
-
-void execute_range_native32(const Tape& tape, const BindingTable& table,
-                            std::size_t begin, std::size_t end,
-                            std::span<double> out) {
-  check_width(tape, table);
-  const std::size_t lanes = end - begin;
-  // In-format float registers: NativeEvaluator32 widens each result to
-  // double and re-narrows per op through the FPU, but re-narrowing an
-  // in-format value is exact, so keeping lanes as float is bit-identical.
-  std::vector<float> regs(tape.register_count() * lanes);
-  const std::span<const softfloat::Float64> pool = tape.constants();
-  const double* values = table.values.data();
-  for (const TapeInst& in : tape.code()) {
-    float* d = regs.data() + std::size_t{in.dst} * lanes;
-    const float* a = regs.data() + std::size_t{in.a} * lanes;
-    const float* b = regs.data() + std::size_t{in.b} * lanes;
-    const float* c = regs.data() + std::size_t{in.c} * lanes;
-    switch (in.op) {
-      case TapeOp::kConst: {
-        const float v = native::narrow32(sf::to_native(pool[in.a]));
-        for (std::size_t l = 0; l < lanes; ++l) d[l] = v;
-        break;
-      }
-      case TapeOp::kVar:
-        for (std::size_t l = 0; l < lanes; ++l) {
-          d[l] = native::narrow32(values[(begin + l) * table.width + in.a]);
-        }
-        break;
-      case TapeOp::kNeg:
-        for (std::size_t l = 0; l < lanes; ++l) {
-          d[l] = static_cast<float>(
-              native::flip_sign(static_cast<double>(a[l])));
-        }
-        break;
-      case TapeOp::kAdd:
-        for (std::size_t l = 0; l < lanes; ++l) {
-          d[l] = native::add32(a[l], b[l]);
-        }
-        break;
-      case TapeOp::kSub:
-        for (std::size_t l = 0; l < lanes; ++l) {
-          d[l] = native::sub32(a[l], b[l]);
-        }
-        break;
-      case TapeOp::kMul:
-        for (std::size_t l = 0; l < lanes; ++l) {
-          d[l] = native::mul32(a[l], b[l]);
-        }
-        break;
-      case TapeOp::kDiv:
-        for (std::size_t l = 0; l < lanes; ++l) {
-          d[l] = native::div32(a[l], b[l]);
-        }
-        break;
-      case TapeOp::kSqrt:
-        for (std::size_t l = 0; l < lanes; ++l) {
-          d[l] = native::sqrt32(a[l]);
-        }
-        break;
-      case TapeOp::kFma:
-        for (std::size_t l = 0; l < lanes; ++l) {
-          d[l] = native::fma32(a[l], b[l], c[l]);
-        }
-        break;
-      case TapeOp::kCmpEq:
-        for (std::size_t l = 0; l < lanes; ++l) {
-          d[l] = native::eq64(a[l], b[l]) ? 1.0f : 0.0f;
-        }
-        break;
-      case TapeOp::kCmpLt:
-        for (std::size_t l = 0; l < lanes; ++l) {
-          d[l] = native::lt64(a[l], b[l]) ? 1.0f : 0.0f;
-        }
-        break;
-    }
-  }
-  const float* result =
-      regs.data() + std::size_t{tape.result_register()} * lanes;
-  for (std::size_t l = 0; l < lanes; ++l) {
-    out[l] = static_cast<double>(result[l]);
-  }
 }
 
 }  // namespace fpq::ir

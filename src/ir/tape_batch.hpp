@@ -5,7 +5,10 @@
 // engine keeps a register FILE of `register_count() × lanes` in-format
 // values and runs each instruction across every lane before advancing —
 // the softfloat batch entry points (softfloat/batch.hpp) supply the lane
-// loops. Per-lane flag words keep each row's sticky union isolated, so
+// loops, so the active kernel variant (softfloat/kernels.hpp) picks the
+// engine for every format and kScalar runs the scalar reference loops
+// throughout. One interpreter serves binary16, binary32, binary64 and
+// bfloat16. Per-lane flag words keep each row's sticky union isolated, so
 // results are bit- and flag-identical to per-row evaluation; chunking
 // follows the parallel substrate's determinism rules (bit-identical at
 // every thread count). Nothing is memoized: every call executes.
@@ -23,7 +26,8 @@ namespace fpq::ir {
 
 /// Executes rows [begin, end) of `table` on the calling thread; out[i]
 /// receives row begin+i. Requires table.width >= tape.required_width()
-/// (throws BindingWidthError otherwise) and out.size() == end - begin.
+/// (throws BindingWidthError otherwise), begin <= end <= table.rows() and
+/// out.size() == end - begin (throws std::invalid_argument otherwise).
 void execute_range(const Tape& tape, const BindingTable& table,
                    std::size_t begin, std::size_t end,
                    std::span<Outcome> out);
@@ -46,19 +50,5 @@ std::vector<Outcome> execute_batch(parallel::ThreadPool& pool,
                                    const Tape& tape,
                                    const BindingTable& table,
                                    const BatchOptions& options = {});
-
-/// Host-FPU SoA kernels (values only — the native evaluators deliberately
-/// expose no per-op flags). Bit-identical to a NativeEvaluator64/32 tree
-/// walk per row under the host's default FP environment; compile the tape
-/// with format_bits 64 / 32 respectively. Folded/CSE'd tapes rely on the
-/// softfloat engine agreeing with IEEE hardware in default rounding (the
-/// repo's differential-oracle claim); use TapeOptions::exact_trace() when
-/// an fpmon monitor must observe every source-level operation.
-void execute_range_native64(const Tape& tape, const BindingTable& table,
-                            std::size_t begin, std::size_t end,
-                            std::span<double> out);
-void execute_range_native32(const Tape& tape, const BindingTable& table,
-                            std::size_t begin, std::size_t end,
-                            std::span<double> out);
 
 }  // namespace fpq::ir

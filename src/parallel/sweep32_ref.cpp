@@ -56,30 +56,6 @@ sf::Float<kBits> narrow53(double wide, sf::Rounding mode) noexcept {
   return sf::convert<kBits, 64>(sf::from_native(wide), env);
 }
 
-/// Encode a double that is exactly a binary16 value (or ±inf) back into
-/// the binary16 format, by inverting fast16::widen with integer
-/// arithmetic. Never touches the soft round/pack pipeline.
-sf::Float16 encode16(double v) noexcept {
-  const std::uint64_t b = std::bit_cast<std::uint64_t>(v);
-  const auto sign = static_cast<std::uint16_t>((b >> 63) << 15);
-  const std::uint64_t mag = b & ~kSign64;
-  if (mag == 0) return sf::Float16{sign};
-  if ((mag & sf::fast16::kExpMask64) == sf::fast16::kExpMask64) {
-    return sf::Float16{static_cast<std::uint16_t>(sign | 0x7C00u)};
-  }
-  const int e = static_cast<int>(mag >> 52) - 1023;
-  const std::uint64_t frac52 = mag & ((std::uint64_t{1} << 52) - 1);
-  if (e >= -14) {  // normal in binary16: rebias 1023 -> 15
-    const auto be = static_cast<std::uint16_t>(e + 15);
-    return sf::Float16{static_cast<std::uint16_t>(
-        sign | (be << 10) | static_cast<std::uint16_t>(frac52 >> 42))};
-  }
-  // Subnormal: value = sig16 * 2^-24 with sig16 < 2^10.
-  const std::uint64_t sig = (frac52 | (std::uint64_t{1} << 52)) >>
-                            (42 + (-14 - e));
-  return sf::Float16{static_cast<std::uint16_t>(sign | sig)};
-}
-
 }  // namespace
 
 template <int kBits>
@@ -264,7 +240,7 @@ sf::Float16 ref_narrow16(sf::Float32 a, sf::Rounding mode) {
   }
   // Finite nonzero binary32 values are normal doubles (min subnormal is
   // 2^-149), so narrow16_value's precondition holds.
-  return encode16(
+  return sf::fast16::encode(
       sf::fast16::narrow16_value(hw_widen_f32(sf::to_native(a)), mode));
 }
 

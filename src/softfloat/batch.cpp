@@ -13,9 +13,11 @@ namespace {
 // Kernel dispatch happens here, inside the batch entry points, so every
 // caller — tape execution, the sweep32 shard loops, direct users — flows
 // through the accelerated kernels without changes. Only the ops with
-// accelerated binary32 implementations branch; everything else (and the
-// kScalar variant) keeps the scalar reference loops below, except the
-// comparisons, which run inline on every variant (compare_lanes).
+// accelerated binary32 or binary16 implementations branch (binary16 has
+// no AVX2 kernels, so kAvx2 runs the portable ones, as convert_n<32, 64>
+// does); everything else (and the kScalar variant) keeps the scalar
+// reference loops below, except the comparisons, which run inline on
+// every variant (compare_lanes).
 inline bool use_kernels() noexcept {
   return active_kernel_variant() != KernelVariant::kScalar;
 }
@@ -51,6 +53,11 @@ void add_n(const Float<kBits>* a, const Float<kBits>* b, Float<kBits>* out,
       kernels::portable::add32(a, b, out, flags, n, env);
       return;
     }
+  } else if constexpr (kBits == 16) {
+    if (use_kernels()) {
+      kernels::portable::add16(a, b, out, flags, n, env);
+      return;
+    }
   }
   binary_lanes<kBits>(a, b, out, flags, n, env,
                       [](Float<kBits> x, Float<kBits> y, Env& e) {
@@ -68,6 +75,11 @@ void sub_n(const Float<kBits>* a, const Float<kBits>* b, Float<kBits>* out,
     }
     if (use_kernels()) {
       kernels::portable::sub32(a, b, out, flags, n, env);
+      return;
+    }
+  } else if constexpr (kBits == 16) {
+    if (use_kernels()) {
+      kernels::portable::sub16(a, b, out, flags, n, env);
       return;
     }
   }
@@ -89,6 +101,11 @@ void mul_n(const Float<kBits>* a, const Float<kBits>* b, Float<kBits>* out,
       kernels::portable::mul32(a, b, out, flags, n, env);
       return;
     }
+  } else if constexpr (kBits == 16) {
+    if (use_kernels()) {
+      kernels::portable::mul16(a, b, out, flags, n, env);
+      return;
+    }
   }
   binary_lanes<kBits>(a, b, out, flags, n, env,
                       [](Float<kBits> x, Float<kBits> y, Env& e) {
@@ -106,6 +123,11 @@ void div_n(const Float<kBits>* a, const Float<kBits>* b, Float<kBits>* out,
     }
     if (use_kernels()) {
       kernels::portable::div32(a, b, out, flags, n, env);
+      return;
+    }
+  } else if constexpr (kBits == 16) {
+    if (use_kernels()) {
+      kernels::portable::div16(a, b, out, flags, n, env);
       return;
     }
   }
@@ -127,6 +149,11 @@ void sqrt_n(const Float<kBits>* a, Float<kBits>* out, unsigned* flags,
       kernels::portable::sqrt32(a, out, flags, n, env);
       return;
     }
+  } else if constexpr (kBits == 16) {
+    if (use_kernels()) {
+      kernels::portable::sqrt16(a, out, flags, n, env);
+      return;
+    }
   }
   for (std::size_t i = 0; i < n; ++i) {
     env.clear_flags();
@@ -146,6 +173,11 @@ void fma_n(const Float<kBits>* a, const Float<kBits>* b,
     }
     if (use_kernels()) {
       kernels::portable::fma32(a, b, c, out, flags, n, env);
+      return;
+    }
+  } else if constexpr (kBits == 16) {
+    if (use_kernels()) {
+      kernels::portable::fma16(a, b, c, out, flags, n, env);
       return;
     }
   }
@@ -314,6 +346,11 @@ void narrow_from_double_n(const double* in, std::size_t stride,
       }
       if (use_kernels()) {
         kernels::portable::narrow_double_to_32(in, stride, out, n, quiet);
+        return;
+      }
+    } else if constexpr (kBits == 16) {
+      if (use_kernels()) {
+        kernels::portable::narrow_double_to_16(in, stride, out, n, quiet);
         return;
       }
     }

@@ -7,11 +7,11 @@
 // order, and the Env's sticky flags are clobbered (scalar-fallback lanes
 // use it as scratch).
 //
-// Kernels that run host floating point (the fast32 arithmetic ops and
-// sqrt) pin the fenv to round-to-nearest internally — callers like the
-// sweep32 shard loops invoke them under ambient, per-shard rounding
-// modes. The convert / round-to-int kernels are pure integer code and
-// need no pinning.
+// Kernels that run host floating point (the fast32 and fast16 arithmetic
+// ops, sqrt included) pin the fenv to round-to-nearest internally —
+// callers like the sweep32 shard loops invoke them under ambient,
+// per-shard rounding modes. The convert / round-to-int / operand
+// narrowing kernels are pure integer code and need no pinning.
 //
 // Not a public header: only batch.cpp, kernels.cpp, and the kernel TUs
 // (batch_kernels_portable.cpp / batch_kernels_avx2.cpp) include it.
@@ -62,6 +62,26 @@ void widen_bf16_to_32(const BFloat16* a, Float32* out, unsigned* flags,
                       std::size_t n, Env& env) noexcept;
 void widen_32_to_64(const Float32* a, Float64* out, unsigned* flags,
                     std::size_t n, Env& env) noexcept;
+
+// Binary16 arithmetic (the fast16 lane bodies) and operand narrowing. No
+// AVX2 counterparts: the avx2 variant dispatches here too.
+void add16(const Float16* a, const Float16* b, Float16* out, unsigned* flags,
+           std::size_t n, Env& env) noexcept;
+void sub16(const Float16* a, const Float16* b, Float16* out, unsigned* flags,
+           std::size_t n, Env& env) noexcept;
+void mul16(const Float16* a, const Float16* b, Float16* out, unsigned* flags,
+           std::size_t n, Env& env) noexcept;
+void div16(const Float16* a, const Float16* b, Float16* out, unsigned* flags,
+           std::size_t n, Env& env) noexcept;
+void fma16(const Float16* a, const Float16* b, const Float16* c, Float16* out,
+           unsigned* flags, std::size_t n, Env& env) noexcept;
+void sqrt16(const Float16* a, Float16* out, unsigned* flags, std::size_t n,
+            Env& env) noexcept;
+/// narrow_from_double_n<16>: fast16::narrow16_value over a strided column
+/// of host doubles, with every flag discarded (`quiet` supplies the
+/// rounding and DAZ modes and is scratch for the fallback lanes).
+void narrow_double_to_16(const double* in, std::size_t stride, Float16* out,
+                         std::size_t n, Env& quiet) noexcept;
 
 }  // namespace portable
 

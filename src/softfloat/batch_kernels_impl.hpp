@@ -19,6 +19,9 @@
 // tininess-after-rounding except fold32's tiny band (fold32_tiny), to the
 // scalar engine instead of reimplementing it.
 //
+// The binary16 arithmetic bodies follow the binary32 ones with the fast16
+// technique (fast16.hpp); they fold through round_pack<16> itself.
+//
 // Internal header: included only by batch_kernels_portable.cpp and
 // batch_kernels_avx2.cpp.
 #pragma once
@@ -30,6 +33,7 @@
 #include <cstdint>
 
 #include "softfloat/env.hpp"
+#include "softfloat/fast16.hpp"
 #include "softfloat/fast32.hpp"
 #include "softfloat/ops.hpp"
 
@@ -601,6 +605,157 @@ inline std::uint32_t sqrt32_lane(std::uint32_t p, Rounding mode, bool daz,
       (rb + round_bias(mode, false, low, (rb >> 29) & 1)) & ~low;
   if ((rb & low) != 0) fl |= kFlagInexact;
   return static_cast<std::uint32_t>((r >> 29) - (std::uint64_t{896} << 23));
+}
+
+// -- Binary16 arithmetic lane bodies (fast16 native doubles) ----------------
+//
+// The binary32 bodies' shape at binary16 (see fast16.hpp): operands widen
+// exactly to doubles, the native result is exact (add/sub/mul),
+// innocuously double-rounded (div/sqrt) or round-to-odd compressed (fma),
+// and fold16 rounds it through detail::round_pack<16>. The caller pinned
+// the fenv to round-to-nearest.
+
+/// Widens a finite binary16 operand: a subnormal is flushed to signed
+/// zero under DAZ and raises kFlagDenormalInput into `de` otherwise.
+inline double operand16(Float16 x, bool daz, unsigned& de) noexcept {
+  if (x.is_subnormal()) {
+    if (daz) return x.sign() ? -0.0 : 0.0;
+    de |= kFlagDenormalInput;
+  }
+  return fast16::widen(x);
+}
+
+/// Rounds a nonzero normal double holding a fast16 result into binary16.
+inline std::uint16_t fold16(double v, Env& env, unsigned& fl) noexcept {
+  env.clear_flags();
+  const Float16 r = fast16::round16(v, env);
+  fl |= env.flags();
+  return r.bits;
+}
+
+/// add<16>, or sub<16> when `is_sub`, for one lane.
+inline std::uint16_t add16_lane(std::uint16_t pa, std::uint16_t pb,
+                                bool is_sub, Rounding mode, bool daz,
+                                Env& env, unsigned& fl) noexcept {
+  const Float16 xa = Float16::from_bits(pa);
+  const Float16 xb = Float16::from_bits(pb);
+  if (!(xa.is_finite() && xb.is_finite())) {
+    env.clear_flags();
+    const Float16 r =
+        is_sub ? softfloat::sub(xa, xb, env) : softfloat::add(xa, xb, env);
+    fl |= env.flags();
+    return r.bits;
+  }
+  const double av = operand16(xa, daz, fl);
+  double bv = operand16(xb, daz, fl);
+  if (is_sub) bv = fast32::flip_sign(bv);
+  const double s = av + bv;  // exact in binary64
+  if (s == 0.0) {
+    const bool sa = std::signbit(av);
+    const bool sb = std::signbit(bv);
+    const bool zs = (av == 0.0 && bv == 0.0 && sa == sb)
+                        ? sa
+                        : fast32::exact_zero_sign(mode);
+    return Float16::zero(zs).bits;
+  }
+  return fold16(s, env, fl);
+}
+
+/// mul<16> for one lane.
+inline std::uint16_t mul16_lane(std::uint16_t pa, std::uint16_t pb,
+                                bool daz, Env& env, unsigned& fl) noexcept {
+  const Float16 xa = Float16::from_bits(pa);
+  const Float16 xb = Float16::from_bits(pb);
+  if (!(xa.is_finite() && xb.is_finite())) {
+    env.clear_flags();
+    const Float16 r = softfloat::mul(xa, xb, env);
+    fl |= env.flags();
+    return r.bits;
+  }
+  const double av = operand16(xa, daz, fl);
+  const double bv = operand16(xb, daz, fl);
+  const double t = av * bv;  // exact: 11+11 significand bits
+  if (t == 0.0) return Float16::zero(std::signbit(t)).bits;  // XOR sign
+  return fold16(t, env, fl);
+}
+
+/// div<16> for one lane.
+inline std::uint16_t div16_lane(std::uint16_t pa, std::uint16_t pb,
+                                bool daz, Env& env, unsigned& fl) noexcept {
+  const Float16 xa = Float16::from_bits(pa);
+  const Float16 xb = Float16::from_bits(pb);
+  unsigned denormal = 0;
+  double av = 0.0;
+  double bv = 0.0;
+  bool slow = !(xa.is_finite() && xb.is_finite());
+  if (!slow) {
+    av = operand16(xa, daz, denormal);
+    bv = operand16(xb, daz, denormal);
+    slow = bv == 0.0;  // divide-by-zero / 0 over 0: canonical path
+  }
+  if (slow) {
+    env.clear_flags();
+    const Float16 r = softfloat::div(xa, xb, env);
+    fl |= env.flags();
+    return r.bits;
+  }
+  fl |= denormal;
+  if (av == 0.0) {  // exact zero quotient, XOR sign
+    return Float16::zero(std::signbit(av) != std::signbit(bv)).bits;
+  }
+  return fold16(av / bv, env, fl);  // innocuous double rounding
+}
+
+/// fma<16> for one lane.
+inline std::uint16_t fma16_lane(std::uint16_t pa, std::uint16_t pb,
+                                std::uint16_t pc, Rounding mode, bool daz,
+                                Env& env, unsigned& fl) noexcept {
+  const Float16 xa = Float16::from_bits(pa);
+  const Float16 xb = Float16::from_bits(pb);
+  const Float16 xc = Float16::from_bits(pc);
+  if (!(xa.is_finite() && xb.is_finite() && xc.is_finite())) {
+    env.clear_flags();
+    const Float16 r = softfloat::fma(xa, xb, xc, env);
+    fl |= env.flags();
+    return r.bits;
+  }
+  const double av = operand16(xa, daz, fl);
+  const double bv = operand16(xb, daz, fl);
+  const double cv = operand16(xc, daz, fl);
+  const double t = av * bv;  // exact product
+  const double ro = fast32::add_round_odd(t, cv);
+  if (ro == 0.0) {  // exact zero: |t + cv| >= 2^-48 when nonzero
+    const bool psign = std::signbit(av) != std::signbit(bv);
+    const bool zs = ((av == 0.0 || bv == 0.0) && cv == 0.0 &&
+                     psign == std::signbit(cv))
+                        ? psign
+                        : fast32::exact_zero_sign(mode);
+    return Float16::zero(zs).bits;
+  }
+  return fold16(ro, env, fl);
+}
+
+/// sqrt<16> for one lane.
+inline std::uint16_t sqrt16_lane(std::uint16_t p, bool daz, Env& env,
+                                 unsigned& fl) noexcept {
+  const Float16 x = Float16::from_bits(p);
+  if (x.is_nan()) {
+    env.clear_flags();
+    const Float16 r = softfloat::sqrt(x, env);
+    fl |= env.flags();
+    return r.bits;
+  }
+  if (x.is_zero()) return p;  // sqrt(±0) = ±0, exact
+  if (x.sign()) {
+    // Negative nonzero (including -inf and negative subnormals even
+    // under DAZ: the scalar op checks the sign before unpacking).
+    fl |= kFlagInvalid;
+    return Float16::quiet_nan().bits;
+  }
+  if (x.is_infinity()) return p;  // sqrt(+inf) = +inf
+  const double v = operand16(x, daz, fl);
+  if (v == 0.0) return 0;  // DAZ-flushed operand: sqrt(+0) = +0
+  return fold16(std::sqrt(v), env, fl);  // innocuous double rounding
 }
 
 }  // namespace fpq::softfloat::kernels::impl

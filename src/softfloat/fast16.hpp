@@ -1,11 +1,13 @@
-// fpq::softfloat — binary16 fast-path primitives for the batched tape
-// executor.
+// fpq::softfloat — binary16 fast-path primitives for the batch kernels'
+// per-lane bodies (kernels::impl::add16_lane and friends in
+// batch_kernels_impl.hpp) and the sweep32 binary16 references.
 //
-// Lanes hold binary16 VALUES as native doubles; arithmetic runs on the
-// host FPU (pinned to round-to-nearest by the caller) and each result is
-// folded back in-format through the same detail::round_pack<16> core the
-// scalar engine uses, so values and flags are bit-identical to the
-// softfloat operations by construction rather than by reimplementation:
+// A lane widens its binary16 operands to native doubles, runs the
+// arithmetic on the host FPU (pinned to round-to-nearest by the caller)
+// and folds the result back in-format through the same
+// detail::round_pack<16> core the scalar engine uses, so values and flags
+// are bit-identical to the softfloat operations by construction rather
+// than by reimplementation:
 //
 //  - add/sub/mul of binary16 values are EXACT in binary64 (11-bit
 //    significands, |exponent| <= 24 quanta against a 53-bit target), so
@@ -18,13 +20,14 @@
 //    the binary64 rounding error, so the boundary comparisons inside
 //    round_pack come out the same as for the exact value.
 //  - fma residues CAN land closer to a boundary than binary64 can
-//    represent (e.g. 65504 + 2^-48), so the caller compresses the exact
-//    sum through TwoSum + round-to-odd before handing it to round16().
+//    represent (e.g. 65504 + 2^-48), so the lane compresses the exact
+//    sum through TwoSum + round-to-odd (fast32::add_round_odd) before
+//    handing it to round16().
 //
 // Anything special — NaN or infinity operands, division by zero, sqrt of
-// a negative — is expected to take the scalar softfloat operation for
-// that lane instead (see tape_batch.cpp), which also keeps NaN payload
-// propagation canonical. This header is internal to the softfloat module.
+// a negative — takes the scalar softfloat operation for that lane
+// instead, which also keeps NaN payload propagation canonical. This
+// header is internal to the softfloat module.
 #pragma once
 
 #include <bit>
@@ -43,29 +46,19 @@ inline bool is_finite(double v) noexcept {
   return (std::bit_cast<std::uint64_t>(v) & kExpMask64) != kExpMask64;
 }
 
-/// True for a value in binary16's subnormal range (0 < |v| < 2^-14) —
-/// the operands that raise kFlagDenormalInput / get flushed by DAZ.
-inline bool is_subnormal16(double v) noexcept {
-  return v != 0.0 && std::fabs(v) < 0x1p-14;
-}
-
-/// DAZ operand flush: binary16-subnormal magnitudes become signed zero.
-inline double daz16(double v) noexcept {
-  return std::fabs(v) < 0x1p-14 ? std::copysign(0.0, v) : v;
-}
-
 /// Exact widening of a binary16 encoding to its double value (including
 /// NaN payloads, which land in the same bits convert<64,16> puts them in).
 inline double widen(Float16 x) noexcept {
-  const auto be = static_cast<std::uint64_t>(x.biased_exponent());
-  const std::uint64_t sign = x.sign() ? (std::uint64_t{1} << 63) : 0;
-  const auto frac = static_cast<std::uint64_t>(x.fraction());
-  if (be == 0x1F) {  // infinity / NaN: payload shifts into the top bits
-    return std::bit_cast<double>(sign | kExpMask64 | (frac << 42));
+  const std::uint64_t sign = static_cast<std::uint64_t>(x.bits >> 15) << 63;
+  const std::uint32_t mag = x.bits & 0x7FFFu;
+  if (mag - 0x0400u < 0x7800u) {  // normal: rebias 15 -> 1023
+    return std::bit_cast<double>(
+        sign | ((static_cast<std::uint64_t>(mag) << 42) +
+                (std::uint64_t{1023 - 15} << 52)));
   }
-  if (be != 0) {  // normal: rebias 15 -> 1023
-    return std::bit_cast<double>(sign | ((be - 15 + 1023) << 52) |
-                                 (frac << 42));
+  const auto frac = static_cast<std::uint64_t>(x.fraction());
+  if (mag >= 0x7C00u) {  // infinity / NaN: payload shifts into the top bits
+    return std::bit_cast<double>(sign | kExpMask64 | (frac << 42));
   }
   if (frac == 0) return std::bit_cast<double>(sign);
   // Subnormal: value = frac * 2^-24, normalized into a double.
@@ -75,20 +68,41 @@ inline double widen(Float16 x) noexcept {
   return std::bit_cast<double>(sign | (bexp << 52) | mant);
 }
 
+/// The inverse of widen() for a double that is exactly a binary16 value
+/// or an infinity: integer re-encoding, no rounding.
+inline Float16 encode(double v) noexcept {
+  const std::uint64_t b = std::bit_cast<std::uint64_t>(v);
+  const auto sign = static_cast<std::uint16_t>((b >> 63) << 15);
+  const std::uint64_t mag = b & ~(std::uint64_t{1} << 63);
+  if (mag == 0) return Float16{sign};
+  if ((mag & kExpMask64) == kExpMask64) {
+    return Float16{static_cast<std::uint16_t>(sign | 0x7C00u)};
+  }
+  const int e = static_cast<int>(mag >> 52) - 1023;
+  if (e >= -14) {  // normal in binary16: rebias 1023 -> 15
+    return Float16{static_cast<std::uint16_t>(
+        sign | ((mag - (std::uint64_t{1023 - 15} << 52)) >> 42))};
+  }
+  // Subnormal: value = sig16 * 2^-24 with sig16 < 2^10.
+  const std::uint64_t sig =
+      ((mag & kFracMask64) | (std::uint64_t{1} << 52)) >> (42 + (-14 - e));
+  return Float16{static_cast<std::uint16_t>(sign | sig)};
+}
+
 /// Rounds a NORMAL nonzero double into binary16 through the scalar
 /// engine's round/pack core (all five modes, FTZ, tininess-after-rounding,
-/// per-mode overflow results) and returns the value re-widened to double.
-/// Flags accumulate on `env` exactly as the softfloat operation would
-/// raise them. The caller guarantees `x` is finite, nonzero, and not a
-/// double-subnormal (every nonzero result of binary16 arithmetic is a
-/// normal double: the smallest magnitude any op can produce is 2^-48).
-inline double round16(double x, Env& env) noexcept {
+/// per-mode overflow results). Flags accumulate on `env` exactly as the
+/// softfloat operation would raise them. The caller guarantees `x` is
+/// finite, nonzero, and not a double-subnormal (every nonzero result of
+/// binary16 arithmetic is a normal double: the smallest magnitude any op
+/// can produce is 2^-48).
+inline Float16 round16(double x, Env& env) noexcept {
   const std::uint64_t b = std::bit_cast<std::uint64_t>(x);
   const bool sign = (b >> 63) != 0;
   const auto exp = static_cast<std::int32_t>((b >> 52) & 0x7FF) - 1023;
   const std::uint64_t sig = ((b & kFracMask64) | (std::uint64_t{1} << 52))
                             << 11;
-  return widen(detail::round_pack<16>(sign, exp, sig, false, env));
+  return detail::round_pack<16>(sign, exp, sig, false, env);
 }
 
 /// Bit pattern of the largest finite binary16 value (65504) widened to
@@ -98,14 +112,14 @@ inline constexpr std::uint64_t kMaxMag16 =
 
 /// Value-only narrowing of a NORMAL nonzero double to the nearest
 /// binary16 value under `mode`, returned re-widened to double. Computes
-/// no flags — it exists for operand narrowing (tape kVar lanes), where
-/// flags are discarded by contract, and is several times cheaper than
-/// round16(). Works by add-and-mask rounding on the double's bit
-/// pattern: within the binary16 value set, consecutive values are a
-/// fixed pattern step apart (2^42 for normals, 2^(42+shift) in the
-/// subnormal range) and the carry out of the fraction walks binades, so
-/// one masked integer add rounds correctly in every mode; the kept lsb
-/// of the pattern is the parity ties-to-even needs.
+/// no flags — it exists for operand narrowing (narrow_from_double_n<16>,
+/// the tape's kVar loads), where flags are discarded by contract, and is
+/// several times cheaper than round16(). Works by add-and-mask rounding
+/// on the double's bit pattern: within the binary16 value set,
+/// consecutive values are a fixed pattern step apart (2^42 for normals,
+/// 2^(42+shift) in the subnormal range) and the carry out of the fraction
+/// walks binades, so one masked integer add rounds correctly in every
+/// mode; the kept lsb of the pattern is the parity ties-to-even needs.
 inline double narrow16_value(double x, Rounding mode) noexcept {
   const std::uint64_t b = std::bit_cast<std::uint64_t>(x);
   const std::uint64_t sign = b & (std::uint64_t{1} << 63);
@@ -155,31 +169,12 @@ inline double narrow16_value(double x, Rounding mode) noexcept {
   return std::bit_cast<double>(sign | mag);
 }
 
-/// Exact narrowing of an in-format (binary16-valued) double back to the
-/// encoding, for handing a lane to a scalar softfloat fallback.
-inline Float16 to_f16(double v) noexcept {
-  Env quiet;
-  return convert<16>(from_native(v), quiet);
-}
-
-/// Deterministic sign-bit flip (IEEE negate: no flags, NaN sign flips).
-inline double flip_sign(double v) noexcept {
-  return std::bit_cast<double>(std::bit_cast<std::uint64_t>(v) ^
-                               (std::uint64_t{1} << 63));
-}
-
 /// One ulp step toward the sign of `dir` (caller guarantees the step
 /// cannot cross zero or leave the finite range).
 inline double step_toward(double s, double dir) noexcept {
   std::uint64_t b = std::bit_cast<std::uint64_t>(s);
   b += ((dir > 0.0) == (s > 0.0)) ? 1u : std::uint64_t(-1);
   return std::bit_cast<double>(b);
-}
-
-/// The sign of an exact-zero sum (IEEE 754-2008 §6.3): positive in every
-/// rounding mode except roundTowardNegative.
-inline bool exact_zero_sign(Rounding mode) noexcept {
-  return mode == Rounding::kDown;
 }
 
 }  // namespace fpq::softfloat::fast16

@@ -6,19 +6,23 @@
 //   kScalar   — the per-lane scalar softfloat operations (the reference:
 //               every other variant must be bit- and flag-identical to it).
 //   kPortable — plain-C++ accelerated kernels: integer add-and-mask
-//               rounding for converts/round-to-int and the fast32 native
-//               double technique (softfloat/fast32.hpp) for binary32
-//               arithmetic. No intrinsics; hot loops are written so the
-//               compiler can auto-vectorize the integer paths.
+//               rounding for converts/round-to-int and operand narrowing,
+//               and the fast32 / fast16 native double technique
+//               (softfloat/fast32.hpp, fast16.hpp) for binary32 and
+//               binary16 arithmetic. No intrinsics; hot loops are written
+//               so the compiler can auto-vectorize the integer paths.
 //   kAvx2     — hand-vectorized AVX2 kernels for the binary32 unary /
 //               convert sweep ops, the five binary32 arithmetic ops and
 //               the double -> binary32 operand narrowing; operations
-//               without a dedicated AVX2 kernel fall through to the
-//               portable implementation.
+//               without a dedicated AVX2 kernel (binary16 arithmetic
+//               among them) fall through to the portable implementation.
 //
 // The default is the best variant the CPU supports. Tests and benches can
 // force a variant (set_kernel_variant_override) to prove dispatch parity:
 // identical sweep fingerprints and --tape-gate parity under every variant.
+// The batched tape interpreter runs every format through the batch entry
+// points, so forcing kScalar makes the whole tape stack run the scalar
+// reference loops.
 //
 // Caching note: no batch result is cached, so a run under one variant
 // never sees results computed under another. Tape COMPILATION

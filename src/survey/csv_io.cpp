@@ -355,15 +355,6 @@ std::optional<ParseError> read_csv(std::istream& in,
   return std::nullopt;
 }
 
-bool read_csv(std::istream& in, std::vector<SurveyRecord>& records,
-              std::string& error) {
-  if (auto err = read_csv(in, records)) {
-    error = err->to_string();
-    return false;
-  }
-  return true;
-}
-
 std::string student_csv_header() {
   std::string out = "id";
   for (std::size_t c = 0; c < quiz::kSuspicionItemCount; ++c) {
@@ -429,15 +420,6 @@ std::optional<ParseError> read_student_csv(
   }
   records = std::move(parsed);
   return std::nullopt;
-}
-
-bool read_student_csv(std::istream& in, std::vector<StudentRecord>& records,
-                      std::string& error) {
-  if (auto err = read_student_csv(in, records)) {
-    error = err->to_string();
-    return false;
-  }
-  return true;
 }
 
 }  // namespace fpq::survey

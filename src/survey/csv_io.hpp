@@ -31,8 +31,8 @@ struct ParseError {
   std::string field;
   std::string message;
 
-  /// "line 7, field 'area': index 23 out of range ..." — what the
-  /// legacy bool API reports as its error string.
+  /// "line 7, field 'area': index 23 out of range ..." — the whole
+  /// error flattened into one line for messages and logs.
   std::string to_string() const;
 };
 
@@ -55,10 +55,6 @@ std::optional<ParseError> for_each_csv_record(
 std::optional<ParseError> read_csv(std::istream& in,
                                    std::vector<SurveyRecord>& records);
 
-/// Legacy form: false + flattened error string on malformed input.
-bool read_csv(std::istream& in, std::vector<SurveyRecord>& records,
-              std::string& error);
-
 /// The exact header line used by write_csv (useful for validation).
 std::string csv_header();
 
@@ -69,8 +65,6 @@ std::optional<ParseError> for_each_student_csv_record(
     std::istream& in, const std::function<void(StudentRecord&&)>& sink);
 std::optional<ParseError> read_student_csv(
     std::istream& in, std::vector<StudentRecord>& records);
-bool read_student_csv(std::istream& in, std::vector<StudentRecord>& records,
-                      std::string& error);
 std::string student_csv_header();
 
 }  // namespace fpq::survey

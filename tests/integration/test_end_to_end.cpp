@@ -92,8 +92,8 @@ TEST(EndToEnd, CsvRoundTripPreservesAnalysis) {
   sv::write_csv(out, cohort());
   std::istringstream in(out.str());
   std::vector<sv::SurveyRecord> parsed;
-  std::string error;
-  ASSERT_TRUE(sv::read_csv(in, parsed, error)) << error;
+  const auto err = sv::read_csv(in, parsed);
+  ASSERT_FALSE(err.has_value()) << err->to_string();
   const auto before =
       sv::average_core(cohort(), quiz::standard_core_truths());
   const auto after = sv::average_core(parsed, quiz::standard_core_truths());

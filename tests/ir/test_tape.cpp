@@ -125,7 +125,8 @@ TEST(TapeCompile, FlagCleanConstantTreeFoldsToOneLoad) {
   ASSERT_EQ(tape.code().size(), 1u);
   EXPECT_EQ(tape.code()[0].op, ir::TapeOp::kConst);
   EXPECT_EQ(tape.folded_ops(), 2u);
-  EXPECT_EQ(sf::to_native(tape.constants()[tape.code()[0].a]), 9.0);
+  EXPECT_EQ(tape.constant_bits()[tape.code()[0].a],
+            std::bit_cast<std::uint64_t>(9.0));
 }
 
 TEST(TapeCompile, InexactConstantOperationDoesNotFold) {

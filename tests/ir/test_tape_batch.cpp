@@ -1,8 +1,8 @@
 // The batched tape executor's contract: SoA execution over the thread
 // pool is bit- and flag-identical to per-row reference evaluation, at
-// EVERY thread count; short binding tables fail structurally
-// (BindingWidthError) instead of quiet-NaN-poisoning rows; and the native
-// SoA kernels reproduce the NativeEvaluator tree walks bitwise.
+// EVERY thread count and under every kernel variant; short binding tables
+// fail structurally (BindingWidthError) instead of quiet-NaN-poisoning
+// rows; and a row range outside the table is rejected, not read.
 
 #include <gtest/gtest.h>
 
@@ -10,6 +10,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <iterator>
+#include <stdexcept>
 #include <vector>
 
 #include "ir/ir.hpp"
@@ -107,43 +108,52 @@ E sub_compare_tree() {
                 E::sub(E::cmp_lt(x, y), E::cmp_eq(x, E::neg(y))));
 }
 
-// Every binary32 encoding class as table values: uniformly random
+// Every encoding class of the format as table values: uniformly random
 // patterns (NaNs, infinities and subnormals included) plus the double pool.
-ir::BindingTable binary32_table(std::size_t rows, std::size_t width,
-                                std::uint64_t seed) {
+ir::BindingTable patterned_table(int format_bits, std::size_t rows,
+                                 std::size_t width, std::uint64_t seed) {
   st::Xoshiro256pp g(seed);
   ir::BindingTable table = random_table(rows, width, seed);
+  sf::Env quiet;
   for (std::size_t i = 0; i < table.values.size(); i += 2) {
-    const auto bits = static_cast<std::uint32_t>(g());
-    table.values[i] = static_cast<double>(std::bit_cast<float>(bits));
+    const std::uint64_t bits = g();
+    table.values[i] =
+        format_bits == 16
+            ? sf::to_native(sf::convert<64>(
+                  sf::Float16{static_cast<std::uint16_t>(bits)}, quiet))
+            : static_cast<double>(
+                  std::bit_cast<float>(static_cast<std::uint32_t>(bits)));
   }
   return table;
 }
 
-// Binary32 tapes run on the softfloat batch kernels of whichever variant
-// is active, so per-row parity with the scalar tree walk must hold under
-// every variant: the only per-variant check of the binary32 binary ops
-// inside a tape.
-TEST(TapeBatch, Binary32MatchesPerRowEvaluateUnderEveryKernelVariant) {
+// Binary32 and binary16 tapes run on the softfloat batch kernels of
+// whichever variant is active, so per-row parity with the scalar tree
+// walk must hold under every variant: the per-variant check of the
+// arithmetic ops inside a tape.
+void expect_per_row_parity_under_every_variant(int format_bits,
+                                               std::uint64_t seed) {
   std::vector<sf::KernelVariant> variants{sf::KernelVariant::kScalar,
                                           sf::KernelVariant::kPortable};
   if (sf::kernel_variant_available(sf::KernelVariant::kAvx2)) {
     variants.push_back(sf::KernelVariant::kAvx2);
   }
   par::ThreadPool pool(4);
-  const ir::BindingTable table = binary32_table(1031, 2, 0xB32);
+  const ir::BindingTable table = patterned_table(format_bits, 1031, 2, seed);
   for (const sf::KernelVariant v : variants) {
     sf::ScopedKernelVariant forced(v);
     ASSERT_TRUE(forced.applied()) << sf::kernel_variant_name(v);
-    for (const E& tree :
-         {two_var_tree(), horner_poly(), sub_compare_tree()}) {
+    // sqrt of a bare operand reaches negative subnormals, which DAZ must
+    // not flush before the sign check (invalid, not -0).
+    for (const E& tree : {two_var_tree(), horner_poly(), sub_compare_tree(),
+                          E::sqrt(E::variable("x", 0))}) {
       for (const sf::Rounding mode :
            {sf::Rounding::kNearestEven, sf::Rounding::kNearestAway,
             sf::Rounding::kTowardZero, sf::Rounding::kUp,
             sf::Rounding::kDown}) {
         for (const bool flush : {false, true}) {
           ir::EvalConfig cfg;
-          cfg.format_bits = 32;
+          cfg.format_bits = format_bits;
           cfg.rounding = mode;
           cfg.flush_to_zero = flush;
           cfg.denormals_are_zero = flush;
@@ -163,6 +173,14 @@ TEST(TapeBatch, Binary32MatchesPerRowEvaluateUnderEveryKernelVariant) {
       }
     }
   }
+}
+
+TEST(TapeBatch, Binary32MatchesPerRowEvaluateUnderEveryKernelVariant) {
+  expect_per_row_parity_under_every_variant(32, 0xB32);
+}
+
+TEST(TapeBatch, Binary16MatchesPerRowEvaluateUnderEveryKernelVariant) {
+  expect_per_row_parity_under_every_variant(16, 0xB16);
 }
 
 TEST(TapeBatch, BitIdenticalAtOneTwoFourEightThreads) {
@@ -219,32 +237,28 @@ TEST(TapeBatch, ShortTableThrowsStructuredWidthError) {
   EXPECT_TRUE(ir::evaluate_many(pool, tree, empty).empty());
 }
 
-TEST(TapeBatch, NativeKernelsMatchTheNativeTreeWalks) {
-  const ir::BindingTable table = random_table(200, 2, 0xFA57);
-  const E tree = two_var_tree();
-  const auto tape =
-      ir::Tape::cached(tree, {}, ir::TapeOptions::exact_trace());
-  std::vector<double> batch64(table.rows());
-  ir::execute_range_native64(*tape, table, 0, table.rows(), batch64);
-  std::vector<double> batch32(table.rows());
-  {
-    ir::EvalConfig cfg32;
-    cfg32.format_bits = 32;
-    const auto tape32 =
-        ir::Tape::cached(tree, cfg32, ir::TapeOptions::exact_trace());
-    ir::execute_range_native32(*tape32, table, 0, table.rows(), batch32);
-  }
-  for (std::size_t r = 0; r < table.rows(); ++r) {
-    ir::NativeEvaluator64 n64;
-    const double ref64 = ir::evaluate_tree<double>(tree, n64, table.row(r));
-    ASSERT_EQ(std::bit_cast<std::uint64_t>(ref64),
-              std::bit_cast<std::uint64_t>(batch64[r]))
-        << "row " << r;
-    ir::NativeEvaluator32 n32;
-    const double ref32 = ir::evaluate_tree<double>(tree, n32, table.row(r));
-    ASSERT_EQ(std::bit_cast<std::uint64_t>(ref32),
-              std::bit_cast<std::uint64_t>(batch32[r]))
-        << "row " << r;
+// execute_range validates its row range and output span like
+// execute_rows: a range past the table or an output of the wrong size
+// throws instead of reading past the values or writing past `out`.
+TEST(TapeBatch, ExecuteRangeRejectsRangesOutsideTheTable) {
+  const ir::BindingTable table = random_table(16, 2, 0x4A96);
+  const ir::Tape tape = ir::Tape::compile(two_var_tree());
+  std::vector<ir::Outcome> out(4);
+  EXPECT_THROW(ir::execute_range(tape, table, 14, 18, out),
+               std::invalid_argument);
+  EXPECT_THROW(ir::execute_range(tape, table, 5, 1, out),
+               std::invalid_argument);
+  EXPECT_THROW(ir::execute_range(tape, table, 0, 3, out),
+               std::invalid_argument);
+  EXPECT_THROW(ir::execute_range(tape, table, 0, 5, out),
+               std::invalid_argument);
+  // The last four rows are a valid range and match per-row evaluation.
+  ir::execute_range(tape, table, 12, 16, out);
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    const ir::Outcome ref =
+        ir::evaluate(two_var_tree(), {}, table.row(12 + i));
+    EXPECT_EQ(ref.value.bits, out[i].value.bits) << "row " << 12 + i;
+    EXPECT_EQ(ref.flags, out[i].flags) << "row " << 12 + i;
   }
 }
 

@@ -8,8 +8,12 @@
 // full-2^32 claim is the overnight sweep job; these are complete sweeps
 // of the 2^16 operand spaces plus boundary windows of the 2^32 spaces.
 // The variant selects only the execution engine: tape fingerprints and
-// the tape compile memo must not depend on it.
+// the tape compile memo must not depend on it. The binary16 arithmetic
+// kernels, which sweep32 does not reach, are checked lane by lane
+// against kScalar through the batch entry points.
+#include <bit>
 #include <cstdint>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -17,7 +21,9 @@
 
 #include "ir/ir.hpp"
 #include "parallel/sweep32.hpp"
+#include "softfloat/batch.hpp"
 #include "softfloat/kernels.hpp"
+#include "stats/prng.hpp"
 
 namespace ir = fpq::ir;
 namespace sweep32 = fpq::parallel::sweep32;
@@ -179,5 +185,107 @@ TEST(KernelDispatchParity, CornerCorpusEveryVariant) {
                                             : "\n" +
                                                   report.mismatch_samples[0]);
     EXPECT_GT(report.checked, 0u);
+  }
+}
+
+// The binary16 arithmetic kernels and operand narrowing (the batched
+// tape's binary16 engine) against the kScalar reference loops: every
+// first-operand encoding, seeded partners salted with zero, subnormal,
+// max-finite, infinity and NaN encodings, all five rounding modes with
+// and without FTZ and DAZ. Every lane must match bit for bit and flag
+// for flag.
+TEST(KernelDispatchParity, Binary16ArithmeticEveryVariant) {
+  using F16 = sf::Float16;
+  constexpr std::size_t kN = 0x10000;
+  const std::uint16_t specials[] = {
+      0x0000, 0x8000, 0x0001, 0x83FF, 0x0400, 0x8400, 0x3C00, 0xBC00,
+      0x7BFF, 0xFBFF, 0x7C00, 0xFC00, 0x7C01, 0x7E00, 0xFE2A, 0x0155};
+  fpq::stats::Xoshiro256pp g(0xF16);
+  const auto partner = [&](std::size_t i, std::size_t salt) {
+    const auto random = static_cast<std::uint16_t>(g());
+    return F16{i % 8 == salt ? specials[(i / 8) % std::size(specials)]
+                             : random};
+  };
+  std::vector<F16> a(kN), b(kN), c(kN);
+  // Operand columns for the narrowing, read at stride 2: near-binary16
+  // doubles (the widened encoding moved by up to 2^43 ulps, which crosses
+  // every rounding boundary and reaches NaN patterns from ±0 and ±inf) and
+  // raw 64-bit patterns (double subnormals, huge values, NaN payloads).
+  std::vector<double> wide(2 * kN);
+  sf::Env exact;
+  for (std::size_t i = 0; i < kN; ++i) {
+    a[i] = F16{static_cast<std::uint16_t>(i)};
+    b[i] = partner(i, 0);
+    c[i] = partner(i, 4);
+    const double value = sf::to_native(sf::convert<64>(a[i], exact));
+    wide[2 * i] = std::bit_cast<double>(std::bit_cast<std::uint64_t>(value) +
+                                        (g() >> 20) -
+                                        (std::uint64_t{1} << 43));
+    wide[2 * i + 1] = std::bit_cast<double>(g());
+  }
+
+  struct Lanes {
+    std::vector<F16> out[8];
+    std::vector<unsigned> flags[6];
+  };
+  const auto run = [&](const sf::Env& config) {
+    Lanes r;
+    for (auto& o : r.out) o.resize(kN);
+    for (auto& f : r.flags) f.assign(kN, 0u);
+    sf::Env env = config;
+    sf::add_n<16>(a.data(), b.data(), r.out[0].data(), r.flags[0].data(), kN,
+                  env);
+    sf::sub_n<16>(a.data(), b.data(), r.out[1].data(), r.flags[1].data(), kN,
+                  env);
+    sf::mul_n<16>(a.data(), b.data(), r.out[2].data(), r.flags[2].data(), kN,
+                  env);
+    sf::div_n<16>(a.data(), b.data(), r.out[3].data(), r.flags[3].data(), kN,
+                  env);
+    sf::sqrt_n<16>(a.data(), r.out[4].data(), r.flags[4].data(), kN, env);
+    sf::fma_n<16>(a.data(), b.data(), c.data(), r.out[5].data(),
+                  r.flags[5].data(), kN, env);
+    sf::narrow_from_double_n<16>(wide.data(), 2, r.out[6].data(), kN, env);
+    sf::narrow_from_double_n<16>(wide.data() + 1, 2, r.out[7].data(), kN,
+                                 env);
+    return r;
+  };
+  const char* const names[] = {"add", "sub", "mul", "div", "sqrt", "fma",
+                               "narrow near-binary16", "narrow raw"};
+
+  const std::vector<sf::KernelVariant> variants = all_variants();
+  ASSERT_EQ(variants.front(), sf::KernelVariant::kScalar);
+  for (const sf::Rounding mode : fpq::parallel::kAllRoundings) {
+    for (const unsigned flush : {0u, 1u, 2u, 3u}) {
+      sf::Env config(mode);
+      config.set_flush_to_zero((flush & 1u) != 0);
+      config.set_denormals_are_zero((flush & 2u) != 0);
+      Lanes ref;
+      {
+        sf::ScopedKernelVariant forced(sf::KernelVariant::kScalar);
+        ASSERT_TRUE(forced.applied());
+        ref = run(config);
+      }
+      for (std::size_t v = 1; v < variants.size(); ++v) {
+        sf::ScopedKernelVariant forced(variants[v]);
+        ASSERT_TRUE(forced.applied());
+        const Lanes got = run(config);
+        for (std::size_t op = 0; op < std::size(names); ++op) {
+          for (std::size_t i = 0; i < kN; ++i) {
+            ASSERT_EQ(got.out[op][i].bits, ref.out[op][i].bits)
+                << names[op] << " lane " << i << " a " << a[i].bits << " b "
+                << b[i].bits << " c " << c[i].bits << " mode "
+                << static_cast<int>(mode) << " ftz/daz " << flush << " "
+                << sf::kernel_variant_name(variants[v]);
+            if (op < std::size(got.flags)) {
+              ASSERT_EQ(got.flags[op][i], ref.flags[op][i])
+                  << names[op] << " lane " << i << " a " << a[i].bits
+                  << " b " << b[i].bits << " c " << c[i].bits << " mode "
+                  << static_cast<int>(mode) << " ftz/daz " << flush << " "
+                  << sf::kernel_variant_name(variants[v]);
+            }
+          }
+        }
+      }
+    }
   }
 }

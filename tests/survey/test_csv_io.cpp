@@ -42,8 +42,8 @@ TEST(CsvIo, RoundTripsOneRecord) {
 
   std::istringstream in(out.str());
   std::vector<sv::SurveyRecord> parsed;
-  std::string error;
-  ASSERT_TRUE(sv::read_csv(in, parsed, error)) << error;
+  const auto err = sv::read_csv(in, parsed);
+  ASSERT_FALSE(err.has_value()) << err->to_string();
   ASSERT_EQ(parsed.size(), 1u);
   const auto& r = parsed[0];
   EXPECT_EQ(r.respondent_id, 42u);
@@ -68,8 +68,8 @@ TEST(CsvIo, RoundTripsAFullCohort) {
 
   std::istringstream in(out.str());
   std::vector<sv::SurveyRecord> parsed;
-  std::string error;
-  ASSERT_TRUE(sv::read_csv(in, parsed, error)) << error;
+  const auto err = sv::read_csv(in, parsed);
+  ASSERT_FALSE(err.has_value()) << err->to_string();
   ASSERT_EQ(parsed.size(), cohort.size());
   for (std::size_t i = 0; i < cohort.size(); ++i) {
     EXPECT_EQ(parsed[i].respondent_id, cohort[i].respondent_id);
@@ -88,25 +88,25 @@ TEST(CsvIo, LevelSentinelsRoundTrip) {
   sv::write_csv(out, std::vector<sv::SurveyRecord>{r});
   std::istringstream in(out.str());
   std::vector<sv::SurveyRecord> parsed;
-  std::string error;
-  ASSERT_TRUE(sv::read_csv(in, parsed, error)) << error;
+  const auto err = sv::read_csv(in, parsed);
+  ASSERT_FALSE(err.has_value()) << err->to_string();
   EXPECT_EQ(parsed[0].opt.level_choice, fpq::quiz::kOptLevelDontKnow);
 }
 
 TEST(CsvIo, RejectsBadHeader) {
   std::istringstream in("id,wrong\n");
   std::vector<sv::SurveyRecord> parsed;
-  std::string error;
-  EXPECT_FALSE(sv::read_csv(in, parsed, error));
-  EXPECT_NE(error.find("header"), std::string::npos);
+  const auto err = sv::read_csv(in, parsed);
+  ASSERT_TRUE(err.has_value());
+  EXPECT_NE(err->to_string().find("header"), std::string::npos);
 }
 
 TEST(CsvIo, RejectsWrongFieldCount) {
   std::istringstream in(sv::csv_header() + "\n1,2,3\n");
   std::vector<sv::SurveyRecord> parsed;
-  std::string error;
-  EXPECT_FALSE(sv::read_csv(in, parsed, error));
-  EXPECT_NE(error.find("line 2"), std::string::npos);
+  const auto err = sv::read_csv(in, parsed);
+  ASSERT_TRUE(err.has_value());
+  EXPECT_NE(err->to_string().find("line 2"), std::string::npos);
 }
 
 TEST(CsvIo, RejectsInvalidSuspicionLevel) {
@@ -118,8 +118,7 @@ TEST(CsvIo, RejectsInvalidSuspicionLevel) {
   text.replace(text.rfind(",2"), 2, ",9");
   std::istringstream in(text);
   std::vector<sv::SurveyRecord> parsed;
-  std::string error;
-  EXPECT_FALSE(sv::read_csv(in, parsed, error));
+  EXPECT_TRUE(sv::read_csv(in, parsed).has_value());
 }
 
 TEST(CsvIo, StudentCohortRoundTrips) {
@@ -128,8 +127,8 @@ TEST(CsvIo, StudentCohortRoundTrips) {
   sv::write_student_csv(out, students);
   std::istringstream in(out.str());
   std::vector<sv::StudentRecord> parsed;
-  std::string error;
-  ASSERT_TRUE(sv::read_student_csv(in, parsed, error)) << error;
+  const auto err = sv::read_student_csv(in, parsed);
+  ASSERT_FALSE(err.has_value()) << err->to_string();
   ASSERT_EQ(parsed.size(), students.size());
   for (std::size_t i = 0; i < students.size(); ++i) {
     EXPECT_EQ(parsed[i].respondent_id, students[i].respondent_id);
@@ -140,15 +139,13 @@ TEST(CsvIo, StudentCohortRoundTrips) {
 TEST(CsvIo, StudentCsvRejectsBadLevel) {
   std::istringstream in(sv::student_csv_header() + "\n1,1,2,3,4,9\n");
   std::vector<sv::StudentRecord> parsed;
-  std::string error;
-  EXPECT_FALSE(sv::read_student_csv(in, parsed, error));
+  EXPECT_TRUE(sv::read_student_csv(in, parsed).has_value());
 }
 
 TEST(CsvIo, EmptyInputRejected) {
   std::istringstream in("");
   std::vector<sv::SurveyRecord> parsed;
-  std::string error;
-  EXPECT_FALSE(sv::read_csv(in, parsed, error));
+  EXPECT_TRUE(sv::read_csv(in, parsed).has_value());
 }
 
 // -- Corrupt-corpus tests: the structured ParseError API -------------------
@@ -285,11 +282,12 @@ TEST(CsvIoCorrupt, FailedParseLeavesRecordsUntouched) {
   EXPECT_EQ(parsed.size(), 3u) << "a failed read must not clobber records";
 }
 
+// ParseError::to_string() flattens the structured error into one line
+// that names both the line and the column.
 TEST(CsvIoCorrupt, LegacyApiFlattensTheStructuredError) {
-  std::vector<sv::SurveyRecord> parsed;
-  std::string error;
-  std::istringstream in(corrupt_field("area", "99"));
-  EXPECT_FALSE(sv::read_csv(in, parsed, error));
+  const auto err = parse_of(corrupt_field("area", "99"));
+  ASSERT_TRUE(err.has_value());
+  const std::string error = err->to_string();
   EXPECT_NE(error.find("line 2"), std::string::npos) << error;
   EXPECT_NE(error.find("area"), std::string::npos) << error;
 }
