@@ -1,148 +1,52 @@
 // Shared plumbing for the reproduction benches: the fixed evaluation
-// cohorts, comparison-row helpers, and the machine-readable perf emitter
-// every perf bench can write (BENCH_perf.json — archived by CI). Every
-// bench uses the same seed so EXPERIMENTS.md quotes one consistent
-// synthetic dataset.
+// cohorts, comparison-row helpers and the strict number parsers the gate
+// benches read their options with. Every bench uses the same seed so
+// EXPERIMENTS.md quotes one consistent synthetic dataset. Perf numbers
+// with a recorded build and run identity come from perfbench/, not from
+// these benches.
 #pragma once
 
-#include <cfenv>
-#include <cinttypes>
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <span>
 #include <string>
 #include <vector>
 
-#include "optprobe/mxcsr.hpp"
 #include "parallel/stream.hpp"
 #include "parallel/thread_pool.hpp"
 #include "report/compare.hpp"
 #include "respondent/population.hpp"
-#include "softfloat/kernels.hpp"
 #include "survey/record.hpp"
 
 namespace fpq::bench {
 
-/// The host floating-point environment a perf run was measured under.
-/// Perf numbers are meaningless to compare across runs if the rounding
-/// direction or the flush modes differed, so every BENCH_*.json records
-/// them alongside the rows.
-struct PerfEnv {
-  std::string rounding;        ///< fegetround() at capture time
-  bool mxcsr_available = false;
-  bool ftz = false;            ///< MXCSR flush-to-zero was set
-  bool daz = false;            ///< MXCSR denormals-are-zero was set
-  int hardware_threads = 1;    ///< ThreadPool::default_thread_count()
-  /// The softfloat batch kernel variant the run dispatched on
-  /// ("scalar" / "portable" / "avx2") — perf rows measured under
-  /// different engines must never be diffed against each other.
-  std::string kernel_variant;
+/// Parses a whole decimal/hex/octal number no larger than `max`; rejects
+/// signs, trailing characters and overflow. The benches' gates read their
+/// integer options through this, so a typo exits 2 instead of running a
+/// zero-sized (and vacuously passing) gate.
+inline bool parse_number(const char* text, std::uint64_t max,
+                         std::uint64_t& out) {
+  if (!std::isdigit(static_cast<unsigned char>(text[0]))) return false;
+  errno = 0;
+  char* rest = nullptr;
+  out = std::strtoull(text, &rest, 0);
+  return errno == 0 && *rest == '\0' && out <= max;
+}
 
-  static PerfEnv capture() {
-    PerfEnv env;
-    switch (std::fegetround()) {
-      case FE_TONEAREST:
-        env.rounding = "nearest-even";
-        break;
-      case FE_TOWARDZERO:
-        env.rounding = "toward-zero";
-        break;
-      case FE_DOWNWARD:
-        env.rounding = "downward";
-        break;
-      case FE_UPWARD:
-        env.rounding = "upward";
-        break;
-      default:
-        env.rounding = "unknown";
-        break;
-    }
-    const opt::FlushProbeResult probe = opt::probe_flush_modes();
-    env.mxcsr_available = probe.mxcsr_available;
-    env.ftz = probe.ftz_default_on;
-    env.daz = probe.daz_default_on;
-    env.hardware_threads =
-        static_cast<int>(parallel::ThreadPool::default_thread_count());
-    env.kernel_variant =
-        softfloat::kernel_variant_name(softfloat::active_kernel_variant());
-    return env;
-  }
-};
-
-/// One measured configuration of a perf bench.
-struct PerfRow {
-  std::string name;          ///< engine/workload, e.g. "tape-batched/binary16-sweep"
-  double ns_per_op = 0.0;
-  double ops_per_s = 0.0;
-  int threads = 1;
-  /// Content identity of the measured campaign: the tape fingerprint for
-  /// tape engines, an injection campaign's sites_fingerprint, or 0 when
-  /// the workload has no content hash.
-  std::uint64_t fingerprint = 0;
-};
-
-/// Accumulates PerfRows and renders/writes them as JSON, so CI can
-/// archive BENCH_perf.json and regression tooling can diff runs without
-/// scraping bench stdout.
-class PerfJson {
- public:
-  PerfJson() : env_(PerfEnv::capture()) {}
-
-  void add(PerfRow row) { rows_.push_back(std::move(row)); }
-
-  std::string render() const {
-    std::string out = "{\n";
-    {
-      char buf[256];
-      std::snprintf(buf, sizeof(buf),
-                    "  \"env\": {\"rounding\": \"%s\", "
-                    "\"mxcsr_available\": %s, \"ftz\": %s, \"daz\": %s, "
-                    "\"hardware_threads\": %d, "
-                    "\"kernel_variant\": \"%s\"},\n",
-                    env_.rounding.c_str(),
-                    env_.mxcsr_available ? "true" : "false",
-                    env_.ftz ? "true" : "false",
-                    env_.daz ? "true" : "false", env_.hardware_threads,
-                    env_.kernel_variant.c_str());
-      out += buf;
-    }
-    out += "  \"bench\": [\n";
-    for (std::size_t i = 0; i < rows_.size(); ++i) {
-      const PerfRow& r = rows_[i];
-      char buf[256];
-      std::snprintf(buf, sizeof(buf),
-                    "    {\"name\": \"%s\", \"ns_per_op\": %.3f, "
-                    "\"ops_per_s\": %.1f, \"threads\": %d, "
-                    "\"fingerprint\": \"0x%016" PRIx64 "\"}%s\n",
-                    r.name.c_str(), r.ns_per_op, r.ops_per_s, r.threads,
-                    r.fingerprint, i + 1 < rows_.size() ? "," : "");
-      out += buf;
-    }
-    out += "  ]\n}\n";
-    return out;
-  }
-
-  /// Returns false (and prints to stderr) if the file cannot be written.
-  bool write(const std::string& path) const {
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "PerfJson: cannot open %s\n", path.c_str());
-      return false;
-    }
-    const std::string text = render();
-    const bool ok = std::fwrite(text.data(), 1, text.size(), f) ==
-                    text.size();
-    std::fclose(f);
-    return ok;
-  }
-
-  bool empty() const noexcept { return rows_.empty(); }
-  const PerfEnv& env() const noexcept { return env_; }
-
- private:
-  PerfEnv env_;
-  std::vector<PerfRow> rows_;
-};
+/// Parses a whole finite, positive number; rejects NaN, infinities,
+/// zero, negatives, out-of-range values and trailing characters (a NaN
+/// budget or ceiling would make every `measured > limit` gate pass).
+inline bool parse_positive(const char* text, double& out) {
+  errno = 0;
+  char* rest = nullptr;
+  out = std::strtod(text, &rest);
+  return rest != text && *rest == '\0' && errno == 0 &&
+         std::isfinite(out) && out > 0.0;
+}
 
 inline constexpr std::uint64_t kCohortSeed = 20180521;  // IPDPS 2018
 

@@ -15,8 +15,7 @@
 // exception contract, any campaign's softfloat and native fingerprints
 // disagree, or — with --baseline — an effective fault went undetected
 // that is not in the checked-in baseline list (a detection regression).
-// --matrix-out writes the full coverage matrix as JSON for archival next
-// to BENCH_perf.json.
+// --matrix-out writes the full coverage matrix as JSON for archival.
 
 #include <cstdio>
 #include <cstdlib>

@@ -17,22 +17,28 @@
 //                          enable/disable + signal-path bookkeeping, not
 //                          trap storms).
 //
-//   bench_fpmon [--reps N] [--out FILE] [--budget FILE]
+//   bench_fpmon [--reps N] [--budget FILE]
 //
-// --out writes the rows as BENCH_fpmon.json (bench_common PerfJson).
-// --budget reads "mode max_ratio" lines and exits nonzero when a mode's
-// measured overhead ratio vs native-unmonitored exceeds its budget —
-// the CI regression gate for monitoring cost. Budgets are deliberately
-// generous: per-op hooks on cheap interpreted kernels are expected to
-// cost integer multiples, and the gate exists to catch order-of-
-// magnitude regressions, not scheduler noise.
+// --reps: timed runs of the catalogue per mode (a positive integer,
+// default 200).
+// --budget reads "mode max_ratio" lines ('#' starts a comment) and exits
+// 1 when a mode's measured overhead ratio vs native-unmonitored exceeds
+// its budget — the CI regression gate for monitoring cost. Budgets are
+// deliberately generous: per-op hooks on cheap interpreted kernels are
+// expected to cost integer multiples, and the gate exists to catch
+// order-of-magnitude regressions, not scheduler noise.
+//
+// A bad --reps, an unreadable budget, or a budget line naming an unknown
+// mode, carrying a non-finite or non-positive ratio, or trailing junk
+// exits 2 before any timing starts.
 
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <map>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -62,18 +68,34 @@ std::vector<const wl::Workload*> healthy_workloads() {
   return out;
 }
 
+/// The modes a budget may name: every timed mode but the floor itself.
+bool budgetable_mode(const std::string& name) {
+  return name == "flowctx-idle" || name == "flow-sampling" ||
+         name == "flow-trap";
+}
+
+/// Reads "mode max_ratio" lines; prints the first bad line to stderr and
+/// returns false on an unreadable file, an unknown mode, a ratio that is
+/// not finite and positive, or anything after the ratio.
 bool load_budget(const char* path, std::map<std::string, double>& out) {
   std::ifstream in(path);
-  if (!in) return false;
-  std::string mode;
-  double ratio = 0.0;
-  while (in >> mode) {
-    if (!mode.empty() && mode.front() == '#') {
-      std::string rest;
-      std::getline(in, rest);
-      continue;
+  if (!in) {
+    std::fprintf(stderr, "bench_fpmon: cannot read budget %s\n", path);
+    return false;
+  }
+  std::string line;
+  for (int line_no = 1; std::getline(in, line); ++line_no) {
+    std::istringstream fields(line.substr(0, line.find('#')));
+    std::string mode, ratio_text, junk;
+    if (!(fields >> mode)) continue;
+    double ratio = 0.0;
+    if (!budgetable_mode(mode) || !(fields >> ratio_text) ||
+        !fpq::bench::parse_positive(ratio_text.c_str(), ratio) ||
+        (fields >> junk)) {
+      std::fprintf(stderr, "bench_fpmon: bad budget line %s:%d: %s\n", path,
+                   line_no, line.c_str());
+      return false;
     }
-    if (!(in >> ratio)) return false;
     out[mode] = ratio;
   }
   return true;
@@ -83,27 +105,26 @@ bool load_budget(const char* path, std::map<std::string, double>& out) {
 
 int main(int argc, char** argv) {
   std::size_t reps = 200;
-  const char* out_path = nullptr;
   const char* budget_path = nullptr;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     const char* value = i + 1 < argc ? argv[i + 1] : nullptr;
-    if (std::strcmp(arg, "--reps") == 0 && value) {
-      reps = std::strtoull(value, nullptr, 0);
-      ++i;
-    } else if (std::strcmp(arg, "--out") == 0 && value) {
-      out_path = value;
+    std::uint64_t v = 0;
+    if (std::strcmp(arg, "--reps") == 0 && value &&
+        fpq::bench::parse_number(value, SIZE_MAX, v) && v > 0) {
+      reps = static_cast<std::size_t>(v);
       ++i;
     } else if (std::strcmp(arg, "--budget") == 0 && value) {
       budget_path = value;
       ++i;
     } else {
-      std::fprintf(stderr,
-                   "usage: %s [--reps N] [--out FILE] [--budget FILE]\n",
+      std::fprintf(stderr, "usage: %s [--reps N>0] [--budget FILE]\n",
                    argv[0]);
       return 2;
     }
   }
+  std::map<std::string, double> budget;
+  if (budget_path != nullptr && !load_budget(budget_path, budget)) return 2;
 
   const std::vector<const wl::Workload*> kernels = healthy_workloads();
   if (kernels.empty()) {
@@ -159,7 +180,6 @@ int main(int argc, char** argv) {
   }
 
   const double base = modes.front().ns_per_run;
-  fpq::bench::PerfJson json;
   std::printf("fpmon overhead (%zu reps x %zu healthy kernels)\n", reps,
               kernels.size());
   std::printf("%-20s %14s %10s\n", "mode", "ns/catalogue", "ratio");
@@ -167,39 +187,20 @@ int main(int argc, char** argv) {
     const double ratio = base > 0.0 ? m.ns_per_run / base : 0.0;
     std::printf("%-20s %14.0f %9.2fx\n", m.name.c_str(), m.ns_per_run,
                 ratio);
-    fpq::bench::PerfRow row;
-    row.name = "fpmon/" + m.name;
-    row.ns_per_op = m.ns_per_run;
-    row.ops_per_s = m.ns_per_run > 0.0 ? 1e9 / m.ns_per_run : 0.0;
-    row.threads = 1;
-    json.add(row);
   }
 
   bool ok = true;
-  if (budget_path != nullptr) {
-    std::map<std::string, double> budget;
-    if (!load_budget(budget_path, budget)) {
-      std::fprintf(stderr, "GATE: cannot read budget %s\n", budget_path);
+  for (const Mode& m : modes) {
+    const auto it = budget.find(m.name);
+    if (it == budget.end()) continue;
+    const double ratio = base > 0.0 ? m.ns_per_run / base : 0.0;
+    if (!(ratio <= it->second)) {
+      std::fprintf(stderr,
+                   "GATE: fpmon mode %s overhead %.2fx exceeds"
+                   " budget %.2fx\n",
+                   m.name.c_str(), ratio, it->second);
       ok = false;
-    } else {
-      for (const Mode& m : modes) {
-        const auto it = budget.find(m.name);
-        if (it == budget.end()) continue;
-        const double ratio = base > 0.0 ? m.ns_per_run / base : 0.0;
-        if (ratio > it->second) {
-          std::fprintf(stderr,
-                       "GATE: fpmon mode %s overhead %.2fx exceeds"
-                       " budget %.2fx\n",
-                       m.name.c_str(), ratio, it->second);
-          ok = false;
-        }
-      }
     }
-  }
-
-  if (out_path != nullptr && !json.write(out_path)) {
-    std::fprintf(stderr, "GATE: cannot write %s\n", out_path);
-    ok = false;
   }
   return ok ? 0 : 1;
 }

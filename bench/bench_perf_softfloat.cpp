@@ -7,25 +7,26 @@
 // and format, and what FTZ/emulation modes cost.
 //
 // Usage: bench_perf_softfloat [--threads N[,N...]] [google-benchmark args]
-// The default sweep registers thread counts 1, 2, 4 and 8.
+// The default sweep registers thread counts 1, 2, 4 and 8; a thread count
+// that is not a positive integer exits 2.
 //
-// --tape-gate[=PATH] switches to the CI perf-smoke mode instead of
+// --tape-gate switches to the CI perf-smoke mode instead of
 // google-benchmark: the exhaustive binary16 IR sweep workload is timed on
 // the virtual tree walk, the scalar tape runner, and the batched SoA tape
 // executor side by side (verifying bit-identical values and flag unions
-// across all engines), machine-readable results are written to PATH
-// (default BENCH_perf.json), and the process exits nonzero if the tape
-// runner is slower than the tree walk. --gate-samples=N and
-// --gate-modes=N shrink the sweep for CI.
+// across all engines), the timings are printed, and the process exits 1
+// if the scalar tape runner is slower than the tree walk and 2 if any
+// engine diverges. --gate-samples=N (1..64) and --gate-modes=N (1..5)
+// shrink the sweep for CI; a bad value, or any other argument in this
+// mode, exits 2, as does an argument google-benchmark does not know.
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <array>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <iterator>
 #include <span>
 #include <string>
 #include <string_view>
@@ -296,8 +297,7 @@ double seconds_since(GateClock::time_point t0) {
   return std::chrono::duration<double>(GateClock::now() - t0).count();
 }
 
-int run_tape_gate(const std::string& json_path, int samples, int mode_limit,
-                  int max_threads) {
+int run_tape_gate(int samples, int modes, int max_threads) {
   namespace par = fpq::parallel;
   const ir::Expr x = ir::Expr::variable("x", 0);
   const ir::Expr y = ir::Expr::variable("y", 1);
@@ -308,8 +308,6 @@ int run_tape_gate(const std::string& json_path, int samples, int mode_limit,
   const sf::Rounding all_modes[] = {
       sf::Rounding::kNearestEven, sf::Rounding::kTowardZero,
       sf::Rounding::kDown, sf::Rounding::kUp, sf::Rounding::kNearestAway};
-  const int modes =
-      std::max(1, std::min(mode_limit, static_cast<int>(std::size(all_modes))));
 
   // Binding table: every binary16 encoding as first operand, seeded
   // binary16-valued partners (so all operands are exactly representable).
@@ -398,23 +396,6 @@ int run_tape_gate(const std::string& json_path, int samples, int mode_limit,
     }
   }
 
-  const auto row_of = [&](const char* name, double secs, int threads) {
-    fpq::bench::PerfRow r;
-    r.name = name;
-    r.ns_per_op = secs * 1e9 / static_cast<double>(total_rows);
-    r.ops_per_s = static_cast<double>(total_rows) / secs;
-    r.threads = threads;
-    r.fingerprint = campaign;
-    return r;
-  };
-  fpq::bench::PerfJson json;
-  json.add(row_of("tree-walk/binary16-sweep", walk_s, 1));
-  json.add(row_of("tape-scalar/binary16-sweep", scalar_s, 1));
-  json.add(row_of("tape-batched/binary16-sweep", batch1_s, 1));
-  json.add(row_of("tape-batched/binary16-sweep", batchn_s,
-                  std::max(1, max_threads)));
-  if (!json.write(json_path)) return 2;
-
   std::printf(
       "tape-gate: %zu rows (%d sample(s), %d mode(s)), campaign "
       "%016llx\n",
@@ -434,7 +415,6 @@ int run_tape_gate(const std::string& json_path, int samples, int mode_limit,
       "tape-batched x" + std::to_string(std::max(1, max_threads));
   line(wide_name.c_str(), batchn_s);
   std::printf("  parity: all engines bit- and flag-identical\n");
-  std::printf("  wrote %s\n", json_path.c_str());
 
   // The coarse CI gate: the scalar tape runner must not be slower than
   // the virtual tree walk it replaces.
@@ -448,71 +428,72 @@ int run_tape_gate(const std::string& json_path, int samples, int mode_limit,
   return 0;
 }
 
-std::vector<int> parse_thread_list(std::string_view spec) {
-  std::vector<int> out;
-  while (!spec.empty()) {
+/// Appends each comma-separated thread count in `spec`; returns false if
+/// one is not an integer in 1..1024.
+bool parse_thread_list(std::string_view spec, std::vector<int>& out) {
+  while (true) {
     const std::size_t comma = spec.find(',');
     const std::string item(spec.substr(0, comma));
-    const int n = std::atoi(item.c_str());
-    if (n > 0) out.push_back(n);
-    if (comma == std::string_view::npos) break;
+    std::uint64_t n = 0;
+    if (!fpq::bench::parse_number(item.c_str(), 1024, n) || n == 0) {
+      return false;
+    }
+    out.push_back(static_cast<int>(n));
+    if (comma == std::string_view::npos) return true;
     spec.remove_prefix(comma + 1);
   }
-  return out;
 }
 
 }  // namespace
 
 // Custom main: google-benchmark rejects flags it does not know, so
-// --threads is stripped from argv before Initialize sees it.
+// --threads and the tape-gate options are stripped from argv before
+// Initialize sees them.
 int main(int argc, char** argv) {
   std::vector<char*> bench_args;
   std::vector<int> thread_counts;
   bool tape_gate = false;
-  std::string gate_path = "BENCH_perf.json";
-  int gate_samples = 2;
-  int gate_modes = 5;
+  std::uint64_t gate_samples = 2;
+  std::uint64_t gate_modes = 5;
   bench_args.push_back(argv[0]);
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
+    bool ok = true;
     if (arg == "--threads" && i + 1 < argc) {
-      const auto parsed = parse_thread_list(argv[++i]);
-      thread_counts.insert(thread_counts.end(), parsed.begin(),
-                           parsed.end());
-      continue;
-    }
-    if (arg.starts_with("--threads=")) {
-      const auto parsed = parse_thread_list(arg.substr(10));
-      thread_counts.insert(thread_counts.end(), parsed.begin(),
-                           parsed.end());
-      continue;
-    }
-    if (arg == "--tape-gate") {
+      ok = parse_thread_list(argv[++i], thread_counts);
+    } else if (arg.starts_with("--threads=")) {
+      ok = parse_thread_list(arg.substr(10), thread_counts);
+    } else if (arg == "--tape-gate") {
       tape_gate = true;
-      if (i + 1 < argc && argv[i + 1][0] != '-') gate_path = argv[++i];
-      continue;
+    } else if (arg.starts_with("--gate-samples=")) {
+      ok = fpq::bench::parse_number(argv[i] + 15, 64, gate_samples) &&
+           gate_samples > 0;
+    } else if (arg.starts_with("--gate-modes=")) {
+      ok = fpq::bench::parse_number(argv[i] + 13, 5, gate_modes) &&
+           gate_modes > 0;
+    } else {
+      bench_args.push_back(argv[i]);
     }
-    if (arg.starts_with("--tape-gate=")) {
-      tape_gate = true;
-      gate_path = std::string(arg.substr(12));
-      continue;
+    if (!ok) {
+      std::fprintf(stderr, "bench_perf_softfloat: bad value in '%s'\n",
+                   argv[i]);
+      return 2;
     }
-    if (arg.starts_with("--gate-samples=")) {
-      gate_samples = std::max(1, std::atoi(arg.substr(15).data()));
-      continue;
-    }
-    if (arg.starts_with("--gate-modes=")) {
-      gate_modes = std::max(1, std::atoi(arg.substr(13).data()));
-      continue;
-    }
-    bench_args.push_back(argv[i]);
   }
   if (thread_counts.empty()) thread_counts = {1, 2, 4, 8};
 
   if (tape_gate) {
+    if (bench_args.size() > 1) {
+      std::fprintf(stderr,
+                   "bench_perf_softfloat: bad argument '%s' in --tape-gate "
+                   "mode\n",
+                   bench_args[1]);
+      return 2;
+    }
     const int max_threads =
         *std::max_element(thread_counts.begin(), thread_counts.end());
-    return run_tape_gate(gate_path, gate_samples, gate_modes, max_threads);
+    return run_tape_gate(static_cast<int>(gate_samples),
+                         static_cast<int>(gate_modes), max_threads);
   }
 
   for (const int t : thread_counts) {
@@ -543,7 +524,7 @@ int main(int argc, char** argv) {
   benchmark::Initialize(&bench_argc, bench_args.data());
   if (benchmark::ReportUnrecognizedArguments(bench_argc,
                                              bench_args.data())) {
-    return 1;
+    return 2;
   }
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();

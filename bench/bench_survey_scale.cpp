@@ -9,18 +9,19 @@
 //   2. FLAT MEMORY — peak RSS grows by less than --rss-ceiling-mb when n
 //      grows 8x (streaming is O(chunks), a materialized cohort would be
 //      O(n)). Gated; CI runs the 1M slice.
-//   3. THREAD SCALING — ops/s for the streamed fold at 1 thread vs the
-//      full pool, written to BENCH_survey_scale.json for regression
-//      tooling (informational: machines differ, CI does not gate it),
-//      plus the 1-thread stream split into generation and fold ns/record
-//      rows (generate-1t, fold-average-core-1t).
+//   3. THREAD SCALING — the streamed fold at 1 thread vs the full pool
+//      (informational: machines differ, CI does not gate it), plus the
+//      1-thread stream split into generation and fold ns/record.
 //
 // Plus the serving-scale CI machinery: a cluster bootstrap over streamed
 // chunk statistics (stats/bootstrap.hpp) — memory O(chunks + replicates).
 //
-//   ./bench_survey_scale [--n N] [--threads T] [--json PATH]
-//                        [--rss-ceiling-mb MB] [--monitor]
-//                        [--monitor-budget FRAC]
+//   ./bench_survey_scale [--n N] [--threads T] [--rss-ceiling-mb MB]
+//                        [--monitor] [--monitor-budget FRAC]
+//
+// --n is at least 64; --threads 0 (the default) means the hardware
+// default; --rss-ceiling-mb and --monitor-budget are finite and positive.
+// A bad value exits 2 before any gate runs.
 //
 // --monitor adds phase 5: the same streamed fold under always-on flow
 // monitoring (fpmon/stream_flow.hpp), gated on sampling overhead staying
@@ -34,8 +35,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 #include "bench_common.hpp"
@@ -246,38 +247,42 @@ void identity_gate() {
 int main(int argc, char** argv) {
   std::size_t n = 10'000'000;
   std::size_t threads = 0;  // 0 = hardware default
-  std::string json_path = "BENCH_survey_scale.json";
   double rss_ceiling_mb = 512.0;
   bool monitor = false;
   double monitor_budget = 0.10;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--n") == 0 && i + 1 < argc) {
-      n = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      threads = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--rss-ceiling-mb") == 0 && i + 1 < argc) {
-      rss_ceiling_mb = std::strtod(argv[++i], nullptr);
-    } else if (std::strcmp(argv[i], "--monitor") == 0) {
+    const char* arg = argv[i];
+    if (std::strcmp(arg, "--monitor") == 0) {
       monitor = true;
-    } else if (std::strcmp(argv[i], "--monitor-budget") == 0 && i + 1 < argc) {
-      monitor_budget = std::strtod(argv[++i], nullptr);
+      continue;
+    }
+    const char* value = i + 1 < argc ? argv[++i] : "";
+    std::uint64_t v = 0;
+    bool ok = false;
+    if (std::strcmp(arg, "--n") == 0) {
+      ok = fpq::bench::parse_number(value, SIZE_MAX, v) && v >= 64;
+      n = static_cast<std::size_t>(v);
+    } else if (std::strcmp(arg, "--threads") == 0) {
+      ok = fpq::bench::parse_number(value, 1024, v);
+      threads = static_cast<std::size_t>(v);
+    } else if (std::strcmp(arg, "--rss-ceiling-mb") == 0) {
+      ok = fpq::bench::parse_positive(value, rss_ceiling_mb);
+    } else if (std::strcmp(arg, "--monitor-budget") == 0) {
+      ok = fpq::bench::parse_positive(value, monitor_budget);
     } else {
-      std::fprintf(stderr, "unknown argument: %s\n", argv[i]);
+      std::fprintf(stderr, "unknown argument: %s\n", arg);
       return 2;
     }
-  }
-  if (n < 64) {
-    std::fprintf(stderr, "--n must be >= 64\n");
-    return 2;
+    if (!ok) {
+      std::fprintf(stderr, "bad value '%s' for %s\n", value, arg);
+      return 2;
+    }
   }
 
   identity_gate();
 
   par::ThreadPool pool(threads);
   const auto core_key = quiz::standard_core_truths();
-  fpq::bench::PerfJson json;
 
   // Phase 2: flat memory. Warm the allocator and pool with an n/8 run,
   // snapshot peak RSS, then run the full n; ru_maxrss is a lifetime max,
@@ -340,14 +345,6 @@ int main(int argc, char** argv) {
       "%.2fx\n",
       serial_s, pool.lanes(), pooled_s, serial_s / pooled_s);
 
-  json.add({"survey-scale/stream-average-core", 1e9 * pooled_s /
-                static_cast<double>(n),
-            static_cast<double>(n) / pooled_s,
-            static_cast<int>(pool.lanes()), 0});
-  json.add({"survey-scale/stream-average-core-1t",
-            1e9 * serial_s / static_cast<double>(n),
-            static_cast<double>(n) / serial_s, 1, 0});
-
   // Phase 3b: the 1-thread stream split into its two layers, each timed
   // alone on the first `split_n` records (best of 3): generation (next()
   // with no fold) and the fold (add() over those records, materialized).
@@ -384,10 +381,6 @@ int main(int argc, char** argv) {
       "%.1f ns/record (generation %.0f%% of the pair)\n",
       split_n, generate_ns, fold_ns,
       100.0 * generate_ns / (generate_ns + fold_ns));
-  json.add({"survey-scale/generate-1t", generate_ns, 1e9 / generate_ns, 1,
-            0});
-  json.add({"survey-scale/fold-average-core-1t", fold_ns, 1e9 / fold_ns, 1,
-            0});
 
   // Phase 4: the memory-bounded bootstrap CI over streamed chunk stats.
   class ScoreChunks {
@@ -490,10 +483,6 @@ int main(int argc, char** argv) {
           100.0 * overhead, 100.0 * monitor_budget);
       ++g_failures;
     }
-    json.add({"survey-scale/stream-average-core-monitored",
-              1e9 * mon_s / static_cast<double>(n),
-              static_cast<double>(n) / mon_s,
-              static_cast<int>(pool.lanes()), 0});
 
     // Flow-report determinism: the fingerprint must be bit-identical at
     // every pool width (merge order is fixed by the chunk tree).
@@ -517,7 +506,6 @@ int main(int argc, char** argv) {
         g_failures == 0 ? "PASS" : "FAIL");
   }
 
-  if (!json_path.empty() && !json.write(json_path)) ++g_failures;
   std::printf("%s\n", g_failures == 0 ? "survey-scale: ALL GATES PASS"
                                       : "survey-scale: FAILURES");
   return g_failures == 0 ? 0 : 1;

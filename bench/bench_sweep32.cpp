@@ -6,8 +6,7 @@
 //   bench_sweep32 [--op NAME] [--modes N] [--threads N] [--begin N]
 //                 [--end N] [--chunk-bits N] [--manifest FILE]
 //                 [--deadline-ms N] [--max-shards N] [--no-tape]
-//                 [--no-hardware] [--corpus N] [--json FILE]
-//                 [--variant NAME]
+//                 [--no-hardware] [--corpus N] [--variant NAME]
 //
 // --op: a grid row, corpus (corner corpus only) or all (every row).
 //       binary32 (2^32 patterns unless noted): sqrt (default),
@@ -19,26 +18,21 @@
 //       host FPU, four modes: sample32, sample64 (2^32 draws).
 // --modes: how many of the five rounding modes to sweep (default all 5).
 // --corpus N: also run the corner corpus with N random cases per mode.
-// --json: PerfJson output path (default BENCH_sweep32.json).
 // --variant: force the batch kernel engine (scalar / portable / avx2);
 //            default is the best the CPU supports. Exits 2 when the
-//            requested variant is unavailable on this machine. The
-//            variant lands in the PerfJson env metadata, so the CI
-//            speedup comparison (scalar vs accelerated values/s) never
-//            diffs rows measured under different engines.
+//            requested variant is unavailable on this machine. The first
+//            line printed names the active variant and the thread count,
+//            so values/s from different engines are never mistaken for
+//            one another.
 //
 // Exits nonzero on any lane mismatch — the sweep IS the assertion. An
 // interrupted run exits 0 with "incomplete" status as long as the shards
 // it DID verify all agreed; rerun with the same --manifest to continue.
 // A non-numeric or out-of-range number exits 2.
 
-#include <cctype>
-#include <cerrno>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -65,19 +59,8 @@ struct Cli {
   bool hardware = true;
   std::size_t corpus = 0;
   bool corpus_only = false;
-  std::string json = "BENCH_sweep32.json";
   std::string variant;  ///< empty = best available
 };
-
-/// Parses a whole decimal/hex/octal number no larger than `max`; rejects
-/// signs, trailing characters and overflow.
-bool parse_number(const char* text, std::uint64_t max, std::uint64_t& out) {
-  if (!std::isdigit(static_cast<unsigned char>(text[0]))) return false;
-  errno = 0;
-  char* rest = nullptr;
-  out = std::strtoull(text, &rest, 0);
-  return errno == 0 && *rest == '\0' && out <= max;
-}
 
 bool parse(int argc, char** argv, Cli& cli) {
   constexpr std::uint64_t kSpace = std::uint64_t{1} << 32;
@@ -86,7 +69,7 @@ bool parse(int argc, char** argv, Cli& cli) {
     bool number_ok = true;
     auto next = [&](std::uint64_t max, std::uint64_t& out) {
       if (i + 1 >= argc) return false;
-      number_ok = parse_number(argv[++i], max, out);
+      number_ok = fpq::bench::parse_number(argv[++i], max, out);
       return true;
     };
     std::uint64_t v = 0;
@@ -114,8 +97,6 @@ bool parse(int argc, char** argv, Cli& cli) {
       cli.hardware = false;
     } else if (a == "--corpus" && next(SIZE_MAX, v)) {
       cli.corpus = static_cast<std::size_t>(v);
-    } else if (a == "--json" && i + 1 < argc) {
-      cli.json = argv[++i];
     } else if (a == "--variant" && i + 1 < argc) {
       cli.variant = argv[++i];
     } else {
@@ -145,12 +126,11 @@ bool op_from_name(const std::string& name, sw::SweepOp& out) {
   return false;
 }
 
-/// Runs one op's sweep; returns false on mismatch. Appends a PerfRow.
-/// With `multi` (--op all) the manifest path gets a per-op suffix — each
-/// op is its own sweep identity, so sharing one file would make the
-/// second op refuse to resume.
-bool run_op(const Cli& cli, sw::SweepOp op, fpq::bench::PerfJson& json,
-            bool multi = false) {
+/// Runs one op's sweep; returns false on mismatch. With `multi` (--op
+/// all) the manifest path gets a per-op suffix — each op is its own sweep
+/// identity, so sharing one file would make the second op refuse to
+/// resume.
+bool run_op(const Cli& cli, sw::SweepOp op, bool multi = false) {
   sw::Sweep32Config config;
   config.op = op;
   // The default grid is kAllRoundings; --modes keeps its first entries.
@@ -196,16 +176,6 @@ bool run_op(const Cli& cli, sw::SweepOp op, fpq::bench::PerfJson& json,
   for (const std::string& s : report.mismatch_samples) {
     std::printf("  MISMATCH %s\n", s.c_str());
   }
-
-  fpq::bench::PerfRow row;
-  row.name = std::string("sweep32/") + sw::sweep_op_name(op);
-  row.ns_per_op = vps > 0.0 ? 1e9 / vps : 0.0;
-  row.ops_per_s = vps;
-  row.threads = static_cast<int>(
-      cli.threads != 0 ? cli.threads
-                       : fpq::parallel::ThreadPool::default_thread_count());
-  row.fingerprint = report.complete ? report.fingerprint : 0;
-  json.add(row);
   return report.mismatches == 0;
 }
 
@@ -215,8 +185,6 @@ int main(int argc, char** argv) {
   Cli cli;
   if (!parse(argc, argv, cli)) return 2;
 
-  // Force the kernel engine BEFORE PerfJson captures the env, so the
-  // variant metadata matches what the rows were measured under.
   if (!cli.variant.empty()) {
     sf::KernelVariant v{};
     if (!sf::parse_kernel_variant(cli.variant, v)) {
@@ -232,14 +200,18 @@ int main(int argc, char** argv) {
     }
   }
 
-  fpq::bench::PerfJson json;
+  std::printf("sweep32: kernel variant %s, %zu thread(s)\n",
+              sf::kernel_variant_name(sf::active_kernel_variant()),
+              cli.threads != 0
+                  ? cli.threads
+                  : fpq::parallel::ThreadPool::default_thread_count());
   bool ok = true;
   try {
     if (cli.op == "corpus") {
       cli.corpus_only = true;
     } else if (cli.op == "all") {
       for (const sw::SweepOp op : sw::kAllSweepOps) {
-        ok = run_op(cli, op, json, /*multi=*/true) && ok;
+        ok = run_op(cli, op, /*multi=*/true) && ok;
       }
     } else {
       sw::SweepOp op{};
@@ -248,7 +220,7 @@ int main(int argc, char** argv) {
                      cli.op.c_str());
         return 2;
       }
-      ok = run_op(cli, op, json) && ok;
+      ok = run_op(cli, op) && ok;
     }
 
     if (cli.corpus != 0 || cli.corpus_only) {
@@ -266,12 +238,6 @@ int main(int argc, char** argv) {
       for (const std::string& s : corpus.mismatch_samples) {
         std::printf("  MISMATCH %s\n", s.c_str());
       }
-      fpq::bench::PerfRow row;
-      row.name = "sweep32/corpus";
-      row.ns_per_op = vps > 0.0 ? 1e9 / vps : 0.0;
-      row.ops_per_s = vps;
-      row.threads = 1;
-      json.add(row);
       ok = ok && corpus.mismatches == 0;
     }
   } catch (const std::exception& e) {
@@ -279,6 +245,5 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  if (!json.empty()) json.write(cli.json);
   return ok ? 0 : 1;
 }

@@ -55,14 +55,24 @@ std::string QuizSession::render_quiz_text() const {
   std::string out =
       "Floating point quiz (answer True / False / Don't Know)\n\n";
   int n = 1;
+  const auto number = [&] {
+    out += 'Q';
+    out += std::to_string(n++);
+    out += ".\n";
+  };
   for (const auto& q : core_questions()) {
-    out += "Q" + std::to_string(n++) + ".\n";
-    out += "    " + std::string(q.snippet) + "\n";
-    out += "  Claim: " + std::string(q.assertion) + "\n\n";
+    number();
+    out += "    ";
+    out += q.snippet;
+    out += "\n  Claim: ";
+    out += q.assertion;
+    out += "\n\n";
   }
   for (const auto& q : opt_questions()) {
-    out += "Q" + std::to_string(n++) + ".\n";
-    out += "  " + std::string(q.prompt) + "\n";
+    number();
+    out += "  ";
+    out += q.prompt;
+    out += '\n';
     if (!q.is_true_false) {
       out += "  Options:";
       for (std::size_t c = 0; c < kOptLevelChoiceCount; ++c) {

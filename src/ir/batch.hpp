@@ -60,7 +60,7 @@ struct BindingTable {
     return std::span<const double>(values).subspan(r * width, width);
   }
   void push_row(std::span<const double> xs) {
-    values.insert(values.end(), xs.begin(), xs.end());
+    for (const double x : xs) values.push_back(x);
   }
 };
 

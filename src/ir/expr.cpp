@@ -189,44 +189,61 @@ Expr Expr::horner(std::span<const double> coeffs, Expr x) {
   return acc;
 }
 
-std::string Expr::to_string() const {
-  const Node& n = *node_;
+namespace {
+
+/// Appends e's rendering to out: one buffer for the whole tree instead of
+/// a temporary string per node.
+void render(const Expr& e, std::string& out) {
+  const Expr::Node& n = e.node();
+  // `open` child `sep` child ... `)`: infix ops, sqrt and fma alike.
+  const auto group = [&](const char* open, const char* sep) {
+    out += open;
+    for (std::size_t i = 0; i < n.children.size(); ++i) {
+      if (i != 0) out += sep;
+      render(n.children[i], out);
+    }
+    out += ')';
+  };
   switch (n.kind) {
     case Kind::kConst: {
       char buf[32];
       std::snprintf(buf, sizeof buf, "%g", sf::to_native(n.value));
-      return buf;
+      out += buf;
+      return;
     }
     case Kind::kVar:
-      return n.var_name;
+      out += n.var_name;
+      return;
     case Kind::kNeg:
-      return "-" + n.children[0].to_string();
+      out += '-';
+      render(n.children[0], out);
+      return;
     case Kind::kAdd:
-      return "(" + n.children[0].to_string() + " + " +
-             n.children[1].to_string() + ")";
+      return group("(", " + ");
     case Kind::kSub:
-      return "(" + n.children[0].to_string() + " - " +
-             n.children[1].to_string() + ")";
+      return group("(", " - ");
     case Kind::kMul:
-      return "(" + n.children[0].to_string() + " * " +
-             n.children[1].to_string() + ")";
+      return group("(", " * ");
     case Kind::kDiv:
-      return "(" + n.children[0].to_string() + " / " +
-             n.children[1].to_string() + ")";
+      return group("(", " / ");
     case Kind::kSqrt:
-      return "sqrt(" + n.children[0].to_string() + ")";
+      return group("sqrt(", "");
     case Kind::kFma:
-      return "fma(" + n.children[0].to_string() + ", " +
-             n.children[1].to_string() + ", " + n.children[2].to_string() +
-             ")";
+      return group("fma(", ", ");
     case Kind::kCmpEq:
-      return "(" + n.children[0].to_string() + " == " +
-             n.children[1].to_string() + ")";
+      return group("(", " == ");
     case Kind::kCmpLt:
-      return "(" + n.children[0].to_string() + " < " +
-             n.children[1].to_string() + ")";
+      return group("(", " < ");
   }
-  return "?";
+  out += '?';
+}
+
+}  // namespace
+
+std::string Expr::to_string() const {
+  std::string out;
+  render(*this, out);
+  return out;
 }
 
 std::size_t Expr::intern_pool_size() {

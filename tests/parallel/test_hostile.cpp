@@ -270,7 +270,7 @@ TEST(HostileTasks, ReportToStringListsEveryShardInOrder) {
   const std::string text = report.failures.to_string();
   std::size_t last = 0;
   for (const std::size_t s : {2u, 7u, 12u}) {
-    const std::size_t pos = text.find("#" + std::to_string(s));
+    const std::size_t pos = text.find('#' + std::to_string(s));
     ASSERT_NE(pos, std::string::npos) << text;
     EXPECT_GE(pos, last);
     last = pos;
