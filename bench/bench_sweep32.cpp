@@ -19,16 +19,18 @@
 // --modes: how many of the five rounding modes to sweep (default all 5).
 // --corpus N: also run the corner corpus with N random cases per mode.
 // --variant: force the batch kernel engine (scalar / portable / avx2);
-//            default is the best the CPU supports. Exits 2 when the
-//            requested variant is unavailable on this machine. The first
-//            line printed names the active variant and the thread count,
-//            so values/s from different engines are never mistaken for
-//            one another.
+//            default is the best the CPU supports. Exits 3 (and only
+//            then) when a known variant is unavailable on this machine;
+//            an unknown name is a bad argument. The first line printed
+//            names the active variant and the thread count, so values/s
+//            from different engines are never mistaken for one another.
 //
-// Exits nonzero on any lane mismatch — the sweep IS the assertion. An
-// interrupted run exits 0 with "incomplete" status as long as the shards
-// it DID verify all agreed; rerun with the same --manifest to continue.
-// A non-numeric or out-of-range number exits 2.
+// Exit codes: 0 every verified shard agreed (an interrupted run exits 0
+// with "incomplete" status; rerun with the same --manifest to continue);
+// 1 a lane mismatch — the sweep IS the assertion; 2 a bad argument
+// (unknown flag or name, non-numeric or out-of-range number) or a sweep
+// that threw (e.g. a manifest that refuses to resume); 3 the requested
+// --variant is unavailable here.
 
 #include <chrono>
 #include <cstdint>
@@ -196,7 +198,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr,
                    "bench_sweep32: variant '%s' unavailable on this machine\n",
                    cli.variant.c_str());
-      return 2;
+      return 3;
     }
   }
 

@@ -145,22 +145,23 @@ void FlowLedger::record_op(std::uint64_t tag, ValueClass a, ValueClass b,
   const bool operand_exceptional =
       is_exceptional(a) || is_exceptional(b) || is_exceptional(c);
   const bool result_exceptional = is_exceptional(result);
-  if (operand_exceptional || result_exceptional) {
-    summary_.exceptional_ops += 1;
-  }
+  // An all-finite op is counted and nothing more: sites exist only where
+  // an exceptional value was born, propagated or killed.
+  if (!operand_exceptional && !result_exceptional) return;
+  summary_.exceptional_ops += 1;
 
   SiteFlow* site = site_for(tag);
   if (site != nullptr) {
     if (site->events == 0) site->signature = flow_signature(a, b, c, result);
     site->events += 1;
   }
-  if (result_exceptional && !operand_exceptional) {
+  if (!operand_exceptional) {
     summary_.born += 1;
     if (site != nullptr) site->born += 1;
   } else if (result_exceptional) {
     summary_.propagated += 1;
     if (site != nullptr) site->propagated += 1;
-  } else if (operand_exceptional) {
+  } else {
     summary_.killed += 1;
     if (site != nullptr) site->killed += 1;
   }

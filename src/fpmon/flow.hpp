@@ -82,12 +82,16 @@ std::uint8_t flow_signature(ValueClass a, ValueClass b, ValueClass c,
                             ValueClass result) noexcept;
 bool signature_has_exceptional(std::uint8_t signature) noexcept;
 
-/// Per-site flow counters. `signature` is the FIRST event's signature at
-/// this tag (sites in straight-line kernels always repeat it).
+/// Per-site flow counters. A site exists iff an exceptional value was
+/// born, propagated or killed there, or a swallow was sampled there; an
+/// all-finite op only counts in FlowSummary::ops. `signature` is the
+/// FIRST exceptional event's signature at this tag (sites in
+/// straight-line kernels always repeat it); a swallow-only site keeps the
+/// all-finite signature 0.
 struct SiteFlow {
   std::uint64_t tag = 0;
   std::uint8_t signature = 0;
-  std::uint64_t events = 0;      ///< op events observed at this site
+  std::uint64_t events = 0;      ///< exceptional op events at this site
   std::uint64_t born = 0;        ///< exceptional result, clean operands
   std::uint64_t propagated = 0;  ///< exceptional result, exceptional operand
   std::uint64_t killed = 0;      ///< finite result, exceptional operand
@@ -126,7 +130,9 @@ class FlowLedger {
   static constexpr std::size_t kDefaultMaxSites = 65536;
 
   /// Records one op event: operand classes (unused slots pass kFinite),
-  /// result class, at site `tag`. Classifies born/propagated/killed.
+  /// result class, at site `tag`. Every event counts in summary().ops;
+  /// only an event with an exceptional operand or result touches a site,
+  /// classified born/propagated/killed.
   void record_op(std::uint64_t tag, ValueClass a, ValueClass b,
                  ValueClass c, ValueClass result);
   /// Records a sticky-flag sample (softfloat Flag bits) at site `tag`.

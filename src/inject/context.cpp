@@ -1,7 +1,7 @@
 #include "inject/context.hpp"
 
 #include <cfenv>
-#include <string>
+#include <cstdint>
 
 #include "fpmon/hardware.hpp"
 #include "ir/native_ops.hpp"
@@ -32,11 +32,6 @@ int softfloat_flags_to_fenv(unsigned flags) noexcept {
 }
 
 namespace {
-
-std::string tape_options_string(const ir::TapeOptions& o) {
-  return std::string("cse=") + (o.cse ? "on" : "off") +
-         ", fold_constants=" + (o.fold_constants ? "on" : "off");
-}
 
 /// Maps a perturbed rounding-direction attribute onto its fenv encoding;
 /// -1 when the attribute has none (roundTiesToAway) or the platform lacks
@@ -115,22 +110,9 @@ class ScopedRounding {
 
 }  // namespace
 
-TapeTraceError::TapeTraceError(std::uint64_t tape_fingerprint,
-                               const ir::TapeOptions& options)
-    : std::runtime_error(
-          "injected campaign handed a non-exact-trace tape (fingerprint " +
-          std::to_string(tape_fingerprint) + ", " +
-          tape_options_string(options) +
-          "): fault-site numbering requires TapeOptions::exact_trace()"),
-      fingerprint_(tape_fingerprint),
-      options_(options) {}
-
 double SoftContext::call(const ir::Expr& expr,
                          std::span<const double> bindings) {
-  const std::shared_ptr<const ir::Tape> tape = ir::Tape::cached(expr, {});
-  const ir::Outcome out = ir::execute(*tape, bindings);
-  flags_ |= out.flags;
-  return softfloat::to_native(out.value);
+  return ir::evaluate_tree<double>(expr, soft_, bindings);
 }
 
 SoftInjectingContext::SoftInjectingContext(Injector& injector)
@@ -209,22 +191,11 @@ double NativeInjectingEvaluator::recompute_rounded(
 NativeInjectingContext::NativeInjectingContext(Injector& injector)
     : inj_(native_, injector), injector_(&injector) {}
 
-NativeInjectingContext::NativeInjectingContext(Injector& injector,
-                                               const ir::TapeOptions& options)
-    : inj_(native_, injector), injector_(&injector), options_(options) {}
-
 double NativeInjectingContext::call(const ir::Expr& expr,
                                     std::span<const double> bindings) {
-  const std::shared_ptr<const ir::Tape> tape =
-      ir::Tape::cached(expr, {}, options_);
-  if (tape->options() != ir::TapeOptions::exact_trace()) {
-    // Guard BEFORE begin_call so a refused tape does not advance the
-    // campaign's call counter.
-    throw TapeTraceError(tape->fingerprint(), tape->options());
-  }
   ScopedRounding guard;
   injector_->begin_call();
-  return ir::run_tape<double>(*tape, inj_, bindings);
+  return ir::evaluate_tree<double>(expr, inj_, bindings);
 }
 
 }  // namespace fpq::inject

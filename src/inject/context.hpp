@@ -20,25 +20,19 @@
 //     fenv damage is the damage the fault MODEL specifies (eaten flags),
 //     never collateral (leaked rounding modes, phantom flags).
 //
-// Both substrates walk kernels in the tree-visit operation order the
-// Injector numbers sites by: the softfloat context uses the reference
-// tree walk, the native context runs TapeOptions::exact_trace() tapes
-// (whose run_tape hook sequence is the tree walk's verbatim). Handing the
-// native context a CSE/folded tape would silently mis-number sites, so it
-// refuses with TapeTraceError instead.
+// Every context here walks the tree (ir::evaluate_tree), whose visit
+// order is the order the Injector numbers sites by. None of them compiles
+// a tape: a CSE/folded tape would elide and reorder operations and so
+// mis-number sites, and the walk keeps no per-tree state between calls.
 #pragma once
 
-#include <cstdint>
-#include <memory>
 #include <span>
-#include <stdexcept>
 #include <vector>
 
 #include "fpmon/monitor.hpp"
 #include "inject/evaluator.hpp"
 #include "inject/fault.hpp"
 #include "ir/evaluators.hpp"
-#include "ir/tape.hpp"
 #include "workloads/workloads.hpp"
 
 namespace fpq::inject {
@@ -52,25 +46,6 @@ unsigned fenv_to_softfloat_flags(int excepts, bool denormal_operand) noexcept;
 /// FE_* excepts mask (kFlagDenormalInput has no fenv bit and is dropped;
 /// the MXCSR DE bit is handled separately).
 int softfloat_flags_to_fenv(unsigned flags) noexcept;
-
-/// Thrown when an injected campaign is handed a tape whose options are
-/// not TapeOptions::exact_trace(). CSE/folding elide and reorder
-/// operations, so running an injector over such a tape would arm sites at
-/// the wrong (call, op) coordinates — silently, since the campaign would
-/// still "work". Structured so callers can report exactly which tape was
-/// refused.
-class TapeTraceError : public std::runtime_error {
- public:
-  TapeTraceError(std::uint64_t tape_fingerprint,
-                 const ir::TapeOptions& options);
-
-  std::uint64_t tape_fingerprint() const noexcept { return fingerprint_; }
-  const ir::TapeOptions& tape_options() const noexcept { return options_; }
-
- private:
-  std::uint64_t fingerprint_ = 0;
-  ir::TapeOptions options_;
-};
 
 /// One recorded kernel call: what was evaluated, with which bindings, and
 /// what came back. The per-call detectors (shadow, interval) re-execute
@@ -108,21 +83,21 @@ class RecordingContext final : public workloads::EvalContext {
 };
 
 /// Clean softfloat context: the softfloat analogue of
-/// workloads::NativeContext, executing compiled tapes on the scalar
-/// softfloat engine and accumulating the run-wide sticky flag union.
-/// observed() is what a ScopedMonitor would have reported had the run
-/// been native — the clean fpmon baseline for softfloat trials.
+/// workloads::NativeContext. One persistent SoftEvaluator<64> walks every
+/// call and accumulates the run-wide sticky flag union; observed() is
+/// what a ScopedMonitor would have reported had the run been native —
+/// the clean fpmon baseline for softfloat trials.
 class SoftContext final : public workloads::EvalContext {
  public:
   double call(const ir::Expr& expr,
               std::span<const double> bindings) override;
 
   mon::ConditionSet observed() const noexcept {
-    return mon::ConditionSet::from_softfloat_flags(flags_);
+    return mon::ConditionSet::from_softfloat_flags(soft_.flags());
   }
 
  private:
-  unsigned flags_ = 0;
+  ir::SoftEvaluator<64> soft_{ir::EvalConfig::ieee_strict()};
 };
 
 /// Softfloat injecting context: one Injector, one persistent
@@ -172,8 +147,8 @@ class NativeInjectingEvaluator : public InjectingEvaluator {
   unsigned sampled_sticky_flags() override;
 };
 
-/// Host-FPU injecting context: the tentpole. Runs kernels on the real FPU
-/// through NativeEvaluator64 under the injector's campaign, so an
+/// Host-FPU injecting context. Walks kernels on the real FPU through
+/// NativeEvaluator64 under the injector's campaign, so an
 /// enclosing fpmon::ScopedMonitor observes the faults' genuine hardware
 /// footprint. Each call saves the rounding mode on entry and restores it
 /// on every exit path (including exceptions thrown mid-kernel); the
@@ -184,12 +159,6 @@ class NativeInjectingContext final : public workloads::EvalContext {
   /// `injector` must outlive the context; one context serves one run.
   explicit NativeInjectingContext(Injector& injector);
 
-  /// Test seam for the exact-trace guard: a context built with options
-  /// other than TapeOptions::exact_trace() throws TapeTraceError on the
-  /// first call instead of silently mis-numbering fault sites.
-  NativeInjectingContext(Injector& injector,
-                         const ir::TapeOptions& options);
-
   double call(const ir::Expr& expr,
               std::span<const double> bindings) override;
 
@@ -197,7 +166,6 @@ class NativeInjectingContext final : public workloads::EvalContext {
   ir::NativeEvaluator64 native_;
   NativeInjectingEvaluator inj_;
   Injector* injector_;
-  ir::TapeOptions options_ = ir::TapeOptions::exact_trace();
 };
 
 }  // namespace fpq::inject

@@ -14,9 +14,8 @@
 // are not operations.
 //
 // Site numbering assumes every source-level operation executes in tree
-// order, which the reference tree walk and an exact_trace() tape provide
-// verbatim; a CSE/folded tape would silently mis-number sites, so the
-// context decorators (context.hpp) guard against it with TapeTraceError.
+// order, which ir::evaluate_tree provides; every context decorator
+// (context.hpp) drives this evaluator through that walk.
 //
 // The two sticky fault classes touch substrate-specific machinery —
 // flag swallowing erases the evaluator's sticky exception state, rounding

@@ -13,7 +13,6 @@
 #include "inject/evaluator.hpp"
 #include "interval/interval.hpp"
 #include "ir/evaluators.hpp"
-#include "ir/tape.hpp"
 #include "report/table.hpp"
 #include "stats/prng.hpp"
 #include "workloads/workloads.hpp"
@@ -208,26 +207,38 @@ CampaignConfig null_campaign() {
 
 /// Signature-anomalous sites: tags whose first-event signature differs
 /// between the injected ledger and the clean baseline ledger, where the
-/// difference involves an exceptional value class on either side. In a
-/// straight-line kernel every value is bit-identical up to the first
-/// effective mutation, so the EARLIEST anomalous tag is where the fault
-/// entered the value stream.
+/// difference involves an exceptional value class on either side. The
+/// join is symmetric: a ledger keeps sites only where a value was
+/// exceptional, so a tag missing on either side reads as the all-finite
+/// signature 0 (an Inf the fault made vanish is as anomalous as a NaN it
+/// conjured). In a straight-line kernel every value is bit-identical up
+/// to the first effective mutation, so the EARLIEST anomalous tag is
+/// where the fault entered the value stream.
 std::vector<std::uint64_t> anomalous_tags(const mon::FlowLedger& led,
                                           const mon::FlowLedger& base) {
   std::vector<std::uint64_t> out;
   const auto& a = led.sites();
   const auto& b = base.sites();
   std::size_t i = 0, j = 0;
-  while (i < a.size()) {
-    while (j < b.size() && b[j].tag < a[i].tag) ++j;
-    const bool have_base = j < b.size() && b[j].tag == a[i].tag;
-    const std::uint8_t base_sig = have_base ? b[j].signature : 0;
-    if (a[i].signature != base_sig &&
-        (mon::signature_has_exceptional(a[i].signature) ||
-         mon::signature_has_exceptional(base_sig))) {
-      out.push_back(a[i].tag);
+  while (i < a.size() || j < b.size()) {
+    std::uint64_t tag = 0;
+    std::uint8_t sig = 0;
+    std::uint8_t base_sig = 0;
+    if (j >= b.size() || (i < a.size() && a[i].tag < b[j].tag)) {
+      tag = a[i].tag;
+      sig = a[i++].signature;
+    } else if (i >= a.size() || b[j].tag < a[i].tag) {
+      tag = b[j].tag;
+      base_sig = b[j++].signature;
+    } else {
+      tag = a[i].tag;
+      sig = a[i++].signature;
+      base_sig = b[j++].signature;
     }
-    ++i;
+    if (sig != base_sig && (mon::signature_has_exceptional(sig) ||
+                            mon::signature_has_exceptional(base_sig))) {
+      out.push_back(tag);
+    }
   }
   return out;
 }

@@ -7,7 +7,7 @@
 //   trace.hpp      — ProvenanceTrace (per-op exception provenance)
 //   batch.hpp      — evaluate_many over fpq::parallel
 //   tape.hpp       — Tape: Expr → flat bytecode (CSE, constant folding,
-//                    content fingerprint), scalar engines
+//                    content fingerprint), the scalar engine
 //   tape_batch.hpp — batched SoA tape executor over fpq::parallel
 #pragma once
 

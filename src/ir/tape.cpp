@@ -3,6 +3,7 @@
 #include <atomic>
 #include <bit>
 #include <cstdint>
+#include <limits>
 #include <mutex>
 #include <type_traits>
 #include <unordered_map>
@@ -185,15 +186,13 @@ bool try_fold_op(TapeOp op, std::span<const double> kids,
 /// read, so the SoA engines' register files stay small and cache-warm).
 class TapeCompiler {
  public:
-  TapeCompiler(const EvalConfig& config, const TapeOptions& options)
-      : config_(config), options_(options) {}
+  explicit TapeCompiler(const EvalConfig& config) : config_(config) {}
 
   Tape run(const Expr& root) {
     const int slot = visit(root);
-    tape_.result_register_ = materialize(slot, root);
+    tape_.result_register_ = materialize(slot);
     allocate_registers();
     tape_.config_ = config_;
-    tape_.options_ = options_;
     tape_.fingerprint_ = fingerprint();
     return std::move(tape_);
   }
@@ -209,23 +208,15 @@ class TapeCompiler {
 
   int visit(const Expr& e) {
     const Expr::Node& n = e.node();
-    if (options_.cse) {
-      if (const auto it = memo_.find(&n); it != memo_.end()) {
-        ++tape_.cse_reuses_;
-        return it->second;
-      }
+    if (const auto it = memo_.find(&n); it != memo_.end()) {
+      ++tape_.cse_reuses_;
+      return it->second;
     }
     int slot = -1;
     switch (n.kind) {
       case ExprKind::kConst: {
         const double v = fold_literal(sf::to_native(n.value), config_);
-        if (options_.fold_constants) {
-          slot = make_slot(Slot{true, v, kNoReg});
-        } else {
-          Slot s;
-          s.reg = emit_const(v, e);
-          slot = make_slot(s);
-        }
+        slot = make_slot(Slot{true, v, kNoReg});
         break;
       }
       case ExprKind::kVar: {
@@ -233,8 +224,7 @@ class TapeCompiler {
           tape_.required_width_ = n.var_index + std::size_t{1};
         }
         Slot s;
-        s.reg = emit(TapeInst{TapeOp::kVar, next_vreg(), n.var_index, 0, 0},
-                     e);
+        s.reg = emit(TapeInst{TapeOp::kVar, next_vreg(), n.var_index, 0, 0});
         slot = make_slot(s);
         break;
       }
@@ -245,58 +235,49 @@ class TapeCompiler {
           kid_slots[i] = visit(n.children[i]);
         }
         const TapeOp op = op_of(n.kind);
-        if (options_.fold_constants) {
-          bool all_folded = true;
-          double kid_values[3] = {0, 0, 0};
-          for (std::size_t i = 0; i < nkids; ++i) {
-            const Slot& k = slots_[static_cast<std::size_t>(kid_slots[i])];
-            all_folded = all_folded && k.folded;
-            kid_values[i] = k.value;
-          }
-          double folded_value = 0.0;
-          if (all_folded &&
-              try_fold_op(op, std::span<const double>(kid_values, nkids),
-                          config_, &folded_value)) {
-            ++tape_.folded_ops_;
-            slot = make_slot(Slot{true, folded_value, kNoReg});
-            break;
-          }
+        bool all_folded = true;
+        double kid_values[3] = {0, 0, 0};
+        for (std::size_t i = 0; i < nkids; ++i) {
+          const Slot& k = slots_[static_cast<std::size_t>(kid_slots[i])];
+          all_folded = all_folded && k.folded;
+          kid_values[i] = k.value;
+        }
+        double folded_value = 0.0;
+        if (all_folded &&
+            try_fold_op(op, std::span<const double>(kid_values, nkids),
+                        config_, &folded_value)) {
+          ++tape_.folded_ops_;
+          slot = make_slot(Slot{true, folded_value, kNoReg});
+          break;
         }
         TapeInst inst{op, 0, 0, 0, 0};
         std::uint32_t kid_regs[3] = {0, 0, 0};
         for (std::size_t i = 0; i < nkids; ++i) {
-          kid_regs[i] = materialize(kid_slots[i], n.children[i]);
+          kid_regs[i] = materialize(kid_slots[i]);
         }
         inst.a = kid_regs[0];
         inst.b = kid_regs[1];
         inst.c = kid_regs[2];
         inst.dst = next_vreg();
         Slot s;
-        s.reg = emit(inst, e);
+        s.reg = emit(inst);
         slot = make_slot(s);
         break;
       }
     }
-    if (options_.cse) memo_.emplace(&n, slot);
+    memo_.emplace(&n, slot);
     return slot;
   }
 
   /// Ensures a slot has a register, emitting a constant load for a folded
-  /// value on first use. The load's source node is the original constant
-  /// when the folded subtree was a leaf, or a synthesized constant
-  /// carrying the folded value otherwise (so run_tape's hooks stay
-  /// well-defined).
-  std::uint32_t materialize(int slot_index, const Expr& src) {
+  /// value on first use.
+  std::uint32_t materialize(int slot_index) {
     Slot& s = slots_[static_cast<std::size_t>(slot_index)];
-    if (s.reg != kNoReg) return s.reg;
-    const Expr source = src.node().kind == ExprKind::kConst
-                            ? src
-                            : Expr::constant(s.value);
-    s.reg = emit_const(s.value, source);
+    if (s.reg == kNoReg) s.reg = emit_const(s.value);
     return s.reg;
   }
 
-  std::uint32_t emit_const(double widened, const Expr& source) {
+  std::uint32_t emit_const(double widened) {
     const std::uint64_t fbits = literal_format_bits(widened, config_);
     std::uint32_t pool_index;
     if (const auto it = pool_index_.find(fbits); it != pool_index_.end()) {
@@ -306,13 +287,11 @@ class TapeCompiler {
       tape_.constant_bits_.push_back(fbits);
       pool_index_.emplace(fbits, pool_index);
     }
-    return emit(TapeInst{TapeOp::kConst, next_vreg(), pool_index, 0, 0},
-                source);
+    return emit(TapeInst{TapeOp::kConst, next_vreg(), pool_index, 0, 0});
   }
 
-  std::uint32_t emit(TapeInst inst, const Expr& source) {
+  std::uint32_t emit(TapeInst inst) {
     tape_.code_.push_back(inst);
-    tape_.sources_.push_back(source);
     return inst.dst;
   }
 
@@ -399,7 +378,6 @@ class TapeCompiler {
   }
 
   EvalConfig config_;
-  TapeOptions options_;
   Tape tape_;
   std::vector<Slot> slots_;
   std::unordered_map<const void*, int> memo_;
@@ -407,11 +385,10 @@ class TapeCompiler {
   std::uint32_t vreg_count_ = 0;
 };
 
-Tape Tape::compile(const Expr& expr, const EvalConfig& config,
-                   const TapeOptions& options) {
+Tape Tape::compile(const Expr& expr, const EvalConfig& config) {
   const Expr tree = pipeline_rewrite(expr, config.contract_mul_add,
                                      config.reassociate);
-  return TapeCompiler(config, options).run(tree);
+  return TapeCompiler(config).run(tree);
 }
 
 // -- Compile memo -----------------------------------------------------------
@@ -421,16 +398,14 @@ namespace {
 struct TapeCacheKey {
   const void* node = nullptr;
   std::uint64_t config_fp = 0;
-  std::uint64_t options_bits = 0;
 
   bool operator==(const TapeCacheKey&) const = default;
 };
 
 struct TapeCacheKeyHash {
   std::size_t operator()(const TapeCacheKey& k) const noexcept {
-    std::uint64_t h =
-        hash_combine(reinterpret_cast<std::uintptr_t>(k.node), k.config_fp);
-    return static_cast<std::size_t>(hash_combine(h, k.options_bits));
+    return static_cast<std::size_t>(
+        hash_combine(reinterpret_cast<std::uintptr_t>(k.node), k.config_fp));
   }
 };
 
@@ -451,11 +426,10 @@ TapeCacheState& tape_cache() {
 }  // namespace
 
 std::shared_ptr<const Tape> Tape::cached(const Expr& expr,
-                                         const EvalConfig& config,
-                                         const TapeOptions& options) {
+                                         const EvalConfig& config) {
   // Interned nodes live for the process lifetime, so the root pointer is
   // a stable identity for (tree, rewrites-applied-at-compile).
-  TapeCacheKey key{&expr.node(), config.fingerprint(), options.bits()};
+  TapeCacheKey key{&expr.node(), config.fingerprint()};
   TapeCacheState& cache = tape_cache();
   {
     std::lock_guard<std::mutex> lock(cache.mutex);
@@ -465,7 +439,7 @@ std::shared_ptr<const Tape> Tape::cached(const Expr& expr,
     }
   }
   cache.misses.fetch_add(1, std::memory_order_relaxed);
-  auto tape = std::make_shared<const Tape>(compile(expr, config, options));
+  auto tape = std::make_shared<const Tape>(compile(expr, config));
   std::lock_guard<std::mutex> lock(cache.mutex);
   // First writer wins (identical by determinism of compile anyway).
   return cache.map.try_emplace(key, std::move(tape)).first->second;
@@ -494,8 +468,7 @@ void Tape::clear_cache() {
 namespace {
 
 template <int kBits>
-Outcome run_soft_scalar(const Tape& t, std::span<const double> bindings,
-                        TraceSink* trace) {
+Outcome run_soft_scalar(const Tape& t, std::span<const double> bindings) {
   using F = sf::Float<kBits>;
   using Storage = typename F::Storage;
   const EvalConfig& cfg = t.config();
@@ -512,13 +485,9 @@ Outcome run_soft_scalar(const Tape& t, std::span<const double> bindings,
       return sf::convert<kBits>(sf::from_native(x), quiet);
     }
   };
-  const auto widen = [](F x) -> double { return FormatArith<kBits>::widen(x); };
-
   std::vector<F> regs(t.register_count());
-  const std::span<const TapeInst> code = t.code();
   const std::span<const std::uint64_t> pool = t.constant_bits();
-  for (std::size_t pc = 0; pc < code.size(); ++pc) {
-    const TapeInst& in = code[pc];
+  for (const TapeInst& in : t.code()) {
     switch (in.op) {
       case TapeOp::kConst:
         regs[in.dst] = F::from_bits(static_cast<Storage>(pool[in.a]));
@@ -531,75 +500,49 @@ Outcome run_soft_scalar(const Tape& t, std::span<const double> bindings,
         regs[in.dst] = narrow_binding(bound);
         break;
       }
-      case TapeOp::kNeg: {
-        const F r = regs[in.a].negated();
-        if (trace != nullptr) trace->on_op(t.source(pc), widen(r), 0);
-        regs[in.dst] = r;
+      case TapeOp::kNeg:
+        regs[in.dst] = regs[in.a].negated();
         break;
-      }
+      case TapeOp::kAdd:
+        regs[in.dst] = sf::add(regs[in.a], regs[in.b], env);
+        break;
+      case TapeOp::kSub:
+        regs[in.dst] = sf::sub(regs[in.a], regs[in.b], env);
+        break;
+      case TapeOp::kMul:
+        regs[in.dst] = sf::mul(regs[in.a], regs[in.b], env);
+        break;
+      case TapeOp::kDiv:
+        regs[in.dst] = sf::div(regs[in.a], regs[in.b], env);
+        break;
+      case TapeOp::kSqrt:
+        regs[in.dst] = sf::sqrt(regs[in.a], env);
+        break;
+      case TapeOp::kFma:
+        regs[in.dst] = sf::fma(regs[in.a], regs[in.b], regs[in.c], env);
+        break;
       case TapeOp::kCmpEq:
-      case TapeOp::kCmpLt: {
-        // Per-op flag capture only when traced; the sticky union is
-        // unchanged either way (clear + op + re-raise ≡ op).
-        const unsigned before = env.flags();
-        if (trace != nullptr) env.clear_flags();
-        const bool r = in.op == TapeOp::kCmpEq
-                           ? sf::equal(regs[in.a], regs[in.b], env)
-                           : sf::less(regs[in.a], regs[in.b], env);
-        if (trace != nullptr) {
-          const unsigned raised = env.flags();
-          env.raise(before);
-          trace->on_op(t.source(pc), r ? 1.0 : 0.0, raised);
-        }
-        regs[in.dst] = r ? F::one() : F::zero();
+        regs[in.dst] =
+            sf::equal(regs[in.a], regs[in.b], env) ? F::one() : F::zero();
         break;
-      }
-      default: {
-        const unsigned before = env.flags();
-        if (trace != nullptr) env.clear_flags();
-        F r;
-        switch (in.op) {
-          case TapeOp::kAdd:
-            r = sf::add(regs[in.a], regs[in.b], env);
-            break;
-          case TapeOp::kSub:
-            r = sf::sub(regs[in.a], regs[in.b], env);
-            break;
-          case TapeOp::kMul:
-            r = sf::mul(regs[in.a], regs[in.b], env);
-            break;
-          case TapeOp::kDiv:
-            r = sf::div(regs[in.a], regs[in.b], env);
-            break;
-          case TapeOp::kSqrt:
-            r = sf::sqrt(regs[in.a], env);
-            break;
-          default:
-            r = sf::fma(regs[in.a], regs[in.b], regs[in.c], env);
-            break;
-        }
-        if (trace != nullptr) {
-          const unsigned raised = env.flags();
-          env.raise(before);
-          trace->on_op(t.source(pc), widen(r), raised);
-        }
-        regs[in.dst] = r;
+      case TapeOp::kCmpLt:
+        regs[in.dst] =
+            sf::less(regs[in.a], regs[in.b], env) ? F::one() : F::zero();
         break;
-      }
     }
   }
   Outcome out;
-  out.value = sf::from_native(widen(regs[t.result_register()]));
+  out.value = sf::from_native(
+      FormatArith<kBits>::widen(regs[t.result_register()]));
   out.flags = env.flags();
   return out;
 }
 
 }  // namespace
 
-Outcome execute(const Tape& tape, std::span<const double> bindings,
-                TraceSink* trace) {
+Outcome execute(const Tape& tape, std::span<const double> bindings) {
   return dispatch_format(tape.config().format_bits, [&](auto tag) {
-    return run_soft_scalar<decltype(tag)::value>(tape, bindings, trace);
+    return run_soft_scalar<decltype(tag)::value>(tape, bindings);
   });
 }
 

@@ -7,7 +7,6 @@
 
 #include "ir/evaluators.hpp"
 #include "ir/expr.hpp"
-#include "ir/tape.hpp"
 
 namespace fpq::workloads {
 
@@ -15,15 +14,11 @@ double NativeContext::call(const ir::Expr& expr,
                            std::span<const double> bindings) {
   // NativeEvaluator64 routes each operation through opaque noinline
   // helpers, so the real FPU raises exceptions under the caller's monitor
-  // exactly as a hand-rolled loop would. The tape is compiled with
-  // exact_trace options so every source-level operation still reaches the
-  // hardware (CSE/folding would elide real FPU ops a monitor counts);
-  // kernels re-evaluate the same trees thousands of times, so the
-  // process-wide compile memo amortizes linearization to zero.
+  // exactly as a hand-rolled loop would. The tree walk executes every
+  // source-level operation (a CSE/folded tape would elide real FPU ops a
+  // monitor counts) and keeps no per-tree state.
   ir::NativeEvaluator64 native;
-  const std::shared_ptr<const ir::Tape> tape =
-      ir::Tape::cached(expr, {}, ir::TapeOptions::exact_trace());
-  return ir::run_tape<double>(*tape, native, bindings);
+  return ir::evaluate_tree<double>(expr, native, bindings);
 }
 
 namespace {
@@ -100,16 +95,14 @@ double FlowContext::call(const ir::Expr& expr,
                          std::span<const double> bindings) {
   const std::uint64_t call_index = call_++;
   ir::NativeEvaluator64 native;
-  const std::shared_ptr<const ir::Tape> tape =
-      ir::Tape::cached(expr, {}, ir::TapeOptions::exact_trace());
   if (!mon::FlowMonitor::thread_active()) {
     // Unmonitored fast path: identical to NativeContext (the call
     // counter still advances so tags stay aligned if a monitor attaches
     // mid-run).
-    return ir::run_tape<double>(*tape, native, bindings);
+    return ir::evaluate_tree<double>(expr, native, bindings);
   }
   FlowEmittingEvaluator flow(native, call_index);
-  return ir::run_tape<double>(*tape, flow, bindings);
+  return ir::evaluate_tree<double>(expr, flow, bindings);
 }
 
 namespace {

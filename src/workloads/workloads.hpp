@@ -61,9 +61,9 @@ class NativeContext final : public EvalContext {
 /// op (and every neg/comparison, under auxiliary tags) reports its
 /// operand/result value classes to the thread's FlowMonitor stack,
 /// keyed by the same (call << 20) | op tags the fault injector numbers
-/// sites with. Runs the kernel under an exact-trace tape so the op
-/// stream — and therefore the tag stream — is the tree walk's verbatim.
-/// With no FlowMonitor live, the per-op cost is one thread-local load.
+/// sites with. Walks the tree, so the op stream — and therefore the tag
+/// stream — is the injector's site numbering verbatim. With no
+/// FlowMonitor live, the per-op cost is one thread-local load.
 class FlowContext final : public EvalContext {
  public:
   double call(const ir::Expr& expr,

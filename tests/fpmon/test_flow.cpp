@@ -105,6 +105,9 @@ TEST(FlowLedger, ClassifiesBornPropagatedKilled) {
   EXPECT_EQ(led.site(mon::flow_tag(0, 0))->born, 1u);
   EXPECT_EQ(led.site(mon::flow_tag(0, 1))->propagated, 1u);
   EXPECT_EQ(led.site(mon::flow_tag(0, 2))->killed, 1u);
+  // The clean op counts in the summary but creates no site.
+  EXPECT_EQ(led.site(mon::flow_tag(0, 3)), nullptr);
+  EXPECT_EQ(led.sites().size(), 3u);
   EXPECT_EQ(led.site(mon::flow_tag(9, 9)), nullptr);
 }
 
@@ -114,7 +117,7 @@ TEST(FlowLedger, SitesStayTagSortedUnderOutOfOrderRecording) {
                                   mon::flow_tag(3, 1),
                                   mon::flow_tag(1, 0)}) {
     led.record_op(tag, mon::ValueClass::kFinite, mon::ValueClass::kFinite,
-                  mon::ValueClass::kFinite, mon::ValueClass::kFinite);
+                  mon::ValueClass::kFinite, mon::ValueClass::kPosInf);
   }
   ASSERT_EQ(led.sites().size(), 4u);
   for (std::size_t i = 1; i < led.sites().size(); ++i) {

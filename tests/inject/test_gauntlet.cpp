@@ -180,6 +180,46 @@ TEST(Gauntlet, FingerprintIsPinnedAcrossDetectorAdditions) {
   EXPECT_EQ(r.fingerprint, 4516197573157899061ull);
 }
 
+TEST(Gauntlet, FlowColumnIsPinned) {
+  // The legacy fingerprint leaves the fpmon-flow column out and the
+  // attribution bars below cover only poison and swallow, so this pins
+  // the whole column for the small campaign: a ledger or join change
+  // that silently loses (or invents) flow hits on any class fails here.
+  struct Pin {
+    std::size_t trials, hits, misses, false_positives, controls;
+  };
+  // Indexed by FaultClass: poison, flag-swallow, force-ftz,
+  // rounding-perturb, bit-flip. Both substrates read the same.
+  constexpr Pin kPins[inj::kFaultClassCount] = {
+      {33, 24, 0, 0, 9},  {33, 30, 0, 0, 3},  {33, 0, 3, 0, 30},
+      {33, 6, 15, 0, 12}, {33, 1, 22, 0, 10},
+  };
+  par::ThreadPool pool(4);
+  const inj::GauntletResult r = inj::run_gauntlet(pool, small_campaign());
+  const auto flow = static_cast<std::size_t>(inj::Detector::kFpmonFlow);
+  for (std::size_t s = 0; s < inj::kSubstrateCount; ++s) {
+    const std::string sub =
+        inj::substrate_name(static_cast<inj::Substrate>(s));
+    for (std::size_t c = 0; c < inj::kFaultClassCount; ++c) {
+      const inj::CellStats& cell = r.cells[s][c][flow];
+      const std::string where =
+          sub + " / " + inj::fault_class_name(static_cast<inj::FaultClass>(c));
+      EXPECT_EQ(cell.trials, kPins[c].trials) << where;
+      EXPECT_EQ(cell.hits, kPins[c].hits) << where;
+      EXPECT_EQ(cell.misses, kPins[c].misses) << where;
+      EXPECT_EQ(cell.false_positives, kPins[c].false_positives) << where;
+      EXPECT_EQ(cell.controls, kPins[c].controls) << where;
+    }
+    const inj::FlowScore& fs = r.flow_scores[s];
+    EXPECT_EQ(fs.poison_effective, 24u) << sub;
+    EXPECT_EQ(fs.poison_attributed, 24u) << sub;
+    EXPECT_EQ(fs.swallow_effective, 30u) << sub;
+    EXPECT_EQ(fs.swallow_attributed, 30u) << sub;
+    EXPECT_EQ(fs.control_trials, 64u) << sub;
+    EXPECT_EQ(fs.control_anomalies, 0u) << sub;
+  }
+}
+
 TEST(Gauntlet, FlowColumnAttributesPoisonToTheBirthSite) {
   // The fpmon-flow acceptance bar: >= 90% of effective poison faults
   // credited to the exact injected site, and swallows localized at or

@@ -1,10 +1,8 @@
 // The tape differential-parity suite: compiling an Expr to bytecode and
-// executing it — scalar engine or generic run_tape — must be BIT-identical
-// (values) and sticky-flag-identical to the reference tree walk across
-// every format, every rounding mode, FTZ/DAZ, and both option sets; the
-// per-op trace on an exact_trace tape must be the tree walk's op sequence
-// verbatim; and CSE/folding must change neither values nor flag unions,
-// only (documentedly) how often shared nodes appear in the trace.
+// executing it on the scalar engine must be BIT-identical (values) and
+// sticky-flag-identical to the reference tree walk across every format,
+// every rounding mode, FTZ/DAZ and the rewrite passes — CSE and folding
+// change neither values nor flag unions, only how many operations run.
 
 #include <gtest/gtest.h>
 
@@ -112,10 +110,6 @@ TEST(TapeCompile, SharedSubtreeEmittedOnceUnderCse) {
   const ir::Tape cse = ir::Tape::compile(t);
   EXPECT_EQ(cse.cse_reuses(), 1u);
   EXPECT_EQ(cse.code().size(), 4u);  // x, y, mul, add
-  const ir::Tape exact =
-      ir::Tape::compile(t, {}, ir::TapeOptions::exact_trace());
-  EXPECT_EQ(exact.cse_reuses(), 0u);
-  EXPECT_EQ(exact.code().size(), 7u);  // x, y, mul, x, y, mul, add
 }
 
 TEST(TapeCompile, FlagCleanConstantTreeFoldsToOneLoad) {
@@ -158,8 +152,7 @@ TEST(TapeCompile, RegistersAreReusedAcrossAChain) {
   for (int i = 1; i <= 10; ++i) {
     chain = E::add(chain, E::constant(static_cast<double>(i)));
   }
-  const ir::Tape tape =
-      ir::Tape::compile(chain, {}, ir::TapeOptions::exact_trace());
+  const ir::Tape tape = ir::Tape::compile(chain);
   EXPECT_EQ(tape.code().size(), 21u);
   // A left-leaning chain needs only the accumulator and one operand slot.
   EXPECT_LE(tape.register_count(), 3u);
@@ -177,19 +170,21 @@ TEST(TapeCompile, FingerprintSeparatesProgramConfigAndOptions) {
   ir::EvalConfig nearest;
   ir::EvalConfig upward;
   upward.rounding = sf::Rounding::kUp;
-  const auto fp = [](const E& e, const ir::EvalConfig& c,
-                     const ir::TapeOptions& o = {}) {
-    return ir::Tape::compile(e, c, o).fingerprint();
+  const auto fp = [](const E& e, const ir::EvalConfig& c) {
+    return ir::Tape::compile(e, c).fingerprint();
   };
   EXPECT_EQ(fp(a, nearest), fp(a, nearest));  // deterministic
   EXPECT_NE(fp(a, nearest), fp(b, nearest));  // program
   EXPECT_NE(fp(a, nearest), fp(a, upward));   // rounding
-  // Options change the fingerprint only through the emitted code; a tree
-  // with a shared subtree compiles to different code with CSE off.
-  const E m = E::mul(E::variable("x", 0), E::variable("x", 0));
-  const E shared = E::add(m, m);
-  EXPECT_NE(fp(shared, nearest),
-            fp(shared, nearest, ir::TapeOptions::exact_trace()));
+  // Rewrite options change the fingerprint only through the emitted
+  // code: contraction turns x*x + 0.1 into an fma, but leaves a tree with
+  // no multiply-add shape (and so its fingerprint) alone.
+  ir::EvalConfig contract;
+  contract.contract_mul_add = true;
+  const E mul_add = E::add(E::mul(E::variable("x", 0), E::variable("x", 0)),
+                           E::constant(0.1));
+  EXPECT_NE(fp(mul_add, nearest), fp(mul_add, contract));
+  EXPECT_EQ(fp(a, nearest), fp(a, contract));
 }
 
 TEST(TapeCompile, ProcessWideCacheReturnsTheSameTape) {
@@ -202,9 +197,10 @@ TEST(TapeCompile, ProcessWideCacheReturnsTheSameTape) {
   EXPECT_EQ(stats.misses, 1u);
   EXPECT_EQ(stats.hits, 1u);
   EXPECT_EQ(stats.entries, 1u);
-  // Different options are a different cache line.
-  const auto exact = ir::Tape::cached(t, {}, ir::TapeOptions::exact_trace());
-  EXPECT_NE(first.get(), exact.get());
+  // A different config is a different cache line.
+  ir::EvalConfig upward;
+  upward.rounding = sf::Rounding::kUp;
+  EXPECT_NE(first.get(), ir::Tape::cached(t, upward).get());
 }
 
 // ---------------------------------------------------------------------
@@ -219,38 +215,16 @@ TEST(TapeParity, ScalarEngineMatchesEvaluateEverywhere) {
     const auto bindings = random_bindings(g);
     for (const auto& cfg : configs) {
       const ir::Outcome ref = ir::evaluate(tree, cfg, bindings);
-      for (const auto& options :
-           {ir::TapeOptions{}, ir::TapeOptions::exact_trace()}) {
-        const ir::Tape tape = ir::Tape::compile(tree, cfg, options);
-        const ir::Outcome got = ir::execute(tape, bindings);
-        ASSERT_EQ(ref.value.bits, got.value.bits)
-            << tree.to_string() << "\n  format " << cfg.format_bits
-            << " rounding " << sf::rounding_to_string(cfg.rounding)
-            << " cse " << options.cse << " fold " << options.fold_constants;
-        ASSERT_EQ(ref.flags, got.flags)
-            << tree.to_string() << ": " << sf::flags_to_string(ref.flags)
-            << " vs " << sf::flags_to_string(got.flags) << "\n  format "
-            << cfg.format_bits << " cse " << options.cse;
-      }
+      const ir::Outcome got =
+          ir::execute(ir::Tape::compile(tree, cfg), bindings);
+      ASSERT_EQ(ref.value.bits, got.value.bits)
+          << tree.to_string() << "\n  format " << cfg.format_bits
+          << " rounding " << sf::rounding_to_string(cfg.rounding);
+      ASSERT_EQ(ref.flags, got.flags)
+          << tree.to_string() << ": " << sf::flags_to_string(ref.flags)
+          << " vs " << sf::flags_to_string(got.flags) << "\n  format "
+          << cfg.format_bits;
     }
-  }
-}
-
-TEST(TapeParity, RunTapeDrivesAnEvaluatorLikeTheTreeWalk) {
-  st::Xoshiro256pp g(0xBEA7);
-  for (int i = 0; i < 40; ++i) {
-    const E tree = random_tree(g, 4);
-    const auto bindings = random_bindings(g);
-    ir::SoftEvaluator<64> walk_ev{ir::EvalConfig::ieee_strict()};
-    const double walk = ir::evaluate_tree<double>(tree, walk_ev, bindings);
-    const auto tape =
-        ir::Tape::cached(tree, {}, ir::TapeOptions::exact_trace());
-    ir::SoftEvaluator<64> tape_ev{ir::EvalConfig::ieee_strict()};
-    const double got = ir::run_tape<double>(*tape, tape_ev, bindings);
-    ASSERT_EQ(std::bit_cast<std::uint64_t>(walk),
-              std::bit_cast<std::uint64_t>(got))
-        << tree.to_string();
-    ASSERT_EQ(walk_ev.flags(), tape_ev.flags()) << tree.to_string();
   }
 }
 
@@ -262,69 +236,6 @@ TEST(TapeParity, ShortBindingsKeepThePerNodeQuietNanContract) {
   const std::vector<double> bindings = {2.0};
   const ir::Outcome ref = ir::evaluate(t, {}, bindings);
   const ir::Outcome got = ir::execute(ir::Tape::compile(t), bindings);
-  EXPECT_EQ(ref.value.bits, got.value.bits);
-  EXPECT_EQ(ref.flags, got.flags);
-}
-
-// ---------------------------------------------------------------------
-// Trace semantics: op sequences and CSE'd-node provenance.
-// ---------------------------------------------------------------------
-
-struct RecordedOp {
-  const void* node;
-  std::uint64_t value_bits;
-  unsigned flags;
-
-  bool operator==(const RecordedOp&) const = default;
-};
-
-class Recorder final : public ir::TraceSink {
- public:
-  void on_op(const E& e, double value, unsigned flags) override {
-    ops.push_back({&e.node(), std::bit_cast<std::uint64_t>(value), flags});
-  }
-  std::vector<RecordedOp> ops;
-};
-
-TEST(TapeTrace, ExactTapeReproducesTheTreeWalkOpSequence) {
-  st::Xoshiro256pp g(0x17ACE);
-  const auto configs = all_configs();
-  for (int i = 0; i < 20; ++i) {
-    const E tree = random_tree(g, 4);
-    const auto bindings = random_bindings(g);
-    for (const auto& cfg : configs) {
-      Recorder walk;
-      const ir::Outcome ref = ir::evaluate(tree, cfg, bindings, &walk);
-      Recorder tape;
-      const ir::Outcome got = ir::execute(
-          ir::Tape::compile(tree, cfg, ir::TapeOptions::exact_trace()),
-          bindings, &tape);
-      ASSERT_EQ(ref.value.bits, got.value.bits) << tree.to_string();
-      ASSERT_EQ(ref.flags, got.flags) << tree.to_string();
-      ASSERT_EQ(walk.ops, tape.ops)
-          << tree.to_string() << " format " << cfg.format_bits;
-    }
-  }
-}
-
-TEST(TapeTrace, CseTapeTracesSharedNodesOnceWithUnchangedUnion) {
-  const E x = E::variable("x", 0);
-  const E shared = E::add(x, E::constant(0.1));  // inexact every time
-  const E t = E::mul(shared, shared);
-  const std::vector<double> bindings = {1.0};
-
-  Recorder walk;
-  const ir::Outcome ref = ir::evaluate(t, {}, bindings, &walk);
-  ASSERT_EQ(walk.ops.size(), 3u);  // add, add, mul
-
-  Recorder tape;
-  const ir::Outcome got =
-      ir::execute(ir::Tape::compile(t), bindings, &tape);
-  // The shared add fires once; values, flags and the sticky union are
-  // unchanged (duplicate subtrees raise identical flags).
-  ASSERT_EQ(tape.ops.size(), 2u);
-  EXPECT_EQ(tape.ops[0], walk.ops[0]);
-  EXPECT_EQ(tape.ops[1], walk.ops[2]);
   EXPECT_EQ(ref.value.bits, got.value.bits);
   EXPECT_EQ(ref.flags, got.flags);
 }

@@ -3,9 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
+#include "fpmon/flow.hpp"
 #include "fpmon/report.hpp"
+#include "ir/expr.hpp"
 #include "workloads/workloads.hpp"
 
+namespace ir = fpq::ir;
 namespace wl = fpq::workloads;
 namespace mon = fpq::mon;
 
@@ -86,6 +91,25 @@ TEST(Workloads, ContractCheckerRejectsViolations) {
   EXPECT_FALSE(wl::contract_holds(lorenz_ok, with_nan));
   mon::ConditionSet missing;  // expected Precision absent
   EXPECT_FALSE(wl::contract_holds(lorenz_ok, missing));
+}
+
+TEST(Workloads, FlowContextNumbersEveryOpOfASharedSubtree) {
+  // Hash consing makes m + m one shared node, but the flow tags must
+  // follow the injector's numbering: every source-level op in tree order,
+  // so the shared multiply is op 0 AND op 1 and the add is op 2.
+  const ir::Expr m =
+      ir::Expr::mul(ir::Expr::variable("x", 0), ir::Expr::variable("y", 1));
+  const ir::Expr t = ir::Expr::add(m, m);
+  const double binds[] = {std::numeric_limits<double>::infinity(), 2.0};
+  wl::FlowContext ctx;
+  mon::FlowReport report;
+  mon::monitor_flow([&] { (void)ctx.call(t, binds); }, report);
+  const mon::FlowLedger& led = report.ledger;
+  EXPECT_EQ(led.summary().ops, 3u);
+  ASSERT_EQ(led.sites().size(), 3u);
+  EXPECT_EQ(led.site(mon::flow_tag(0, 0))->propagated, 1u);
+  EXPECT_EQ(led.site(mon::flow_tag(0, 1))->propagated, 1u);
+  EXPECT_EQ(led.site(mon::flow_tag(0, 2))->propagated, 1u);
 }
 
 }  // namespace
