@@ -148,13 +148,12 @@ void BM_HardwareDiv64(benchmark::State& state) {
   }
 }
 
-// -- fpq::ir evaluation overhead and batch/memoization throughput -------
+// -- fpq::ir evaluation overhead and batch throughput --------------------
 //
 // The same degree-8 Horner polynomial four ways: a hand-rolled softfloat
 // loop (what the pre-IR modules did), a per-call IR tree walk (virtual
 // dispatch + traversal overhead on top of the same 16 softfloat ops), the
-// batched evaluate_many path sharded over the pool, and the batched path
-// hitting the memo cache on every sweep after the first.
+// scalar tape runner, and the batched tape executor sharded over the pool.
 
 constexpr std::array<double, 9> kPolyCoeffs{1.25,  -0.5,  3.0,   0.125,
                                             -2.75, 0.875, -1.5,  2.0,
@@ -194,32 +193,17 @@ void BM_IrTreeWalkHorner64(benchmark::State& state) {
   }
 }
 
-void BM_IrBatchHorner64(benchmark::State& state, int threads) {
-  fpq::parallel::ThreadPool pool(static_cast<std::size_t>(threads));
-  const auto tree = poly_tree();
-  ir::BindingTable table;
-  table.width = 1;
-  table.values = make_operands(kN, 10);
-  const auto cfg = ir::EvalConfig::ieee_strict();
-  for (auto _ : state) {
-    auto out = ir::evaluate_many(pool, tree, table, cfg);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(kN));
-}
-
 // The same Horner polynomial on the compiled tape: scalar runner (one
 // row at a time, no virtual dispatch) and the batched SoA executor.
 // Registered next to BM_IrTreeWalkHorner64 so one run reports tree walk
 // vs tape vs batched tape side by side.
 void BM_IrTapeHorner64(benchmark::State& state) {
-  const auto tape = ir::Tape::cached(poly_tree());
+  const ir::Tape tape = ir::Tape::compile(poly_tree());
   const auto xs = make_operands(kN, 9);
   std::size_t i = 0;
   for (auto _ : state) {
     const std::array<double, 1> binding{xs[i]};
-    const auto r = ir::execute(*tape, binding);
+    const auto r = ir::execute(tape, binding);
     benchmark::DoNotOptimize(r.value.bits);
     i = (i + 1) % kN;
   }
@@ -227,12 +211,12 @@ void BM_IrTapeHorner64(benchmark::State& state) {
 
 void BM_IrTapeBatchHorner64(benchmark::State& state, int threads) {
   fpq::parallel::ThreadPool pool(static_cast<std::size_t>(threads));
-  const auto tape = ir::Tape::cached(poly_tree());
+  const ir::Tape tape = ir::Tape::compile(poly_tree());
   ir::BindingTable table;
   table.width = 1;
   table.values = make_operands(kN, 10);
   for (auto _ : state) {
-    auto out = ir::execute_batch(pool, *tape, table);
+    auto out = ir::execute_batch(pool, tape, table);
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -504,13 +488,6 @@ int main(int argc, char** argv) {
         [t](benchmark::State& state) { BM_ExhaustiveBinary16Sweep(state, t); })
         ->UseRealTime()
         ->Unit(benchmark::kMillisecond);
-    const std::string batch_name =
-        "BM_IrBatchHorner64/threads:" + std::to_string(t);
-    benchmark::RegisterBenchmark(batch_name.c_str(),
-                                 [t](benchmark::State& state) {
-                                   BM_IrBatchHorner64(state, t);
-                                 })
-        ->UseRealTime();
     const std::string tape_name =
         "BM_IrTapeBatchHorner64/threads:" + std::to_string(t);
     benchmark::RegisterBenchmark(tape_name.c_str(),

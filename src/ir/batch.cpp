@@ -3,9 +3,6 @@
 #include <bit>
 #include <cstdint>
 
-#include "ir/tape.hpp"
-#include "ir/tape_batch.hpp"
-
 namespace fpq::ir {
 
 std::uint64_t hash_bindings(std::span<const double> xs,
@@ -19,19 +16,6 @@ std::uint64_t hash_bindings(std::span<const double> xs,
     h = z ^ (z >> 27);
   }
   return h;
-}
-
-std::vector<Outcome> evaluate_many(parallel::ThreadPool& pool,
-                                   const Expr& expr,
-                                   const BindingTable& bindings,
-                                   const EvalConfig& config,
-                                   const BatchOptions& options) {
-  // Compile (or fetch the cached tape for) the rewritten program once;
-  // the batched executor then runs one opcode across a stride of rows at
-  // a time instead of re-walking the tree per row. Tape::compile applies
-  // the config's pipeline rewrite itself.
-  const std::shared_ptr<const Tape> tape = Tape::cached(expr, config);
-  return execute_batch(pool, *tape, bindings, options);
 }
 
 }  // namespace fpq::ir

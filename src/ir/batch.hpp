@@ -1,14 +1,11 @@
-// fpq::ir — batched evaluation: one tree, many operand bindings, sharded
-// over fpq::parallel.
+// fpq::ir — the data side of batched evaluation: binding tables.
 //
 // Variables make a tree a function of its bindings, so sweeps ("this
 // kernel over 10k inputs", "this question's probe over the operand pool")
-// become ONE tree plus a binding table. evaluate_many compiles the tree
-// to a tape once and shards the rows over the pool's work-stealing lanes
-// through the batched interpreter (tape_batch.hpp): every row keeps its
-// own sticky-flag word, each chunk writes only its own output slots, and
-// the result is bit-identical at every thread count. Every call executes
-// every row: nothing is memoized.
+// become ONE tree plus a binding table: the tree is the program, the table
+// the data. The caller compiles the tree once (Tape::compile) and hands the
+// tape and the table to the batched executor (tape_batch.hpp), which
+// executes every row on every call: nothing is memoized.
 #pragma once
 
 #include <cstddef>
@@ -17,9 +14,6 @@
 #include <stdexcept>
 #include <string>
 #include <vector>
-
-#include "ir/evaluators.hpp"
-#include "parallel/thread_pool.hpp"
 
 namespace fpq::ir {
 
@@ -68,15 +62,5 @@ struct BatchOptions {
   /// Lower bound on rows per chunk (amortizes task overhead).
   std::size_t min_rows_per_chunk = 64;
 };
-
-/// Evaluates `expr` under `config` once per binding row. Outcome i
-/// corresponds to row i; per-row flags are isolated (one flag word per
-/// row). Deterministic: the same inputs give bit-identical outcomes at
-/// every thread count and chunking.
-std::vector<Outcome> evaluate_many(parallel::ThreadPool& pool,
-                                   const Expr& expr,
-                                   const BindingTable& bindings,
-                                   const EvalConfig& config = {},
-                                   const BatchOptions& options = {});
 
 }  // namespace fpq::ir

@@ -1,8 +1,8 @@
 #include "ir/expr.hpp"
 
-#include <cassert>
 #include <cstdio>
 #include <mutex>
+#include <stdexcept>
 #include <unordered_map>
 #include <utility>
 
@@ -63,9 +63,9 @@ bool structurally_equal(const Expr::Node& a, const Expr::Node& b) {
   }
 }
 
-// The process-wide intern pool. Nodes are never evicted: the trees in
-// this codebase are demonstration-sized, and stable lifetimes keep the
-// hash → node mapping race-free under the striped readers in evaluate_many.
+// The process-wide intern pool. Nodes are never evicted, so the pool must
+// grow with distinct program shapes only: trees hold programs, and the
+// data a program runs on travels in its bindings, never in its constants.
 class InternPool {
  public:
   Expr intern(Expr::Node&& candidate) {
@@ -142,28 +142,25 @@ Expr Expr::cmp_lt(Expr a, Expr b) {
   return make_node(Kind::kCmpLt, {a, b});
 }
 
-Expr Expr::sum(std::span<const double> xs) {
-  assert(!xs.empty());
-  Expr acc = constant(xs[0]);
-  for (std::size_t i = 1; i < xs.size(); ++i) {
-    acc = add(acc, constant(xs[i]));
-  }
-  return acc;
-}
-
 Expr Expr::sum(std::initializer_list<double> xs) {
-  return sum(std::span<const double>(xs.begin(), xs.size()));
+  std::vector<Expr> terms;
+  for (const double x : xs) terms.push_back(constant(x));
+  return sum(terms);
 }
 
 Expr Expr::sum(std::span<const Expr> xs) {
-  assert(!xs.empty());
+  if (xs.empty()) throw std::invalid_argument("Expr::sum: no terms");
   Expr acc = xs[0];
   for (std::size_t i = 1; i < xs.size(); ++i) acc = add(acc, xs[i]);
   return acc;
 }
 
 Expr Expr::dot(std::span<const Expr> xs, std::span<const Expr> ys) {
-  assert(!xs.empty() && xs.size() == ys.size());
+  if (xs.empty() || xs.size() != ys.size()) {
+    throw std::invalid_argument("Expr::dot: spans of length " +
+                                std::to_string(xs.size()) + " and " +
+                                std::to_string(ys.size()));
+  }
   Expr acc = mul(xs[0], ys[0]);
   for (std::size_t i = 1; i < xs.size(); ++i) {
     acc = add(acc, mul(xs[i], ys[i]));
@@ -171,17 +168,10 @@ Expr Expr::dot(std::span<const Expr> xs, std::span<const Expr> ys) {
   return acc;
 }
 
-Expr Expr::dot(std::span<const double> xs, std::span<const double> ys) {
-  assert(!xs.empty() && xs.size() == ys.size());
-  Expr acc = mul(constant(xs[0]), constant(ys[0]));
-  for (std::size_t i = 1; i < xs.size(); ++i) {
-    acc = add(acc, mul(constant(xs[i]), constant(ys[i])));
-  }
-  return acc;
-}
-
 Expr Expr::horner(std::span<const double> coeffs, Expr x) {
-  assert(!coeffs.empty());
+  if (coeffs.empty()) {
+    throw std::invalid_argument("Expr::horner: no coefficients");
+  }
   Expr acc = constant(coeffs[0]);
   for (std::size_t i = 1; i < coeffs.size(); ++i) {
     acc = add(mul(acc, x), constant(coeffs[i]));

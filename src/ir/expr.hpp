@@ -13,9 +13,13 @@
 // Hash consing: structurally identical trees share one immutable node, so
 // structural equality is pointer equality and every subtree carries a
 // stable 64-bit fingerprint.
-// Nodes are interned in a process-wide pool and live for the process
-// lifetime — expressions here are small demonstration programs, not
-// unbounded codegen.
+//
+// Trees hold programs; bindings hold data. Nodes are interned in a
+// process-wide pool and live for the process lifetime, so the pool grows
+// with the number of distinct program shapes only. A kernel therefore
+// builds its tree from variables and passes the values it computes on as
+// bindings; constants are the program's own literals (coefficients, step
+// sizes), never data that changes from call to call.
 #pragma once
 
 #include <cstdint>
@@ -74,19 +78,21 @@ class Expr {
   static Expr cmp_eq(Expr a, Expr b);
   static Expr cmp_lt(Expr a, Expr b);
 
-  /// Convenience: left-to-right sum of a list, as C source order implies.
-  static Expr sum(std::span<const double> xs);
+  /// Convenience: left-to-right sum, as C source order implies. The list
+  /// form sums literals; sum data by summing variables and binding it.
+  /// Both throw std::invalid_argument when empty.
   static Expr sum(std::initializer_list<double> xs);
   static Expr sum(std::span<const Expr> xs);
 
   /// Left-to-right dot product: ((x0*y0 + x1*y1) + x2*y2) + ... — the
   /// naive accumulation loop every workloads kernel used to hand-roll.
+  /// Throws std::invalid_argument when the spans are empty or differ in
+  /// length.
   static Expr dot(std::span<const Expr> xs, std::span<const Expr> ys);
-  static Expr dot(std::span<const double> xs, std::span<const double> ys);
 
   /// Horner evaluation of a polynomial, coefficients highest degree
   /// first: ((c0*x + c1)*x + c2)... A single coefficient is the constant
-  /// polynomial.
+  /// polynomial; no coefficients throws std::invalid_argument.
   static Expr horner(std::span<const double> coeffs, Expr x);
 
   /// Renders the tree, e.g. "((a*b)+c)"; constants print as %g.

@@ -5,7 +5,7 @@
 //   evaluators.hpp — EvalConfig, softfloat/native evaluators, evaluate()
 //   rewrite.hpp    — contraction/reassociation IR→IR passes
 //   trace.hpp      — ProvenanceTrace (per-op exception provenance)
-//   batch.hpp      — evaluate_many over fpq::parallel
+//   batch.hpp      — BindingTable: the data a batched tape runs over
 //   tape.hpp       — Tape: Expr → flat bytecode (CSE, constant folding,
 //                    content fingerprint), the scalar engine
 //   tape_batch.hpp — batched SoA tape executor over fpq::parallel

@@ -7,10 +7,10 @@
 // format, and variable-binding slots — so the per-sample cost is a tight
 // loop over plain structs instead of pointer-chasing and dispatch. The
 // differential suite pins the tape bit- and sticky-flag-identical to
-// evaluate_tree. evaluate_many, execute_batch's callers and sweep32's
-// tape race run the tape; backend ground truth, ir::evaluate (with its
-// per-op TraceSink) and every per-call workloads::EvalContext walk the
-// tree.
+// evaluate_tree. execute_batch's callers and sweep32's tape race compile
+// a tape once per tree and own it; backend ground truth, ir::evaluate
+// (with its per-op TraceSink) and every per-call workloads::EvalContext
+// walk the tree.
 //
 // Compilation is one post-order pass with two semantics-preserving
 // optimizations:
@@ -97,10 +97,12 @@ class Tape {
   /// left to right, with CSE and flag-clean folding.
   static Tape compile(const Expr& expr, const EvalConfig& config = {});
 
-  /// Process-wide compile memo: hash consing makes the root node pointer
-  /// a stable identity, so (node, config) keys a compiled tape for the
-  /// process lifetime. Repeated sweeps over the same request skip
-  /// recompilation entirely.
+  /// Process-wide compile memo keyed by (root node, config), never
+  /// evicted. Nothing in the library calls it: callers compile their tape
+  /// once and own it. It stays only because the repository benchmark
+  /// (perfbench/cpp/batch_b32.cpp) compiles through it and reports
+  /// cache_stats(); remove it, CacheStats and clear_cache with the next
+  /// benchmark change.
   static std::shared_ptr<const Tape> cached(const Expr& expr,
                                             const EvalConfig& config = {});
 

@@ -26,7 +26,7 @@
 //
 // Caching note: no batch result is cached, so a run under one variant
 // never sees results computed under another. Tape COMPILATION
-// (Tape::cached / Tape::fingerprint) is variant-independent: the variant
+// (Tape::compile / Tape::fingerprint) is variant-independent: the variant
 // only selects the execution engine, never the compiled program.
 #pragma once
 

@@ -2,7 +2,9 @@
 
 #include <array>
 #include <cmath>
+#include <cstdint>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "ir/evaluators.hpp"
@@ -150,16 +152,22 @@ void variance(EvalContext& ctx, double offset, int n) {
   // E[x^2] - E[x]^2 cancels catastrophically and goes NEGATIVE (at
   // offset 1e12, n=7 the value is about -2.7e8), so the final sqrt of it
   // is an invalid operation.
-  std::vector<double> xs(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    xs[static_cast<std::size_t>(i)] =
-        ctx.call(E::add(E::constant(offset), E::constant(1e-8 * i)));
-  }
-  const std::span<const double> data(xs);
-  const double sum = ctx.call(E::sum(data));          // left-to-right chain
-  const double sum_sq = ctx.call(E::dot(data, data)); // naive sum of squares
+  //
+  // The trees are built from variables and the data arrives as bindings,
+  // so every call shares one program shape whatever values (or injected
+  // faults) flow through it.
   const E a = E::variable("a", 0);
   const E b = E::variable("b", 1);
+  const E shifted = E::add(a, b);
+  std::vector<double> xs(static_cast<std::size_t>(n));
+  std::vector<E> vars;  // x0 ... x{n-1}, bound to xs
+  for (int i = 0; i < n; ++i) {
+    xs[static_cast<std::size_t>(i)] = ctx.call(shifted, {offset, 1e-8 * i});
+    vars.push_back(E::variable("x" + std::to_string(i),
+                               static_cast<std::uint32_t>(i)));
+  }
+  const double sum = ctx.call(E::sum(vars), xs);  // left-to-right chain
+  const double sum_sq = ctx.call(E::dot(vars, vars), xs);  // naive squares
   const double mean = ctx.call(E::div(a, b), {sum, static_cast<double>(n)});
   const double var =
       ctx.call(E::sub(E::div(a, b),
@@ -221,11 +229,10 @@ void normalize(EvalContext& ctx, double scale) {
   const E s = E::variable("s", 0);
   const double x = ctx.call(E::mul(E::constant(3.0), s), {scale});
   const double y = ctx.call(E::mul(E::constant(4.0), s), {scale});
-  const std::array<double, 2> v{x, y};
-  const double len = ctx.call(E::sqrt(E::dot(std::span<const double>(v),
-                                             std::span<const double>(v))));
   const E a = E::variable("a", 0);
   const E b = E::variable("b", 1);
+  const std::array<E, 2> v{a, b};
+  const double len = ctx.call(E::sqrt(E::dot(v, v)), {x, y});
   (void)ctx.call(E::div(a, b), {x, len});
   (void)ctx.call(E::div(a, b), {y, len});
 }

@@ -13,7 +13,11 @@
 // an EvalContext, so the SAME kernel can execute on the host FPU (run(),
 // observed by fpmon), on the softfloat engine, or under a fault-injecting
 // evaluator (probe(), the detector gauntlet's entry point) without any
-// per-kernel plumbing.
+// per-kernel plumbing. A kernel's trees are its program: they are built
+// from variables, and every value the kernel computes on travels in the
+// call's bindings, never as a tree constant. The process-wide intern pool
+// therefore holds one node set per kernel shape, however many runs,
+// campaign seeds or injected values go through the kernels.
 #pragma once
 
 #include <cstddef>

@@ -220,9 +220,8 @@ TEST(NativeContext, EveryFaultClassLeavesRoundingAndEntryFlagsIntact) {
 }
 
 TEST(EvalContexts, ProbesLeaveTheTapeMemoEmpty) {
-  // Every per-call context walks the tree, so running kernels — however
-  // many fresh data trees they build — must not grow the process-global
-  // tape memo.
+  // Every per-call context walks the tree, so running kernels must not
+  // grow the process-global tape memo.
   FenvRestorer restore;
   ir::Tape::clear_cache();
   for (const wl::Workload& w : wl::catalogue()) {
@@ -238,6 +237,36 @@ TEST(EvalContexts, ProbesLeaveTheTapeMemoEmpty) {
     w.probe(injecting);
   }
   EXPECT_EQ(ir::Tape::cache_stats().entries, 0u);
+}
+
+TEST(EvalContexts, InjectedProbesKeepTheInternPoolFlat) {
+  // Kernels build their trees from variables and pass their data as
+  // bindings, so injected values never become constants: after one
+  // campaign seed has interned every program shape, further seeds (and
+  // the different values their faults produce) intern nothing.
+  FenvRestorer restore;
+  const auto run_seed = [](std::uint64_t seed) {
+    for (const inj::FaultClass cls :
+         {inj::FaultClass::kPoison, inj::FaultClass::kBitFlip}) {
+      inj::CampaignConfig cc;
+      cc.seed = seed;
+      cc.fault_class = cls;
+      cc.rate = 0.05;
+      cc.max_faults = 4;
+      for (const wl::Workload& w : wl::catalogue()) {
+        inj::Injector soft_injector(cc);
+        inj::SoftInjectingContext soft(soft_injector);
+        w.probe(soft);
+        inj::Injector native_injector(cc);
+        inj::NativeInjectingContext native(native_injector);
+        w.probe(native);
+      }
+    }
+  };
+  run_seed(0);
+  const std::size_t after_first = ir::Expr::intern_pool_size();
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) run_seed(seed);
+  EXPECT_EQ(ir::Expr::intern_pool_size(), after_first);
 }
 
 }  // namespace

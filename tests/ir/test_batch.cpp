@@ -1,6 +1,8 @@
-// Batched IR evaluation: evaluate_many must be row-for-row identical to
-// single evaluate() at every thread count and chunking. These tests carry the `parallel` ctest label (via the test_ir_batch binary)
-// so the determinism contract is re-checked under TSan.
+// Batched IR evaluation: execute_batch over a compiled tape must be
+// row-for-row identical to single evaluate() at every thread count and
+// chunking. These tests carry the `parallel` ctest label (via the
+// test_ir_batch binary) so the determinism contract is re-checked under
+// TSan.
 
 #include <gtest/gtest.h>
 
@@ -60,7 +62,8 @@ TEST(BatchEvaluate, MatchesSingleEvaluatePerRow) {
   const auto table = random_table(0xAB5, 2, 300);
   pl::ThreadPool pool(4);
   const auto cfg = ir::EvalConfig::ieee_strict();
-  const auto batched = ir::evaluate_many(pool, tree, table, cfg);
+  const auto batched =
+      ir::execute_batch(pool, ir::Tape::compile(tree, cfg), table);
   ASSERT_EQ(batched.size(), table.rows());
   for (std::size_t r = 0; r < table.rows(); ++r) {
     const auto single = ir::evaluate(tree, cfg, table.row(r));
@@ -79,7 +82,8 @@ TEST(BatchEvaluate, RewriteConfigsMatchSingleEvaluateToo) {
   ir::EvalConfig cfg;
   cfg.contract_mul_add = true;
   cfg.reassociate = true;
-  const auto batched = ir::evaluate_many(pool, tree, table, cfg);
+  const auto batched =
+      ir::execute_batch(pool, ir::Tape::compile(tree, cfg), table);
   for (std::size_t r = 0; r < table.rows(); ++r) {
     const auto single = ir::evaluate(tree, cfg, table.row(r));
     ASSERT_EQ(batched[r].value.bits, single.value.bits) << "row " << r;
@@ -97,9 +101,10 @@ TEST(BatchEvaluate, BitIdenticalAtEveryThreadCountAndChunking) {
   coarse.min_rows_per_chunk = 1000;  // single chunk
   pl::ThreadPool one(1);
   pl::ThreadPool many(8);
-  const auto a = ir::evaluate_many(one, tree, table, cfg, fine);
-  const auto b = ir::evaluate_many(many, tree, table, cfg, fine);
-  const auto c = ir::evaluate_many(many, tree, table, cfg, coarse);
+  const ir::Tape tape = ir::Tape::compile(tree, cfg);
+  const auto a = ir::execute_batch(one, tape, table, fine);
+  const auto b = ir::execute_batch(many, tape, table, fine);
+  const auto c = ir::execute_batch(many, tape, table, coarse);
   ASSERT_EQ(a.size(), b.size());
   ASSERT_EQ(a.size(), c.size());
   for (std::size_t r = 0; r < a.size(); ++r) {
@@ -120,8 +125,8 @@ TEST(BatchEvaluate, PerRowFlagsAreIsolated) {
   table.push_row(zero);
   table.push_row(two);
   pl::ThreadPool pool(2);
-  const auto out =
-      ir::evaluate_many(pool, tree, table, ir::EvalConfig::ieee_strict());
+  const auto out = ir::execute_batch(
+      pool, ir::Tape::compile(tree, ir::EvalConfig::ieee_strict()), table);
   ASSERT_EQ(out.size(), 2u);
   EXPECT_NE(out[0].flags & fpq::softfloat::kFlagDivByZero, 0u);
   EXPECT_EQ(out[1].flags, 0u);
@@ -139,8 +144,10 @@ TEST(BatchEvaluate, RoundingModeReachesTheResult) {
   ir::EvalConfig down;
   down.rounding = fpq::softfloat::Rounding::kDown;
   EXPECT_NE(nearest.fingerprint(), down.fingerprint());
-  const auto a = ir::evaluate_many(pool, tree, table, nearest);
-  const auto b = ir::evaluate_many(pool, tree, table, down);
+  const auto a =
+      ir::execute_batch(pool, ir::Tape::compile(tree, nearest), table);
+  const auto b =
+      ir::execute_batch(pool, ir::Tape::compile(tree, down), table);
   bool any_differ = false;
   for (std::size_t r = 0; r < a.size(); ++r) {
     any_differ = any_differ || a[r].value.bits != b[r].value.bits;
@@ -152,8 +159,9 @@ TEST(BatchEvaluate, EmptyTableIsEmptyResult) {
   pl::ThreadPool pool(2);
   ir::BindingTable empty;
   empty.width = 1;
-  const auto out = ir::evaluate_many(pool, probe_tree(), empty,
-                                     ir::EvalConfig::ieee_strict());
+  const auto out = ir::execute_batch(
+      pool, ir::Tape::compile(probe_tree(), ir::EvalConfig::ieee_strict()),
+      empty);
   EXPECT_TRUE(out.empty());
 }
 

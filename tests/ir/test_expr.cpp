@@ -1,12 +1,14 @@
 // fpq::ir expression trees: hash consing (structural equality IS pointer
-// equality), rendering, the span-style builders (sum/dot/horner), variable
-// bindings, and operation-level provenance traces.
+// equality), rendering, the builders (sum/dot/horner) and their input
+// checks, variable bindings, and operation-level provenance traces.
 
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cmath>
+#include <initializer_list>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "ir/ir.hpp"
@@ -85,13 +87,34 @@ TEST(ExprBuilders, SumOverExprSpan) {
 }
 
 TEST(ExprBuilders, DotIsNaiveAccumulation) {
-  const std::array<double, 3> xs{1.0, 2.0, 3.0};
-  const std::array<double, 3> ys{4.0, 5.0, 6.0};
-  const auto d = E::dot(std::span<const double>(xs),
-                        std::span<const double>(ys));
-  EXPECT_EQ(d.to_string(), "(((1 * 4) + (2 * 5)) + (3 * 6))");
-  const auto r = ir::evaluate(d, ir::EvalConfig::ieee_strict());
+  // Data enters as bindings: the tree is the same program for any data.
+  const std::array<E, 3> xs{E::variable("a", 0), E::variable("b", 1),
+                            E::variable("c", 2)};
+  const std::array<E, 3> ys{E::variable("d", 3), E::variable("e", 4),
+                            E::variable("f", 5)};
+  const auto d = E::dot(xs, ys);
+  EXPECT_EQ(d.to_string(), "(((a * d) + (b * e)) + (c * f))");
+  const std::array<double, 6> binding{1.0, 2.0, 3.0, 4.0, 5.0, 6.0};
+  const auto r = ir::evaluate(d, ir::EvalConfig::ieee_strict(),
+                              std::span<const double>(binding));
   EXPECT_EQ(sf::to_native(r.value), 32.0);
+}
+
+TEST(ExprBuilders, RejectEmptyAndMismatchedInputs) {
+  // Checked in every build type: an assert would vanish under NDEBUG and
+  // leave the builders reading past the end of their input.
+  const std::array<E, 2> two{E::variable("a", 0), E::variable("b", 1)};
+  const std::span<const E> none;
+  EXPECT_THROW((void)E::sum(none), std::invalid_argument);
+  EXPECT_THROW((void)E::sum(std::initializer_list<double>{}),
+               std::invalid_argument);
+  EXPECT_THROW((void)E::dot(none, none), std::invalid_argument);
+  EXPECT_THROW((void)E::dot(two, std::span<const E>(two).first(1)),
+               std::invalid_argument);
+  EXPECT_THROW((void)E::dot(std::span<const E>(two).first(1), two),
+               std::invalid_argument);
+  EXPECT_THROW((void)E::horner(std::span<const double>{}, two[0]),
+               std::invalid_argument);
 }
 
 TEST(ExprBuilders, HornerNestsHighestDegreeFirst) {

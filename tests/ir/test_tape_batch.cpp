@@ -203,38 +203,24 @@ TEST(TapeBatch, BitIdenticalAtOneTwoFourEightThreads) {
   }
 }
 
-TEST(TapeBatch, EvaluateManyRidesTheTapeAndStillMatches) {
-  par::ThreadPool pool(4);
-  const ir::BindingTable table = random_table(300, 2, 0x914D);
-  const E tree = two_var_tree();
-  for (const auto& cfg : batch_configs()) {
-    const auto many = ir::evaluate_many(pool, tree, table, cfg);
-    for (std::size_t r = 0; r < table.rows(); ++r) {
-      const ir::Outcome ref = ir::evaluate(tree, cfg, table.row(r));
-      ASSERT_EQ(ref.value.bits, many[r].value.bits) << "row " << r;
-      ASSERT_EQ(ref.flags, many[r].flags) << "row " << r;
-    }
-  }
-}
-
 TEST(TapeBatch, ShortTableThrowsStructuredWidthError) {
   par::ThreadPool pool(2);
   const E tree = two_var_tree();  // needs width 2
   const ir::BindingTable narrow = random_table(64, 1, 0x5407);
+  const ir::Tape tape = ir::Tape::compile(tree);
   try {
-    (void)ir::evaluate_many(pool, tree, narrow);
+    (void)ir::execute_batch(pool, tape, narrow);
     FAIL() << "expected BindingWidthError";
   } catch (const ir::BindingWidthError& e) {
     EXPECT_EQ(e.required, 2u);
     EXPECT_EQ(e.provided, 1u);
   }
-  const ir::Tape tape = ir::Tape::compile(tree);
   std::vector<ir::Outcome> out(narrow.rows());
   EXPECT_THROW(ir::execute_range(tape, narrow, 0, narrow.rows(), out),
                ir::BindingWidthError);
   // An empty table never validates: there is nothing to evaluate.
   const ir::BindingTable empty;
-  EXPECT_TRUE(ir::evaluate_many(pool, tree, empty).empty());
+  EXPECT_TRUE(ir::execute_batch(pool, tape, empty).empty());
 }
 
 // execute_range validates its row range and output span like
