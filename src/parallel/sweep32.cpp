@@ -4,12 +4,17 @@
 #include "parallel/sweep32.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cfenv>
+#include <charconv>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <mutex>
 #include <sstream>
+#include <string_view>
 #include <vector>
 
 #include "ir/evaluators.hpp"
@@ -95,11 +100,48 @@ std::string describe_mismatch(const char* lane, sf::Rounding mode,
 
 // -- Manifest ---------------------------------------------------------------
 
-constexpr const char kManifestMagic[] = "fpq-sweep32-manifest v1";
+constexpr std::string_view kManifestMagic = "fpq-sweep32-manifest v2";
+constexpr std::string_view kManifestFormat = "fpq-sweep32-manifest ";
 
-/// The checkpoint manifest: completed-shard map, persisted as a small
-/// text file rewritten atomically (tmp + rename). With an empty path it
-/// degrades to the in-memory map (same orchestration code path).
+/// A done record's check word: binds its four fields, so a record edited
+/// or damaged in place fails to load instead of resuming a wrong result.
+std::uint64_t record_check(std::uint64_t shard, const ShardDone& d) noexcept {
+  return mix64(mix64(mix64(mix64(shard) ^ d.fingerprint) ^ d.checked) ^
+               d.mismatches);
+}
+
+/// Splits `line` at every space into exactly N fields; false when it has
+/// any other count (so a doubled or trailing space is malformed).
+template <std::size_t N>
+bool split_fields(std::string_view line,
+                  std::array<std::string_view, N>& fields) {
+  for (std::size_t i = 0; i < N; ++i) {
+    const std::size_t sp = line.find(' ');
+    if ((sp == std::string_view::npos) != (i + 1 == N)) return false;
+    fields[i] = line.substr(0, sp);
+    line.remove_prefix(sp == std::string_view::npos ? line.size() : sp + 1);
+  }
+  return true;
+}
+
+/// Parses the whole of `field` as an unsigned integer in `base`.
+bool parse_u64(std::string_view field, int base, std::uint64_t& v) {
+  const char* end = field.data() + field.size();
+  const auto [stop, ec] = std::from_chars(field.data(), end, v, base);
+  return ec == std::errc{} && stop == end;
+}
+
+/// The checkpoint manifest: an append-only log of completed shards. The
+/// header (magic, op, identity, shards) is written once, when the file is
+/// created; record() formats each completion as a
+/// `done <shard> <fp> <checked> <mismatches> <check>` line into a pending
+/// buffer, and write() appends the buffer through one stream held open
+/// for the run. The file is never rewritten or renamed, so a checkpoint
+/// costs only its new lines. A kill can tear only the last line: load()
+/// drops a final line with no '\n' (that shard re-runs) and truncates the
+/// file back to the last complete line before anything is appended. With
+/// an empty path it degrades to the in-memory map (same orchestration
+/// code path).
 class Manifest {
  public:
   Manifest(std::string path, const char* op_name, std::uint64_t identity,
@@ -109,102 +151,157 @@ class Manifest {
         identity_(identity),
         total_shards_(total_shards) {}
 
-  /// Loads an existing manifest file; throws std::runtime_error when it
-  /// is malformed or records a different sweep identity. Missing file
-  /// (or empty path) starts fresh.
-  void load() {
+  /// Loads an existing manifest and opens it for appending; throws
+  /// std::runtime_error when it is malformed or records a different sweep
+  /// identity. A missing or empty file (or empty path) starts fresh.
+  void open() {
     if (path_.empty()) return;
-    std::ifstream in(path_);
-    if (!in.is_open()) return;  // fresh sweep
-    std::string line;
-    if (!std::getline(in, line) || line != kManifestMagic) {
-      throw std::runtime_error("sweep32 manifest " + path_ +
-                               ": bad magic line");
+    const std::uint64_t kept = load();
+    if (kept != 0 && kept != std::filesystem::file_size(path_)) {
+      std::filesystem::resize_file(path_, kept);  // drop the torn tail
     }
-    std::string key;
-    bool identity_ok = false;
-    bool shards_ok = false;
-    while (in >> key) {
-      if (key == "op") {
-        std::string name;
-        in >> name;  // informational; identity covers the op
-      } else if (key == "identity") {
-        std::uint64_t id = 0;
-        if (!(in >> std::hex >> id >> std::dec)) break;
-        if (id != identity_) {
-          throw std::runtime_error(
-              "sweep32 manifest " + path_ +
-              ": identity mismatch (different op/modes/range/chunking); "
-              "refusing to resume");
-        }
-        identity_ok = true;
-      } else if (key == "shards") {
-        std::uint64_t n = 0;
-        if (!(in >> n)) break;
-        if (n != total_shards_) {
-          throw std::runtime_error("sweep32 manifest " + path_ +
-                                   ": shard-grid size mismatch");
-        }
-        shards_ok = true;
-      } else if (key == "done") {
-        std::uint64_t shard = 0;
-        ShardDone d;
-        if (!(in >> shard >> std::hex >> d.fingerprint >> std::dec >>
-              d.checked >> d.mismatches)) {
-          throw std::runtime_error("sweep32 manifest " + path_ +
-                                   ": truncated done record");
-        }
-        if (shard >= total_shards_) {
-          throw std::runtime_error("sweep32 manifest " + path_ +
-                                   ": shard index out of range");
-        }
-        done_[shard] = d;
-      } else {
-        throw std::runtime_error("sweep32 manifest " + path_ +
-                                 ": unknown record '" + key + "'");
-      }
+    out_.open(path_, std::ios::binary | std::ios::app);
+    if (!out_.is_open()) {
+      throw std::runtime_error("sweep32 manifest: cannot open " + path_);
     }
-    if (!identity_ok || !shards_ok) {
-      throw std::runtime_error("sweep32 manifest " + path_ +
-                               ": missing identity/shards header");
+    if (kept == 0) {
+      char buf[160];
+      const int n = std::snprintf(
+          buf, sizeof buf, "%s\nop %s\nidentity %llx\nshards %llu\n",
+          kManifestMagic.data(), op_name_,
+          static_cast<unsigned long long>(identity_),
+          static_cast<unsigned long long>(total_shards_));
+      pending_.assign(buf, static_cast<std::size_t>(n));
+      write();
     }
   }
 
   bool has(std::uint64_t shard) const { return done_.count(shard) != 0; }
-  void record(std::uint64_t shard, const ShardDone& d) { done_[shard] = d; }
+
+  void record(std::uint64_t shard, const ShardDone& d) {
+    done_[shard] = d;
+    if (path_.empty()) return;
+    char buf[128];
+    const int n = std::snprintf(
+        buf, sizeof buf, "done %llu %llx %llu %llu %llx\n",
+        static_cast<unsigned long long>(shard),
+        static_cast<unsigned long long>(d.fingerprint),
+        static_cast<unsigned long long>(d.checked),
+        static_cast<unsigned long long>(d.mismatches),
+        static_cast<unsigned long long>(record_check(shard, d)));
+    pending_.append(buf, static_cast<std::size_t>(n));
+  }
+
   const std::map<std::uint64_t, ShardDone>& done() const { return done_; }
 
-  /// Atomic rewrite: the manifest is either the old complete file or the
-  /// new complete file, never a torn mix.
-  void write() const {
-    if (path_.empty()) return;
-    const std::string tmp = path_ + ".tmp";
-    {
-      std::ofstream out(tmp, std::ios::trunc);
-      if (!out.is_open()) {
-        throw std::runtime_error("sweep32 manifest: cannot write " + tmp);
-      }
-      out << kManifestMagic << "\n";
-      out << "op " << op_name_ << "\n";
-      out << "identity " << std::hex << identity_ << std::dec << "\n";
-      out << "shards " << total_shards_ << "\n";
-      for (const auto& [shard, d] : done_) {
-        out << "done " << shard << " " << std::hex << d.fingerprint
-            << std::dec << " " << d.checked << " " << d.mismatches << "\n";
-      }
+  /// Checkpoint: appends the records since the last one and flushes.
+  void write() {
+    if (pending_.empty()) return;
+    out_.write(pending_.data(), static_cast<std::streamsize>(pending_.size()));
+    out_.flush();
+    if (!out_) {
+      throw std::runtime_error("sweep32 manifest: cannot append to " + path_);
     }
-    if (std::rename(tmp.c_str(), path_.c_str()) != 0) {
-      throw std::runtime_error("sweep32 manifest: rename to " + path_ +
-                               " failed");
-    }
+    pending_.clear();
   }
 
  private:
+  [[noreturn]] void fail(std::size_t line_no, const std::string& what) const {
+    throw std::runtime_error("sweep32 manifest " + path_ + ":" +
+                             std::to_string(line_no) + ": " + what);
+  }
+
+  /// Reads the file's complete lines into done_; returns their length in
+  /// bytes (0 when there is no file or it is empty).
+  std::uint64_t load() {
+    std::ifstream in(path_, std::ios::binary);
+    if (!in.is_open()) return 0;  // fresh sweep
+    const std::string text{std::istreambuf_iterator<char>(in), {}};
+    if (text.empty()) return 0;  // created, killed before its header
+    // npos + 1 == 0: no complete line at all
+    const std::size_t kept = text.rfind('\n') + 1;
+    std::string_view rest(text.data(), kept);
+    std::size_t line_no = 0;
+    bool identity_ok = false;
+    bool shards_ok = false;
+    while (!rest.empty()) {
+      const std::string_view line = rest.substr(0, rest.find('\n'));
+      rest.remove_prefix(line.size() + 1);
+      if (++line_no == 1) {
+        if (line == kManifestMagic) continue;
+        if (line.substr(0, kManifestFormat.size()) == kManifestFormat) {
+          fail(line_no, "manifest format '" + std::string(line) +
+                            "' is not " + std::string(kManifestMagic) +
+                            "; refusing to resume");
+        }
+        fail(line_no, "bad magic line");
+      }
+      parse_line(line_no, line, identity_ok, shards_ok);
+    }
+    if (line_no == 0) fail(1, "bad magic line");
+    if (!identity_ok || !shards_ok) {
+      fail(line_no, "missing identity/shards header");
+    }
+    return kept;
+  }
+
+  void parse_line(std::size_t line_no, std::string_view line,
+                  bool& identity_ok, bool& shards_ok) {
+    const std::string_view key = line.substr(0, line.find(' '));
+    if (key == "op") {
+      std::array<std::string_view, 2> f;  // informational; identity covers it
+      if (!split_fields(line, f)) fail(line_no, "malformed op line");
+    } else if (key == "identity") {
+      std::array<std::string_view, 2> f;
+      std::uint64_t id = 0;
+      if (!split_fields(line, f) || !parse_u64(f[1], 16, id)) {
+        fail(line_no, "malformed identity line");
+      }
+      if (id != identity_) {
+        fail(line_no,
+             "identity mismatch (different op/modes/range/chunking); "
+             "refusing to resume");
+      }
+      identity_ok = true;
+    } else if (key == "shards") {
+      std::array<std::string_view, 2> f;
+      std::uint64_t n = 0;
+      if (!split_fields(line, f) || !parse_u64(f[1], 10, n)) {
+        fail(line_no, "malformed shards line");
+      }
+      if (n != total_shards_) fail(line_no, "shard-grid size mismatch");
+      shards_ok = true;
+    } else if (key == "done") {
+      std::array<std::string_view, 6> f;
+      std::uint64_t shard = 0;
+      std::uint64_t check = 0;
+      ShardDone d;
+      if (!split_fields(line, f) || !parse_u64(f[1], 10, shard) ||
+          !parse_u64(f[2], 16, d.fingerprint) ||
+          !parse_u64(f[3], 10, d.checked) ||
+          !parse_u64(f[4], 10, d.mismatches) || !parse_u64(f[5], 16, check)) {
+        fail(line_no, "malformed done record");
+      }
+      if (check != record_check(shard, d)) {
+        fail(line_no, "done record fails its check word");
+      }
+      if (shard >= total_shards_) fail(line_no, "shard index out of range");
+      if (!done_.emplace(shard, d).second) {
+        fail(line_no, "duplicate done record for shard " +
+                          std::to_string(shard));
+      }
+    } else {
+      fail(line_no, "unknown record '" + std::string(key) + "'");
+    }
+  }
+
   std::string path_;
   const char* op_name_;
   std::uint64_t identity_;
   std::uint64_t total_shards_;
   std::map<std::uint64_t, ShardDone> done_;
+  std::ofstream out_;
+  std::string pending_;  ///< records since the last checkpoint
 };
 
 // -- Chunk bodies -----------------------------------------------------------
@@ -778,7 +875,7 @@ Sweep32Report run_sweep32(const Sweep32Config& config) {
 
   Manifest manifest(config.manifest_path, sweep_op_name(config.op),
                     sweep32_identity(config), total);
-  manifest.load();
+  manifest.open();
 
   // Pending shards in ascending order; max_shards makes "run the first K
   // still-pending shards" a deterministic slice of the grid.

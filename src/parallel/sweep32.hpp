@@ -34,14 +34,16 @@
 // 2^chunk_bits shards per rounding mode; shard identity, content and seed
 // are pure functions of the config (docs/parallel.md determinism rules),
 // so any subset of shards can run in any order on any thread count. A
-// manifest file records each completed shard's result fingerprint; it is
-// rewritten atomically (tmp + rename) every checkpoint_interval
-// completions, so a killed sweep resumes where it left off and CI can run
-// bounded slices (max_shards / deadline) of a full overnight job. The
-// whole-sweep fingerprint XORs a per-shard mix, making it independent of
-// completion order, thread count, and how many runs the sweep was split
-// across — "interrupted + resumed" is bit-identical to "uninterrupted"
-// by construction, which the sweep tests assert.
+// manifest file records each completed shard's result fingerprint: an
+// append-only log, one checked line per shard, appended every
+// checkpoint_interval completions (a kill loses at most one interval, and
+// a line torn by it is dropped and its shard re-run), so a killed sweep
+// resumes where it left off and CI can run bounded slices (max_shards /
+// deadline) of a full overnight job. The whole-sweep fingerprint XORs a
+// per-shard mix, making it independent of completion order, thread count,
+// and how many runs the sweep was split across — "interrupted + resumed"
+// is bit-identical to "uninterrupted" by construction, which the sweep
+// tests assert.
 #pragma once
 
 #include <chrono>
@@ -132,8 +134,8 @@ struct Sweep32Config {
   /// Checkpoint manifest path; empty runs the sweep without a checkpoint
   /// (still sharded and fingerprinted identically).
   std::string manifest_path;
-  /// Shard completions between atomic manifest rewrites. The manifest is
-  /// also written once at the end of every run.
+  /// Shard completions between manifest appends. The records still
+  /// pending are also appended once at the end of every run.
   std::size_t checkpoint_interval = 256;
   /// Cap on shards THIS run executes (0 = all still pending) — the
   /// deterministic way to split a sweep across runs, and what the

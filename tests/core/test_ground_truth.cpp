@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <stdexcept>
 #include <string>
 
@@ -18,6 +19,11 @@ struct BackendParam {
   const char* backend;  ///< registry row name
   const char* name;
 };
+
+// gtest would print the parameter as raw bytes, its two pointers included,
+// which change from run to run and so leak into the discovered test names;
+// print the name.
+void PrintTo(const BackendParam& p, std::ostream* os) { *os << p.name; }
 
 const BackendParam kBackends[] = {
     {"native-binary64", "native_double"},

@@ -5,16 +5,19 @@
 // pin the machinery on small slices: zero mismatches on every row, the
 // whole-sweep fingerprint invariant under thread count, chunking and
 // kill/resume splits (bit-identical to an uninterrupted run), manifest
-// identity/corruption refusal, deadline slicing, the binary16 pair
-// mapping, the sampled oracle rows, and the corner corpus.
+// identity/corruption refusal, the append-only manifest and its torn
+// tail, deadline slicing, the binary16 pair mapping, the sampled oracle
+// rows, and the corner corpus.
 
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 
 #include <algorithm>
 #include <climits>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -43,6 +46,23 @@ class TempManifest {
  private:
   std::string path_;
 };
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), {}};
+}
+
+/// The message run_sweep32 throws while loading `config`'s manifest
+/// (empty, and a test failure, when it does not throw).
+std::string load_error(const sw::Sweep32Config& config) {
+  try {
+    (void)sw::run_sweep32(config);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  ADD_FAILURE() << "manifest " << config.manifest_path << " loaded";
+  return {};
+}
 
 /// A small but interesting sqrt slice: the last subnormal binade through
 /// the first normal one, plus room for a few chunks per mode.
@@ -162,15 +182,115 @@ TEST(Sweep32, MalformedManifestThrows) {
     TempManifest manifest("garbage");
     std::ofstream(manifest.path()) << "not a manifest\n";
     config.manifest_path = manifest.path();
-    EXPECT_THROW((void)sw::run_sweep32(config), std::runtime_error);
+    EXPECT_NE(load_error(config).find("bad magic"), std::string::npos);
   }
   {
     TempManifest manifest("truncated");
     std::ofstream(manifest.path())
-        << "fpq-sweep32-manifest v1\nop sqrt\ndone 0\n";
+        << "fpq-sweep32-manifest v2\nop sqrt\ndone 0\n";
     config.manifest_path = manifest.path();
-    EXPECT_THROW((void)sw::run_sweep32(config), std::runtime_error);
+    EXPECT_NE(load_error(config).find("malformed done record"),
+              std::string::npos);
   }
+}
+
+TEST(Sweep32, V1ManifestIsRefusedNamingTheVersion) {
+  TempManifest manifest("v1");
+  sw::Sweep32Config config = small_sqrt_config();
+  config.manifest_path = manifest.path();
+  std::ofstream(manifest.path())
+      << "fpq-sweep32-manifest v1\nop sqrt\nidentity "
+      << std::hex << sw::sweep32_identity(config) << std::dec
+      << "\nshards 25\ndone 0 1 4096 0\n";
+  const std::string what = load_error(config);
+  EXPECT_NE(what.find("v1"), std::string::npos) << what;
+  EXPECT_NE(what.find("v2"), std::string::npos) << what;
+}
+
+TEST(Sweep32, DoneRecordWithAWrongCheckWordThrows) {
+  TempManifest manifest("check");
+  sw::Sweep32Config config = small_sqrt_config();
+  config.manifest_path = manifest.path();
+  config.max_shards = 3;
+  (void)sw::run_sweep32(config);
+
+  // Flip the last hex digit of the last record's check word.
+  std::string text = read_file(manifest.path());
+  ASSERT_GE(text.size(), 2u);
+  char& digit = text[text.size() - 2];
+  digit = digit == '0' ? '1' : '0';
+  std::ofstream(manifest.path(), std::ios::binary | std::ios::trunc) << text;
+  const std::string what = load_error(config);
+  EXPECT_NE(what.find("check word"), std::string::npos) << what;
+}
+
+TEST(Sweep32, DuplicateDoneRecordThrows) {
+  TempManifest manifest("duplicate");
+  sw::Sweep32Config config = small_sqrt_config();
+  config.manifest_path = manifest.path();
+  config.max_shards = 3;
+  (void)sw::run_sweep32(config);
+
+  // Append a second, well-formed copy of the last record.
+  const std::string text = read_file(manifest.path());
+  const std::size_t last = text.rfind('\n', text.size() - 2) + 1;
+  std::ofstream(manifest.path(), std::ios::binary | std::ios::app)
+      << text.substr(last);
+  const std::string what = load_error(config);
+  EXPECT_NE(what.find("duplicate"), std::string::npos) << what;
+}
+
+TEST(Sweep32, TornTailIsDroppedAndItsShardReruns) {
+  sw::Sweep32Config config = small_sqrt_config();
+  config.threads = 1;
+  TempManifest oneshot_manifest("oneshot");
+  config.manifest_path = oneshot_manifest.path();
+  const sw::Sweep32Report oneshot = sw::run_sweep32(config);
+  ASSERT_TRUE(oneshot.complete);
+
+  // A run cut by a kill mid-append: the last record loses its tail.
+  TempManifest manifest("torn");
+  config.manifest_path = manifest.path();
+  config.max_shards = 7;
+  ASSERT_EQ(sw::run_sweep32(config).run_shards, 7u);
+  std::string text = read_file(manifest.path());
+  text.resize(text.size() - 5);
+  std::ofstream(manifest.path(), std::ios::binary | std::ios::trunc) << text;
+
+  config.max_shards = 0;
+  const sw::Sweep32Report resumed = sw::run_sweep32(config);
+  ASSERT_TRUE(resumed.complete);
+  EXPECT_EQ(resumed.run_shards, 25u - 6u);  // the torn shard re-ran
+  EXPECT_EQ(resumed.fingerprint, oneshot.fingerprint);
+  EXPECT_EQ(resumed.checked, oneshot.checked);
+
+  // The file reloads clean, with exactly the header and one line per
+  // shard: the same bytes, in some order, as the one-shot run's.
+  const sw::Sweep32Report reloaded = sw::run_sweep32(config);
+  EXPECT_EQ(reloaded.run_shards, 0u);
+  EXPECT_EQ(reloaded.fingerprint, oneshot.fingerprint);
+  const std::string after = read_file(manifest.path());
+  EXPECT_EQ(std::count(after.begin(), after.end(), '\n'), 4 + 25);
+  EXPECT_EQ(after.back(), '\n');
+  EXPECT_EQ(after.size(), read_file(oneshot_manifest.path()).size());
+}
+
+TEST(Sweep32, CheckpointsAppendToOneFile) {
+  TempManifest manifest("inode");
+  sw::Sweep32Config config = small_sqrt_config();
+  config.manifest_path = manifest.path();
+  config.threads = 1;
+  config.max_shards = 7;  // both runs checkpoint every 4 shards and at the end
+  (void)sw::run_sweep32(config);
+  struct stat first {};
+  ASSERT_EQ(::stat(manifest.path().c_str(), &first), 0);
+  config.max_shards = 0;
+  ASSERT_TRUE(sw::run_sweep32(config).complete);
+  struct stat last {};
+  ASSERT_EQ(::stat(manifest.path().c_str(), &last), 0);
+  EXPECT_EQ(last.st_ino, first.st_ino);  // never replaced by a rename
+  EXPECT_GT(last.st_size, first.st_size);
+  EXPECT_FALSE(std::ifstream(manifest.path() + ".tmp").is_open());
 }
 
 TEST(Sweep32, ZeroCheckpointIntervalThrows) {
