@@ -329,115 +329,138 @@ void host_sqrt_n(const sf::Float32* in, sf::Float32* out, std::size_t n) {
 /// which bounds what a thread holds between sweeps.
 struct SqrtBuffers {
   std::vector<sf::Float32> in, soft, want;
-  std::vector<unsigned> flags, scratch;
-  std::vector<sf::Float64> wide;
+  std::vector<unsigned> flags;
   std::vector<double> rows;
   std::vector<ir::Outcome> outs;
 };
 constexpr std::size_t kKeepPatterns = std::size_t{1} << 16;
 
+/// One sqrt shard's lanes, checked pattern by pattern. `want` is null
+/// when the reference lane is off and `outs` when the tape lane is.
+struct SqrtLanes {
+  sf::Rounding mode;
+  const sf::Float32* in;
+  const sf::Float32* soft;
+  const unsigned* flags;
+  const sf::Float32* want;
+  const ir::Outcome* outs;
+
+  // No fenv equivalent of roundTiesToAway: its reference is the 53-bit
+  // hardware root narrowed under ties-to-away (ties provably never arise),
+  // whose NaNs are the soft engine's, so it compares bitwise.
+  bool away() const { return mode == sf::Rounding::kNearestAway; }
+  bool ref_ok(std::size_t i) const {
+    return away() ? soft[i].bits == want[i].bits
+                  : same_result(soft[i], want[i]);
+  }
+  bool flags_ok(std::size_t i) const {
+    return flags[i] == ref_sqrt_flags(in[i], soft[i]);
+  }
+  // The tape narrows its kVar operand quietly (no invalid on sNaN by the
+  // evaluators' contract), so flags are compared only for non-NaN inputs;
+  // values must agree everywhere.
+  bool tape_ok(std::size_t i, const ir::Outcome& o) const {
+    return o.value.bits == ref_widen64(soft[i]).bits &&
+           (in[i].is_nan() || o.flags == flags[i]);
+  }
+};
+
+/// Notes each lane that disagrees on pattern i, in lane order: reference,
+/// flags, batched tape, then the scalar tape when `scalar` is set. Only a
+/// mismatch calls it, so the text is built off the hot loop.
+[[gnu::cold, gnu::noinline]] void note_sqrt_mismatches(
+    const SqrtLanes& l, std::size_t i, const ir::Outcome* scalar,
+    std::size_t budget, ChunkStats& st) {
+  const std::string mode = sf::rounding_to_string(l.mode);
+  if (l.want != nullptr && !l.ref_ok(i)) {
+    st.note(budget,
+            describe_mismatch(l.away() ? "sqrt32/ref" : "sqrt32/hw", l.mode,
+                              l.in[i].bits, l.soft[i], l.want[i]));
+  }
+  if (l.want != nullptr && !l.flags_ok(i)) {
+    std::ostringstream os;
+    os << "sqrt32/flags mode=" << mode << " input=" << sf::describe(l.in[i])
+       << " got=" << sf::describe(l.soft[i])
+       << " flags=" << sf::flags_to_string(l.flags[i]) << " want flags="
+       << sf::flags_to_string(ref_sqrt_flags(l.in[i], l.soft[i]));
+    st.note(budget, os.str());
+  }
+  const auto tape = [&](const char* lane, const ir::Outcome& o) {
+    if (l.tape_ok(i, o)) return;
+    std::ostringstream os;
+    os << lane << " mode=" << mode << " input=" << sf::describe(l.in[i])
+       << " got=" << sf::describe(o.value)
+       << " flags=" << sf::flags_to_string(o.flags)
+       << " want=" << sf::describe(ref_widen64(l.soft[i]))
+       << " flags=" << sf::flags_to_string(l.flags[i]);
+    st.note(budget, os.str());
+  };
+  if (l.outs != nullptr) tape("sqrt32/tape", l.outs[i]);
+  if (scalar != nullptr) tape("sqrt32/tape-scalar", *scalar);
+}
+
 /// sqrt: soft batch kernel is the canonical lane; raced against the host
 /// FPU (fenv-expressible modes) or the double-path reference
 /// (roundTiesToAway) plus the exact flag reference, and against the tape
-/// engines when configured.
+/// engines when configured. The producers fill their buffers first; one
+/// loop then folds the fingerprint and checks every lane of a pattern, so
+/// the independent compares run beside the fold's serial mix64 chain.
 ChunkStats run_sqrt_chunk(const Sweep32Config& cfg, sf::Rounding mode,
                           std::uint64_t p0, std::uint64_t p1,
                           const ir::Tape* tape) {
   const std::size_t n = static_cast<std::size_t>(p1 - p0);
   thread_local SqrtBuffers buf;
-  std::vector<sf::Float32>& in = buf.in;
-  std::vector<sf::Float32>& soft = buf.soft;
-  std::vector<unsigned>& flags = buf.flags;
-  in.resize(n);
-  soft.resize(n);
-  flags.assign(n, 0);
+  buf.in.resize(n);
+  buf.soft.resize(n);
+  buf.flags.assign(n, 0);
   for (std::size_t i = 0; i < n; ++i) {
-    in[i] = sf::Float32{static_cast<std::uint32_t>(p0 + i)};
+    buf.in[i] = sf::Float32{static_cast<std::uint32_t>(p0 + i)};
   }
   sf::Env env(mode);
-  sf::sqrt_n<32>(in.data(), soft.data(), flags.data(), n, env);
+  sf::sqrt_n<32>(buf.in.data(), buf.soft.data(), buf.flags.data(), n, env);
+
+  SqrtLanes lanes{mode, buf.in.data(), buf.soft.data(), buf.flags.data(),
+                  nullptr, nullptr};
+  if (cfg.race_hardware) {
+    buf.want.resize(n);
+    if (lanes.away()) {
+      ref_sqrt_away_n(buf.in, buf.want);
+    } else {
+      const ScopedFenvRounding guard(fenv_mode_of(mode));
+      host_sqrt_n(buf.in.data(), buf.want.data(), n);
+    }
+    lanes.want = buf.want.data();
+  }
+  const bool race_tape = cfg.race_tape && tape != nullptr;
+  if (race_tape) {
+    buf.rows.resize(n);
+    buf.outs.resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      buf.rows[i] = sf::to_native(ref_widen64(buf.in[i]));
+    }
+    ir::execute_rows(*tape, buf.rows, 1, buf.outs);
+    lanes.outs = buf.outs.data();
+  }
+  const std::size_t stride = race_tape ? cfg.tape_scalar_stride : 0;
 
   ChunkStats st;
   st.checked = n;
+  std::size_t next_scalar = stride != 0 ? 0 : n;
   for (std::size_t i = 0; i < n; ++i) {
-    st.fingerprint = fold(st.fingerprint, soft[i].bits, flags[i]);
-  }
-
-  const std::size_t budget = cfg.max_mismatch_reports;
-  if (cfg.race_hardware) {
-    std::vector<sf::Float32>& want = buf.want;
-    want.resize(n);
-    // No fenv equivalent of roundTiesToAway: its reference is the 53-bit
-    // hardware root narrowed under ties-to-away (ties provably never
-    // arise), whose NaNs are the soft engine's, so it compares bitwise.
-    const bool away = mode == sf::Rounding::kNearestAway;
-    if (away) {
-      for (std::size_t i = 0; i < n; ++i) want[i] = ref_sqrt(in[i], mode);
-    } else {
-      const ScopedFenvRounding guard(fenv_mode_of(mode));
-      host_sqrt_n(in.data(), want.data(), n);
+    st.fingerprint = fold(st.fingerprint, lanes.soft[i].bits, lanes.flags[i]);
+    bool ok = true;
+    if (lanes.want != nullptr) ok = lanes.ref_ok(i) & lanes.flags_ok(i);
+    if (lanes.outs != nullptr) ok &= lanes.tape_ok(i, lanes.outs[i]);
+    ir::Outcome one;
+    const ir::Outcome* scalar = nullptr;
+    if (i == next_scalar) {
+      one = ir::execute(*tape, std::span<const double>(&buf.rows[i], 1));
+      scalar = &one;
+      ok &= lanes.tape_ok(i, one);
+      next_scalar += stride;
     }
-    for (std::size_t i = 0; i < n; ++i) {
-      if (away ? soft[i].bits != want[i].bits
-               : !same_result(soft[i], want[i])) {
-        st.note(budget, describe_mismatch(away ? "sqrt32/ref" : "sqrt32/hw",
-                                          mode, in[i].bits, soft[i],
-                                          want[i]));
-      }
-      const unsigned want_flags = ref_sqrt_flags(in[i], soft[i]);
-      if (flags[i] != want_flags) {
-        std::ostringstream os;
-        os << "sqrt32/flags mode=" << sf::rounding_to_string(mode)
-           << " input=" << sf::describe(in[i]) << " got="
-           << sf::describe(soft[i]) << " flags="
-           << sf::flags_to_string(flags[i])
-           << " want flags=" << sf::flags_to_string(want_flags);
-        st.note(budget, os.str());
-      }
-    }
-  }
-
-  if (cfg.race_tape && tape != nullptr) {
-    std::vector<sf::Float64>& wide = buf.wide;
-    std::vector<double>& rows = buf.rows;
-    std::vector<ir::Outcome>& outs = buf.outs;
-    wide.resize(n);
-    buf.scratch.resize(n);  // flags of the exact widenings, unread
-    rows.resize(n);
-    outs.resize(n);
-    sf::Env widen_env;
-    sf::convert_n<64, 32>(in.data(), wide.data(), buf.scratch.data(), n,
-                          widen_env);
-    for (std::size_t i = 0; i < n; ++i) rows[i] = sf::to_native(wide[i]);
-    ir::execute_rows(*tape, rows, 1, outs);
-    // From here on `wide` holds the expected values: the kernel lane's
-    // results, widened.
-    sf::convert_n<64, 32>(soft.data(), wide.data(), buf.scratch.data(), n,
-                          widen_env);
-    const auto tape_mismatch = [&](const char* lane, std::size_t i,
-                                   const ir::Outcome& o) {
-      // The tape narrows its kVar operand quietly (no invalid on sNaN by
-      // the evaluators' contract), so flags are compared only for
-      // non-NaN inputs; values must agree everywhere.
-      const bool flags_ok = in[i].is_nan() || o.flags == flags[i];
-      if (o.value.bits == wide[i].bits && flags_ok) return;
-      std::ostringstream os;
-      os << lane << " mode=" << sf::rounding_to_string(mode)
-         << " input=" << sf::describe(in[i]) << " got="
-         << sf::describe(o.value) << " flags="
-         << sf::flags_to_string(o.flags) << " want="
-         << sf::describe(wide[i]) << " flags="
-         << sf::flags_to_string(flags[i]);
-      st.note(budget, os.str());
-    };
-    for (std::size_t i = 0; i < n; ++i) {
-      tape_mismatch("sqrt32/tape", i, outs[i]);
-    }
-    if (cfg.tape_scalar_stride != 0) {
-      for (std::size_t i = 0; i < n; i += cfg.tape_scalar_stride) {
-        const std::span<const double> row(&rows[i], 1);
-        tape_mismatch("sqrt32/tape-scalar", i, ir::execute(*tape, row));
-      }
+    if (!ok) [[unlikely]] {
+      note_sqrt_mismatches(lanes, i, scalar, cfg.max_mismatch_reports, st);
     }
   }
   if (n > kKeepPatterns) buf = SqrtBuffers{};

@@ -14,7 +14,7 @@
 //     integer/add-and-mask algorithm that shares no code with the soft
 //     converter (binary16/bfloat16 narrowing and widening). sqrt also
 //     races the tape engines: ir::execute_rows (the batched interpreter)
-//     on every pattern and the scalar Tape::execute on a stride;
+//     on every pattern and the scalar ir::execute on a stride;
 //   * the binary16 rows — sqrt16 over all 2^16 encodings, add16 ... fma16
 //     over all 2^32 operand pairs (decode_pair16), and sample16 — run the
 //     scalar soft ops against the exact references of sweep32_ref.hpp and
@@ -148,7 +148,7 @@ struct Sweep32Config {
   bool race_hardware = true;
   /// Race the tape engines (sqrt only; other ops have no IR node).
   bool race_tape = true;
-  /// Scalar Tape::execute is raced every this-many patterns (the batched
+  /// Scalar ir::execute is raced every this-many patterns (the batched
   /// interpreter covers every pattern); 0 disables the scalar lane.
   std::size_t tape_scalar_stride = 64;
   /// Cap on human-readable mismatch samples collected per run.

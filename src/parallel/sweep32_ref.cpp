@@ -25,7 +25,6 @@ using sweep_detail::ScopedFenvRounding;
 
 constexpr std::uint32_t kSign32 = 0x8000'0000u;
 constexpr std::uint32_t kQuiet32 = 0x0040'0000u;
-constexpr std::uint64_t kSign64 = std::uint64_t{1} << 63;
 
 /// NaN propagation matching detail::propagate_nan: first NaN operand in
 /// argument order, quieted (flags are out of scope for the value refs).
@@ -73,19 +72,25 @@ sf::Float<kBits> ref_sqrt(sf::Float<kBits> a, sf::Rounding mode) {
   return narrow53<kBits>(wide, mode);
 }
 
-unsigned ref_sqrt_flags(sf::Float32 a, sf::Float32 r) {
-  if (a.is_nan()) return a.is_signaling_nan() ? sf::kFlagInvalid : 0u;
-  if (a.is_zero()) return 0u;                // sqrt(±0) = ±0, exact
-  if (a.sign()) return sf::kFlagInvalid;     // incl. -inf and -subnormal
-  if (a.is_infinity()) return 0u;
-  const unsigned denormal = a.is_subnormal() ? sf::kFlagDenormalInput : 0u;
-  // r has at most 24 significand bits and lies in [2^-75, 2^64), so r*r
-  // is exact and normal in binary64 under any host rounding direction.
-  const double root = sf::to_native(r);
-  const double square = root * root;
-  return denormal |
-         (square == static_cast<double>(sf::to_native(a)) ? 0u
-                                                          : sf::kFlagInexact);
+void ref_sqrt_away_n(std::span<const sf::Float32> in,
+                     std::span<sf::Float32> out) {
+  // Positive finite lanes are the patterns [1, 0x7F7FFFFF]. Their binary64
+  // root lies in [2^-75, 2^64), so rebiasing its exponent and rounding its
+  // 52-bit fraction to 23 bits (add half an ulp, truncate: ties away from
+  // zero) is the binary32 encoding, the carry walking into the exponent.
+  constexpr std::uint64_t kRebias = std::uint64_t{1023 - 127} << 23;
+  const ScopedFenvRounding guard(FE_TONEAREST);
+  for (std::size_t i = 0; i < in.size(); ++i) {
+    const sf::Float32 a = in[i];
+    if (a.bits - 1u >= 0x7F7F'FFFFu) {
+      out[i] = ref_sqrt(a, sf::Rounding::kNearestAway);
+      continue;
+    }
+    const double root = hw_sqrt<double>(static_cast<double>(sf::to_native(a)));
+    const std::uint64_t wide = std::bit_cast<std::uint64_t>(root);
+    out[i] = sf::Float32{
+        static_cast<std::uint32_t>(((wide + (1u << 28)) >> 29) - kRebias)};
+  }
 }
 
 template <int kBits>
@@ -211,17 +216,6 @@ sf::Float32 ref_round_to_integral(sf::Float32 a, sf::Rounding mode) {
   }
   ScopedFenvRounding guard(fenv_mode_of(mode));
   return sf::from_native(hw_rint_f32(sf::to_native(a)));
-}
-
-sf::Float64 ref_widen64(sf::Float32 a) {
-  if (a.is_nan()) {
-    const std::uint64_t bits =
-        (a.sign() ? kSign64 : 0) | sf::fast16::kExpMask64 |
-        (std::uint64_t{1} << 51) |  // quiet bit
-        (static_cast<std::uint64_t>(a.fraction()) << 29);
-    return sf::Float64{bits};
-  }
-  return sf::from_native(hw_widen_f32(sf::to_native(a)));
 }
 
 sf::Float16 ref_narrow16(sf::Float32 a, sf::Rounding mode) {

@@ -87,7 +87,29 @@ sf::Float<kBits> ref_sqrt(sf::Float<kBits> a, sf::Rounding mode);
 /// exactly in binary64, so the check shares no code with the soft
 /// engine's remainder-based sticky bit. Pair it with a value reference
 /// (ref_sqrt or the host FPU) that proves `r` itself.
-unsigned ref_sqrt_flags(sf::Float32 a, sf::Float32 r);
+inline unsigned ref_sqrt_flags(sf::Float32 a, sf::Float32 r) {
+  if (a.is_nan()) return a.is_signaling_nan() ? sf::kFlagInvalid : 0u;
+  if (a.is_zero()) return 0u;             // sqrt(±0) = ±0, exact
+  if (a.sign()) return sf::kFlagInvalid;  // incl. -inf and -subnormal
+  if (a.is_infinity()) return 0u;
+  const unsigned denormal = a.is_subnormal() ? sf::kFlagDenormalInput : 0u;
+  // r has at most 24 significand bits and lies in [2^-75, 2^64), so r*r
+  // is exact and normal in binary64 under any host rounding direction.
+  const double root = sf::to_native(r);
+  const double square = root * root;
+  return denormal |
+         (square == static_cast<double>(sf::to_native(a)) ? 0u
+                                                          : sf::kFlagInexact);
+}
+
+/// sqrt under roundTiesToAway of every lane of `in` into `out` (same
+/// size), equal lane by lane to ref_sqrt(in[i], kNearestAway). One fenv
+/// guard covers the batch; a positive finite lane takes the host binary64
+/// root of its exact widening, narrowed by an integer re-encode (the root
+/// is a normal binary32 value, and ties never arise; see Figueroa above),
+/// and every other class takes ref_sqrt's answer.
+void ref_sqrt_away_n(std::span<const sf::Float32> in,
+                     std::span<sf::Float32> out);
 
 /// a / b, correctly rounded (Figueroa).
 template <int kBits>
@@ -119,8 +141,18 @@ sf::Float<kBits> ref_mul(sf::Float<kBits> a, sf::Float<kBits> b,
 /// inexact-iff-changed flag contract is asserted by the sweep separately.
 sf::Float32 ref_round_to_integral(sf::Float32 a, sf::Rounding mode);
 
-/// binary32 -> binary64 (exact, mode-independent).
-sf::Float64 ref_widen64(sf::Float32 a);
+/// binary32 -> binary64 (exact, mode-independent): the host's widening,
+/// and for a NaN the quieted payload shifted into the top fraction bits.
+inline sf::Float64 ref_widen64(sf::Float32 a) {
+  if (a.is_nan()) {
+    const std::uint64_t bits =
+        (a.sign() ? std::uint64_t{1} << 63 : 0) |
+        0x7FF8'0000'0000'0000ull |  // exponent and quiet bit
+        (static_cast<std::uint64_t>(a.fraction()) << 29);
+    return sf::Float64{bits};
+  }
+  return sf::from_native(static_cast<double>(sf::to_native(a)));
+}
 
 /// binary32 -> binary16, correctly rounded under `mode`.
 sf::Float16 ref_narrow16(sf::Float32 a, sf::Rounding mode);

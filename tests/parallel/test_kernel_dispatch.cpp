@@ -3,7 +3,7 @@
 // sweep32 machinery must produce ZERO mismatches against the independent
 // references and IDENTICAL sweep fingerprints — including the sqrt
 // tape race, which pins the batched tape engine (running the forced
-// variant's batch kernels) and the scalar Tape::execute against the soft
+// variant's batch kernels) and the scalar ir::execute against the soft
 // lane at every forced variant. The
 // full-2^32 claim is the overnight sweep job; these are complete sweeps
 // of the 2^16 operand spaces plus boundary windows of the 2^32 spaces.
@@ -164,7 +164,7 @@ TEST(KernelDispatchParity, UnaryOpBoundaryWindows) {
       config.end = w.begin + kWin;
       config.chunk_bits = 13;
       // race_tape stays on: for sqrt this races the batched tape engine
-      // (ir::execute_rows) and the scalar Tape::execute stride too — the
+      // (ir::execute_rows) and the scalar ir::execute stride too — the
       // tape-gate parity claim at every variant.
       expect_variant_invariant_sweep(
           config, (std::string(sweep32::sweep_op_name(op)) + " " + w.what)

@@ -404,6 +404,36 @@ TEST(Sweep32, SqrtSubnormalAndZeroBoundarySliceClean) {
                                           : report.mismatch_samples[0]);
 }
 
+// The special classes with every lane on, the scalar tape on every pattern
+// and all five modes: the largest finites into +inf, the sNaN/qNaN edge,
+// and both again with the sign bit set. They run the tape lanes' NaN flag
+// skip and the roundTiesToAway reference's special-class answers. The
+// lanes only check, so the fingerprint equals a run with every lane off.
+TEST(Sweep32, SqrtSpecialClassSlicesCleanOnEveryLane) {
+  const std::uint32_t begins[] = {0x7F7F'F000u, 0x7FBF'F000u, 0xFF7F'F000u,
+                                  0xFFBF'F000u};
+  for (const std::uint32_t begin : begins) {
+    sw::Sweep32Config config;
+    config.op = sw::SweepOp::kSqrt;
+    config.begin = begin;
+    config.end = begin + 0x2000u;
+    config.chunk_bits = 12;
+    config.tape_scalar_stride = 1;
+    const sw::Sweep32Report report = sw::run_sweep32(config);
+    EXPECT_TRUE(report.complete) << std::hex << begin;
+    EXPECT_EQ(report.checked, 5u * 0x2000u) << std::hex << begin;
+    EXPECT_EQ(report.mismatches, 0u)
+        << std::hex << begin << ": "
+        << (report.mismatch_samples.empty() ? ""
+                                            : report.mismatch_samples[0]);
+
+    config.race_hardware = false;
+    config.race_tape = false;
+    EXPECT_EQ(sw::run_sweep32(config).fingerprint, report.fingerprint)
+        << std::hex << begin;
+  }
+}
+
 // The exact flag reference on hand-picked encodings, each paired with its
 // correctly rounded root.
 TEST(Sweep32, RefSqrtFlagsOnHandPickedEncodings) {
@@ -430,6 +460,27 @@ TEST(Sweep32, RefSqrtFlagsOnHandPickedEncodings) {
   EXPECT_EQ(sw::ref_sqrt_flags(sf::Float32{0x4080'0000u},
                                sf::Float32{0x4000'0001u}),
             unsigned{sf::kFlagInexact});
+}
+
+// The batched roundTiesToAway reference agrees with the scalar one on
+// every corner pattern of either sign and on every 4093rd pattern of the
+// whole space (a prime stride, so every class and low-bit residue shows).
+TEST(Sweep32, RefSqrtAwayBatchMatchesTheScalarReference) {
+  std::vector<sf::Float32> in;
+  for (const std::uint32_t bits : sw::corner32_patterns()) {
+    in.push_back(sf::Float32{bits});
+    in.push_back(sf::Float32{bits ^ 0x8000'0000u});
+  }
+  for (std::uint64_t p = 0; p <= 0xFFFF'FFFFu; p += 4093) {
+    in.push_back(sf::Float32{static_cast<std::uint32_t>(p)});
+  }
+  std::vector<sf::Float32> out(in.size());
+  sw::ref_sqrt_away_n(in, out);
+  for (std::size_t i = 0; i < in.size(); ++i) {
+    ASSERT_EQ(out[i].bits,
+              sw::ref_sqrt(in[i], sf::Rounding::kNearestAway).bits)
+        << sf::describe(in[i]);
+  }
 }
 
 TEST(Sweep32, CornerCorpusCleanWithRandomTail) {
