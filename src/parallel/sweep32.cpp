@@ -930,11 +930,8 @@ Sweep32Report run_sweep32(const Sweep32Config& config) {
   std::mutex mu;
   std::size_t completions = 0;
 
-  RunOptions options;
-  options.deadline = config.deadline;
   const ShardRunReport run = pool.run_shards(
-      pending.size(), options,
-      [&](std::size_t i, const CancelToken&) {
+      pending.size(), config.deadline, [&](std::size_t i) {
         const std::uint64_t shard = pending[i];
         const std::uint64_t mode_idx = shard / grid.chunks;
         const std::uint64_t chunk_idx = shard % grid.chunks;

@@ -14,8 +14,6 @@ std::string failure_kind_name(FailureKind kind) {
   switch (kind) {
     case FailureKind::kException:
       return "exception";
-    case FailureKind::kCancelled:
-      return "cancelled";
     case FailureKind::kDeadline:
       return "deadline";
   }
@@ -35,9 +33,6 @@ std::string ShardFailureReport::to_string() const {
     out += " #" + std::to_string(f.shard) + " (" +
            failure_kind_name(f.kind);
     if (!f.message.empty()) out += ": " + f.message;
-    if (f.attempts > 1) {
-      out += ", " + std::to_string(f.attempts) + " attempts";
-    }
     out += ")";
   }
   return out;
@@ -68,13 +63,10 @@ struct Block {
 struct Job {
   std::vector<Block> blocks;
   std::size_t shard_count = 0;
-  const std::function<void(std::size_t, const CancelToken&)>* body = nullptr;
-  bool cancel_on_failure = false;
+  const std::function<void(std::size_t)>* body = nullptr;
 
-  // Cancellation is the one cross-lane signal outside the mutex: lanes
-  // read it before every claim, the failure policy and the deadline
-  // watchdog write it.
-  std::atomic<bool> cancel{false};
+  // The one cross-lane signal outside the mutex: lanes read it before
+  // every claim, the deadline watchdog writes it.
   std::atomic<bool> deadline_expired{false};
 
   std::mutex done_mutex;
@@ -86,14 +78,6 @@ struct Job {
   void drain(Block& block);
 };
 
-// Mints CancelTokens (their constructor is private so arbitrary code
-// cannot fabricate one pointing at a dead flag).
-struct JobAccess {
-  static CancelToken token_of(const Job& job) noexcept {
-    return CancelToken(&job.cancel);
-  }
-};
-
 void Job::run_lane(std::size_t lane) {
   const std::size_t n = blocks.size();
   // Own block first, then steal from the others in cyclic order.
@@ -103,41 +87,31 @@ void Job::run_lane(std::size_t lane) {
 }
 
 void Job::drain(Block& block) {
-  const CancelToken token = JobAccess::token_of(*this);
   for (;;) {
     const std::size_t i = block.next.fetch_add(1, std::memory_order_relaxed);
     if (i >= block.end) return;
 
     ShardFailure failure;
     bool failed = false;
-    if (cancel.load(std::memory_order_acquire)) {
-      // Honour cancellation at claim boundaries: the shard is consumed
+    if (deadline_expired.load(std::memory_order_acquire)) {
+      // Honour the deadline at claim boundaries: the shard is consumed
       // from the index space but its body never runs.
       failed = true;
-      failure.shard = i;
-      failure.kind = deadline_expired.load(std::memory_order_acquire)
-                         ? FailureKind::kDeadline
-                         : FailureKind::kCancelled;
-      failure.attempts = 0;
+      failure = {i, FailureKind::kDeadline, {}};
     } else {
       try {
-        (*body)(i, token);
+        (*body)(i);
       } catch (const std::exception& e) {
         failed = true;
-        failure = {i, FailureKind::kException, e.what(), 1};
+        failure = {i, FailureKind::kException, e.what()};
       } catch (...) {
         failed = true;
-        failure = {i, FailureKind::kException, "non-standard exception", 1};
+        failure = {i, FailureKind::kException, "non-standard exception"};
       }
     }
 
     std::lock_guard<std::mutex> lock(done_mutex);
-    if (failed) {
-      if (cancel_on_failure && failure.kind == FailureKind::kException) {
-        cancel.store(true, std::memory_order_release);
-      }
-      failures.push_back(std::move(failure));
-    }
+    if (failed) failures.push_back(std::move(failure));
     if (++done == shard_count) done_cv.notify_all();
   }
 }
@@ -192,17 +166,16 @@ std::size_t ThreadPool::lanes() const noexcept { return impl_->lane_count; }
 void ThreadPool::run_shards(
     std::size_t shard_count,
     const std::function<void(std::size_t)>& body) {
-  ShardRunReport report = run_shards(
-      shard_count, RunOptions{},
-      [&body](std::size_t shard, const CancelToken&) { body(shard); });
+  ShardRunReport report =
+      run_shards(shard_count, std::chrono::milliseconds{0}, body);
   if (report.failures.any()) {
     throw ShardFailuresError(std::move(report.failures));
   }
 }
 
 ShardRunReport ThreadPool::run_shards(
-    std::size_t shard_count, const RunOptions& options,
-    const std::function<void(std::size_t, const CancelToken&)>& body) {
+    std::size_t shard_count, std::chrono::milliseconds deadline,
+    const std::function<void(std::size_t)>& body) {
   ShardRunReport report;
   report.shard_count = shard_count;
   if (shard_count == 0) return report;
@@ -210,7 +183,6 @@ ShardRunReport ThreadPool::run_shards(
   auto job = std::make_shared<Job>();
   job->shard_count = shard_count;
   job->body = &body;
-  job->cancel_on_failure = options.cancel_on_failure;
   const std::size_t lanes = impl_->lane_count;
   job->blocks = std::vector<Block>(lanes);
   for (std::size_t lane = 0; lane < lanes; ++lane) {
@@ -220,18 +192,16 @@ ShardRunReport ThreadPool::run_shards(
   }
 
   // Per-job deadline watchdog: one thread that sleeps until completion or
-  // expiry. On expiry it requests cancellation; lanes then skip every
-  // still-unclaimed shard (reported as kDeadline). Cooperative: a body
-  // that never returns still blocks the join below.
+  // expiry. On expiry lanes skip every still-unclaimed shard (reported as
+  // kDeadline); a body that never returns still blocks the join below.
   std::thread watchdog;
-  if (options.deadline.count() > 0) {
-    watchdog = std::thread([job, deadline = options.deadline] {
+  if (deadline.count() > 0) {
+    watchdog = std::thread([job, deadline] {
       std::unique_lock<std::mutex> lock(job->done_mutex);
       const bool finished = job->done_cv.wait_for(
           lock, deadline, [&] { return job->done == job->shard_count; });
       if (!finished) {
         job->deadline_expired.store(true, std::memory_order_release);
-        job->cancel.store(true, std::memory_order_release);
       }
     });
   }
@@ -263,7 +233,6 @@ ShardRunReport ThreadPool::run_shards(
   // state can be read without the mutex.
   report.deadline_expired =
       job->deadline_expired.load(std::memory_order_acquire);
-  report.cancelled = job->cancel.load(std::memory_order_acquire);
   std::vector<ShardFailure> failures = std::move(job->failures);
 
   // Deterministic order: failures were appended in claim order (schedule-
@@ -273,41 +242,6 @@ ShardRunReport ThreadPool::run_shards(
             [](const ShardFailure& a, const ShardFailure& b) {
               return a.shard < b.shard;
             });
-
-  // Quarantine pass: throwing shards re-run sequentially on the caller's
-  // thread, in shard-index order, up to max_retries extra attempts each.
-  // Sequential + index-ordered keeps recovery deterministic for any body
-  // whose behaviour is a function of the shard index.
-  if (options.max_retries > 0) {
-    const CancelToken token = JobAccess::token_of(*job);
-    std::vector<ShardFailure> remaining;
-    remaining.reserve(failures.size());
-    for (ShardFailure& f : failures) {
-      if (f.kind != FailureKind::kException) {
-        remaining.push_back(std::move(f));
-        continue;
-      }
-      bool recovered = false;
-      for (std::size_t attempt = 0;
-           attempt < options.max_retries && !recovered; ++attempt) {
-        ++f.attempts;
-        try {
-          body(f.shard, token);
-          recovered = true;
-        } catch (const std::exception& e) {
-          f.message = e.what();
-        } catch (...) {
-          f.message = "non-standard exception";
-        }
-      }
-      if (recovered) {
-        ++report.recovered;
-      } else {
-        remaining.push_back(std::move(f));
-      }
-    }
-    failures = std::move(remaining);
-  }
 
   report.completed = shard_count - failures.size();
   report.failures.failures = std::move(failures);

@@ -22,12 +22,10 @@
 // Failure handling is aggregate, never first-only: EVERY task failure is
 // recorded with its shard index and surfaced in a ShardFailureReport whose
 // order is deterministic (sorted by shard index) regardless of thread
-// count or schedule.  The options-taking overload adds the hostile-task
-// toolkit: cooperative cancellation, a per-job deadline watchdog, and a
-// bounded deterministic retry (quarantine) pass for throwing shards.
+// count or schedule.  The deadline-taking overload adds a per-job
+// deadline watchdog and returns the report instead of throwing.
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <functional>
@@ -41,7 +39,6 @@ namespace fpq::parallel {
 /// Why a shard has no clean result.
 enum class FailureKind {
   kException,  ///< the shard body threw (message holds what())
-  kCancelled,  ///< skipped: cancellation was requested before it ran
   kDeadline,   ///< skipped: the job's deadline expired before it ran
 };
 
@@ -51,12 +48,9 @@ std::string failure_kind_name(FailureKind kind);
 struct ShardFailure {
   std::size_t shard = 0;
   FailureKind kind = FailureKind::kException;
-  /// what() of the LAST exception the shard threw; empty for
-  /// cancelled/deadline shards (they never ran).
+  /// what() of the exception the shard threw; empty for deadline shards
+  /// (they never ran).
   std::string message;
-  /// Times the body ran for this shard (0 for cancelled/deadline shards,
-  /// 1 + retries for persistent throwers).
-  std::size_t attempts = 0;
 };
 
 /// Every failed shard of one run_shards job, sorted by shard index — the
@@ -67,8 +61,8 @@ struct ShardFailureReport {
 
   bool any() const noexcept { return !failures.empty(); }
   std::size_t count(FailureKind kind) const noexcept;
-  /// "3 shard(s) failed: #4 (exception: boom, 2 attempts), ..." — one
-  /// deterministic line per failure.
+  /// "3 shard(s) failed: #4 (exception: boom), #9 (deadline), ..." — one
+  /// deterministic entry per failure.
   std::string to_string() const;
 };
 
@@ -84,51 +78,13 @@ class ShardFailuresError : public std::runtime_error {
   ShardFailureReport report_;
 };
 
-/// Cooperative cancellation handle passed to shard bodies. Long-running
-/// bodies should poll cancelled() and return early; the pool itself only
-/// honours cancellation at shard claim boundaries.
-class CancelToken {
- public:
-  bool cancelled() const noexcept {
-    return flag_->load(std::memory_order_acquire);
-  }
-
- private:
-  friend struct JobAccess;
-  explicit CancelToken(const std::atomic<bool>* flag) noexcept
-      : flag_(flag) {}
-  const std::atomic<bool>* flag_;
-};
-
-/// Hostile-task policy for one run_shards job.
-struct RunOptions {
-  /// Stop claiming new shards after the first shard-body exception;
-  /// already-claimed shards finish, unclaimed ones are reported as
-  /// kCancelled. Off by default: the whole index space runs.
-  bool cancel_on_failure = false;
-  /// Quarantine-and-retry budget: shards whose body threw are re-run up
-  /// to this many extra times, sequentially on the CALLER's thread in
-  /// shard-index order (deterministic), after the parallel pass.
-  std::size_t max_retries = 0;
-  /// Per-job wall-clock deadline (zero = none). A watchdog requests
-  /// cancellation when it expires; unclaimed shards are reported as
-  /// kDeadline. Cooperative only: a body that never returns still hangs
-  /// the job.
-  std::chrono::milliseconds deadline{0};
-};
-
-/// What one options-run produced.
+/// What one deadline-run produced.
 struct ShardRunReport {
   ShardFailureReport failures;
   std::size_t shard_count = 0;
-  /// Shards whose body completed cleanly (including via retry).
+  /// Shards whose body completed cleanly.
   std::size_t completed = 0;
-  /// Shards that threw at least once but completed within the retry
-  /// budget (their slots hold a valid result).
-  std::size_t recovered = 0;
   bool deadline_expired = false;
-  /// Cancellation was requested (by failure policy or deadline).
-  bool cancelled = false;
 
   bool ok() const noexcept { return !failures.any(); }
 };
@@ -158,15 +114,16 @@ class ThreadPool {
   void run_shards(std::size_t shard_count,
                   const std::function<void(std::size_t)>& body);
 
-  /// Hardened variant: runs body(shard, token) under the given policy and
-  /// returns a full report instead of throwing on task failure. Shards
-  /// that were cancelled (failure policy or deadline) are listed as
-  /// failures with kind kCancelled/kDeadline; throwing shards are retried
-  /// per options.max_retries. Surviving shards' outputs are bit-identical
-  /// to a failure-free run at any thread count.
-  ShardRunReport run_shards(
-      std::size_t shard_count, const RunOptions& options,
-      const std::function<void(std::size_t, const CancelToken&)>& body);
+  /// Deadline variant: runs body(shard) like the overload above but
+  /// returns a full report instead of throwing on task failure. A
+  /// `deadline` above zero starts a watchdog; once it expires, lanes stop
+  /// running the shards they claim and report them as kDeadline failures.
+  /// Shards already running finish: a body that never returns still hangs
+  /// the job. Surviving shards' outputs are bit-identical to a
+  /// failure-free run at any thread count.
+  ShardRunReport run_shards(std::size_t shard_count,
+                            std::chrono::milliseconds deadline,
+                            const std::function<void(std::size_t)>& body);
 
   /// Hardware concurrency with a sane floor of 1.
   static std::size_t default_thread_count() noexcept;

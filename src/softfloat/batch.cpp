@@ -13,11 +13,13 @@ namespace {
 // Kernel dispatch happens here, inside the batch entry points, so every
 // caller — tape execution, the sweep32 shard loops, direct users — flows
 // through the accelerated kernels without changes. Only the ops with
-// accelerated binary32 or binary16 implementations branch (binary16 has
-// no AVX2 kernels, so kAvx2 runs the portable ones, as convert_n<32, 64>
-// does); everything else (and the kScalar variant) keeps the scalar
-// reference loops below, except the comparisons, which run inline on
-// every variant (compare_lanes).
+// accelerated binary32 or binary16 implementations branch. kAvx2 has its
+// own kernels only for binary32 sqrt, the five binary32 arithmetic ops
+// and narrow_from_double_n<32>; it runs the portable kernels for the rest
+// (binary16 arithmetic, round-to-integral and the converts). Everything
+// else (and the kScalar variant) keeps the scalar reference loops below,
+// except the comparisons, which run inline on every variant
+// (compare_lanes).
 inline bool use_kernels() noexcept {
   return active_kernel_variant() != KernelVariant::kScalar;
 }
@@ -244,10 +246,6 @@ template <int kBits>
 void round_int_n(const Float<kBits>* a, Float<kBits>* out, unsigned* flags,
                  std::size_t n, Env& env) noexcept {
   if constexpr (kBits == 32) {
-    if (use_avx2()) {
-      kernels::avx2::round_int32(a, out, flags, n, env);
-      return;
-    }
     if (use_kernels()) {
       kernels::portable::round_int32(a, out, flags, n, env);
       return;
@@ -264,54 +262,31 @@ template <int kTo, int kFrom>
 void convert_n(const Float<kFrom>* a, Float<kTo>* out, unsigned* flags,
                std::size_t n, Env& env) noexcept {
   if constexpr (kTo == 16 && kFrom == 32) {
-    if (use_avx2()) {
-      kernels::avx2::narrow_32_to_16(a, out, flags, n, env);
-      return;
-    }
     if (use_kernels()) {
       kernels::portable::narrow_32_to_16(a, out, flags, n, env);
       return;
     }
   } else if constexpr (kTo == kBFloat16 && kFrom == 32) {
-    if (use_avx2()) {
-      kernels::avx2::narrow_32_to_bf16(a, out, flags, n, env);
-      return;
-    }
     if (use_kernels()) {
       kernels::portable::narrow_32_to_bf16(a, out, flags, n, env);
       return;
     }
   } else if constexpr (kTo == 32 && kFrom == 16) {
-    if (use_avx2()) {
-      kernels::avx2::widen_16_to_32(a, out, flags, n, env);
-      return;
-    }
     if (use_kernels()) {
       kernels::portable::widen_16_to_32(a, out, flags, n, env);
       return;
     }
   } else if constexpr (kTo == 32 && kFrom == kBFloat16) {
-    if (use_avx2()) {
-      kernels::avx2::widen_bf16_to_32(a, out, flags, n, env);
-      return;
-    }
     if (use_kernels()) {
       kernels::portable::widen_bf16_to_32(a, out, flags, n, env);
       return;
     }
   } else if constexpr (kTo == 64 && kFrom == 32) {
-    if (use_avx2()) {
-      kernels::avx2::widen_32_to_64(a, out, flags, n, env);
-      return;
-    }
     if (use_kernels()) {
       kernels::portable::widen_32_to_64(a, out, flags, n, env);
       return;
     }
   } else if constexpr (kTo == 32 && kFrom == 64) {
-    // No AVX2 kernel for the flag-reporting form (the tape's flag-free
-    // narrowing, narrow_from_double_n<32>, has one); portable still
-    // beats scalar.
     if (use_kernels()) {
       kernels::portable::narrow_64_to_32(a, out, flags, n, env);
       return;

@@ -63,8 +63,7 @@ void widen_bf16_to_32(const BFloat16* a, Float32* out, unsigned* flags,
 void widen_32_to_64(const Float32* a, Float64* out, unsigned* flags,
                     std::size_t n, Env& env) noexcept;
 
-// Binary16 arithmetic (the fast16 lane bodies) and operand narrowing. No
-// AVX2 counterparts: the avx2 variant dispatches here too.
+// Binary16 arithmetic (the fast16 lane bodies) and operand narrowing.
 void add16(const Float16* a, const Float16* b, Float16* out, unsigned* flags,
            std::size_t n, Env& env) noexcept;
 void sub16(const Float16* a, const Float16* b, Float16* out, unsigned* flags,
@@ -85,10 +84,11 @@ void narrow_double_to_16(const double* in, std::size_t stride, Float16* out,
 
 }  // namespace portable
 
-// The AVX2 set: the unary / convert sweep ops, the five binary32
+// The AVX2 set: the kernels a workload runs hot — sqrt, the five binary32
 // arithmetic ops and the operand narrowing. Each vectorizes its common
 // class and runs every other lane through the portable variant's per-lane
-// body (batch_kernels_impl.hpp). When avx2_compiled() is false these are
+// body (batch_kernels_impl.hpp). Every other op dispatches to the portable
+// kernel under the avx2 variant. When avx2_compiled() is false these are
 // forwarders to the portable kernels (and dispatch never selects them
 // anyway).
 namespace avx2 {
@@ -105,20 +105,8 @@ void fma32(const Float32* a, const Float32* b, const Float32* c, Float32* out,
            unsigned* flags, std::size_t n, Env& env) noexcept;
 void sqrt32(const Float32* a, Float32* out, unsigned* flags, std::size_t n,
             Env& env) noexcept;
-void round_int32(const Float32* a, Float32* out, unsigned* flags,
-                 std::size_t n, Env& env) noexcept;
-void narrow_32_to_16(const Float32* a, Float16* out, unsigned* flags,
-                     std::size_t n, Env& env) noexcept;
-void narrow_32_to_bf16(const Float32* a, BFloat16* out, unsigned* flags,
-                       std::size_t n, Env& env) noexcept;
 void narrow_double_to_32(const double* in, std::size_t stride, Float32* out,
                          std::size_t n, Env& quiet) noexcept;
-void widen_16_to_32(const Float16* a, Float32* out, unsigned* flags,
-                    std::size_t n, Env& env) noexcept;
-void widen_bf16_to_32(const BFloat16* a, Float32* out, unsigned* flags,
-                      std::size_t n, Env& env) noexcept;
-void widen_32_to_64(const Float32* a, Float64* out, unsigned* flags,
-                    std::size_t n, Env& env) noexcept;
 
 }  // namespace avx2
 

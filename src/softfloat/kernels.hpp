@@ -11,11 +11,12 @@
 //               (softfloat/fast32.hpp, fast16.hpp) for binary32 and
 //               binary16 arithmetic. No intrinsics; hot loops are written
 //               so the compiler can auto-vectorize the integer paths.
-//   kAvx2     — hand-vectorized AVX2 kernels for the binary32 unary /
-//               convert sweep ops, the five binary32 arithmetic ops and
-//               the double -> binary32 operand narrowing; operations
-//               without a dedicated AVX2 kernel (binary16 arithmetic
-//               among them) fall through to the portable implementation.
+//   kAvx2     — hand-vectorized AVX2 kernels for binary32 sqrt, the five
+//               binary32 arithmetic ops and the double -> binary32
+//               operand narrowing, the ops a workload runs hot; every
+//               other operation (binary16 arithmetic, round-to-integral
+//               and the converts among them) falls through to the
+//               portable implementation.
 //
 // The default is the best variant the CPU supports. Tests and benches can
 // force a variant (set_kernel_variant_override) to prove dispatch parity:

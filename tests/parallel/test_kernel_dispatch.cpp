@@ -116,6 +116,19 @@ TEST(KernelCacheIsolation, SharedTapeCacheIgnoresVariantSwitches) {
   ir::Tape::clear_cache();
 }
 
+// A build or CPU without AVX2 dispatches to portable and refuses a forced
+// avx2 (CI builds this suite once with AVX2 code generation off).
+TEST(KernelDispatchParity, UnavailableAvx2FallsBackToPortable) {
+  if (sf::kernel_variant_available(sf::KernelVariant::kAvx2)) {
+    EXPECT_EQ(sf::best_kernel_variant(), sf::KernelVariant::kAvx2);
+    return;
+  }
+  EXPECT_EQ(sf::best_kernel_variant(), sf::KernelVariant::kPortable);
+  sf::ScopedKernelVariant forced(sf::KernelVariant::kAvx2);
+  EXPECT_FALSE(forced.applied());
+  EXPECT_NE(sf::active_kernel_variant(), sf::KernelVariant::kAvx2);
+}
+
 // The 2^16-source conversions: the ENTIRE operand space per variant.
 TEST(KernelDispatchParity, WidenFrom16FullSpace) {
   sweep32::Sweep32Config config;
@@ -144,6 +157,7 @@ TEST(KernelDispatchParity, UnaryOpBoundaryWindows) {
   const Window windows[] = {
       {0x0000'0000u, "zero/subnormal border"},
       {0x337F'C000u, "binary16 deep-result band"},
+      {0x3F00'0000u, "start of the benchmarked range"},
       {0x3F7F'8000u, "around one"},
       {0x4AFF'C000u, "integer binade border"},
       {0x477F'C000u, "binary16 overflow border"},

@@ -168,8 +168,8 @@ TEST(Fast32Lattice, FmaMatchesScalarAllModesAllEnvs) {
   }
 }
 
-// The AVX2-vectorized unary ops and narrowing converts over the same
-// lattice (their exhaustive proof is the full-2^32 sweep gate).
+// The accelerated unary ops and narrowing converts over the same lattice
+// (their exhaustive proof is the full-2^32 sweep gate).
 TEST(Fast32Lattice, UnaryAndNarrowMatchScalarAllModesAllEnvs) {
   constexpr std::size_t kN = std::size_t{1} << 16;
   const auto a = lattice32(kN, 0x7777'0006);
