@@ -7,8 +7,7 @@
 #include "fpmon/flow.hpp"
 #include "parallel/shard.hpp"
 #include "softfloat/batch.hpp"
-#include "softfloat/fast16.hpp"
-#include "softfloat/fast32.hpp"
+#include "softfloat/fast.hpp"
 
 namespace fpq::ir {
 
@@ -106,10 +105,8 @@ void run_soft_lanes(const Tape& t, const double* values, std::size_t width,
       // convert<64, 32> and convert<64, 16> bit for bit.
       if constexpr (kBits == 64) {
         o[l].value = result[l];
-      } else if constexpr (kBits == 32) {
-        o[l].value = sf::from_native(sf::fast32::widen(result[l]));
-      } else if constexpr (kBits == 16) {
-        o[l].value = sf::from_native(sf::fast16::widen(result[l]));
+      } else if constexpr (kBits == 16 || kBits == 32) {
+        o[l].value = sf::from_native(sf::fast::widen(result[l]));
       } else {
         o[l].value = sf::convert<64>(result[l], widen_env);
       }

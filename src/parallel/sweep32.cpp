@@ -25,6 +25,7 @@
 #include "parallel/sweep32_ref.hpp"
 #include "parallel/sweep_util.hpp"
 #include "softfloat/batch.hpp"
+#include "softfloat/kernels.hpp"
 #include "softfloat/ops.hpp"
 
 #if defined(__SSE__)
@@ -580,15 +581,15 @@ ChunkStats run_convert_to32_chunk(const Sweep32Config& cfg,
   return st;
 }
 
-// -- Scalar rows: binary16 and the host samples -----------------------------
+// -- Case rows: the sample rows and the binary16 kernel rows ---------------
 
-/// The six arithmetic ops of the scalar rows, in the order of the pair
-/// rows kAdd16 ... kFma16.
+/// The six arithmetic ops, in the order of the pair rows kAdd16 ...
+/// kFma16.
 enum class Arith : std::uint8_t { kAdd, kSub, kMul, kDiv, kFma, kSqrt };
 constexpr const char* kArithNames[] = {"add", "sub", "mul",
                                        "div", "fma", "sqrt"};
 
-/// One check of a scalar row: an op and its operands (b and c unused by
+/// One check of a case row: an op and its operands (b and c unused by
 /// the ops that take fewer).
 template <int kBits>
 struct Case {
@@ -672,39 +673,6 @@ std::string describe_case(const char* lane, sf::Rounding mode,
   return os.str();
 }
 
-/// A scalar row's chunk: each pattern decodes to one Case; the soft op's
-/// value and flags are folded into the fingerprint and raced against the
-/// exact references (binary16, bitwise) or the host FPU at the same width
-/// under the sweep mode (binary32/64, any NaN matches any NaN).
-template <int kBits, typename Decode>
-ChunkStats run_case_chunk(const Sweep32Config& cfg, sf::Rounding mode,
-                          std::uint64_t p0, std::uint64_t p1,
-                          Decode decode) {
-  // The soft ops are integer code; the guard sets the direction the host
-  // lane and the references' wide step compute under, once per chunk.
-  const ScopedFenvRounding guard(fenv_mode_of(mode));
-  ChunkStats st;
-  st.checked = p1 - p0;
-  for (std::uint64_t p = p0; p < p1; ++p) {
-    const Case<kBits> k = decode(p);
-    sf::Env env(mode);
-    const sf::Float<kBits> got = soft_result(k, env);
-    st.fingerprint = fold(st.fingerprint, got.bits, env.flags());
-    if (!cfg.race_hardware) continue;
-    sf::Float<kBits> want;
-    if constexpr (kBits == 16) {
-      want = ref_result(k, mode);
-    } else {
-      want = host_result(k);
-    }
-    if (kBits == 16 ? got.bits != want.bits : !same_result(got, want)) {
-      st.note(cfg.max_mismatch_reports,
-              describe_case(sweep_op_name(cfg.op), mode, k, got, want));
-    }
-  }
-  return st;
-}
-
 // The pair mapping's odd multiplier (a bijection mod 2^16 that spreads
 // consecutive partner indices over the encodings) and its inverse.
 constexpr std::uint32_t kScramble = 0x9E37;
@@ -735,6 +703,157 @@ Case<kBits> sample_case(std::uint64_t p) {
   return k;
 }
 
+/// A sample row's chunk: each pattern decodes to one Case; the scalar soft
+/// op's value and flags are folded into the fingerprint and raced against
+/// the exact references (binary16, bitwise) or the host FPU at the same
+/// width under the sweep mode (binary32/64, any NaN matches any NaN).
+template <int kBits>
+ChunkStats run_sample_chunk(const Sweep32Config& cfg, sf::Rounding mode,
+                            std::uint64_t p0, std::uint64_t p1) {
+  // The soft ops are integer code; the guard sets the direction the host
+  // lane and the references' wide step compute under, once per chunk.
+  const ScopedFenvRounding guard(fenv_mode_of(mode));
+  ChunkStats st;
+  st.checked = p1 - p0;
+  for (std::uint64_t p = p0; p < p1; ++p) {
+    const Case<kBits> k = sample_case<kBits>(p);
+    sf::Env env(mode);
+    const sf::Float<kBits> got = soft_result(k, env);
+    st.fingerprint = fold(st.fingerprint, got.bits, env.flags());
+    if (!cfg.race_hardware) continue;
+    sf::Float<kBits> want;
+    if constexpr (kBits == 16) {
+      want = ref_result(k, mode);
+    } else {
+      want = host_result(k);
+    }
+    if (kBits == 16 ? got.bits != want.bits : !same_result(got, want)) {
+      st.note(cfg.max_mismatch_reports,
+              describe_case(sweep_op_name(cfg.op), mode, k, got, want));
+    }
+  }
+  return st;
+}
+
+// -- Binary16 kernel rows ---------------------------------------------------
+
+/// A binary16 kernel row's pattern: sqrt16 takes the encoding p, the pair
+/// rows decode_pair16(p), and fma16's addend is a hash of p.
+Case<16> kernel16_case(Arith op, std::uint64_t p) {
+  if (op == Arith::kSqrt) {
+    return {op, sf::Float16{static_cast<std::uint16_t>(p)}, {}, {}};
+  }
+  const Pair16 ab = decode_pair16(static_cast<std::uint32_t>(p));
+  const auto c =
+      static_cast<std::uint16_t>(op == Arith::kFma ? mix64(p) >> 48 : 0);
+  return {op, sf::Float16{ab.a}, sf::Float16{ab.b}, sf::Float16{c}};
+}
+
+/// A binary16 kernel shard's operand and result columns, kept per thread
+/// like SqrtBuffers.
+struct Kernel16Buffers {
+  std::vector<sf::Float16> a, b, c, out;
+  std::vector<unsigned> flags;
+};
+
+/// The dispatched batch entry point of `op` over the shard's columns.
+void run_batch16(Arith op, Kernel16Buffers& buf, sf::Env& env) {
+  const std::size_t n = buf.out.size();
+  const sf::Float16* a = buf.a.data();
+  const sf::Float16* b = buf.b.data();
+  sf::Float16* out = buf.out.data();
+  unsigned* fl = buf.flags.data();
+  switch (op) {
+    case Arith::kAdd:
+      return sf::add_n<16>(a, b, out, fl, n, env);
+    case Arith::kSub:
+      return sf::sub_n<16>(a, b, out, fl, n, env);
+    case Arith::kMul:
+      return sf::mul_n<16>(a, b, out, fl, n, env);
+    case Arith::kDiv:
+      return sf::div_n<16>(a, b, out, fl, n, env);
+    case Arith::kFma:
+      return sf::fma_n<16>(a, b, buf.c.data(), out, fl, n, env);
+    case Arith::kSqrt:
+      return sf::sqrt_n<16>(a, out, fl, n, env);
+  }
+}
+
+[[gnu::cold, gnu::noinline]] std::string describe_scalar_mismatch(
+    const char* lane, sf::Rounding mode, const Case<16>& k,
+    sf::Float16 got, unsigned got_flags, sf::Float16 want,
+    unsigned want_flags) {
+  std::ostringstream os;
+  os << describe_case(lane, mode, k, got, want)
+     << " (ref = scalar op) flags=" << sf::flags_to_string(got_flags)
+     << " scalar flags=" << sf::flags_to_string(want_flags);
+  return os.str();
+}
+
+/// The binary16 kernel rows (sqrt16, add16 ... fma16): a shard decodes
+/// into operand columns and runs the dispatched batch entry point, the
+/// kernel every caller runs, whose (bits, flags) feed the fingerprint.
+/// Each lane's value is checked bitwise against the exact reference, and
+/// its value and flags against the scalar op. Under the scalar variant
+/// the entry point runs the scalar op itself, so that second check is
+/// skipped and the row checks the scalar op against the reference.
+ChunkStats run_kernel16_chunk(const Sweep32Config& cfg, sf::Rounding mode,
+                              std::uint64_t p0, std::uint64_t p1) {
+  const Arith op =
+      cfg.op == SweepOp::kSqrt16
+          ? Arith::kSqrt
+          : static_cast<Arith>(static_cast<int>(cfg.op) -
+                               static_cast<int>(SweepOp::kAdd16));
+  const std::size_t n = static_cast<std::size_t>(p1 - p0);
+  thread_local Kernel16Buffers buf;
+  buf.a.resize(n);
+  buf.b.resize(n);
+  buf.c.resize(n);
+  buf.out.resize(n);
+  buf.flags.assign(n, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    const Case<16> k = kernel16_case(op, p0 + i);
+    buf.a[i] = k.a;
+    buf.b[i] = k.b;
+    buf.c[i] = k.c;
+  }
+  sf::Env env(mode);
+  run_batch16(op, buf, env);
+
+  // Each reference pins the direction its wide step needs: the sweep
+  // mode for div and sqrt, round-to-nearest for the TwoSum of add, sub
+  // and fma. Holding it for the whole loop makes those pins no-ops.
+  const bool directed_ref = op == Arith::kDiv || op == Arith::kSqrt;
+  const ScopedFenvRounding guard(directed_ref ? fenv_mode_of(mode)
+                                              : FE_TONEAREST);
+  const bool vs_scalar = cfg.race_hardware && sf::active_kernel_variant() !=
+                                                  sf::KernelVariant::kScalar;
+  const char* lane = sweep_op_name(cfg.op);
+  ChunkStats st;
+  st.checked = n;
+  for (std::size_t i = 0; i < n; ++i) {
+    const sf::Float16 got = buf.out[i];
+    st.fingerprint = fold(st.fingerprint, got.bits, buf.flags[i]);
+    if (!cfg.race_hardware) continue;
+    const Case<16> k{op, buf.a[i], buf.b[i], buf.c[i]};
+    const sf::Float16 want = ref_result(k, mode);
+    if (got.bits != want.bits) {
+      st.note(cfg.max_mismatch_reports,
+              describe_case(lane, mode, k, got, want));
+    }
+    if (!vs_scalar) continue;
+    sf::Env scalar_env(mode);
+    const sf::Float16 scalar = soft_result(k, scalar_env);
+    if (scalar.bits != got.bits || scalar_env.flags() != buf.flags[i]) {
+      st.note(cfg.max_mismatch_reports,
+              describe_scalar_mismatch(lane, mode, k, got, buf.flags[i],
+                                       scalar, scalar_env.flags()));
+    }
+  }
+  if (n > kKeepPatterns) buf = Kernel16Buffers{};
+  return st;
+}
+
 ChunkStats run_chunk(const Sweep32Config& cfg, sf::Rounding mode,
                      std::uint64_t p0, std::uint64_t p1,
                      const ir::Tape* tape) {
@@ -760,32 +879,18 @@ ChunkStats run_chunk(const Sweep32Config& cfg, sf::Rounding mode,
       return run_convert_to32_chunk<sf::kBFloat16>(
           cfg, "convertbf16to32", mode, p0, p1, ref_widen_from_bf16);
     case SweepOp::kSqrt16:
-      return run_case_chunk<16>(cfg, mode, p0, p1, [](std::uint64_t p) {
-        const sf::Float16 a{static_cast<std::uint16_t>(p)};
-        return Case<16>{Arith::kSqrt, a, {}, {}};
-      });
     case SweepOp::kAdd16:
     case SweepOp::kSub16:
     case SweepOp::kMul16:
     case SweepOp::kDiv16:
-    case SweepOp::kFma16: {
-      const auto op = static_cast<Arith>(static_cast<int>(cfg.op) -
-                                         static_cast<int>(SweepOp::kAdd16));
-      return run_case_chunk<16>(cfg, mode, p0, p1, [op](std::uint64_t p) {
-        const Pair16 ab = decode_pair16(static_cast<std::uint32_t>(p));
-        // fma's addend is a hash of the pattern.
-        const auto c = static_cast<std::uint16_t>(
-            op == Arith::kFma ? mix64(p) >> 48 : 0);
-        return Case<16>{op, sf::Float16{ab.a}, sf::Float16{ab.b},
-                        sf::Float16{c}};
-      });
-    }
+    case SweepOp::kFma16:
+      return run_kernel16_chunk(cfg, mode, p0, p1);
     case SweepOp::kSample16:
-      return run_case_chunk<16>(cfg, mode, p0, p1, sample_case<16>);
+      return run_sample_chunk<16>(cfg, mode, p0, p1);
     case SweepOp::kSample32:
-      return run_case_chunk<32>(cfg, mode, p0, p1, sample_case<32>);
+      return run_sample_chunk<32>(cfg, mode, p0, p1);
     case SweepOp::kSample64:
-      return run_case_chunk<64>(cfg, mode, p0, p1, sample_case<64>);
+      return run_sample_chunk<64>(cfg, mode, p0, p1);
   }
   return {};
 }

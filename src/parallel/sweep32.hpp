@@ -15,10 +15,17 @@
 //     converter (binary16/bfloat16 narrowing and widening). sqrt also
 //     races the tape engines: ir::execute_rows (the batched interpreter)
 //     on every pattern and the scalar ir::execute on a stride;
-//   * the binary16 rows — sqrt16 over all 2^16 encodings, add16 ... fma16
-//     over all 2^32 operand pairs (decode_pair16), and sample16 — run the
-//     scalar soft ops against the exact references of sweep32_ref.hpp and
-//     compare bitwise, NaN payload and sign included;
+//   * the binary16 kernel rows — sqrt16 over all 2^16 encodings, add16
+//     ... fma16 over all 2^32 operand pairs (decode_pair16) — run the
+//     dispatched batch entry points (sqrt_n<16>, add_n<16> ...
+//     fma_n<16>), so under the portable and avx2 variants they prove the
+//     lane bodies the binary32 kernels share. Each lane's value is
+//     compared bitwise with the exact reference of sweep32_ref.hpp, NaN
+//     payload and sign included, and its value and flags with the scalar
+//     soft op (skipped under the scalar variant, where they are the same
+//     code);
+//   * sample16 runs the scalar soft ops against the same exact references,
+//     bitwise;
 //   * the host rows sample32 and sample64 run the scalar soft ops against
 //     the host FPU at the same width under the four fenv-expressible
 //     modes (roundTiesToAway leaves their grid); any NaN matches any NaN.

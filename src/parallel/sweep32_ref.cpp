@@ -8,8 +8,9 @@
 #include <cfenv>
 #include <cmath>
 
-#include "softfloat/fast16.hpp"
+#include "softfloat/fast.hpp"
 #include "softfloat/format.hpp"
+#include "softfloat/ops.hpp"
 
 namespace fpq::parallel::sweep32 {
 
@@ -163,7 +164,7 @@ sf::Float<kBits> ref_fma(sf::Float<kBits> a, sf::Float<kBits> b,
     if (err != 0.0 && (std::bit_cast<std::uint64_t>(s) & 1) == 0) {
       // s is the even neighbour of the exact sum: step one ulp toward the
       // residual so the kept value is odd (round-to-odd).
-      odd = sf::fast16::step_toward(s, err);
+      odd = sf::fast::step_toward(s, err);
     }
   }
   return narrow53<kBits>(odd, mode);
@@ -234,8 +235,8 @@ sf::Float16 ref_narrow16(sf::Float32 a, sf::Rounding mode) {
   }
   // Finite nonzero binary32 values are normal doubles (min subnormal is
   // 2^-149), so narrow16_value's precondition holds.
-  return sf::fast16::encode(
-      sf::fast16::narrow16_value(hw_widen_f32(sf::to_native(a)), mode));
+  return sf::fast::encode(
+      sf::fast::narrow16_value(hw_widen_f32(sf::to_native(a)), mode));
 }
 
 sf::BFloat16 ref_narrow_bf16(sf::Float32 a, sf::Rounding mode) {
@@ -426,7 +427,7 @@ constexpr std::uint32_t kCorner32[] = {
     0x1A00'0001u,               // 2^-75 + ulp (square just above the tie)
     0x1A80'0000u,               // 2^-74
     // narrow16_value boundary neighbourhood: encodings bracketing the
-    // fast16 operand-narrowing branch points (half the minimum binary16
+    // binary16 operand-narrowing branch points (half the minimum binary16
     // subnormal, the subnormal-step ties, and the max-subnormal /
     // min-normal border), so a misplaced branch in the value-only
     // narrower shows up as a corpus mismatch.

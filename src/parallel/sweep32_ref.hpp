@@ -29,6 +29,12 @@
 //    that odd value rounds as if from the exact sum in all five modes.
 //    Used by fma, and by add and sub as fma(a, 1, b).
 //
+// The batch kernels' lane bodies (softfloat/fast.hpp) lean on the same
+// three arguments, asserted there per format, and share one helper with
+// these references, fast::step_toward. So the binary16 kernel rows check
+// each kernel lane against the scalar soft op as well, which shares no
+// code with either.
+//
 // The remaining references are binary32 only:
 //
 //  * sqrt's flags: they follow from the class of the operand and one
@@ -43,7 +49,7 @@
 //    mode).
 //
 //  * binary32 -> binary16: exact widening to binary64 followed by
-//    fast16::narrow16_value — the add-and-mask narrowing path that shares
+//    fast::narrow16_value — the add-and-mask narrowing path that shares
 //    no code with convert<16,32>'s unpack/round_pack pipeline.
 //
 //  * binary32 <-> bfloat16: pure integer arithmetic on the encodings.

@@ -12,20 +12,26 @@ namespace {
 
 // Kernel dispatch happens here, inside the batch entry points, so every
 // caller — tape execution, the sweep32 shard loops, direct users — flows
-// through the accelerated kernels without changes. Only the ops with
-// accelerated binary32 or binary16 implementations branch. kAvx2 has its
-// own kernels only for binary32 sqrt, the five binary32 arithmetic ops
-// and narrow_from_double_n<32>; it runs the portable kernels for the rest
-// (binary16 arithmetic, round-to-integral and the converts). Everything
-// else (and the kScalar variant) keeps the scalar reference loops below,
-// except the comparisons, which run inline on every variant
-// (compare_lanes).
+// through the accelerated kernels without changes. Binary16 and binary32
+// arithmetic have accelerated kernels (kFast), and so do binary32
+// round-to-integral, the converts and the operand narrowings. kAvx2 has
+// its own kernels only for binary32 sqrt, the five binary32 arithmetic
+// ops and narrow_from_double_n<32>; it runs the portable kernels for the
+// rest. Everything else (and the kScalar variant) keeps the scalar
+// reference loops below, except the comparisons, which run inline on
+// every variant (compare_lanes).
 inline bool use_kernels() noexcept {
   return active_kernel_variant() != KernelVariant::kScalar;
 }
 inline bool use_avx2() noexcept {
   return active_kernel_variant() == KernelVariant::kAvx2;
 }
+
+/// The formats whose arithmetic has shared lane bodies. bfloat16 has
+/// none: no caller runs bfloat16 batch arithmetic, and a body would need
+/// its own exhaustive proof.
+template <int kBits>
+constexpr bool kFast = kBits == 16 || kBits == 32;
 
 // One binary-op lane loop; the op itself is the scalar entry point, so
 // per-lane semantics (rounding, FTZ/DAZ, flags) are the scalar engine's
@@ -47,18 +53,11 @@ template <int kBits>
 void add_n(const Float<kBits>* a, const Float<kBits>* b, Float<kBits>* out,
            unsigned* flags, std::size_t n, Env& env) noexcept {
   if constexpr (kBits == 32) {
-    if (use_avx2()) {
-      kernels::avx2::add32(a, b, out, flags, n, env);
-      return;
-    }
+    if (use_avx2()) return kernels::avx2::add32(a, b, out, flags, n, env);
+  }
+  if constexpr (kFast<kBits>) {
     if (use_kernels()) {
-      kernels::portable::add32(a, b, out, flags, n, env);
-      return;
-    }
-  } else if constexpr (kBits == 16) {
-    if (use_kernels()) {
-      kernels::portable::add16(a, b, out, flags, n, env);
-      return;
+      return kernels::portable::add<kBits>(a, b, out, flags, n, env);
     }
   }
   binary_lanes<kBits>(a, b, out, flags, n, env,
@@ -71,18 +70,11 @@ template <int kBits>
 void sub_n(const Float<kBits>* a, const Float<kBits>* b, Float<kBits>* out,
            unsigned* flags, std::size_t n, Env& env) noexcept {
   if constexpr (kBits == 32) {
-    if (use_avx2()) {
-      kernels::avx2::sub32(a, b, out, flags, n, env);
-      return;
-    }
+    if (use_avx2()) return kernels::avx2::sub32(a, b, out, flags, n, env);
+  }
+  if constexpr (kFast<kBits>) {
     if (use_kernels()) {
-      kernels::portable::sub32(a, b, out, flags, n, env);
-      return;
-    }
-  } else if constexpr (kBits == 16) {
-    if (use_kernels()) {
-      kernels::portable::sub16(a, b, out, flags, n, env);
-      return;
+      return kernels::portable::sub<kBits>(a, b, out, flags, n, env);
     }
   }
   binary_lanes<kBits>(a, b, out, flags, n, env,
@@ -95,18 +87,11 @@ template <int kBits>
 void mul_n(const Float<kBits>* a, const Float<kBits>* b, Float<kBits>* out,
            unsigned* flags, std::size_t n, Env& env) noexcept {
   if constexpr (kBits == 32) {
-    if (use_avx2()) {
-      kernels::avx2::mul32(a, b, out, flags, n, env);
-      return;
-    }
+    if (use_avx2()) return kernels::avx2::mul32(a, b, out, flags, n, env);
+  }
+  if constexpr (kFast<kBits>) {
     if (use_kernels()) {
-      kernels::portable::mul32(a, b, out, flags, n, env);
-      return;
-    }
-  } else if constexpr (kBits == 16) {
-    if (use_kernels()) {
-      kernels::portable::mul16(a, b, out, flags, n, env);
-      return;
+      return kernels::portable::mul<kBits>(a, b, out, flags, n, env);
     }
   }
   binary_lanes<kBits>(a, b, out, flags, n, env,
@@ -119,18 +104,11 @@ template <int kBits>
 void div_n(const Float<kBits>* a, const Float<kBits>* b, Float<kBits>* out,
            unsigned* flags, std::size_t n, Env& env) noexcept {
   if constexpr (kBits == 32) {
-    if (use_avx2()) {
-      kernels::avx2::div32(a, b, out, flags, n, env);
-      return;
-    }
+    if (use_avx2()) return kernels::avx2::div32(a, b, out, flags, n, env);
+  }
+  if constexpr (kFast<kBits>) {
     if (use_kernels()) {
-      kernels::portable::div32(a, b, out, flags, n, env);
-      return;
-    }
-  } else if constexpr (kBits == 16) {
-    if (use_kernels()) {
-      kernels::portable::div16(a, b, out, flags, n, env);
-      return;
+      return kernels::portable::div<kBits>(a, b, out, flags, n, env);
     }
   }
   binary_lanes<kBits>(a, b, out, flags, n, env,
@@ -143,18 +121,11 @@ template <int kBits>
 void sqrt_n(const Float<kBits>* a, Float<kBits>* out, unsigned* flags,
             std::size_t n, Env& env) noexcept {
   if constexpr (kBits == 32) {
-    if (use_avx2()) {
-      kernels::avx2::sqrt32(a, out, flags, n, env);
-      return;
-    }
+    if (use_avx2()) return kernels::avx2::sqrt32(a, out, flags, n, env);
+  }
+  if constexpr (kFast<kBits>) {
     if (use_kernels()) {
-      kernels::portable::sqrt32(a, out, flags, n, env);
-      return;
-    }
-  } else if constexpr (kBits == 16) {
-    if (use_kernels()) {
-      kernels::portable::sqrt16(a, out, flags, n, env);
-      return;
+      return kernels::portable::sqrt<kBits>(a, out, flags, n, env);
     }
   }
   for (std::size_t i = 0; i < n; ++i) {
@@ -169,18 +140,11 @@ void fma_n(const Float<kBits>* a, const Float<kBits>* b,
            const Float<kBits>* c, Float<kBits>* out, unsigned* flags,
            std::size_t n, Env& env) noexcept {
   if constexpr (kBits == 32) {
-    if (use_avx2()) {
-      kernels::avx2::fma32(a, b, c, out, flags, n, env);
-      return;
-    }
+    if (use_avx2()) return kernels::avx2::fma32(a, b, c, out, flags, n, env);
+  }
+  if constexpr (kFast<kBits>) {
     if (use_kernels()) {
-      kernels::portable::fma32(a, b, c, out, flags, n, env);
-      return;
-    }
-  } else if constexpr (kBits == 16) {
-    if (use_kernels()) {
-      kernels::portable::fma16(a, b, c, out, flags, n, env);
-      return;
+      return kernels::portable::fma<kBits>(a, b, c, out, flags, n, env);
     }
   }
   for (std::size_t i = 0; i < n; ++i) {

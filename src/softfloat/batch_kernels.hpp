@@ -7,11 +7,14 @@
 // order, and the Env's sticky flags are clobbered (scalar-fallback lanes
 // use it as scratch).
 //
-// Kernels that run host floating point (the fast32 and fast16 arithmetic
-// ops, sqrt included) pin the fenv to round-to-nearest internally —
-// callers like the sweep32 shard loops invoke them under ambient,
-// per-shard rounding modes. The convert / round-to-int / operand
-// narrowing kernels are pure integer code and need no pinning.
+// The portable arithmetic kernels are one template per op, instantiated
+// for binary16 and binary32 over one lane body per op
+// (batch_kernels_impl.hpp); bfloat16 arithmetic has no kernel and runs
+// the scalar loops. Kernels that run host floating point (that
+// arithmetic, sqrt included) pin the fenv to round-to-nearest
+// internally — callers like the sweep32 shard loops invoke them under
+// ambient, per-shard rounding modes. The convert / round-to-int /
+// operand narrowing kernels are pure integer code and need no pinning.
 //
 // Not a public header: only batch.cpp, kernels.cpp, and the kernel TUs
 // (batch_kernels_portable.cpp / batch_kernels_avx2.cpp) include it.
@@ -31,18 +34,29 @@ bool avx2_compiled() noexcept;
 
 namespace portable {
 
-void add32(const Float32* a, const Float32* b, Float32* out, unsigned* flags,
-           std::size_t n, Env& env) noexcept;
-void sub32(const Float32* a, const Float32* b, Float32* out, unsigned* flags,
-           std::size_t n, Env& env) noexcept;
-void mul32(const Float32* a, const Float32* b, Float32* out, unsigned* flags,
-           std::size_t n, Env& env) noexcept;
-void div32(const Float32* a, const Float32* b, Float32* out, unsigned* flags,
-           std::size_t n, Env& env) noexcept;
-void fma32(const Float32* a, const Float32* b, const Float32* c, Float32* out,
-           unsigned* flags, std::size_t n, Env& env) noexcept;
-void sqrt32(const Float32* a, Float32* out, unsigned* flags, std::size_t n,
-            Env& env) noexcept;
+// Arithmetic, one template per op over the shared lane bodies
+// (batch_kernels_impl.hpp), instantiated for kBits = 16 and 32 only.
+template <int kBits>
+void add(const Float<kBits>* a, const Float<kBits>* b, Float<kBits>* out,
+         unsigned* flags, std::size_t n, Env& env) noexcept;
+template <int kBits>
+void sub(const Float<kBits>* a, const Float<kBits>* b, Float<kBits>* out,
+         unsigned* flags, std::size_t n, Env& env) noexcept;
+template <int kBits>
+void mul(const Float<kBits>* a, const Float<kBits>* b, Float<kBits>* out,
+         unsigned* flags, std::size_t n, Env& env) noexcept;
+template <int kBits>
+void div(const Float<kBits>* a, const Float<kBits>* b, Float<kBits>* out,
+         unsigned* flags, std::size_t n, Env& env) noexcept;
+template <int kBits>
+void fma(const Float<kBits>* a, const Float<kBits>* b, const Float<kBits>* c,
+         Float<kBits>* out, unsigned* flags, std::size_t n,
+         Env& env) noexcept;
+template <int kBits>
+void sqrt(const Float<kBits>* a, Float<kBits>* out, unsigned* flags,
+          std::size_t n, Env& env) noexcept;
+
+// Round-to-integral, the converts and the operand narrowing.
 void round_int32(const Float32* a, Float32* out, unsigned* flags,
                  std::size_t n, Env& env) noexcept;
 void narrow_32_to_16(const Float32* a, Float16* out, unsigned* flags,
@@ -63,20 +77,7 @@ void widen_bf16_to_32(const BFloat16* a, Float32* out, unsigned* flags,
 void widen_32_to_64(const Float32* a, Float64* out, unsigned* flags,
                     std::size_t n, Env& env) noexcept;
 
-// Binary16 arithmetic (the fast16 lane bodies) and operand narrowing.
-void add16(const Float16* a, const Float16* b, Float16* out, unsigned* flags,
-           std::size_t n, Env& env) noexcept;
-void sub16(const Float16* a, const Float16* b, Float16* out, unsigned* flags,
-           std::size_t n, Env& env) noexcept;
-void mul16(const Float16* a, const Float16* b, Float16* out, unsigned* flags,
-           std::size_t n, Env& env) noexcept;
-void div16(const Float16* a, const Float16* b, Float16* out, unsigned* flags,
-           std::size_t n, Env& env) noexcept;
-void fma16(const Float16* a, const Float16* b, const Float16* c, Float16* out,
-           unsigned* flags, std::size_t n, Env& env) noexcept;
-void sqrt16(const Float16* a, Float16* out, unsigned* flags, std::size_t n,
-            Env& env) noexcept;
-/// narrow_from_double_n<16>: fast16::narrow16_value over a strided column
+/// narrow_from_double_n<16>: fast::narrow16_value over a strided column
 /// of host doubles, with every flag discarded (`quiet` supplies the
 /// rounding and DAZ modes and is scratch for the fallback lanes).
 void narrow_double_to_16(const double* in, std::size_t stride, Float16* out,

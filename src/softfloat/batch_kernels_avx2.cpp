@@ -24,7 +24,7 @@
 #include <cstdint>
 
 #include "softfloat/batch_kernels_impl.hpp"
-#include "softfloat/fast32.hpp"
+#include "softfloat/fast.hpp"
 
 #if defined(__AVX2__)
 #include <immintrin.h>
@@ -46,7 +46,7 @@ namespace avx2 {
 
 void sqrt32(const Float32* a, Float32* out, unsigned* flags, std::size_t n,
             Env& env) noexcept {
-  portable::sqrt32(a, out, flags, n, env);
+  portable::sqrt<32>(a, out, flags, n, env);
 }
 void narrow_double_to_32(const double* in, std::size_t stride, Float32* out,
                          std::size_t n, Env& quiet) noexcept {
@@ -54,23 +54,23 @@ void narrow_double_to_32(const double* in, std::size_t stride, Float32* out,
 }
 void add32(const Float32* a, const Float32* b, Float32* out, unsigned* flags,
            std::size_t n, Env& env) noexcept {
-  portable::add32(a, b, out, flags, n, env);
+  portable::add<32>(a, b, out, flags, n, env);
 }
 void sub32(const Float32* a, const Float32* b, Float32* out, unsigned* flags,
            std::size_t n, Env& env) noexcept {
-  portable::sub32(a, b, out, flags, n, env);
+  portable::sub<32>(a, b, out, flags, n, env);
 }
 void mul32(const Float32* a, const Float32* b, Float32* out, unsigned* flags,
            std::size_t n, Env& env) noexcept {
-  portable::mul32(a, b, out, flags, n, env);
+  portable::mul<32>(a, b, out, flags, n, env);
 }
 void div32(const Float32* a, const Float32* b, Float32* out, unsigned* flags,
            std::size_t n, Env& env) noexcept {
-  portable::div32(a, b, out, flags, n, env);
+  portable::div<32>(a, b, out, flags, n, env);
 }
 void fma32(const Float32* a, const Float32* b, const Float32* c, Float32* out,
            unsigned* flags, std::size_t n, Env& env) noexcept {
-  portable::fma32(a, b, c, out, flags, n, env);
+  portable::fma<32>(a, b, c, out, flags, n, env);
 }
 
 #else  // __AVX2__
@@ -119,7 +119,7 @@ inline __m256i ge_epi32(__m256i m, int bound) noexcept {
 //
 // sqrt, the binary ops and the operand narrowing compute on 4 binary64
 // values per vector and all end in the same step: round a binary64 bit
-// pattern to binary32 by the masked add at q = 29 (fold32's normal branch
+// pattern to binary32 by the masked add at q = 29 (fold<32>'s normal branch
 // and narrow_64_to_32_lane's). Each 4-lane half is rounded in 64-bit
 // lanes, then two halves are packed into one 8-lane binary32 vector for
 // round_pack's overflow select.
@@ -174,7 +174,7 @@ inline void round29(__m256i rb, Rounding mode, __m256i& val, __m256i& ovf,
   const __m256i rounded =
       _mm256_andnot_si256(low, _mm256_add_epi64(mag, bias));
   ovf = _mm256_cmpgt_epi64(
-      rounded, _mm256_set1_epi64x(static_cast<long long>(fast32::kMaxMag32)));
+      rounded, _mm256_set1_epi64x(static_cast<long long>(fast::kMaxMag<32>)));
   inexact = _mm256_xor_si256(
       _mm256_cmpeq_epi64(_mm256_and_si256(mag, low), zero),
       _mm256_set1_epi64x(-1));
@@ -218,7 +218,7 @@ inline __m256d widen_pd(__m128i lane4) noexcept {
       _mm256_or_si256(sign, _mm256_andnot_si256(is_zero, w)));
 }
 
-/// fast32::add_round_odd on 4 lanes: TwoSum, then the odd-lsb step toward
+/// fast::add_round_odd on 4 lanes: TwoSum, then the odd-lsb step toward
 /// the error's sign when the sum was inexact and its lsb even.
 inline __m256d add_round_odd_pd(__m256d a, __m256d b) noexcept {
   const __m256d s = _mm256_add_pd(a, b);
@@ -326,7 +326,7 @@ void binary32(const Float32* a, const Float32* b, const Float32* c,
           kTernary ? widen_pd(lanes4(vc)) : _mm256_setzero_pd());
       const __m256i rb = _mm256_castpd_si256(r);
       round29(rb, mode, val[half], ovf[half], inexact[half]);
-      // |r| >= 2^-126: nonzero and outside fold32's tiny band.
+      // |r| >= 2^-126: nonzero and outside fold<32>'s tiny band.
       band[half] = _mm256_cmpgt_epi64(
           _mm256_andnot_si256(_mm256_set1_epi64x(kSign64), rb),
           _mm256_set1_epi64x(kMinNormal32Mag - 1));
@@ -417,7 +417,7 @@ void sqrt32(const Float32* a, Float32* out, unsigned* flags, std::size_t n,
       _mm256_store_si256(reinterpret_cast<__m256i*>(fo), fl);
       for (unsigned h = hard; h != 0; h &= h - 1) {
         const auto j = static_cast<std::size_t>(std::countr_zero(h));
-        ro[j] = impl::sqrt32_lane(xa[j], mode, daz, env, fo[j]);
+        ro[j] = impl::sqrt_lane<32>(xa[j], mode, daz, env, fo[j]);
       }
       res = _mm256_load_si256(reinterpret_cast<const __m256i*>(ro));
       fl = _mm256_load_si256(reinterpret_cast<const __m256i*>(fo));
@@ -429,7 +429,7 @@ void sqrt32(const Float32* a, Float32* out, unsigned* flags, std::size_t n,
   for (; i < n; ++i) {
     unsigned f = 0;
     out[i] = Float32::from_bits(
-        impl::sqrt32_lane(in[i], mode, daz, env, f));
+        impl::sqrt_lane<32>(in[i], mode, daz, env, f));
     flags[i] |= f;
   }
 }
@@ -442,7 +442,7 @@ void add32(const Float32* a, const Float32* b, Float32* out, unsigned* flags,
   binary32<BinOp::kAdd>(
       a, b, nullptr, out, flags, n, mode,
       [&](std::uint32_t x, std::uint32_t y, std::uint32_t, unsigned& f) {
-        return impl::add32_lane(x, y, false, mode, daz, env, f);
+        return impl::add_lane<32>(x, y, false, mode, daz, env, f);
       });
 }
 
@@ -454,7 +454,7 @@ void sub32(const Float32* a, const Float32* b, Float32* out, unsigned* flags,
   binary32<BinOp::kSub>(
       a, b, nullptr, out, flags, n, mode,
       [&](std::uint32_t x, std::uint32_t y, std::uint32_t, unsigned& f) {
-        return impl::add32_lane(x, y, true, mode, daz, env, f);
+        return impl::add_lane<32>(x, y, true, mode, daz, env, f);
       });
 }
 
@@ -466,7 +466,7 @@ void mul32(const Float32* a, const Float32* b, Float32* out, unsigned* flags,
   binary32<BinOp::kMul>(
       a, b, nullptr, out, flags, n, mode,
       [&](std::uint32_t x, std::uint32_t y, std::uint32_t, unsigned& f) {
-        return impl::mul32_lane(x, y, mode, daz, env, f);
+        return impl::mul_lane<32>(x, y, mode, daz, env, f);
       });
 }
 
@@ -478,7 +478,7 @@ void div32(const Float32* a, const Float32* b, Float32* out, unsigned* flags,
   binary32<BinOp::kDiv>(
       a, b, nullptr, out, flags, n, mode,
       [&](std::uint32_t x, std::uint32_t y, std::uint32_t, unsigned& f) {
-        return impl::div32_lane(x, y, mode, daz, env, f);
+        return impl::div_lane<32>(x, y, mode, daz, env, f);
       });
 }
 
@@ -490,7 +490,7 @@ void fma32(const Float32* a, const Float32* b, const Float32* c, Float32* out,
   binary32<BinOp::kFma>(
       a, b, c, out, flags, n, mode,
       [&](std::uint32_t x, std::uint32_t y, std::uint32_t z, unsigned& f) {
-        return impl::fma32_lane(x, y, z, mode, daz, env, f);
+        return impl::fma_lane<32>(x, y, z, mode, daz, env, f);
       });
 }
 
@@ -515,7 +515,7 @@ void narrow_double_to_32(const double* in, std::size_t stride, Float32* out,
       const __m256i band = _mm256_and_si256(
           _mm256_cmpgt_epi64(mag, _mm256_set1_epi64x(kMinNormal32Mag - 1)),
           _mm256_cmpgt_epi64(_mm256_set1_epi64x(static_cast<long long>(
-                                 fast32::kExpMask64)),
+                                 fast::kExpMask64)),
                              mag));
       val[half] = _mm256_blendv_epi8(
           val[half],

@@ -6,21 +6,23 @@
 //
 // Every helper takes the batch Env both as the source of truth it was
 // configured from (mode / daz / ftz are hoisted by the caller) and as
-// scratch for the scalar-fallback lanes, honouring the batch contract
-// that the Env's sticky flags are clobbered. Flags are OR-ed into `fl`.
+// scratch for the scalar-fallback lanes (scalar_lane), honouring the
+// batch contract that the Env's sticky flags are clobbered. Flags are
+// OR-ed into `fl`.
 //
 // Rounding in the common classes is one masked integer add on the
-// encoding (the fast16::narrow16_value construction): consecutive
+// encoding (the fast::narrow16_value construction): consecutive
 // in-format values are a fixed encoding step apart and the carry out of
 // the fraction walks binades correctly, so adding a mode-dependent bias
 // below the first kept bit and masking rounds in all five modes; the
 // kept lsb supplies ties-to-even parity. Each helper's class boundaries
 // route every case with payload semantics, and every case with
-// tininess-after-rounding except fold32's tiny band (fold32_tiny), to the
+// tininess-after-rounding except fold's tiny band (fold_tiny), to the
 // scalar engine instead of reimplementing it.
 //
-// The binary16 arithmetic bodies follow the binary32 ones with the fast16
-// technique (fast16.hpp); they fold through round_pack<16> itself.
+// The arithmetic bodies (add_lane ... sqrt_lane) are one template per
+// op for binary16 and binary32: the construction of fast.hpp, whose
+// preconditions are asserted per format there.
 //
 // Internal header: included only by batch_kernels_portable.cpp and
 // batch_kernels_avx2.cpp.
@@ -33,20 +35,23 @@
 #include <cstdint>
 
 #include "softfloat/env.hpp"
-#include "softfloat/fast16.hpp"
-#include "softfloat/fast32.hpp"
+#include "softfloat/fast.hpp"
 #include "softfloat/ops.hpp"
 
 namespace fpq::softfloat::kernels::impl {
 
 inline constexpr std::uint32_t kSign32 = 0x80000000u;
 inline constexpr std::uint32_t kInf32 = 0x7F800000u;
-inline constexpr std::uint32_t kQNan32 = 0x7FC00000u;
+
+/// The encoding type of format kBits.
+template <int kBits>
+using Bits = typename FormatConstants<kBits>::Storage;
 
 /// Pins the host FPU to round-to-nearest for the duration of a kernel
-/// that runs native double arithmetic (fast32 paths, sqrt), and restores
-/// the caller's whole fenv — including exception flags, so kernels never
-/// leak host flags — on exit. Integer-only kernels don't need one.
+/// that runs native double arithmetic (the arithmetic lanes, sqrt
+/// included), and restores the caller's whole fenv — including exception
+/// flags, so kernels never leak host flags — on exit. Integer-only
+/// kernels don't need one.
 class FenvPin {
  public:
   FenvPin() noexcept {
@@ -60,6 +65,16 @@ class FenvPin {
  private:
   std::fenv_t saved_;
 };
+
+/// One lane on the scalar engine: `op(env)` with the Env's sticky flags
+/// as scratch, its flags OR-ed into `fl`; returns the result encoding.
+template <typename Op>
+inline auto scalar_lane(Env& env, unsigned& fl, Op op) noexcept {
+  env.clear_flags();
+  const auto r = op(env);
+  fl |= env.flags();
+  return r.bits;
+}
 
 /// True when rounding away from zero lands on infinity rather than max
 /// finite for this mode/sign (round_pack's overflow policy).
@@ -89,66 +104,72 @@ inline std::uint64_t round_bias(Rounding mode, bool neg, std::uint64_t low,
   return 0;
 }
 
-/// round_pack<32> (detail.hpp) on a nonzero normal double v with |v| < 2^-126,
-/// without the generic unpack: the result is v rounded onto the binary32
-/// subnormal grid (2^-149), i.e. v * 2^149 = m * 2^-q for the 53-bit
-/// significand m, rounded by the masked add at bit q (>= 30). A q above 63
-/// only ever discards a nonzero remainder below one half, as q = 63 does,
-/// so q is clamped there. Tininess is detected after rounding: a value in
-/// [2^-127, 2^-126) whose 24-bit rounding carries to 2^-126 is not tiny.
-/// FTZ flushes a nonzero subnormal result to zero, raising underflow and
-/// inexact, exactly like round_pack.
-inline std::uint32_t fold32_tiny(std::uint64_t rb, Rounding mode, bool ftz,
-                                 unsigned& fl) noexcept {
+/// round_pack<kBits> (detail.hpp) on a nonzero normal double v with
+/// |v| < 2^emin, without the generic unpack: the result is v rounded onto
+/// the subnormal grid (2^kMinSubExp), i.e. v * 2^-kMinSubExp = m * 2^-q
+/// for the 53-bit significand m, rounded by the masked add at bit
+/// q (>= 54 - p). A q above 63 only ever discards a nonzero remainder
+/// below one half, as q = 63 does, so q is clamped there. Tininess is
+/// detected after rounding: a value in [2^(emin-1), 2^emin) whose p-bit
+/// rounding carries to 2^emin is not tiny. FTZ flushes a nonzero
+/// subnormal result to zero, raising underflow and inexact, exactly like
+/// round_pack.
+template <int kBits>
+inline Bits<kBits> fold_tiny(std::uint64_t rb, Rounding mode, bool ftz,
+                             unsigned& fl) noexcept {
+  using F = fast::FastFormat<kBits>;
   const bool neg = (rb >> 63) != 0;
-  const auto e = static_cast<int>((rb >> 52) & 0x7FF) - 1023;  // <= -127
-  const std::uint64_t m = (rb & fast32::kFracMask64) | (std::uint64_t{1} << 52);
-  const int q = std::min(-e - 97, 63);
+  const auto e = static_cast<int>((rb >> 52) & 0x7FF) - 1023;  // < emin
+  const std::uint64_t m =
+      (rb & fast::kFracMask64) | (std::uint64_t{1} << 52);
+  const int q = std::min(52 + F::kMinSubExp - e, 63);
   const std::uint64_t low = (std::uint64_t{1} << q) - 1;
   const std::uint64_t kept =
       (m + round_bias(mode, neg, low, (m >> q) & 1)) >> q;
-  const std::uint32_t sign = neg ? kSign32 : 0;
-  if (ftz && kept != 0 && kept < 0x00800000u) {
+  const auto sign = static_cast<Bits<kBits>>(neg ? F::kSignMask : 0);
+  if (ftz && kept != 0 && kept < F::kMinNormalBits) {
     fl |= kFlagUnderflow | kFlagInexact;
     return sign;
   }
   if ((m & low) != 0) {
-    const std::uint64_t low24 = 0x1FFFFFFFull;  // 24-bit rounding at e = -127
+    constexpr std::uint64_t kLowP = (std::uint64_t{1} << F::kQ) - 1;
     const bool not_tiny =
-        e == -127 &&
-        ((m + round_bias(mode, neg, low24, (m >> 29) & 1)) >> 29) ==
-            (std::uint64_t{1} << 24);
+        e == F::kEmin - 1 &&
+        ((m + round_bias(mode, neg, kLowP, (m >> F::kQ) & 1)) >> F::kQ) ==
+            (std::uint64_t{1} << F::kPrecision);
     fl |= not_tiny ? kFlagInexact : kFlagInexact | kFlagUnderflow;
   }
-  return sign | static_cast<std::uint32_t>(kept);  // 2^23 packs 2^-126
+  // A kept value of 2^(p-1) packs the smallest normal.
+  return static_cast<Bits<kBits>>(sign | kept);
 }
 
-/// Folds a nonzero normal double carrying a fast32 result (exact, or
+/// Folds a nonzero normal double carrying a fast-path result (exact, or
 /// round-to-odd compressed, or a correctly-rounded binary64 quotient /
-/// root whose double rounding is innocuous — see fast32.hpp) into the
-/// binary32 encoding under `mode`. Magnitudes below 2^-126 take
-/// fold32_tiny, which keeps the scalar engine's exact tininess and FTZ
-/// behaviour; everything else is the masked-add shortcut, whose boundary
+/// root whose double rounding is innocuous — see fast.hpp) into the
+/// kBits encoding under `mode`. Magnitudes below 2^emin take fold_tiny,
+/// which keeps the scalar engine's exact tininess and FTZ behaviour;
+/// everything else is the masked add at q = 53 - p, whose boundary
 /// decisions on the compressed value equal those on the exact one.
-inline std::uint32_t fold32(double v, Rounding mode, Env& env,
-                            unsigned& fl) noexcept {
+template <int kBits>
+inline Bits<kBits> fold(double v, Rounding mode, bool ftz,
+                        unsigned& fl) noexcept {
+  using F = fast::FastFormat<kBits>;
   const std::uint64_t rb = std::bit_cast<std::uint64_t>(v);
   std::uint64_t mag = rb & ~(std::uint64_t{1} << 63);
-  if (mag < (std::uint64_t{897} << 52)) {  // |v| < 2^-126: tiny band
-    return fold32_tiny(rb, mode, env.flush_to_zero(), fl);
-  }
+  if (mag < F::kMinNormalMag) return fold_tiny<kBits>(rb, mode, ftz, fl);
   const bool neg = (rb >> 63) != 0;
-  const std::uint64_t low = 0x1FFFFFFFull;  // 29 discarded bits
-  const std::uint64_t discarded = mag & low;
-  mag = (mag + round_bias(mode, neg, low, (mag >> 29) & 1)) & ~low;
-  const std::uint32_t sign = neg ? kSign32 : 0;
-  if (mag > fast32::kMaxMag32) {
+  constexpr std::uint64_t kLow = (std::uint64_t{1} << F::kQ) - 1;
+  const std::uint64_t discarded = mag & kLow;
+  mag = (mag + round_bias(mode, neg, kLow, (mag >> F::kQ) & 1)) & ~kLow;
+  const auto sign = static_cast<Bits<kBits>>(neg ? F::kSignMask : 0);
+  if (mag > F::kMaxMag) {
     fl |= kFlagOverflow | kFlagInexact;
-    return sign | (overflows_to_inf(mode, neg) ? kInf32 : (kInf32 - 1));
+    return static_cast<Bits<kBits>>(
+        sign | (overflows_to_inf(mode, neg) ? F::kExpMask : F::kMaxFiniteBits));
   }
   if (discarded != 0) fl |= kFlagInexact;
-  return sign |
-         static_cast<std::uint32_t>((mag >> 29) - (std::uint64_t{896} << 23));
+  return static_cast<Bits<kBits>>(
+      sign | ((mag >> F::kQ) - (F::kRebias << F::kSigBits)));
 }
 
 // -- Convert / round-to-int lane bodies (pure integer) ----------------------
@@ -160,10 +181,9 @@ inline std::uint16_t narrow_32_to_16_lane(std::uint32_t p, Rounding mode,
   const std::uint32_t m = p & ~kSign32;
   const auto sign = static_cast<std::uint16_t>((p >> 16) & 0x8000u);
   if (m > kInf32) {  // NaN: payload narrowing / sNaN invalid → scalar
-    env.clear_flags();
-    const Float16 r = convert<16>(Float32::from_bits(p), env);
-    fl |= env.flags();
-    return r.bits;
+    return scalar_lane(env, fl, [&](Env& e) {
+      return convert<16>(Float32::from_bits(p), e);
+    });
   }
   if (m == kInf32) return static_cast<std::uint16_t>(sign | 0x7C00u);
   if (m == 0) return sign;
@@ -202,10 +222,9 @@ inline std::uint16_t narrow_32_to_16_lane(std::uint32_t p, Rounding mode,
   if (m < 0x38800000u) {  // result in the binary16 subnormal band (or
     // rounding up out of it): exact-subnormal flags, tininess after
     // rounding, and FTZ all live in round_pack → scalar
-    env.clear_flags();
-    const Float16 r = convert<16>(Float32::from_bits(p), env);
-    fl |= env.flags();
-    return r.bits;
+    return scalar_lane(env, fl, [&](Env& e) {
+      return convert<16>(Float32::from_bits(p), e);
+    });
   }
   // Normal-result band: masked add at q = 13 (23 - 10 fraction bits).
   const std::uint32_t low = 0x1FFFu;
@@ -233,19 +252,18 @@ inline std::uint16_t narrow_32_to_bf16_lane(std::uint32_t p, Rounding mode,
   const std::uint32_t m = p & ~kSign32;
   const auto sign = static_cast<std::uint16_t>((p >> 16) & 0x8000u);
   if (m > kInf32) {  // NaN → scalar
-    env.clear_flags();
-    const BFloat16 r = convert<kBFloat16>(Float32::from_bits(p), env);
-    fl |= env.flags();
-    return r.bits;
+    return scalar_lane(env, fl, [&](Env& e) {
+      return convert<kBFloat16>(Float32::from_bits(p), e);
+    });
   }
   if (m == kInf32) return static_cast<std::uint16_t>(sign | 0x7F80u);
   if (m == 0) return sign;
   if (m < 0x00800000u) {  // subnormal operand
     if (daz) return sign;
-    env.clear_flags();  // DE + subnormal result (tininess, FTZ) → scalar
-    const BFloat16 r = convert<kBFloat16>(Float32::from_bits(p), env);
-    fl |= env.flags();
-    return r.bits;
+    // DE + subnormal result (tininess, FTZ) → scalar
+    return scalar_lane(env, fl, [&](Env& e) {
+      return convert<kBFloat16>(Float32::from_bits(p), e);
+    });
   }
   const std::uint32_t low = 0xFFFFu;
   const std::uint32_t r =
@@ -267,26 +285,24 @@ inline std::uint32_t narrow_64_to_32_lane(std::uint64_t p, Rounding mode,
   const std::uint64_t m = p & ~(std::uint64_t{1} << 63);
   const std::uint32_t sign =
       static_cast<std::uint32_t>(p >> 32) & kSign32;
-  if (m > fast32::kExpMask64) {  // NaN → scalar
-    env.clear_flags();
-    const Float32 r = convert<32>(Float64::from_bits(p), env);
-    fl |= env.flags();
-    return r.bits;
+  if (m > fast::kExpMask64) {  // NaN → scalar
+    return scalar_lane(env, fl, [&](Env& e) {
+      return convert<32>(Float64::from_bits(p), e);
+    });
   }
-  if (m == fast32::kExpMask64) return sign | kInf32;
+  if (m == fast::kExpMask64) return sign | kInf32;
   if (m == 0) return sign;
   if (m < (std::uint64_t{897} << 52)) {  // |v| < 2^-126: the operand may
     // be a binary64 subnormal (DE/DAZ on the SOURCE format) and the
     // result lands in the binary32 subnormal / underflow band → scalar
-    env.clear_flags();
-    const Float32 r = convert<32>(Float64::from_bits(p), env);
-    fl |= env.flags();
-    return r.bits;
+    return scalar_lane(env, fl, [&](Env& e) {
+      return convert<32>(Float64::from_bits(p), e);
+    });
   }
   const std::uint64_t low = 0x1FFFFFFFull;
   const std::uint64_t r =
       (m + round_bias(mode, sign != 0, low, (m >> 29) & 1)) & ~low;
-  if (r > fast32::kMaxMag32) {
+  if (r > fast::kMaxMag<32>) {
     fl |= kFlagOverflow | kFlagInexact;
     return sign | (overflows_to_inf(mode, sign != 0) ? kInf32 : (kInf32 - 1));
   }
@@ -303,10 +319,9 @@ inline std::uint32_t widen_16_to_32_lane(std::uint16_t p, bool daz, Env& env,
   const std::uint32_t frac = p & 0x3FFu;
   if (be == 0x1F) {
     if (frac != 0) {  // NaN → scalar
-      env.clear_flags();
-      const Float32 r = convert<32>(Float16::from_bits(p), env);
-      fl |= env.flags();
-      return r.bits;
+      return scalar_lane(env, fl, [&](Env& e) {
+        return convert<32>(Float16::from_bits(p), e);
+      });
     }
     return sign | kInf32;
   }
@@ -330,10 +345,9 @@ inline std::uint32_t widen_bf16_to_32_lane(std::uint16_t p, bool daz,
   const std::uint32_t be = (p >> 7) & 0xFFu;
   const std::uint32_t frac = p & 0x7Fu;
   if ((be == 0xFF && frac != 0) || (be == 0 && frac != 0 && !daz)) {
-    env.clear_flags();
-    const Float32 r = convert<32>(BFloat16::from_bits(p), env);
-    fl |= env.flags();
-    return r.bits;
+    return scalar_lane(env, fl, [&](Env& e) {
+      return convert<32>(BFloat16::from_bits(p), e);
+    });
   }
   if (be == 0 && frac != 0) {  // daz: flushed to signed zero, no flags
     return static_cast<std::uint32_t>(p & 0x8000u) << 16;
@@ -349,12 +363,11 @@ inline std::uint64_t widen_32_to_64_lane(std::uint32_t p, bool daz, Env& env,
   const std::uint32_t frac = p & 0x7FFFFFu;
   if (be == 0xFF) {
     if (frac != 0) {  // NaN → scalar
-      env.clear_flags();
-      const Float64 r = convert<64>(Float32::from_bits(p), env);
-      fl |= env.flags();
-      return r.bits;
+      return scalar_lane(env, fl, [&](Env& e) {
+        return convert<64>(Float32::from_bits(p), e);
+      });
     }
-    return sign | fast32::kExpMask64;
+    return sign | fast::kExpMask64;
   }
   if (be != 0) {
     return sign | (static_cast<std::uint64_t>(be + 896) << 52) |
@@ -375,10 +388,9 @@ inline std::uint32_t round_int32_lane(std::uint32_t p, Rounding mode,
   const std::uint32_t m = p & ~kSign32;
   const std::uint32_t sign = p & kSign32;
   if (m > kInf32) {  // NaN → scalar (payload / sNaN invalid)
-    env.clear_flags();
-    const Float32 r = round_to_integral(Float32::from_bits(p), env);
-    fl |= env.flags();
-    return r.bits;
+    return scalar_lane(env, fl, [&](Env& e) {
+      return round_to_integral(Float32::from_bits(p), e);
+    });
   }
   // |v| >= 2^23, infinity, and zero are already integral: exact copy.
   if (m >= 0x4B000000u || m == 0) return p;
@@ -421,341 +433,152 @@ inline std::uint32_t round_int32_lane(std::uint32_t p, Rounding mode,
   return sign | r;
 }
 
-// -- Binary arithmetic lane bodies (fast32 native doubles) ------------------
+// -- Arithmetic lane bodies (binary16 and binary32) -------------------------
 //
 // Each takes the operand encodings and returns the result encoding. The
 // caller pinned the fenv to round-to-nearest. Special operands (NaN,
 // infinity, division by zero) take the scalar softfloat operation, which
 // keeps NaN payload propagation and invalid / divide-by-zero flags
-// canonical; everything else is the fast32 construction (fast32.hpp)
-// folded back in-format by fold32.
+// canonical; everything else is the fast.hpp construction folded back
+// in-format by fold<kBits>.
 
-/// add<32>, or sub<32> when `is_sub`, for one lane. Subtraction is
-/// addition of the sign-flipped addend (a pure bit operation on the
-/// widened value), but the scalar fallback and the exact-zero sign rule
-/// see the original operands.
-inline std::uint32_t add32_lane(std::uint32_t pa, std::uint32_t pb,
-                                bool is_sub, Rounding mode, bool daz,
-                                Env& env, unsigned& fl) noexcept {
-  const Float32 xa = Float32::from_bits(pa);
-  const Float32 xb = Float32::from_bits(pb);
+/// Widens a finite operand: a subnormal is flushed to signed zero under
+/// DAZ and raises kFlagDenormalInput into `de` otherwise.
+template <int kBits>
+inline double operand(Float<kBits> x, bool daz, unsigned& de) noexcept {
+  if (x.is_subnormal()) {
+    if (daz) return x.sign() ? -0.0 : 0.0;
+    de |= kFlagDenormalInput;
+  }
+  return fast::widen(x);
+}
+
+/// add, or sub when `is_sub`, for one lane. Subtraction is addition of
+/// the sign-flipped addend (a pure bit operation on the widened value),
+/// but the scalar fallback and the exact-zero sign rule see the original
+/// operands.
+template <int kBits>
+inline Bits<kBits> add_lane(Bits<kBits> pa, Bits<kBits> pb, bool is_sub,
+                            Rounding mode, bool daz, Env& env,
+                            unsigned& fl) noexcept {
+  const auto xa = Float<kBits>::from_bits(pa);
+  const auto xb = Float<kBits>::from_bits(pb);
   if (!(xa.is_finite() && xb.is_finite())) {
-    env.clear_flags();
-    const Float32 r =
-        is_sub ? softfloat::sub(xa, xb, env) : softfloat::add(xa, xb, env);
-    fl |= env.flags();
-    return r.bits;
+    return scalar_lane(env, fl, [&](Env& e) {
+      return is_sub ? softfloat::sub(xa, xb, e) : softfloat::add(xa, xb, e);
+    });
   }
-  double av = fast32::widen(xa);
-  double bv = fast32::widen(xb);
-  if (daz) {
-    av = fast32::daz32(av);
-    bv = fast32::daz32(bv);
-  } else if (fast32::is_subnormal32(av) || fast32::is_subnormal32(bv)) {
-    fl |= kFlagDenormalInput;
-  }
-  if (is_sub) bv = fast32::flip_sign(bv);
-  const double ro = fast32::add_round_odd(av, bv);
+  const double av = operand(xa, daz, fl);
+  double bv = operand(xb, daz, fl);
+  if (is_sub) bv = fast::flip_sign(bv);
+  const double ro = fast::add_round_odd(av, bv);
   if (ro == 0.0) {
     const bool sa = std::signbit(av);
     const bool sb = std::signbit(bv);
     const bool zs = (av == 0.0 && bv == 0.0 && sa == sb)
                         ? sa
-                        : fast32::exact_zero_sign(mode);
-    return Float32::zero(zs).bits;
+                        : fast::exact_zero_sign(mode);
+    return Float<kBits>::zero(zs).bits;
   }
-  return fold32(ro, mode, env, fl);
+  return fold<kBits>(ro, mode, env.flush_to_zero(), fl);
 }
 
-/// mul<32> for one lane.
-inline std::uint32_t mul32_lane(std::uint32_t pa, std::uint32_t pb,
-                                Rounding mode, bool daz, Env& env,
-                                unsigned& fl) noexcept {
-  const Float32 xa = Float32::from_bits(pa);
-  const Float32 xb = Float32::from_bits(pb);
+/// mul for one lane.
+template <int kBits>
+inline Bits<kBits> mul_lane(Bits<kBits> pa, Bits<kBits> pb, Rounding mode,
+                            bool daz, Env& env, unsigned& fl) noexcept {
+  const auto xa = Float<kBits>::from_bits(pa);
+  const auto xb = Float<kBits>::from_bits(pb);
   if (!(xa.is_finite() && xb.is_finite())) {
-    env.clear_flags();
-    const Float32 r = softfloat::mul(xa, xb, env);
-    fl |= env.flags();
-    return r.bits;
+    return scalar_lane(env, fl,
+                       [&](Env& e) { return softfloat::mul(xa, xb, e); });
   }
-  double av = fast32::widen(xa);
-  double bv = fast32::widen(xb);
-  if (daz) {
-    av = fast32::daz32(av);
-    bv = fast32::daz32(bv);
-  } else if (fast32::is_subnormal32(av) || fast32::is_subnormal32(bv)) {
-    fl |= kFlagDenormalInput;
-  }
-  const double t = av * bv;  // exact: 24+24 significand bits
-  if (t == 0.0) return Float32::zero(std::signbit(t)).bits;  // XOR sign
-  return fold32(t, mode, env, fl);
+  const double av = operand(xa, daz, fl);
+  const double bv = operand(xb, daz, fl);
+  const double t = av * bv;  // exact: 2p significand bits
+  if (t == 0.0) return Float<kBits>::zero(std::signbit(t)).bits;  // XOR sign
+  return fold<kBits>(t, mode, env.flush_to_zero(), fl);
 }
 
-/// div<32> for one lane.
-inline std::uint32_t div32_lane(std::uint32_t pa, std::uint32_t pb,
-                                Rounding mode, bool daz, Env& env,
-                                unsigned& fl) noexcept {
-  const Float32 xa = Float32::from_bits(pa);
-  const Float32 xb = Float32::from_bits(pb);
+/// div for one lane.
+template <int kBits>
+inline Bits<kBits> div_lane(Bits<kBits> pa, Bits<kBits> pb, Rounding mode,
+                            bool daz, Env& env, unsigned& fl) noexcept {
+  const auto xa = Float<kBits>::from_bits(pa);
+  const auto xb = Float<kBits>::from_bits(pb);
   unsigned denormal = 0;
   double av = 0.0;
   double bv = 0.0;
   bool slow = !(xa.is_finite() && xb.is_finite());
   if (!slow) {
-    av = fast32::widen(xa);
-    bv = fast32::widen(xb);
-    if (daz) {
-      av = fast32::daz32(av);
-      bv = fast32::daz32(bv);
-    } else if (fast32::is_subnormal32(av) || fast32::is_subnormal32(bv)) {
-      denormal = kFlagDenormalInput;
-    }
+    av = operand(xa, daz, denormal);
+    bv = operand(xb, daz, denormal);
     slow = bv == 0.0;  // divide-by-zero / 0 over 0: canonical path
   }
   if (slow) {
-    env.clear_flags();
-    const Float32 r = softfloat::div(xa, xb, env);
-    fl |= env.flags();
-    return r.bits;
+    return scalar_lane(env, fl,
+                       [&](Env& e) { return softfloat::div(xa, xb, e); });
   }
   fl |= denormal;
   if (av == 0.0) {  // exact zero quotient, XOR sign
-    return Float32::zero(std::signbit(av) != std::signbit(bv)).bits;
+    return Float<kBits>::zero(std::signbit(av) != std::signbit(bv)).bits;
   }
   // Correctly rounded binary64 quotient; the extra rounding is innocuous
-  // (53 >= 2*24 + 2) and quotients of binary32 values are never
-  // rounding-boundary midpoints, so fold32's decisions equal the exact
-  // quotient's.
-  return fold32(av / bv, mode, env, fl);
+  // and quotients of p-bit values are never rounding-boundary midpoints,
+  // so fold's decisions equal the exact quotient's.
+  return fold<kBits>(av / bv, mode, env.flush_to_zero(), fl);
 }
 
-/// fma<32> for one lane.
-inline std::uint32_t fma32_lane(std::uint32_t pa, std::uint32_t pb,
-                                std::uint32_t pc, Rounding mode, bool daz,
-                                Env& env, unsigned& fl) noexcept {
-  const Float32 xa = Float32::from_bits(pa);
-  const Float32 xb = Float32::from_bits(pb);
-  const Float32 xc = Float32::from_bits(pc);
+/// fma for one lane.
+template <int kBits>
+inline Bits<kBits> fma_lane(Bits<kBits> pa, Bits<kBits> pb, Bits<kBits> pc,
+                            Rounding mode, bool daz, Env& env,
+                            unsigned& fl) noexcept {
+  const auto xa = Float<kBits>::from_bits(pa);
+  const auto xb = Float<kBits>::from_bits(pb);
+  const auto xc = Float<kBits>::from_bits(pc);
   if (!(xa.is_finite() && xb.is_finite() && xc.is_finite())) {
-    env.clear_flags();
-    const Float32 r = softfloat::fma(xa, xb, xc, env);
-    fl |= env.flags();
-    return r.bits;
+    return scalar_lane(
+        env, fl, [&](Env& e) { return softfloat::fma(xa, xb, xc, e); });
   }
-  double av = fast32::widen(xa);
-  double bv = fast32::widen(xb);
-  double cv = fast32::widen(xc);
-  if (daz) {
-    av = fast32::daz32(av);
-    bv = fast32::daz32(bv);
-    cv = fast32::daz32(cv);
-  } else if (fast32::is_subnormal32(av) || fast32::is_subnormal32(bv) ||
-             fast32::is_subnormal32(cv)) {
-    fl |= kFlagDenormalInput;
-  }
+  const double av = operand(xa, daz, fl);
+  const double bv = operand(xb, daz, fl);
+  const double cv = operand(xc, daz, fl);
   const double t = av * bv;  // exact product
-  const double ro = fast32::add_round_odd(t, cv);
-  if (ro == 0.0) {  // exact zero: |t + cv| >= 2^-298 when nonzero
+  const double ro = fast::add_round_odd(t, cv);
+  if (ro == 0.0) {  // exact zero: a nonzero t + cv is a normal double
     const bool psign = std::signbit(av) != std::signbit(bv);
     const bool zs = ((av == 0.0 || bv == 0.0) && cv == 0.0 &&
                      psign == std::signbit(cv))
                         ? psign
-                        : fast32::exact_zero_sign(mode);
-    return Float32::zero(zs).bits;
+                        : fast::exact_zero_sign(mode);
+    return Float<kBits>::zero(zs).bits;
   }
-  return fold32(ro, mode, env, fl);
+  return fold<kBits>(ro, mode, env.flush_to_zero(), fl);
 }
 
-/// sqrt<32> for one lane. The caller pinned the fenv to round-to-nearest.
-inline std::uint32_t sqrt32_lane(std::uint32_t p, Rounding mode, bool daz,
-                                 Env& env, unsigned& fl) noexcept {
-  const std::uint32_t m = p & ~kSign32;
-  if (m > kInf32) {  // NaN → scalar
-    env.clear_flags();
-    const Float32 r = softfloat::sqrt(Float32::from_bits(p), env);
-    fl |= env.flags();
-    return r.bits;
-  }
-  if (m == 0) return p;  // sqrt(±0) = ±0, exact
-  if ((p & kSign32) != 0) {
-    // Negative nonzero (including -inf and negative subnormals even
-    // under DAZ: the scalar op checks the sign before unpacking).
-    fl |= kFlagInvalid;
-    return kQNan32;
-  }
-  if (m == kInf32) return p;  // sqrt(+inf) = +inf
-  double dv;
-  if (m < 0x00800000u) {
-    if (daz) return 0;  // flushed operand: sqrt(+0) = +0, no flags
-    fl |= kFlagDenormalInput;
-    dv = fast32::widen(Float32::from_bits(p));  // integer normalize
-  } else {
-    dv = std::bit_cast<double>((static_cast<std::uint64_t>(m) << 29) +
-                               (std::uint64_t{896} << 52));
-  }
-  // Correctly rounded binary64 root of a binary32 value: the extra
-  // rounding is innocuous (53 >= 2*24 + 2), the result is in
-  // [2^-75, 2^64) — never tiny, never overflowing — and it is a binary32
-  // value exactly when the exact root is one, so the masked add at q=29
-  // both rounds and detects inexactness correctly.
-  const std::uint64_t rb = std::bit_cast<std::uint64_t>(std::sqrt(dv));
-  const std::uint64_t low = 0x1FFFFFFFull;
-  const std::uint64_t r =
-      (rb + round_bias(mode, false, low, (rb >> 29) & 1)) & ~low;
-  if ((rb & low) != 0) fl |= kFlagInexact;
-  return static_cast<std::uint32_t>((r >> 29) - (std::uint64_t{896} << 23));
-}
-
-// -- Binary16 arithmetic lane bodies (fast16 native doubles) ----------------
-//
-// The binary32 bodies' shape at binary16 (see fast16.hpp): operands widen
-// exactly to doubles, the native result is exact (add/sub/mul),
-// innocuously double-rounded (div/sqrt) or round-to-odd compressed (fma),
-// and fold16 rounds it through detail::round_pack<16>. The caller pinned
-// the fenv to round-to-nearest.
-
-/// Widens a finite binary16 operand: a subnormal is flushed to signed
-/// zero under DAZ and raises kFlagDenormalInput into `de` otherwise.
-inline double operand16(Float16 x, bool daz, unsigned& de) noexcept {
-  if (x.is_subnormal()) {
-    if (daz) return x.sign() ? -0.0 : 0.0;
-    de |= kFlagDenormalInput;
-  }
-  return fast16::widen(x);
-}
-
-/// Rounds a nonzero normal double holding a fast16 result into binary16.
-inline std::uint16_t fold16(double v, Env& env, unsigned& fl) noexcept {
-  env.clear_flags();
-  const Float16 r = fast16::round16(v, env);
-  fl |= env.flags();
-  return r.bits;
-}
-
-/// add<16>, or sub<16> when `is_sub`, for one lane.
-inline std::uint16_t add16_lane(std::uint16_t pa, std::uint16_t pb,
-                                bool is_sub, Rounding mode, bool daz,
-                                Env& env, unsigned& fl) noexcept {
-  const Float16 xa = Float16::from_bits(pa);
-  const Float16 xb = Float16::from_bits(pb);
-  if (!(xa.is_finite() && xb.is_finite())) {
-    env.clear_flags();
-    const Float16 r =
-        is_sub ? softfloat::sub(xa, xb, env) : softfloat::add(xa, xb, env);
-    fl |= env.flags();
-    return r.bits;
-  }
-  const double av = operand16(xa, daz, fl);
-  double bv = operand16(xb, daz, fl);
-  if (is_sub) bv = fast32::flip_sign(bv);
-  const double s = av + bv;  // exact in binary64
-  if (s == 0.0) {
-    const bool sa = std::signbit(av);
-    const bool sb = std::signbit(bv);
-    const bool zs = (av == 0.0 && bv == 0.0 && sa == sb)
-                        ? sa
-                        : fast32::exact_zero_sign(mode);
-    return Float16::zero(zs).bits;
-  }
-  return fold16(s, env, fl);
-}
-
-/// mul<16> for one lane.
-inline std::uint16_t mul16_lane(std::uint16_t pa, std::uint16_t pb,
-                                bool daz, Env& env, unsigned& fl) noexcept {
-  const Float16 xa = Float16::from_bits(pa);
-  const Float16 xb = Float16::from_bits(pb);
-  if (!(xa.is_finite() && xb.is_finite())) {
-    env.clear_flags();
-    const Float16 r = softfloat::mul(xa, xb, env);
-    fl |= env.flags();
-    return r.bits;
-  }
-  const double av = operand16(xa, daz, fl);
-  const double bv = operand16(xb, daz, fl);
-  const double t = av * bv;  // exact: 11+11 significand bits
-  if (t == 0.0) return Float16::zero(std::signbit(t)).bits;  // XOR sign
-  return fold16(t, env, fl);
-}
-
-/// div<16> for one lane.
-inline std::uint16_t div16_lane(std::uint16_t pa, std::uint16_t pb,
-                                bool daz, Env& env, unsigned& fl) noexcept {
-  const Float16 xa = Float16::from_bits(pa);
-  const Float16 xb = Float16::from_bits(pb);
-  unsigned denormal = 0;
-  double av = 0.0;
-  double bv = 0.0;
-  bool slow = !(xa.is_finite() && xb.is_finite());
-  if (!slow) {
-    av = operand16(xa, daz, denormal);
-    bv = operand16(xb, daz, denormal);
-    slow = bv == 0.0;  // divide-by-zero / 0 over 0: canonical path
-  }
-  if (slow) {
-    env.clear_flags();
-    const Float16 r = softfloat::div(xa, xb, env);
-    fl |= env.flags();
-    return r.bits;
-  }
-  fl |= denormal;
-  if (av == 0.0) {  // exact zero quotient, XOR sign
-    return Float16::zero(std::signbit(av) != std::signbit(bv)).bits;
-  }
-  return fold16(av / bv, env, fl);  // innocuous double rounding
-}
-
-/// fma<16> for one lane.
-inline std::uint16_t fma16_lane(std::uint16_t pa, std::uint16_t pb,
-                                std::uint16_t pc, Rounding mode, bool daz,
-                                Env& env, unsigned& fl) noexcept {
-  const Float16 xa = Float16::from_bits(pa);
-  const Float16 xb = Float16::from_bits(pb);
-  const Float16 xc = Float16::from_bits(pc);
-  if (!(xa.is_finite() && xb.is_finite() && xc.is_finite())) {
-    env.clear_flags();
-    const Float16 r = softfloat::fma(xa, xb, xc, env);
-    fl |= env.flags();
-    return r.bits;
-  }
-  const double av = operand16(xa, daz, fl);
-  const double bv = operand16(xb, daz, fl);
-  const double cv = operand16(xc, daz, fl);
-  const double t = av * bv;  // exact product
-  const double ro = fast32::add_round_odd(t, cv);
-  if (ro == 0.0) {  // exact zero: |t + cv| >= 2^-48 when nonzero
-    const bool psign = std::signbit(av) != std::signbit(bv);
-    const bool zs = ((av == 0.0 || bv == 0.0) && cv == 0.0 &&
-                     psign == std::signbit(cv))
-                        ? psign
-                        : fast32::exact_zero_sign(mode);
-    return Float16::zero(zs).bits;
-  }
-  return fold16(ro, env, fl);
-}
-
-/// sqrt<16> for one lane.
-inline std::uint16_t sqrt16_lane(std::uint16_t p, bool daz, Env& env,
-                                 unsigned& fl) noexcept {
-  const Float16 x = Float16::from_bits(p);
+/// sqrt for one lane.
+template <int kBits>
+inline Bits<kBits> sqrt_lane(Bits<kBits> p, Rounding mode, bool daz,
+                             Env& env, unsigned& fl) noexcept {
+  const auto x = Float<kBits>::from_bits(p);
   if (x.is_nan()) {
-    env.clear_flags();
-    const Float16 r = softfloat::sqrt(x, env);
-    fl |= env.flags();
-    return r.bits;
+    return scalar_lane(env, fl, [&](Env& e) { return softfloat::sqrt(x, e); });
   }
   if (x.is_zero()) return p;  // sqrt(±0) = ±0, exact
   if (x.sign()) {
     // Negative nonzero (including -inf and negative subnormals even
     // under DAZ: the scalar op checks the sign before unpacking).
     fl |= kFlagInvalid;
-    return Float16::quiet_nan().bits;
+    return Float<kBits>::quiet_nan().bits;
   }
   if (x.is_infinity()) return p;  // sqrt(+inf) = +inf
-  const double v = operand16(x, daz, fl);
+  const double v = operand(x, daz, fl);
   if (v == 0.0) return 0;  // DAZ-flushed operand: sqrt(+0) = +0
-  return fold16(std::sqrt(v), env, fl);  // innocuous double rounding
+  // Correctly rounded binary64 root: the extra rounding is innocuous, and
+  // the root is normal in the format and never overflows, so fold's
+  // masked add both rounds and detects inexactness.
+  return fold<kBits>(std::sqrt(v), mode, env.flush_to_zero(), fl);
 }
 
 }  // namespace fpq::softfloat::kernels::impl

@@ -1,12 +1,15 @@
 // fpq::softfloat — the portable (plain C++) accelerated batch kernels:
-// the per-lane bodies from batch_kernels_impl.hpp (the fast32 / fast16
-// native arithmetic of softfloat/fast32.hpp and fast16.hpp for the
-// binary32 and binary16 ops) in tight branch-light loops the compiler can
-// pipeline. This is the path on CPUs without AVX2, the AVX2 kernels' hard
-// lanes run the same bodies, and the binary16 kernels serve every
-// accelerated variant. Bit- and flag-identical to the scalar batch entry
-// points by the arguments laid out in those headers, and proven so by the
-// exhaustive sweep32 gates, tests/softfloat/test_fast32.cpp and
+// the per-lane bodies from batch_kernels_impl.hpp in tight branch-light
+// loops the compiler can pipeline. The arithmetic kernels are one
+// template per op, instantiated for binary16 and binary32 over the shared
+// lane bodies (the native double construction of softfloat/fast.hpp).
+// This is the path on CPUs without AVX2, the AVX2 kernels' hard lanes
+// run the same bodies, and the binary16 kernels serve every accelerated
+// variant. Bit- and flag-identical to the scalar batch entry points by
+// the arguments laid out in those headers, and proven so by the
+// exhaustive sweep32 gates (the binary16 pair rows run these kernels over
+// every operand pair, sqrt16 over every encoding),
+// tests/softfloat/test_fast32.cpp and
 // tests/parallel/test_kernel_dispatch.cpp.
 #include "softfloat/batch_kernels.hpp"
 
@@ -19,98 +22,110 @@ namespace fpq::softfloat::kernels::portable {
 
 namespace {
 
-/// Shared add/sub loop over impl::add32_lane.
-template <bool kIsSub>
-void addsub32(const Float32* a, const Float32* b, Float32* out,
-              unsigned* flags, std::size_t n, Env& env) noexcept {
-  const impl::FenvPin pin;
-  const Rounding mode = env.rounding();
-  const bool daz = env.denormals_are_zero();
-  for (std::size_t i = 0; i < n; ++i) {
-    unsigned fl = 0;
-    out[i] = Float32::from_bits(
-        impl::add32_lane(a[i].bits, b[i].bits, kIsSub, mode, daz, env, fl));
-    flags[i] |= fl;
-  }
-}
-
-/// The binary16 arithmetic loop: lane(i, fl) returns lane i's encoding
-/// and ORs its flags into fl, under the round-to-nearest pin the fast16
-/// arithmetic needs.
-template <typename Lane>
-void lanes16(Float16* out, unsigned* flags, std::size_t n,
-             Lane lane) noexcept {
+/// The arithmetic loop: lane(i, fl) returns lane i's encoding and ORs its
+/// flags into fl, under the round-to-nearest pin the native arithmetic
+/// needs.
+template <int kBits, typename Lane>
+void arith_lanes(Float<kBits>* out, unsigned* flags, std::size_t n,
+                 Lane lane) noexcept {
   const impl::FenvPin pin;
   for (std::size_t i = 0; i < n; ++i) {
     unsigned fl = 0;
-    out[i] = Float16::from_bits(lane(i, fl));
+    out[i] = Float<kBits>::from_bits(lane(i, fl));
     flags[i] |= fl;
   }
 }
 
 }  // namespace
 
-void add32(const Float32* a, const Float32* b, Float32* out, unsigned* flags,
-           std::size_t n, Env& env) noexcept {
-  addsub32<false>(a, b, out, flags, n, env);
-}
-
-void sub32(const Float32* a, const Float32* b, Float32* out, unsigned* flags,
-           std::size_t n, Env& env) noexcept {
-  addsub32<true>(a, b, out, flags, n, env);
-}
-
-void mul32(const Float32* a, const Float32* b, Float32* out, unsigned* flags,
-           std::size_t n, Env& env) noexcept {
-  const impl::FenvPin pin;
+template <int kBits>
+void add(const Float<kBits>* a, const Float<kBits>* b, Float<kBits>* out,
+         unsigned* flags, std::size_t n, Env& env) noexcept {
   const Rounding mode = env.rounding();
   const bool daz = env.denormals_are_zero();
-  for (std::size_t i = 0; i < n; ++i) {
-    unsigned fl = 0;
-    out[i] = Float32::from_bits(
-        impl::mul32_lane(a[i].bits, b[i].bits, mode, daz, env, fl));
-    flags[i] |= fl;
-  }
+  arith_lanes<kBits>(out, flags, n, [&](std::size_t i, unsigned& fl) {
+    return impl::add_lane<kBits>(a[i].bits, b[i].bits, false, mode, daz, env,
+                                 fl);
+  });
 }
 
-void div32(const Float32* a, const Float32* b, Float32* out, unsigned* flags,
-           std::size_t n, Env& env) noexcept {
-  const impl::FenvPin pin;
+template <int kBits>
+void sub(const Float<kBits>* a, const Float<kBits>* b, Float<kBits>* out,
+         unsigned* flags, std::size_t n, Env& env) noexcept {
   const Rounding mode = env.rounding();
   const bool daz = env.denormals_are_zero();
-  for (std::size_t i = 0; i < n; ++i) {
-    unsigned fl = 0;
-    out[i] = Float32::from_bits(
-        impl::div32_lane(a[i].bits, b[i].bits, mode, daz, env, fl));
-    flags[i] |= fl;
-  }
+  arith_lanes<kBits>(out, flags, n, [&](std::size_t i, unsigned& fl) {
+    return impl::add_lane<kBits>(a[i].bits, b[i].bits, true, mode, daz, env,
+                                 fl);
+  });
 }
 
-void fma32(const Float32* a, const Float32* b, const Float32* c, Float32* out,
-           unsigned* flags, std::size_t n, Env& env) noexcept {
-  const impl::FenvPin pin;
+template <int kBits>
+void mul(const Float<kBits>* a, const Float<kBits>* b, Float<kBits>* out,
+         unsigned* flags, std::size_t n, Env& env) noexcept {
   const Rounding mode = env.rounding();
   const bool daz = env.denormals_are_zero();
-  for (std::size_t i = 0; i < n; ++i) {
-    unsigned fl = 0;
-    out[i] = Float32::from_bits(impl::fma32_lane(
-        a[i].bits, b[i].bits, c[i].bits, mode, daz, env, fl));
-    flags[i] |= fl;
-  }
+  arith_lanes<kBits>(out, flags, n, [&](std::size_t i, unsigned& fl) {
+    return impl::mul_lane<kBits>(a[i].bits, b[i].bits, mode, daz, env, fl);
+  });
 }
 
-void sqrt32(const Float32* a, Float32* out, unsigned* flags, std::size_t n,
-            Env& env) noexcept {
-  const impl::FenvPin pin;
+template <int kBits>
+void div(const Float<kBits>* a, const Float<kBits>* b, Float<kBits>* out,
+         unsigned* flags, std::size_t n, Env& env) noexcept {
   const Rounding mode = env.rounding();
   const bool daz = env.denormals_are_zero();
-  for (std::size_t i = 0; i < n; ++i) {
-    unsigned fl = 0;
-    out[i] = Float32::from_bits(
-        impl::sqrt32_lane(a[i].bits, mode, daz, env, fl));
-    flags[i] |= fl;
-  }
+  arith_lanes<kBits>(out, flags, n, [&](std::size_t i, unsigned& fl) {
+    return impl::div_lane<kBits>(a[i].bits, b[i].bits, mode, daz, env, fl);
+  });
 }
+
+template <int kBits>
+void fma(const Float<kBits>* a, const Float<kBits>* b, const Float<kBits>* c,
+         Float<kBits>* out, unsigned* flags, std::size_t n,
+         Env& env) noexcept {
+  const Rounding mode = env.rounding();
+  const bool daz = env.denormals_are_zero();
+  arith_lanes<kBits>(out, flags, n, [&](std::size_t i, unsigned& fl) {
+    return impl::fma_lane<kBits>(a[i].bits, b[i].bits, c[i].bits, mode, daz,
+                                 env, fl);
+  });
+}
+
+template <int kBits>
+void sqrt(const Float<kBits>* a, Float<kBits>* out, unsigned* flags,
+          std::size_t n, Env& env) noexcept {
+  const Rounding mode = env.rounding();
+  const bool daz = env.denormals_are_zero();
+  arith_lanes<kBits>(out, flags, n, [&](std::size_t i, unsigned& fl) {
+    return impl::sqrt_lane<kBits>(a[i].bits, mode, daz, env, fl);
+  });
+}
+
+template void add<16>(const Float16*, const Float16*, Float16*, unsigned*,
+                      std::size_t, Env&) noexcept;
+template void add<32>(const Float32*, const Float32*, Float32*, unsigned*,
+                      std::size_t, Env&) noexcept;
+template void sub<16>(const Float16*, const Float16*, Float16*, unsigned*,
+                      std::size_t, Env&) noexcept;
+template void sub<32>(const Float32*, const Float32*, Float32*, unsigned*,
+                      std::size_t, Env&) noexcept;
+template void mul<16>(const Float16*, const Float16*, Float16*, unsigned*,
+                      std::size_t, Env&) noexcept;
+template void mul<32>(const Float32*, const Float32*, Float32*, unsigned*,
+                      std::size_t, Env&) noexcept;
+template void div<16>(const Float16*, const Float16*, Float16*, unsigned*,
+                      std::size_t, Env&) noexcept;
+template void div<32>(const Float32*, const Float32*, Float32*, unsigned*,
+                      std::size_t, Env&) noexcept;
+template void fma<16>(const Float16*, const Float16*, const Float16*,
+                      Float16*, unsigned*, std::size_t, Env&) noexcept;
+template void fma<32>(const Float32*, const Float32*, const Float32*,
+                      Float32*, unsigned*, std::size_t, Env&) noexcept;
+template void sqrt<16>(const Float16*, Float16*, unsigned*, std::size_t,
+                       Env&) noexcept;
+template void sqrt<32>(const Float32*, Float32*, unsigned*, std::size_t,
+                       Env&) noexcept;
 
 void round_int32(const Float32* a, Float32* out, unsigned* flags,
                  std::size_t n, Env& env) noexcept {
@@ -204,58 +219,6 @@ void widen_32_to_64(const Float32* a, Float64* out, unsigned* flags,
   }
 }
 
-void add16(const Float16* a, const Float16* b, Float16* out, unsigned* flags,
-           std::size_t n, Env& env) noexcept {
-  const Rounding mode = env.rounding();
-  const bool daz = env.denormals_are_zero();
-  lanes16(out, flags, n, [&](std::size_t i, unsigned& fl) {
-    return impl::add16_lane(a[i].bits, b[i].bits, false, mode, daz, env, fl);
-  });
-}
-
-void sub16(const Float16* a, const Float16* b, Float16* out, unsigned* flags,
-           std::size_t n, Env& env) noexcept {
-  const Rounding mode = env.rounding();
-  const bool daz = env.denormals_are_zero();
-  lanes16(out, flags, n, [&](std::size_t i, unsigned& fl) {
-    return impl::add16_lane(a[i].bits, b[i].bits, true, mode, daz, env, fl);
-  });
-}
-
-void mul16(const Float16* a, const Float16* b, Float16* out, unsigned* flags,
-           std::size_t n, Env& env) noexcept {
-  const bool daz = env.denormals_are_zero();
-  lanes16(out, flags, n, [&](std::size_t i, unsigned& fl) {
-    return impl::mul16_lane(a[i].bits, b[i].bits, daz, env, fl);
-  });
-}
-
-void div16(const Float16* a, const Float16* b, Float16* out, unsigned* flags,
-           std::size_t n, Env& env) noexcept {
-  const bool daz = env.denormals_are_zero();
-  lanes16(out, flags, n, [&](std::size_t i, unsigned& fl) {
-    return impl::div16_lane(a[i].bits, b[i].bits, daz, env, fl);
-  });
-}
-
-void fma16(const Float16* a, const Float16* b, const Float16* c, Float16* out,
-           unsigned* flags, std::size_t n, Env& env) noexcept {
-  const Rounding mode = env.rounding();
-  const bool daz = env.denormals_are_zero();
-  lanes16(out, flags, n, [&](std::size_t i, unsigned& fl) {
-    return impl::fma16_lane(a[i].bits, b[i].bits, c[i].bits, mode, daz, env,
-                            fl);
-  });
-}
-
-void sqrt16(const Float16* a, Float16* out, unsigned* flags, std::size_t n,
-            Env& env) noexcept {
-  const bool daz = env.denormals_are_zero();
-  lanes16(out, flags, n, [&](std::size_t i, unsigned& fl) {
-    return impl::sqrt16_lane(a[i].bits, daz, env, fl);
-  });
-}
-
 void narrow_double_to_16(const double* in, std::size_t stride, Float16* out,
                          std::size_t n, Env& quiet) noexcept {
   const Rounding mode = quiet.rounding();
@@ -270,7 +233,7 @@ void narrow_double_to_16(const double* in, std::size_t stride, Float16* out,
       // (quieting narrow): the scalar convert, flags discarded.
       out[i] = convert<16>(from_native(x), quiet);
     } else {
-      out[i] = fast16::encode(fast16::narrow16_value(x, mode));
+      out[i] = fast::encode(fast::narrow16_value(x, mode));
     }
   }
 }

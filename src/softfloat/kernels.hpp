@@ -7,9 +7,9 @@
 //               every other variant must be bit- and flag-identical to it).
 //   kPortable — plain-C++ accelerated kernels: integer add-and-mask
 //               rounding for converts/round-to-int and operand narrowing,
-//               and the fast32 / fast16 native double technique
-//               (softfloat/fast32.hpp, fast16.hpp) for binary32 and
-//               binary16 arithmetic. No intrinsics; hot loops are written
+//               and the native double technique of softfloat/fast.hpp
+//               for binary32 and binary16 arithmetic (one lane body per
+//               op for both formats). No intrinsics; hot loops are written
 //               so the compiler can auto-vectorize the integer paths.
 //   kAvx2     — hand-vectorized AVX2 kernels for binary32 sqrt, the five
 //               binary32 arithmetic ops and the double -> binary32

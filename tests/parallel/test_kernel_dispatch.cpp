@@ -202,6 +202,23 @@ TEST(KernelDispatchParity, CornerCorpusEveryVariant) {
   }
 }
 
+// The binary16 kernel rows run the dispatched batch entry points and fold
+// their values and flags: sqrt16's whole space and a pair-row prefix that
+// gives every first operand two partners must be clean, with one
+// fingerprint per row under every variant.
+TEST(KernelDispatchParity, Binary16KernelRowsEveryVariant) {
+  for (const sweep32::SweepOp op :
+       {sweep32::SweepOp::kSqrt16, sweep32::SweepOp::kAdd16,
+        sweep32::SweepOp::kSub16, sweep32::SweepOp::kMul16,
+        sweep32::SweepOp::kDiv16, sweep32::SweepOp::kFma16}) {
+    sweep32::Sweep32Config config;
+    config.op = op;
+    config.end = op == sweep32::SweepOp::kSqrt16 ? 0 : std::uint64_t{1} << 17;
+    config.chunk_bits = 14;
+    expect_variant_invariant_sweep(config, sweep32::sweep_op_name(op));
+  }
+}
+
 // The binary16 arithmetic kernels and operand narrowing (the batched
 // tape's binary16 engine) against the kScalar reference loops: every
 // first-operand encoding, seeded partners salted with zero, subnormal,

@@ -20,7 +20,7 @@
 #include "ir/ir.hpp"
 #include "parallel/sweep32.hpp"
 #include "parallel/thread_pool.hpp"
-#include "softfloat/fast16.hpp"
+#include "softfloat/fast.hpp"
 #include "softfloat/ops.hpp"
 #include "softfloat/util.hpp"
 
@@ -236,24 +236,23 @@ TEST(Binary16Exhaustive, BatchedTapeMatchesDirectSoftfloatExhaustively) {
 }
 
 TEST(Binary16Exhaustive, FastNarrowMatchesConvertAtEveryBoundary) {
-  // fast16::narrow16_value (the batched tape's flag-free operand narrow)
+  // fast::narrow16_value (the batched tape's flag-free operand narrow)
   // against softfloat convert<16>, all five rounding modes, probing every
   // adjacent pair of finite binary16 values at the points where rounding
   // decisions flip: the lower value itself, the exact midpoint, and one
   // binary64 ulp to either side of the midpoint. Also the overflow band
   // above max_finite and the underflow band below the smallest subnormal.
-  namespace f16 = sf::fast16;
   const sf::Rounding modes[] = {
       sf::Rounding::kNearestEven, sf::Rounding::kTowardZero,
       sf::Rounding::kDown, sf::Rounding::kUp, sf::Rounding::kNearestAway};
   auto check = [&](double x) {
-    if (x == 0.0 || !f16::is_finite(x)) return;
+    if (x == 0.0 || !std::isfinite(x)) return;
     const std::uint64_t xb = std::bit_cast<std::uint64_t>(x);
     if (((xb >> 52) & 0x7FF) == 0) return;  // double-subnormal: not ours
     for (sf::Rounding mode : modes) {
       sf::Env env(mode);
       const double want = widen(sf::convert<16>(sf::from_native(x), env));
-      const double got = f16::narrow16_value(x, mode);
+      const double got = sf::fast::narrow16_value(x, mode);
       ASSERT_EQ(std::bit_cast<std::uint64_t>(got),
                 std::bit_cast<std::uint64_t>(want))
           << x << " mode " << static_cast<int>(mode);

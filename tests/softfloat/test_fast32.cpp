@@ -1,5 +1,5 @@
 // Differential tests for the binary32 fast path and the vectorized batch
-// kernels (softfloat/fast32.hpp, softfloat/batch_kernels_*.cpp): every
+// kernels (softfloat/fast.hpp, softfloat/batch_kernels_*.cpp): every
 // kernel variant must be bit- and flag-identical to the scalar softfloat
 // reference, across all five rounding modes and every FTZ/DAZ
 // combination. The full proof is the exhaustive sweep32 gate; this suite
@@ -8,7 +8,9 @@
 // permits, and the corpus cross-product for the fallback-lane predicate.
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
+#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -18,12 +20,11 @@
 #include "softfloat/batch.hpp"
 #include "softfloat/batch_kernels_impl.hpp"
 #include "softfloat/detail.hpp"
-#include "softfloat/fast32.hpp"
+#include "softfloat/fast.hpp"
 #include "softfloat/kernels.hpp"
 #include "softfloat/ops.hpp"
 
 namespace sf = fpq::softfloat;
-namespace f32 = fpq::softfloat::fast32;
 namespace sweep32 = fpq::parallel::sweep32;
 
 namespace {
@@ -259,31 +260,54 @@ TEST(Fast32Exhaustive, WidenFrom16AndBf16AllEncodings) {
   }
 }
 
-// The subnormal-operand predicate (fast32::is_subnormal32 on the widened
-// value, which decides DAZ flushes and denormal-input flags) must
-// classify exactly like the encoding itself, and the fast path must agree
-// with the scalar reference on every corpus encoding cross-pair — the
-// encodings built to sit ON the fallback / fast-path boundary.
+// The operand helper (impl::operand, which widens and decides DAZ
+// flushes and denormal-input flags) must agree with the scalar engine's
+// unpack_finite on every corpus encoding and every binary16 encoding —
+// the encodings built to sit ON the fallback / fast-path boundary — and
+// the fast path must agree with the scalar reference on every corpus
+// encoding cross-pair.
+template <int kBits>
+void expect_operand_matches_unpack(sf::Float<kBits> x) {
+  namespace impl = fpq::softfloat::kernels::impl;
+  const double w = sf::fast::widen(x);
+  if (x.is_finite()) {
+    for (const bool daz : {false, true}) {
+      sf::Env env;
+      env.set_denormals_are_zero(daz);
+      const fpq::softfloat::detail::Unpacked u =
+          fpq::softfloat::detail::unpack_finite(x, env);
+      const double mag =
+          u.sig == 0 ? 0.0
+                     : std::ldexp(static_cast<double>(u.sig), u.exp - 63);
+      unsigned de = 0;
+      const double got = impl::operand(x, daz, de);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
+                std::bit_cast<std::uint64_t>(x.sign() ? -mag : mag))
+          << std::hex << x.bits << " daz " << daz;
+      EXPECT_EQ(de, env.flags()) << std::hex << x.bits << " daz " << daz;
+    }
+  }
+  // Exact widen/renarrow roundtrip (quiet NaNs keep payload; the
+  // signaling bit is quieted by the renarrowing convert, so sNaNs are the
+  // one legitimate difference).
+  sf::Env quiet;
+  const sf::Float<kBits> back = sf::convert<kBits>(sf::from_native(w), quiet);
+  if (!x.is_nan()) {
+    EXPECT_EQ(back.bits, x.bits) << std::hex << x.bits;
+  } else {
+    EXPECT_TRUE(back.is_nan());
+  }
+}
+
 TEST(Fast32Corpus, FallbackPredicateMatchesEncodingClassification) {
   for (const std::uint32_t p : sweep32::corner32_patterns()) {
     for (const std::uint32_t s : {0u, 0x8000'0000u}) {
-      const sf::Float32 x = sf::Float32::from_bits(p | s);
-      const double w = f32::widen(x);
-      EXPECT_EQ(f32::is_subnormal32(w),
-                x.biased_exponent() == 0 && x.fraction() != 0 &&
-                    x.is_finite())
-          << std::hex << x.bits;
-      // Exact widen/renarrow roundtrip (quiet NaNs keep payload; the
-      // signaling bit is quieted by the renarrowing convert, so sNaNs
-      // are the one legitimate difference).
-      sf::Env quiet;
-      const sf::Float32 back = sf::convert<32>(sf::from_native(w), quiet);
-      if (!x.is_nan()) {
-        EXPECT_EQ(back.bits, x.bits) << std::hex << x.bits;
-      } else {
-        EXPECT_TRUE(back.is_nan());
-      }
+      expect_operand_matches_unpack(sf::Float32::from_bits(p | s));
     }
+  }
+  for (std::uint32_t p = 0; p <= 0xFFFF; ++p) {
+    expect_operand_matches_unpack(
+        sf::Float16::from_bits(static_cast<std::uint16_t>(p)));
   }
 }
 
@@ -353,52 +377,99 @@ TEST(Fast32Kernels, AliasingOutputOverInput) {
   }
 }
 
-// fold32's tiny band (|v| < 2^-126) against the scalar engine's
-// round_pack<32> on the same double: every binade from 2^-127 down to the
-// smallest normal double, significands at each rounding boundary of the
-// subnormal grid and of the 24-bit grid, both signs, every mode, FTZ off
-// and on.
-TEST(Fast32Primitives, TinyFoldMatchesRoundPack) {
-  namespace impl = fpq::softfloat::kernels::impl;
-  fpq::parallel::sweep_detail::Sm64 g(0x7171'000D);
-  const std::uint64_t frac_mask = f32::kFracMask64;
-  for (int e = -127; e >= -1022; --e) {
-    const int q = std::min(-e - 97, 63);
-    std::vector<std::uint64_t> fracs = {0, frac_mask, g.next() & frac_mask,
-                                        g.next() & frac_mask};
-    for (const int bit : {q - 1, 28, 29}) {
-      if (bit >= 52) continue;
-      const std::uint64_t half = std::uint64_t{1} << bit;
-      const std::uint64_t above = (g.next() & frac_mask) & ~((half << 1) - 1);
-      for (const std::uint64_t f : {above | half, (above | half) - 1,
-                                    (above | half) + 1, above | (half - 1)}) {
-        fracs.push_back(f & frac_mask);
-      }
+/// Checks `fold` against the scalar engine's round_pack<kBits> on every
+/// double of binade 2^e whose fraction is 0, all ones, random, or
+/// straddles the half-way point of a rounding step at one of `bits`; both
+/// signs, every mode, FTZ off and on. `fold(rb, mode, ftz, fl)` returns
+/// the encoding of the double with bit pattern rb.
+template <int kBits, typename Fold>
+void expect_binade_folds_like_round_pack(
+    int e, std::initializer_list<int> bits,
+    fpq::parallel::sweep_detail::Sm64& g, Fold fold) {
+  const std::uint64_t frac_mask = sf::fast::kFracMask64;
+  std::vector<std::uint64_t> fracs = {0, frac_mask, g.next() & frac_mask,
+                                      g.next() & frac_mask};
+  for (const int bit : bits) {
+    if (bit >= 52) continue;
+    const std::uint64_t half = std::uint64_t{1} << bit;
+    const std::uint64_t above = (g.next() & frac_mask) & ~((half << 1) - 1);
+    for (const std::uint64_t f : {above | half, (above | half) - 1,
+                                  (above | half) + 1, above | (half - 1)}) {
+      fracs.push_back(f & frac_mask);
     }
-    for (const std::uint64_t frac : fracs) {
-      for (const std::uint64_t sign : {std::uint64_t{0}, std::uint64_t{1}}) {
-        const std::uint64_t rb =
-            (sign << 63) | (static_cast<std::uint64_t>(e + 1023) << 52) | frac;
-        for (const sf::Rounding mode : kModes) {
-          for (const bool ftz : {false, true}) {
-            sf::Env ref_env(mode);
-            ref_env.set_flush_to_zero(ftz);
-            const sf::Float32 want = fpq::softfloat::detail::round_pack<32>(
-                sign != 0, e, ((frac | (std::uint64_t{1} << 52)) << 11),
-                false, ref_env);
-            unsigned fl = 0;
-            const std::uint32_t got = impl::fold32_tiny(rb, mode, ftz, fl);
-            ASSERT_EQ(got, want.bits)
-                << std::hex << "v bits " << rb << " mode "
-                << static_cast<int>(mode) << " ftz " << ftz;
-            ASSERT_EQ(fl, ref_env.flags())
-                << std::hex << "v bits " << rb << " mode "
-                << static_cast<int>(mode) << " ftz " << ftz;
-          }
+  }
+  for (const std::uint64_t frac : fracs) {
+    for (const std::uint64_t sign : {std::uint64_t{0}, std::uint64_t{1}}) {
+      const std::uint64_t rb =
+          (sign << 63) | (static_cast<std::uint64_t>(e + 1023) << 52) | frac;
+      for (const sf::Rounding mode : kModes) {
+        for (const bool ftz : {false, true}) {
+          sf::Env ref_env(mode);
+          ref_env.set_flush_to_zero(ftz);
+          const sf::Float<kBits> want =
+              fpq::softfloat::detail::round_pack<kBits>(
+                  sign != 0, e, ((frac | (std::uint64_t{1} << 52)) << 11),
+                  false, ref_env);
+          unsigned fl = 0;
+          const auto got = fold(rb, mode, ftz, fl);
+          ASSERT_EQ(got, want.bits)
+              << std::hex << "binary" << kBits << " v bits " << rb
+              << " mode " << static_cast<int>(mode) << " ftz " << ftz;
+          ASSERT_EQ(fl, ref_env.flags())
+              << std::hex << "binary" << kBits << " v bits " << rb
+              << " mode " << static_cast<int>(mode) << " ftz " << ftz;
         }
       }
     }
   }
+}
+
+/// fold_tiny<kBits> (|v| < 2^emin) over every binade from 2^(emin-1) down
+/// to the smallest normal double, straddling each rounding boundary of
+/// the subnormal grid and of the p-bit grid.
+template <int kBits>
+void expect_tiny_fold_matches_round_pack(std::uint64_t seed) {
+  namespace impl = fpq::softfloat::kernels::impl;
+  using F = sf::fast::FastFormat<kBits>;
+  fpq::parallel::sweep_detail::Sm64 g(seed);
+  for (int e = F::kEmin - 1; e >= -1022; --e) {
+    const int q = std::min(52 + F::kMinSubExp - e, 63);
+    ASSERT_NO_FATAL_FAILURE(expect_binade_folds_like_round_pack<kBits>(
+        e, {q - 1, F::kQ - 1, F::kQ}, g,
+        [](std::uint64_t rb, sf::Rounding mode, bool ftz, unsigned& fl) {
+          return impl::fold_tiny<kBits>(rb, mode, ftz, fl);
+        }));
+  }
+}
+
+// The tiny band of fold<kBits> against the scalar engine's round_pack on
+// the same double, at both precisions the lane bodies serve.
+TEST(Fast32Primitives, TinyFoldMatchesRoundPack) {
+  expect_tiny_fold_matches_round_pack<32>(0x7171'000D);
+  expect_tiny_fold_matches_round_pack<16>(0x7171'0016);
+}
+
+/// fold<kBits>'s normal band (the masked add at q = 53 - p) over every
+/// binade from 2^emin (the smallest normal) to two past the largest
+/// finite binade, straddling the tie below the kept lsb and the carry out
+/// of an all-ones fraction into the next binade or overflow.
+template <int kBits>
+void expect_normal_fold_matches_round_pack(std::uint64_t seed) {
+  namespace impl = fpq::softfloat::kernels::impl;
+  using F = sf::fast::FastFormat<kBits>;
+  fpq::parallel::sweep_detail::Sm64 g(seed);
+  for (int e = F::kEmin; e <= F::kEmax + 2; ++e) {
+    ASSERT_NO_FATAL_FAILURE(expect_binade_folds_like_round_pack<kBits>(
+        e, {F::kQ - 1, F::kQ}, g,
+        [](std::uint64_t rb, sf::Rounding mode, bool ftz, unsigned& fl) {
+          return impl::fold<kBits>(std::bit_cast<double>(rb), mode, ftz, fl);
+        }));
+  }
+}
+
+TEST(Fast32Primitives, NormalFoldMatchesRoundPack) {
+  expect_normal_fold_matches_round_pack<16>(0xF01D'0016);
+  expect_normal_fold_matches_round_pack<32>(0xF01D'0020);
 }
 
 // narrow_from_double_n<32>, the tape engine's quiet kVar narrowing,
