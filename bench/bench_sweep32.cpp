@@ -1,7 +1,8 @@
 // The differential verification driver: races the softfloat engine
 // against the host FPU / independent references (and, for sqrt, the tape
-// engines) over a row's whole pattern space, sharded and checkpointed so
-// a run can be killed and resumed, or time-boxed for CI slices.
+// interpreter and the tree walk; --no-tape drops both) over a row's whole
+// pattern space, sharded and checkpointed so a run can be killed and
+// resumed, or time-boxed for CI slices.
 //
 //   bench_sweep32 [--op NAME] [--modes N] [--threads N] [--begin N]
 //                 [--end N] [--chunk-bits N] [--manifest FILE]

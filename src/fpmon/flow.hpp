@@ -201,8 +201,8 @@ struct FlowOptions {
   FlowMode mode = FlowMode::kSampling;
   std::size_t max_sites = FlowLedger::kDefaultMaxSites;
   /// Register as the process-wide seam collector (FlowCollector), so
-  /// instrumented chunk boundaries on OTHER threads (tape engines, pool
-  /// shards) contribute seam samples to this monitor. One collector at a
+  /// instrumented chunk boundaries on OTHER threads (the tape
+  /// interpreter, pool shards) contribute seam samples to this monitor. One collector at a
   /// time; a second concurrent request degrades with a reason.
   bool collect_seams = false;
 };

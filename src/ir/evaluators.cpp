@@ -249,12 +249,8 @@ Outcome evaluate_soft(const Expr& tree, const EvalConfig& config,
   return out;
 }
 
-}  // namespace
-
-Outcome evaluate(const Expr& expr, const EvalConfig& config,
-                 std::span<const double> bindings, TraceSink* trace) {
-  const Expr tree = pipeline_rewrite(expr, config.contract_mul_add,
-                                     config.reassociate);
+Outcome evaluate_format(const Expr& tree, const EvalConfig& config,
+                        std::span<const double> bindings, TraceSink* trace) {
   switch (config.format_bits) {
     case 16:
       return evaluate_soft<16>(tree, config, bindings, trace);
@@ -265,6 +261,21 @@ Outcome evaluate(const Expr& expr, const EvalConfig& config,
     default:
       return evaluate_soft<64>(tree, config, bindings, trace);
   }
+}
+
+}  // namespace
+
+Outcome evaluate(const Expr& expr, const EvalConfig& config,
+                 std::span<const double> bindings, TraceSink* trace) {
+  // Without rewrites the caller's tree is walked as it is. A copy would
+  // bump the shared node's reference count, a cache line that threads
+  // walking one tree at once (sweep32's walk lane) then fight over.
+  if (!config.contract_mul_add && !config.reassociate) {
+    return evaluate_format(expr, config, bindings, trace);
+  }
+  return evaluate_format(
+      pipeline_rewrite(expr, config.contract_mul_add, config.reassociate),
+      config, bindings, trace);
 }
 
 }  // namespace fpq::ir

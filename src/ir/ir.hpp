@@ -7,8 +7,9 @@
 //   trace.hpp      — ProvenanceTrace (per-op exception provenance)
 //   batch.hpp      — BindingTable: the data a batched tape runs over
 //   tape.hpp       — Tape: Expr → flat bytecode (CSE, constant folding,
-//                    content fingerprint), the scalar engine
-//   tape_batch.hpp — batched SoA tape executor over fpq::parallel
+//                    content fingerprint)
+//   tape_batch.hpp — the one tape interpreter (SoA, one row or a batch
+//                    sharded over fpq::parallel)
 #pragma once
 
 #include "ir/batch.hpp"       // IWYU pragma: export

@@ -1,9 +1,7 @@
 #include "ir/tape.hpp"
 
 #include <atomic>
-#include <bit>
 #include <cstdint>
-#include <limits>
 #include <mutex>
 #include <type_traits>
 #include <unordered_map>
@@ -183,7 +181,7 @@ bool try_fold_op(TapeOp op, std::span<const double> kids,
 /// One compile: a post-order emission pass over the (rewritten) tree with
 /// pointer-keyed CSE and flag-clean constant folding, followed by a
 /// linear-scan register-reuse pass (registers are freed at their last
-/// read, so the SoA engines' register files stay small and cache-warm).
+/// read, so the SoA interpreter's register file stays small and cache-warm).
 class TapeCompiler {
  public:
   explicit TapeCompiler(const EvalConfig& config) : config_(config) {}
@@ -306,7 +304,7 @@ class TapeCompiler {
   /// instruction performing its last read (the result register is pinned
   /// to the end), and freed registers are recycled for later
   /// destinations. In-place destinations (dst == operand) are safe: every
-  /// engine reads an instruction's operands before writing its result.
+  /// lane loop reads a lane's operands before writing its result.
   void allocate_registers() {
     auto& code = tape_.code_;
     const std::size_t npc = code.size();
@@ -461,89 +459,6 @@ void Tape::clear_cache() {
   cache.map.clear();
   cache.hits.store(0);
   cache.misses.store(0);
-}
-
-// -- Scalar softfloat engine ------------------------------------------------
-
-namespace {
-
-template <int kBits>
-Outcome run_soft_scalar(const Tape& t, std::span<const double> bindings) {
-  using F = sf::Float<kBits>;
-  using Storage = typename F::Storage;
-  const EvalConfig& cfg = t.config();
-  sf::Env env(cfg.rounding);
-  env.set_flush_to_zero(cfg.flush_to_zero);
-  env.set_denormals_are_zero(cfg.denormals_are_zero);
-
-  const auto narrow_binding = [&](double x) -> F {
-    if constexpr (kBits == 64) {
-      return sf::from_native(x);
-    } else {
-      sf::Env quiet(cfg.rounding);
-      quiet.set_denormals_are_zero(cfg.denormals_are_zero);
-      return sf::convert<kBits>(sf::from_native(x), quiet);
-    }
-  };
-  std::vector<F> regs(t.register_count());
-  const std::span<const std::uint64_t> pool = t.constant_bits();
-  for (const TapeInst& in : t.code()) {
-    switch (in.op) {
-      case TapeOp::kConst:
-        regs[in.dst] = F::from_bits(static_cast<Storage>(pool[in.a]));
-        break;
-      case TapeOp::kVar: {
-        const double bound =
-            in.a < bindings.size()
-                ? bindings[in.a]
-                : std::numeric_limits<double>::quiet_NaN();
-        regs[in.dst] = narrow_binding(bound);
-        break;
-      }
-      case TapeOp::kNeg:
-        regs[in.dst] = regs[in.a].negated();
-        break;
-      case TapeOp::kAdd:
-        regs[in.dst] = sf::add(regs[in.a], regs[in.b], env);
-        break;
-      case TapeOp::kSub:
-        regs[in.dst] = sf::sub(regs[in.a], regs[in.b], env);
-        break;
-      case TapeOp::kMul:
-        regs[in.dst] = sf::mul(regs[in.a], regs[in.b], env);
-        break;
-      case TapeOp::kDiv:
-        regs[in.dst] = sf::div(regs[in.a], regs[in.b], env);
-        break;
-      case TapeOp::kSqrt:
-        regs[in.dst] = sf::sqrt(regs[in.a], env);
-        break;
-      case TapeOp::kFma:
-        regs[in.dst] = sf::fma(regs[in.a], regs[in.b], regs[in.c], env);
-        break;
-      case TapeOp::kCmpEq:
-        regs[in.dst] =
-            sf::equal(regs[in.a], regs[in.b], env) ? F::one() : F::zero();
-        break;
-      case TapeOp::kCmpLt:
-        regs[in.dst] =
-            sf::less(regs[in.a], regs[in.b], env) ? F::one() : F::zero();
-        break;
-    }
-  }
-  Outcome out;
-  out.value = sf::from_native(
-      FormatArith<kBits>::widen(regs[t.result_register()]));
-  out.flags = env.flags();
-  return out;
-}
-
-}  // namespace
-
-Outcome execute(const Tape& tape, std::span<const double> bindings) {
-  return dispatch_format(tape.config().format_bits, [&](auto tag) {
-    return run_soft_scalar<decltype(tag)::value>(tape, bindings);
-  });
 }
 
 }  // namespace fpq::ir

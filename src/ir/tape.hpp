@@ -5,12 +5,12 @@
 // tape is the same program linearized once — a dense instruction array
 // over register slots, a constant pool pre-converted into the target
 // format, and variable-binding slots — so the per-sample cost is a tight
-// loop over plain structs instead of pointer-chasing and dispatch. The
-// differential suite pins the tape bit- and sticky-flag-identical to
-// evaluate_tree. execute_batch's callers and sweep32's tape race compile
-// a tape once per tree and own it; backend ground truth, ir::evaluate
-// (with its per-op TraceSink) and every per-call workloads::EvalContext
-// walk the tree.
+// loop over plain structs instead of pointer-chasing and dispatch. One
+// interpreter runs it (tape_batch.hpp); the differential suite pins it
+// bit- and sticky-flag-identical to evaluate_tree. execute_batch's callers
+// and sweep32's tape race compile a tape once per tree and own it; backend
+// ground truth, ir::evaluate (with its per-op TraceSink), sweep32's walk
+// lane and every per-call workloads::EvalContext walk the tree.
 //
 // Compilation is one post-order pass with two semantics-preserving
 // optimizations:
@@ -89,7 +89,7 @@ struct TapeInst {
 };
 
 /// An Expr compiled for one EvalConfig. Immutable after compile; cheap to
-/// share across threads (execution state lives in the engines).
+/// share across threads (execution state lives in the interpreter).
 class Tape {
  public:
   /// Compiles `expr` for `config`: applies the config's rewrite passes
@@ -159,14 +159,5 @@ class Tape {
 
   friend class TapeCompiler;
 };
-
-/// Scalar softfloat engine: evaluates the tape in its config's format
-/// with no virtual dispatch, keeping intermediates in-format between
-/// operations (bit- and flag-identical to SoftEvaluator's widen/renarrow
-/// discipline because widening is exact and re-narrowing an in-format
-/// value is exact and quiet). Equivalent to evaluate(expr, config,
-/// bindings) on the tape's source expression; per-op provenance comes
-/// from evaluate's TraceSink, not from here.
-Outcome execute(const Tape& tape, std::span<const double> bindings = {});
 
 }  // namespace fpq::ir

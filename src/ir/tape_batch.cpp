@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <stdexcept>
 
 #include "fpmon/flow.hpp"
@@ -61,8 +62,9 @@ void run_soft_lanes(const Tape& t, const double* values, std::size_t width,
           break;
         }
         case TapeOp::kVar:
-          // Column in.a of the row-major block, one stride per row. The
-          // entry points validated width > in.a, so no quiet-NaN lane.
+          // Column in.a of the row-major block, one stride per row. Every
+          // entry point guarantees width > in.a (ir::execute pads a short
+          // row with quiet NaN first).
           sf::narrow_from_double_n<kBits>(values + r0 * width + in.a, width,
                                           d, lanes, quiet);
           break;
@@ -115,14 +117,8 @@ void run_soft_lanes(const Tape& t, const double* values, std::size_t width,
   }
 }
 
-void check_width(const Tape& tape, const BindingTable& table) {
-  if (table.width < tape.required_width()) {
-    throw BindingWidthError(tape.required_width(), table.width);
-  }
-}
-
 /// Dispatch one row block [begin, end) of a row-major value array to the
-/// per-format interpreter. Callers have validated width.
+/// per-format interpreter. Callers guarantee width >= required_width().
 void dispatch_soft(const Tape& tape, const double* values, std::size_t width,
                    std::size_t begin, std::size_t end, Outcome* out) {
   switch (tape.config().format_bits) {
@@ -143,19 +139,14 @@ void dispatch_soft(const Tape& tape, const double* values, std::size_t width,
 
 }  // namespace
 
-void execute_range(const Tape& tape, const BindingTable& table,
-                   std::size_t begin, std::size_t end,
-                   std::span<Outcome> out) {
-  check_width(tape, table);
-  if (begin > end || end > table.rows()) {
-    throw std::invalid_argument("execute_range: [begin, end) not a row "
-                                "range of the table");
-  }
-  if (out.size() != end - begin) {
-    throw std::invalid_argument("execute_range: out.size() != end - begin");
-  }
-  dispatch_soft(tape, table.values.data(), table.width, begin, end,
-                out.data());
+Outcome execute(const Tape& tape, std::span<const double> bindings) {
+  const std::size_t width = tape.required_width();
+  std::vector<double> row(width, std::numeric_limits<double>::quiet_NaN());
+  std::copy_n(bindings.begin(), std::min(bindings.size(), width),
+              row.begin());
+  Outcome out;
+  dispatch_soft(tape, row.data(), width, 0, 1, &out);
+  return out;
 }
 
 void execute_rows(const Tape& tape, std::span<const double> rows,
@@ -181,19 +172,20 @@ std::vector<Outcome> execute_batch(parallel::ThreadPool& pool,
   const std::size_t n = table.rows();
   std::vector<Outcome> out(n);
   if (n == 0) return out;
-  // Satellite fix: ONE width check per batch (evaluate_tree used to
-  // re-check the span per variable per row), and a structured error
-  // instead of quiet-NaN-poisoning every row of a short table. The
-  // per-node quiet-NaN contract survives in the scalar paths.
-  check_width(tape, table);
+  // ONE width check per batch, and a structured error instead of
+  // quiet-NaN-poisoning every row of a short table. The per-node
+  // quiet-NaN contract survives in the tree walk and ir::execute.
+  if (table.width < tape.required_width()) {
+    throw BindingWidthError(tape.required_width(), table.width);
+  }
 
   const std::size_t chunks =
       parallel::recommended_chunks(pool, n, options.min_rows_per_chunk);
   parallel::parallel_map_chunks(
       pool, n, chunks,
       [&](std::size_t, std::size_t begin, std::size_t end) {
-        execute_range(tape, table, begin, end,
-                      std::span<Outcome>(out).subspan(begin, end - begin));
+        dispatch_soft(tape, table.values.data(), table.width, begin, end,
+                      out.data() + begin);
         // Chunk boundaries are fpmon instrumentation seams: when a
         // collect_seams FlowMonitor is registered, harvest the worker's
         // fenv here; otherwise this is one relaxed atomic load.

@@ -15,6 +15,7 @@
 #include <mutex>
 #include <sstream>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "ir/evaluators.hpp"
@@ -88,13 +89,13 @@ struct ChunkStats : ShardDone {
   }
 };
 
-template <int kBits>
+template <int kIn, int kOut>
 std::string describe_mismatch(const char* lane, sf::Rounding mode,
-                              std::uint32_t pattern, sf::Float<kBits> got,
-                              sf::Float<kBits> want) {
+                              sf::Float<kIn> in, sf::Float<kOut> got,
+                              sf::Float<kOut> want) {
   std::ostringstream os;
   os << lane << " mode=" << sf::rounding_to_string(mode) << " input="
-     << sf::describe(sf::Float32{pattern}) << " got=" << sf::describe(got)
+     << sf::describe(in) << " got=" << sf::describe(got)
      << " want=" << sf::describe(want);
   return os.str();
 }
@@ -337,7 +338,7 @@ struct SqrtBuffers {
 constexpr std::size_t kKeepPatterns = std::size_t{1} << 16;
 
 /// One sqrt shard's lanes, checked pattern by pattern. `want` is null
-/// when the reference lane is off and `outs` when the tape lane is.
+/// when the reference lane is off and `outs` when the IR lanes are.
 struct SqrtLanes {
   sf::Rounding mode;
   const sf::Float32* in;
@@ -357,26 +358,26 @@ struct SqrtLanes {
   bool flags_ok(std::size_t i) const {
     return flags[i] == ref_sqrt_flags(in[i], soft[i]);
   }
-  // The tape narrows its kVar operand quietly (no invalid on sNaN by the
+  // The IR lanes narrow their operand quietly (no invalid on sNaN by the
   // evaluators' contract), so flags are compared only for non-NaN inputs;
   // values must agree everywhere.
-  bool tape_ok(std::size_t i, const ir::Outcome& o) const {
+  bool ir_ok(std::size_t i, const ir::Outcome& o) const {
     return o.value.bits == ref_widen64(soft[i]).bits &&
            (in[i].is_nan() || o.flags == flags[i]);
   }
 };
 
 /// Notes each lane that disagrees on pattern i, in lane order: reference,
-/// flags, batched tape, then the scalar tape when `scalar` is set. Only a
-/// mismatch calls it, so the text is built off the hot loop.
+/// flags, tape, then the tree walk when `walk` is set. Only a mismatch
+/// calls it, so the text is built off the hot loop.
 [[gnu::cold, gnu::noinline]] void note_sqrt_mismatches(
-    const SqrtLanes& l, std::size_t i, const ir::Outcome* scalar,
+    const SqrtLanes& l, std::size_t i, const ir::Outcome* walk,
     std::size_t budget, ChunkStats& st) {
   const std::string mode = sf::rounding_to_string(l.mode);
   if (l.want != nullptr && !l.ref_ok(i)) {
     st.note(budget,
             describe_mismatch(l.away() ? "sqrt32/ref" : "sqrt32/hw", l.mode,
-                              l.in[i].bits, l.soft[i], l.want[i]));
+                              l.in[i], l.soft[i], l.want[i]));
   }
   if (l.want != nullptr && !l.flags_ok(i)) {
     std::ostringstream os;
@@ -386,8 +387,8 @@ struct SqrtLanes {
        << sf::flags_to_string(ref_sqrt_flags(l.in[i], l.soft[i]));
     st.note(budget, os.str());
   }
-  const auto tape = [&](const char* lane, const ir::Outcome& o) {
-    if (l.tape_ok(i, o)) return;
+  const auto ir_lane = [&](const char* lane, const ir::Outcome& o) {
+    if (l.ir_ok(i, o)) return;
     std::ostringstream os;
     os << lane << " mode=" << mode << " input=" << sf::describe(l.in[i])
        << " got=" << sf::describe(o.value)
@@ -396,19 +397,28 @@ struct SqrtLanes {
        << " flags=" << sf::flags_to_string(l.flags[i]);
     st.note(budget, os.str());
   };
-  if (l.outs != nullptr) tape("sqrt32/tape", l.outs[i]);
-  if (scalar != nullptr) tape("sqrt32/tape-scalar", *scalar);
+  if (l.outs != nullptr) ir_lane("sqrt32/tape", l.outs[i]);
+  if (walk != nullptr) ir_lane("sqrt32/walk", *walk);
 }
+
+/// The IR lanes' program for one rounding mode: sqrt(x) as a tree for the
+/// walk and compiled for the tape.
+struct SqrtIr {
+  ir::Expr tree;
+  ir::Tape tape;
+};
 
 /// sqrt: soft batch kernel is the canonical lane; raced against the host
 /// FPU (fenv-expressible modes) or the double-path reference
-/// (roundTiesToAway) plus the exact flag reference, and against the tape
-/// engines when configured. The producers fill their buffers first; one
-/// loop then folds the fingerprint and checks every lane of a pattern, so
-/// the independent compares run beside the fold's serial mix64 chain.
+/// (roundTiesToAway) plus the exact flag reference, and, when configured,
+/// against the tape interpreter on every pattern and, on a stride, the
+/// tree walk, which runs neither the tape compiler nor the interpreter.
+/// The producers fill their buffers first; one loop then folds the
+/// fingerprint and checks every lane of a pattern, so the independent
+/// compares run beside the fold's serial mix64 chain.
 ChunkStats run_sqrt_chunk(const Sweep32Config& cfg, sf::Rounding mode,
                           std::uint64_t p0, std::uint64_t p1,
-                          const ir::Tape* tape) {
+                          const SqrtIr* ir_lanes) {
   const std::size_t n = static_cast<std::size_t>(p1 - p0);
   thread_local SqrtBuffers buf;
   buf.in.resize(n);
@@ -432,36 +442,37 @@ ChunkStats run_sqrt_chunk(const Sweep32Config& cfg, sf::Rounding mode,
     }
     lanes.want = buf.want.data();
   }
-  const bool race_tape = cfg.race_tape && tape != nullptr;
-  if (race_tape) {
+  const bool race_ir = cfg.race_tape && ir_lanes != nullptr;
+  if (race_ir) {
     buf.rows.resize(n);
     buf.outs.resize(n);
     for (std::size_t i = 0; i < n; ++i) {
       buf.rows[i] = sf::to_native(ref_widen64(buf.in[i]));
     }
-    ir::execute_rows(*tape, buf.rows, 1, buf.outs);
+    ir::execute_rows(ir_lanes->tape, buf.rows, 1, buf.outs);
     lanes.outs = buf.outs.data();
   }
-  const std::size_t stride = race_tape ? cfg.tape_scalar_stride : 0;
+  const std::size_t stride = race_ir ? cfg.walk_stride : 0;
 
   ChunkStats st;
   st.checked = n;
-  std::size_t next_scalar = stride != 0 ? 0 : n;
+  std::size_t next_walk = stride != 0 ? 0 : n;
   for (std::size_t i = 0; i < n; ++i) {
     st.fingerprint = fold(st.fingerprint, lanes.soft[i].bits, lanes.flags[i]);
     bool ok = true;
     if (lanes.want != nullptr) ok = lanes.ref_ok(i) & lanes.flags_ok(i);
-    if (lanes.outs != nullptr) ok &= lanes.tape_ok(i, lanes.outs[i]);
+    if (lanes.outs != nullptr) ok &= lanes.ir_ok(i, lanes.outs[i]);
     ir::Outcome one;
-    const ir::Outcome* scalar = nullptr;
-    if (i == next_scalar) {
-      one = ir::execute(*tape, std::span<const double>(&buf.rows[i], 1));
-      scalar = &one;
-      ok &= lanes.tape_ok(i, one);
-      next_scalar += stride;
+    const ir::Outcome* walk = nullptr;
+    if (i == next_walk) {
+      one = ir::evaluate(ir_lanes->tree, ir_lanes->tape.config(),
+                         std::span<const double>(&buf.rows[i], 1));
+      walk = &one;
+      ok &= lanes.ir_ok(i, one);
+      next_walk += stride;
     }
     if (!ok) [[unlikely]] {
-      note_sqrt_mismatches(lanes, i, scalar, cfg.max_mismatch_reports, st);
+      note_sqrt_mismatches(lanes, i, walk, cfg.max_mismatch_reports, st);
     }
   }
   if (n > kKeepPatterns) buf = SqrtBuffers{};
@@ -490,8 +501,8 @@ ChunkStats run_round_int_chunk(const Sweep32Config& cfg, sf::Rounding mode,
     if (cfg.race_hardware) {
       const sf::Float32 want = ref_round_to_integral(in[i], mode);
       if (soft[i].bits != want.bits) {
-        st.note(budget, describe_mismatch("round_int32/ref", mode,
-                                          in[i].bits, soft[i], want));
+        st.note(budget, describe_mismatch("round_int32/ref", mode, in[i],
+                                          soft[i], want));
       }
     }
     if (!in[i].is_nan()) {
@@ -499,30 +510,32 @@ ChunkStats run_round_int_chunk(const Sweep32Config& cfg, sf::Rounding mode,
       const bool inexact = (flags[i] & sf::kFlagInexact) != 0;
       if (changed != inexact) {
         st.note(budget, describe_mismatch("round_int32/inexact-contract",
-                                          mode, in[i].bits, soft[i],
-                                          in[i]));
+                                          mode, in[i], soft[i], in[i]));
       }
     }
   }
   return st;
 }
 
-/// Narrowing/widening conversions from binary32: the soft convert_n lanes
-/// vs the independent reference for the destination format.
-template <int kTo, typename RefFn>
-ChunkStats run_convert_from32_chunk(const Sweep32Config& cfg,
-                                    const char* lane, sf::Rounding mode,
-                                    std::uint64_t p0, std::uint64_t p1,
-                                    RefFn ref) {
+/// The conversion rows: the soft convert_n lanes vs the independent
+/// reference for the destination format. The widenings are exact in every
+/// mode, so their references take no mode, but they are swept per mode
+/// anyway — a mode-dependent widening bug is exactly the kind of thing the
+/// sweep exists to catch.
+template <int kTo, int kFrom, typename RefFn>
+ChunkStats run_convert_chunk(const Sweep32Config& cfg, const char* lane,
+                             sf::Rounding mode, std::uint64_t p0,
+                             std::uint64_t p1, RefFn ref) {
+  using From = sf::Float<kFrom>;
   const std::size_t n = static_cast<std::size_t>(p1 - p0);
-  std::vector<sf::Float32> in(n);
+  std::vector<From> in(n);
   std::vector<sf::Float<kTo>> soft(n);
   std::vector<unsigned> flags(n, 0);
   for (std::size_t i = 0; i < n; ++i) {
-    in[i] = sf::Float32{static_cast<std::uint32_t>(p0 + i)};
+    in[i] = From{static_cast<typename From::Storage>(p0 + i)};
   }
   sf::Env env(mode);
-  sf::convert_n<kTo, 32>(in.data(), soft.data(), flags.data(), n, env);
+  sf::convert_n<kTo, kFrom>(in.data(), soft.data(), flags.data(), n, env);
 
   ChunkStats st;
   st.checked = n;
@@ -532,49 +545,14 @@ ChunkStats run_convert_from32_chunk(const Sweep32Config& cfg,
         fold(st.fingerprint, static_cast<std::uint64_t>(soft[i].bits),
              flags[i]);
     if (cfg.race_hardware) {
-      const sf::Float<kTo> want = ref(in[i], mode);
-      if (soft[i].bits != want.bits) {
-        st.note(budget, describe_mismatch<kTo>(lane, mode, in[i].bits,
-                                               soft[i], want));
+      sf::Float<kTo> want;
+      if constexpr (std::is_invocable_v<RefFn, From>) {
+        want = ref(in[i]);
+      } else {
+        want = ref(in[i], mode);
       }
-    }
-  }
-  return st;
-}
-
-/// Widening conversions into binary32 (2^16 spaces): convert_n vs the
-/// integer-rebias references. Exact in every mode, but swept per mode
-/// anyway — a mode-dependent widening bug is exactly the kind of thing
-/// the sweep exists to catch.
-template <int kFrom, typename RefFn>
-ChunkStats run_convert_to32_chunk(const Sweep32Config& cfg,
-                                  const char* lane, sf::Rounding mode,
-                                  std::uint64_t p0, std::uint64_t p1,
-                                  RefFn ref) {
-  const std::size_t n = static_cast<std::size_t>(p1 - p0);
-  std::vector<sf::Float<kFrom>> in(n);
-  std::vector<sf::Float32> soft(n);
-  std::vector<unsigned> flags(n, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    in[i] = sf::Float<kFrom>{
-        static_cast<typename sf::Float<kFrom>::Storage>(p0 + i)};
-  }
-  sf::Env env(mode);
-  sf::convert_n<32, kFrom>(in.data(), soft.data(), flags.data(), n, env);
-
-  ChunkStats st;
-  st.checked = n;
-  const std::size_t budget = cfg.max_mismatch_reports;
-  for (std::size_t i = 0; i < n; ++i) {
-    st.fingerprint = fold(st.fingerprint, soft[i].bits, flags[i]);
-    if (cfg.race_hardware) {
-      const sf::Float32 want = ref(in[i]);
       if (soft[i].bits != want.bits) {
-        std::ostringstream os;
-        os << lane << " mode=" << sf::rounding_to_string(mode) << " input="
-           << sf::describe(in[i]) << " got=" << sf::describe(soft[i])
-           << " want=" << sf::describe(want);
-        st.note(budget, os.str());
+        st.note(budget, describe_mismatch(lane, mode, in[i], soft[i], want));
       }
     }
   }
@@ -711,8 +689,12 @@ template <int kBits>
 ChunkStats run_sample_chunk(const Sweep32Config& cfg, sf::Rounding mode,
                             std::uint64_t p0, std::uint64_t p1) {
   // The soft ops are integer code; the guard sets the direction the host
-  // lane and the references' wide step compute under, once per chunk.
-  const ScopedFenvRounding guard(fenv_mode_of(mode));
+  // lane computes under, once per chunk. Binary16 has no host lane, so it
+  // holds round-to-nearest, which the TwoSum of add, sub and fma pins:
+  // only the div and sqrt references then switch to the sweep mode, and
+  // mul is exact in any direction.
+  const ScopedFenvRounding guard(kBits == 16 ? FE_TONEAREST
+                                             : fenv_mode_of(mode));
   ChunkStats st;
   st.checked = p1 - p0;
   for (std::uint64_t p = p0; p < p1; ++p) {
@@ -856,28 +838,29 @@ ChunkStats run_kernel16_chunk(const Sweep32Config& cfg, sf::Rounding mode,
 
 ChunkStats run_chunk(const Sweep32Config& cfg, sf::Rounding mode,
                      std::uint64_t p0, std::uint64_t p1,
-                     const ir::Tape* tape) {
+                     const SqrtIr* ir_lanes) {
   switch (cfg.op) {
     case SweepOp::kSqrt:
-      return run_sqrt_chunk(cfg, mode, p0, p1, tape);
+      return run_sqrt_chunk(cfg, mode, p0, p1, ir_lanes);
     case SweepOp::kRoundToIntegral:
       return run_round_int_chunk(cfg, mode, p0, p1);
     case SweepOp::kToBinary16:
-      return run_convert_from32_chunk<16>(cfg, "convert32to16", mode, p0,
-                                          p1, ref_narrow16);
+      return run_convert_chunk<16, 32>(cfg, "convert32to16", mode, p0, p1,
+                                       ref_narrow16);
     case SweepOp::kToBinary64:
-      return run_convert_from32_chunk<64>(
-          cfg, "convert32to64", mode, p0, p1,
-          [](sf::Float32 a, sf::Rounding) { return ref_widen64(a); });
+      return run_convert_chunk<64, 32>(cfg, "convert32to64", mode, p0, p1,
+                                       ref_widen64);
     case SweepOp::kToBFloat16:
-      return run_convert_from32_chunk<sf::kBFloat16>(
-          cfg, "convert32tobf16", mode, p0, p1, ref_narrow_bf16);
+      return run_convert_chunk<sf::kBFloat16, 32>(cfg, "convert32tobf16",
+                                                  mode, p0, p1,
+                                                  ref_narrow_bf16);
     case SweepOp::kFromBinary16:
-      return run_convert_to32_chunk<16>(cfg, "convert16to32", mode, p0, p1,
-                                        ref_widen_from16);
+      return run_convert_chunk<32, 16>(cfg, "convert16to32", mode, p0, p1,
+                                       ref_widen_from16);
     case SweepOp::kFromBFloat16:
-      return run_convert_to32_chunk<sf::kBFloat16>(
-          cfg, "convertbf16to32", mode, p0, p1, ref_widen_from_bf16);
+      return run_convert_chunk<32, sf::kBFloat16>(cfg, "convertbf16to32",
+                                                  mode, p0, p1,
+                                                  ref_widen_from_bf16);
     case SweepOp::kSqrt16:
     case SweepOp::kAdd16:
     case SweepOp::kSub16:
@@ -1017,16 +1000,16 @@ Sweep32Report run_sweep32(const Sweep32Config& config) {
     }
   }
 
-  // One sqrt tape per rounding mode (compiled up front; shards share it
-  // read-only).
-  std::vector<ir::Tape> tapes;
+  // One sqrt program per rounding mode (compiled up front; shards share
+  // it read-only).
+  std::vector<SqrtIr> sqrt_ir;
   if (config.op == SweepOp::kSqrt && config.race_tape) {
     const ir::Expr e = ir::Expr::sqrt(ir::Expr::variable("x", 0));
     for (const sf::Rounding mode : modes) {
       ir::EvalConfig ec;
       ec.format_bits = 32;
       ec.rounding = mode;
-      tapes.push_back(ir::Tape::compile(e, ec));
+      sqrt_ir.push_back({e, ir::Tape::compile(e, ec)});
     }
   }
 
@@ -1043,10 +1026,9 @@ Sweep32Report run_sweep32(const Sweep32Config& config) {
         const std::uint64_t p0 = config.begin + chunk_idx * grid.chunk;
         const std::uint64_t p1 =
             std::min<std::uint64_t>(grid.end, p0 + grid.chunk);
-        const ir::Tape* tape =
-            tapes.empty() ? nullptr : &tapes[mode_idx];
-        ChunkStats st =
-            run_chunk(config, modes[mode_idx], p0, p1, tape);
+        const SqrtIr* ir_lanes =
+            sqrt_ir.empty() ? nullptr : &sqrt_ir[mode_idx];
+        ChunkStats st = run_chunk(config, modes[mode_idx], p0, p1, ir_lanes);
 
         const std::lock_guard<std::mutex> lock(mu);
         manifest.record(shard, st);

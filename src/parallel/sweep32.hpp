@@ -13,8 +13,8 @@
 //     where the hardware op exists (sqrt, round-to-int, widening) or an
 //     integer/add-and-mask algorithm that shares no code with the soft
 //     converter (binary16/bfloat16 narrowing and widening). sqrt also
-//     races the tape engines: ir::execute_rows (the batched interpreter)
-//     on every pattern and the scalar ir::execute on a stride;
+//     races the IR: the tape interpreter (ir::execute_rows) on every
+//     pattern and the tree walk (ir::evaluate) on a stride;
 //   * the binary16 kernel rows — sqrt16 over all 2^16 encodings, add16
 //     ... fma16 over all 2^32 operand pairs (decode_pair16) — run the
 //     dispatched batch entry points (sqrt_n<16>, add_n<16> ...
@@ -77,7 +77,7 @@ namespace fpq::parallel::sweep32 {
 /// The grid's rows. An enumerator's value is part of its sweep identity:
 /// new rows are appended, never inserted.
 enum class SweepOp : std::uint8_t {
-  kSqrt,            ///< sqrt(x), all five modes, raced against the tape too
+  kSqrt,            ///< sqrt(x), all five modes, raced against the IR too
   kRoundToIntegral, ///< roundToIntegralExact(x)
   kToBinary16,      ///< convert<16, 32>
   kToBinary64,      ///< convert<64, 32> (exact widening)
@@ -153,11 +153,12 @@ struct Sweep32Config {
   std::chrono::milliseconds deadline{0};
   /// Race the independent reference / host FPU lane.
   bool race_hardware = true;
-  /// Race the tape engines (sqrt only; other ops have no IR node).
+  /// Race the IR lanes (sqrt only; other ops have no IR node): the tape
+  /// interpreter on every pattern and the tree walk on a stride.
   bool race_tape = true;
-  /// Scalar ir::execute is raced every this-many patterns (the batched
-  /// interpreter covers every pattern); 0 disables the scalar lane.
-  std::size_t tape_scalar_stride = 64;
+  /// The tree walk (ir::evaluate) is raced every this-many patterns of a
+  /// shard, starting with its first; 0 disables the walk lane.
+  std::size_t walk_stride = 64;
   /// Cap on human-readable mismatch samples collected per run.
   std::size_t max_mismatch_reports = 8;
 };

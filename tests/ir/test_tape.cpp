@@ -1,5 +1,5 @@
 // The tape differential-parity suite: compiling an Expr to bytecode and
-// executing it on the scalar engine must be BIT-identical (values) and
+// executing one row on the interpreter must be BIT-identical (values) and
 // sticky-flag-identical to the reference tree walk across every format,
 // every rounding mode, FTZ/DAZ and the rewrite passes — CSE and folding
 // change neither values nor flag unions, only how many operations run.
@@ -207,7 +207,7 @@ TEST(TapeCompile, ProcessWideCacheReturnsTheSameTape) {
 // Differential parity: tape execution vs the reference tree walk.
 // ---------------------------------------------------------------------
 
-TEST(TapeParity, ScalarEngineMatchesEvaluateEverywhere) {
+TEST(TapeParity, OneRowExecuteMatchesEvaluateEverywhere) {
   st::Xoshiro256pp g(0x7A9E);
   const auto configs = all_configs();
   for (int i = 0; i < 60; ++i) {
@@ -229,7 +229,7 @@ TEST(TapeParity, ScalarEngineMatchesEvaluateEverywhere) {
 }
 
 TEST(TapeParity, ShortBindingsKeepThePerNodeQuietNanContract) {
-  // Scalar tape paths preserve evaluate_tree's per-node fallback: a
+  // One-row execution preserves evaluate_tree's per-node fallback: a
   // variable beyond the span reads quiet NaN (batched execution instead
   // throws BindingWidthError up front — see the batch suite).
   const E t = E::add(E::variable("a", 0), E::variable("far", 5));

@@ -2,7 +2,7 @@
 // pool is bit- and flag-identical to per-row reference evaluation, at
 // EVERY thread count and under every kernel variant; short binding tables
 // fail structurally (BindingWidthError) instead of quiet-NaN-poisoning
-// rows; and a row range outside the table is rejected, not read.
+// rows; and a malformed row block is rejected, not read.
 
 #include <gtest/gtest.h>
 
@@ -10,6 +10,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <iterator>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -216,30 +217,35 @@ TEST(TapeBatch, ShortTableThrowsStructuredWidthError) {
     EXPECT_EQ(e.provided, 1u);
   }
   std::vector<ir::Outcome> out(narrow.rows());
-  EXPECT_THROW(ir::execute_range(tape, narrow, 0, narrow.rows(), out),
+  EXPECT_THROW(ir::execute_rows(tape, narrow.values, narrow.width, out),
                ir::BindingWidthError);
   // An empty table never validates: there is nothing to evaluate.
   const ir::BindingTable empty;
   EXPECT_TRUE(ir::execute_batch(pool, tape, empty).empty());
 }
 
-// execute_range validates its row range and output span like
-// execute_rows: a range past the table or an output of the wrong size
-// throws instead of reading past the values or writing past `out`.
-TEST(TapeBatch, ExecuteRangeRejectsRangesOutsideTheTable) {
+// execute_rows validates its block before reading it: a width below the
+// tape's, a block that is not whole rows (a zero width included) or an
+// output of the wrong size throws instead of reading past the values or
+// writing past `out`.
+TEST(TapeBatch, ExecuteRowsRejectsMalformedBlocks) {
   const ir::BindingTable table = random_table(16, 2, 0x4A96);
   const ir::Tape tape = ir::Tape::compile(two_var_tree());
+  const std::span<const double> rows(table.values);
   std::vector<ir::Outcome> out(4);
-  EXPECT_THROW(ir::execute_range(tape, table, 14, 18, out),
+  EXPECT_THROW(ir::execute_rows(tape, rows.first(4), 1, out),
+               ir::BindingWidthError);
+  EXPECT_THROW(ir::execute_rows(tape, rows.first(7), 2, out),
                std::invalid_argument);
-  EXPECT_THROW(ir::execute_range(tape, table, 5, 1, out),
+  EXPECT_THROW(ir::execute_rows(tape, rows.first(6), 2, out),
                std::invalid_argument);
-  EXPECT_THROW(ir::execute_range(tape, table, 0, 3, out),
+  EXPECT_THROW(ir::execute_rows(tape, rows.first(10), 2, out),
                std::invalid_argument);
-  EXPECT_THROW(ir::execute_range(tape, table, 0, 5, out),
+  const ir::Tape closed = ir::Tape::compile(E::constant(1.5));
+  EXPECT_THROW(ir::execute_rows(closed, {}, 0, std::span<ir::Outcome>()),
                std::invalid_argument);
-  // The last four rows are a valid range and match per-row evaluation.
-  ir::execute_range(tape, table, 12, 16, out);
+  // The last four rows are a valid block and match per-row evaluation.
+  ir::execute_rows(tape, rows.subspan(24), 2, out);
   for (std::size_t i = 0; i < out.size(); ++i) {
     const ir::Outcome ref =
         ir::evaluate(two_var_tree(), {}, table.row(12 + i));

@@ -2,11 +2,11 @@
 // kPortable, and kAvx2 (where the machine supports it) through the
 // sweep32 machinery must produce ZERO mismatches against the independent
 // references and IDENTICAL sweep fingerprints — including the sqrt
-// tape race, which pins the batched tape engine (running the forced
-// variant's batch kernels) and the scalar ir::execute against the soft
-// lane at every forced variant. The
-// full-2^32 claim is the overnight sweep job; these are complete sweeps
-// of the 2^16 operand spaces plus boundary windows of the 2^32 spaces.
+// IR race, which pins the tape interpreter (running the forced variant's
+// batch kernels) and the tree walk against the soft lane at every forced
+// variant. The full-2^32 claim is the overnight sweep job; these are
+// complete sweeps of the 2^16 operand spaces plus boundary windows of the
+// 2^32 spaces.
 // The variant selects only the execution engine: tape fingerprints and
 // the tape compile memo must not depend on it. The binary16 arithmetic
 // kernels, which sweep32 does not reach, are checked lane by lane
@@ -177,9 +177,9 @@ TEST(KernelDispatchParity, UnaryOpBoundaryWindows) {
       config.begin = w.begin;
       config.end = w.begin + kWin;
       config.chunk_bits = 13;
-      // race_tape stays on: for sqrt this races the batched tape engine
-      // (ir::execute_rows) and the scalar ir::execute stride too — the
-      // tape-gate parity claim at every variant.
+      // race_tape stays on: for sqrt this races the tape interpreter
+      // (ir::execute_rows) and the tree walk stride too — the tape-gate
+      // parity claim at every variant.
       expect_variant_invariant_sweep(
           config, (std::string(sweep32::sweep_op_name(op)) + " " + w.what)
                       .c_str());

@@ -404,9 +404,9 @@ TEST(Sweep32, SqrtSubnormalAndZeroBoundarySliceClean) {
                                           : report.mismatch_samples[0]);
 }
 
-// The special classes with every lane on, the scalar tape on every pattern
+// The special classes with every lane on, the tree walk on every pattern
 // and all five modes: the largest finites into +inf, the sNaN/qNaN edge,
-// and both again with the sign bit set. They run the tape lanes' NaN flag
+// and both again with the sign bit set. They run the IR lanes' NaN flag
 // skip and the roundTiesToAway reference's special-class answers. The
 // lanes only check, so the fingerprint equals a run with every lane off.
 TEST(Sweep32, SqrtSpecialClassSlicesCleanOnEveryLane) {
@@ -418,7 +418,7 @@ TEST(Sweep32, SqrtSpecialClassSlicesCleanOnEveryLane) {
     config.begin = begin;
     config.end = begin + 0x2000u;
     config.chunk_bits = 12;
-    config.tape_scalar_stride = 1;
+    config.walk_stride = 1;
     const sw::Sweep32Report report = sw::run_sweep32(config);
     EXPECT_TRUE(report.complete) << std::hex << begin;
     EXPECT_EQ(report.checked, 5u * 0x2000u) << std::hex << begin;
