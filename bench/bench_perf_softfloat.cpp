@@ -151,10 +151,10 @@ void BM_HardwareDiv64(benchmark::State& state) {
 
 // -- fpq::ir evaluation overhead and batch throughput --------------------
 //
-// The same degree-8 Horner polynomial four ways: a hand-rolled softfloat
+// The same degree-8 Horner polynomial three ways: a hand-rolled softfloat
 // loop (what the pre-IR modules did), a per-call IR tree walk (virtual
-// dispatch + traversal overhead on top of the same 16 softfloat ops), the
-// scalar tape runner, and the batched tape executor sharded over the pool.
+// dispatch + traversal overhead on top of the same 16 softfloat ops), and
+// the batched tape executor sharded over the pool.
 
 constexpr std::array<double, 9> kPolyCoeffs{1.25,  -0.5,  3.0,   0.125,
                                             -2.75, 0.875, -1.5,  2.0,

@@ -71,10 +71,10 @@ RunResult run(const Backend& backend, const ir::Expr& expr,
     mon::ScopedMonitor monitor;
     double value;
     if (backend.format_bits == 64) {
-      ir::NativeEvaluator64 ev;
+      ir::NativeEvaluator<double> ev;
       value = ir::evaluate_tree<double>(expr, ev, bindings);
     } else {
-      ir::NativeEvaluator32 ev;
+      ir::NativeEvaluator<float> ev;
       value = ir::evaluate_tree<double>(expr, ev, bindings);
     }
     return {value, monitor.stop()};

@@ -9,9 +9,10 @@
 //
 // A backend is a plain registry row. `run` executes an fpq::ir tree on
 // the IR evaluator for that row's substrate: SoftEvaluator<k> for
-// softfloat rows, NativeEvaluator64/32 for host rows. The value model is
-// host double: operands round into the row's format on entry and results
-// widen back exactly, so one routine serves every precision.
+// softfloat rows, NativeEvaluator<double>/<float> for host rows. The
+// value model is host double: operands round into the row's format on
+// entry and results widen back exactly, so one routine serves every
+// precision.
 #pragma once
 
 #include <span>

@@ -287,17 +287,7 @@ std::uint64_t FlowReport::fingerprint() const noexcept {
 // -- Host fenv harvest (read-only) ------------------------------------------
 
 ConditionSet current_fenv_conditions() noexcept {
-  const int excepts = std::fetestexcept(FE_ALL_EXCEPT);
-  ConditionSet set;
-  if ((excepts & FE_OVERFLOW) != 0) set.set(Condition::kOverflow);
-  if ((excepts & FE_UNDERFLOW) != 0) set.set(Condition::kUnderflow);
-  if ((excepts & FE_INEXACT) != 0) set.set(Condition::kPrecision);
-  if ((excepts & FE_INVALID) != 0) set.set(Condition::kInvalid);
-  if ((excepts & FE_DIVBYZERO) != 0) set.set(Condition::kDivByZero);
-  if (mxcsr_supported() && denormal_operand_seen()) {
-    set.set(Condition::kDenorm);
-  }
-  return set;
+  return ConditionSet::from_softfloat_flags(sticky_flags());
 }
 
 // -- Trap machinery ----------------------------------------------------------

@@ -1,5 +1,7 @@
 #include "fpmon/hardware.hpp"
 
+#include <cfenv>
+
 #if defined(__x86_64__) || defined(__SSE__)
 #include <immintrin.h>
 #define FPQ_HAVE_MXCSR 1
@@ -56,6 +58,18 @@ void clear_mxcsr_flags() noexcept {
 
 bool denormal_operand_seen() noexcept {
   return mxcsr_supported() && (read_mxcsr() & kMxcsrFlagDenormal) != 0;
+}
+
+unsigned sticky_flags() noexcept {
+  const int excepts = std::fetestexcept(FE_ALL_EXCEPT);
+  unsigned f = 0;
+  if ((excepts & FE_INVALID) != 0) f |= softfloat::kFlagInvalid;
+  if ((excepts & FE_DIVBYZERO) != 0) f |= softfloat::kFlagDivByZero;
+  if ((excepts & FE_OVERFLOW) != 0) f |= softfloat::kFlagOverflow;
+  if ((excepts & FE_UNDERFLOW) != 0) f |= softfloat::kFlagUnderflow;
+  if ((excepts & FE_INEXACT) != 0) f |= softfloat::kFlagInexact;
+  if (denormal_operand_seen()) f |= softfloat::kFlagDenormalInput;
+  return f;
 }
 
 }  // namespace fpq::mon

@@ -64,21 +64,6 @@ std::string ConditionSet::to_string() const {
   return out.empty() ? "none" : out;
 }
 
-namespace {
-
-ConditionSet harvest_fenv(int excepts, bool denormal) {
-  ConditionSet set;
-  if (excepts & FE_OVERFLOW) set.set(Condition::kOverflow);
-  if (excepts & FE_UNDERFLOW) set.set(Condition::kUnderflow);
-  if (excepts & FE_INEXACT) set.set(Condition::kPrecision);
-  if (excepts & FE_INVALID) set.set(Condition::kInvalid);
-  if (excepts & FE_DIVBYZERO) set.set(Condition::kDivByZero);
-  if (denormal) set.set(Condition::kDenorm);
-  return set;
-}
-
-}  // namespace
-
 ScopedMonitor::ScopedMonitor() noexcept {
   saved_excepts_ = std::fetestexcept(FE_ALL_EXCEPT);
   std::feclearexcept(FE_ALL_EXCEPT);
@@ -93,9 +78,7 @@ ScopedMonitor::ScopedMonitor() noexcept {
 
 ConditionSet ScopedMonitor::peek() const noexcept {
   if (stopped_) return result_;
-  const int excepts = std::fetestexcept(FE_ALL_EXCEPT);
-  const bool denorm = track_denormals_ && denormal_operand_seen();
-  return harvest_fenv(excepts, denorm);
+  return ConditionSet::from_softfloat_flags(sticky_flags());
 }
 
 const ConditionSet& ScopedMonitor::stop() noexcept {

@@ -4,22 +4,9 @@
 #include <cstdint>
 
 #include "fpmon/hardware.hpp"
-#include "ir/native_ops.hpp"
 #include "softfloat/value.hpp"
 
 namespace fpq::inject {
-
-unsigned fenv_to_softfloat_flags(int excepts,
-                                 bool denormal_operand) noexcept {
-  unsigned f = 0;
-  if ((excepts & FE_INVALID) != 0) f |= softfloat::kFlagInvalid;
-  if ((excepts & FE_DIVBYZERO) != 0) f |= softfloat::kFlagDivByZero;
-  if ((excepts & FE_OVERFLOW) != 0) f |= softfloat::kFlagOverflow;
-  if ((excepts & FE_UNDERFLOW) != 0) f |= softfloat::kFlagUnderflow;
-  if ((excepts & FE_INEXACT) != 0) f |= softfloat::kFlagInexact;
-  if (denormal_operand) f |= softfloat::kFlagDenormalInput;
-  return f;
-}
 
 int softfloat_flags_to_fenv(unsigned flags) noexcept {
   int e = 0;
@@ -32,41 +19,6 @@ int softfloat_flags_to_fenv(unsigned flags) noexcept {
 }
 
 namespace {
-
-/// Maps a perturbed rounding-direction attribute onto its fenv encoding;
-/// -1 when the attribute has none (roundTiesToAway) or the platform lacks
-/// the macro.
-int fenv_rounding(softfloat::Rounding mode) noexcept {
-  switch (mode) {
-    case softfloat::Rounding::kNearestEven:
-#ifdef FE_TONEAREST
-      return FE_TONEAREST;
-#else
-      return -1;
-#endif
-    case softfloat::Rounding::kTowardZero:
-#ifdef FE_TOWARDZERO
-      return FE_TOWARDZERO;
-#else
-      return -1;
-#endif
-    case softfloat::Rounding::kDown:
-#ifdef FE_DOWNWARD
-      return FE_DOWNWARD;
-#else
-      return -1;
-#endif
-    case softfloat::Rounding::kUp:
-#ifdef FE_UPWARD
-      return FE_UPWARD;
-#else
-      return -1;
-#endif
-    case softfloat::Rounding::kNearestAway:
-      return -1;  // no fenv encoding exists
-  }
-  return -1;
-}
 
 /// RAII snapshot of the complete floating-point environment — rounding
 /// mode, sticky exception flags, and (on x86) the raw MXCSR including the
@@ -133,12 +85,7 @@ NativeInjectingEvaluator::NativeInjectingEvaluator(
 void NativeInjectingEvaluator::swallow_flags() {
   const unsigned mask = injector().swallow_mask();
   if (mask == 0) return;
-  const bool track_de =
-      mon::mxcsr_supported() && (mask & softfloat::kFlagDenormalInput) != 0;
-  const unsigned sticky = fenv_to_softfloat_flags(
-      std::fetestexcept(FE_ALL_EXCEPT),
-      track_de && mon::denormal_operand_seen());
-  const unsigned eaten = sticky & mask;
+  const unsigned eaten = mon::sticky_flags() & mask;
   if (eaten == 0) return;
   std::feclearexcept(softfloat_flags_to_fenv(eaten));
   if ((eaten & softfloat::kFlagDenormalInput) != 0) {
@@ -150,18 +97,15 @@ void NativeInjectingEvaluator::swallow_flags() {
 unsigned NativeInjectingEvaluator::sampled_sticky_flags() {
   // Read-only harvest of the real sticky state, in the Injector's flag
   // vocabulary. fetestexcept and the MXCSR read touch nothing.
-  return fenv_to_softfloat_flags(
-      std::fetestexcept(FE_ALL_EXCEPT),
-      mon::mxcsr_supported() && mon::denormal_operand_seen());
+  return mon::sticky_flags();
 }
 
 double NativeInjectingEvaluator::recompute_rounded(
     Op op, double a, double b, double c, softfloat::Rounding mode) {
-  const int fe_mode = fenv_rounding(mode);
-  if (fe_mode < 0) {
-    // roundTiesToAway (or a platform without the macro): the softfloat
-    // engine's correctly-rounded binary64 recompute produces the value
-    // the hardware would have, and touches no fenv state at all.
+  if (mode == softfloat::Rounding::kNearestAway) {
+    // fenv has no ties-away direction: the softfloat engine's
+    // correctly-rounded binary64 recompute produces the value the
+    // hardware would have, and touches no fenv state at all.
     return InjectingEvaluator::recompute_rounded(op, a, b, c, mode);
   }
   // The snapshot makes the excursion value-only: the perturbed-mode
@@ -170,20 +114,20 @@ double NativeInjectingEvaluator::recompute_rounded(
   // matching the softfloat base class's contract that the nearest-even
   // execution's flag accounting stands.
   FenvSnapshot snapshot;
-  std::fesetround(fe_mode);
+  std::fesetround(mon::fenv_rounding(mode));
   switch (op) {
     case Op::kAdd:
-      return ir::native::add64(a, b);
+      return mon::host::add(a, b);
     case Op::kSub:
-      return ir::native::sub64(a, b);
+      return mon::host::sub(a, b);
     case Op::kMul:
-      return ir::native::mul64(a, b);
+      return mon::host::mul(a, b);
     case Op::kDiv:
-      return ir::native::div64(a, b);
+      return mon::host::div(a, b);
     case Op::kSqrt:
-      return ir::native::sqrt64(a);
+      return mon::host::sqrt(a);
     case Op::kFma:
-      return ir::native::fma64(a, b, c);
+      return mon::host::fma(a, b, c);
   }
   return 0.0;
 }

@@ -37,14 +37,9 @@
 
 namespace fpq::inject {
 
-/// Maps C99 fenv sticky exception bits (a fetestexcept result) plus the
-/// x86 MXCSR denormal-operand bit onto softfloat Flag bits, so native
-/// observations speak the Injector's flag vocabulary.
-unsigned fenv_to_softfloat_flags(int excepts, bool denormal_operand) noexcept;
-
-/// Inverse of the fenv half of the mapping: softfloat Flag bits to the
-/// FE_* excepts mask (kFlagDenormalInput has no fenv bit and is dropped;
-/// the MXCSR DE bit is handled separately).
+/// Inverse of the fenv half of mon::sticky_flags' mapping: softfloat Flag
+/// bits to the FE_* excepts mask (kFlagDenormalInput has no fenv bit and
+/// is dropped; the MXCSR DE bit is handled separately).
 int softfloat_flags_to_fenv(unsigned flags) noexcept;
 
 /// One recorded kernel call: what was evaluated, with which bindings, and
@@ -148,7 +143,7 @@ class NativeInjectingEvaluator : public InjectingEvaluator {
 };
 
 /// Host-FPU injecting context. Walks kernels on the real FPU through
-/// NativeEvaluator64 under the injector's campaign, so an
+/// NativeEvaluator<double> under the injector's campaign, so an
 /// enclosing fpmon::ScopedMonitor observes the faults' genuine hardware
 /// footprint. Each call saves the rounding mode on entry and restores it
 /// on every exit path (including exceptions thrown mid-kernel); the
@@ -163,7 +158,7 @@ class NativeInjectingContext final : public workloads::EvalContext {
               std::span<const double> bindings) override;
 
  private:
-  ir::NativeEvaluator64 native_;
+  ir::NativeEvaluator<double> native_;
   NativeInjectingEvaluator inj_;
   Injector* injector_;
 };

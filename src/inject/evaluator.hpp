@@ -30,7 +30,7 @@
 // Binary64 only: rounding-mode perturbation recomputes operations in
 // binary64, so wrapping a narrower-format evaluator would perturb in the
 // wrong format. The gauntlet wraps ir::SoftEvaluator<64> and
-// ir::NativeEvaluator64.
+// ir::NativeEvaluator<double>.
 #pragma once
 
 #include "inject/fault.hpp"

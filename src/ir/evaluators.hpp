@@ -7,9 +7,12 @@
 // one Outcome type serve every precision.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <span>
+#include <type_traits>
 
+#include "fpmon/hardware.hpp"
 #include "ir/evaluator.hpp"
 #include "ir/rewrite.hpp"
 #include "softfloat/env.hpp"
@@ -169,45 +172,67 @@ class SoftEvaluator final : public Evaluator<double>, public FlagControl {
   TraceSink* trace_ = nullptr;
 };
 
-/// Host-FPU evaluator over binary64: arithmetic goes through opaque
-/// noinline helpers, so the real FPU executes every operation — any
-/// enclosing fpmon::ScopedMonitor observes genuine hardware exceptions.
-/// No per-op trace flags are emitted: draining fenv per operation would
-/// corrupt the enclosing monitor, which is the whole point of this
-/// evaluator. Use SoftEvaluator for provenance traces.
-class NativeEvaluator64 final : public Evaluator<double> {
- public:
-  double constant(const Expr& e) override;
-  double variable(const Expr& e, double bound) override;
-  double neg(const Expr& e, const double& a) override;
-  double add(const Expr& e, const double& a, const double& b) override;
-  double sub(const Expr& e, const double& a, const double& b) override;
-  double mul(const Expr& e, const double& a, const double& b) override;
-  double div(const Expr& e, const double& a, const double& b) override;
-  double sqrt(const Expr& e, const double& a) override;
-  double fma(const Expr& e, const double& a, const double& b,
-             const double& c) override;
-  double cmp_eq(const Expr& e, const double& a, const double& b) override;
-  double cmp_lt(const Expr& e, const double& a, const double& b) override;
-};
+/// Host-FPU evaluator in binary64 (T = double) or binary32 (T = float).
+/// Each arithmetic op is one call into mon::host's opaque ops, so the real
+/// FPU executes it and any enclosing fpmon::ScopedMonitor observes genuine
+/// hardware exceptions. binary32 narrows each operand through the FPU (so
+/// the narrowing itself is observable) and widens results back to double
+/// exactly. No per-op trace flags are emitted: draining fenv per
+/// operation would corrupt the enclosing monitor, which is the whole point
+/// of this evaluator. Use SoftEvaluator for provenance traces.
+template <typename T>
+class NativeEvaluator final : public Evaluator<double> {
+  static_assert(std::is_same_v<T, double> || std::is_same_v<T, float>);
 
-/// Host-FPU evaluator over binary32: operands narrow to float per
-/// operation (through the FPU, so the narrowing itself is observable),
-/// results widen back to double exactly.
-class NativeEvaluator32 final : public Evaluator<double> {
  public:
-  double constant(const Expr& e) override;
-  double variable(const Expr& e, double bound) override;
-  double neg(const Expr& e, const double& a) override;
-  double add(const Expr& e, const double& a, const double& b) override;
-  double sub(const Expr& e, const double& a, const double& b) override;
-  double mul(const Expr& e, const double& a, const double& b) override;
-  double div(const Expr& e, const double& a, const double& b) override;
-  double sqrt(const Expr& e, const double& a) override;
-  double fma(const Expr& e, const double& a, const double& b,
-             const double& c) override;
-  double cmp_eq(const Expr& e, const double& a, const double& b) override;
-  double cmp_lt(const Expr& e, const double& a, const double& b) override;
+  double constant(const Expr& e) override {
+    return widen(narrow(softfloat::to_native(e.node().value)));
+  }
+  double variable(const Expr&, double bound) override {
+    return widen(narrow(bound));
+  }
+  double neg(const Expr&, const double& a) override {
+    // Exact sign-bit flip, NaN included: never raises (IEEE 5.5.1).
+    return std::bit_cast<double>(std::bit_cast<std::uint64_t>(a) ^
+                                 (std::uint64_t{1} << 63));
+  }
+  double add(const Expr&, const double& a, const double& b) override {
+    return widen(mon::host::add(narrow(a), narrow(b)));
+  }
+  double sub(const Expr&, const double& a, const double& b) override {
+    return widen(mon::host::sub(narrow(a), narrow(b)));
+  }
+  double mul(const Expr&, const double& a, const double& b) override {
+    return widen(mon::host::mul(narrow(a), narrow(b)));
+  }
+  double div(const Expr&, const double& a, const double& b) override {
+    return widen(mon::host::div(narrow(a), narrow(b)));
+  }
+  double sqrt(const Expr&, const double& a) override {
+    return widen(mon::host::sqrt(narrow(a)));
+  }
+  double fma(const Expr&, const double& a, const double& b,
+             const double& c) override {
+    return widen(mon::host::fma(narrow(a), narrow(b), narrow(c)));
+  }
+  // Comparisons run on the widened operands: binary32 values compare
+  // exactly in binary64.
+  double cmp_eq(const Expr&, const double& a, const double& b) override {
+    return mon::host::eq(widen(narrow(a)), widen(narrow(b))) ? 1.0 : 0.0;
+  }
+  double cmp_lt(const Expr&, const double& a, const double& b) override {
+    return mon::host::lt(widen(narrow(a)), widen(narrow(b))) ? 1.0 : 0.0;
+  }
+
+ private:
+  static T narrow(double x) {
+    if constexpr (std::is_same_v<T, double>) {
+      return x;
+    } else {
+      return mon::host::narrow(x);
+    }
+  }
+  static double widen(T x) { return static_cast<double>(x); }
 };
 
 /// The one-call entry point: applies the config's rewrite passes, then

@@ -4,22 +4,6 @@ namespace fpq::opt {
 
 namespace {
 
-// Opaque to the optimizer so the operations hit the FPU with the MXCSR
-// state current at call time.
-[[gnu::noinline]] double scaled_product(double a, double b) {
-  volatile double va = a;
-  volatile double vb = b;
-  volatile double r = va * vb;
-  return r;
-}
-
-[[gnu::noinline]] double opaque_add(double a, double b) {
-  volatile double va = a;
-  volatile double vb = b;
-  volatile double r = va + vb;
-  return r;
-}
-
 constexpr double kMinNormal = 2.2250738585072014e-308;   // 2^-1022
 constexpr double kMinSubnormal = 4.9406564584124654e-324;  // 2^-1074
 
@@ -33,24 +17,26 @@ FlushProbeResult probe_flush_modes() noexcept {
   r.ftz_default_on = mon::flush_to_zero_enabled();
   r.daz_default_on = mon::denormals_are_zero_enabled();
 
+  // mon::host's opaque ops run each multiply and add on the FPU under the
+  // MXCSR state current at call time.
   {
     // IEEE mode: halving the smallest normal must give a subnormal.
     mon::ScopedFlushMode ieee(false, false);
-    const double tiny = scaled_product(kMinNormal, 0.5);
+    const double tiny = mon::host::mul(kMinNormal, 0.5);
     r.ieee_gradual_underflow = tiny != 0.0 && tiny < kMinNormal;
   }
   {
     // FTZ: the same computation flushes to zero.
     mon::ScopedFlushMode ftz(true, false);
-    const double tiny = scaled_product(kMinNormal, 0.5);
+    const double tiny = mon::host::mul(kMinNormal, 0.5);
     r.ftz_flushes_results = tiny == 0.0;
   }
   {
     // DAZ: a subnormal *operand* is read as zero; adding it changes nothing
     // and multiplying it by a huge value still gives zero.
     mon::ScopedFlushMode daz(false, true);
-    const double via_add = opaque_add(kMinSubnormal, 0.0);
-    const double via_mul = scaled_product(kMinSubnormal, 1e300);
+    const double via_add = mon::host::add(kMinSubnormal, 0.0);
+    const double via_mul = mon::host::mul(kMinSubnormal, 1e300);
     r.daz_zeroes_operands = via_add == 0.0 && via_mul == 0.0;
   }
   return r;

@@ -18,6 +18,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "fpmon/hardware.hpp"
 #include "ir/evaluators.hpp"
 #include "ir/expr.hpp"
 #include "ir/tape.hpp"
@@ -37,14 +38,9 @@ namespace fpq::parallel::sweep32 {
 
 namespace {
 
-using sweep_detail::fenv_mode_of;
-using sweep_detail::hw_add;
-using sweep_detail::hw_div;
-using sweep_detail::hw_fma;
-using sweep_detail::hw_mul;
-using sweep_detail::hw_sqrt;
-using sweep_detail::hw_sub;
-using sweep_detail::ScopedFenvRounding;
+namespace host = mon::host;
+using mon::fenv_rounding;
+using mon::ScopedFenvRounding;
 using sweep_detail::Sm64;
 
 /// splitmix64 finalizer — the fingerprint mixer. Shared constants with
@@ -83,9 +79,9 @@ struct ShardDone {
 struct ChunkStats : ShardDone {
   std::vector<std::string> samples;
 
-  void note(std::size_t budget, const std::string& text) {
+  void note(const std::string& text) {
     ++mismatches;
-    if (samples.size() < budget) samples.push_back(text);
+    if (samples.size() < kMaxMismatchReports) samples.push_back(text);
   }
 };
 
@@ -309,7 +305,7 @@ class Manifest {
 // -- Chunk bodies -----------------------------------------------------------
 
 /// Host-FPU sqrt of every lane under the ambient fenv direction: four
-/// lanes per SSE sqrtps where the target has it, hw_sqrt elsewhere.
+/// lanes per SSE sqrtps where the target has it, host::sqrt elsewhere.
 void host_sqrt_n(const sf::Float32* in, sf::Float32* out, std::size_t n) {
   static_assert(sizeof(sf::Float32) == sizeof(float));
   std::size_t i = 0;
@@ -322,7 +318,7 @@ void host_sqrt_n(const sf::Float32* in, sf::Float32* out, std::size_t n) {
   }
 #endif
   for (; i < n; ++i) {
-    out[i] = sf::from_native(hw_sqrt<float>(sf::to_native(in[i])));
+    out[i] = sf::from_native(host::sqrt<float>(sf::to_native(in[i])));
   }
 }
 
@@ -372,11 +368,10 @@ struct SqrtLanes {
 /// calls it, so the text is built off the hot loop.
 [[gnu::cold, gnu::noinline]] void note_sqrt_mismatches(
     const SqrtLanes& l, std::size_t i, const ir::Outcome* walk,
-    std::size_t budget, ChunkStats& st) {
+    ChunkStats& st) {
   const std::string mode = sf::rounding_to_string(l.mode);
   if (l.want != nullptr && !l.ref_ok(i)) {
-    st.note(budget,
-            describe_mismatch(l.away() ? "sqrt32/ref" : "sqrt32/hw", l.mode,
+    st.note(describe_mismatch(l.away() ? "sqrt32/ref" : "sqrt32/hw", l.mode,
                               l.in[i], l.soft[i], l.want[i]));
   }
   if (l.want != nullptr && !l.flags_ok(i)) {
@@ -385,7 +380,7 @@ struct SqrtLanes {
        << " got=" << sf::describe(l.soft[i])
        << " flags=" << sf::flags_to_string(l.flags[i]) << " want flags="
        << sf::flags_to_string(ref_sqrt_flags(l.in[i], l.soft[i]));
-    st.note(budget, os.str());
+    st.note(os.str());
   }
   const auto ir_lane = [&](const char* lane, const ir::Outcome& o) {
     if (l.ir_ok(i, o)) return;
@@ -395,7 +390,7 @@ struct SqrtLanes {
        << " flags=" << sf::flags_to_string(o.flags)
        << " want=" << sf::describe(ref_widen64(l.soft[i]))
        << " flags=" << sf::flags_to_string(l.flags[i]);
-    st.note(budget, os.str());
+    st.note(os.str());
   };
   if (l.outs != nullptr) ir_lane("sqrt32/tape", l.outs[i]);
   if (walk != nullptr) ir_lane("sqrt32/walk", *walk);
@@ -437,7 +432,7 @@ ChunkStats run_sqrt_chunk(const Sweep32Config& cfg, sf::Rounding mode,
     if (lanes.away()) {
       ref_sqrt_away_n(buf.in, buf.want);
     } else {
-      const ScopedFenvRounding guard(fenv_mode_of(mode));
+      const ScopedFenvRounding guard(fenv_rounding(mode));
       host_sqrt_n(buf.in.data(), buf.want.data(), n);
     }
     lanes.want = buf.want.data();
@@ -472,7 +467,7 @@ ChunkStats run_sqrt_chunk(const Sweep32Config& cfg, sf::Rounding mode,
       next_walk += stride;
     }
     if (!ok) [[unlikely]] {
-      note_sqrt_mismatches(lanes, i, walk, cfg.max_mismatch_reports, st);
+      note_sqrt_mismatches(lanes, i, walk, st);
     }
   }
   if (n > kKeepPatterns) buf = SqrtBuffers{};
@@ -495,22 +490,21 @@ ChunkStats run_round_int_chunk(const Sweep32Config& cfg, sf::Rounding mode,
 
   ChunkStats st;
   st.checked = n;
-  const std::size_t budget = cfg.max_mismatch_reports;
   for (std::size_t i = 0; i < n; ++i) {
     st.fingerprint = fold(st.fingerprint, soft[i].bits, flags[i]);
     if (cfg.race_hardware) {
       const sf::Float32 want = ref_round_to_integral(in[i], mode);
       if (soft[i].bits != want.bits) {
-        st.note(budget, describe_mismatch("round_int32/ref", mode, in[i],
-                                          soft[i], want));
+        st.note(describe_mismatch("round_int32/ref", mode, in[i], soft[i],
+                                  want));
       }
     }
     if (!in[i].is_nan()) {
       const bool changed = soft[i].bits != in[i].bits;
       const bool inexact = (flags[i] & sf::kFlagInexact) != 0;
       if (changed != inexact) {
-        st.note(budget, describe_mismatch("round_int32/inexact-contract",
-                                          mode, in[i], soft[i], in[i]));
+        st.note(describe_mismatch("round_int32/inexact-contract", mode,
+                                  in[i], soft[i], in[i]));
       }
     }
   }
@@ -539,7 +533,6 @@ ChunkStats run_convert_chunk(const Sweep32Config& cfg, const char* lane,
 
   ChunkStats st;
   st.checked = n;
-  const std::size_t budget = cfg.max_mismatch_reports;
   for (std::size_t i = 0; i < n; ++i) {
     st.fingerprint =
         fold(st.fingerprint, static_cast<std::uint64_t>(soft[i].bits),
@@ -552,7 +545,7 @@ ChunkStats run_convert_chunk(const Sweep32Config& cfg, const char* lane,
         want = ref(in[i], mode);
       }
       if (soft[i].bits != want.bits) {
-        st.note(budget, describe_mismatch(lane, mode, in[i], soft[i], want));
+        st.note(describe_mismatch(lane, mode, in[i], soft[i], want));
       }
     }
   }
@@ -622,17 +615,17 @@ sf::Float<kBits> host_result(const Case<kBits>& k) {
   const auto b = sf::to_native(k.b);
   switch (k.op) {
     case Arith::kAdd:
-      return sf::from_native(hw_add(a, b));
+      return sf::from_native(host::add(a, b));
     case Arith::kSub:
-      return sf::from_native(hw_sub(a, b));
+      return sf::from_native(host::sub(a, b));
     case Arith::kMul:
-      return sf::from_native(hw_mul(a, b));
+      return sf::from_native(host::mul(a, b));
     case Arith::kDiv:
-      return sf::from_native(hw_div(a, b));
+      return sf::from_native(host::div(a, b));
     case Arith::kSqrt:
-      return sf::from_native(hw_sqrt(a));
+      return sf::from_native(host::sqrt(a));
     case Arith::kFma:
-      return sf::from_native(hw_fma(a, b, sf::to_native(k.c)));
+      return sf::from_native(host::fma(a, b, sf::to_native(k.c)));
   }
   return {};
 }
@@ -694,7 +687,7 @@ ChunkStats run_sample_chunk(const Sweep32Config& cfg, sf::Rounding mode,
   // only the div and sqrt references then switch to the sweep mode, and
   // mul is exact in any direction.
   const ScopedFenvRounding guard(kBits == 16 ? FE_TONEAREST
-                                             : fenv_mode_of(mode));
+                                             : fenv_rounding(mode));
   ChunkStats st;
   st.checked = p1 - p0;
   for (std::uint64_t p = p0; p < p1; ++p) {
@@ -710,8 +703,7 @@ ChunkStats run_sample_chunk(const Sweep32Config& cfg, sf::Rounding mode,
       want = host_result(k);
     }
     if (kBits == 16 ? got.bits != want.bits : !same_result(got, want)) {
-      st.note(cfg.max_mismatch_reports,
-              describe_case(sweep_op_name(cfg.op), mode, k, got, want));
+      st.note(describe_case(sweep_op_name(cfg.op), mode, k, got, want));
     }
   }
   return st;
@@ -806,7 +798,7 @@ ChunkStats run_kernel16_chunk(const Sweep32Config& cfg, sf::Rounding mode,
   // mode for div and sqrt, round-to-nearest for the TwoSum of add, sub
   // and fma. Holding it for the whole loop makes those pins no-ops.
   const bool directed_ref = op == Arith::kDiv || op == Arith::kSqrt;
-  const ScopedFenvRounding guard(directed_ref ? fenv_mode_of(mode)
+  const ScopedFenvRounding guard(directed_ref ? fenv_rounding(mode)
                                               : FE_TONEAREST);
   const bool vs_scalar = cfg.race_hardware && sf::active_kernel_variant() !=
                                                   sf::KernelVariant::kScalar;
@@ -820,15 +812,13 @@ ChunkStats run_kernel16_chunk(const Sweep32Config& cfg, sf::Rounding mode,
     const Case<16> k{op, buf.a[i], buf.b[i], buf.c[i]};
     const sf::Float16 want = ref_result(k, mode);
     if (got.bits != want.bits) {
-      st.note(cfg.max_mismatch_reports,
-              describe_case(lane, mode, k, got, want));
+      st.note(describe_case(lane, mode, k, got, want));
     }
     if (!vs_scalar) continue;
     sf::Env scalar_env(mode);
     const sf::Float16 scalar = soft_result(k, scalar_env);
     if (scalar.bits != got.bits || scalar_env.flags() != buf.flags[i]) {
-      st.note(cfg.max_mismatch_reports,
-              describe_scalar_mismatch(lane, mode, k, got, buf.flags[i],
+      st.note(describe_scalar_mismatch(lane, mode, k, got, buf.flags[i],
                                        scalar, scalar_env.flags()));
     }
   }
@@ -1036,8 +1026,7 @@ Sweep32Report run_sweep32(const Sweep32Config& config) {
         report.run_checked += st.checked;
         report.run_mismatches += st.mismatches;
         for (std::string& s : st.samples) {
-          if (report.mismatch_samples.size() <
-              config.max_mismatch_reports) {
+          if (report.mismatch_samples.size() < kMaxMismatchReports) {
             report.mismatch_samples.push_back(std::move(s));
           }
         }
@@ -1071,7 +1060,9 @@ namespace {
 
 void corpus_note(CorpusReport& rep, const std::string& text) {
   ++rep.mismatches;
-  if (rep.mismatch_samples.size() < 8) rep.mismatch_samples.push_back(text);
+  if (rep.mismatch_samples.size() < kMaxMismatchReports) {
+    rep.mismatch_samples.push_back(text);
+  }
 }
 
 template <int kIn, int kBits>

@@ -159,9 +159,11 @@ struct Sweep32Config {
   /// The tree walk (ir::evaluate) is raced every this-many patterns of a
   /// shard, starting with its first; 0 disables the walk lane.
   std::size_t walk_stride = 64;
-  /// Cap on human-readable mismatch samples collected per run.
-  std::size_t max_mismatch_reports = 8;
 };
+
+/// Cap on the human-readable mismatch samples a sweep run or a corpus run
+/// collects.
+inline constexpr std::size_t kMaxMismatchReports = 8;
 
 /// Stable identity of a sweep's shard grid: op, grid modes, range and
 /// chunk size. A manifest written under a different identity refuses to
@@ -189,7 +191,7 @@ struct Sweep32Report {
   std::uint64_t run_checked = 0;
   std::uint64_t run_mismatches = 0;
   bool deadline_expired = false;
-  /// Up to max_mismatch_reports human-readable samples from this run.
+  /// Up to kMaxMismatchReports human-readable samples from this run.
   std::vector<std::string> mismatch_samples;
 };
 
@@ -202,7 +204,7 @@ Sweep32Report run_sweep32(const Sweep32Config& config);
 struct CorpusReport {
   std::uint64_t checked = 0;
   std::uint64_t mismatches = 0;
-  std::vector<std::string> mismatch_samples;  ///< up to 8
+  std::vector<std::string> mismatch_samples;  ///< up to kMaxMismatchReports
 };
 
 /// Runs the checked-in corner corpus (sweep32_ref.hpp) against the exact

@@ -8,6 +8,7 @@
 #include <cfenv>
 #include <cmath>
 
+#include "fpmon/hardware.hpp"
 #include "softfloat/fast.hpp"
 #include "softfloat/format.hpp"
 #include "softfloat/ops.hpp"
@@ -16,13 +17,9 @@ namespace fpq::parallel::sweep32 {
 
 namespace {
 
-using sweep_detail::fenv_mode_of;
-using sweep_detail::hw_div;
-using sweep_detail::hw_rint_f32;
-using sweep_detail::hw_round_away_f32;
-using sweep_detail::hw_sqrt;
-using sweep_detail::hw_widen_f32;
-using sweep_detail::ScopedFenvRounding;
+namespace host = mon::host;
+using mon::fenv_rounding;
+using mon::ScopedFenvRounding;
 
 constexpr std::uint32_t kSign32 = 0x8000'0000u;
 constexpr std::uint32_t kQuiet32 = 0x0040'0000u;
@@ -40,9 +37,9 @@ sf::Float<kBits> nan_of(sf::Float<kBits> a, sf::Float<kBits> b) noexcept {
 template <int kBits>
 double widen53(sf::Float<kBits> x) {
   if constexpr (kBits == 16) {
-    return hw_widen_f32(sf::to_native(ref_widen_from16(x)));
+    return host::widen(sf::to_native(ref_widen_from16(x)));
   } else {
-    return hw_widen_f32(sf::to_native(x));
+    return host::widen(sf::to_native(x));
   }
 }
 
@@ -67,8 +64,8 @@ sf::Float<kBits> ref_sqrt(sf::Float<kBits> a, sf::Rounding mode) {
   if (a.is_infinity()) return a;        // sqrt(+inf) = +inf
   double wide;
   {
-    ScopedFenvRounding guard(fenv_mode_of(mode));
-    wide = hw_sqrt<double>(widen53(a));
+    ScopedFenvRounding guard(fenv_rounding(mode));
+    wide = host::sqrt<double>(widen53(a));
   }
   return narrow53<kBits>(wide, mode);
 }
@@ -87,7 +84,7 @@ void ref_sqrt_away_n(std::span<const sf::Float32> in,
       out[i] = ref_sqrt(a, sf::Rounding::kNearestAway);
       continue;
     }
-    const double root = hw_sqrt<double>(static_cast<double>(sf::to_native(a)));
+    const double root = host::sqrt<double>(static_cast<double>(sf::to_native(a)));
     const std::uint64_t wide = std::bit_cast<std::uint64_t>(root);
     out[i] = sf::Float32{
         static_cast<std::uint32_t>(((wide + (1u << 28)) >> 29) - kRebias)};
@@ -112,8 +109,8 @@ sf::Float<kBits> ref_div(sf::Float<kBits> a, sf::Float<kBits> b,
   if (a.is_zero()) return F::zero(sign);
   double wide;
   {
-    ScopedFenvRounding guard(fenv_mode_of(mode));
-    wide = hw_div<double>(widen53(a), widen53(b));
+    ScopedFenvRounding guard(fenv_rounding(mode));
+    wide = host::div<double>(widen53(a), widen53(b));
   }
   return narrow53<kBits>(wide, mode);
 }
@@ -213,10 +210,10 @@ sf::Float32 ref_round_to_integral(sf::Float32 a, sf::Rounding mode) {
   if (a.is_nan()) return a.quieted();
   if (!a.is_finite() || a.is_zero()) return a;
   if (mode == sf::Rounding::kNearestAway) {
-    return sf::from_native(hw_round_away_f32(sf::to_native(a)));
+    return sf::from_native(host::round_away(sf::to_native(a)));
   }
-  ScopedFenvRounding guard(fenv_mode_of(mode));
-  return sf::from_native(hw_rint_f32(sf::to_native(a)));
+  ScopedFenvRounding guard(fenv_rounding(mode));
+  return sf::from_native(host::rint(sf::to_native(a)));
 }
 
 sf::Float16 ref_narrow16(sf::Float32 a, sf::Rounding mode) {
@@ -236,7 +233,7 @@ sf::Float16 ref_narrow16(sf::Float32 a, sf::Rounding mode) {
   // Finite nonzero binary32 values are normal doubles (min subnormal is
   // 2^-149), so narrow16_value's precondition holds.
   return sf::fast::encode(
-      sf::fast::narrow16_value(hw_widen_f32(sf::to_native(a)), mode));
+      sf::fast::narrow16_value(host::widen(sf::to_native(a)), mode));
 }
 
 sf::BFloat16 ref_narrow_bf16(sf::Float32 a, sf::Rounding mode) {

@@ -14,24 +14,26 @@ namespace fpq::workloads {
 
 double NativeContext::call(const ir::Expr& expr,
                            std::span<const double> bindings) {
-  // NativeEvaluator64 routes each operation through opaque noinline
-  // helpers, so the real FPU raises exceptions under the caller's monitor
+  // NativeEvaluator<double> routes each operation through one opaque
+  // host op, so the real FPU raises exceptions under the caller's monitor
   // exactly as a hand-rolled loop would. The tree walk executes every
   // source-level operation (a CSE/folded tape would elide real FPU ops a
   // monitor counts) and keeps no per-tree state.
-  ir::NativeEvaluator64 native;
+  ir::NativeEvaluator<double> native;
   return ir::evaluate_tree<double>(expr, native, bindings);
 }
 
 namespace {
 
 /// Observation-only evaluator decorator for FlowContext: forwards every
-/// operation to the inner evaluator and reports operand/result value
-/// classes to the thread's FlowMonitor stack. No values change, no flags
-/// are touched — classification is pure bit inspection.
+/// operation to the host evaluator (through its final type, so the calls
+/// bind statically) and reports operand/result value classes to the
+/// thread's FlowMonitor stack. No values change, no flags are touched —
+/// classification is pure bit inspection.
 class FlowEmittingEvaluator final : public ir::Evaluator<double> {
  public:
-  FlowEmittingEvaluator(ir::Evaluator<double>& inner, std::uint64_t call)
+  FlowEmittingEvaluator(ir::NativeEvaluator<double>& inner,
+                        std::uint64_t call)
       : inner_(&inner), call_(call) {}
 
   double constant(const ir::Expr& e) override { return inner_->constant(e); }
@@ -85,7 +87,7 @@ class FlowEmittingEvaluator final : public ir::Evaluator<double> {
     return r;
   }
 
-  ir::Evaluator<double>* inner_;
+  ir::NativeEvaluator<double>* inner_;
   std::uint64_t call_ = 0;
   std::uint64_t op_ = 0;
   std::uint64_t aux_ = 0;
@@ -96,7 +98,7 @@ class FlowEmittingEvaluator final : public ir::Evaluator<double> {
 double FlowContext::call(const ir::Expr& expr,
                          std::span<const double> bindings) {
   const std::uint64_t call_index = call_++;
-  ir::NativeEvaluator64 native;
+  ir::NativeEvaluator<double> native;
   if (!mon::FlowMonitor::thread_active()) {
     // Unmonitored fast path: identical to NativeContext (the call
     // counter still advances so tags stay aligned if a monitor attaches

@@ -1,5 +1,6 @@
 // The scoped hardware exception monitor: each IEEE condition raised in
-// isolation, nesting, sticky re-merging, and softfloat harvesting.
+// isolation, nesting, sticky re-merging, softfloat harvesting, and the
+// host layer's flag and rounding maps.
 
 #include <gtest/gtest.h>
 
@@ -7,7 +8,9 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <utility>
 
+#include "fpmon/hardware.hpp"
 #include "fpmon/monitor.hpp"
 #include "softfloat/ops.hpp"
 
@@ -16,53 +19,41 @@ namespace sf = fpq::softfloat;
 
 namespace {
 
-// Opaque operations that really execute on the FPU.
-[[gnu::noinline]] double op_div(double a, double b) {
-  volatile double va = a, vb = b;
-  volatile double r = va / vb;
-  return r;
-}
-[[gnu::noinline]] double op_mul(double a, double b) {
-  volatile double va = a, vb = b;
-  volatile double r = va * vb;
-  return r;
-}
-[[gnu::noinline]] double op_add(double a, double b) {
-  volatile double va = a, vb = b;
-  volatile double r = va + vb;
-  return r;
-}
+// The host layer's opaque ops, which really execute on the FPU.
+using mon::host::add;
+using mon::host::div;
+using mon::host::mul;
 
 TEST(Monitor, CleanRegionReportsNothing) {
-  const auto seen = mon::monitor_region([] { (void)op_add(1.0, 2.0); });
+  const auto seen = mon::monitor_region([] { (void)add(1.0, 2.0); });
   EXPECT_FALSE(seen.any());
   EXPECT_EQ(seen.to_string(), "none");
 }
 
 TEST(Monitor, DetectsDivByZero) {
-  const auto seen = mon::monitor_region([] { (void)op_div(1.0, 0.0); });
+  const auto seen = mon::monitor_region([] { (void)div(1.0, 0.0); });
   EXPECT_TRUE(seen.test(mon::Condition::kDivByZero));
   EXPECT_FALSE(seen.test(mon::Condition::kInvalid));
 }
 
 TEST(Monitor, DetectsInvalid) {
-  const auto seen = mon::monitor_region([] { (void)op_div(0.0, 0.0); });
+  const auto seen = mon::monitor_region([] { (void)div(0.0, 0.0); });
   EXPECT_TRUE(seen.test(mon::Condition::kInvalid));
 }
 
 TEST(Monitor, DetectsOverflowAndPrecision) {
-  const auto seen = mon::monitor_region([] { (void)op_mul(1e300, 1e300); });
+  const auto seen = mon::monitor_region([] { (void)mul(1e300, 1e300); });
   EXPECT_TRUE(seen.test(mon::Condition::kOverflow));
   EXPECT_TRUE(seen.test(mon::Condition::kPrecision));
 }
 
 TEST(Monitor, DetectsUnderflow) {
-  const auto seen = mon::monitor_region([] { (void)op_mul(1e-300, 1e-300); });
+  const auto seen = mon::monitor_region([] { (void)mul(1e-300, 1e-300); });
   EXPECT_TRUE(seen.test(mon::Condition::kUnderflow));
 }
 
 TEST(Monitor, DetectsPrecisionAlone) {
-  const auto seen = mon::monitor_region([] { (void)op_div(1.0, 3.0); });
+  const auto seen = mon::monitor_region([] { (void)div(1.0, 3.0); });
   EXPECT_TRUE(seen.test(mon::Condition::kPrecision));
   EXPECT_FALSE(seen.test(mon::Condition::kOverflow));
   EXPECT_FALSE(seen.test(mon::Condition::kInvalid));
@@ -71,7 +62,7 @@ TEST(Monitor, DetectsPrecisionAlone) {
 TEST(Monitor, DetectsDenormalOperandWhenSupported) {
   mon::ScopedMonitor monitor;
   if (!monitor.tracks_denormals()) GTEST_SKIP() << "no MXCSR on this host";
-  (void)op_mul(4.9406564584124654e-324, 2.0);  // subnormal operand
+  (void)mul(4.9406564584124654e-324, 2.0);  // subnormal operand
   const auto seen = monitor.stop();
   EXPECT_TRUE(seen.test(mon::Condition::kDenorm));
 }
@@ -80,7 +71,7 @@ TEST(Monitor, InnerScopeDoesNotHideFromOuter) {
   mon::ScopedMonitor outer;
   {
     mon::ScopedMonitor inner;
-    (void)op_div(1.0, 0.0);
+    (void)div(1.0, 0.0);
     const auto inner_seen = inner.stop();
     EXPECT_TRUE(inner_seen.test(mon::Condition::kDivByZero));
   }
@@ -91,7 +82,7 @@ TEST(Monitor, InnerScopeDoesNotHideFromOuter) {
 
 TEST(Monitor, InnerScopeStartsClean) {
   mon::ScopedMonitor outer;
-  (void)op_div(1.0, 0.0);
+  (void)div(1.0, 0.0);
   {
     mon::ScopedMonitor inner;
     const auto inner_seen = inner.stop();
@@ -103,7 +94,7 @@ TEST(Monitor, InnerScopeStartsClean) {
 
 TEST(Monitor, RestoresPreexistingFlags) {
   std::feclearexcept(FE_ALL_EXCEPT);
-  (void)op_div(1.0, 0.0);  // raise divbyzero before any monitor
+  (void)div(1.0, 0.0);  // raise divbyzero before any monitor
   {
     mon::ScopedMonitor monitor;
     (void)monitor.stop();
@@ -115,9 +106,9 @@ TEST(Monitor, RestoresPreexistingFlags) {
 
 TEST(Monitor, PeekWithoutStopping) {
   mon::ScopedMonitor monitor;
-  (void)op_div(0.0, 0.0);
+  (void)div(0.0, 0.0);
   EXPECT_TRUE(monitor.peek().test(mon::Condition::kInvalid));
-  (void)op_div(1.0, 0.0);
+  (void)div(1.0, 0.0);
   const auto seen = monitor.stop();
   EXPECT_TRUE(seen.test(mon::Condition::kInvalid));
   EXPECT_TRUE(seen.test(mon::Condition::kDivByZero));
@@ -125,9 +116,9 @@ TEST(Monitor, PeekWithoutStopping) {
 
 TEST(Monitor, StopIsIdempotent) {
   mon::ScopedMonitor monitor;
-  (void)op_div(0.0, 0.0);
+  (void)div(0.0, 0.0);
   const auto first = monitor.stop();
-  (void)op_div(1.0, 0.0);  // after stop: not recorded
+  (void)div(1.0, 0.0);  // after stop: not recorded
   const auto second = monitor.stop();
   EXPECT_EQ(first, second);
   std::feclearexcept(FE_ALL_EXCEPT);
@@ -169,11 +160,11 @@ TEST(Monitor, ThrowInsideNestedMonitorUnwindsSafely) {
   mon::ScopedMonitor outer;
   try {
     mon::ScopedMonitor inner;
-    (void)op_div(1.0, 0.0);
+    (void)div(1.0, 0.0);
     throw std::runtime_error("mid-region failure");
   } catch (const std::runtime_error&) {
   }
-  (void)op_div(1.0, 3.0);  // the outer region keeps monitoring after unwind
+  (void)div(1.0, 3.0);  // the outer region keeps monitoring after unwind
   const auto outer_seen = outer.stop();
   EXPECT_TRUE(outer_seen.test(mon::Condition::kDivByZero))
       << "inner conditions must survive exceptional unwind";
@@ -189,7 +180,7 @@ TEST(Monitor, MonitorRegionCaptureOverloadSurvivesThrow) {
   try {
     mon::monitor_region(
         [] {
-          (void)op_div(0.0, 0.0);
+          (void)div(0.0, 0.0);
           throw std::runtime_error("simulation blew up");
         },
         seen);
@@ -203,8 +194,8 @@ TEST(Monitor, MonitorRegionCaptureOverloadSurvivesThrow) {
 
 TEST(Monitor, MonitorRegionCaptureMatchesReturningOverload) {
   mon::ConditionSet captured;
-  mon::monitor_region([] { (void)op_div(1.0, 0.0); }, captured);
-  const auto returned = mon::monitor_region([] { (void)op_div(1.0, 0.0); });
+  mon::monitor_region([] { (void)div(1.0, 0.0); }, captured);
+  const auto returned = mon::monitor_region([] { (void)div(1.0, 0.0); });
   EXPECT_EQ(captured, returned);
 }
 
@@ -213,12 +204,49 @@ TEST(Monitor, SuspicionQuizShape) {
   // which of the five conditions occurred one or more times.
   const auto seen = mon::monitor_region([] {
     double acc = 1.0;
-    for (int i = 0; i < 400; ++i) acc = op_mul(acc, 10.0);   // -> overflow
-    (void)op_add(acc, -acc);                                  // inf - inf
+    for (int i = 0; i < 400; ++i) acc = mul(acc, 10.0);   // -> overflow
+    (void)add(acc, -acc);                                  // inf - inf
   });
   EXPECT_TRUE(seen.test(mon::Condition::kOverflow));
   EXPECT_TRUE(seen.test(mon::Condition::kInvalid));
   EXPECT_TRUE(seen.test(mon::Condition::kPrecision));
+}
+
+TEST(HostLayer, StickyFlagsMapEveryFenvBit) {
+  const std::pair<int, unsigned> kMap[] = {
+      {FE_INVALID, sf::kFlagInvalid},     {FE_DIVBYZERO, sf::kFlagDivByZero},
+      {FE_OVERFLOW, sf::kFlagOverflow},   {FE_UNDERFLOW, sf::kFlagUnderflow},
+      {FE_INEXACT, sf::kFlagInexact}};
+  for (const auto& [fe, flag] : kMap) {
+    mon::ScopedMonitor monitor;
+    std::feraiseexcept(fe);
+    EXPECT_EQ(mon::sticky_flags(), flag) << "fenv bit " << fe;
+    EXPECT_EQ(monitor.peek(), mon::ConditionSet::from_softfloat_flags(flag));
+  }
+  if (mon::mxcsr_supported()) {
+    mon::ScopedMonitor monitor;
+    (void)add(std::numeric_limits<double>::denorm_min(), 0.0);
+    EXPECT_EQ(mon::sticky_flags(), sf::kFlagDenormalInput);
+  }
+}
+
+TEST(HostLayer, OpaqueOpsRoundInTheGuardedDirection) {
+  // 1 + 2^-60 is inexact in binary64: up rounds to 1 + 2^-52, the other
+  // directed modes and nearest keep 1. Ties-away has no fenv direction
+  // and maps to nearest.
+  const double tiny = std::ldexp(1.0, -60);
+  const double up = std::nextafter(1.0, 2.0);
+  const std::pair<sf::Rounding, double> kCases[] = {
+      {sf::Rounding::kNearestEven, 1.0}, {sf::Rounding::kTowardZero, 1.0},
+      {sf::Rounding::kDown, 1.0},        {sf::Rounding::kUp, up},
+      {sf::Rounding::kNearestAway, 1.0}};
+  const int entry = std::fegetround();
+  for (const auto& [mode, want] : kCases) {
+    const mon::ScopedFenvRounding guard(mon::fenv_rounding(mode));
+    EXPECT_EQ(add(1.0, tiny), want) << sf::rounding_to_string(mode);
+  }
+  EXPECT_EQ(std::fegetround(), entry);
+  EXPECT_EQ(mon::fenv_rounding(sf::Rounding::kNearestAway), FE_TONEAREST);
 }
 
 }  // namespace

@@ -4,14 +4,17 @@
 // assumes:
 //
 //   * clean runs agree across substrates (NaN-canonically — the engines
-//     manufacture different NaN bit patterns),
+//     manufacture different NaN bit patterns), in binary64 and, through
+//     the two binary32 evaluators, in binary32,
 //   * a control trial (campaign with zero effective sites) is bit- and
 //     flag-identical to its own substrate's clean baseline,
 //   * every EFFECTIVE poison/bit-flip site really changed its value
 //     (inert-site misclassification would corrupt control accounting),
 //   * both substrates report the same campaign fingerprint.
 
+#include <array>
 #include <bit>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <utility>
@@ -23,6 +26,7 @@
 #include "inject/context.hpp"
 #include "inject/fault.hpp"
 #include "inject/gauntlet.hpp"
+#include "ir/evaluators.hpp"
 #include "ir/expr.hpp"
 #include "stats/prng.hpp"
 #include "workloads/workloads.hpp"
@@ -78,15 +82,19 @@ ir::Expr random_tree(stats::Xoshiro256pp& rng, int depth) {
   }
 }
 
+/// The bindings of the fuzz kernel's call `i` (v2 dips into the subnormal
+/// range so FTZ/DAZ and denormal-flag traffic occur).
+std::array<double, 3> fuzz_bindings(std::size_t i) {
+  return {0.5 + static_cast<double>(i),
+          1.0 / 3.0 + 0.25 * static_cast<double>(i),
+          1e-310 * static_cast<double>(i + 1)};
+}
+
 /// The fuzz kernel: the tree evaluated kCallsPerRun times with varying
-/// bindings (one of them dips into the subnormal range so FTZ/DAZ and
-/// denormal-flag traffic occur).
+/// bindings.
 void fuzz_kernel(const ir::Expr& tree, wl::EvalContext& ctx) {
   for (std::size_t i = 0; i < kCallsPerRun; ++i) {
-    const double binds[] = {0.5 + static_cast<double>(i),
-                            1.0 / 3.0 + 0.25 * static_cast<double>(i),
-                            1e-310 * static_cast<double>(i + 1)};
-    (void)ctx.call(tree, binds);
+    (void)ctx.call(tree, fuzz_bindings(i));
   }
 }
 
@@ -234,6 +242,38 @@ TEST(FuzzDifferential, SubstratesAndCampaignsAgreeOnRandomTrees) {
   EXPECT_GT(effective_trials, 5u);
   EXPECT_GT(control_trials, 5u);
   EXPECT_GT(value_mutations_checked, 5u);
+}
+
+TEST(FuzzDifferential, Binary32SubstratesAgreeOnRandomTrees) {
+  // The clean cross-substrate property in binary32: the same seeded trees
+  // and bindings through the host FPU's NativeEvaluator<float> and the
+  // softfloat SoftEvaluator<32>. Values only, NaN-canonically. Conditions
+  // are not compared: the native evaluator narrows each operand through
+  // the FPU, where the narrowing raises flags a monitor sees, while the
+  // soft one narrows quietly, so the two flag streams differ by design.
+  // The palette's 1e300 and 1e-310 saturate many trees in binary32, so
+  // this walks further along the same seed sequence (the first kTrees
+  // trees are the binary64 property's); evaluation is cheap without
+  // campaigns.
+  constexpr std::size_t kTrees32 = 512;
+  std::size_t finite = 0;
+  for (std::size_t t = 0; t < kTrees32; ++t) {
+    stats::Xoshiro256pp rng(0xF022EE5 + t);
+    const ir::Expr tree = random_tree(rng, 4);
+    for (std::size_t i = 0; i < kCallsPerRun; ++i) {
+      const std::array<double, 3> binds = fuzz_bindings(i);
+      ir::NativeEvaluator<float> native;
+      ir::SoftEvaluator<32> soft(ir::EvalConfig::ieee_strict());
+      const double hw = ir::evaluate_tree<double>(tree, native, binds);
+      const double sw = ir::evaluate_tree<double>(tree, soft, binds);
+      EXPECT_TRUE(inj::same_value(hw, sw))
+          << "tree " << t << " call " << i << ": native " << hw << " soft "
+          << sw;
+      if (std::isfinite(hw)) ++finite;
+    }
+  }
+  // Not vacuous: most calls produce a finite binary32 value.
+  EXPECT_GT(finite, kTrees32 * kCallsPerRun / 2);
 }
 
 }  // namespace

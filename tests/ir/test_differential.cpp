@@ -18,9 +18,9 @@
 
 #include "core/backend.hpp"
 #include "core/ground_truth.hpp"
+#include "fpmon/hardware.hpp"
 #include "fpmon/monitor.hpp"
 #include "ir/ir.hpp"
-#include "ir/native_ops.hpp"
 #include "optprobe/emulated_pipeline.hpp"
 #include "softfloat/env.hpp"
 #include "softfloat/ops.hpp"
@@ -310,26 +310,26 @@ quiz::RunResult direct_soft(const quiz::Backend& b, const double (&xs)[3]) {
           mon::ConditionSet::from_softfloat_flags(env.flags())};
 }
 
-// The same sequence on the host FPU through ir::native's opaque ops,
+// The same sequence on the host FPU through mon::host's opaque ops,
 // under one ScopedMonitor.
 quiz::RunResult direct_native(const quiz::Backend& b,
                               const double (&xs)[3]) {
-  namespace nat = ir::native;
+  namespace host = mon::host;
   mon::ScopedMonitor monitor;
   double r;
   if (b.format_bits == 64) {
-    const double f = nat::fma64(xs[0], xs[1], xs[2]);
-    const double s = nat::sqrt64(nat::mul64(xs[0], xs[0]));
-    const double q = nat::div64(xs[1], xs[2]);
-    r = nat::sub64(nat::add64(f, s), q);
+    const double f = host::fma(xs[0], xs[1], xs[2]);
+    const double s = host::sqrt(host::mul(xs[0], xs[0]));
+    const double q = host::div(xs[1], xs[2]);
+    r = host::sub(host::add(f, s), q);
   } else {
-    const float x = nat::narrow32(xs[0]);
-    const float y = nat::narrow32(xs[1]);
-    const float z = nat::narrow32(xs[2]);
-    const float f = nat::fma32(x, y, z);
-    const float s = nat::sqrt32(nat::mul32(x, x));
-    const float q = nat::div32(y, z);
-    r = nat::sub32(nat::add32(f, s), q);
+    const float x = host::narrow(xs[0]);
+    const float y = host::narrow(xs[1]);
+    const float z = host::narrow(xs[2]);
+    const float f = host::fma(x, y, z);
+    const float s = host::sqrt(host::mul(x, x));
+    const float q = host::div(y, z);
+    r = host::sub(host::add(f, s), q);
   }
   return {r, monitor.stop()};
 }

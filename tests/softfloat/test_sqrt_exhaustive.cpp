@@ -23,9 +23,9 @@
 #include <string>
 #include <vector>
 
+#include "fpmon/hardware.hpp"
 #include "parallel/sweep32.hpp"
 #include "parallel/sweep32_ref.hpp"
-#include "parallel/sweep_util.hpp"
 #include "parallel/thread_pool.hpp"
 #include "softfloat/ops.hpp"
 #include "softfloat/util.hpp"
@@ -33,9 +33,8 @@
 namespace sf = fpq::softfloat;
 namespace sw = fpq::parallel::sweep32;
 using fpq::parallel::kAllRoundings;
-using fpq::parallel::sweep_detail::fenv_mode_of;
-using fpq::parallel::sweep_detail::hw_sqrt;
-using fpq::parallel::sweep_detail::ScopedFenvRounding;
+using fpq::mon::fenv_rounding;
+using fpq::mon::ScopedFenvRounding;
 
 namespace {
 
@@ -86,8 +85,8 @@ sf::BFloat16 ref_sqrt_bf16(sf::BFloat16 a, sf::Rounding mode) {
   if (a.is_infinity()) return a;
   double wide;
   {
-    const ScopedFenvRounding guard(fenv_mode_of(mode));
-    wide = hw_sqrt<double>(sf::to_native(sw::ref_widen_from_bf16(a)));
+    const ScopedFenvRounding guard(fenv_rounding(mode));
+    wide = fpq::mon::host::sqrt<double>(sf::to_native(sw::ref_widen_from_bf16(a)));
   }
   sf::Env env(mode);
   return sf::convert<sf::kBFloat16>(sf::from_native(wide), env);
@@ -112,7 +111,7 @@ TEST(SqrtExhaustive, Binary32EveryFractionAtBothParitiesAndEverySubnormal) {
         const std::uint32_t exponent = kExponents[s / kModes / kChunks];
         // One host direction per shard: ref_sqrt's own guard then finds
         // it already set.
-        const ScopedFenvRounding guard(fenv_mode_of(mode));
+        const ScopedFenvRounding guard(fenv_rounding(mode));
         const std::uint32_t first = chunk << kChunkBits;
         for (std::uint32_t frac = first; frac < first + (1u << kChunkBits);
              ++frac) {
