@@ -8,11 +8,8 @@
 
 #include <array>
 #include <cstddef>
-#include <span>
-#include <vector>
 
 #include "core/types.hpp"
-#include "parallel/thread_pool.hpp"
 
 namespace fpq::quiz {
 
@@ -108,20 +105,6 @@ constexpr Grade grade_level_choice(std::size_t choice) noexcept {
   return choice == kOptLevelCorrectChoice ? Grade::kCorrect
                                           : Grade::kIncorrect;
 }
-
-/// Batch scoring sharded over a thread pool: tally i belongs to sheet i,
-/// so the output is bit-identical to a serial score_core loop for every
-/// thread count. This is the heavy-traffic path: one answer key, many
-/// thousands of sheets.
-std::vector<QuizTally> score_core_batch(
-    std::span<const CoreSheet> sheets,
-    const std::array<Truth, kCoreQuestionCount>& key,
-    parallel::ThreadPool& pool);
-
-std::vector<QuizTally> score_opt_tf_batch(
-    std::span<const OptSheet> sheets,
-    const std::array<Truth, kOptTrueFalseCount>& key,
-    parallel::ThreadPool& pool);
 
 /// Expected score under uniform random T/F guessing (the paper's "chance"
 /// lines in Figure 12).

@@ -7,6 +7,7 @@
 #include <cstring>
 
 #include "fpmon/hardware.hpp"
+#include "parallel/hash.hpp"
 
 #if defined(__GLIBC__) && defined(__x86_64__) && defined(__linux__)
 #define FPQ_TRAP_CAPABLE 1
@@ -20,16 +21,7 @@ namespace fpq::mon {
 
 namespace {
 
-std::uint64_t splitmix(std::uint64_t x) noexcept {
-  x += 0x9E3779B97F4A7C15ULL;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-  return x ^ (x >> 31);
-}
-
-std::uint64_t mix(std::uint64_t h, std::uint64_t v) noexcept {
-  return splitmix(h ^ (v + 0x9E3779B97F4A7C15ULL + (h << 6) + (h >> 2)));
-}
+using parallel::hash_combine;
 
 unsigned pack_conditions(const ConditionSet& set) noexcept {
   unsigned bits = 0;
@@ -89,18 +81,6 @@ bool signature_has_exceptional(std::uint8_t signature) noexcept {
     if (((signature >> (2 * slot)) & 0x3u) != 0) return true;
   }
   return false;
-}
-
-std::string flow_mode_name(FlowMode m) {
-  switch (m) {
-    case FlowMode::kSampling:
-      return "sampling";
-    case FlowMode::kTrap:
-      return "trap";
-    case FlowMode::kAuto:
-      return "auto";
-  }
-  return "unknown";
 }
 
 // -- FlowLedger --------------------------------------------------------------
@@ -257,31 +237,31 @@ void FlowLedger::merge(FlowLedger&& other) {
 }
 
 std::uint64_t FlowLedger::fingerprint() const noexcept {
-  std::uint64_t h = mix(0xF10F10ULL, sites_.size());
+  std::uint64_t h = hash_combine(0xF10F10ULL, sites_.size());
   for (const SiteFlow& s : sites_) {
-    h = mix(h, s.tag);
-    h = mix(h, s.signature);
-    h = mix(h, s.events);
-    h = mix(h, s.born);
-    h = mix(h, s.propagated);
-    h = mix(h, s.killed);
-    h = mix(h, s.swallows);
+    h = hash_combine(h, s.tag);
+    h = hash_combine(h, s.signature);
+    h = hash_combine(h, s.events);
+    h = hash_combine(h, s.born);
+    h = hash_combine(h, s.propagated);
+    h = hash_combine(h, s.killed);
+    h = hash_combine(h, s.swallows);
   }
-  h = mix(h, summary_.ops);
-  h = mix(h, summary_.exceptional_ops);
-  h = mix(h, summary_.born);
-  h = mix(h, summary_.propagated);
-  h = mix(h, summary_.killed);
-  h = mix(h, summary_.swallows);
-  h = mix(h, summary_.flag_samples);
-  h = mix(h, summary_.seam_samples);
-  h = mix(h, summary_.dropped_sites);
-  h = mix(h, pack_conditions(seam_conditions_));
+  h = hash_combine(h, summary_.ops);
+  h = hash_combine(h, summary_.exceptional_ops);
+  h = hash_combine(h, summary_.born);
+  h = hash_combine(h, summary_.propagated);
+  h = hash_combine(h, summary_.killed);
+  h = hash_combine(h, summary_.swallows);
+  h = hash_combine(h, summary_.flag_samples);
+  h = hash_combine(h, summary_.seam_samples);
+  h = hash_combine(h, summary_.dropped_sites);
+  h = hash_combine(h, pack_conditions(seam_conditions_));
   return h;
 }
 
 std::uint64_t FlowReport::fingerprint() const noexcept {
-  return mix(ledger.fingerprint(), pack_conditions(conditions));
+  return hash_combine(ledger.fingerprint(), pack_conditions(conditions));
 }
 
 // -- Host fenv harvest (read-only) ------------------------------------------
@@ -415,7 +395,7 @@ extern "C" void fpq_sigfpe_handler(int /*signo*/, siginfo_t* info,
 
 }  // namespace
 
-void FlowMonitor::start_trap(FlowMode requested) noexcept {
+void FlowMonitor::start_trap() noexcept {
   if (!trap_supported()) {
     capability_.degradation =
         "traps unavailable (needs glibc/x86-64/Linux, non-sanitizer "
@@ -456,7 +436,6 @@ void FlowMonitor::start_trap(FlowMode requested) noexcept {
   }
   trap_session_ = true;
   capability_.trap_active = true;
-  (void)requested;
 }
 
 void FlowMonitor::stop_trap() noexcept {
@@ -475,7 +454,7 @@ void FlowMonitor::stop_trap() noexcept {
 
 #else  // !FPQ_TRAP_CAPABLE
 
-void FlowMonitor::start_trap(FlowMode /*requested*/) noexcept {
+void FlowMonitor::start_trap() noexcept {
   capability_.degradation =
       "traps unavailable (needs glibc/x86-64/Linux); degraded to sampling";
 }
@@ -499,7 +478,7 @@ FlowMonitor::FlowMonitor(const FlowOptions& options)
     : ledger_(options.max_sites) {
   capability_.trap_supported = trap_supported();
   capability_.tracks_denormals = scoped_.tracks_denormals();
-  if (options.mode != FlowMode::kSampling) start_trap(options.mode);
+  if (options.mode == FlowMode::kTrap) start_trap();
   if (options.collect_seams) {
     if (FlowCollector::acquire()) {
       seam_session_ = true;

@@ -191,11 +191,8 @@ class FlowLedger {
 /// Acquisition mode request.
 enum class FlowMode {
   kSampling = 0,  ///< seam/hook sampling only (portable)
-  kTrap = 1,      ///< require traps; degrade to sampling if unavailable
-  kAuto = 2,      ///< traps when available, sampling otherwise
+  kTrap = 1,      ///< traps; degrade to sampling if unavailable
 };
-
-std::string flow_mode_name(FlowMode m);
 
 struct FlowOptions {
   FlowMode mode = FlowMode::kSampling;
@@ -275,7 +272,7 @@ class FlowMonitor {
   static void on_seam() noexcept;
 
  private:
-  void start_trap(FlowMode requested) noexcept;
+  void start_trap() noexcept;
   void stop_trap() noexcept;
 
   FlowLedger ledger_;

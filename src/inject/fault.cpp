@@ -4,6 +4,7 @@
 #include <bit>
 #include <limits>
 
+#include "parallel/hash.hpp"
 #include "stats/prng.hpp"
 
 namespace fpq::inject {
@@ -26,15 +27,12 @@ std::string fault_class_name(FaultClass c) {
 
 namespace {
 
-std::uint64_t mix(std::uint64_t h, std::uint64_t v) noexcept {
-  std::uint64_t s = h ^ (v + 0x9E3779B97F4A7C15ULL + (h << 6) + (h >> 2));
-  return stats::splitmix64_next(s);
-}
+using parallel::hash_combine;
 
 /// The per-site generator: a pure function of (seed, call, op).
 stats::Xoshiro256pp site_rng(std::uint64_t seed, std::uint64_t call,
                              std::uint64_t op) noexcept {
-  return stats::Xoshiro256pp(mix(mix(seed, call), op));
+  return stats::Xoshiro256pp(hash_combine(hash_combine(seed, call), op));
 }
 
 constexpr std::array<softfloat::Rounding, 4> kPerturbModes{
@@ -63,12 +61,12 @@ std::uint64_t sites_fingerprint(std::span<const FaultSite> sites) noexcept {
   // of the site SET, not of enumeration order.
   std::uint64_t h = 0xF417C0DE ^ sites.size();
   for (const FaultSite& s : sites) {
-    std::uint64_t sh = mix(0, s.call);
-    sh = mix(sh, s.op);
-    sh = mix(sh, static_cast<std::uint64_t>(s.fault_class));
-    sh = mix(sh, s.effective ? 1 : 0);
-    sh = mix(sh, canonical_value_bits(s.original));
-    sh = mix(sh, canonical_value_bits(s.injected));
+    std::uint64_t sh = hash_combine(0, s.call);
+    sh = hash_combine(sh, s.op);
+    sh = hash_combine(sh, static_cast<std::uint64_t>(s.fault_class));
+    sh = hash_combine(sh, s.effective ? 1 : 0);
+    sh = hash_combine(sh, canonical_value_bits(s.original));
+    sh = hash_combine(sh, canonical_value_bits(s.injected));
     h += sh;
   }
   return h;

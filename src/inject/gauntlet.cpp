@@ -13,8 +13,8 @@
 #include "inject/evaluator.hpp"
 #include "interval/interval.hpp"
 #include "ir/evaluators.hpp"
+#include "parallel/hash.hpp"
 #include "report/table.hpp"
-#include "stats/prng.hpp"
 #include "workloads/workloads.hpp"
 
 namespace fpq::inject {
@@ -62,10 +62,7 @@ bool GauntletResult::class_covered(FaultClass c) const noexcept {
 
 namespace {
 
-std::uint64_t mix(std::uint64_t h, std::uint64_t v) noexcept {
-  std::uint64_t s = h ^ (v + 0x9E3779B97F4A7C15ULL + (h << 6) + (h >> 2));
-  return stats::splitmix64_next(s);
-}
+using parallel::hash_combine;
 
 /// Per-class campaign shape: single-shot corruptions arm rarely (one
 /// fault per run); FTZ arms densely because it only bites on subnormal
@@ -442,7 +439,7 @@ GauntletResult run_gauntlet(parallel::ThreadPool& pool,
     const FaultClass cls = static_cast<FaultClass>(cls_index);
 
     const std::uint64_t cell_seed =
-        mix(mix(mix(config.seed, w), cls_index), trial);
+        hash_combine(hash_combine(hash_combine(config.seed, w), cls_index), trial);
     const std::size_t base_idx =
         w * kSubstrateCount + static_cast<std::size_t>(substrate);
     trials[idx] = run_trial(cat[w], cls, cell_seed, substrate,
@@ -454,7 +451,7 @@ GauntletResult run_gauntlet(parallel::ThreadPool& pool,
   // Fixed-order aggregation: the matrices, the undetected list, the
   // parity verdicts and the fingerprint are pure functions of the slot
   // vector.
-  std::uint64_t fp = mix(config.seed, total);
+  std::uint64_t fp = hash_combine(config.seed, total);
   for (std::size_t idx = 0; idx < total; ++idx) {
     const TrialOut& t = trials[idx];
     const std::size_t campaign = idx / kSubstrateCount;
@@ -518,8 +515,8 @@ GauntletResult run_gauntlet(parallel::ThreadPool& pool,
       }
     }
 
-    fp = mix(fp, t.sites_fp);
-    fp = mix(fp, (t.effective ? 1u : 0u) | (t.armed ? 2u : 0u) |
+    fp = hash_combine(fp, t.sites_fp);
+    fp = hash_combine(fp, (t.effective ? 1u : 0u) | (t.armed ? 2u : 0u) |
                      (t.fired[0] ? 4u : 0u) | (t.fired[1] ? 8u : 0u) |
                      (t.fired[2] ? 16u : 0u));
   }
@@ -529,10 +526,10 @@ GauntletResult run_gauntlet(parallel::ThreadPool& pool,
       // fpmon-flow column and must stay bit-identical to it.
       for (std::size_t d = 0; d < kLegacyDetectorCount; ++d) {
         const CellStats& cell = row[d];
-        fp = mix(fp, cell.hits);
-        fp = mix(fp, cell.misses);
-        fp = mix(fp, cell.false_positives);
-        fp = mix(fp, cell.controls);
+        fp = hash_combine(fp, cell.hits);
+        fp = hash_combine(fp, cell.misses);
+        fp = hash_combine(fp, cell.false_positives);
+        fp = hash_combine(fp, cell.controls);
       }
     }
   }

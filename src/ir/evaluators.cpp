@@ -2,6 +2,8 @@
 
 #include <cstdint>
 
+#include "parallel/hash.hpp"
+
 namespace fpq::ir {
 
 namespace sf = fpq::softfloat;
@@ -13,11 +15,8 @@ std::uint64_t EvalConfig::fingerprint() const noexcept {
   packed = (packed << 1) | static_cast<std::uint64_t>(reassociate);
   packed = (packed << 1) | static_cast<std::uint64_t>(flush_to_zero);
   packed = (packed << 1) | static_cast<std::uint64_t>(denormals_are_zero);
-  // splitmix64 finalizer so distinct configs land in distinct stripes.
-  std::uint64_t z = packed + 0x9E3779B97F4A7C15ULL;
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
+  // Hash so distinct configs land in distinct stripes.
+  return parallel::mix64(packed);
 }
 
 namespace {

@@ -6,6 +6,8 @@
 #include <unordered_map>
 #include <utility>
 
+#include "parallel/hash.hpp"
+
 namespace fpq::ir {
 
 namespace sf = fpq::softfloat;
@@ -14,33 +16,23 @@ using Kind = ExprKind;
 
 namespace {
 
-// splitmix64 finalizer: the same mixer the parallel substrate uses for
-// shard seeds, applied here to structural node fingerprints.
-std::uint64_t mix(std::uint64_t z) noexcept {
-  z += 0x9E3779B97F4A7C15ULL;
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
-}
-
-std::uint64_t combine(std::uint64_t h, std::uint64_t v) noexcept {
-  return mix(h ^ (v + 0x9E3779B97F4A7C15ULL + (h << 6) + (h >> 2)));
-}
+using parallel::hash_combine;
+using parallel::mix64;
 
 std::uint64_t structural_hash(const Expr::Node& n) {
-  std::uint64_t h = mix(static_cast<std::uint64_t>(n.kind) + 1);
+  std::uint64_t h = mix64(static_cast<std::uint64_t>(n.kind) + 1);
   switch (n.kind) {
     case Kind::kConst:
-      h = combine(h, n.value.bits);
+      h = hash_combine(h, n.value.bits);
       break;
     case Kind::kVar:
-      h = combine(h, n.var_index);
+      h = hash_combine(h, n.var_index);
       for (const char c : n.var_name) {
-        h = combine(h, static_cast<unsigned char>(c));
+        h = hash_combine(h, static_cast<unsigned char>(c));
       }
       break;
     default:
-      for (const Expr& c : n.children) h = combine(h, c.hash());
+      for (const Expr& c : n.children) h = hash_combine(h, c.hash());
       break;
   }
   return h;

@@ -2,29 +2,18 @@
 
 #include <algorithm>
 
+#include "parallel/hash.hpp"
+
 namespace fpq::parallel {
-
-namespace {
-
-// splitmix64 finalizer (Steele/Lea/Flood), identical to the one in
-// stats/prng.cpp. Duplicated five lines keep fpq_parallel a leaf library
-// that fpq_stats itself can link against.
-std::uint64_t splitmix64(std::uint64_t& state) noexcept {
-  std::uint64_t z = (state += 0x9E3779B97F4A7C15ULL);
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
-}
-
-}  // namespace
 
 std::uint64_t shard_seed(std::uint64_t base_seed,
                          std::uint64_t shard_index) noexcept {
-  // Mix the shard index into the stream position, then finalize twice so
-  // that even base_seed == shard_index patterns decorrelate.
-  std::uint64_t state = base_seed ^ (0x9E3779B97F4A7C15ULL * (shard_index + 1));
-  (void)splitmix64(state);
-  return splitmix64(state);
+  // Mix the shard index into the stream position, then take the second
+  // splitmix64 output from there so that even base_seed == shard_index
+  // patterns decorrelate.
+  const std::uint64_t state =
+      base_seed ^ (0x9E3779B97F4A7C15ULL * (shard_index + 1));
+  return mix64(state + 0x9E3779B97F4A7C15ULL);
 }
 
 ChunkRange chunk_range(std::size_t total, std::size_t chunks,

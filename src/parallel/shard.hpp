@@ -9,25 +9,22 @@
 //      shard_seed(base, shard) — no generator is ever shared or threaded
 //      through shards in claim order.
 //   3. Each shard writes only its own output slot.
-//   4. Reduce the slot vector on the caller's thread in fixed shard order
-//      (tree_reduce for FP, plain loops for integers). No atomics on
-//      floating-point accumulators, ever.
+//   4. Reduce on the caller's thread in fixed shard order (stream.hpp's
+//      chunk-ordered merge tree for FP, plain loops for integers). No
+//      atomics on floating-point accumulators, ever.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <span>
-#include <type_traits>
 #include <vector>
 
 #include "parallel/thread_pool.hpp"
 
 namespace fpq::parallel {
 
-/// Deterministic per-shard seed derived from a base seed. Uses the same
-/// splitmix64 finalizer as fpq::stats (reimplemented here so the parallel
-/// substrate stays dependency-free): statistically independent streams for
-/// adjacent shard indices, stable across platforms and thread counts.
+/// Deterministic per-shard seed derived from a base seed through mix64
+/// (parallel/hash.hpp): statistically independent streams for adjacent
+/// shard indices, stable across platforms and thread counts.
 std::uint64_t shard_seed(std::uint64_t base_seed,
                          std::uint64_t shard_index) noexcept;
 
@@ -58,48 +55,16 @@ auto parallel_map(ThreadPool& pool, std::size_t count, Fn&& fn)
   return out;
 }
 
-/// Chunked variant: fn(chunk, begin, end) produces one partial result per
-/// contiguous item range. Use when per-item task overhead would dominate.
-/// A void-returning fn runs for its side effects only (each chunk must
-/// still write only its own slots of any shared output).
+/// Chunked variant: fn(chunk, begin, end) runs once per contiguous item
+/// range, for its side effects only. Use when per-item task overhead would
+/// dominate; each chunk must write only its own slots of any shared output.
 template <typename Fn>
-auto parallel_map_chunks(ThreadPool& pool, std::size_t total,
+void parallel_map_chunks(ThreadPool& pool, std::size_t total,
                          std::size_t chunks, Fn&& fn) {
-  using Result = decltype(fn(std::size_t{}, std::size_t{}, std::size_t{}));
-  if constexpr (std::is_void_v<Result>) {
-    pool.run_shards(chunks, [&](std::size_t chunk) {
-      const ChunkRange r = chunk_range(total, chunks, chunk);
-      fn(chunk, r.begin, r.end);
-    });
-  } else {
-    std::vector<Result> out(chunks);
-    pool.run_shards(chunks, [&](std::size_t chunk) {
-      const ChunkRange r = chunk_range(total, chunks, chunk);
-      out[chunk] = fn(chunk, r.begin, r.end);
-    });
-    return out;
-  }
-}
-
-/// Fixed-order balanced tree reduction: combine(combine(x0, x1),
-/// combine(x2, x3)) ... exactly the association pattern of
-/// stats::pairwise_sum, applied to already-materialized, index-ordered
-/// partials. The tree shape depends only on xs.size(), so the result is
-/// bit-identical for every thread count.
-template <typename T, typename Combine>
-T tree_reduce(std::span<const T> xs, T identity, Combine&& combine) {
-  struct Rec {
-    static T go(std::span<const T> s, Combine& c) {
-      if (s.size() == 1) return s[0];
-      if (s.size() == 2) return c(s[0], s[1]);
-      const std::size_t mid = s.size() / 2;
-      T lhs = go(s.first(mid), c);
-      T rhs = go(s.subspan(mid), c);
-      return c(lhs, rhs);
-    }
-  };
-  if (xs.empty()) return identity;
-  return Rec::go(xs, combine);
+  pool.run_shards(chunks, [&](std::size_t chunk) {
+    const ChunkRange r = chunk_range(total, chunks, chunk);
+    fn(chunk, r.begin, r.end);
+  });
 }
 
 }  // namespace fpq::parallel

@@ -1,8 +1,8 @@
 // fpq::parallel — the streaming-accumulation shard driver.
 //
-// stream_accumulate() is the serving-scale counterpart of
-// parallel_map_chunks: instead of materializing an input vector and a
-// partial-result vector, each chunk builds its OWN accumulator, feeds it
+// stream_accumulate() is the one parallel path for foldable statistics:
+// instead of materializing an input vector and a partial-result vector,
+// each chunk builds its OWN accumulator, feeds it
 // from any source (a record generator, a span, a file reader), and the
 // partials are combined on the caller's thread by a fixed-shape,
 // chunk-ordered binary merge tree. Memory is O(chunks · accumulator),
@@ -16,7 +16,7 @@
 //   2. fill(acc, begin, end) must be a pure function of the item range:
 //      any seeding inside uses the item INDEX, never the claiming thread.
 //   3. merge() combines in a fixed-shape binary tree over chunk order
-//      (identical association pattern to tree_reduce), so the combined
+//      (the association pattern of stats::pairwise_sum), so the combined
 //      result is a pure function of the chunk partition. Accumulators
 //      whose merge is fully associative and commutative (all the integer
 //      tally accumulators in fpq::survey) are additionally bit-identical
@@ -38,8 +38,8 @@ namespace fpq::parallel {
 namespace detail {
 
 /// Chunk-ordered fixed-shape tree merge: the split point depends only on
-/// the partial count, exactly like tree_reduce, but consumes the partials
-/// by move through Acc::merge(Acc&&).
+/// the partial count, and the partials are consumed by move through
+/// Acc::merge(Acc&&).
 template <typename Acc>
 Acc merge_ordered(std::vector<std::optional<Acc>>& parts, std::size_t lo,
                   std::size_t hi) {
@@ -80,8 +80,9 @@ auto stream_accumulate(ThreadPool& pool, std::size_t total,
 }
 
 /// Span convenience: the "source" is an already-materialized span and
-/// fill is acc.add(items[i]). This is what the survey analysis pooled
-/// overloads run on.
+/// fill is acc.add(items[i]). With a survey accumulator this is the
+/// sharded twin of the serial span-in entry points (survey/analysis.hpp),
+/// whose fold is its oracle.
 template <typename T, typename MakeAcc>
 auto accumulate_span(ThreadPool& pool, std::span<const T> items,
                      std::size_t chunks, const MakeAcc& make_acc) {

@@ -23,6 +23,7 @@
 #include "ir/expr.hpp"
 #include "ir/tape.hpp"
 #include "ir/tape_batch.hpp"
+#include "parallel/hash.hpp"
 #include "parallel/shard.hpp"
 #include "parallel/sweep32_ref.hpp"
 #include "parallel/sweep_util.hpp"
@@ -42,15 +43,6 @@ namespace host = mon::host;
 using mon::fenv_rounding;
 using mon::ScopedFenvRounding;
 using sweep_detail::Sm64;
-
-/// splitmix64 finalizer — the fingerprint mixer. Shared constants with
-/// Sm64 so the whole module has one notion of "hash this word".
-std::uint64_t mix64(std::uint64_t z) noexcept {
-  z += 0x9E3779B97F4A7C15ULL;
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
-}
 
 /// Chunk-local fold: order-dependent within the chunk (the chunk's
 /// content is deterministic), mixed per value so flag bits and result

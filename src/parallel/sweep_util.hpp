@@ -6,18 +6,18 @@
 
 #include <cstdint>
 
+#include "parallel/hash.hpp"
+
 namespace fpq::parallel::sweep_detail {
 
-/// Stateless-seedable splitmix64 stream for operand generation (the
-/// parallel substrate cannot link fpq_stats; see shard.cpp).
+/// Stateless-seedable splitmix64 stream for operand generation.
 struct Sm64 {
   std::uint64_t state;
   explicit Sm64(std::uint64_t seed) noexcept : state(seed) {}
   std::uint64_t next() noexcept {
-    std::uint64_t z = (state += 0x9E3779B97F4A7C15ULL);
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-    return z ^ (z >> 31);
+    const std::uint64_t z = mix64(state);
+    state += 0x9E3779B97F4A7C15ULL;
+    return z;
   }
 };
 

@@ -8,8 +8,8 @@
 //   * every shard index is claimed by exactly one lane (atomic cursors),
 //   * shard bodies write only to their own slot of a pre-sized output,
 //   * reductions happen on the caller's thread afterwards, in fixed shard
-//     order (see shard.hpp's tree_reduce) — never via shared FP
-//     accumulators or atomics on floating point.
+//     order (see stream.hpp's chunk-ordered merge tree) — never via shared
+//     FP accumulators or atomics on floating point.
 //
 // Scheduling is work-stealing at the shard level: run_shards() splits the
 // index space into one contiguous block per lane; each lane drains its own

@@ -44,52 +44,6 @@ BootstrapInterval bootstrap_mean(std::span<const double> data,
       confidence, g);
 }
 
-BootstrapInterval bootstrap_interval(std::span<const double> data,
-                                     const Statistic& statistic,
-                                     std::size_t replicates,
-                                     double confidence, std::uint64_t seed,
-                                     parallel::ThreadPool& pool) {
-  assert(!data.empty());
-  assert(replicates >= 100);
-  assert(confidence > 0.0 && confidence < 1.0);
-
-  BootstrapInterval out;
-  out.confidence = confidence;
-  out.estimate = statistic(data);
-
-  // Chunked so each shard reuses one resample buffer; replicate r's stream
-  // depends only on (seed, r), so the chunk count (and thread count) never
-  // changes which samples replicate r draws.
-  std::vector<double> estimates(replicates);
-  const std::size_t chunks =
-      parallel::recommended_chunks(pool, replicates, 16);
-  pool.run_shards(chunks, [&](std::size_t chunk) {
-    const auto range = parallel::chunk_range(replicates, chunks, chunk);
-    std::vector<double> resample(data.size());
-    for (std::size_t r = range.begin; r < range.end; ++r) {
-      Xoshiro256pp g(parallel::shard_seed(seed, r));
-      for (auto& slot : resample) {
-        slot = data[uniform_below(g, data.size())];
-      }
-      estimates[r] = statistic(resample);
-    }
-  });
-
-  const double alpha = (1.0 - confidence) / 2.0;
-  out.lower = quantile(estimates, alpha);
-  out.upper = quantile(estimates, 1.0 - alpha);
-  return out;
-}
-
-BootstrapInterval bootstrap_mean(std::span<const double> data,
-                                 std::size_t replicates, double confidence,
-                                 std::uint64_t seed,
-                                 parallel::ThreadPool& pool) {
-  return bootstrap_interval(
-      data, [](std::span<const double> xs) { return mean(xs); }, replicates,
-      confidence, seed, pool);
-}
-
 void ChunkStatAccumulator::merge(ChunkStatAccumulator&& other) {
   // Close this side's open stat before appending the other side's stats:
   // under the chunk-ordered tree merge every left subtree precedes every
@@ -126,8 +80,8 @@ BootstrapInterval bootstrap_mean_from_chunks(
   out.confidence = confidence;
   out.estimate = total_sum / static_cast<double>(total_n);
 
-  // Replicate r's stream depends only on (seed, r), exactly like the
-  // sharded data bootstrap: the shard count never changes the draws.
+  // Replicate r's stream depends only on (seed, r), so the shard count
+  // (and thread count) never changes which chunks replicate r draws.
   std::vector<double> estimates(replicates);
   const std::size_t shards =
       parallel::recommended_chunks(pool, replicates, 16);

@@ -40,25 +40,6 @@ BootstrapInterval bootstrap_mean(std::span<const double> data,
                                  std::size_t replicates, double confidence,
                                  Xoshiro256pp& g);
 
-/// Sharded percentile bootstrap. Replicate r draws from its own generator
-/// seeded with parallel::shard_seed(seed, r), so the result is a pure
-/// function of (data, statistic, replicates, confidence, seed) —
-/// bit-identical for every thread count, including 1. Note the resampling
-/// streams differ from the sequential overload above, which threads one
-/// generator through all replicates and therefore cannot be parallelized
-/// without changing its answers. The statistic is invoked concurrently
-/// and must be a pure function of its input span.
-BootstrapInterval bootstrap_interval(std::span<const double> data,
-                                     const Statistic& statistic,
-                                     std::size_t replicates,
-                                     double confidence, std::uint64_t seed,
-                                     parallel::ThreadPool& pool);
-
-BootstrapInterval bootstrap_mean(std::span<const double> data,
-                                 std::size_t replicates, double confidence,
-                                 std::uint64_t seed,
-                                 parallel::ThreadPool& pool);
-
 // -- Streaming (memory-bounded) bootstrap --------------------------------
 //
 // At serving scale the per-respondent observations are never
@@ -102,8 +83,9 @@ class ChunkStatAccumulator {
 
 /// Percentile bootstrap CI for the mean from chunk statistics. Requires
 /// at least one nonempty chunk, replicates >= 100, confidence in (0, 1).
-/// Replicate r draws from shard_seed(seed, r) exactly like the sharded
-/// overload above.
+/// Replicate r draws from its own generator seeded with
+/// parallel::shard_seed(seed, r), so the interval is a pure function of
+/// (chunks, replicates, confidence, seed) at every thread count.
 BootstrapInterval bootstrap_mean_from_chunks(
     std::span<const ChunkMeanStat> chunks, std::size_t replicates,
     double confidence, std::uint64_t seed, parallel::ThreadPool& pool);

@@ -2,13 +2,14 @@
 
 #include <cmath>
 
+#include "parallel/hash.hpp"
+
 namespace fpq::stats {
 
 std::uint64_t splitmix64_next(std::uint64_t& state) noexcept {
-  std::uint64_t z = (state += 0x9E3779B97F4A7C15ULL);
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
+  const std::uint64_t z = parallel::mix64(state);
+  state += 0x9E3779B97F4A7C15ULL;
+  return z;
 }
 
 namespace {

@@ -1,10 +1,9 @@
-// Thin wrappers over the mergeable accumulators in accumulators.hpp: the
-// serial entry points fold records into one accumulator; the pooled
-// overloads stream the span through parallel::accumulate_span. Both paths
-// end in the same finish() division, so they agree bit for bit.
+// Thin wrappers over the mergeable accumulators in accumulators.hpp: each
+// entry point folds the records into one accumulator and finishes it. A
+// sharded run (parallel::stream_accumulate over the same accumulators)
+// ends in the same finish() division, so it agrees bit for bit.
 #include "survey/analysis.hpp"
 
-#include "parallel/stream.hpp"
 #include "survey/accumulators.hpp"
 
 namespace fpq::survey {
@@ -15,14 +14,6 @@ template <typename Acc>
 Acc fold_span(std::span<const SurveyRecord> records, Acc acc) {
   for (const auto& record : records) acc.add(record);
   return acc;
-}
-
-template <typename MakeAcc>
-auto pooled(std::span<const SurveyRecord> records, parallel::ThreadPool& pool,
-            const MakeAcc& make_acc) {
-  const std::size_t chunks =
-      parallel::recommended_chunks(pool, records.size(), 64);
-  return parallel::accumulate_span(pool, records, chunks, make_acc);
 }
 
 }  // namespace
@@ -71,68 +62,6 @@ std::vector<BreakdownRow> opt_question_breakdown(
     std::span<const SurveyRecord> records,
     const std::array<quiz::Truth, quiz::kOptTrueFalseCount>& key) {
   return fold_span(records, BreakdownAccumulator::opt(key)).finish();
-}
-
-std::vector<TableRow> frequency_table(
-    std::span<const SurveyRecord> records,
-    std::span<const fpq::paperdata::CategoryCount> categories,
-    FieldSelector selector, parallel::ThreadPool& pool) {
-  return pooled(records, pool, [&] {
-           return FrequencyAccumulator(categories, selector);
-         })
-      .finish();
-}
-
-std::vector<TableRow> multi_select_table(
-    std::span<const SurveyRecord> records,
-    std::span<const fpq::paperdata::CategoryCount> categories,
-    ListSelector selector, parallel::ThreadPool& pool) {
-  return pooled(records, pool, [&] {
-           return MultiSelectAccumulator(categories, selector);
-         })
-      .finish();
-}
-
-AverageTally average_core(
-    std::span<const SurveyRecord> records,
-    const std::array<quiz::Truth, quiz::kCoreQuestionCount>& key,
-    parallel::ThreadPool& pool) {
-  return pooled(records, pool,
-                [&] { return AverageTallyAccumulator::core(key); })
-      .finish();
-}
-
-AverageTally average_opt_tf(
-    std::span<const SurveyRecord> records,
-    const std::array<quiz::Truth, quiz::kOptTrueFalseCount>& key,
-    parallel::ThreadPool& pool) {
-  return pooled(records, pool,
-                [&] { return AverageTallyAccumulator::opt_tf(key); })
-      .finish();
-}
-
-stats::IntHistogram core_score_histogram(
-    std::span<const SurveyRecord> records,
-    const std::array<quiz::Truth, quiz::kCoreQuestionCount>& key,
-    parallel::ThreadPool& pool) {
-  return pooled(records, pool, [&] { return ScoreHistogramAccumulator(key); })
-      .finish();
-}
-
-std::vector<BreakdownRow> core_question_breakdown(
-    std::span<const SurveyRecord> records,
-    const std::array<quiz::Truth, quiz::kCoreQuestionCount>& key,
-    parallel::ThreadPool& pool) {
-  return pooled(records, pool, [&] { return BreakdownAccumulator::core(key); })
-      .finish();
-}
-
-std::vector<BreakdownRow> opt_question_breakdown(
-    std::span<const SurveyRecord> records,
-    const std::array<quiz::Truth, quiz::kOptTrueFalseCount>& key,
-    parallel::ThreadPool& pool) {
-  return pooled(records, pool, [&] { return BreakdownAccumulator::opt(key); })
-      .finish();
 }
 
 }  // namespace fpq::survey

@@ -16,7 +16,6 @@
 
 #include "core/ground_truth.hpp"
 #include "paperdata/paperdata.hpp"
-#include "parallel/thread_pool.hpp"
 #include "stats/histogram.hpp"
 #include "survey/record.hpp"
 
@@ -87,45 +86,5 @@ std::vector<BreakdownRow> core_question_breakdown(
 std::vector<BreakdownRow> opt_question_breakdown(
     std::span<const SurveyRecord> records,
     const std::array<quiz::Truth, quiz::kOptTrueFalseCount>& key);
-
-// Sharded overloads, streamed through the mergeable accumulators in
-// accumulators.hpp (parallel::accumulate_span). Per-record tallies are
-// small integers, and integer sums are exact in binary64 far past any
-// cohort size we handle, so the per-chunk accumulators merged in chunk
-// order reproduce the serial results bit for bit at every thread count.
-std::vector<TableRow> frequency_table(
-    std::span<const SurveyRecord> records,
-    std::span<const fpq::paperdata::CategoryCount> categories,
-    FieldSelector selector, parallel::ThreadPool& pool);
-
-std::vector<TableRow> multi_select_table(
-    std::span<const SurveyRecord> records,
-    std::span<const fpq::paperdata::CategoryCount> categories,
-    ListSelector selector, parallel::ThreadPool& pool);
-
-AverageTally average_core(
-    std::span<const SurveyRecord> records,
-    const std::array<quiz::Truth, quiz::kCoreQuestionCount>& key,
-    parallel::ThreadPool& pool);
-
-AverageTally average_opt_tf(
-    std::span<const SurveyRecord> records,
-    const std::array<quiz::Truth, quiz::kOptTrueFalseCount>& key,
-    parallel::ThreadPool& pool);
-
-stats::IntHistogram core_score_histogram(
-    std::span<const SurveyRecord> records,
-    const std::array<quiz::Truth, quiz::kCoreQuestionCount>& key,
-    parallel::ThreadPool& pool);
-
-std::vector<BreakdownRow> core_question_breakdown(
-    std::span<const SurveyRecord> records,
-    const std::array<quiz::Truth, quiz::kCoreQuestionCount>& key,
-    parallel::ThreadPool& pool);
-
-std::vector<BreakdownRow> opt_question_breakdown(
-    std::span<const SurveyRecord> records,
-    const std::array<quiz::Truth, quiz::kOptTrueFalseCount>& key,
-    parallel::ThreadPool& pool);
 
 }  // namespace fpq::survey

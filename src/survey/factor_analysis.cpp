@@ -1,12 +1,9 @@
-// Thin wrappers over FactorLevelAccumulator (accumulators.hpp); the serial
-// and pooled overloads share one tally implementation and differ only in
-// whether the records are folded inline or streamed through
-// parallel::accumulate_span.
+// Thin wrappers over FactorLevelAccumulator (accumulators.hpp): each entry
+// point folds the records into one accumulator and finishes it.
 #include "survey/factor_analysis.hpp"
 
 #include <algorithm>
 
-#include "parallel/stream.hpp"
 #include "survey/accumulators.hpp"
 
 namespace fpq::survey {
@@ -17,15 +14,6 @@ std::vector<FactorLevelResult> run_serial(
     std::span<const SurveyRecord> records, FactorLevelAccumulator acc) {
   for (const auto& record : records) acc.add(record);
   return acc.finish();
-}
-
-template <typename MakeAcc>
-std::vector<FactorLevelResult> run_pooled(
-    std::span<const SurveyRecord> records, parallel::ThreadPool& pool,
-    const MakeAcc& make_acc) {
-  const std::size_t chunks =
-      parallel::recommended_chunks(pool, records.size(), 64);
-  return parallel::accumulate_span(pool, records, chunks, make_acc).finish();
 }
 
 }  // namespace
@@ -56,39 +44,6 @@ std::vector<FactorLevelResult> by_formal_training(
     const OptKey& opt_key) {
   return run_serial(
       records, FactorLevelAccumulator::by_formal_training(core_key, opt_key));
-}
-
-std::vector<FactorLevelResult> by_contributed_size(
-    std::span<const SurveyRecord> records, const CoreKey& core_key,
-    const OptKey& opt_key, parallel::ThreadPool& pool) {
-  return run_pooled(records, pool, [&] {
-    return FactorLevelAccumulator::by_contributed_size(core_key, opt_key);
-  });
-}
-
-std::vector<FactorLevelResult> by_area_group(
-    std::span<const SurveyRecord> records, const CoreKey& core_key,
-    const OptKey& opt_key, parallel::ThreadPool& pool) {
-  return run_pooled(records, pool, [&] {
-    return FactorLevelAccumulator::by_area_group(core_key, opt_key);
-  });
-}
-
-std::vector<FactorLevelResult> by_role(std::span<const SurveyRecord> records,
-                                       const CoreKey& core_key,
-                                       const OptKey& opt_key,
-                                       parallel::ThreadPool& pool) {
-  return run_pooled(records, pool, [&] {
-    return FactorLevelAccumulator::by_role(core_key, opt_key);
-  });
-}
-
-std::vector<FactorLevelResult> by_formal_training(
-    std::span<const SurveyRecord> records, const CoreKey& core_key,
-    const OptKey& opt_key, parallel::ThreadPool& pool) {
-  return run_pooled(records, pool, [&] {
-    return FactorLevelAccumulator::by_formal_training(core_key, opt_key);
-  });
 }
 
 double core_correct_spread(std::span<const FactorLevelResult> levels) {

@@ -45,27 +45,6 @@ std::vector<FactorLevelResult> by_formal_training(
     std::span<const SurveyRecord> records, const CoreKey& core_key,
     const OptKey& opt_key);
 
-// Sharded overloads: records are bucketed per chunk into integer partial
-// tallies, combined in chunk order. All sums are small integers (exact in
-// binary64), so the output is bit-identical to the serial functions at
-// every thread count.
-std::vector<FactorLevelResult> by_contributed_size(
-    std::span<const SurveyRecord> records, const CoreKey& core_key,
-    const OptKey& opt_key, parallel::ThreadPool& pool);
-
-std::vector<FactorLevelResult> by_area_group(
-    std::span<const SurveyRecord> records, const CoreKey& core_key,
-    const OptKey& opt_key, parallel::ThreadPool& pool);
-
-std::vector<FactorLevelResult> by_role(std::span<const SurveyRecord> records,
-                                       const CoreKey& core_key,
-                                       const OptKey& opt_key,
-                                       parallel::ThreadPool& pool);
-
-std::vector<FactorLevelResult> by_formal_training(
-    std::span<const SurveyRecord> records, const CoreKey& core_key,
-    const OptKey& opt_key, parallel::ThreadPool& pool);
-
 /// The spread (max - min) of mean core-correct across levels — the
 /// "variation across the values of the factor" the paper reports.
 double core_correct_spread(std::span<const FactorLevelResult> levels);

@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "core/question_bank.hpp"
-#include "parallel/stream.hpp"
 #include "survey/accumulators.hpp"
 
 namespace fpq::survey {
@@ -17,16 +16,6 @@ SuspicionDistributions distributions_of(std::span<const Record> records) {
   return acc.finish();
 }
 
-template <typename Record>
-SuspicionDistributions distributions_of(std::span<const Record> records,
-                                        parallel::ThreadPool& pool) {
-  const std::size_t chunks =
-      parallel::recommended_chunks(pool, records.size(), 64);
-  return parallel::accumulate_span(pool, records, chunks,
-                                   [] { return SuspicionAccumulator{}; })
-      .finish();
-}
-
 }  // namespace
 
 SuspicionDistributions suspicion_distributions(
@@ -37,16 +26,6 @@ SuspicionDistributions suspicion_distributions(
 SuspicionDistributions suspicion_distributions(
     std::span<const StudentRecord> records) {
   return distributions_of(records);
-}
-
-SuspicionDistributions suspicion_distributions(
-    std::span<const SurveyRecord> records, parallel::ThreadPool& pool) {
-  return distributions_of(records, pool);
-}
-
-SuspicionDistributions suspicion_distributions(
-    std::span<const StudentRecord> records, parallel::ThreadPool& pool) {
-  return distributions_of(records, pool);
 }
 
 SuspicionSummary summarize_suspicion(const SuspicionDistributions& dists) {

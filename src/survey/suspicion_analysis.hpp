@@ -10,7 +10,6 @@
 #include <span>
 #include <string>
 
-#include "parallel/thread_pool.hpp"
 #include "stats/likert.hpp"
 #include "survey/record.hpp"
 
@@ -24,14 +23,6 @@ SuspicionDistributions suspicion_distributions(
     std::span<const SurveyRecord> records);
 SuspicionDistributions suspicion_distributions(
     std::span<const StudentRecord> records);
-
-// Sharded overloads: per-chunk Likert counts merged in chunk order —
-// integer counts, so bit-identical to the serial fold at every thread
-// count.
-SuspicionDistributions suspicion_distributions(
-    std::span<const SurveyRecord> records, parallel::ThreadPool& pool);
-SuspicionDistributions suspicion_distributions(
-    std::span<const StudentRecord> records, parallel::ThreadPool& pool);
 
 /// Summary of one cohort's suspicion behavior.
 struct SuspicionSummary {

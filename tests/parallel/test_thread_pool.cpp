@@ -11,12 +11,14 @@
 #include <cstdint>
 #include <numeric>
 #include <set>
+#include <span>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "parallel/result_cache.hpp"
 #include "parallel/shard.hpp"
+#include "parallel/stream.hpp"
 #include "parallel/thread_pool.hpp"
 
 namespace par = fpq::parallel;
@@ -163,9 +165,16 @@ TEST(RecommendedChunks, RespectsBoundsAndMinimumGranularity) {
   EXPECT_GE(par::recommended_chunks(pool, 100000), pool.lanes());
 }
 
-TEST(TreeReduce, MatchesPairwiseAssociationExactly) {
-  // The tree shape must depend only on the element count. Verify against
-  // an explicit reference recursion at several sizes.
+TEST(StreamAccumulate, MergeTreeMatchesPairwiseAssociationExactly) {
+  // The merge tree's shape must depend only on the chunk count. With one
+  // item per chunk, a floating-point sum accumulator exposes the
+  // association; verify it against an explicit reference recursion at
+  // several sizes and lane counts.
+  struct SumAcc {
+    double sum = 0.0;
+    void add(double x) { sum += x; }
+    void merge(SumAcc&& other) { sum += other.sum; }
+  };
   for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{2},
                               std::size_t{5}, std::size_t{31},
                               std::size_t{64}, std::size_t{1000}}) {
@@ -177,15 +186,19 @@ TEST(TreeReduce, MatchesPairwiseAssociationExactly) {
       static double sum(const std::vector<double>& v, std::size_t lo,
                         std::size_t hi) {
         if (hi - lo == 1) return v[lo];
-        if (hi - lo == 2) return v[lo] + v[lo + 1];
         const std::size_t mid = lo + (hi - lo) / 2;
         return sum(v, lo, mid) + sum(v, mid, hi);
       }
     };
     const double expected = n == 0 ? 0.0 : Ref::sum(xs, 0, n);
-    const double got = par::tree_reduce<double>(
-        xs, 0.0, [](double a, double b) { return a + b; });
-    EXPECT_EQ(got, expected) << "n=" << n;  // bitwise, not approximate
+    for (const std::size_t lanes : {1u, 4u}) {
+      par::ThreadPool pool(lanes);
+      const double got =
+          par::accumulate_span(pool, std::span<const double>(xs), n,
+                               [] { return SumAcc{}; })
+              .sum;
+      EXPECT_EQ(got, expected) << "n=" << n;  // bitwise, not approximate
+    }
   }
 }
 

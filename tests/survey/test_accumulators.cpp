@@ -257,14 +257,39 @@ TEST(AccumulatorSharded, BitIdenticalAcrossThreadAndChunkCounts) {
       [&] { return sv::FrequencyAccumulator(pd::positions(), &position_of); },
       [](const auto& a, const auto& b) { expect_rows_eq(a, b); });
   check_sharded(
+      [&] {
+        return sv::MultiSelectAccumulator(pd::fp_languages(), &languages_of);
+      },
+      [](const auto& a, const auto& b) { expect_rows_eq(a, b); });
+  check_sharded(
       [&] { return sv::AverageTallyAccumulator::core(core_key); },
+      [](const auto& a, const auto& b) { expect_tally_eq(a, b); });
+  check_sharded(
+      [&] { return sv::AverageTallyAccumulator::opt_tf(opt_key); },
       [](const auto& a, const auto& b) { expect_tally_eq(a, b); });
   check_sharded(
       [&] { return sv::ScoreHistogramAccumulator(core_key); },
       [](const auto& a, const auto& b) { expect_hist_eq(a, b); });
   check_sharded(
+      [&] { return sv::BreakdownAccumulator::core(core_key); },
+      [](const auto& a, const auto& b) { expect_breakdown_eq(a, b); });
+  check_sharded(
       [&] { return sv::BreakdownAccumulator::opt(opt_key); },
       [](const auto& a, const auto& b) { expect_breakdown_eq(a, b); });
+  check_sharded(
+      [&] {
+        return sv::FactorLevelAccumulator::by_contributed_size(core_key,
+                                                               opt_key);
+      },
+      [](const auto& a, const auto& b) { expect_factors_eq(a, b); });
+  check_sharded(
+      [&] {
+        return sv::FactorLevelAccumulator::by_area_group(core_key, opt_key);
+      },
+      [](const auto& a, const auto& b) { expect_factors_eq(a, b); });
+  check_sharded(
+      [&] { return sv::FactorLevelAccumulator::by_role(core_key, opt_key); },
+      [](const auto& a, const auto& b) { expect_factors_eq(a, b); });
   check_sharded(
       [&] {
         return sv::FactorLevelAccumulator::by_formal_training(core_key,
