@@ -65,8 +65,7 @@ int main() {
            fpq::bench::stream_main_cohort(kN, [] {
              return sv::MultiSelectAccumulator(
                  pd::informal_training(),
-                 [](const sv::SurveyRecord& r)
-                     -> const std::vector<std::size_t>& {
+                 [](const sv::SurveyRecord& r) {
                    return r.background.informal_training;
                  });
            }).finish());

@@ -22,8 +22,7 @@ int main() {
   const auto fp = fpq::bench::stream_main_cohort(kN, [] {
                     return sv::MultiSelectAccumulator(
                         pd::fp_languages(),
-                        [](const sv::SurveyRecord& r)
-                            -> const std::vector<std::size_t>& {
+                        [](const sv::SurveyRecord& r) {
                           return r.background.fp_languages;
                         });
                   }).finish();
@@ -39,8 +38,7 @@ int main() {
   const auto arb = fpq::bench::stream_main_cohort(kN, [] {
                      return sv::MultiSelectAccumulator(
                          pd::arb_prec_languages(),
-                         [](const sv::SurveyRecord& r)
-                             -> const std::vector<std::size_t>& {
+                         [](const sv::SurveyRecord& r) {
                            return r.background.arb_prec_languages;
                          });
                    }).finish();

@@ -15,6 +15,8 @@
 //
 // Plus the serving-scale CI machinery: a cluster bootstrap over streamed
 // chunk statistics (stats/bootstrap.hpp) — memory O(chunks + replicates).
+// Its chunk count is a pure function of n, so the interval is too: gated
+// equal between a 1-thread pool and the full pool.
 //
 //   ./bench_survey_scale [--n N] [--threads T] [--rss-ceiling-mb MB]
 //                        [--monitor] [--monitor-budget FRAC]
@@ -63,17 +65,26 @@ double max_rss_mb() {
   return static_cast<double>(usage.ru_maxrss) / 1024.0;
 }
 
+/// Adds records [begin, end) of the kCohortSeed cohort to `acc`.
+constexpr auto fill_cohort = [](auto& acc, std::size_t begin,
+                                std::size_t end) {
+  fpq::respondent::CohortGenerator gen(fpq::bench::kCohortSeed);
+  gen.seek(begin);
+  for (std::size_t i = begin; i < end; ++i) acc.add(gen.next());
+};
+
+/// A chunk count fixed by n alone (up to 64 chunks of at least 64
+/// records), for results whose value depends on the chunk shape.
+std::size_t fixed_chunks(std::size_t n) {
+  return std::min<std::size_t>(64, std::max<std::size_t>(1, n / 64));
+}
+
 /// Streams records [0, n) of the kCohortSeed cohort through make_acc()'s
 /// accumulator type on the given pool.
 template <typename MakeAcc>
 auto stream_n(par::ThreadPool& pool, std::size_t n, const MakeAcc& make_acc) {
-  return par::stream_accumulate(
-      pool, n, par::recommended_chunks(pool, n, 64), make_acc,
-      [](auto& acc, std::size_t begin, std::size_t end) {
-        fpq::respondent::CohortGenerator gen(fpq::bench::kCohortSeed);
-        gen.seek(begin);
-        for (std::size_t i = begin; i < end; ++i) acc.add(gen.next());
-      });
+  return par::stream_accumulate(pool, n, par::recommended_chunks(pool, n, 64),
+                                make_acc, fill_cohort);
 }
 
 int g_failures = 0;
@@ -167,9 +178,7 @@ void identity_gate() {
       [](const sv::SurveyRecord& r) { return r.background.position; });
   const auto ref_multi = sv::multi_select_table(
       cohort, pd::fp_languages(),
-      [](const sv::SurveyRecord& r) -> const std::vector<std::size_t>& {
-        return r.background.fp_languages;
-      });
+      [](const sv::SurveyRecord& r) { return r.background.fp_languages; });
   const auto ref_core = sv::average_core(cohort, core_key);
   const auto ref_opt = sv::average_opt_tf(cohort, opt_key);
   const auto ref_hist = sv::core_score_histogram(cohort, core_key);
@@ -193,8 +202,7 @@ void identity_gate() {
                      stream_n(pool, kSmallN, [] {
                        return sv::MultiSelectAccumulator(
                            pd::fp_languages(),
-                           [](const sv::SurveyRecord& r)
-                               -> const std::vector<std::size_t>& {
+                           [](const sv::SurveyRecord& r) {
                              return r.background.fp_languages;
                            });
                      }).finish()),
@@ -319,7 +327,7 @@ int main(int argc, char** argv) {
   std::printf(
       "flat-memory gate: peak RSS %.1f MB -> %.1f MB (delta %.1f MB, "
       "ceiling %.1f MB); a materialized cohort vector would need >= %.0f "
-      "MB before heap fields\n",
+      "MB\n",
       rss_before, rss_after, rss_delta, rss_ceiling_mb,
       materialized_floor_mb);
   if (rss_delta > rss_ceiling_mb) {
@@ -383,6 +391,8 @@ int main(int argc, char** argv) {
       100.0 * generate_ns / (generate_ns + fold_ns));
 
   // Phase 4: the memory-bounded bootstrap CI over streamed chunk stats.
+  // A cluster bootstrap resamples chunks, so the chunk count is fixed by n
+  // alone, not by the pool width.
   class ScoreChunks {
    public:
     explicit ScoreChunks(const sv::CoreKey& key) : key_(key) {}
@@ -398,8 +408,13 @@ int main(int argc, char** argv) {
     sv::CoreKey key_;
     fpq::stats::ChunkStatAccumulator acc_;
   };
-  const auto chunk_stats =
-      stream_n(pool, n, [&] { return ScoreChunks(core_key); }).finish();
+  const auto chunk_stats_on = [&](par::ThreadPool& p) {
+    return par::stream_accumulate(
+               p, n, fixed_chunks(n), [&] { return ScoreChunks(core_key); },
+               fill_cohort)
+        .finish();
+  };
+  const auto chunk_stats = chunk_stats_on(pool);
   const auto ci = fpq::stats::bootstrap_mean_from_chunks(
       chunk_stats, 2000, 0.95, 0xB007, pool);
   std::printf(
@@ -412,19 +427,27 @@ int main(int argc, char** argv) {
         ci.estimate, avg.correct);
     ++g_failures;
   }
+  const auto single_ci = fpq::stats::bootstrap_mean_from_chunks(
+      chunk_stats_on(single), 2000, 0.95, 0xB007, single);
+  const bool ci_invariant = single_ci.estimate == ci.estimate &&
+                            single_ci.lower == ci.lower &&
+                            single_ci.upper == ci.upper;
+  std::printf("bootstrap thread-invariance gate: 1 thread vs %zu: %s\n",
+              pool.lanes(), ci_invariant ? "PASS (bit-exact)" : "FAIL");
+  if (!ci_invariant) {
+    std::printf(
+        "IDENTITY FAILURE: 1-thread CI [%.17g, %.17g] != pooled CI "
+        "[%.17g, %.17g]\n",
+        single_ci.lower, single_ci.upper, ci.lower, ci.upper);
+    ++g_failures;
+  }
 
   // Phase 5 (--monitor): the same fold under always-on flow monitoring.
   // The chunk count is fixed by n alone so the monitored merge tree —
   // and therefore the flow report fingerprint — is thread-count
   // invariant.
   if (monitor) {
-    const std::size_t flow_chunks =
-        std::min<std::size_t>(64, std::max<std::size_t>(1, n / 64));
-    const auto fill = [](auto& acc, std::size_t begin, std::size_t end) {
-      fpq::respondent::CohortGenerator gen(fpq::bench::kCohortSeed);
-      gen.seek(begin);
-      for (std::size_t i = begin; i < end; ++i) acc.add(gen.next());
-    };
+    const std::size_t flow_chunks = fixed_chunks(n);
     const auto make_acc = [&] {
       return sv::AverageTallyAccumulator::core(core_key);
     };
@@ -436,17 +459,18 @@ int main(int argc, char** argv) {
     // shared host one descheduled run would otherwise decide the gate.
     constexpr int kMonitorReps = 3;
     auto plain =
-        par::stream_accumulate(pool, n, flow_chunks, make_acc, fill);
+        par::stream_accumulate(pool, n, flow_chunks, make_acc, fill_cohort);
     auto monitored = fpq::mon::monitored_stream_accumulate(
-        pool, n, flow_chunks, make_acc, fill);
+        pool, n, flow_chunks, make_acc, fill_cohort);
     double plain_s = 0.0;
     double mon_s = 0.0;
     for (int rep = 0; rep < kMonitorReps; ++rep) {
       const auto u0 = std::chrono::steady_clock::now();
-      plain = par::stream_accumulate(pool, n, flow_chunks, make_acc, fill);
+      plain = par::stream_accumulate(pool, n, flow_chunks, make_acc,
+                                     fill_cohort);
       const auto u1 = std::chrono::steady_clock::now();
       monitored = fpq::mon::monitored_stream_accumulate(
-          pool, n, flow_chunks, make_acc, fill);
+          pool, n, flow_chunks, make_acc, fill_cohort);
       const auto m1 = std::chrono::steady_clock::now();
       const double p = std::chrono::duration<double>(u1 - u0).count();
       const double m = std::chrono::duration<double>(m1 - u1).count();
@@ -490,7 +514,7 @@ int main(int argc, char** argv) {
     for (const int t : {1, 2, 4, 8}) {
       par::ThreadPool tp(static_cast<std::size_t>(t));
       auto again = fpq::mon::monitored_stream_accumulate(
-          tp, n, flow_chunks, make_acc, fill);
+          tp, n, flow_chunks, make_acc, fill_cohort);
       if (again.flow.fingerprint() != ref_fp) {
         std::printf(
             "IDENTITY FAILURE: flow fingerprint diverged at %d "

@@ -1,7 +1,7 @@
 #include "respondent/background_model.hpp"
 
-#include <array>
-#include <cassert>
+#include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "paperdata/paperdata.hpp"
@@ -27,10 +27,10 @@ stats::CategoricalDistribution from_counts(
 // row order, at the option's published selection rate n / 199.
 class MultiSelect {
  public:
-  static constexpr std::size_t kMaxOptions = 32;
-
   explicit MultiSelect(std::span<const pd::CategoryCount> rows) {
-    assert(rows.size() <= kMaxOptions);
+    if (rows.size() > survey::IndexSet::kCapacity) {
+      throw std::length_error("MultiSelect: more rows than an IndexSet holds");
+    }
     rates_.reserve(rows.size());
     for (const auto& row : rows) {
       rates_.push_back(static_cast<double>(row.n) /
@@ -38,14 +38,14 @@ class MultiSelect {
     }
   }
 
-  std::vector<std::size_t> sample(stats::Xoshiro256pp& g) const {
-    std::array<std::size_t, kMaxOptions> picked;
-    std::size_t k = 0;
+  // Branch-free: the outcomes are random, so a branch per option would
+  // mispredict about as often as an option is picked.
+  survey::IndexSet sample(stats::Xoshiro256pp& g) const {
+    std::uint32_t mask = 0;
     for (std::size_t i = 0; i < rates_.size(); ++i) {
-      picked[k] = i;
-      k += stats::bernoulli(g, rates_[i]) ? 1 : 0;
+      mask |= std::uint32_t{stats::bernoulli(g, rates_[i])} << i;
     }
-    return {picked.begin(), picked.begin() + k};
+    return survey::IndexSet::from_mask(mask);
   }
 
  private:

@@ -12,27 +12,9 @@ std::uint64_t splitmix64_next(std::uint64_t& state) noexcept {
   return z;
 }
 
-namespace {
-constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
-  return (x << k) | (x >> (64 - k));
-}
-}  // namespace
-
 Xoshiro256pp::Xoshiro256pp(std::uint64_t seed) noexcept {
   std::uint64_t sm = seed;
   for (auto& word : s_) word = splitmix64_next(sm);
-}
-
-Xoshiro256pp::result_type Xoshiro256pp::operator()() noexcept {
-  const std::uint64_t result = rotl(s_[0] + s_[3], 23) + s_[0];
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
 }
 
 void Xoshiro256pp::jump() noexcept {
@@ -60,12 +42,6 @@ Xoshiro256pp Xoshiro256pp::split(std::uint64_t stream_id) noexcept {
   return Xoshiro256pp{material};
 }
 
-double uniform01(Xoshiro256pp& g) noexcept {
-  // Top 53 bits scaled by 2^-53: every result is an exact multiple of
-  // 2^-53 in [0, 1).
-  return static_cast<double>(g() >> 11) * 0x1.0p-53;
-}
-
 double uniform_range(Xoshiro256pp& g, double lo, double hi) noexcept {
   return lo + (hi - lo) * uniform01(g);
 }
@@ -84,18 +60,6 @@ std::uint64_t uniform_below(Xoshiro256pp& g, std::uint64_t n) noexcept {
     }
   }
   return static_cast<std::uint64_t>(m >> 64);
-}
-
-bool bernoulli(Xoshiro256pp& g, double p) noexcept {
-  if (p <= 0.0) {
-    g();  // keep stream position independent of p
-    return false;
-  }
-  if (p >= 1.0) {
-    g();
-    return true;
-  }
-  return uniform01(g) < p;
 }
 
 double standard_normal(Xoshiro256pp& g) noexcept {

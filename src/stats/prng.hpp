@@ -12,6 +12,7 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <limits>
 
@@ -39,8 +40,20 @@ class Xoshiro256pp {
     return std::numeric_limits<result_type>::max();
   }
 
-  /// Next 64 uniformly distributed bits.
-  result_type operator()() noexcept;
+  /// Next 64 uniformly distributed bits. Inline, as are uniform01 and
+  /// bernoulli: samplers call it dozens of times per generated record,
+  /// and each call is a few integer steps.
+  result_type operator()() noexcept {
+    const std::uint64_t result = std::rotl(s_[0] + s_[3], 23) + s_[0];
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = std::rotl(s_[3], 45);
+    return result;
+  }
 
   /// Equivalent to 2^128 calls to operator(); used to partition one seed
   /// into independent streams (one per respondent, per question, ...).
@@ -55,8 +68,17 @@ class Xoshiro256pp {
   std::array<std::uint64_t, 4> s_;
 };
 
-/// Uniform double in [0, 1) with 53 random bits (never returns 1.0).
-double uniform01(Xoshiro256pp& g) noexcept;
+// uniform01 and bernoulli are inline in every includer, whatever its FP
+// flags: they use only exact operations (a 53-bit integer to double
+// conversion, a scale by 2^-53 and a compare), so no flag can change a
+// result. Anything that rounds (uniform_range, standard_normal) stays in
+// prng.cpp, which is built with the strict FP flags.
+
+/// Uniform double in [0, 1) with 53 random bits (never returns 1.0):
+/// every result is an exact multiple of 2^-53.
+inline double uniform01(Xoshiro256pp& g) noexcept {
+  return static_cast<double>(g() >> 11) * 0x1.0p-53;
+}
 
 /// Uniform double in [lo, hi). Requires lo < hi and both finite.
 double uniform_range(Xoshiro256pp& g, double lo, double hi) noexcept;
@@ -65,8 +87,13 @@ double uniform_range(Xoshiro256pp& g, double lo, double hi) noexcept;
 /// rejection. Requires n > 0.
 std::uint64_t uniform_below(Xoshiro256pp& g, std::uint64_t n) noexcept;
 
-/// Bernoulli draw with success probability p (clamped to [0,1]).
-bool bernoulli(Xoshiro256pp& g, double p) noexcept;
+/// Bernoulli draw with success probability p (clamped to [0,1]). Always
+/// consumes exactly one draw, so the stream position never depends on p.
+/// Because uniform01 lies in [0, 1), the one compare is the clamp: it is
+/// false for every p <= 0 (and NaN) and true for every p >= 1.
+inline bool bernoulli(Xoshiro256pp& g, double p) noexcept {
+  return uniform01(g) < p;
+}
 
 /// Standard normal via the Marsaglia polar method (exact, no tables).
 double standard_normal(Xoshiro256pp& g) noexcept;

@@ -38,8 +38,8 @@ std::vector<TableRow> frequency_table(
     FieldSelector selector);
 
 /// Multi-select membership table (Figures 4, 6, 7): row n counts records
-/// whose selection list contains that row index.
-using ListSelector = const std::vector<std::size_t>& (*)(const SurveyRecord&);
+/// whose selection set contains that row index.
+using ListSelector = IndexSet (*)(const SurveyRecord&);
 std::vector<TableRow> multi_select_table(
     std::span<const SurveyRecord> records,
     std::span<const fpq::paperdata::CategoryCount> categories,

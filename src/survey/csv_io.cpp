@@ -37,11 +37,11 @@ bool char_to_answer(char c, quiz::Answer& out) {
   }
 }
 
-std::string join_indices(const std::vector<std::size_t>& xs) {
+std::string join_indices(const IndexSet& xs) {
   std::string out;
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    if (i != 0) out += ';';
-    out += std::to_string(xs[i]);
+  for (const std::size_t x : xs) {
+    if (!out.empty()) out += ';';
+    out += std::to_string(x);
   }
   return out;
 }
@@ -115,15 +115,17 @@ class RowParser {
     ++next_;
   }
 
+  /// A semicolon-joined list of distinct row indices in ascending order,
+  /// the only form write_csv produces and an IndexSet can hold.
   void parse_enum_list(std::span<const paperdata::CategoryCount> table,
-                       const char* table_name,
-                       std::vector<std::size_t>& out) {
+                       const char* table_name, IndexSet& out) {
     if (error_) {
       ++next_;
       return;
     }
-    out.clear();
+    out = {};
     const std::string& s = fields_[next_];
+    std::size_t last = 0;
     std::size_t start = 0;
     while (!s.empty() && start <= s.size()) {
       const std::size_t sep = s.find(';', start);
@@ -139,7 +141,12 @@ class RowParser {
              table_name + " (" + std::to_string(table.size()) + " rows)");
         return;
       }
-      out.push_back(value);
+      if (!out.empty() && value <= last) {
+        fail("index list not strictly ascending: '" + s + "'");
+        return;
+      }
+      out.insert(value);
+      last = value;
       if (sep == std::string::npos) break;
       start = sep + 1;
     }

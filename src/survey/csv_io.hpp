@@ -2,13 +2,15 @@
 //
 // Lets synthetic datasets leave the process (for R/pandas analysis) and
 // come back. One row per respondent; multi-select fields are
-// semicolon-joined index lists inside one CSV field; quiz answers are
-// single characters (T/F/D/U); the level choice is its index (or D/U).
+// semicolon-joined, strictly ascending index lists inside one CSV field;
+// quiz answers are single characters (T/F/D/U); the level choice is its
+// index (or D/U).
 //
 // The readers are hardened against hostile input: truncated rows,
-// non-numeric fields, and enum codes outside the paperdata category
-// tables all produce a structured ParseError naming the line and the
-// offending column — never UB, never a partially-parsed record set.
+// non-numeric fields, enum codes outside the paperdata category tables
+// and multi-select lists out of order or with a repeated index all
+// produce a structured ParseError naming the line and the offending
+// column — never UB, never a partially-parsed record set.
 #pragma once
 
 #include <functional>

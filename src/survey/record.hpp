@@ -7,25 +7,96 @@
 #pragma once
 
 #include <array>
+#include <bit>
+#include <cstddef>
 #include <cstdint>
-#include <vector>
+#include <initializer_list>
+#include <iterator>
 
 #include "core/scoring.hpp"
 #include "core/types.hpp"
 
 namespace fpq::survey {
 
+/// One multi-select answer: the set of selected row indices, each below
+/// kCapacity, held as a bit mask so a record owns no heap memory.
+/// Iteration yields the indices in ascending order.
+class IndexSet {
+ public:
+  static constexpr std::size_t kCapacity = 32;
+
+  /// Forward iterator over the set bits, lowest first.
+  class iterator {
+   public:
+    using iterator_category = std::forward_iterator_tag;
+    using value_type = std::size_t;
+    using difference_type = std::ptrdiff_t;
+    using pointer = void;
+    using reference = std::size_t;
+
+    constexpr iterator() noexcept = default;
+    constexpr explicit iterator(std::uint32_t rest) noexcept : rest_(rest) {}
+
+    constexpr std::size_t operator*() const noexcept {
+      return static_cast<std::size_t>(std::countr_zero(rest_));
+    }
+    constexpr iterator& operator++() noexcept {
+      rest_ &= rest_ - 1;  // clear the lowest set bit
+      return *this;
+    }
+    constexpr iterator operator++(int) noexcept {
+      const iterator old = *this;
+      ++*this;
+      return old;
+    }
+    friend constexpr bool operator==(iterator, iterator) noexcept = default;
+
+   private:
+    std::uint32_t rest_ = 0;
+  };
+  using const_iterator = iterator;
+
+  constexpr IndexSet() noexcept = default;
+  /// Requires every index below kCapacity.
+  constexpr IndexSet(std::initializer_list<std::size_t> indices) noexcept {
+    for (const std::size_t i : indices) insert(i);
+  }
+  /// Bit i of `mask` set <=> index i in the set.
+  static constexpr IndexSet from_mask(std::uint32_t mask) noexcept {
+    IndexSet s;
+    s.mask_ = mask;
+    return s;
+  }
+
+  /// Requires i < kCapacity.
+  constexpr void insert(std::size_t i) noexcept {
+    mask_ |= std::uint32_t{1} << i;
+  }
+  constexpr std::size_t size() const noexcept {
+    return static_cast<std::size_t>(std::popcount(mask_));
+  }
+  constexpr bool empty() const noexcept { return mask_ == 0; }
+
+  constexpr iterator begin() const noexcept { return iterator(mask_); }
+  constexpr iterator end() const noexcept { return iterator(); }
+
+  friend constexpr bool operator==(IndexSet, IndexSet) noexcept = default;
+
+ private:
+  std::uint32_t mask_ = 0;
+};
+
 /// Background factors; each single-select field is an index into the
 /// corresponding fpq::paperdata table (Figures 1-11), multi-selects are
-/// index lists.
+/// index sets.
 struct BackgroundProfile {
   std::size_t position = 0;          ///< into paperdata::positions()
   std::size_t area = 0;              ///< into paperdata::areas()
   std::size_t formal_training = 0;   ///< into paperdata::formal_training()
-  std::vector<std::size_t> informal_training;  ///< into Fig 4 rows
+  IndexSet informal_training;        ///< into Fig 4 rows
   std::size_t dev_role = 0;          ///< into paperdata::dev_roles()
-  std::vector<std::size_t> fp_languages;        ///< into Fig 6 rows
-  std::vector<std::size_t> arb_prec_languages;  ///< into Fig 7 rows
+  IndexSet fp_languages;             ///< into Fig 6 rows
+  IndexSet arb_prec_languages;       ///< into Fig 7 rows
   std::size_t contributed_size = 0;   ///< into Fig 8 rows
   std::size_t contributed_extent = 0; ///< into Fig 9 rows
   std::size_t involved_size = 0;      ///< into Fig 10 rows

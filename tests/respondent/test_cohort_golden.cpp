@@ -28,7 +28,7 @@ class Fingerprint {
     z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
     h_ = z ^ (z >> 31);
   }
-  void add_list(const std::vector<std::size_t>& list) noexcept {
+  void add_list(const sv::IndexSet& list) noexcept {
     add(list.size());
     for (const std::size_t v : list) add(v);
   }

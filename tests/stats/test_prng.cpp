@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <iterator>
 #include <set>
 #include <vector>
 
@@ -20,6 +22,34 @@ TEST(Prng, SplitMix64KnownSequence) {
   EXPECT_EQ(st::splitmix64_next(s), 0xE220A8397B1DCDAFULL);
   EXPECT_EQ(st::splitmix64_next(s), 0x6E789E6AA1B965F4ULL);
   EXPECT_EQ(st::splitmix64_next(s), 0x06C45D188009454FULL);
+}
+
+TEST(Prng, Xoshiro256ppKnownSequence) {
+  // Values captured before operator(), uniform01 and bernoulli became
+  // header-inline: the inline path must reproduce the out-of-line one.
+  st::Xoshiro256pp g(2024);
+  EXPECT_EQ(g(), 0x8641253F8FED82D1ULL);
+  EXPECT_EQ(g(), 0x4B7EEEC62AF66AF9ULL);
+  EXPECT_EQ(g(), 0x3E595FE9CF746B2AULL);
+  EXPECT_EQ(g(), 0x6BF1AA430346476CULL);
+
+  st::Xoshiro256pp u(7);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(st::uniform01(u)),
+            0x3FAC583400555D20ULL);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(st::uniform01(u)),
+            0x3FC607E46EFD274CULL);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(st::uniform01(u)),
+            0x3FE6F66236761A8BULL);
+
+  // p <= 0 and p >= 1 decide without comparing but still consume one
+  // draw each, so the stream position never depends on p.
+  st::Xoshiro256pp b(11);
+  const double ps[] = {0.0, 1.0, 0.5, 0.25, 0.75, -1.0, 2.0, 0.5};
+  const bool want[] = {false, true, false, false, true, false, true, true};
+  for (std::size_t i = 0; i < std::size(ps); ++i) {
+    EXPECT_EQ(st::bernoulli(b, ps[i]), want[i]) << "draw " << i;
+  }
+  EXPECT_EQ(b(), 0xC9F9738D5BF501FAULL);  // the 9th output of seed 11
 }
 
 TEST(Prng, SameSeedSameStream) {

@@ -47,7 +47,7 @@ std::size_t position_of(const sv::SurveyRecord& r) {
   return r.background.position;
 }
 
-const std::vector<std::size_t>& languages_of(const sv::SurveyRecord& r) {
+sv::IndexSet languages_of(const sv::SurveyRecord& r) {
   return r.background.fp_languages;
 }
 

@@ -123,9 +123,7 @@ TEST(Analysis, MultiSelectTableCounts) {
   records[1].background.fp_languages = {0};
   const auto rows = sv::multi_select_table(
       records, fpq::paperdata::fp_languages(),
-      [](const sv::SurveyRecord& r) -> const std::vector<std::size_t>& {
-        return r.background.fp_languages;
-      });
+      [](const sv::SurveyRecord& r) { return r.background.fp_languages; });
   EXPECT_EQ(rows[0].n, 2u);  // Python
   EXPECT_EQ(rows[1].n, 1u);  // C
   EXPECT_DOUBLE_EQ(rows[0].percent, 100.0);
@@ -161,9 +159,7 @@ TEST(Analysis, EmptyCohortNeverProducesNaN) {
 
   const auto multi = sv::multi_select_table(
       none, fpq::paperdata::fp_languages(),
-      [](const sv::SurveyRecord& r) -> const std::vector<std::size_t>& {
-        return r.background.fp_languages;
-      });
+      [](const sv::SurveyRecord& r) { return r.background.fp_languages; });
   for (const auto& row : multi) EXPECT_DOUBLE_EQ(row.percent, 0.0);
 
   const auto core_rows =

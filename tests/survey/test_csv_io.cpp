@@ -48,8 +48,8 @@ TEST(CsvIo, RoundTripsOneRecord) {
   const auto& r = parsed[0];
   EXPECT_EQ(r.respondent_id, 42u);
   EXPECT_EQ(r.background.area, 3u);
-  EXPECT_EQ(r.background.informal_training,
-            (std::vector<std::size_t>{0, 2}));
+  EXPECT_EQ(r.background.informal_training, (sv::IndexSet{0, 2}));
+  EXPECT_EQ(r.background.fp_languages, (sv::IndexSet{0, 1, 2}));
   EXPECT_TRUE(r.background.arb_prec_languages.empty());
   EXPECT_EQ(r.core[fpq::quiz::CoreQuestionId::kIdentity],
             fpq::quiz::Answer::kFalse);
@@ -74,6 +74,12 @@ TEST(CsvIo, RoundTripsAFullCohort) {
   for (std::size_t i = 0; i < cohort.size(); ++i) {
     EXPECT_EQ(parsed[i].respondent_id, cohort[i].respondent_id);
     EXPECT_EQ(parsed[i].background.area, cohort[i].background.area);
+    EXPECT_EQ(parsed[i].background.informal_training,
+              cohort[i].background.informal_training);
+    EXPECT_EQ(parsed[i].background.fp_languages,
+              cohort[i].background.fp_languages);
+    EXPECT_EQ(parsed[i].background.arb_prec_languages,
+              cohort[i].background.arb_prec_languages);
     EXPECT_EQ(parsed[i].core.answers, cohort[i].core.answers);
     EXPECT_EQ(parsed[i].opt.tf_answers, cohort[i].opt.tf_answers);
     EXPECT_EQ(parsed[i].opt.level_choice, cohort[i].opt.level_choice);
@@ -229,6 +235,25 @@ TEST(CsvIoCorrupt, OutOfRangeMultiSelectIndexNamesTheColumn) {
   ASSERT_TRUE(err.has_value());
   EXPECT_EQ(err->field, "fp_languages");
   EXPECT_NE(err->message.find("out of range"), std::string::npos);
+}
+
+// A multi-select field is a set: write_csv lists each index once, in
+// ascending order, and the reader accepts nothing else.
+TEST(CsvIoCorrupt, OutOfOrderMultiSelectListNamesTheColumn) {
+  const auto err = parse_of(corrupt_field("fp_languages", "2;0"));
+  ASSERT_TRUE(err.has_value());
+  EXPECT_EQ(err->line, 2u);
+  EXPECT_EQ(err->field, "fp_languages");
+  EXPECT_NE(err->message.find("strictly ascending"), std::string::npos)
+      << err->message;
+}
+
+TEST(CsvIoCorrupt, DuplicateMultiSelectIndexNamesTheColumn) {
+  const auto err = parse_of(corrupt_field("informal_training", "0;0"));
+  ASSERT_TRUE(err.has_value());
+  EXPECT_EQ(err->field, "informal_training");
+  EXPECT_NE(err->message.find("strictly ascending"), std::string::npos)
+      << err->message;
 }
 
 TEST(CsvIoCorrupt, NonNumericFieldNamesTheColumn) {

@@ -3,7 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <vector>
+
 #include "paperdata/paperdata.hpp"
+#include "survey/csv_io.hpp"
 #include "survey/record.hpp"
 
 namespace sv = fpq::survey;
@@ -92,6 +96,61 @@ TEST(Record, DefaultRecordIsSane) {
   const sv::SurveyRecord r;
   for (auto a : r.core.answers) EXPECT_EQ(a, fpq::quiz::Answer::kUnanswered);
   for (int s : r.suspicion) EXPECT_EQ(s, 1);
+}
+
+TEST(IndexSet, IteratesAscendingWhateverTheInsertOrder) {
+  const sv::IndexSet set{31, 4, 0, 17};
+  EXPECT_EQ(std::vector<std::size_t>(set.begin(), set.end()),
+            (std::vector<std::size_t>{0, 4, 17, 31}));
+  EXPECT_EQ(set.size(), 4u);
+  EXPECT_FALSE(set.empty());
+  EXPECT_EQ(set, sv::IndexSet::from_mask((1U << 31) | (1U << 17) | 0x11U));
+}
+
+TEST(IndexSet, EmptySizeAndEquality) {
+  const sv::IndexSet none;
+  EXPECT_TRUE(none.empty());
+  EXPECT_EQ(none.size(), 0u);
+  EXPECT_EQ(none.begin(), none.end());
+  EXPECT_EQ(none, sv::IndexSet{});
+
+  sv::IndexSet grown;
+  grown.insert(3);
+  grown.insert(3);  // a set: inserting twice keeps one copy
+  EXPECT_EQ(grown.size(), 1u);
+  EXPECT_EQ(grown, (sv::IndexSet{3}));
+  EXPECT_NE(grown, (sv::IndexSet{2}));
+  EXPECT_NE(grown, (sv::IndexSet{2, 3}));
+}
+
+TEST(IndexSet, EveryMultiSelectTableFits) {
+  EXPECT_LE(pd::informal_training().size(), sv::IndexSet::kCapacity);
+  EXPECT_LE(pd::fp_languages().size(), sv::IndexSet::kCapacity);
+  EXPECT_LE(pd::arb_prec_languages().size(), sv::IndexSet::kCapacity);
+}
+
+TEST(IndexSet, CsvRoundTrip) {
+  // Every subset of the Figure 7 rows (empty and full included) is
+  // written as an ascending list and read back as the same set.
+  const std::size_t rows = pd::arb_prec_languages().size();
+  ASSERT_LE(rows, 12u);  // keeps the 2^rows records small
+  std::vector<sv::SurveyRecord> records(std::size_t{1} << rows);
+  for (std::size_t m = 0; m < records.size(); ++m) {
+    records[m].background.arb_prec_languages =
+        sv::IndexSet::from_mask(static_cast<std::uint32_t>(m));
+  }
+  std::ostringstream out;
+  sv::write_csv(out, records);
+  std::istringstream in(out.str());
+  std::vector<sv::SurveyRecord> parsed;
+  const auto err = sv::read_csv(in, parsed);
+  ASSERT_FALSE(err.has_value()) << err->to_string();
+  ASSERT_EQ(parsed.size(), records.size());
+  for (std::size_t m = 0; m < records.size(); ++m) {
+    EXPECT_EQ(parsed[m].background.arb_prec_languages,
+              records[m].background.arb_prec_languages)
+        << "mask " << m;
+  }
 }
 
 }  // namespace
