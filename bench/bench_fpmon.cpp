@@ -1,7 +1,7 @@
 // fpmon overhead microbench: what does always-on flow monitoring cost?
 //
 // Times every healthy workloads kernel (the broken ones would trap) in
-// four configurations and reports per-run deltas:
+// four configurations:
 //
 //   * native-unmonitored — NativeContext, no monitor: the floor.
 //   * flowctx-idle       — FlowContext with NO FlowMonitor live: the
@@ -17,29 +17,38 @@
 //                          enable/disable + signal-path bookkeeping, not
 //                          trap storms).
 //
+// The modes are interleaved: each round times one catalogue pass per
+// mode in turn (native, idle, sampling, trap; native, idle, ...), and a
+// mode's ratio in that round is its time over the same round's native
+// time. So machine-speed drift that a block-per-mode timing would fold
+// into one mode lands on all of them. Each mode reports the median of
+// its per-round times and ratios, and the min-max spread of the ratios.
+//
 //   bench_fpmon [--reps N] [--budget FILE]
 //
-// --reps: timed runs of the catalogue per mode (a positive integer,
-// default 200).
+// --reps: interleaved rounds, i.e. timed catalogue passes per mode (a
+// positive integer, default 200).
 // --budget reads "mode max_ratio" lines ('#' starts a comment) and exits
-// 1 when a mode's measured overhead ratio vs native-unmonitored exceeds
-// its budget — the CI regression gate for monitoring cost. Budgets are
-// deliberately generous: per-op hooks on cheap interpreted kernels are
-// expected to cost integer multiples, and the gate exists to catch
-// order-of-magnitude regressions, not scheduler noise.
+// 1 when a mode's median ratio vs native-unmonitored exceeds its budget:
+// the CI regression gate for monitoring cost. The budgets sit above the
+// medians measured over repeated runs, so the gate catches a per-op
+// regression, not scheduler noise.
 //
 // A bad --reps, an unreadable budget, or a budget line naming an unknown
 // mode, carrying a non-finite or non-positive ratio, or trailing junk
 // exits 2 before any timing starts.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -52,12 +61,17 @@ namespace wl = fpq::workloads;
 namespace {
 
 template <typename F>
-double time_ns_per_rep(std::size_t reps, F&& f) {
+double time_ns(F&& f) {
   const auto t0 = std::chrono::steady_clock::now();
-  for (std::size_t i = 0; i < reps; ++i) f();
+  f();
   const auto t1 = std::chrono::steady_clock::now();
-  return std::chrono::duration<double, std::nano>(t1 - t0).count() /
-         static_cast<double>(reps);
+  return std::chrono::duration<double, std::nano>(t1 - t0).count();
+}
+
+double median(std::vector<double> xs) {
+  std::sort(xs.begin(), xs.end());
+  const std::size_t n = xs.size();
+  return n % 2 == 1 ? xs[n / 2] : 0.5 * (xs[n / 2 - 1] + xs[n / 2]);
 }
 
 std::vector<const wl::Workload*> healthy_workloads() {
@@ -146,54 +160,62 @@ int main(int argc, char** argv) {
 
   struct Mode {
     std::string name;
-    double ns_per_run = 0.0;
+    std::function<void()> pass;  // one catalogue pass
+    std::vector<double> ns;      // per round
+    std::vector<double> ratio;   // per round, over that round's floor
   };
   std::vector<Mode> modes;
-
-  modes.push_back({"native-unmonitored",
-                   time_ns_per_rep(reps, [&] {
-                     wl::NativeContext ctx;
-                     for (const wl::Workload* w : kernels) w->run(ctx);
-                   })});
-  modes.push_back({"flowctx-idle",
-                   time_ns_per_rep(reps, [&] {
-                     wl::FlowContext ctx;
-                     for (const wl::Workload* w : kernels) w->run(ctx);
-                   })});
-  modes.push_back({"flow-sampling",
-                   time_ns_per_rep(reps, [&] {
-                     for (const wl::Workload* w : kernels)
-                       (void)wl::observe_flow(*w);
-                   })});
+  auto add_mode = [&](const char* name, std::function<void()> pass) {
+    modes.push_back(Mode{name, std::move(pass), {}, {}});
+  };
+  add_mode("native-unmonitored", [&] {
+    wl::NativeContext ctx;
+    for (const wl::Workload* w : kernels) w->run(ctx);
+  });
+  add_mode("flowctx-idle", [&] {
+    wl::FlowContext ctx;
+    for (const wl::Workload* w : kernels) w->run(ctx);
+  });
+  add_mode("flow-sampling", [&] {
+    for (const wl::Workload* w : kernels) (void)wl::observe_flow(*w);
+  });
+  mon::FlowOptions trap_opts;
+  trap_opts.mode = mon::FlowMode::kTrap;
   if (mon::trap_supported()) {
-    mon::FlowOptions trap_opts;
-    trap_opts.mode = mon::FlowMode::kTrap;
-    modes.push_back({"flow-trap",
-                     time_ns_per_rep(reps, [&] {
-                       for (const wl::Workload* w : kernels)
-                         (void)wl::observe_flow(*w, trap_opts);
-                     })});
+    add_mode("flow-trap", [&] {
+      for (const wl::Workload* w : kernels)
+        (void)wl::observe_flow(*w, trap_opts);
+    });
   } else {
     std::printf(
         "flow-trap: skipped (FE traps unavailable on this platform/"
         "build)\n");
   }
 
-  const double base = modes.front().ns_per_run;
-  std::printf("fpmon overhead (%zu reps x %zu healthy kernels)\n", reps,
-              kernels.size());
-  std::printf("%-20s %14s %10s\n", "mode", "ns/catalogue", "ratio");
+  for (std::size_t round = 0; round < reps; ++round) {
+    for (Mode& m : modes) m.ns.push_back(time_ns(m.pass));
+    const double base = modes.front().ns.back();
+    for (Mode& m : modes) {
+      m.ratio.push_back(base > 0.0 ? m.ns.back() / base : 0.0);
+    }
+  }
+
+  std::printf("fpmon overhead (%zu interleaved rounds x %zu healthy "
+              "kernels; medians, ratio spread min-max)\n",
+              reps, kernels.size());
+  std::printf("%-20s %14s %10s %17s\n", "mode", "ns/catalogue", "ratio",
+              "spread");
   for (const Mode& m : modes) {
-    const double ratio = base > 0.0 ? m.ns_per_run / base : 0.0;
-    std::printf("%-20s %14.0f %9.2fx\n", m.name.c_str(), m.ns_per_run,
-                ratio);
+    const auto [lo, hi] = std::minmax_element(m.ratio.begin(), m.ratio.end());
+    std::printf("%-20s %14.0f %9.2fx %7.2fx-%.2fx\n", m.name.c_str(),
+                median(m.ns), median(m.ratio), *lo, *hi);
   }
 
   bool ok = true;
   for (const Mode& m : modes) {
     const auto it = budget.find(m.name);
     if (it == budget.end()) continue;
-    const double ratio = base > 0.0 ? m.ns_per_run / base : 0.0;
+    const double ratio = median(m.ratio);
     if (!(ratio <= it->second)) {
       std::fprintf(stderr,
                    "GATE: fpmon mode %s overhead %.2fx exceeds"

@@ -51,10 +51,6 @@ ValueClass classify(double x) noexcept {
   return (bits >> 63) != 0 ? ValueClass::kNegInf : ValueClass::kPosInf;
 }
 
-bool is_exceptional(ValueClass c) noexcept {
-  return c != ValueClass::kFinite;
-}
-
 std::string value_class_name(ValueClass c) {
   switch (c) {
     case ValueClass::kFinite:
@@ -119,16 +115,14 @@ const SiteFlow* FlowLedger::site(std::uint64_t tag) const noexcept {
   return it != sites_.end() && it->tag == tag ? &*it : nullptr;
 }
 
-void FlowLedger::record_op(std::uint64_t tag, ValueClass a, ValueClass b,
-                           ValueClass c, ValueClass result) {
+void FlowLedger::record_exceptional_op(std::uint64_t tag, ValueClass a,
+                                       ValueClass b, ValueClass c,
+                                       ValueClass result) {
   summary_.ops += 1;
+  summary_.exceptional_ops += 1;
   const bool operand_exceptional =
       is_exceptional(a) || is_exceptional(b) || is_exceptional(c);
   const bool result_exceptional = is_exceptional(result);
-  // An all-finite op is counted and nothing more: sites exist only where
-  // an exceptional value was born, propagated or killed.
-  if (!operand_exceptional && !result_exceptional) return;
-  summary_.exceptional_ops += 1;
 
   SiteFlow* site = site_for(tag);
   if (site != nullptr) {
@@ -147,22 +141,9 @@ void FlowLedger::record_op(std::uint64_t tag, ValueClass a, ValueClass b,
   }
 }
 
-void FlowLedger::record_flag_sample(std::uint64_t tag,
-                                    unsigned sticky_flags) {
-  summary_.flag_samples += 1;
-  if (have_flags_) {
-    const unsigned vanished = last_flags_ & ~sticky_flags;
-    if (vanished != 0) {
-      // Sticky exception state is monotone; bits can only vanish when
-      // someone cleared them between the two samples — a swallow.
-      summary_.swallows += 1;
-      if (SiteFlow* site = site_for(tag); site != nullptr) {
-        site->swallows += 1;
-      }
-    }
-  }
-  last_flags_ = sticky_flags;
-  have_flags_ = true;
+void FlowLedger::record_swallow(std::uint64_t tag) {
+  summary_.swallows += 1;
+  if (SiteFlow* site = site_for(tag); site != nullptr) site->swallows += 1;
 }
 
 void FlowLedger::record_seam(const ConditionSet& conditions) {
@@ -232,7 +213,6 @@ void FlowLedger::merge(FlowLedger&& other) {
   traps_.insert(traps_.end(), other.traps_.begin(), other.traps_.end());
   // Cross-chunk flag continuity is meaningless (each shard sampled its
   // own evaluator), so the merged ledger starts a fresh sample window.
-  have_flags_ = false;
   last_flags_ = 0;
 }
 
@@ -470,10 +450,6 @@ void FlowLedger::note_lost_traps(std::uint64_t lost) noexcept {
 
 // -- FlowMonitor -------------------------------------------------------------
 
-namespace {
-thread_local FlowMonitor* t_monitor_top = nullptr;
-}  // namespace
-
 FlowMonitor::FlowMonitor(const FlowOptions& options)
     : ledger_(options.max_sites) {
   capability_.trap_supported = trap_supported();
@@ -489,13 +465,26 @@ FlowMonitor::FlowMonitor(const FlowOptions& options)
           "seam collector already held by another monitor";
     }
   }
-  prev_ = t_monitor_top;
-  t_monitor_top = this;
+  prev_ = t_top_;
+  t_top_ = this;
 }
 
-const FlowReport& FlowMonitor::stop() noexcept {
+const FlowReport& FlowMonitor::stop() & noexcept {
   if (stopped_) return report_;
   stopped_ = true;
+  // Unlink from the per-thread stack first, so no event reaches a stopped
+  // monitor (LIFO in RAII use; defensive walk otherwise so an
+  // out-of-order stop can never corrupt the chain).
+  if (t_top_ == this) {
+    t_top_ = prev_;
+  } else {
+    for (FlowMonitor* m = t_top_; m != nullptr; m = m->prev_) {
+      if (m->prev_ == this) {
+        m->prev_ = prev_;
+        break;
+      }
+    }
+  }
   stop_trap();
   if (seam_session_) FlowCollector::release_into(ledger_);
   // The monitor's own boundary is a seam: harvest the region's condition
@@ -503,18 +492,6 @@ const FlowReport& FlowMonitor::stop() noexcept {
   // the enclosing fenv state.
   ledger_.record_seam(scoped_.peek());
   report_.conditions = scoped_.stop();
-  // Unlink from the per-thread stack (LIFO in RAII use; defensive walk
-  // otherwise so an out-of-order stop can never corrupt the chain).
-  if (t_monitor_top == this) {
-    t_monitor_top = prev_;
-  } else {
-    for (FlowMonitor* m = t_monitor_top; m != nullptr; m = m->prev_) {
-      if (m->prev_ == this) {
-        m->prev_ = prev_;
-        break;
-      }
-    }
-  }
   report_.ledger = std::move(ledger_);
   report_.capability = capability_;
   return report_;
@@ -522,14 +499,9 @@ const FlowReport& FlowMonitor::stop() noexcept {
 
 FlowMonitor::~FlowMonitor() { stop(); }
 
-bool FlowMonitor::thread_active() noexcept {
-  return t_monitor_top != nullptr;
-}
-
-void FlowMonitor::on_op(std::uint64_t tag, double a, double b, double c,
-                        unsigned operand_count, double result) noexcept {
-  FlowMonitor* m = t_monitor_top;
-  if (m == nullptr) return;
+void FlowMonitor::on_exceptional_op(std::uint64_t tag, double a, double b,
+                                    double c, unsigned operand_count,
+                                    double result) noexcept {
   const ValueClass ca =
       operand_count > 0 ? classify(a) : ValueClass::kFinite;
   const ValueClass cb =
@@ -537,23 +509,16 @@ void FlowMonitor::on_op(std::uint64_t tag, double a, double b, double c,
   const ValueClass cc =
       operand_count > 2 ? classify(c) : ValueClass::kFinite;
   const ValueClass cr = classify(result);
-  for (; m != nullptr; m = m->prev_) {
-    if (!m->stopped_) m->ledger_.record_op(tag, ca, cb, cc, cr);
-  }
-}
-
-void FlowMonitor::on_flag_sample(std::uint64_t tag,
-                                 unsigned flags) noexcept {
-  for (FlowMonitor* m = t_monitor_top; m != nullptr; m = m->prev_) {
-    if (!m->stopped_) m->ledger_.record_flag_sample(tag, flags);
+  for (FlowMonitor* m = t_top_; m != nullptr; m = m->prev_) {
+    m->ledger_.record_exceptional_op(tag, ca, cb, cc, cr);
   }
 }
 
 void FlowMonitor::on_seam() noexcept {
-  if (t_monitor_top == nullptr) return;
+  if (t_top_ == nullptr) return;
   const ConditionSet harvested = current_fenv_conditions();
-  for (FlowMonitor* m = t_monitor_top; m != nullptr; m = m->prev_) {
-    if (!m->stopped_) m->ledger_.record_seam(harvested);
+  for (FlowMonitor* m = t_top_; m != nullptr; m = m->prev_) {
+    m->ledger_.record_seam(harvested);
   }
 }
 

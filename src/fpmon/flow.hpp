@@ -36,9 +36,11 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "fpmon/monitor.hpp"
@@ -55,7 +57,16 @@ enum class ValueClass : std::uint8_t {
 };
 
 ValueClass classify(double x) noexcept;
-bool is_exceptional(ValueClass c) noexcept;
+constexpr bool is_exceptional(ValueClass c) noexcept {
+  return c != ValueClass::kFinite;
+}
+/// True for an infinity or a NaN: the exponent field is all ones. The
+/// one-test form of is_exceptional(classify(x)) for the emission fast
+/// paths.
+constexpr bool is_nonfinite(double x) noexcept {
+  constexpr std::uint64_t kExponent = 0x7FF0000000000000ULL;
+  return (std::bit_cast<std::uint64_t>(x) & kExponent) == kExponent;
+}
 std::string value_class_name(ValueClass c);
 
 /// Flow-site tags: the (call, op) coordinates of one operation in a
@@ -134,11 +145,23 @@ class FlowLedger {
   /// only an event with an exceptional operand or result touches a site,
   /// classified born/propagated/killed.
   void record_op(std::uint64_t tag, ValueClass a, ValueClass b,
-                 ValueClass c, ValueClass result);
+                 ValueClass c, ValueClass result) {
+    if (is_exceptional(a) || is_exceptional(b) || is_exceptional(c) ||
+        is_exceptional(result)) {
+      record_exceptional_op(tag, a, b, c, result);
+    } else {
+      count_finite_op();
+    }
+  }
   /// Records a sticky-flag sample (softfloat Flag bits) at site `tag`.
   /// A bit present in the previous sample but absent now is a SWALLOW —
-  /// someone ate sticky state between the two samples.
-  void record_flag_sample(std::uint64_t tag, unsigned sticky_flags);
+  /// someone ate sticky state between the two samples. Sticky state is
+  /// monotone, so only a swallow touches a site.
+  void record_flag_sample(std::uint64_t tag, unsigned sticky_flags) {
+    summary_.flag_samples += 1;
+    if ((last_flags_ & ~sticky_flags) != 0) [[unlikely]] record_swallow(tag);
+    last_flags_ = sticky_flags;
+  }
   /// Records a seam harvest (chunk/shard boundary): the conditions are
   /// unioned, the sample counted.
   void record_seam(const ConditionSet& conditions);
@@ -177,6 +200,12 @@ class FlowLedger {
   std::uint64_t fingerprint() const noexcept;
 
  private:
+  friend class FlowMonitor;
+
+  void count_finite_op() noexcept { summary_.ops += 1; }
+  void record_exceptional_op(std::uint64_t tag, ValueClass a, ValueClass b,
+                             ValueClass c, ValueClass result);
+  void record_swallow(std::uint64_t tag);
   SiteFlow* site_for(std::uint64_t tag);
 
   std::vector<SiteFlow> sites_;  // tag-sorted
@@ -184,8 +213,7 @@ class FlowLedger {
   ConditionSet seam_conditions_;
   std::vector<TrapEvent> traps_;
   std::size_t max_sites_ = kDefaultMaxSites;
-  unsigned last_flags_ = 0;
-  bool have_flags_ = false;
+  unsigned last_flags_ = 0;  // 0 before the first sample: nothing vanishes
 };
 
 /// Acquisition mode request.
@@ -252,28 +280,66 @@ class FlowMonitor {
   /// Stops monitoring (idempotent): drains the trap ring, restores the
   /// signal disposition and exception masks, harvests the final seam
   /// sample, and freezes the report.
-  const FlowReport& stop() noexcept;
+  const FlowReport& stop() & noexcept;
+  /// Stops a monitor that is about to go away and moves its report out,
+  /// so the site table is not copied.
+  FlowReport stop() && noexcept {
+    stop();
+    return std::move(report_);
+  }
 
   const FlowCapability& capability() const noexcept { return capability_; }
 
-  // -- static emission fast paths (no-ops when this thread has no
-  //    monitor; one thread_local load + branch) --------------------------
+  // -- static emission fast paths ---------------------------------------
+  //
+  // Inline, so an instrumented evaluator pays no call for the common
+  // event. With no monitor on this thread each is one thread_local load
+  // and a branch. Otherwise an all-finite op event (exponent fields of
+  // the result and the used operands not all ones) adds 1 to every
+  // stacked monitor's summary().ops, and a flag sample that loses no
+  // sticky bit adds 1 to flag_samples and stores the flags. Only an
+  // event with an infinity or a NaN, or a swallow, goes out of line to
+  // the site logic. Every stacked monitor receives every event.
 
   /// True when at least one FlowMonitor is live on this thread. Callers
   /// on hot paths gate event construction on this.
-  static bool thread_active() noexcept;
-  /// One op event: operand values (unused slots pass 0.0), operand count,
-  /// final result, at site `tag`.
+  static bool thread_active() noexcept { return t_top_ != nullptr; }
+  /// One op event: operand values, operand count, final result, at site
+  /// `tag`. Slots past operand_count are ignored whatever they hold.
   static void on_op(std::uint64_t tag, double a, double b, double c,
-                    unsigned operand_count, double result) noexcept;
+                    unsigned operand_count, double result) noexcept {
+    FlowMonitor* m = t_top_;
+    if (m == nullptr) return;
+    const bool exceptional = is_nonfinite(result) |
+                             ((operand_count > 0) & is_nonfinite(a)) |
+                             ((operand_count > 1) & is_nonfinite(b)) |
+                             ((operand_count > 2) & is_nonfinite(c));
+    if (exceptional) [[unlikely]] {
+      on_exceptional_op(tag, a, b, c, operand_count, result);
+      return;
+    }
+    for (; m != nullptr; m = m->prev_) m->ledger_.count_finite_op();
+  }
   /// One sticky-flag sample (softfloat Flag bits) at site `tag`.
-  static void on_flag_sample(std::uint64_t tag, unsigned flags) noexcept;
+  static void on_flag_sample(std::uint64_t tag, unsigned flags) noexcept {
+    for (FlowMonitor* m = t_top_; m != nullptr; m = m->prev_) {
+      m->ledger_.record_flag_sample(tag, flags);
+    }
+  }
   /// Seam harvest on the CURRENT thread's monitor stack (fenv read-only).
   static void on_seam() noexcept;
 
  private:
+  static void on_exceptional_op(std::uint64_t tag, double a, double b,
+                                double c, unsigned operand_count,
+                                double result) noexcept;
   void start_trap() noexcept;
   void stop_trap() noexcept;
+
+  // Top of this thread's monitor stack. stop() unlinks a monitor before
+  // anything else, so every monitor on the stack is live. constinit: no
+  // dynamic initialisation, so no TLS wrapper call on the fast paths.
+  static inline thread_local constinit FlowMonitor* t_top_ = nullptr;
 
   FlowLedger ledger_;
   FlowCapability capability_;
@@ -294,7 +360,7 @@ void monitor_flow(Fn&& fn, FlowReport& out,
   struct Harvest {
     Harvest(FlowReport* o, const FlowOptions& opts) noexcept
         : monitor(opts), out(o) {}
-    ~Harvest() { *out = monitor.stop(); }
+    ~Harvest() { *out = std::move(monitor).stop(); }
     FlowMonitor monitor;
     FlowReport* out;
   } harvest(&out, options);

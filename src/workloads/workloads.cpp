@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ir/evaluators.hpp"
@@ -165,8 +166,9 @@ void variance(EvalContext& ctx, double offset, int n) {
   std::vector<E> vars;  // x0 ... x{n-1}, bound to xs
   for (int i = 0; i < n; ++i) {
     xs[static_cast<std::size_t>(i)] = ctx.call(shifted, {offset, 1e-8 * i});
-    vars.push_back(E::variable("x" + std::to_string(i),
-                               static_cast<std::uint32_t>(i)));
+    std::string name = "x";  // not "x" + to_string: GCC 12 -Wrestrict
+    name += std::to_string(i);
+    vars.push_back(E::variable(std::move(name), static_cast<std::uint32_t>(i)));
   }
   const double sum = ctx.call(E::sum(vars), xs);  // left-to-right chain
   const double sum_sq = ctx.call(E::dot(vars, vars), xs);  // naive squares

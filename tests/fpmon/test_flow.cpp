@@ -10,6 +10,7 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -252,6 +253,105 @@ TEST(FlowMonitor, EventsReachEveryMonitorOnTheStack) {
   EXPECT_EQ(outer_report.ledger.summary().ops, 2u);
   EXPECT_EQ(outer_report.ledger.summary().born, 1u);
   EXPECT_EQ(outer_report.ledger.summary().propagated, 1u);
+}
+
+TEST(FlowMonitor, NestedMonitorsCountEveryEventAndAStoppedOneNone) {
+  mon::FlowMonitor outer;
+  {
+    mon::FlowMonitor inner;
+    mon::FlowMonitor::on_op(mon::flow_tag(0, 0), 1.0, 2.0, 0.0, 2, 3.0);
+    mon::FlowMonitor::on_op(mon::flow_tag(0, 1), kInf, 2.0, 0.0, 2, kInf);
+    const mon::FlowSummary inner_seen = inner.stop().ledger.summary();
+    EXPECT_EQ(inner_seen.ops, 2u);
+    EXPECT_EQ(inner_seen.exceptional_ops, 1u);
+    EXPECT_EQ(inner_seen.propagated, 1u);
+    // Stopped but still in scope: later events reach the outer monitor
+    // only, the clean one and the exceptional one alike.
+    mon::FlowMonitor::on_op(mon::flow_tag(0, 2), 1.0, 1.0, 0.0, 2, 2.0);
+    mon::FlowMonitor::on_op(mon::flow_tag(0, 3), 1.0, 0.0, 0.0, 2, kInf);
+    const mon::FlowReport& inner_report = inner.stop();
+    EXPECT_EQ(inner_report.ledger.summary().ops, 2u);
+    EXPECT_EQ(inner_report.ledger.summary().exceptional_ops, 1u);
+    EXPECT_EQ(inner_report.ledger.summary().born, 0u);
+    EXPECT_EQ(inner_report.ledger.sites().size(), 1u);
+  }
+  const mon::FlowReport& outer_report = outer.stop();
+  const mon::FlowSummary& s = outer_report.ledger.summary();
+  EXPECT_EQ(s.ops, 4u);
+  EXPECT_EQ(s.exceptional_ops, 2u);
+  EXPECT_EQ(s.propagated, 1u);
+  EXPECT_EQ(s.born, 1u);
+  EXPECT_EQ(outer_report.ledger.sites().size(), 2u);
+}
+
+TEST(FlowMonitor, UnusedOperandSlotsNeverMakeAnEventExceptional) {
+  // Callers pass whatever sits in an unused slot; only the first
+  // operand_count slots are classified.
+  mon::FlowReport report;
+  mon::monitor_flow(
+      [] {
+        mon::FlowMonitor::on_op(mon::flow_tag(0, 0), 4.0, kNaN, kInf, 1,
+                                2.0);
+        mon::FlowMonitor::on_op(mon::flow_tag(0, 1), 1.0, 2.0, kNaN, 2,
+                                3.0);
+      },
+      report);
+  const mon::FlowSummary& s = report.ledger.summary();
+  EXPECT_EQ(s.ops, 2u);
+  EXPECT_EQ(s.exceptional_ops, 0u);
+  EXPECT_EQ(s.born + s.propagated + s.killed, 0u);
+  EXPECT_TRUE(report.ledger.sites().empty());
+}
+
+TEST(FlowMonitor, FlagSamplesReachEveryMonitorOnTheStack) {
+  mon::FlowReport outer_report;
+  mon::monitor_flow(
+      [] {
+        mon::FlowMonitor::on_flag_sample(mon::flow_tag(0, 0),
+                                         sf::kFlagOverflow);
+        mon::FlowReport inner_report;
+        mon::monitor_flow(
+            [] {
+              mon::FlowMonitor::on_flag_sample(mon::flow_tag(0, 1),
+                                               sf::kFlagInvalid);
+              mon::FlowMonitor::on_flag_sample(mon::flow_tag(0, 1), 0);
+            },
+            inner_report);
+        // The inner monitor's window opened at its first sample: only
+        // Invalid vanished inside it.
+        EXPECT_EQ(inner_report.ledger.summary().flag_samples, 2u);
+        EXPECT_EQ(inner_report.ledger.summary().swallows, 1u);
+        ASSERT_NE(inner_report.ledger.site(mon::flow_tag(0, 1)), nullptr);
+        mon::FlowMonitor::on_flag_sample(mon::flow_tag(0, 2),
+                                         sf::kFlagInexact);
+      },
+      outer_report);
+  // Outer: Overflow vanished at the first inner sample, Invalid at the
+  // second; the last sample only adds bits.
+  const mon::FlowLedger& led = outer_report.ledger;
+  EXPECT_EQ(led.summary().flag_samples, 4u);
+  EXPECT_EQ(led.summary().swallows, 2u);
+  ASSERT_NE(led.site(mon::flow_tag(0, 1)), nullptr);
+  EXPECT_EQ(led.site(mon::flow_tag(0, 1))->swallows, 2u);
+  EXPECT_EQ(led.site(mon::flow_tag(0, 2)), nullptr);
+}
+
+TEST(FlowMonitor, RvalueStopMovesTheSameReportOut) {
+  auto run = [] {
+    mon::FlowMonitor::on_op(mon::flow_tag(0, 0), 1.0, 0.0, 0.0, 2, kInf);
+    mon::FlowMonitor::on_op(mon::flow_tag(0, 1), kInf, 1.0, 0.0, 2, 1.0);
+    mon::FlowMonitor::on_flag_sample(mon::flow_tag(0, 1), sf::kFlagInexact);
+  };
+  mon::FlowMonitor kept;
+  run();
+  const mon::FlowReport& copied = kept.stop();
+  mon::FlowMonitor moved;
+  run();
+  const mon::FlowReport taken = std::move(moved).stop();
+  EXPECT_EQ(taken.fingerprint(), copied.fingerprint());
+  EXPECT_EQ(taken.ledger.sites().size(), 2u);
+  EXPECT_EQ(taken.ledger.summary().killed, 1u);
+  EXPECT_FALSE(mon::FlowMonitor::thread_active());
 }
 
 TEST(FlowMonitor, NestedMonitorReRaisesIntoTheEnclosingRegion) {

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <iterator>
 #include <limits>
 
 #include "fpmon/flow.hpp"
@@ -110,6 +112,48 @@ TEST(Workloads, FlowContextNumbersEveryOpOfASharedSubtree) {
   EXPECT_EQ(led.site(mon::flow_tag(0, 0))->propagated, 1u);
   EXPECT_EQ(led.site(mon::flow_tag(0, 1))->propagated, 1u);
   EXPECT_EQ(led.site(mon::flow_tag(0, 2))->propagated, 1u);
+}
+
+TEST(FlowLedgerPins, CatalogueObserveFlowIsStable) {
+  // Every catalogue ledger at full scale, pinned: the per-op emission
+  // path may get cheaper, but the ledger it builds (sites, signatures,
+  // summary) must not move by a bit. The site count is the number of
+  // exceptional sites, so an all-finite op that leaked into a site would
+  // show here as well as in the fingerprint.
+  struct Pin {
+    const char* name;
+    std::uint64_t fingerprint;
+    std::uint64_t ops, exceptional_ops, born, propagated, killed;
+    std::size_t sites;
+  };
+  static constexpr Pin kPins[] = {
+      {"lorenz/healthy", 3129118878268006659ull, 70000, 0, 0, 0, 0, 0},
+      {"lorenz/broken", 297848040054487443ull, 1400, 1240, 2, 1238, 0, 1240},
+      {"variance/healthy", 17901186720851434802ull, 259, 0, 0, 0, 0, 0},
+      {"variance/broken", 11096774807207776323ull, 31, 1, 1, 0, 0, 1},
+      {"series/healthy", 14576187655934898391ull, 1800, 0, 0, 0, 0, 0},
+      {"series/broken", 5655704045434411417ull, 1601, 984, 1, 983, 0, 984},
+      {"normalize/healthy", 9993370740509676473ull, 8, 0, 0, 0, 0, 0},
+      {"normalize/broken", 5605326589179527881ull, 8, 6, 2, 2, 2, 6},
+      {"decay/healthy", 2563869176168047292ull, 1101, 0, 0, 0, 0, 0},
+      {"poly/healthy", 398644315242297688ull, 1206, 0, 0, 0, 0, 0},
+      {"poly/broken", 7314703463292178626ull, 40, 18, 9, 9, 0, 18},
+  };
+  const auto cat = wl::catalogue();
+  ASSERT_EQ(cat.size(), std::size(kPins));
+  for (std::size_t i = 0; i < cat.size(); ++i) {
+    const Pin& pin = kPins[i];
+    ASSERT_EQ(cat[i].name, pin.name);
+    const mon::FlowReport report = wl::observe_flow(cat[i]);
+    const mon::FlowSummary& s = report.ledger.summary();
+    EXPECT_EQ(report.ledger.fingerprint(), pin.fingerprint) << pin.name;
+    EXPECT_EQ(s.ops, pin.ops) << pin.name;
+    EXPECT_EQ(s.exceptional_ops, pin.exceptional_ops) << pin.name;
+    EXPECT_EQ(s.born, pin.born) << pin.name;
+    EXPECT_EQ(s.propagated, pin.propagated) << pin.name;
+    EXPECT_EQ(s.killed, pin.killed) << pin.name;
+    EXPECT_EQ(report.ledger.sites().size(), pin.sites) << pin.name;
+  }
 }
 
 }  // namespace
