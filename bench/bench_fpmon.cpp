@@ -22,7 +22,10 @@
 // mode's ratio in that round is its time over the same round's native
 // time. So machine-speed drift that a block-per-mode timing would fold
 // into one mode lands on all of them. Each mode reports the median of
-// its per-round times and ratios, and the min-max spread of the ratios.
+// its per-round times and ratios, and the interquartile range (p25-p75)
+// of the ratios: one pass is short enough that the scheduler moves a
+// single round's ratio far more than the monitor does, so the extremes
+// say nothing about monitor cost.
 //
 //   bench_fpmon [--reps N] [--budget FILE]
 //
@@ -68,11 +71,17 @@ double time_ns(F&& f) {
   return std::chrono::duration<double, std::nano>(t1 - t0).count();
 }
 
-double median(std::vector<double> xs) {
+/// The q-quantile of a nonempty xs, interpolated between order
+/// statistics (q = 0.5 is the median).
+double quantile(std::vector<double> xs, double q) {
   std::sort(xs.begin(), xs.end());
-  const std::size_t n = xs.size();
-  return n % 2 == 1 ? xs[n / 2] : 0.5 * (xs[n / 2 - 1] + xs[n / 2]);
+  const double pos = q * static_cast<double>(xs.size() - 1);
+  const auto lo = static_cast<std::size_t>(pos);
+  if (lo + 1 >= xs.size()) return xs[lo];
+  return xs[lo] + (pos - static_cast<double>(lo)) * (xs[lo + 1] - xs[lo]);
 }
+
+double median(const std::vector<double>& xs) { return quantile(xs, 0.5); }
 
 std::vector<const wl::Workload*> healthy_workloads() {
   std::vector<const wl::Workload*> out;
@@ -201,14 +210,14 @@ int main(int argc, char** argv) {
   }
 
   std::printf("fpmon overhead (%zu interleaved rounds x %zu healthy "
-              "kernels; medians, ratio spread min-max)\n",
+              "kernels; medians, ratio spread p25-p75)\n",
               reps, kernels.size());
   std::printf("%-20s %14s %10s %17s\n", "mode", "ns/catalogue", "ratio",
               "spread");
   for (const Mode& m : modes) {
-    const auto [lo, hi] = std::minmax_element(m.ratio.begin(), m.ratio.end());
     std::printf("%-20s %14.0f %9.2fx %7.2fx-%.2fx\n", m.name.c_str(),
-                median(m.ns), median(m.ratio), *lo, *hi);
+                median(m.ns), median(m.ratio), quantile(m.ratio, 0.25),
+                quantile(m.ratio, 0.75));
   }
 
   bool ok = true;

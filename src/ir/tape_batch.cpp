@@ -28,10 +28,15 @@ namespace {
 /// Per-instruction passes stream every register array once, so lanes run
 /// in blocks that keep the whole register file in L1 instead of
 /// round-tripping a chunk-sized array through L2/L3 per opcode.
-/// Independent lanes: blocking cannot change results.
+/// Independent lanes: blocking cannot change results. With `reuse`, the
+/// register file and flag words are this thread's scratch, kept across
+/// calls (execute_rows: sweep32 runs it once per block and mode; nothing
+/// the interpreter calls can re-enter it on the same thread); otherwise
+/// they are this call's own.
 template <int kBits>
 void run_soft_lanes(const Tape& t, const double* values, std::size_t width,
-                    std::size_t begin, std::size_t end, Outcome* out) {
+                    std::size_t begin, std::size_t end, Outcome* out,
+                    bool reuse) {
   using F = sf::Float<kBits>;
   using Storage = typename F::Storage;
   constexpr std::size_t kLaneBlock = 1024;
@@ -43,18 +48,30 @@ void run_soft_lanes(const Tape& t, const double* values, std::size_t width,
   quiet.set_denormals_are_zero(cfg.denormals_are_zero);
 
   const std::size_t block = std::min(end - begin, kLaneBlock);
-  std::vector<F> regs(t.register_count() * block);
-  std::vector<unsigned> flags(block);
+  thread_local std::vector<F> kept_regs;
+  thread_local std::vector<unsigned> kept_flags;
+  std::vector<F> own_regs;
+  std::vector<unsigned> own_flags;
+  std::vector<F>& reg_file = reuse ? kept_regs : own_regs;
+  std::vector<unsigned>& lane_flags = reuse ? kept_flags : own_flags;
+  if (reg_file.size() < t.register_count() * block) {
+    reg_file.resize(t.register_count() * block);
+  }
+  if (lane_flags.size() < block) lane_flags.resize(block);
+  // Raw pointers: stores through `out` cannot alias them, so the lane
+  // loops need not reload a vector that may live in thread storage.
+  F* const regs = reg_file.data();
+  unsigned* const flags = lane_flags.data();
   const std::span<const std::uint64_t> pool = t.constant_bits();
 
   for (std::size_t r0 = begin; r0 < end; r0 += block) {
     const std::size_t lanes = std::min(end - r0, block);
-    std::fill_n(flags.data(), lanes, 0u);
+    std::fill_n(flags, lanes, 0u);
     for (const TapeInst& in : t.code()) {
-      F* d = regs.data() + std::size_t{in.dst} * block;
-      const F* a = regs.data() + std::size_t{in.a} * block;
-      const F* b = regs.data() + std::size_t{in.b} * block;
-      const F* c = regs.data() + std::size_t{in.c} * block;
+      F* d = regs + std::size_t{in.dst} * block;
+      const F* a = regs + std::size_t{in.a} * block;
+      const F* b = regs + std::size_t{in.b} * block;
+      const F* c = regs + std::size_t{in.c} * block;
       switch (in.op) {
         case TapeOp::kConst: {
           const F v = F::from_bits(static_cast<Storage>(pool[in.a]));
@@ -72,33 +89,33 @@ void run_soft_lanes(const Tape& t, const double* values, std::size_t width,
           sf::neg_n<kBits>(a, d, lanes);
           break;
         case TapeOp::kAdd:
-          sf::add_n<kBits>(a, b, d, flags.data(), lanes, env);
+          sf::add_n<kBits>(a, b, d, flags, lanes, env);
           break;
         case TapeOp::kSub:
-          sf::sub_n<kBits>(a, b, d, flags.data(), lanes, env);
+          sf::sub_n<kBits>(a, b, d, flags, lanes, env);
           break;
         case TapeOp::kMul:
-          sf::mul_n<kBits>(a, b, d, flags.data(), lanes, env);
+          sf::mul_n<kBits>(a, b, d, flags, lanes, env);
           break;
         case TapeOp::kDiv:
-          sf::div_n<kBits>(a, b, d, flags.data(), lanes, env);
+          sf::div_n<kBits>(a, b, d, flags, lanes, env);
           break;
         case TapeOp::kSqrt:
-          sf::sqrt_n<kBits>(a, d, flags.data(), lanes, env);
+          sf::sqrt_n<kBits>(a, d, flags, lanes, env);
           break;
         case TapeOp::kFma:
-          sf::fma_n<kBits>(a, b, c, d, flags.data(), lanes, env);
+          sf::fma_n<kBits>(a, b, c, d, flags, lanes, env);
           break;
         case TapeOp::kCmpEq:
-          sf::equal_n<kBits>(a, b, d, flags.data(), lanes, env);
+          sf::equal_n<kBits>(a, b, d, flags, lanes, env);
           break;
         case TapeOp::kCmpLt:
-          sf::less_n<kBits>(a, b, d, flags.data(), lanes, env);
+          sf::less_n<kBits>(a, b, d, flags, lanes, env);
           break;
       }
     }
 
-    const F* result = regs.data() + std::size_t{t.result_register()} * block;
+    const F* result = regs + std::size_t{t.result_register()} * block;
     Outcome* o = out + (r0 - begin);
     sf::Env widen_env;  // widening is exact
     for (std::size_t l = 0; l < lanes; ++l) {
@@ -120,19 +137,21 @@ void run_soft_lanes(const Tape& t, const double* values, std::size_t width,
 /// Dispatch one row block [begin, end) of a row-major value array to the
 /// per-format interpreter. Callers guarantee width >= required_width().
 void dispatch_soft(const Tape& tape, const double* values, std::size_t width,
-                   std::size_t begin, std::size_t end, Outcome* out) {
+                   std::size_t begin, std::size_t end, Outcome* out,
+                   bool reuse = false) {
   switch (tape.config().format_bits) {
     case 16:
-      run_soft_lanes<16>(tape, values, width, begin, end, out);
+      run_soft_lanes<16>(tape, values, width, begin, end, out, reuse);
       break;
     case 32:
-      run_soft_lanes<32>(tape, values, width, begin, end, out);
+      run_soft_lanes<32>(tape, values, width, begin, end, out, reuse);
       break;
     case sf::kBFloat16:
-      run_soft_lanes<sf::kBFloat16>(tape, values, width, begin, end, out);
+      run_soft_lanes<sf::kBFloat16>(tape, values, width, begin, end, out,
+                                    reuse);
       break;
     default:
-      run_soft_lanes<64>(tape, values, width, begin, end, out);
+      run_soft_lanes<64>(tape, values, width, begin, end, out, reuse);
       break;
   }
 }
@@ -162,7 +181,7 @@ void execute_rows(const Tape& tape, std::span<const double> rows,
   if (out.size() != n) {
     throw std::invalid_argument("execute_rows: out.size() != row count");
   }
-  dispatch_soft(tape, rows.data(), width, 0, n, out.data());
+  dispatch_soft(tape, rows.data(), width, 0, n, out.data(), /*reuse=*/true);
 }
 
 std::vector<Outcome> execute_batch(parallel::ThreadPool& pool,

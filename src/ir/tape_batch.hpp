@@ -40,9 +40,10 @@ Outcome execute(const Tape& tape, std::span<const double> bindings = {});
 /// tape.required_width() (throws BindingWidthError), rows.size() divisible
 /// by a nonzero width, and out.size() == rows.size() / width (throws
 /// std::invalid_argument otherwise). This is the sweep32 hot-loop entry
-/// point: a shard body streams its chunk through the interpreter on the
+/// point: a chunk task streams its blocks through the interpreter on the
 /// calling thread, which also keeps pool shards reentrancy-safe
-/// (execute_batch may not run inside run_shards).
+/// (execute_batch may not run inside run_shards). Its register file and
+/// flag words are per-thread scratch, kept from one call to the next.
 void execute_rows(const Tape& tape, std::span<const double> rows,
                   std::size_t width, std::span<Outcome> out);
 

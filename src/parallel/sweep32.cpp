@@ -7,12 +7,14 @@
 #include <array>
 #include <cfenv>
 #include <charconv>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <map>
 #include <mutex>
+#include <span>
 #include <sstream>
 #include <string_view>
 #include <type_traits>
@@ -314,22 +316,37 @@ void host_sqrt_n(const sf::Float32* in, sf::Float32* out, std::size_t n) {
   }
 }
 
-/// A sqrt shard's buffers, kept per thread so shards reuse them instead of
-/// allocating afresh. A shard larger than kKeepPatterns frees them again,
-/// which bounds what a thread holds between sweeps.
-struct SqrtBuffers {
-  std::vector<sf::Float32> in, soft, want;
-  std::vector<unsigned> flags;
-  std::vector<double> rows;
-  std::vector<ir::Outcome> outs;
-};
-constexpr std::size_t kKeepPatterns = std::size_t{1} << 16;
+/// Patterns per block. The sqrt and binary16 kernel bodies walk their
+/// chunk a block at a time through fixed per-thread buffers, so what a
+/// thread holds is bounded whatever chunk_bits is, and a block's columns
+/// stay in L2 between the producers and the check loop.
+constexpr std::size_t kBlock = 1024;
 
-/// One sqrt shard's lanes, checked pattern by pattern. `want` is null
-/// when the reference lane is off and `outs` when the IR lanes are.
+/// One mode's sqrt lanes over a block.
+struct SqrtModeBlock {
+  std::array<sf::Float32, kBlock> soft, want;
+  std::array<unsigned, kBlock> flags;
+  std::array<ir::Outcome, kBlock> outs;
+};
+
+/// A sqrt task's per-thread block buffers: the input column, its binary64
+/// values (the IR operand rows) and its operand-only flag reference, which
+/// every mode shares, and one SqrtModeBlock per mode.
+struct SqrtBlockBuffers {
+  std::vector<sf::Float32> in = std::vector<sf::Float32>(kBlock);
+  std::vector<double> rows = std::vector<double>(kBlock);
+  std::vector<SqrtFlagsRef> flag_ref = std::vector<SqrtFlagsRef>(kBlock);
+  std::vector<SqrtModeBlock> mode;
+};
+
+/// One sqrt shard's lanes over a block, checked pattern by pattern. `want`
+/// is null when the reference lane is off and `outs` when the IR lanes
+/// are.
 struct SqrtLanes {
   sf::Rounding mode;
   const sf::Float32* in;
+  const double* wide;              ///< ref_widen64 of each input
+  const SqrtFlagsRef* flag_ref;    ///< SqrtFlagsRef::of each input
   const sf::Float32* soft;
   const unsigned* flags;
   const sf::Float32* want;
@@ -340,18 +357,37 @@ struct SqrtLanes {
   // whose NaNs are the soft engine's, so it compares bitwise.
   bool away() const { return mode == sf::Rounding::kNearestAway; }
   bool ref_ok(std::size_t i) const {
-    return away() ? soft[i].bits == want[i].bits
-                  : same_result(soft[i], want[i]);
+    return (soft[i].bits == want[i].bits) |
+           (!away() & soft[i].is_nan() & want[i].is_nan());
   }
   bool flags_ok(std::size_t i) const {
-    return flags[i] == ref_sqrt_flags(in[i], soft[i]);
+    return flags[i] == flag_ref[i].for_root(soft[i], wide[i]);
   }
   // The IR lanes narrow their operand quietly (no invalid on sNaN by the
   // evaluators' contract), so flags are compared only for non-NaN inputs;
   // values must agree everywhere.
   bool ir_ok(std::size_t i, const ir::Outcome& o) const {
-    return o.value.bits == ref_widen64(soft[i]).bits &&
-           (in[i].is_nan() || o.flags == flags[i]);
+    return (o.value.bits == ref_widen64(soft[i]).bits) &
+           (in[i].is_nan() | (o.flags == flags[i]));
+  }
+  /// Sets bit `bit` of bad[i] for each of the block's n patterns on which
+  /// the reference, flag or tape lane disagrees. The checks above have no
+  /// branch, and each lane's loop has no call, so the compiler can keep
+  /// the loops branch-free (the reference and flag loop vectorizes).
+  void judge(std::size_t n, std::uint8_t* bad, unsigned bit) const {
+    // A copy the byte stores cannot alias, so its fields stay in registers.
+    const SqrtLanes l = *this;
+    if (l.want != nullptr) {
+      for (std::size_t i = 0; i < n; ++i) {
+        bad[i] |= static_cast<std::uint8_t>(!(l.ref_ok(i) & l.flags_ok(i)))
+                  << bit;
+      }
+    }
+    if (l.outs != nullptr) {
+      for (std::size_t i = 0; i < n; ++i) {
+        bad[i] |= static_cast<std::uint8_t>(!l.ir_ok(i, l.outs[i])) << bit;
+      }
+    }
   }
 };
 
@@ -395,74 +431,153 @@ struct SqrtIr {
   ir::Tape tape;
 };
 
+/// One still-pending shard of a chunk task: its rounding mode and, for
+/// sqrt with the IR lanes on, that mode's IR program (null otherwise).
+struct ShardMode {
+  sf::Rounding mode;
+  const SqrtIr* ir;
+};
+
+/// Checks and folds the n patterns of a sqrt block for K modes; the
+/// block starts `offset` patterns into its chunk. Each mode's lanes are
+/// judged first, in loops with no branch or call. One loop then folds the
+/// K chains side by side, so their serial mix64 steps overlap instead of
+/// waiting on one another. Last, only the patterns on the tree-walk
+/// stride (chunk positions 0, stride, 2 * stride, ...; stride 0: none) or
+/// with a disagreement are visited again, in ascending order: each runs
+/// the walk and notes every lane that disagrees, mode by mode.
+template <std::size_t K>
+void check_sqrt_block(const SqrtLanes* lanes, const ShardMode* modes,
+                      const double* rows, std::size_t n, std::uint64_t offset,
+                      std::size_t stride, ChunkStats* st) {
+  static_assert(K <= 8, "one bit of bad[i] per mode");
+  std::array<std::uint8_t, kBlock> bad{};
+  for (std::size_t k = 0; k < K; ++k) lanes[k].judge(n, bad.data(), k);
+
+  std::array<const sf::Float32*, K> soft;
+  std::array<const unsigned*, K> flags;
+  std::array<std::uint64_t, K> h;
+  for (std::size_t k = 0; k < K; ++k) {
+    soft[k] = lanes[k].soft;
+    flags[k] = lanes[k].flags;
+    h[k] = st[k].fingerprint;
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t k = 0; k < K; ++k) {
+      h[k] = fold(h[k], soft[k][i].bits, flags[k][i]);
+    }
+  }
+  for (std::size_t k = 0; k < K; ++k) st[k].fingerprint = h[k];
+
+  std::size_t next_walk =
+      stride != 0 ? static_cast<std::size_t>((stride - offset % stride) % stride)
+                  : n;
+  for (std::size_t i = 0; i < n; ++i) {
+    const bool walk_here = i == next_walk;
+    if (bad[i] == 0 && !walk_here) continue;
+    for (std::size_t k = 0; k < K; ++k) {
+      ir::Outcome one;
+      const ir::Outcome* walk = nullptr;
+      if (walk_here) {
+        const SqrtIr& prog = *modes[k].ir;
+        one = ir::evaluate(prog.tree, prog.tape.config(),
+                           std::span<const double>(&rows[i], 1));
+        walk = &one;
+      }
+      if (((bad[i] >> k) & 1) != 0 || (walk && !lanes[k].ir_ok(i, one))) {
+        note_sqrt_mismatches(lanes[k], i, walk, st[k]);
+      }
+    }
+    if (walk_here) next_walk += stride;
+  }
+}
+
+/// check_sqrt_block for 1 to 5 modes, indexed by the count: a grid's modes
+/// are folded side by side five at a time.
+using CheckSqrtBlock = void (*)(const SqrtLanes*, const ShardMode*,
+                                const double*, std::size_t, std::uint64_t,
+                                std::size_t, ChunkStats*);
+constexpr CheckSqrtBlock kCheckSqrtBlock[] = {
+    nullptr,
+    check_sqrt_block<1>,
+    check_sqrt_block<2>,
+    check_sqrt_block<3>,
+    check_sqrt_block<4>,
+    check_sqrt_block<5>,
+};
+constexpr std::size_t kMaxSideBySide = std::size(kCheckSqrtBlock) - 1;
+
 /// sqrt: soft batch kernel is the canonical lane; raced against the host
 /// FPU (fenv-expressible modes) or the double-path reference
 /// (roundTiesToAway) plus the exact flag reference, and, when configured,
 /// against the tape interpreter on every pattern and, on a stride, the
 /// tree walk, which runs neither the tape compiler nor the interpreter.
-/// The producers fill their buffers first; one loop then folds the
-/// fingerprint and checks every lane of a pattern, so the independent
-/// compares run beside the fold's serial mix64 chain.
-ChunkStats run_sqrt_chunk(const Sweep32Config& cfg, sf::Rounding mode,
-                          std::uint64_t p0, std::uint64_t p1,
-                          const SqrtIr* ir_lanes) {
-  const std::size_t n = static_cast<std::size_t>(p1 - p0);
-  thread_local SqrtBuffers buf;
-  buf.in.resize(n);
-  buf.soft.resize(n);
-  buf.flags.assign(n, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    buf.in[i] = sf::Float32{static_cast<std::uint32_t>(p0 + i)};
-  }
-  sf::Env env(mode);
-  sf::sqrt_n<32>(buf.in.data(), buf.soft.data(), buf.flags.data(), n, env);
-
-  SqrtLanes lanes{mode, buf.in.data(), buf.soft.data(), buf.flags.data(),
-                  nullptr, nullptr};
-  if (cfg.race_hardware) {
-    buf.want.resize(n);
-    if (lanes.away()) {
-      ref_sqrt_away_n(buf.in, buf.want);
-    } else {
-      const ScopedFenvRounding guard(fenv_rounding(mode));
-      host_sqrt_n(buf.in.data(), buf.want.data(), n);
-    }
-    lanes.want = buf.want.data();
-  }
-  const bool race_ir = cfg.race_tape && ir_lanes != nullptr;
-  if (race_ir) {
-    buf.rows.resize(n);
-    buf.outs.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      buf.rows[i] = sf::to_native(ref_widen64(buf.in[i]));
-    }
-    ir::execute_rows(ir_lanes->tape, buf.rows, 1, buf.outs);
-    lanes.outs = buf.outs.data();
-  }
+/// One task runs every pending mode of its chunk, a block at a time: the
+/// block's input column and IR operand rows are built once, each mode's
+/// producers fill its block buffers, and one loop then folds and checks
+/// every mode of each pattern (check_sqrt_block). Each mode's fingerprint
+/// is its own chain over its shard's patterns in ascending order, exactly
+/// as if the shard ran alone.
+std::vector<ChunkStats> run_sqrt_chunk(const Sweep32Config& cfg,
+                                       std::span<const ShardMode> modes,
+                                       std::uint64_t p0, std::uint64_t p1) {
+  const std::size_t k_modes = modes.size();
+  const bool race_ir = cfg.race_tape && modes.front().ir != nullptr;
   const std::size_t stride = race_ir ? cfg.walk_stride : 0;
+  thread_local SqrtBlockBuffers buf;
+  if (buf.mode.size() < k_modes) buf.mode.resize(k_modes);
 
-  ChunkStats st;
-  st.checked = n;
-  std::size_t next_walk = stride != 0 ? 0 : n;
-  for (std::size_t i = 0; i < n; ++i) {
-    st.fingerprint = fold(st.fingerprint, lanes.soft[i].bits, lanes.flags[i]);
-    bool ok = true;
-    if (lanes.want != nullptr) ok = lanes.ref_ok(i) & lanes.flags_ok(i);
-    if (lanes.outs != nullptr) ok &= lanes.ir_ok(i, lanes.outs[i]);
-    ir::Outcome one;
-    const ir::Outcome* walk = nullptr;
-    if (i == next_walk) {
-      one = ir::evaluate(ir_lanes->tree, ir_lanes->tape.config(),
-                         std::span<const double>(&buf.rows[i], 1));
-      walk = &one;
-      ok &= lanes.ir_ok(i, one);
-      next_walk += stride;
+  std::vector<ChunkStats> st(k_modes);
+  std::vector<SqrtLanes> lanes(k_modes);
+  for (std::uint64_t b0 = p0; b0 < p1; b0 += kBlock) {
+    const std::size_t n = static_cast<std::size_t>(
+        std::min<std::uint64_t>(kBlock, p1 - b0));
+    sf::Float32* in = buf.in.data();
+    for (std::size_t i = 0; i < n; ++i) {
+      in[i] = sf::Float32{static_cast<std::uint32_t>(b0 + i)};
     }
-    if (!ok) [[unlikely]] {
-      note_sqrt_mismatches(lanes, i, walk, st);
+    if (cfg.race_hardware || race_ir) {
+      for (std::size_t i = 0; i < n; ++i) {
+        buf.rows[i] = sf::to_native(ref_widen64(in[i]));
+      }
+    }
+    if (cfg.race_hardware) {
+      for (std::size_t i = 0; i < n; ++i) {
+        buf.flag_ref[i] = SqrtFlagsRef::of(in[i]);
+      }
+    }
+    for (std::size_t k = 0; k < k_modes; ++k) {
+      const sf::Rounding mode = modes[k].mode;
+      SqrtModeBlock& mb = buf.mode[k];
+      std::fill_n(mb.flags.data(), n, 0u);
+      sf::Env env(mode);
+      sf::sqrt_n<32>(in, mb.soft.data(), mb.flags.data(), n, env);
+      SqrtLanes& l = lanes[k];
+      l = {mode,          in,      buf.rows.data(), buf.flag_ref.data(),
+           mb.soft.data(), mb.flags.data(), nullptr, nullptr};
+      if (cfg.race_hardware) {
+        if (l.away()) {
+          ref_sqrt_away_n({in, n}, {mb.want.data(), n});
+        } else {
+          const ScopedFenvRounding guard(fenv_rounding(mode));
+          host_sqrt_n(in, mb.want.data(), n);
+        }
+        l.want = mb.want.data();
+      }
+      if (race_ir) {
+        ir::execute_rows(modes[k].ir->tape, {buf.rows.data(), n}, 1,
+                         {mb.outs.data(), n});
+        l.outs = mb.outs.data();
+      }
+    }
+
+    for (std::size_t k = 0; k < k_modes; k += kMaxSideBySide) {
+      const std::size_t group = std::min(kMaxSideBySide, k_modes - k);
+      kCheckSqrtBlock[group](&lanes[k], &modes[k], buf.rows.data(), n,
+                             b0 - p0, stride, &st[k]);
     }
   }
-  if (n > kKeepPatterns) buf = SqrtBuffers{};
+  for (ChunkStats& s : st) s.checked = p1 - p0;
   return st;
 }
 
@@ -715,16 +830,18 @@ Case<16> kernel16_case(Arith op, std::uint64_t p) {
   return {op, sf::Float16{ab.a}, sf::Float16{ab.b}, sf::Float16{c}};
 }
 
-/// A binary16 kernel shard's operand and result columns, kept per thread
-/// like SqrtBuffers.
+/// A binary16 kernel block's operand and result columns, kept per thread.
 struct Kernel16Buffers {
-  std::vector<sf::Float16> a, b, c, out;
-  std::vector<unsigned> flags;
+  std::vector<sf::Float16> a = std::vector<sf::Float16>(kBlock),
+                           b = std::vector<sf::Float16>(kBlock),
+                           c = std::vector<sf::Float16>(kBlock),
+                           out = std::vector<sf::Float16>(kBlock);
+  std::vector<unsigned> flags = std::vector<unsigned>(kBlock);
 };
 
-/// The dispatched batch entry point of `op` over the shard's columns.
-void run_batch16(Arith op, Kernel16Buffers& buf, sf::Env& env) {
-  const std::size_t n = buf.out.size();
+/// The dispatched batch entry point of `op` over the first n lanes of the
+/// block's columns.
+void run_batch16(Arith op, Kernel16Buffers& buf, std::size_t n, sf::Env& env) {
   const sf::Float16* a = buf.a.data();
   const sf::Float16* b = buf.b.data();
   sf::Float16* out = buf.out.data();
@@ -757,12 +874,13 @@ void run_batch16(Arith op, Kernel16Buffers& buf, sf::Env& env) {
 }
 
 /// The binary16 kernel rows (sqrt16, add16 ... fma16): a shard decodes
-/// into operand columns and runs the dispatched batch entry point, the
-/// kernel every caller runs, whose (bits, flags) feed the fingerprint.
-/// Each lane's value is checked bitwise against the exact reference, and
-/// its value and flags against the scalar op. Under the scalar variant
-/// the entry point runs the scalar op itself, so that second check is
-/// skipped and the row checks the scalar op against the reference.
+/// into operand columns, a block at a time, and runs the dispatched batch
+/// entry point, the kernel every caller runs, whose (bits, flags) feed the
+/// fingerprint. Each lane's value is checked bitwise against the exact
+/// reference, and its value and flags against the scalar op. Under the
+/// scalar variant the entry point runs the scalar op itself, so that
+/// second check is skipped and the row checks the scalar op against the
+/// reference.
 ChunkStats run_kernel16_chunk(const Sweep32Config& cfg, sf::Rounding mode,
                               std::uint64_t p0, std::uint64_t p1) {
   const Arith op =
@@ -770,60 +888,58 @@ ChunkStats run_kernel16_chunk(const Sweep32Config& cfg, sf::Rounding mode,
           ? Arith::kSqrt
           : static_cast<Arith>(static_cast<int>(cfg.op) -
                                static_cast<int>(SweepOp::kAdd16));
-  const std::size_t n = static_cast<std::size_t>(p1 - p0);
-  thread_local Kernel16Buffers buf;
-  buf.a.resize(n);
-  buf.b.resize(n);
-  buf.c.resize(n);
-  buf.out.resize(n);
-  buf.flags.assign(n, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    const Case<16> k = kernel16_case(op, p0 + i);
-    buf.a[i] = k.a;
-    buf.b[i] = k.b;
-    buf.c[i] = k.c;
-  }
-  sf::Env env(mode);
-  run_batch16(op, buf, env);
-
-  // Each reference pins the direction its wide step needs: the sweep
-  // mode for div and sqrt, round-to-nearest for the TwoSum of add, sub
-  // and fma. Holding it for the whole loop makes those pins no-ops.
   const bool directed_ref = op == Arith::kDiv || op == Arith::kSqrt;
-  const ScopedFenvRounding guard(directed_ref ? fenv_rounding(mode)
-                                              : FE_TONEAREST);
   const bool vs_scalar = cfg.race_hardware && sf::active_kernel_variant() !=
                                                   sf::KernelVariant::kScalar;
   const char* lane = sweep_op_name(cfg.op);
+  thread_local Kernel16Buffers buf;
   ChunkStats st;
-  st.checked = n;
-  for (std::size_t i = 0; i < n; ++i) {
-    const sf::Float16 got = buf.out[i];
-    st.fingerprint = fold(st.fingerprint, got.bits, buf.flags[i]);
-    if (!cfg.race_hardware) continue;
-    const Case<16> k{op, buf.a[i], buf.b[i], buf.c[i]};
-    const sf::Float16 want = ref_result(k, mode);
-    if (got.bits != want.bits) {
-      st.note(describe_case(lane, mode, k, got, want));
+  st.checked = p1 - p0;
+  for (std::uint64_t b0 = p0; b0 < p1; b0 += kBlock) {
+    const std::size_t n = static_cast<std::size_t>(
+        std::min<std::uint64_t>(kBlock, p1 - b0));
+    for (std::size_t i = 0; i < n; ++i) {
+      const Case<16> k = kernel16_case(op, b0 + i);
+      buf.a[i] = k.a;
+      buf.b[i] = k.b;
+      buf.c[i] = k.c;
     }
-    if (!vs_scalar) continue;
-    sf::Env scalar_env(mode);
-    const sf::Float16 scalar = soft_result(k, scalar_env);
-    if (scalar.bits != got.bits || scalar_env.flags() != buf.flags[i]) {
-      st.note(describe_scalar_mismatch(lane, mode, k, got, buf.flags[i],
-                                       scalar, scalar_env.flags()));
+    std::fill_n(buf.flags.data(), n, 0u);
+    sf::Env env(mode);
+    run_batch16(op, buf, n, env);
+
+    // Each reference pins the direction its wide step needs: the sweep
+    // mode for div and sqrt, round-to-nearest for the TwoSum of add, sub
+    // and fma. Holding it for the whole block makes those pins no-ops.
+    const ScopedFenvRounding guard(directed_ref ? fenv_rounding(mode)
+                                                : FE_TONEAREST);
+    for (std::size_t i = 0; i < n; ++i) {
+      const sf::Float16 got = buf.out[i];
+      st.fingerprint = fold(st.fingerprint, got.bits, buf.flags[i]);
+      if (!cfg.race_hardware) continue;
+      const Case<16> k{op, buf.a[i], buf.b[i], buf.c[i]};
+      const sf::Float16 want = ref_result(k, mode);
+      if (got.bits != want.bits) {
+        st.note(describe_case(lane, mode, k, got, want));
+      }
+      if (!vs_scalar) continue;
+      sf::Env scalar_env(mode);
+      const sf::Float16 scalar = soft_result(k, scalar_env);
+      if (scalar.bits != got.bits || scalar_env.flags() != buf.flags[i]) {
+        st.note(describe_scalar_mismatch(lane, mode, k, got, buf.flags[i],
+                                         scalar, scalar_env.flags()));
+      }
     }
   }
-  if (n > kKeepPatterns) buf = Kernel16Buffers{};
   return st;
 }
 
-ChunkStats run_chunk(const Sweep32Config& cfg, sf::Rounding mode,
-                     std::uint64_t p0, std::uint64_t p1,
-                     const SqrtIr* ir_lanes) {
+/// One mode of a chunk of every row but sqrt.
+ChunkStats run_mode_chunk(const Sweep32Config& cfg, sf::Rounding mode,
+                          std::uint64_t p0, std::uint64_t p1) {
   switch (cfg.op) {
     case SweepOp::kSqrt:
-      return run_sqrt_chunk(cfg, mode, p0, p1, ir_lanes);
+      break;  // run_chunk runs its modes side by side
     case SweepOp::kRoundToIntegral:
       return run_round_int_chunk(cfg, mode, p0, p1);
     case SweepOp::kToBinary16:
@@ -858,6 +974,21 @@ ChunkStats run_chunk(const Sweep32Config& cfg, sf::Rounding mode,
       return run_sample_chunk<64>(cfg, mode, p0, p1);
   }
   return {};
+}
+
+/// A chunk task: every still-pending mode of chunk [p0, p1), one
+/// ChunkStats per mode in the order of `modes`. sqrt runs its modes side
+/// by side; every other row runs them one after another.
+std::vector<ChunkStats> run_chunk(const Sweep32Config& cfg,
+                                  std::span<const ShardMode> modes,
+                                  std::uint64_t p0, std::uint64_t p1) {
+  if (cfg.op == SweepOp::kSqrt) return run_sqrt_chunk(cfg, modes, p0, p1);
+  std::vector<ChunkStats> st;
+  st.reserve(modes.size());
+  for (const ShardMode& m : modes) {
+    st.push_back(run_mode_chunk(cfg, m.mode, p0, p1));
+  }
+  return st;
 }
 
 /// The host rows race the host FPU, which has no roundTiesToAway.
@@ -971,18 +1102,28 @@ Sweep32Report run_sweep32(const Sweep32Config& config) {
   manifest.open();
 
   // Pending shards in ascending order; max_shards makes "run the first K
-  // still-pending shards" a deterministic slice of the grid.
-  std::vector<std::uint64_t> pending;
-  for (std::uint64_t s = 0; s < total; ++s) {
-    if (!manifest.has(s)) {
-      pending.push_back(s);
-      if (config.max_shards != 0 && pending.size() >= config.max_shards) {
-        break;
-      }
+  // still-pending shards" a deterministic slice of the grid. One task per
+  // chunk takes every pending shard (mode) of that chunk; tasks run in
+  // ascending chunk order.
+  struct ChunkTask {
+    std::uint64_t chunk = 0;
+    std::vector<std::uint64_t> mode_idx;  ///< ascending
+  };
+  std::vector<ChunkTask> tasks;
+  {
+    std::vector<std::vector<std::uint64_t>> by_chunk(grid.chunks);
+    std::size_t pending = 0;
+    for (std::uint64_t s = 0; s < total; ++s) {
+      if (manifest.has(s)) continue;
+      by_chunk[s % grid.chunks].push_back(s / grid.chunks);
+      if (config.max_shards != 0 && ++pending >= config.max_shards) break;
+    }
+    for (std::uint64_t c = 0; c < grid.chunks; ++c) {
+      if (!by_chunk[c].empty()) tasks.push_back({c, std::move(by_chunk[c])});
     }
   }
 
-  // One sqrt program per rounding mode (compiled up front; shards share
+  // One sqrt program per rounding mode (compiled up front; tasks share
   // it read-only).
   std::vector<SqrtIr> sqrt_ir;
   if (config.op == SweepOp::kSqrt && config.race_tape) {
@@ -1001,29 +1142,32 @@ Sweep32Report run_sweep32(const Sweep32Config& config) {
   std::size_t completions = 0;
 
   const ShardRunReport run = pool.run_shards(
-      pending.size(), config.deadline, [&](std::size_t i) {
-        const std::uint64_t shard = pending[i];
-        const std::uint64_t mode_idx = shard / grid.chunks;
-        const std::uint64_t chunk_idx = shard % grid.chunks;
-        const std::uint64_t p0 = config.begin + chunk_idx * grid.chunk;
+      tasks.size(), config.deadline, [&](std::size_t i) {
+        const ChunkTask& task = tasks[i];
+        const std::uint64_t p0 = config.begin + task.chunk * grid.chunk;
         const std::uint64_t p1 =
             std::min<std::uint64_t>(grid.end, p0 + grid.chunk);
-        const SqrtIr* ir_lanes =
-            sqrt_ir.empty() ? nullptr : &sqrt_ir[mode_idx];
-        ChunkStats st = run_chunk(config, modes[mode_idx], p0, p1, ir_lanes);
+        std::vector<ShardMode> shard_modes;
+        for (const std::uint64_t m : task.mode_idx) {
+          shard_modes.push_back(
+              {modes[m], sqrt_ir.empty() ? nullptr : &sqrt_ir[m]});
+        }
+        std::vector<ChunkStats> st = run_chunk(config, shard_modes, p0, p1);
 
         const std::lock_guard<std::mutex> lock(mu);
-        manifest.record(shard, st);
-        report.run_shards += 1;
-        report.run_checked += st.checked;
-        report.run_mismatches += st.mismatches;
-        for (std::string& s : st.samples) {
-          if (report.mismatch_samples.size() < kMaxMismatchReports) {
-            report.mismatch_samples.push_back(std::move(s));
+        for (std::size_t k = 0; k < st.size(); ++k) {
+          manifest.record(task.mode_idx[k] * grid.chunks + task.chunk, st[k]);
+          report.run_shards += 1;
+          report.run_checked += st[k].checked;
+          report.run_mismatches += st[k].mismatches;
+          for (std::string& s : st[k].samples) {
+            if (report.mismatch_samples.size() < kMaxMismatchReports) {
+              report.mismatch_samples.push_back(std::move(s));
+            }
           }
-        }
-        if (++completions % config.checkpoint_interval == 0) {
-          manifest.write();
+          if (++completions % config.checkpoint_interval == 0) {
+            manifest.write();
+          }
         }
       });
   manifest.write();

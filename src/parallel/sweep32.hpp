@@ -40,8 +40,14 @@
 // Sharding and checkpointing: the pattern space is cut into fixed
 // 2^chunk_bits shards per rounding mode; shard identity, content and seed
 // are pure functions of the config (docs/parallel.md determinism rules),
-// so any subset of shards can run in any order on any thread count. A
-// manifest file records each completed shard's result fingerprint: an
+// so any subset of shards can run in any order on any thread count. One
+// pool task runs every still-pending shard (mode) of a chunk: sqrt walks
+// the chunk in fixed blocks, builds each block's inputs once for all its
+// modes and folds the modes' fingerprint chains side by side; the other
+// rows run their modes one after another. Each shard still folds its own
+// patterns in ascending order, so grouping changes the schedule and
+// nothing a shard records. A manifest file records each completed
+// shard's result fingerprint: an
 // append-only log, one checked line per shard, appended every
 // checkpoint_interval completions (a kill loses at most one interval, and
 // a line torn by it is dropped and its shard re-run), so a killed sweep
@@ -146,7 +152,8 @@ struct Sweep32Config {
   std::size_t checkpoint_interval = 256;
   /// Cap on shards THIS run executes (0 = all still pending) — the
   /// deterministic way to split a sweep across runs, and what the
-  /// interruption tests use. Pending shards run in ascending shard order.
+  /// interruption tests use. The run takes the first max_shards pending
+  /// shards in ascending shard order.
   std::size_t max_shards = 0;
   /// Wall-clock bound for this run (0 = none): shards not yet claimed
   /// when it expires are left pending in the manifest (CI slice mode).

@@ -93,19 +93,37 @@ sf::Float<kBits> ref_sqrt(sf::Float<kBits> a, sf::Rounding mode);
 /// exactly in binary64, so the check shares no code with the soft
 /// engine's remainder-based sticky bit. Pair it with a value reference
 /// (ref_sqrt or the host FPU) that proves `r` itself.
+///
+/// SqrtFlagsRef is its operand-only half, so a caller checking one operand
+/// under several rounding modes classifies it once: of(a) holds the flags
+/// that do not depend on r, and for_root(r, wide) adds inexact when
+/// r*r != a.
+struct SqrtFlagsRef {
+  unsigned fixed = 0;   ///< the flags that do not depend on r
+  unsigned square = 0;  ///< inexact when a is positive, finite and nonzero
+
+  static SqrtFlagsRef of(sf::Float32 a) {
+    if (a.is_nan()) return {a.is_signaling_nan() ? sf::kFlagInvalid : 0u};
+    if (a.is_zero()) return {};                // sqrt(±0) = ±0, exact
+    if (a.sign()) return {sf::kFlagInvalid};   // incl. -inf and -subnormal
+    if (a.is_infinity()) return {};
+    return {a.is_subnormal() ? sf::kFlagDenormalInput : 0u,
+            sf::kFlagInexact};
+  }
+
+  /// `wide` is a's value in binary64. r has at most 24 significand bits
+  /// and lies in [2^-75, 2^64), so r*r is exact and normal in binary64
+  /// under any host rounding direction. The square is computed whatever
+  /// `square` says, so a loop over it has no branch.
+  unsigned for_root(sf::Float32 r, double wide) const {
+    const double root = sf::to_native(r);
+    return fixed | (root * root != wide ? square : 0u);
+  }
+};
+
 inline unsigned ref_sqrt_flags(sf::Float32 a, sf::Float32 r) {
-  if (a.is_nan()) return a.is_signaling_nan() ? sf::kFlagInvalid : 0u;
-  if (a.is_zero()) return 0u;             // sqrt(±0) = ±0, exact
-  if (a.sign()) return sf::kFlagInvalid;  // incl. -inf and -subnormal
-  if (a.is_infinity()) return 0u;
-  const unsigned denormal = a.is_subnormal() ? sf::kFlagDenormalInput : 0u;
-  // r has at most 24 significand bits and lies in [2^-75, 2^64), so r*r
-  // is exact and normal in binary64 under any host rounding direction.
-  const double root = sf::to_native(r);
-  const double square = root * root;
-  return denormal |
-         (square == static_cast<double>(sf::to_native(a)) ? 0u
-                                                          : sf::kFlagInexact);
+  const SqrtFlagsRef c = SqrtFlagsRef::of(a);
+  return c.square != 0 ? c.for_root(r, sf::to_native(a)) : c.fixed;
 }
 
 /// sqrt under roundTiesToAway of every lane of `in` into `out` (same

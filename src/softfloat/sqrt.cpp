@@ -38,7 +38,8 @@ using detail::U128;
 // 64-bit root of a 128-bit radicand. Sets `exact` iff that quotient is
 // exact (remainder and unconsumed radicand bits all zero). Restoring
 // method, two radicand bits per iteration; the remainder stays below
-// 2^(kIterations+3), so it fits in 64 bits.
+// 2^(kIterations+3), so it fits in 64 bits. Each root bit is a data
+// dependent coin flip, so the restore step is a select, not a branch.
 template <int kIterations>
 std::uint64_t isqrt_top(U128 x, bool& exact) noexcept {
   static_assert(kIterations >= 1 && kIterations <= 61);
@@ -47,12 +48,10 @@ std::uint64_t isqrt_top(U128 x, bool& exact) noexcept {
   for (int i = 0; i < kIterations; ++i) {
     rem = (rem << 2) | static_cast<std::uint64_t>(x >> 126);
     x <<= 2;
-    root <<= 1;
-    const std::uint64_t trial = (root << 1) | 1;
-    if (rem >= trial) {
-      rem -= trial;
-      root |= 1;
-    }
+    const std::uint64_t trial = (root << 2) | 1;
+    const bool take = rem >= trial;
+    rem = take ? rem - trial : rem;
+    root = (root << 1) | std::uint64_t{take};
   }
   exact = rem == 0 && x == 0;
   return root;

@@ -99,8 +99,11 @@ struct Float {
   constexpr bool is_infinity() const {
     return biased_exponent() == Constants::kExpInfNan && fraction() == 0;
   }
+  /// The magnitudes above infinity's are exactly the NaNs, so this is one
+  /// compare with no branch.
   constexpr bool is_nan() const {
-    return biased_exponent() == Constants::kExpInfNan && fraction() != 0;
+    return static_cast<Storage>(bits & ~Constants::kSignMask) >
+           Constants::kPositiveInfinityBits;
   }
   constexpr bool is_signaling_nan() const {
     return is_nan() && (bits & Constants::kQuietBit) == 0;

@@ -18,6 +18,8 @@
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <map>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -318,6 +320,98 @@ TEST(Sweep32, DeadlineSliceStaysResumable) {
   sw::Sweep32Config fresh = small_sqrt_config();
   fresh.threads = 1;
   EXPECT_EQ(finished.fingerprint, sw::run_sweep32(fresh).fingerprint);
+}
+
+/// A manifest's done records: shard -> "<fp> <checked> <mismatches>" (the
+/// check word binds the shard index, so it is left out).
+std::map<std::uint64_t, std::string> done_records(const std::string& path) {
+  std::map<std::uint64_t, std::string> done;
+  std::istringstream in(read_file(path));
+  std::string key, fp, checked, mismatches, check;
+  std::uint64_t shard = 0;
+  for (std::string line; std::getline(in, line);) {
+    std::istringstream fields(line);
+    if (fields >> key >> shard >> fp >> checked >> mismatches >> check &&
+        key == "done") {
+      done[shard] = fp + " " + checked + " " + mismatches;
+    }
+  }
+  return done;
+}
+
+// One task runs every pending mode of a chunk, and sqrt folds its modes
+// side by side. Each mode's shards must still record exactly what they
+// record when that mode is swept alone: grouping may not mix one mode's
+// chain, counts or samples into another's. The range ends in a partial
+// chunk whose last block is partial too.
+TEST(Sweep32, GroupedModesRecordWhatEachModeRecordsAlone) {
+  struct Row {
+    sw::SweepOp op;
+    std::size_t walk_stride;
+  };
+  const Row rows[] = {{sw::SweepOp::kSqrt, 1},
+                      {sw::SweepOp::kSqrt, 64},
+                      {sw::SweepOp::kRoundToIntegral, 64}};
+  for (const std::size_t threads : {1u, 4u}) {
+    for (const Row& row : rows) {
+      const std::string what = std::string(sw::sweep_op_name(row.op)) +
+                               " stride=" + std::to_string(row.walk_stride) +
+                               " threads=" + std::to_string(threads);
+      sw::Sweep32Config config;
+      config.op = row.op;
+      config.begin = 0x007F'F800;
+      config.end = 0x0080'4A37;  // 5 full chunks of 2^12 and 0x237 more
+      config.chunk_bits = 12;
+      config.threads = threads;
+      config.walk_stride = row.walk_stride;
+      TempManifest grouped("grouped");
+      config.manifest_path = grouped.path();
+      const sw::Sweep32Report all = sw::run_sweep32(config);
+      ASSERT_TRUE(all.complete) << what;
+      EXPECT_EQ(all.mismatches, 0u) << what;
+      const auto all_done = done_records(grouped.path());
+      const std::uint64_t chunks = 6;
+      ASSERT_EQ(all_done.size(), 5 * chunks) << what;
+
+      std::vector<std::string> samples;
+      for (std::size_t m = 0; m < std::size(fpq::parallel::kAllRoundings);
+           ++m) {
+        sw::Sweep32Config one = config;
+        one.modes = {fpq::parallel::kAllRoundings[m]};
+        TempManifest alone("alone");
+        one.manifest_path = alone.path();
+        const sw::Sweep32Report rep = sw::run_sweep32(one);
+        ASSERT_TRUE(rep.complete) << what;
+        samples.insert(samples.end(), rep.mismatch_samples.begin(),
+                       rep.mismatch_samples.end());
+        const auto one_done = done_records(alone.path());
+        ASSERT_EQ(one_done.size(), chunks) << what;
+        for (std::uint64_t c = 0; c < chunks; ++c) {
+          EXPECT_EQ(all_done.at(m * chunks + c), one_done.at(c))
+              << what << " mode " << m << " chunk " << c;
+        }
+      }
+      std::vector<std::string> all_samples = all.mismatch_samples;
+      std::sort(all_samples.begin(), all_samples.end());
+      std::sort(samples.begin(), samples.end());
+      EXPECT_EQ(all_samples, samples) << what;
+
+      // A grid may list a mode twice; past five modes the task folds them
+      // five at a time, and a repeated mode records what its first did.
+      sw::Sweep32Config seven = config;
+      seven.modes.push_back(fpq::parallel::kAllRoundings[0]);
+      seven.modes.push_back(fpq::parallel::kAllRoundings[3]);
+      TempManifest repeated("repeated");
+      seven.manifest_path = repeated.path();
+      ASSERT_TRUE(sw::run_sweep32(seven).complete) << what;
+      const auto seven_done = done_records(repeated.path());
+      for (std::uint64_t c = 0; c < chunks; ++c) {
+        EXPECT_EQ(seven_done.at(5 * chunks + c), all_done.at(c)) << what;
+        EXPECT_EQ(seven_done.at(6 * chunks + c), all_done.at(3 * chunks + c))
+            << what;
+      }
+    }
+  }
 }
 
 // Every op's engine lane agrees with its reference on a slice spanning
