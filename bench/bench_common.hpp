@@ -1,24 +1,17 @@
-// Shared plumbing for the reproduction benches: the fixed evaluation
-// cohorts, comparison-row helpers and the strict number parsers the gate
-// benches read their options with. Every bench uses the same seed so
-// EXPERIMENTS.md quotes one consistent synthetic dataset. Perf numbers
-// with a recorded build and run identity come from perfbench/, not from
-// these benches.
+// Shared plumbing for the benches: the canonical evaluation cohort and
+// the strict number parsers the gate benches read their options with.
+// Every bench uses the same seed so EXPERIMENTS.md quotes one consistent
+// synthetic dataset. Perf numbers with a recorded build and run identity
+// come from perfbench/, not from these benches.
 #pragma once
 
 #include <cctype>
 #include <cerrno>
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
 #include <cstdlib>
-#include <span>
-#include <string>
 #include <vector>
 
-#include "parallel/stream.hpp"
-#include "parallel/thread_pool.hpp"
-#include "report/compare.hpp"
 #include "respondent/population.hpp"
 #include "survey/record.hpp"
 
@@ -54,59 +47,6 @@ inline const std::vector<survey::SurveyRecord>& main_cohort() {
   static const auto cohort =
       respondent::generate_main_cohort(kCohortSeed, 199);
   return cohort;
-}
-
-inline const std::vector<survey::StudentRecord>& student_cohort() {
-  static const auto cohort =
-      respondent::generate_student_cohort(kCohortSeed, 52);
-  return cohort;
-}
-
-/// Shared pool for the streaming figure benches (default thread count).
-inline parallel::ThreadPool& stream_pool() {
-  static parallel::ThreadPool pool;
-  return pool;
-}
-
-/// Streams the first n records of the kCohortSeed main cohort through a
-/// fresh accumulator per shard: each shard seeks its CohortGenerator to
-/// the chunk start (two cheap root draws per skipped respondent) and
-/// feeds its range, so no record vector ever exists. Bit-identical to
-/// folding generate_main_cohort(kCohortSeed, n) through one accumulator.
-template <typename MakeAcc>
-auto stream_main_cohort(std::size_t n, const MakeAcc& make_acc) {
-  auto& pool = stream_pool();
-  return parallel::stream_accumulate(
-      pool, n, parallel::recommended_chunks(pool, n, 64), make_acc,
-      [](auto& acc, std::size_t begin, std::size_t end) {
-        respondent::CohortGenerator gen(kCohortSeed);
-        gen.seek(begin);
-        for (std::size_t i = begin; i < end; ++i) acc.add(gen.next());
-      });
-}
-
-/// Student-cohort counterpart of stream_main_cohort.
-template <typename MakeAcc>
-auto stream_student_cohort(std::size_t n, const MakeAcc& make_acc) {
-  auto& pool = stream_pool();
-  return parallel::stream_accumulate(
-      pool, n, parallel::recommended_chunks(pool, n, 64), make_acc,
-      [](auto& acc, std::size_t begin, std::size_t end) {
-        respondent::StudentCohortGenerator gen(kCohortSeed);
-        gen.seek(begin);
-        for (std::size_t i = begin; i < end; ++i) acc.add(gen.next());
-      });
-}
-
-/// Prints a comparison block and returns 0 if everything is within
-/// tolerance, 1 otherwise (benches exit nonzero on gross divergence so CI
-/// catches shape regressions).
-inline int finish(const std::string& title,
-                  const std::vector<report::ComparisonRow>& rows,
-                  int decimals = 2) {
-  std::fputs(report::render_comparison(title, rows, decimals).c_str(),
-             stdout);
-  return report::summarize_comparison(rows).all_within() ? 0 : 1;
 }
 
 }  // namespace fpq::bench

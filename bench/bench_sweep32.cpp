@@ -41,6 +41,7 @@
 
 #include "bench_common.hpp"
 #include "parallel/sweep32.hpp"
+#include "parallel/thread_pool.hpp"
 #include "softfloat/kernels.hpp"
 
 namespace sw = fpq::parallel::sweep32;

@@ -38,6 +38,28 @@ TEST(Compare, RenderMarksVerdicts) {
   EXPECT_NE(out.find("summary: 1/2 within tolerance"), std::string::npos);
 }
 
+TEST(Compare, ShapeAndUntestableRows) {
+  std::vector<rp::ComparisonRow> rows(3);
+  rows[0] = {"holds", 2.0, 9.0, 0.0};
+  rows[0].holds = true;
+  rows[1] = {"fails", 2.0, 2.0, 1.0};
+  rows[1].holds = false;
+  rows[2] = {"tiny level", 8.0, 8.0, 1.0};
+  rows[2].untestable_n = 3;
+  EXPECT_EQ(rp::verdict(rows[0]), rp::Verdict::kOk);
+  EXPECT_EQ(rp::verdict(rows[1]), rp::Verdict::kDeviates);
+  EXPECT_EQ(rp::verdict(rows[2]), rp::Verdict::kUntestable);
+  const auto s = rp::summarize_comparison(rows);
+  EXPECT_EQ(s.within_tolerance, 1u);
+  EXPECT_EQ(s.untestable, 1u);
+  EXPECT_FALSE(s.all_within());
+  EXPECT_DOUBLE_EQ(s.max_abs_deviation, 0.0);  // shape rows have no |dev|
+  const std::string out = rp::render_comparison("Shapes", rows, 1);
+  EXPECT_NE(out.find("untestable (n=3)"), std::string::npos);
+  EXPECT_NE(out.find("summary: 1/2 within tolerance, 1 untestable"),
+            std::string::npos);
+}
+
 TEST(Compare, EmptyBlockRenders) {
   const std::vector<rp::ComparisonRow> rows;
   const std::string out = rp::render_comparison("Empty", rows, 2);

@@ -131,7 +131,7 @@ TEST(CohortGenerator, SeekIsANoOpAtTheCurrentPosition) {
 
 TEST(CohortGenerator, ShardsReassembleTheFullCohort) {
   // Independent generators seeked to shard starts must reproduce the
-  // sequential stream — the property bench/stream_main_cohort relies on.
+  // sequential stream — the property the sharded streaming folds rely on.
   const auto cohort = rs::generate_main_cohort(13, 50);
   for (const std::size_t begin : {0u, 1u, 24u, 49u}) {
     rs::CohortGenerator gen(13);

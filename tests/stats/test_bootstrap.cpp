@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "stats/bootstrap.hpp"
@@ -67,6 +68,29 @@ TEST(Bootstrap, DeterministicUnderSeed) {
   const auto c2 = st::bootstrap_mean(data, 500, 0.95, b2);
   EXPECT_EQ(c1.lower, c2.lower);
   EXPECT_EQ(c1.upper, c2.upper);
+}
+
+// The streamed (chunk) bootstrap and the classic one share their point
+// estimate exactly on integer scores, whatever the chunking.
+TEST(Bootstrap, ChunkEstimateEqualsResampledEstimate) {
+  st::Xoshiro256pp gen(71);
+  std::vector<double> scores(199);
+  for (auto& x : scores) x = static_cast<double>(st::uniform_below(gen, 16));
+  std::vector<st::ChunkMeanStat> chunks;
+  for (std::size_t begin = 0; begin < scores.size(); begin += 50) {
+    st::ChunkStatAccumulator acc;
+    for (std::size_t i = begin; i < std::min(begin + 50, scores.size()); ++i) {
+      acc.add(scores[i]);
+    }
+    const auto closed = acc.finish();
+    chunks.insert(chunks.end(), closed.begin(), closed.end());
+  }
+  ASSERT_EQ(chunks.size(), 4u);
+  st::Xoshiro256pp boot(0xB007);
+  fpq::parallel::ThreadPool pool(1);
+  EXPECT_EQ(st::bootstrap_mean_from_chunks(chunks, 4000, 0.95, 0xB007, pool)
+                .estimate,
+            st::bootstrap_mean(scores, 4000, 0.95, boot).estimate);
 }
 
 }  // namespace
